@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .errors import MissingLabel, SrtError, UsageError
 from .graph import (
     ReductionTree,
     check_monotonic,
@@ -30,7 +31,7 @@ from .groups import (
     standard_generators,
     sylow_data,
 )
-from .localfield import LocalFieldContext, LocalFieldElement
+from .localfield import DEFAULT_M, DEFAULT_N, LocalFieldContext
 from .pipeline import run_wild_monodromy
 from .ramification import (
     Filtration,
@@ -46,7 +47,7 @@ from .torsor import (
     tail_center,
     tail_radius,
 )
-from .valuation import ExtendedRational
+from .valuation import ExtendedRational, is_prime, to_jsonable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,14 +66,21 @@ _CONTRADICTION_VERDICTS = {
 }
 
 
-class UsageError(Exception):
-    """Carries a one-line remedy for the user."""
+def _odd_prime(text):
+    """argparse type of every --p flag."""
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if p == 2 or not is_prime(p):
+        raise argparse.ArgumentTypeError(f"p must be an odd prime, got {p}")
+    return p
 
 
 def _fraction(text):
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(
             f"could not parse {text!r} as a rational; write it as 'a/b'"
         ) from exc
@@ -84,30 +92,23 @@ def _ext_fraction(text):
     return ExtendedRational(_fraction(text))
 
 
-def _show(v):
-    if hasattr(v, "to_json"):
-        return v.to_json()
-    if isinstance(v, (Fraction, ExtendedRational)):
-        return str(v)
-    if isinstance(v, (list, tuple)):
-        return [_show(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _show(x) for k, x in v.items()}
-    return v
-
-
 def _load_config():
-    cfg = {"N": 40, "M": 8, "T": None, "format": "json"}
+    cfg = {"N": DEFAULT_N, "M": DEFAULT_M, "T": None, "format": "json"}
     path = os.environ.get("SRT_CONFIG")
     if path:
+        remedy = (
+            f"point it at a JSON object like "
+            f"{{\"N\": {DEFAULT_N}, \"M\": {DEFAULT_M}, \"format\": \"json\"}}"
+        )
         try:
             with open(path) as handle:
                 data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
             raise UsageError(
-                f"SRT_CONFIG file {path!r} unreadable ({exc}); point it at a "
-                f"JSON object like {{\"N\": 40, \"M\": 8, \"format\": \"json\"}}"
+                f"SRT_CONFIG file {path!r} unreadable ({exc}); {remedy}"
             ) from exc
+        if not isinstance(data, dict):
+            raise UsageError(f"SRT_CONFIG file {path!r} holds no JSON object; {remedy}")
         for key in cfg:
             if key in data:
                 cfg[key] = data[key]
@@ -115,7 +116,8 @@ def _load_config():
         raise UsageError(
             f"output format must be 'json' or 'text', got {cfg['format']!r}"
         )
-    for key in ("N", "M"):
+    # T stays None unless set: maclaurin_g then uses its default order
+    for key in ("N", "M") if cfg["T"] is None else ("N", "M", "T"):
         if not isinstance(cfg[key], int) or cfg[key] < 1:
             raise UsageError(f"config {key} must be a positive integer, got {cfg[key]!r}")
     return cfg
@@ -165,28 +167,31 @@ def _verdict_exit(kind):
 
 
 def _cmd_expand(args, cfg):
-    sqrt1ma = (
-        _fraction(args.sqrt1ma) if args.sqrt1ma is not None else Fraction(-args.s, args.r)
-    )
+    if args.sqrt1ma is not None:
+        sqrt1ma = _fraction(args.sqrt1ma)
+    elif args.r == 0:
+        raise UsageError("--r must be nonzero; the default --sqrt1ma is -s/r")
+    else:
+        sqrt1ma = Fraction(-args.s, args.r)
     params = CoverParams(args.p, args.nu, args.r, args.s, sqrt1ma)
-    T = args.T if args.T is not None else (cfg["T"] or 3 * args.p + 2)
-    series = maclaurin_g(params, T)
+    series = maclaurin_g(params, args.T if args.T is not None else cfg["T"])
     vals = coefficient_valuations(series, args.p)
     return {
         "p": args.p,
-        "order": T,
-        "coefficients": [str(series.coefficient(i)) for i in range(T + 1)],
+        "order": series.order,
+        "coefficients": [str(c) for c in series.coefficients],
         "valuations": [str(v) for v in vals],
     }, EXIT_OK
 
 
 def _cmd_split_check(args, cfg):
+    remedy = "--vals must be a JSON array of rationals like '[\"3/2\", \"inf\"]'"
     try:
         raw = json.loads(args.vals)
     except json.JSONDecodeError as exc:
-        raise UsageError(
-            f"--vals must be a JSON array of rationals like '[\"3/2\", \"inf\"]' ({exc})"
-        ) from exc
+        raise UsageError(f"{remedy} ({exc})") from exc
+    if not isinstance(raw, list):
+        raise UsageError(remedy)
     vals = [_ext_fraction(v) for v in raw]
     verdict = splitting_obstruction(vals, args.p, args.level)
     return verdict.to_json(), _verdict_exit(verdict.kind)
@@ -200,9 +205,7 @@ def _cmd_tail_center(args, cfg):
     center = tail_center(
         args.p, args.nu, args.r, args.s, args.case, branch=args.branch, ctx=ctx
     )
-    if isinstance(center, LocalFieldElement):
-        return {"center": center.to_json()}, EXIT_OK
-    return {"center": str(center)}, EXIT_OK
+    return {"center": center}, EXIT_OK
 
 
 def _cmd_tail_radius(args, cfg):
@@ -220,14 +223,14 @@ def _load_tree(path):
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
         raise UsageError(
             f"tree file {path!r} unreadable ({exc}); expected the JSON schema "
             f"with 'vertices' and 'edges'"
         ) from exc
     try:
         return ReductionTree.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed tree JSON: {exc}") from exc
 
 
@@ -241,7 +244,7 @@ def _cmd_tree_check(args, cfg):
         out["vanishing_cycles"] = cycles.to_json()
         if cycles.kind == "Violated":
             code = EXIT_CONTRADICTION
-    except Exception as exc:  # missing sigma labels: report, not fail
+    except MissingLabel as exc:  # report, not fail
         out["vanishing_cycles"] = {"skipped": str(exc)}
     mono = check_monotonic(tree)
     out["monotonicity"] = mono.to_json()
@@ -259,17 +262,8 @@ def _cmd_tree_solve(args, cfg):
 
 def _cmd_enum_tails(args, cfg):
     configs = enumerate_tail_configs(args.tau, args.m_g, args.p)
-    out = []
-    for c in configs:
-        entry = {}
-        if c.prim:
-            entry["prim"] = [str(s) for s in c.prim]
-        if c.new:
-            entry["new"] = [str(s) for s in c.new]
-        if c.flagged:
-            entry["flagged"] = True
-        out.append(entry)
-    return out, EXIT_OK
+    # TailConfig.to_json without its empty entries
+    return [{k: v for k, v in c.to_json().items() if v} for c in configs], EXIT_OK
 
 
 def _cmd_conductor(args, cfg):
@@ -278,6 +272,8 @@ def _cmd_conductor(args, cfg):
         return {"conductor": str(compositum_conductor(values))}, EXIT_OK
     if args.shape is None:
         raise UsageError("provide --shape or --compositum 'a/b,c/d'")
+    if args.nu is None or (args.p is None and args.shape == "kummer-tower"):
+        raise UsageError("--shape needs --nu, and kummer-tower also --p")
     value = conductor_case(args.p, args.nu, args.shape)
     return {"conductor": str(value)}, EXIT_OK
 
@@ -287,7 +283,7 @@ def _cmd_herbrand(args, cfg):
         try:
             with open(args.filtration) as handle:
                 filtration = Filtration.from_json(json.load(handle))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise UsageError(
                 f"filtration file {args.filtration!r} unreadable ({exc}); "
                 f"expected {{\"breaks\": [{{\"jump\": ..., \"order\": ...}}]}}"
@@ -310,8 +306,8 @@ def _cmd_group(args, cfg):
     if args.tau is not None and args.rho is not None:
         from .groups import MatrixElement
 
-        alpha = MatrixElement(1, 1, 0, 1, q)
         beta = solve_trace_system(q, args.tau, args.rho)
+        alpha = MatrixElement(1, 1, 0, 1, q)
     else:
         if args.p is None:
             raise UsageError("provide --p (for the standard pair) or --tau/--rho")
@@ -360,7 +356,7 @@ def _build_parser():
         return p
 
     p = add("expand", _cmd_expand, "Maclaurin expansion of the cover function")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_odd_prime, required=True)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
@@ -368,14 +364,14 @@ def _build_parser():
     p.add_argument("--T", type=int, help="truncation order (default 3p+2)")
 
     p = add("split-check", _cmd_split_check, "torsor splitting criterion")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_odd_prime, required=True)
     p.add_argument("--level", type=int, required=True, help="torsor level n")
     p.add_argument(
         "--vals", required=True, help="JSON array of v(c_i), i = 1..T, as 'a/b'"
     )
 
     p = add("tail-center", _cmd_tail_center, "new etale tail disk center")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_odd_prime, required=True)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
@@ -383,47 +379,47 @@ def _build_parser():
     p.add_argument("--branch", type=int, default=0)
 
     p = add("tail-radius", _cmd_tail_radius, "new etale tail disk radius")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_odd_prime, required=True)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--case", required=True)
     p.add_argument("--extra", help="v(a) for a=0, v(sqrt(1-a)) for a=1")
 
     p = add("insep-tails", _cmd_insep_tails, "catalog of new inseparable tails")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_odd_prime, required=True)
     p.add_argument("--nu", type=int, required=True)
     p.add_argument("--case", required=True)
     p.add_argument("--extra")
 
     p = add("tree-check", _cmd_tree_check, "reduction tree structural checks")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_odd_prime, required=True)
     p.add_argument("--tree", required=True, help="tree JSON file")
 
     p = add("tree-solve", _cmd_tree_solve, "solve the different/epaisseur laws")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_odd_prime, required=True)
     p.add_argument("--tree", required=True, help="tree JSON file")
     p.add_argument("--root-delta", help="override the root effective different")
 
     p = add("enum-tails", _cmd_enum_tails, "admissible etale tail configurations")
     p.add_argument("--tau", type=int, required=True, help="number of primitive tails")
     p.add_argument("--m-g", type=int, default=2, dest="m_g")
-    p.add_argument("--p", type=int, default=5)
+    p.add_argument("--p", type=_odd_prime, default=5)
 
     p = add("conductor", _cmd_conductor, "closed-form conductors")
-    p.add_argument("--p", type=int)
+    p.add_argument("--p", type=_odd_prime)
     p.add_argument("--nu", type=int)
     p.add_argument("--shape", choices=("tame-over-cyclotomic", "kummer-tower"))
     p.add_argument("--compositum", help="comma-separated conductors to combine")
 
     p = add("herbrand", _cmd_herbrand, "Herbrand phi/psi transform")
     p.add_argument("--filtration", help="filtration JSON file")
-    p.add_argument("--p", type=int)
+    p.add_argument("--p", type=_odd_prime)
     p.add_argument("--nu", type=int)
     p.add_argument("--direction", choices=("phi", "psi"), required=True)
     p.add_argument("--x", required=True)
 
     p = add("group", _cmd_group, "SL2(F_q) generator and Sylow checks")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=int)
+    p.add_argument("--p", type=_odd_prime)
     p.add_argument("--tau", type=int, help="prescribed trace of beta")
     p.add_argument("--rho", type=int, help="prescribed trace of alpha*beta")
     p.add_argument("--mode", choices=("criterion", "bfs"), default="criterion")
@@ -434,7 +430,7 @@ def _build_parser():
         "end-to-end wild monodromy verification",
     )
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_odd_prime, required=True)
     p.add_argument("--r", type=int, default=1)
 
     return parser
@@ -450,13 +446,10 @@ def dispatch(argv):
         cfg = _load_config()
         fmt = args.format or cfg["format"]
         report, code = args.handler(args, cfg)
-    except UsageError as exc:
+    except SrtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(_show(report), fmt)
+    _emit(to_jsonable(report), fmt)
     return code
 
 

@@ -11,22 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-
-class InvalidProfile(ValueError):
-    pass
-
-
-class MissingLabel(ValueError):
-    pass
-
-
-class Unsupported(ValueError):
-    pass
-
-
-class InvalidTree(ValueError):
-    pass
-
+from .errors import (
+    InvalidProfile,
+    InvalidTree,
+    MissingLabel,
+    PreconditionViolated,
+    Unsupported,
+)
+from .valuation import split_p_part
 
 # --- component-level numerics ---
 
@@ -101,6 +93,10 @@ class Vertex:
     def __post_init__(self):
         if self.tail not in TAIL_KINDS:
             raise InvalidTree(f"unknown tail kind {self.tail!r}")
+        if any(index < 1 for _, index in self.branch_points):
+            raise InvalidTree(
+                f"branch point indices must be positive, got {self.branch_points}"
+            )
         if self.sigma is not None:
             self.sigma = Fraction(self.sigma)
 
@@ -276,11 +272,7 @@ def validate_tree(tree, p):
                     f"{tree.vertices[parent].inertia}"
                 )
         for point, index in v.branch_points:
-            a = 0
-            m = index
-            while m % p == 0:
-                m //= p
-                a += 1
+            a, _ = split_p_part(index, p)
             if v.inertia != a:
                 problems.append(
                     f"branch point {point} of index {index} on a component of "
@@ -550,13 +542,16 @@ def enumerate_tail_configs(tau, m_G, p):
     primitive tails: sigma in (1/2)Z > 0, new-tail sigma > 1, at most two
     etale tails in total, vanishing-cycles identity satisfied. Entries with
     any sigma >= p/2 are flagged as impossible but still listed.
+
+    Every term of the identity is positive, so each primitive sigma is at
+    most 1 and each new-tail sigma at most 2: the candidates do not depend
+    on p.
     """
     if m_G != 2:
         raise Unsupported(f"only m_G = 2 is modeled, got {m_G}")
     if not 0 <= tau <= 3:
-        raise ValueError(f"tau must be 0..3, got {tau}")
-    half = Fraction(1, 2)
-    candidates = [half * k for k in range(1, 4 * p + 1)]
+        raise PreconditionViolated(f"tau must be 0..3, got {tau}")
+    candidates = [Fraction(k, 2) for k in range(1, 5)]
     out = []
     seen = set()
     for n_new in range(0, max(0, 2 - tau) + 1):

@@ -9,29 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class NoSolution(ValueError):
-    pass
-
-
-class Unsupported(ValueError):
-    pass
-
-
-class ResourceLimit(RuntimeError):
-    pass
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
+from .errors import NoSolution, PreconditionViolated, ResourceLimit, Unsupported
+from .valuation import is_prime, power, split_p_part
 
 @dataclass(frozen=True)
 class MatrixElement:
@@ -47,14 +26,14 @@ class MatrixElement:
         for name in "abcd":
             object.__setattr__(self, name, getattr(self, name) % self.q)
         if (self.a * self.d - self.b * self.c) % self.q != 1:
-            raise ValueError(
+            raise PreconditionViolated(
                 f"determinant must be 1 mod {self.q}, got "
                 f"{(self.a * self.d - self.b * self.c) % self.q}"
             )
 
     def __mul__(self, other):
         if self.q != other.q:
-            raise ValueError(f"field mismatch: {self.q} vs {other.q}")
+            raise PreconditionViolated(f"field mismatch: {self.q} vs {other.q}")
         q = self.q
         return MatrixElement(
             self.a * other.a + self.b * other.c,
@@ -68,16 +47,7 @@ class MatrixElement:
         return MatrixElement(self.d, -self.b, -self.c, self.a, self.q)
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = identity(self.q)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, identity(self.q))
 
     def trace(self):
         return (self.a + self.d) % self.q
@@ -128,6 +98,8 @@ def solve_trace_system(q, tau, rho):
     The solution has lower-left entry c = rho - tau != 0, so beta lies
     outside the upper-triangular subgroup.
     """
+    if not is_prime(q):
+        raise Unsupported(f"q must be prime, got {q}")
     tau %= q
     rho %= q
     values = [tau, rho, 2 % q, (-2) % q]
@@ -160,7 +132,7 @@ def standard_generators(q, p):
     those orders: tau = lam + lam^-1 for a primitive root lam, and
     rho = mu + mu^-1 for mu = lam^p.
     """
-    if not _is_prime(q):
+    if not is_prime(q):
         raise Unsupported(f"q must be prime, got {q}")
     if (q - 1) % p != 0:
         raise NoSolution(f"p = {p} must divide q - 1 = {q - 1}")
@@ -201,11 +173,11 @@ def generation_check(gens, q, mode="criterion"):
     """
     gens = list(gens)
     if not gens:
-        raise ValueError("need at least one generator")
+        raise PreconditionViolated("need at least one generator")
     if mode == "bfs":
         return _generation_bfs(gens, q)
     if mode != "criterion":
-        raise ValueError(f"mode must be criterion or bfs, got {mode!r}")
+        raise PreconditionViolated(f"mode must be criterion or bfs, got {mode!r}")
     if len(gens) == 1:
         return GenerationVerdict(
             "ProperSubgroup",
@@ -215,7 +187,7 @@ def generation_check(gens, q, mode="criterion"):
     if len(gens) != 2:
         raise Unsupported("criterion mode needs exactly two generators")
     alpha, beta = gens
-    if not _is_prime(q) or q < 5:
+    if not is_prime(q) or q < 5:
         raise Unsupported(f"criterion mode needs a prime q >= 5, got {q}")
     if element_order(alpha) != q:
         raise Unsupported(
@@ -259,7 +231,7 @@ def _generation_bfs(gens, q, limit=_BFS_LIMIT):
         )
     for g in gens:
         if g.q != q:
-            raise ValueError(f"generator over F_{g.q}, expected F_{q}")
+            raise PreconditionViolated(f"generator over F_{g.q}, expected F_{q}")
 
     def encode(a, b, c, d):
         return ((a.astype(np.int64) * q + b) * q + c) * q + d
@@ -316,15 +288,12 @@ def sylow_data(q, p):
     """p-Sylow data of SL2(F_q) for odd p dividing q^2 - 1: the Sylow is the
     p-part of q^2 - 1, it is cyclic, and the normalizer acts through a group
     of order m_G = 2."""
-    if p == 2 or not _is_prime(p):
+    if p == 2 or not is_prime(p):
         raise Unsupported(f"p must be an odd prime, got {p}")
     if q % p == 0:
         raise Unsupported(f"p = {p} divides q = {q}")
     n = q * q - 1
     if n % p != 0:
         raise Unsupported(f"p = {p} does not divide q^2 - 1 = {n}")
-    order = 1
-    while n % p == 0:
-        order *= p
-        n //= p
-    return SylowData(order=order, cyclic=True, m_G=2)
+    a, _ = split_p_part(n, p)
+    return SylowData(order=p**a, cyclic=True, m_G=2)

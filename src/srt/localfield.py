@@ -16,33 +16,29 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import (
+    ContextError,
+    DivergentSeries,
+    NoNthRoot,
+    NoSquareRoot,
+    PrecisionError,
+    PreconditionViolated,
+)
 from .valuation import (
     INFINITY,
     ExtendedRational,
     ceil_fraction,
     floor_fraction,
+    is_prime,
+    power,
+    split_p_part,
     vp,
 )
 
-
-class ContextError(ValueError):
-    pass
-
-
-class PrecisionError(ArithmeticError):
-    """Raised when a question cannot be answered at the tracked precision."""
-
-
-class DivergentSeries(ArithmeticError):
-    pass
-
-
-class NoSquareRoot(ArithmeticError):
-    pass
-
-
-class NoNthRoot(ArithmeticError):
-    pass
+# default ramification index N and unit precision M of a context; the CLI's
+# SRT_CONFIG keys N and M default to these too
+DEFAULT_N = 40
+DEFAULT_M = 8
 
 
 def _modinv(a, m):
@@ -52,8 +48,8 @@ def _modinv(a, m):
 class LocalFieldContext:
     """Ambient field Q_p(pi), pi^N = p, with default unit precision M."""
 
-    def __init__(self, p, N=40, M=8):
-        if p < 3 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+    def __init__(self, p, N=DEFAULT_N, M=DEFAULT_M):
+        if p == 2 or not is_prime(p):
             raise ContextError(f"p must be an odd prime, got {p}")
         if N < 1 or M < 1:
             raise ContextError(f"N and M must be positive, got N={N}, M={M}")
@@ -254,16 +250,7 @@ class LocalFieldElement:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, self.ctx.one())
 
     def inverse(self, rel_prec=None):
         if not self.terms:
@@ -386,19 +373,9 @@ def hensel_sqrt(u, p, M):
     u = u % (p**M)
     if u % p == 0:
         raise NoSquareRoot(f"{u} is not a unit mod {p}")
-    r0 = None
-    for y in range(p):
-        if (y * y - u) % p == 0:
-            r0 = y
-            break
-    if r0 is None:
+    r = _unit_prime_to_p_root(u, 2, p, M)
+    if r is None:
         raise NoSquareRoot(f"{u} is not a quadratic residue mod {p}")
-    r = r0
-    k = 1
-    while k < M:
-        k = min(2 * k, M)
-        mod = p**k
-        r = (r - (r * r - u) * _modinv(2 * r, mod)) % mod
     return r
 
 
@@ -455,13 +432,16 @@ def _unit_prime_to_p_root(u, m, p, K):
 
 def _integer_nth_root_exact(n, k):
     """Exact k-th root of a nonnegative integer, or None."""
-    if n == 0:
-        return 0
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == n:
-            return cand
-    return None
+    if n < 2:
+        return n
+    # integer Newton iteration from 2^ceil(bits/k) >= n^(1/k); it decreases
+    # strictly until it reaches floor(n^(1/k))
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
 def unit_nth_root(u, n, p, K):
@@ -470,34 +450,20 @@ def unit_nth_root(u, n, p, K):
     Returns (root, exact) where root is a Fraction (exact=True) or an int
     residue mod p^K (exact=False). Raises NoNthRoot when no root exists in Z_p.
     """
-    if isinstance(u, Fraction) and u.denominator != 1 or isinstance(u, Fraction):
-        frac = Fraction(u)
-    else:
-        frac = Fraction(u)
-    # exact shortcut for rational perfect powers
+    frac = Fraction(u)
     num, den = frac.numerator, frac.denominator
-    sign = 1
-    if num < 0:
-        if n % 2 == 0:
-            pass  # handled by residue path (may still have a root if -1 is a square...)
-        else:
-            sign = -1
-            num = -num
-    if sign == -1 or num >= 0:
+    # exact shortcut for rational perfect powers; a negative one only for odd
+    # n (for even n the residue path decides)
+    if num >= 0 or n % 2 == 1:
         rn = _integer_nth_root_exact(abs(num), n)
         rd = _integer_nth_root_exact(den, n)
-        if rn is not None and rd is not None and (sign == 1 or n % 2 == 1):
-            if (sign * Fraction(rn, rd)) ** n == frac:
-                return sign * Fraction(rn, rd), True
+        if rn is not None and rd is not None:
+            return (-1 if num < 0 else 1) * Fraction(rn, rd), True
     mod = p**K
-    res = frac.numerator * _modinv(frac.denominator, mod) % mod
+    res = num * _modinv(den, mod) % mod
     if res % p == 0:
         raise NoNthRoot(f"{u} is not a unit mod {p}")
-    a = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        a += 1
+    a, m = split_p_part(n, p)
     y = res
     for _ in range(a):
         y = _unit_pth_root(y, p, K)
@@ -582,7 +548,7 @@ def nth_root(x, n, branch=0):
     ctx = x.ctx
     p = ctx.p
     if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+        raise PreconditionViolated(f"n must be positive, got {n}")
     v = x.valuation()
     if v.is_infinite:
         return ctx.zero()
@@ -592,11 +558,7 @@ def nth_root(x, n, branch=0):
             f"valuation {v} is not divisible by {n} within ramification index {ctx.N}"
         )
     u0 = x.terms[v]
-    a = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        a += 1
+    a, _ = split_p_part(n, p)
     rel = (x.prec - v) if x.prec is not None else Fraction(ctx.M)
     K = max(ceil_fraction(rel) + 2 * a + 2, 2 * a + 3)
     root_u, exact = unit_nth_root(Fraction(u0), n, p, K)
@@ -773,10 +735,10 @@ def is_pth_power(x, k):
     ctx = x.ctx
     p = ctx.p
     if k not in (p, p * p):
-        raise ValueError(f"k must be p or p^2, got {k}")
+        raise PreconditionViolated(f"k must be p or p^2, got {k}")
     if not x.terms:
         if x.prec is None:
-            raise ValueError("0 is excluded from the power test")
+            raise PreconditionViolated("0 is excluded from the power test")
         return PthPowerVerdict("undecidable", certificate={"reason": "zero to precision"})
     v = min(x.terms)
     if (v / p * ctx.N).denominator != 1:

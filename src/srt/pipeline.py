@@ -10,19 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .localfield import (
-    DivergentSeries,
-    LocalFieldContext,
-    PrecisionError,
-    is_pth_power,
-    nth_root,
-)
+from .errors import DivergentSeries, PipelineError, PrecisionError
+from .localfield import LocalFieldContext, is_pth_power, nth_root
 from .series import CoverParams, maclaurin_g
-from .valuation import vp
-
-
-class PipelineError(RuntimeError):
-    pass
+from .valuation import to_jsonable, vp
 
 
 @dataclass
@@ -36,27 +27,9 @@ class PipelineReport:
         return value
 
     def to_json(self):
-        def show(v):
-            if hasattr(v, "to_json"):
-                return v.to_json()
-            if isinstance(v, Fraction):
-                return str(v)
-            if isinstance(v, (list, tuple)):
-                return [show(x) for x in v]
-            return v if isinstance(v, (int, bool, dict, str)) else repr(v)
-
-        return {
-            "inputs": {k: show(v) for k, v in self.inputs.items()},
-            "steps": [
-                {
-                    "id": s["id"],
-                    "description": s["description"],
-                    "value": show(s["value"]),
-                }
-                for s in self.steps
-            ],
-            "verdict": self.verdict,
-        }
+        return to_jsonable(
+            {"inputs": self.inputs, "steps": self.steps, "verdict": self.verdict}
+        )
 
     def to_text(self):
         lines = [f"inputs: {self.inputs}"]
@@ -107,7 +80,8 @@ def run_wild_monodromy(q, p, r=1):
 
     ctx = LocalFieldContext(p, N=5, M=8)
     params = CoverParams(p, nu, r, s, sqrt1ma)
-    T = 3 * p + 2
+    series = maclaurin_g(params)
+    T = series.order
     # d = +-2 (s/r) (p^(w+1)/s)^(2/5); with s = p this is an exact pi-power
     # (the p-content of 2s/r shifts the exponent up by w during normalization)
     d_plus = ctx.pi_power(Fraction(2, 5), Fraction(2 * s, r))
@@ -118,7 +92,6 @@ def run_wild_monodromy(q, p, r=1):
     sign = 1 if (r + s) % 2 == 0 else -1
     verdicts = []
     for branch, d in (("+", d_plus), ("-", -d_plus)):
-        series = maclaurin_g(params, T)
         try:
             g_series = series.evaluate(d)
             g_direct = _direct_g(params, d)

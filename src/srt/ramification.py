@@ -9,14 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-
-class InvalidQuotient(ValueError):
-    pass
-
-
-class PreconditionViolated(ValueError):
-    pass
-
+from .errors import InvalidQuotient, PreconditionViolated
 
 @dataclass(frozen=True)
 class Filtration:
@@ -33,19 +26,21 @@ class Filtration:
     def __init__(self, breaks, order=None):
         breaks = tuple((Fraction(u), int(o)) for u, o in breaks)
         if not breaks:
-            raise ValueError("filtration needs at least the u = 0 entry")
+            raise PreconditionViolated("filtration needs at least the u = 0 entry")
         if breaks[0][0] != 0:
-            raise ValueError(f"first break must be at u = 0, got {breaks[0][0]}")
+            raise PreconditionViolated(f"first break must be at u = 0, got {breaks[0][0]}")
         jumps = [u for u, _ in breaks]
         if sorted(jumps) != jumps or len(set(jumps)) != len(jumps):
-            raise ValueError(f"jumps must be strictly increasing, got {jumps}")
+            raise PreconditionViolated(f"jumps must be strictly increasing, got {jumps}")
         orders = [o for _, o in breaks]
         if any(a < b for a, b in zip(orders, orders[1:])):
-            raise ValueError(f"orders must be weakly decreasing, got {orders}")
+            raise PreconditionViolated(f"orders must be weakly decreasing, got {orders}")
+        if orders[-1] < 1:
+            raise PreconditionViolated(f"orders must be positive, got {orders}")
         if order is None:
             order = orders[0]
         if order != orders[0]:
-            raise ValueError(
+            raise PreconditionViolated(
                 f"total order {order} must equal the order at u = 0 ({orders[0]})"
             )
         object.__setattr__(self, "breaks", breaks)
@@ -55,7 +50,7 @@ class Filtration:
         """|G^u| for u >= 0."""
         u = Fraction(u)
         if u < 0:
-            raise ValueError(f"u must be >= 0, got {u}")
+            raise PreconditionViolated(f"u must be >= 0, got {u}")
         for jump, o in self.breaks:
             if u <= jump:
                 return o
@@ -90,6 +85,8 @@ def trivial_filtration():
 def cyclotomic_filtration(p, nu):
     """Filtration of the degree (p-1)p^(nu-1) cyclotomic-type extension:
     jumps at 0, 1, ..., nu - 1 with orders (p-1)p^(nu-1), p^(nu-1), ..., p."""
+    if nu < 1:
+        raise PreconditionViolated(f"nu must be >= 1, got {nu}")
     breaks = [(Fraction(0), (p - 1) * p ** (nu - 1))]
     for i in range(1, nu):
         breaks.append((Fraction(i), p ** (nu - i)))
@@ -104,9 +101,9 @@ def herbrand(filtration, direction, x):
     """
     x = Fraction(x)
     if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+        raise PreconditionViolated(f"x must be >= 0, got {x}")
     if direction not in ("phi", "psi"):
-        raise ValueError(f"direction must be phi or psi, got {direction!r}")
+        raise PreconditionViolated(f"direction must be phi or psi, got {direction!r}")
     total = filtration.order
     segments = []  # (upper start, upper end, slope of psi)
     prev = Fraction(0)
@@ -174,7 +171,7 @@ def compositum_conductor(conductors):
     """Conductor of a compositum: the maximum of the conductors."""
     conductors = [Fraction(c) for c in conductors]
     if not conductors:
-        raise ValueError("need at least one conductor")
+        raise PreconditionViolated("need at least one conductor")
     return max(conductors)
 
 
@@ -196,4 +193,4 @@ def conductor_case(p, nu, shape):
         if nu <= 1:
             raise PreconditionViolated(f"kummer-tower shape needs nu > 1, got {nu}")
         return max(Fraction(nu - 1), Fraction(p, p - 1))
-    raise ValueError(f"unknown shape {shape!r}")
+    raise PreconditionViolated(f"unknown shape {shape!r}")

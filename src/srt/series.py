@@ -13,23 +13,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .localfield import LocalFieldElement
-from .valuation import (
-    INFINITY,
-    ExtendedRational,
-    ceil_fraction,
-    vp,
+from .errors import (
+    ContextError,
+    DegenerateCover,
+    PreconditionViolated,
+    TruncationUnderflow,
+    Unsupported,
 )
-
-
-class DegenerateCover(ValueError):
-    pass
-
-
-class TruncationUnderflow(ValueError):
-    def __init__(self, message, required_order=None):
-        super().__init__(message)
-        self.required_order = required_order
+from .localfield import LocalFieldElement
+from .valuation import ExtendedRational, is_prime, power, vp
 
 
 def general_binomial(m, k):
@@ -96,16 +88,7 @@ class GaussRational:
         return self._coerce(other) / self
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, GaussRational(1))
 
     def __eq__(self, other):
         try:
@@ -122,7 +105,7 @@ class GaussRational:
 
     def valuation(self, p) -> ExtendedRational:
         if p % 4 != 3:
-            raise ValueError(
+            raise Unsupported(
                 f"p = {p} splits in Z[i]; component-wise valuation is only "
                 f"valid for p = 3 mod 4"
             )
@@ -136,7 +119,7 @@ def element_valuation(x, p) -> ExtendedRational:
     """Valuation of a coefficient of any supported ring."""
     if isinstance(x, LocalFieldElement):
         if x.ctx.p != p:
-            raise ValueError(f"prime mismatch: element over {x.ctx.p}, asked {p}")
+            raise ContextError(f"prime mismatch: element over {x.ctx.p}, asked {p}")
         return x.valuation()
     if isinstance(x, GaussRational):
         return x.valuation(p)
@@ -157,10 +140,14 @@ class CoverParams:
     """
 
     def __init__(self, p, nu, r, s, sqrt1ma):
+        if p == 2 or not is_prime(p):
+            raise PreconditionViolated(f"p must be an odd prime, got {p}")
         if nu < 1:
-            raise ValueError(f"nu must be >= 1, got {nu}")
+            raise PreconditionViolated(f"nu must be >= 1, got {nu}")
         if not (0 < r < p**nu and 0 < s < p**nu):
-            raise ValueError(f"need 0 < r, s < p^nu = {p**nu}, got r={r}, s={s}")
+            raise PreconditionViolated(
+                f"need 0 < r, s < p^nu = {p**nu}, got r={r}, s={s}"
+            )
         self.p = p
         self.nu = nu
         self.r = r
@@ -168,7 +155,7 @@ class CoverParams:
         self.sqrt1ma = Fraction(sqrt1ma)
         self.a = 1 - self.sqrt1ma**2
         if self.a == 1 - Fraction(s, r) ** 2 and self.sqrt1ma != Fraction(-s, r):
-            raise ValueError(
+            raise PreconditionViolated(
                 f"branch is forced to sqrt(1-a) = {-Fraction(s, r)} for this a"
             )
         if self.sqrt1ma == 0:
@@ -222,7 +209,7 @@ class TruncatedSeries:
         self.coefficients = list(coefficients)
         self.order = len(self.coefficients) - 1 if order is None else order
         if len(self.coefficients) != self.order + 1:
-            raise ValueError(
+            raise PreconditionViolated(
                 f"expected {self.order + 1} coefficients, got {len(self.coefficients)}"
             )
         self.tail_bound = tail_bound
@@ -279,7 +266,7 @@ class TruncatedSeries:
         p = p or self.p
         vx = element_valuation(x, p)
         if not vx > 0:
-            raise ValueError(f"evaluation needs v(x) > 0, got {vx}")
+            raise PreconditionViolated(f"evaluation needs v(x) > 0, got {vx}")
         acc = self.coefficients[self.order]
         for i in range(self.order - 1, -1, -1):
             acc = acc * x + self.coefficients[i]
@@ -295,27 +282,14 @@ class TruncatedSeries:
 
 
 def maclaurin_g(params, T=None):
-    """Maclaurin expansion of g through order T (default 3p + 2).
-
-    Exact rational coefficients, obtained as the product of the binomial
-    expansions of the four linear factors.
-    """
+    """Maclaurin expansion of g through order T (default 3p + 2): the Taylor
+    expansion at 0, with exact rational coefficients and the proven tail
+    bound of CoverParams.coefficient_bound."""
     if T is None:
         T = 3 * params.p + 2
     if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    out = TruncatedSeries([Fraction(1)] + [Fraction(0)] * T, T)
-    for root, m in params.roots():
-        # factor (z - root)^m = (-root)^m * (1 - z/root)^m
-        coeffs = []
-        inv_root = Fraction(1) / root
-        for k in range(T + 1):
-            coeffs.append(general_binomial(m, k) * (-inv_root) ** k)
-        factor = TruncatedSeries(coeffs, T).scalar_mul(Fraction(-root) ** m)
-        out = out * factor
-    out.tail_bound = params.coefficient_bound()
-    out.p = params.p
-    return out
+        raise PreconditionViolated(f"T must be >= 1, got {T}")
+    return taylor_at(params, Fraction(0), T)
 
 
 def taylor_at(params, center, T):
@@ -390,7 +364,7 @@ def rescale(series, d, e, T):
     vd = element_valuation(d, p)
     ve = element_valuation(e, p)
     if not vd > 0:
-        raise ValueError(f"recentering needs v(d) > 0, got {vd}")
+        raise PreconditionViolated(f"recentering needs v(d) > 0, got {vd}")
     base_floor = series.tail_floor(vd.as_fraction())
     if base_floor is None:
         raise TruncationUnderflow(

@@ -9,30 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .localfield import (
-    LocalFieldContext,
-    LocalFieldElement,
+from .errors import (
+    CaseMismatch,
+    InadmissibleValuation,
+    InsufficientData,
     NoNthRoot,
     PrecisionError,
-    nth_root,
+    PreconditionViolated,
 )
+from .localfield import LocalFieldContext, LocalFieldElement, nth_root
 from .valuation import ExtendedRational, vp
-
-
-class InsufficientData(ValueError):
-    pass
-
-
-class PreconditionViolated(ValueError):
-    pass
-
-
-class CaseMismatch(ValueError):
-    pass
-
-
-class InadmissibleValuation(ValueError):
-    pass
 
 
 GENERIC = "generic"
@@ -271,6 +257,8 @@ def tail_center(p, nu, r, s, case, branch=0, ctx=None):
     case = _norm_case(case)
     if vp(r, p) != 0:
         raise CaseMismatch(f"v_{p}({r}) must be 0")
+    if s == 0 or r + s == 0:
+        raise CaseMismatch(f"need s != 0 and r + s != 0, got r={r}, s={s}")
     vs = vp(s, p)
     vrs = vp(r + s, p)
     if case == GENERIC:

@@ -1,5 +1,7 @@
 """
-Exact p-adic valuations over the rationals.
+Exact p-adic valuations over the rationals, and the small helpers every other
+module shares: primality, the p-part split of an integer, square-and-multiply
+and conversion of reports to JSON values.
 
 Valuations take values in (1/N)Z for various N, so everything here is built on
 ``fractions.Fraction``, extended by a single infinite element for v(0).
@@ -8,6 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .errors import PreconditionViolated
 
 
 class ExtendedRational:
@@ -85,7 +89,7 @@ class ExtendedRational:
 
     def as_fraction(self):
         if self.is_infinite:
-            raise ValueError("infinite valuation has no rational value")
+            raise PreconditionViolated("infinite valuation has no rational value")
         return self.value
 
 
@@ -103,7 +107,7 @@ def vp(x, p) -> ExtendedRational:
         ExtendedRational; INFINITY for x = 0.
     """
     if p < 2:
-        raise ValueError(f"p must be a prime >= 2, got {p}")
+        raise PreconditionViolated(f"p must be a prime >= 2, got {p}")
     x = Fraction(x)
     if x == 0:
         return INFINITY
@@ -123,7 +127,7 @@ def unit_part(x, p) -> Fraction:
     """x / p^vp(x) as an exact rational; the p-adic unit part of x != 0."""
     x = Fraction(x)
     if x == 0:
-        raise ValueError("0 has no unit part")
+        raise PreconditionViolated("0 has no unit part")
     v = vp(x, p).as_fraction()
     return x / Fraction(p) ** int(v)
 
@@ -137,9 +141,9 @@ def multinomial(q, parts):
     """
     parts = list(parts)
     if any(r < 0 for r in parts) or q < 0:
-        raise ValueError(f"negative arguments: q={q}, parts={parts}")
+        raise PreconditionViolated(f"negative arguments: q={q}, parts={parts}")
     if sum(parts) != q:
-        raise ValueError(f"parts {parts} do not sum to {q}")
+        raise PreconditionViolated(f"parts {parts} do not sum to {q}")
     out = math.factorial(q)
     for r in parts:
         out //= math.factorial(r)
@@ -160,3 +164,48 @@ def ceil_fraction(x) -> int:
 def fractional_part(x) -> Fraction:
     x = Fraction(x)
     return x - floor_fraction(x)
+
+
+def is_prime(n) -> bool:
+    """Trial-division primality test."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def split_p_part(n, p):
+    """(a, m) with n = p^a * m and m prime to p, for a nonzero integer n."""
+    if n == 0 or p < 2:
+        raise PreconditionViolated(f"no p-part split of {n} at p = {p}")
+    a = 0
+    while n % p == 0:
+        n //= p
+        a += 1
+    return a, n
+
+
+def power(base, n, one):
+    """base^n by square-and-multiply, starting from the ring's `one`; a
+    negative n raises base.inverse() to -n."""
+    if n < 0:
+        base, n = base.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        if n > 1:
+            base = base * base
+        n >>= 1
+    return out
+
+
+def to_jsonable(v):
+    """Plain JSON value of a report: objects by their to_json, rationals and
+    extended rationals as strings, containers element-wise."""
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    if isinstance(v, (Fraction, ExtendedRational)):
+        return str(v)
+    if isinstance(v, (list, tuple)):
+        return [to_jsonable(x) for x in v]
+    if isinstance(v, dict):
+        return {k: to_jsonable(x) for k, x in v.items()}
+    return v

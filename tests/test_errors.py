@@ -1,0 +1,217 @@
+"""The error hierarchy and the CLI error boundary: every exception srt exports
+is an SrtError, the CLI reports exactly those as one-line errors with exit 1,
+and any other exception propagates as a bug."""
+import inspect
+import json
+from fractions import Fraction
+
+import pytest
+
+import srt
+import srt.cli
+import srt.graph
+import srt.groups
+import srt.ramification
+import srt.torsor
+from srt import (
+    CoverParams,
+    SrtError,
+    TruncatedSeries,
+    cyclotomic_filtration,
+    enumerate_tail_configs,
+    herbrand,
+)
+from srt.cli import EXIT_USAGE, dispatch
+from srt.errors import PreconditionViolated
+from srt.valuation import is_prime, split_p_part
+
+
+@pytest.fixture(autouse=True)
+def clean_config(monkeypatch):
+    monkeypatch.delenv("SRT_CONFIG", raising=False)
+
+
+EXPORTED_ERRORS = [
+    value
+    for value in vars(srt).values()
+    if inspect.isclass(value) and issubclass(value, BaseException)
+]
+
+
+class TestHierarchy:
+    def test_exports_some_errors(self):
+        assert len(EXPORTED_ERRORS) >= 15
+
+    @pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda c: c.__name__)
+    def test_every_exported_error_is_an_srt_error(self, cls):
+        assert issubclass(cls, SrtError)
+        assert cls.__module__ == "srt.errors"
+
+    def test_one_class_per_name(self):
+        assert srt.graph.Unsupported is srt.groups.Unsupported
+        assert srt.torsor.PreconditionViolated is srt.ramification.PreconditionViolated
+        assert srt.cli.UsageError.__module__ == "srt.errors"
+
+    @pytest.mark.parametrize(
+        "name, base",
+        [
+            ("PreconditionViolated", ValueError),
+            ("Unsupported", ValueError),
+            ("ContextError", ValueError),
+            ("TruncationUnderflow", ValueError),
+            ("CaseMismatch", ValueError),
+            ("InvalidTree", ValueError),
+            ("NoSolution", ValueError),
+            ("PrecisionError", ArithmeticError),
+            ("DivergentSeries", ArithmeticError),
+            ("NoSquareRoot", ArithmeticError),
+            ("NoNthRoot", ArithmeticError),
+            ("ResourceLimit", RuntimeError),
+            ("PipelineError", RuntimeError),
+        ],
+    )
+    def test_builtin_base_kept(self, name, base):
+        assert issubclass(getattr(srt.errors, name), base)
+
+
+class TestLibraryPreconditions:
+    def test_cover_params_rejects_non_prime_p(self):
+        with pytest.raises(PreconditionViolated, match="odd prime"):
+            CoverParams(4, 1, 1, 2, Fraction(-2))
+        with pytest.raises(PreconditionViolated, match="odd prime"):
+            CoverParams(2, 2, 1, 3, Fraction(-3))
+
+    def test_cyclotomic_filtration_rejects_nu_below_one(self):
+        with pytest.raises(PreconditionViolated, match="nu"):
+            cyclotomic_filtration(5, 0)
+
+    def test_filtration_orders_positive(self):
+        with pytest.raises(PreconditionViolated, match="positive"):
+            srt.Filtration([(0, 0)])
+
+    def test_bad_inputs_raise_precondition_violated(self):
+        with pytest.raises(PreconditionViolated):
+            enumerate_tail_configs(4, 2, 5)
+        with pytest.raises(PreconditionViolated):
+            herbrand(cyclotomic_filtration(5, 2), "psi", -1)
+        with pytest.raises(PreconditionViolated):
+            TruncatedSeries([Fraction(1), Fraction(1)]).evaluate(Fraction(1, 3), 3)
+
+    def test_shared_integer_helpers(self):
+        assert [n for n in range(-3, 30) if is_prime(n)] == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
+        ]
+        assert split_p_part(250, 5) == (3, 2)
+        assert split_p_part(-7, 5) == (0, -7)
+        with pytest.raises(PreconditionViolated):
+            split_p_part(0, 5)
+
+
+class TestDispatchBoundary:
+    def test_non_srt_error_propagates(self, monkeypatch, capsys):
+        def broken(values):
+            raise ZeroDivisionError("internal bug")
+
+        monkeypatch.setattr(srt.cli, "compositum_conductor", broken)
+        with pytest.raises(ZeroDivisionError, match="internal bug"):
+            dispatch(["conductor", "--compositum", "1/2,3/4"])
+        capsys.readouterr()
+
+    def test_missing_sigma_label_is_reported_not_fatal(self, capsys, tmp_path):
+        tree = {
+            "vertices": [
+                {"id": "root", "inertia": 1},
+                {"id": "t", "inertia": 0, "tail": "primitive"},
+            ],
+            "edges": [{"parent": "root", "child": "t"}],
+        }
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(tree))
+        code = dispatch(["tree-check", "--p", "5", "--tree", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert "sigma" in out["vanishing_cycles"]["skipped"]
+
+
+FILES = {
+    "index0": {
+        "vertices": [{"id": "r", "inertia": 1, "branch_points": [{"id": "b", "index": 0}]}],
+        "edges": [],
+    },
+    "list": [1, 2],
+    "vertex_not_object": {"vertices": [1], "edges": []},
+    "ok": {
+        "vertices": [
+            {"id": "root", "inertia": 2},
+            {"id": "tail", "inertia": 0, "tail": "new-etale", "sigma": "3/2"},
+        ],
+        "edges": [{"parent": "root", "child": "tail", "sigma_eff": "3/2"}],
+    },
+    "order0_filtration": {"breaks": [{"jump": "0", "order": 0}]},
+    "breaks_not_list": {"breaks": 5},
+}
+
+# (argv, SRT_CONFIG content or None, text the error line must contain);
+# "@name" stands for a file holding the JSON FILES[name]
+BAD_INPUTS = [
+    (["expand", "--p", "4", "--nu", "1", "--r", "1", "--s", "2"], None, "odd prime"),
+    (["expand", "--p", "5", "--nu", "0", "--r", "1", "--s", "2"], None, "nu"),
+    (["expand", "--p", "5", "--nu", "1", "--r", "0", "--s", "2"], None, "--r"),
+    (["expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2", "--T", "0"], None, "T"),
+    (["expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2"], {"T": "x"}, "T"),
+    (["split-check", "--p", "1", "--level", "1", "--vals", '["1"]'], None, "odd prime"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", "5"], None, "JSON array"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", "[null]"], None, "rational"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", '["1", "2"]'], None, "i = 5"),
+    (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "0", "--case", "a=1"], None, "s != 0"),
+    (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "b"], None, "case"),
+    (["tail-radius", "--p", "1", "--nu", "2", "--case", "generic"], None, "odd prime"),
+    (["tail-radius", "--p", "7", "--nu", "2", "--case", "a=0", "--extra", "-1"], None, "positive"),
+    (["insep-tails", "--p", "4", "--nu", "2", "--case", "a=0", "--extra", "1"], None, "odd prime"),
+    (["insep-tails", "--p", "5", "--nu", "3", "--case", "a=0"], None, "auxiliary"),
+    (["tree-check", "--p", "5", "--tree", "@index0"], None, "positive"),
+    (["tree-check", "--p", "5", "--tree", "@list"], None, "malformed"),
+    (["tree-solve", "--p", "5", "--tree", "@vertex_not_object"], None, "malformed"),
+    (["tree-solve", "--p", "9", "--tree", "@ok"], None, "odd prime"),
+    (["enum-tails", "--tau", "5"], None, "tau"),
+    (["enum-tails", "--tau", "1", "--m-g", "3"], None, "m_G"),
+    (["enum-tails", "--tau", "1", "--p", "4"], None, "odd prime"),
+    (["conductor", "--nu", "3", "--shape", "kummer-tower"], None, "--p"),
+    (["conductor", "--p", "5", "--nu", "1", "--shape", "kummer-tower"], None, "nu > 1"),
+    (["conductor", "--compositum", "1/0"], None, "rational"),
+    (["herbrand", "--p", "5", "--nu", "0", "--direction", "psi", "--x", "1"], None, "nu"),
+    (["herbrand", "--p", "5", "--nu", "2", "--direction", "psi", "--x", "-1"], None, "x"),
+    (["herbrand", "--filtration", "@order0_filtration", "--direction", "phi", "--x", "1"], None, "positive"),
+    (["herbrand", "--filtration", "@breaks_not_list", "--direction", "phi", "--x", "1"], None, "unreadable"),
+    (["group", "--q", "9", "--tau", "0", "--rho", "3"], None, "prime"),
+    (["group", "--q", "0", "--tau", "13", "--rho", "4"], None, "prime"),
+    (["group", "--q", "10", "--p", "5"], None, "prime"),
+    (["wild-monodromy", "--q", "7", "--p", "5"], None, "q^2 - 1"),
+    (["wild-monodromy", "--q", "251", "--p", "4"], None, "odd prime"),
+    (["tail-radius", "--p", "7", "--nu", "2", "--case", "generic"], [40, 8], "JSON object"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, needle", BAD_INPUTS, ids=[" ".join(a) for a, _, _ in BAD_INPUTS]
+)
+def test_bad_input_is_one_error_line(argv, config, needle, tmp_path, monkeypatch, capsys):
+    resolved = []
+    for token in argv:
+        if token.startswith("@"):
+            path = tmp_path / f"{token[1:]}.json"
+            path.write_text(json.dumps(FILES[token[1:]]))
+            token = str(path)
+        resolved.append(token)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setenv("SRT_CONFIG", str(cfg))
+    code = dispatch(resolved)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    error_lines = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(error_lines) == 1, captured.err
+    assert needle in error_lines[0]

@@ -1,5 +1,6 @@
 """Unit tests for the reduction-tree model: numeric laws, the propagation
 solver, structural lints, vanishing cycles, and tail-config enumeration."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,3 +273,16 @@ class TestTailConfigs:
                 assert lhs == 1
                 assert len(c.prim) == tau
                 assert len(c.prim) + len(c.new) <= 2 or tau == 3
+
+
+class TestTailConfigsLargePrime:
+    def test_large_prime_returns_quickly(self):
+        # the candidates no longer grow with p: sigma <= 2 always
+        start = time.perf_counter()
+        assert enumerate_tail_configs(3, 2, 1009) == []
+        assert time.perf_counter() - start < 5
+        for tau in range(3):
+            big = enumerate_tail_configs(tau, 2, 1009)
+            small = enumerate_tail_configs(tau, 2, 5)
+            assert [(c.prim, c.new) for c in big] == [(c.prim, c.new) for c in small]
+            assert not any(c.flagged for c in big)

@@ -256,3 +256,17 @@ class TestIsPthPower:
         assert v.kind == "yes"
         y = is_pth_power(ctx.from_rational(pow(2, 5, 5**10), prec=10), 25)
         assert y.kind == "no"
+
+
+class TestIntegerRoots:
+    def test_huge_unit_does_not_overflow(self):
+        # the exact-root shortcut used a float k-th root, which overflowed here
+        u = Fraction(5**700 + 1)
+        root, exact = unit_nth_root(u, 5, 5, 8)
+        assert exact is False
+        assert pow(root, 5, 5**8) == u % 5**8
+
+    def test_huge_exact_power(self):
+        root, exact = unit_nth_root(Fraction(-(3**500), 7**300), 5, 5, 8)
+        assert exact is True
+        assert root == -Fraction(3**100, 7**60)
