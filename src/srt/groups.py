@@ -168,8 +168,8 @@ def generation_check(gens, q, mode="criterion"):
     forces the image in PSL2 to be everything; -I in <beta> then lifts the
     generation to SL2.
 
-    bfs mode: exact closure size via breadth-first multiplication, compared
-    with |SL2(F_q)| = q(q^2 - 1).
+    bfs mode (q prime): exact closure size via breadth-first multiplication,
+    compared with |SL2(F_q)| = q(q^2 - 1).
     """
     gens = list(gens)
     if not gens:
@@ -227,51 +227,45 @@ def _generation_bfs(gens, q, limit=_BFS_LIMIT):
     target = q * (q * q - 1)
     if target > limit:
         raise ResourceLimit(
-            f"closure would need about {target} packed entries (limit {limit})"
+            f"closure would reach a group order of {target} (limit {limit})"
         )
+    if not is_prime(q):
+        raise Unsupported(f"bfs mode needs a prime q, got {q}")
     for g in gens:
         if g.q != q:
             raise PreconditionViolated(f"generator over F_{g.q}, expected F_{q}")
 
-    def encode(a, b, c, d):
-        return ((a.astype(np.int64) * q + b) * q + c) * q + d
+    # injective index into [0, q^3): for a != 0, (a, b, c) fix d = (1 + bc)/a;
+    # for a = 0, c = -1/b, so (b, d) fix the element
+    def key(a, b, c, d):
+        return (a * q + b) * q + np.where(a != 0, c, d)
 
-    def decode(code):
-        d = code % q
-        code //= q
-        c = code % q
-        code //= q
-        b = code % q
-        a = code // q
-        return a, b, c, d
-
-    gen_entries = [g.entries() for g in gens]
-    identity_code = ((np.int64(1) * q + 0) * q + 0) * q + 1
-    visited = np.array([identity_code], dtype=np.int64)
-    frontier = visited
-    while frontier.size:
-        a, b, c, d = decode(frontier.copy())
-        products = []
-        for ga, gb, gc, gd in gen_entries:
-            na = (a * ga + b * gc) % q
-            nb = (a * gb + b * gd) % q
-            nc = (c * ga + d * gc) % q
-            nd = (c * gb + d * gd) % q
-            products.append(encode(na, nb, nc, nd))
-        new = np.unique(np.concatenate(products))
-        del products, a, b, c, d
-        # membership against the sorted visited array without np.isin's
-        # internal concatenate-and-sort copy (keeps peak memory low)
-        idx = np.searchsorted(visited, new)
-        idx[idx == visited.size] = 0
-        frontier = new[visited[idx] != new]
-        del new, idx
-        visited = np.concatenate([visited, frontier])
-        visited.sort()
-    size = int(visited.size)
-    if size == target:
-        return GenerationVerdict("Generates", order=size)
-    return GenerationVerdict("ProperSubgroup", order=size)
+    seen = np.zeros(q**3, dtype=bool)
+    frontier = [np.array([x], dtype=np.int32) for x in (1, 0, 0, 1)]
+    seen[key(*frontier)] = True
+    order = 1
+    while frontier[0].size:
+        a, b, c, d = frontier
+        parts = []
+        # right multiplication by one generator is injective, so its products
+        # have distinct keys; marking them seen before the next generator
+        # removes the duplicates between generators
+        for ga, gb, gc, gd in (g.entries() for g in gens):
+            product = (
+                (a * ga + b * gc) % q,
+                (a * gb + b * gd) % q,
+                (c * ga + d * gc) % q,
+                (c * gb + d * gd) % q,
+            )
+            k = key(*product)
+            new = ~seen[k]
+            seen[k[new]] = True
+            parts.append([x[new] for x in product])
+        frontier = [np.concatenate(xs) for xs in zip(*parts)]
+        order += frontier[0].size
+    if order == target:
+        return GenerationVerdict("Generates", order=order)
+    return GenerationVerdict("ProperSubgroup", order=order)
 
 
 @dataclass

@@ -179,6 +179,10 @@ class CoverParams:
         """(const, slope) with v(maclaurin coefficient i) >= const + slope*i
         - v_p(i) for all i >= 1; proven per case."""
         p = self.p
+        if self.a == 0:
+            # sqrt1ma = +-1 makes g = ((z+1)/(z-1))^(r +- s), whose Maclaurin
+            # coefficients are integers; v_p(a) would be infinite here
+            return Fraction(0), Fraction(0)
         va = vp(self.a, p)
         w = vp(1 - self.a, p)
         if va > 0:
@@ -230,11 +234,6 @@ class TruncatedSeries:
             for j, v in enumerate(other.coefficients[: T + 1 - i]):
                 out[i + j] = out[i + j] + u * v
         return TruncatedSeries(out, T, p=self.p or other.p)
-
-    def scalar_mul(self, c):
-        return TruncatedSeries(
-            [c * x for x in self.coefficients], self.order, self.tail_bound, self.p
-        )
 
     def tail_floor(self, per_index_weight):
         """Rigorous lower bound for min over k > order of

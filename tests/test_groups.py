@@ -127,6 +127,60 @@ class TestGenerationCheck:
         with pytest.raises(ResourceLimit):
             generation_check([alpha, beta], 331, mode="bfs")
 
+    def test_bfs_refuses_composite_q(self):
+        # the closure indexes SL2 by field arithmetic; Z/15 is not a field
+        gens = [MatrixElement(1, 1, 0, 1, 15), MatrixElement(0, 1, -1, 0, 15)]
+        with pytest.raises(Unsupported) as exc:
+            generation_check(gens, 15, mode="bfs")
+        assert "prime" in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+
+def _closure_order(gens, q):
+    """Size of the group generated by gens, by a pure-Python set closure."""
+    seen = {identity(q)}
+    todo = [identity(q)]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return len(seen)
+
+
+def _trace_pair(q):
+    # the construction behind standard_generators, with traces (0, 1), since
+    # no odd p gives a standard pair for q = 5 or 7
+    return [MatrixElement(1, 1, 0, 1, q), solve_trace_system(q, 0, 1)]
+
+
+def _order_four(q):
+    # [[0,1],[-1,0]] has order 4; two of its four powers have a = 0
+    return [MatrixElement(0, 1, -1, 0, q)]
+
+
+def _order_four_and_unipotent(q):
+    return _order_four(q) + [MatrixElement(1, 1, 0, 1, q)]
+
+
+def _borel_pair(q):
+    return [MatrixElement(1, 1, 0, 1, q), MatrixElement(3, 0, 0, pow(3, -1, q), q)]
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize(
+    "make_gens", [_trace_pair, _order_four, _order_four_and_unipotent, _borel_pair]
+)
+def test_bfs_matches_brute_force_closure(q, make_gens):
+    gens = make_gens(q)
+    expected = _closure_order(gens, q)
+    out = generation_check(gens, q, mode="bfs")
+    assert out.order == expected
+    full = q * (q * q - 1)
+    assert out.kind == ("Generates" if expected == full else "ProperSubgroup")
+
 
 class TestSylowData:
     def test_values(self):

@@ -1,4 +1,5 @@
 """Unit tests for the exact series expansions of the cover function."""
+import json
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from srt import (
     taylor_factors,
     vp,
 )
+from srt.cli import EXIT_OK, dispatch
 
 from helpers import vp_fraction
 
@@ -89,6 +91,20 @@ class TestCoverParams:
         ]
 
 
+def _assert_bound_holds(params):
+    """coefficient_bound against the actual Maclaurin coefficient valuations
+    through T = 3p + 2."""
+    p = params.p
+    const, slope = params.coefficient_bound()
+    g = maclaurin_g(params, 3 * p + 2)
+    for i in range(1, g.order + 1):
+        ci = g.coefficient(i)
+        if ci == 0:
+            continue
+        bound = const + slope * i - vp(i, p).as_fraction()
+        assert vp(ci, p).as_fraction() >= bound
+
+
 class TestMaclaurin:
     def test_low_coefficients_closed_form(self):
         # with sqrt(1-a) = -s/r the expansion is even-free below order 6 and
@@ -151,15 +167,24 @@ class TestMaclaurin:
             s = rng.randrange(1, p**nu)
             if r == s or r % p == 0 or s % p == 0:
                 continue
-            params = CoverParams(p, nu, r, s, Fraction(-s, r))
-            const, slope = params.coefficient_bound()
-            g = maclaurin_g(params, 3 * p + 2)
-            for i in range(1, g.order + 1):
-                ci = g.coefficient(i)
-                if ci == 0:
-                    continue
-                bound = const + slope * i - vp(i, p).as_fraction()
-                assert vp(ci, p).as_fraction() >= bound
+            _assert_bound_holds(CoverParams(p, nu, r, s, Fraction(-s, r)))
+
+    @pytest.mark.parametrize("sqrt1ma", [1, -1])
+    @pytest.mark.parametrize("r, s", [(1, 2), (2, 1), (3, 7), (9, 4)])
+    def test_coefficient_bound_when_a_is_zero(self, sqrt1ma, r, s):
+        # sqrt1ma = +-1 gives a = 0 exactly, where v_p(a) is infinite
+        params = CoverParams(5, 2, r, s, Fraction(sqrt1ma))
+        assert params.a == 0
+        assert params.coefficient_bound() == (0, 0)
+        _assert_bound_holds(params)
+
+    def test_expand_cli_when_a_is_zero(self, capsys, monkeypatch):
+        monkeypatch.delenv("SRT_CONFIG", raising=False)
+        argv = ["expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2",
+                "--sqrt1ma", "1"]
+        assert dispatch(argv) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["order"] == 17
 
 
 class TestTruncatedSeries:
