@@ -8,9 +8,16 @@ exact: rationals, Gaussian rationals, or local field elements, depending on
 where the expansion center lives. Truncation is tracked honestly; evaluation
 and recentering report precision floors derived from proven lower bounds on
 the dropped coefficients.
+
+Over Q and Q(i) the Taylor coefficients come from the linear recurrence of
+the ODE P*g' = Q*g that g satisfies, in O(T) ring operations. At local
+field centers they come from products of binomial expansions instead: the
+recurrence divides by (k+1)*P(0) at every step, which would cost absolute
+precision on finite-precision elements.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -295,22 +302,51 @@ def taylor_at(params, center, T):
     """Exact Taylor expansion of g at `center` through order T.
 
     The center may be a Fraction, GaussRational, or LocalFieldElement; the
-    coefficients live in the same ring. Within order T the coefficients are
-    exact (each linear factor contributes an explicit binomial expansion), so
-    no truncation error enters below order T + 1.
+    coefficients live in the same ring, and taylor_factors picks the method
+    from that ring. Within order T the coefficients are exact, so no
+    truncation error enters below order T + 1. The tail bound of
+    CoverParams.coefficient_bound is attached when v(center) > 0.
     """
     tail = params.coefficient_bound() if _center_small(center, params.p) else None
     return taylor_factors(params.roots(), center, T, params.p, tail_bound=tail)
 
 
 def taylor_factors(factors, center, T, p, tail_bound=None):
-    """Taylor expansion at `center` of a product of linear-factor powers
-    prod (z - root)^m, given as (root, m) pairs; same coefficient rings and
-    exactness guarantees as taylor_at."""
+    """Taylor expansion at `center` through order T of a product of
+    linear-factor powers prod (z - root)^m, given as (root, m) pairs.
+
+    The coefficient ring picks the method:
+
+    - center and roots in Q or Q(i) (Fraction, int or GaussRational): the
+      coefficients come from the linear recurrence of the ODE P*g' = Q*g,
+      O(T) ring operations in all (see _recurrence_coefficients).
+    - center or any root a LocalFieldElement: each factor is expanded as
+      (center - root)^m * sum binom(m, k) (t/(center - root))^k and the
+      factors are multiplied as truncated series. The recurrence would
+      divide by (k+1)*P(0) at every step, losing v_p(k+1) + v(P(0)) of
+      absolute precision each time, and v(P(0)) > 0 at the exceptional
+      centers; the binomials binom(m, k) of integer exponents are integers
+      and cost no precision.
+
+    Both methods are exact below order T + 1. A center equal to a root is
+    refused with PreconditionViolated.
+    """
+    factors = list(factors)
+    if any(isinstance(x, LocalFieldElement) for x in [center, *(r for r, _ in factors)]):
+        out = _binomial_product(factors, center, T, p)
+    else:
+        out = TruncatedSeries(_recurrence_coefficients(factors, center, T), T, p=p)
+    out.tail_bound = tail_bound
+    return out
+
+
+def _binomial_product(factors, center, T, p):
+    """Product over the factors of their binomial expansions at `center`."""
     one = _ring_one(center)
     out = TruncatedSeries([one] + [0 * one] * T, T, p=p)
     for root, m in factors:
         base = center - root
+        _refuse_root_center(base, root)
         base_pow = base**m
         base_inv = one / base
         coeffs = []
@@ -319,8 +355,72 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
             coeffs.append(general_binomial(m, k) * acc)
             acc = acc * base_inv
         out = out * TruncatedSeries(coeffs, T, p=p)
-    out.tail_bound = tail_bound
     return out
+
+
+def _recurrence_coefficients(factors, center, T):
+    """Coefficients 0..T at `center` of prod (z - root)^m over Q or Q(i).
+
+    In t = z - center the factors are (t - b)^m with b = root - center, so
+    g'/g = sum m/(t - b) = Q/P for P = prod (t - b_i) and
+    Q = sum m_i prod_{j != i} (t - b_j). The coefficients of t^k in
+    P*g' = Q*g give, with n = deg P,
+
+        (k+1) P_0 g_{k+1} = sum_{j=1..n} (Q_{j-1} - (k+1-j) P_j) g_{k+1-j},
+
+    from g_0 = prod (-b_i)^m_i: the D-finite recurrence of Stanley (1980)
+    and gfun (Salvy-Zimmermann 1994). P_0 = prod (-b_i) is nonzero since
+    the center is not a root; repeated roots need no special case.
+    """
+    gauss = any(isinstance(x, GaussRational) for x in [center, *(r for r, _ in factors)])
+    one = GaussRational(1) if gauss else Fraction(1)
+    shifted = []
+    for root, m in factors:
+        b = one * (root - center)
+        _refuse_root_center(b, root)
+        shifted.append((b, m))
+    g0 = one
+    P = [one]
+    for b, m in shifted:
+        g0 = g0 * (-b) ** m
+        P = _times_linear(P, b)
+    n = len(P) - 1
+    Q = [0 * one] * n
+    for i, (_, m) in enumerate(shifted):
+        rest = [one]
+        for j, (b, _) in enumerate(shifted):
+            if j != i:
+                rest = _times_linear(rest, b)
+        Q = [q + m * c for q, c in zip(Q, rest)]
+    if not gauss:
+        # the ODE is homogeneous in (P, Q): integer P and Q keep the inner
+        # loop to int * Fraction products
+        D = math.lcm(*(c.denominator for c in P + Q))
+        P = [int(c * D) for c in P]
+        Q = [int(c * D) for c in Q]
+    g = [g0]
+    for k in range(T):
+        acc = 0 * one
+        for j in range(1, min(n, k + 1) + 1):
+            acc = acc + (Q[j - 1] - (k + 1 - j) * P[j]) * g[k + 1 - j]
+        g.append(acc / ((k + 1) * P[0]))
+    return g
+
+
+def _times_linear(poly, b):
+    """Ascending coefficients of poly(t) * (t - b)."""
+    return (
+        [-b * poly[0]]
+        + [poly[i - 1] - b * poly[i] for i in range(1, len(poly))]
+        + [poly[-1]]
+    )
+
+
+def _refuse_root_center(base, root):
+    if _is_zero(base):
+        raise PreconditionViolated(
+            f"the center equals the root {root}; g has no Taylor expansion there"
+        )
 
 
 def _ring_one(x):

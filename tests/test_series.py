@@ -1,6 +1,7 @@
 """Unit tests for the exact series expansions of the cover function."""
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from srt import (
     DegenerateCover,
     GaussRational,
     I_GAUSS,
+    LocalFieldContext,
+    PreconditionViolated,
     TruncatedSeries,
     TruncationUnderflow,
     coefficient_valuations,
@@ -185,6 +188,73 @@ class TestMaclaurin:
         assert dispatch(argv) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["order"] == 17
+
+    def test_expand_cli_large_prime_is_fast(self, capsys, monkeypatch):
+        # T = 3*251 + 2 = 755: O(T^2) convolutions took longer than 5 s here
+        monkeypatch.delenv("SRT_CONFIG", raising=False)
+        r, s = 7, 5
+        argv = ["expand", "--p", "251", "--nu", "1", "--r", str(r), "--s", str(s)]
+        t0 = time.time()
+        assert dispatch(argv) == EXIT_OK
+        assert time.time() - t0 < 5
+        out = json.loads(capsys.readouterr().out)
+        assert out["order"] == 755
+        assert Fraction(out["coefficients"][0]) == (-1) ** (r + s)
+
+
+def _binomial_reference(factors, center, T):
+    """Coefficients 0..T of prod (z - root)^m at `center`, as the truncated
+    product of the binomial expansions
+    (center - root)^m * sum binom(m, k) (t / (center - root))^k."""
+    out = [Fraction(1)] + [Fraction(0)] * T
+    for root, m in factors:
+        base = center - root
+        expansion = [general_binomial(m, k) * base**m / base**k for k in range(T + 1)]
+        out = [
+            sum((out[i] * expansion[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(T + 1)
+        ]
+    return out
+
+
+def _unit_factors(s, c):
+    """The unit factor of g expanded at z = sqrt(-1) in case i."""
+    return [(-c, s), (Fraction(-1), -s), (Fraction(1), s), (c, -s)]
+
+
+class TestTaylorFactors:
+    P = 7
+
+    FACTOR_SETS = {
+        "generic": CoverParams(7, 2, 3, 10, Fraction(-10, 3)).roots(),
+        "a=0, sqrt1ma=1": CoverParams(7, 1, 2, 5, Fraction(1)).roots(),
+        "a=0, sqrt1ma=-1": CoverParams(7, 1, 2, 5, Fraction(-1)).roots(),
+        "case-i unit": _unit_factors(10, Fraction(-10, 3)),
+    }
+
+    # 14/5 has v_7 = 1 > 0 and is none of the roots
+    @pytest.mark.parametrize("name", sorted(FACTOR_SETS))
+    @pytest.mark.parametrize(
+        "center", [Fraction(0), Fraction(14, 5), I_GAUSS], ids=["0", "14_5", "i"]
+    )
+    def test_recurrence_matches_binomial_products(self, name, center):
+        factors = self.FACTOR_SETS[name]
+        assert center not in [root for root, _ in factors]
+        T = 3 * self.P + 2
+        got = taylor_factors(factors, center, T, self.P).coefficients
+        assert got == _binomial_reference(factors, center, T)
+        ring = GaussRational if isinstance(center, GaussRational) else Fraction
+        assert all(type(c) is ring for c in got)
+
+    @pytest.mark.parametrize(
+        "center",
+        [Fraction(1), GaussRational(-1), LocalFieldContext(7, N=4, M=4).from_rational(1)],
+        ids=["rational", "gauss", "local-field"],
+    )
+    def test_center_at_a_root_is_refused(self, center):
+        factors = CoverParams(7, 1, 2, 3, Fraction(-3, 2)).roots()
+        with pytest.raises(PreconditionViolated):
+            taylor_factors(factors, center, 5, 7)
 
 
 class TestTruncatedSeries:
