@@ -312,16 +312,6 @@ class LocalFieldElement:
     def __hash__(self):
         return hash((self.ctx, self.prec, tuple(self.terms.items())))
 
-    def agrees_with(self, other, bound=None):
-        """True if self - other vanishes at least to `bound` (default: joint precision)."""
-        other = self._coerce(other)
-        diff = self - other
-        if bound is None:
-            if diff.prec is None:
-                return diff.is_zero()
-            bound = diff.prec
-        return diff.valuation_at_least(bound)
-
     def __repr__(self):
         p = self.ctx.p
         bits = []

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DivergentSeries, PipelineError, PrecisionError
+from .errors import DivergentSeries, PipelineError, PrecisionError, Unsupported
 from .localfield import LocalFieldContext, is_pth_power, nth_root
 from .series import CoverParams, maclaurin_g
+from .torsor import insep_tail_catalog
 from .valuation import to_jsonable, vp
 
 
@@ -69,6 +70,11 @@ def run_wild_monodromy(q, p, r=1):
     if not w < nu - 1:
         raise PipelineError(
             f"inseparable-tail case needs v(sqrt(1-a)) = {w} < nu - 1 = {nu - 1}"
+        )
+    if not insep_tail_catalog(p, nu, "a=1", w):
+        raise Unsupported(
+            f"no new inseparable tail at p = {p}, nu = {nu}, v(sqrt(1-a)) = {w}: "
+            f"the tail catalog has one only for p = 5"
         )
     report = PipelineReport(
         inputs={"q": q, "p": p, "r": r, "s": s, "a": a, "nu": nu}

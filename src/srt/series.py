@@ -9,11 +9,11 @@ where the expansion center lives. Truncation is tracked honestly; evaluation
 and recentering report precision floors derived from proven lower bounds on
 the dropped coefficients.
 
-Over Q and Q(i) the Taylor coefficients come from the linear recurrence of
-the ODE P*g' = Q*g that g satisfies, in O(T) ring operations. At local
-field centers they come from products of binomial expansions instead: the
-recurrence divides by (k+1)*P(0) at every step, which would cost absolute
-precision on finite-precision elements.
+In every coefficient ring the Taylor coefficients come from the linear
+recurrence of the ODE P*g' = Q*g that g satisfies, in O(T) ring operations.
+Each step divides by (k+1)*P(0). On finite-precision local field elements
+that division lowers the recorded precision by what it costs, so no
+coefficient claims more precision than it has.
 """
 from __future__ import annotations
 
@@ -302,10 +302,9 @@ def taylor_at(params, center, T):
     """Exact Taylor expansion of g at `center` through order T.
 
     The center may be a Fraction, GaussRational, or LocalFieldElement; the
-    coefficients live in the same ring, and taylor_factors picks the method
-    from that ring. Within order T the coefficients are exact, so no
-    truncation error enters below order T + 1. The tail bound of
-    CoverParams.coefficient_bound is attached when v(center) > 0.
+    coefficients live in the same ring. Within order T the coefficients are
+    exact, so no truncation error enters below order T + 1. The tail bound
+    of CoverParams.coefficient_bound is attached when v(center) > 0.
     """
     tail = params.coefficient_bound() if _center_small(center, params.p) else None
     return taylor_factors(params.roots(), center, T, params.p, tail_bound=tail)
@@ -315,51 +314,20 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
     """Taylor expansion at `center` through order T of a product of
     linear-factor powers prod (z - root)^m, given as (root, m) pairs.
 
-    The coefficient ring picks the method:
-
-    - center and roots in Q or Q(i) (Fraction, int or GaussRational): the
-      coefficients come from the linear recurrence of the ODE P*g' = Q*g,
-      O(T) ring operations in all (see _recurrence_coefficients).
-    - center or any root a LocalFieldElement: each factor is expanded as
-      (center - root)^m * sum binom(m, k) (t/(center - root))^k and the
-      factors are multiplied as truncated series. The recurrence would
-      divide by (k+1)*P(0) at every step, losing v_p(k+1) + v(P(0)) of
-      absolute precision each time, and v(P(0)) > 0 at the exceptional
-      centers; the binomials binom(m, k) of integer exponents are integers
-      and cost no precision.
-
-    Both methods are exact below order T + 1. A center equal to a root is
+    The coefficients come from the recurrence of the ODE P*g' = Q*g in the
+    ring of the center and the roots: Q, Q(i) or the local field (see
+    _recurrence_coefficients). The recurrence is safe on finite-precision
+    elements because LocalFieldElement division records the precision each
+    step loses to its divisor (k+1)*P(0). A center equal to a root is
     refused with PreconditionViolated.
     """
-    factors = list(factors)
-    if any(isinstance(x, LocalFieldElement) for x in [center, *(r for r, _ in factors)]):
-        out = _binomial_product(factors, center, T, p)
-    else:
-        out = TruncatedSeries(_recurrence_coefficients(factors, center, T), T, p=p)
+    out = TruncatedSeries(_recurrence_coefficients(factors, center, T), T, p=p)
     out.tail_bound = tail_bound
     return out
 
 
-def _binomial_product(factors, center, T, p):
-    """Product over the factors of their binomial expansions at `center`."""
-    one = _ring_one(center)
-    out = TruncatedSeries([one] + [0 * one] * T, T, p=p)
-    for root, m in factors:
-        base = center - root
-        _refuse_root_center(base, root)
-        base_pow = base**m
-        base_inv = one / base
-        coeffs = []
-        acc = base_pow
-        for k in range(T + 1):
-            coeffs.append(general_binomial(m, k) * acc)
-            acc = acc * base_inv
-        out = out * TruncatedSeries(coeffs, T, p=p)
-    return out
-
-
 def _recurrence_coefficients(factors, center, T):
-    """Coefficients 0..T at `center` of prod (z - root)^m over Q or Q(i).
+    """Coefficients 0..T at `center` of prod (z - root)^m.
 
     In t = z - center the factors are (t - b)^m with b = root - center, so
     g'/g = sum m/(t - b) = Q/P for P = prod (t - b_i) and
@@ -372,8 +340,8 @@ def _recurrence_coefficients(factors, center, T):
     and gfun (Salvy-Zimmermann 1994). P_0 = prod (-b_i) is nonzero since
     the center is not a root; repeated roots need no special case.
     """
-    gauss = any(isinstance(x, GaussRational) for x in [center, *(r for r, _ in factors)])
-    one = GaussRational(1) if gauss else Fraction(1)
+    factors = list(factors)
+    one = _ring_one(center, *(root for root, _ in factors))
     shifted = []
     for root, m in factors:
         b = one * (root - center)
@@ -392,7 +360,7 @@ def _recurrence_coefficients(factors, center, T):
             if j != i:
                 rest = _times_linear(rest, b)
         Q = [q + m * c for q, c in zip(Q, rest)]
-    if not gauss:
+    if isinstance(one, Fraction):
         # the ODE is homogeneous in (P, Q): integer P and Q keep the inner
         # loop to int * Fraction products
         D = math.lcm(*(c.denominator for c in P + Q))
@@ -423,10 +391,13 @@ def _refuse_root_center(base, root):
         )
 
 
-def _ring_one(x):
-    if isinstance(x, LocalFieldElement):
-        return x.ctx.one()
-    if isinstance(x, GaussRational):
+def _ring_one(*xs):
+    """The one of the ring holding every x: the local field of any
+    LocalFieldElement, else Q(i) if any x is a GaussRational, else Q."""
+    for x in xs:
+        if isinstance(x, LocalFieldElement):
+            return x.ctx.one()
+    if any(isinstance(x, GaussRational) for x in xs):
         return GaussRational(1)
     return Fraction(1)
 

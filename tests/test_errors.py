@@ -188,6 +188,8 @@ BAD_INPUTS = [
     (["group", "--q", "10", "--p", "5"], None, "prime"),
     (["wild-monodromy", "--q", "7", "--p", "5"], None, "q^2 - 1"),
     (["wild-monodromy", "--q", "251", "--p", "4"], None, "odd prime"),
+    (["wild-monodromy", "--q", "1373", "--p", "7"], None, "only for p = 5"),
+    (["wild-monodromy", "--q", "53", "--p", "3"], None, "only for p = 5"),
     (["tail-radius", "--p", "7", "--nu", "2", "--case", "generic"], [40, 8], "JSON object"),
 ]
 

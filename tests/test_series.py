@@ -12,6 +12,7 @@ from srt import (
     GaussRational,
     I_GAUSS,
     LocalFieldContext,
+    LocalFieldElement,
     PreconditionViolated,
     TruncatedSeries,
     TruncationUnderflow,
@@ -19,8 +20,10 @@ from srt import (
     element_valuation,
     general_binomial,
     maclaurin_g,
+    nth_root,
     rescale,
     scaled_coefficient_valuations,
+    sqrt_of_minus_one,
     taylor_at,
     taylor_factors,
     vp,
@@ -245,6 +248,40 @@ class TestTaylorFactors:
         assert got == _binomial_reference(factors, center, T)
         ring = GaussRational if isinstance(center, GaussRational) else Fraction
         assert all(type(c) is ring for c in got)
+
+    @staticmethod
+    def _exceptional():
+        # g at the p = 5 exceptional tail (nu = 2, case a=0, (r, s) = (1, 4)),
+        # whose sqrt(1-a) holds the 5th root of 5^(4nu+1) binom(r+s, 5) = 5^9
+        ctx = LocalFieldContext(5, N=60, M=4)
+        r, s = 1, 4
+        c = (ctx.from_rational(s) - nth_root(ctx.from_rational(5**9), 5)) * Fraction(-1, r)
+        return [(Fraction(-1), r), (Fraction(1), -r), (-c, s), (c, -s)], ctx.zero(), 17
+
+    @staticmethod
+    def _case_i():
+        # the case-i unit factor at z = sqrt(-1), known to precision 5^8
+        ctx = LocalFieldContext(5, N=8, M=6)
+        return _unit_factors(2, Fraction(-2, 3)), sqrt_of_minus_one(ctx, 8), 17
+
+    @pytest.mark.parametrize("make", ["_exceptional", "_case_i"], ids=["exceptional", "sqrt-1"])
+    def test_local_field_center_matches_binomial_products(self, make):
+        factors, center, T = getattr(self, make)()
+        got = taylor_factors(factors, center, T, 5).coefficients
+        want = _binomial_reference(factors, center, T)
+        assert all(type(c) is LocalFieldElement for c in got)
+        for k, (g, w) in enumerate(zip(got, want)):
+            # the difference vanishes below the joint precision
+            assert not (g - w).terms, k
+            assert g.valuation() == w.valuation(), k
+
+    def test_local_field_center_needs_no_binomials(self, monkeypatch):
+        def refuse(m, k):
+            raise AssertionError("taylor_factors expanded a binomial")
+
+        monkeypatch.setattr("srt.series.general_binomial", refuse)
+        factors, center, T = self._case_i()
+        assert len(taylor_factors(factors, center, T, 5).coefficients) == T + 1
 
     @pytest.mark.parametrize(
         "center",
