@@ -1,15 +1,22 @@
 """
 Exact arithmetic in totally ramified extensions Q_p(pi) with pi^N = p.
 
-Elements are finite sums of terms u * pi^(j*N) with j in (1/N)Z and u a p-adic
-unit, together with an absolute precision bound. Precision None means the
-element is an exact finite sum of rational multiples of powers of pi; a finite
-precision q means the value is only known modulo p^q, and unit coefficients
-are canonicalized to integer residues.
+An element is a finite sum of terms u * pi^j, with j an integer and u a p-adic
+unit, together with an absolute precision bound; the term has valuation j/N.
+Each term is held as j -> (num, den), a pair of ints. Precision None means the
+element is an exact finite sum and num/den is a reduced rational prime to p.
+A finite precision q (a Fraction) means the value is only known modulo p^q;
+then den = 1 and num is an int residue modulo p^k, k = ceil(q - j/N).
 
-The canonical form keeps at most one term per residue class of the exponent
-mod 1, which makes the valuation of a nonzero element exact: distinct classes
-can never cancel.
+The canonical form keeps at most one term per residue class of j mod N, which
+makes the valuation of a nonzero element exact: distinct classes can never
+cancel. It is computed on ints alone. Callers see the `terms` view, which maps
+each valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
+residue otherwise.
+
+The inverse is Newton's iteration y <- y(2 - xy), which doubles the relative
+precision each step (Caruso, Computations with p-adic numbers,
+arXiv:1701.06794, sections 1.3 and 2.1).
 """
 from __future__ import annotations
 
@@ -83,84 +90,177 @@ class LocalFieldContext:
         return LocalFieldElement(self, pairs, prec)
 
     def zero(self, prec=None):
-        return LocalFieldElement(self, [], prec)
+        return LocalFieldElement._make(self, {}, None if prec is None else Fraction(prec))
 
     def one(self):
-        return LocalFieldElement(self, [(Fraction(0), 1)])
+        return LocalFieldElement._make(self, {0: (1, 1)}, None)
 
     def from_rational(self, q, prec=None):
-        q = Fraction(q)
+        if type(q) is not int:
+            q = Fraction(q)
         if q == 0:
             return self.zero(prec)
-        return LocalFieldElement(self, [(Fraction(0), q)], prec)
+        return LocalFieldElement(self, [(0, q)], prec)
 
     def pi_power(self, j, unit=1, prec=None):
         """unit * pi^(j*N), i.e. valuation j (j a Fraction with denominator | N)."""
         return LocalFieldElement(self, [(Fraction(j), Fraction(unit))], prec)
 
 
+# Fraction(j, N) for the term keys of the `terms` view, one dict per N
+_EXPONENTS = {}
+
+
+def _exponent(N, j):
+    keys = _EXPONENTS.get(N)
+    if keys is None:
+        keys = _EXPONENTS[N] = {}
+    e = keys.get(j)
+    if e is None:
+        e = keys[j] = Fraction(j, N)
+    return e
+
+
+def _index_limit(prec, N):
+    """Least j with j/N >= prec: terms pi^j with j at or above it vanish
+    modulo p^prec. None for an exact element."""
+    if prec is None:
+        return None
+    return -((-prec.numerator * N) // prec.denominator)
+
+
+def _integer_terms(ctx, pairs):
+    """(j, (num, den)) with num/den prime to p for public (exponent, unit)
+    pairs; a zero unit gives no term."""
+    p, N = ctx.p, ctx.N
+    for e, u in pairs:
+        if type(e) is int:
+            j = e * N
+        else:
+            e = Fraction(e)
+            j, r = divmod(e.numerator * N, e.denominator)
+            if r:
+                raise ContextError(
+                    f"exponent {e} not representable with ramification index {N}"
+                )
+        if type(u) is int:
+            num, den = u, 1
+        else:
+            u = Fraction(u)
+            num, den = u.numerator, u.denominator
+        if num == 0:
+            continue
+        while num % p == 0:
+            num //= p
+            j += N
+        while den % p == 0:
+            den //= p
+            j -= N
+        yield j, (num, den)
+
+
+def _canonicalize(p, N, pairs, prec):
+    """Canonical term dict of the sum of num/den * pi^j over (j, (num, den))
+    in `pairs`, each num/den prime to p, taken modulo p^prec when prec is
+    not None."""
+    jlim = _index_limit(prec, N)
+    # per class j mod N: (m, A, B), the sum is A/B * p^m * pi^class
+    classes = {}
+    for j, (num, den) in pairs:
+        if jlim is not None and j >= jlim:
+            continue
+        m, f = divmod(j, N)
+        c = classes.get(f)
+        if c is None:
+            classes[f] = (m, num, den)
+            continue
+        m0, A, B = c
+        if m >= m0:
+            classes[f] = (m0, A * den + num * B * p ** (m - m0), B * den)
+        else:
+            classes[f] = (m, A * den * p ** (m0 - m) + num * B, B * den)
+    terms = {}
+    if jlim is None:
+        for f, (m, A, B) in classes.items():
+            if A == 0:
+                continue
+            while A % p == 0:
+                A //= p
+                m += 1
+            g = math.gcd(A, B)
+            terms[f + m * N] = (A // g, B // g) if g != 1 else (A, B)
+    else:
+        a, b = prec.numerator * N, prec.denominator
+        for f, (m, A, B) in classes.items():
+            j = f + m * N
+            # digits of the class sum known below p^prec: ceil(prec - j/N)
+            mod = p ** -((b * j - a) // (b * N))
+            A = A % mod if B == 1 else A * pow(B, -1, mod) % mod
+            if A == 0:
+                continue
+            while A % p == 0:
+                A //= p
+                j += N
+            terms[j] = (A, 1)
+    return dict(sorted(terms.items()))
+
+
 class LocalFieldElement:
-    __slots__ = ("ctx", "terms", "prec")
+    __slots__ = ("ctx", "prec", "_t", "_view")
 
     def __init__(self, ctx, pairs, prec=None):
         self.ctx = ctx
         if prec is not None:
             prec = Fraction(prec)
         self.prec = prec
-        self.terms = self._canonicalize(pairs)
+        self._t = _canonicalize(ctx.p, ctx.N, _integer_terms(ctx, pairs), prec)
+        self._view = None
 
-    def _canonicalize(self, pairs):
-        p, N = self.ctx.p, self.ctx.N
-        classes = {}
-        for e, u in pairs:
-            e = Fraction(e)
-            if (e * N).denominator != 1:
-                raise ContextError(
-                    f"exponent {e} not representable with ramification index {N}"
-                )
-            u = Fraction(u)
-            if u == 0:
-                continue
-            fl = floor_fraction(e)
-            f = e - fl
-            classes[f] = classes.get(f, Fraction(0)) + u * Fraction(p) ** fl
-        terms = {}
-        for f, c in classes.items():
-            if c == 0:
-                continue
-            v = vp(c, p).as_fraction()
-            e0 = f + v
-            if self.prec is not None and e0 >= self.prec:
-                continue
-            unit = c / Fraction(p) ** int(v)
-            if self.prec is not None:
-                k = ceil_fraction(self.prec - e0)
-                mod = p**k
-                unit = unit.numerator * _modinv(unit.denominator, mod) % mod
-                if unit == 0:
-                    continue
-                # reduction can only strip p-multiples >= prec, never create them
-                if unit % p == 0:
-                    v2 = vp(unit, p).as_fraction()
-                    if e0 + v2 >= self.prec:
-                        continue
-                    raise AssertionError("canonicalization lost unit normalization")
-            terms[e0] = unit
-        return dict(sorted(terms.items()))
+    @classmethod
+    def _make(cls, ctx, t, prec):
+        """Element with the canonical term dict t, as is."""
+        x = object.__new__(cls)
+        x.ctx = ctx
+        x.prec = prec
+        x._t = t
+        x._view = None
+        return x
+
+    def _build(self, pairs, prec):
+        """Canonical element of self's context from (j, (num, den)) pairs."""
+        ctx = self.ctx
+        return LocalFieldElement._make(ctx, _canonicalize(ctx.p, ctx.N, pairs, prec), prec)
+
+    @property
+    def terms(self):
+        """{valuation (Fraction): unit}, the unit a Fraction when exact and an
+        int residue otherwise."""
+        view = self._view
+        if view is None:
+            N = self.ctx.N
+            if self.prec is None:
+                view = {_exponent(N, j): Fraction(n, d) for j, (n, d) in self._t.items()}
+            else:
+                view = {_exponent(N, j): n for j, (n, _) in self._t.items()}
+            self._view = view
+        return view
+
+    def _lead_exponent(self):
+        return _exponent(self.ctx.N, next(iter(self._t)))
 
     # --- queries ---
 
     def is_zero(self):
         """True only for the exact zero; raises if zero merely to precision."""
-        if self.terms:
+        if self._t:
             return False
         if self.prec is None:
             return True
         raise PrecisionError(f"element is zero modulo p^{self.prec}; cannot decide")
 
     def valuation(self) -> ExtendedRational:
-        if self.terms:
-            return ExtendedRational(min(self.terms))
+        if self._t:
+            return ExtendedRational(self._lead_exponent())
         if self.prec is None:
             return INFINITY
         raise PrecisionError(
@@ -168,19 +268,17 @@ class LocalFieldElement:
         )
 
     def valuation_lower_bound(self) -> ExtendedRational:
-        if self.terms:
-            return ExtendedRational(min(self.terms))
+        if self._t:
+            return ExtendedRational(self._lead_exponent())
         if self.prec is None:
             return INFINITY
         return ExtendedRational(self.prec)
 
     def valuation_at_least(self, bound) -> bool:
         bound = Fraction(bound)
-        if self.terms and min(self.terms) < bound:
+        if self._t and self._lead_exponent() < bound:
             return False
-        if self.prec is not None and self.prec < bound and not any(
-            e < bound for e in self.terms
-        ):
+        if self.prec is not None and self.prec < bound:
             raise PrecisionError(
                 f"cannot certify valuation >= {bound} at precision p^{self.prec}"
             )
@@ -189,8 +287,9 @@ class LocalFieldElement:
     def unit_at(self, exponent):
         """Coefficient at the given exponent (0 if provably absent)."""
         exponent = Fraction(exponent)
-        if exponent in self.terms:
-            return self.terms[exponent]
+        terms = self.terms
+        if exponent in terms:
+            return terms[exponent]
         if self.prec is not None and exponent >= self.prec:
             raise PrecisionError(f"exponent {exponent} beyond precision {self.prec}")
         return 0
@@ -198,7 +297,7 @@ class LocalFieldElement:
     # --- arithmetic ---
 
     def _check_ctx(self, other):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextError(f"context mismatch: {self.ctx} vs {other.ctx}")
 
     def _coerce(self, other):
@@ -209,16 +308,14 @@ class LocalFieldElement:
     def __add__(self, other):
         other = self._coerce(other)
         self._check_ctx(other)
-        prec = _min_prec(self.prec, other.prec)
-        pairs = list(self.terms.items()) + list(other.terms.items())
-        return LocalFieldElement(self.ctx, pairs, prec)
+        pairs = list(self._t.items())
+        pairs.extend(other._t.items())
+        return self._build(pairs, _min_prec(self.prec, other.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LocalFieldElement(
-            self.ctx, [(e, -Fraction(u)) for e, u in self.terms.items()], self.prec
-        )
+        return self._build([(j, (-n, d)) for j, (n, d) in self._t.items()], self.prec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -229,23 +326,26 @@ class LocalFieldElement:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check_ctx(other)
-        if not self.terms and self.prec is None:
+        a, b = self._t, other._t
+        if not a and self.prec is None:
             return self.ctx.zero()
-        if not other.terms and other.prec is None:
+        if not b and other.prec is None:
             return self.ctx.zero()
-        va = min(self.terms) if self.terms else self.prec
-        vb = min(other.terms) if other.terms else other.prec
         prec = None
         if self.prec is not None:
-            prec = self.prec + vb
+            prec = self.prec + (other._lead_exponent() if b else other.prec)
         if other.prec is not None:
-            q = other.prec + va
+            q = other.prec + (self._lead_exponent() if a else self.prec)
             prec = q if prec is None else min(prec, q)
+        jlim = _index_limit(prec, self.ctx.N)
         pairs = []
-        for e1, u1 in self.terms.items():
-            for e2, u2 in other.terms.items():
-                pairs.append((e1 + e2, Fraction(u1) * Fraction(u2)))
-        return LocalFieldElement(self.ctx, pairs, prec)
+        for j1, (n1, d1) in a.items():
+            for j2, (n2, d2) in b.items():
+                # b is sorted: the rest of the row vanishes modulo p^prec
+                if jlim is not None and j1 + j2 >= jlim:
+                    break
+                pairs.append((j1 + j2, (n1 * n2, d1 * d2)))
+        return self._build(pairs, prec)
 
     __rmul__ = __mul__
 
@@ -253,29 +353,33 @@ class LocalFieldElement:
         return power(self, n, self.ctx.one())
 
     def inverse(self, rel_prec=None):
-        if not self.terms:
+        if not self._t:
             if self.prec is None:
                 raise ZeroDivisionError("inverse of exact zero")
             raise PrecisionError(f"inverse of element that is zero modulo p^{self.prec}")
-        v = min(self.terms)
-        u = self.terms[v]
-        lead_inv = LocalFieldElement(self.ctx, [(-v, Fraction(1) / Fraction(u))])
-        if len(self.terms) == 1 and self.prec is None and rel_prec is None:
+        j, (n, d) = next(iter(self._t.items()))
+        if n < 0:
+            n, d = -n, -d
+        lead_inv = LocalFieldElement._make(self.ctx, {-j: (d, n)}, None)
+        if len(self._t) == 1 and self.prec is None and rel_prec is None:
             return lead_inv
+        v = self._lead_exponent()
         if self.prec is not None:
             rel = self.prec - v
         else:
             rel = Fraction(rel_prec if rel_prec is not None else self.ctx.M)
-        z = self * lead_inv - 1
-        zv = z.valuation_lower_bound()
-        out = self.ctx.one()
-        power = self.ctx.one()
-        k = 1
-        while ExtendedRational(k) * zv < rel:
-            power = power * (-z)
-            out = out + power
-            k += 1
-        return (out * lead_inv).truncate(-v + rel)
+        # y = 1/x to relative precision `done`: v(x*y - 1) >= done. Each Newton
+        # step y <- y - y*(x*y - 1) squares the error, so it needs x and the
+        # correction only to relative precision 2*done.
+        y = lead_inv
+        first = (self * y - 1).valuation_lower_bound()
+        done = rel if first.is_infinite else min(first.as_fraction(), rel)
+        while done < rel:
+            done = min(2 * done, rel)
+            err = self.truncate(v + done) * y - 1
+            # y is taken as exact: its error is what the next step corrects
+            y = LocalFieldElement._make(self.ctx, (y - y * err)._t, None)
+        return y.truncate(-v + rel)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -288,12 +392,23 @@ class LocalFieldElement:
         prec = Fraction(prec)
         if self.prec is not None and self.prec <= prec:
             return self
-        return LocalFieldElement(self.ctx, list(self.terms.items()), prec)
+        return self._build(self._t.items(), prec)
 
     def to_context(self, ctx):
         if ctx.p != self.ctx.p:
             raise ContextError(f"prime mismatch: {self.ctx.p} vs {ctx.p}")
-        return LocalFieldElement(ctx, list(self.terms.items()), self.prec)
+        N, N2 = self.ctx.N, ctx.N
+        pairs = []
+        for j, u in self._t.items():
+            j2, r = divmod(j * N2, N)
+            if r:
+                raise ContextError(
+                    f"exponent {Fraction(j, N)} not representable with "
+                    f"ramification index {N2}"
+                )
+            pairs.append((j2, u))
+        t = _canonicalize(ctx.p, N2, pairs, self.prec)
+        return LocalFieldElement._make(ctx, t, self.prec)
 
     # --- comparisons / display ---
 
@@ -306,7 +421,7 @@ class LocalFieldElement:
         return (
             self.ctx == other.ctx
             and self.prec == other.prec
-            and self.terms == other.terms
+            and self._t == other._t
         )
 
     def __hash__(self):
@@ -674,14 +789,13 @@ def _no_certificate(w, ctx):
     alpha = int(_class_residue(w, Fraction(0), 1, p))
     beta = None
     beta_exponent = None
-    for e in sorted(w.terms):
-        f = e - floor_fraction(e)
-        if f != 0 and e <= C:
+    for j, (num, den) in w._t.items():
+        if j % Nsub and j * (p - 1) <= p * Nsub:
             # the candidate digit t sits at exponent e - 1; its cross term is
             # p * alpha^(p-1) * beta * pi^(e-1)
-            coeff = int(w.terms[e]) % p
+            coeff = num * _modinv(den, p) % p
             beta = coeff * _modinv(pow(alpha, p - 1, p), p) % p
-            beta_exponent = e
+            beta_exponent = _exponent(Nsub, j)
             break
     y = ctx.element([(Fraction(0), alpha)])
     if beta is not None:

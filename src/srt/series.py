@@ -11,9 +11,10 @@ the dropped coefficients.
 
 In every coefficient ring the Taylor coefficients come from the linear
 recurrence of the ODE P*g' = Q*g that g satisfies, in O(T) ring operations.
-Each step divides by (k+1)*P(0). On finite-precision local field elements
-that division lowers the recorded precision by what it costs, so no
-coefficient claims more precision than it has.
+Each step divides by (k+1)*P(0); outside Q it multiplies by 1/P(0), inverted
+once, and by 1/(k+1). On finite-precision local field elements those products
+lower the recorded precision by what they cost, so no coefficient claims more
+precision than it has.
 """
 from __future__ import annotations
 
@@ -317,7 +318,7 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
     The coefficients come from the recurrence of the ODE P*g' = Q*g in the
     ring of the center and the roots: Q, Q(i) or the local field (see
     _recurrence_coefficients). The recurrence is safe on finite-precision
-    elements because LocalFieldElement division records the precision each
+    elements because LocalFieldElement arithmetic records the precision each
     step loses to its divisor (k+1)*P(0). A center equal to a root is
     refused with PreconditionViolated.
     """
@@ -360,18 +361,25 @@ def _recurrence_coefficients(factors, center, T):
             if j != i:
                 rest = _times_linear(rest, b)
         Q = [q + m * c for q, c in zip(Q, rest)]
-    if isinstance(one, Fraction):
+    rational = isinstance(one, Fraction)
+    if rational:
         # the ODE is homogeneous in (P, Q): integer P and Q keep the inner
         # loop to int * Fraction products
         D = math.lcm(*(c.denominator for c in P + Q))
         P = [int(c * D) for c in P]
         Q = [int(c * D) for c in Q]
+    # 1/P(0) is inverted once, not once per step. Over Q, P(0) is an int by
+    # now, and one division by the int (k+1)*P(0) is cheaper than two products.
+    inv_P0 = None if rational else one / P[0]
     g = [g0]
     for k in range(T):
         acc = 0 * one
         for j in range(1, min(n, k + 1) + 1):
             acc = acc + (Q[j - 1] - (k + 1 - j) * P[j]) * g[k + 1 - j]
-        g.append(acc / ((k + 1) * P[0]))
+        if rational:
+            g.append(acc / ((k + 1) * P[0]))
+        else:
+            g.append(acc * inv_P0 * Fraction(1, k + 1))
     return g
 
 

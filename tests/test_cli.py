@@ -17,6 +17,67 @@ SRT_IMPORT_ROOT = str(Path(srt.__file__).resolve().parent.parent)
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 CLI_TIMEOUT_S = 60  # one run takes well under a second
 
+# Byte-exact stdout of three reference invocations. The wild-monodromy report
+# carries the pinned (q, r) = (251, 1) certificates (4, 2, 9, 19) and
+# (4, 3, 14, 4).
+WILD_MONODROMY_251_5 = (
+    '{"inputs":{"q":251,"p":5,"r":1,"s":5,"a":"-24","nu":3},'
+    '"steps":[{"id":"params","description":"auxiliary cover parameters (s = p,'
+    ' a = 1 - p^2/r^2)","value":"-24"},'
+    '{"id":"v_sqrt","description":"v(sqrt(1-a))","value":"1"},'
+    '{"id":"tail","description":"new inseparable tail level j","value":1},'
+    '{"id":"center","description":"disk center d (positive branch)",'
+    '"value":"2*5^(7/5)"},'
+    '{"id":"g(d)+",'
+    '"description":"g(d) by truncated series (agrees with the exact product)",'
+    '"value":"276 + 3*5^(11/5) + O(5^(16/5))"},'
+    '{"id":"delta+",'
+    '"description":"delta = g(d)^(1/5) (delta^5 matches g(d) to v >= 11/5)",'
+    '"value":"6 + 3*5^(6/5) + O(5^(11/5))"},'
+    '{"id":"eps+","description":"sign-normalized root -delta",'
+    '"value":"119 + 2*5^(6/5) + O(5^(11/5))"},'
+    '{"id":"power-p+","description":"is g(d) a 5-th power",'
+    '"value":{"verdict":"yes","root":{"terms":[{"exponent":"0","unit":"6",'
+    '"modulus":"5^3"},{"exponent":"6/5","unit":"3","modulus":"5^1"}],'
+    '"precision":"11/5"}}},'
+    '{"id":"power-p2+",'
+    '"description":"is g(d) a 25-th power (via the normalized root)",'
+    '"value":{"verdict":"no","certificate":{"kind":"congruence","alpha":4,'
+    '"beta":2,"modulus_alpha":5,"modulus_beta":5,"violated_exponent_class":"0",'
+    '"modulus":"5^2","lhs":9,"rhs":19}}},'
+    '{"id":"g(d)-",'
+    '"description":"g(d) by truncated series (agrees with the exact product)",'
+    '"value":"351 + 2*5^(11/5) + O(5^(16/5))"},'
+    '{"id":"delta-",'
+    '"description":"delta = g(d)^(1/5) (delta^5 matches g(d) to v >= 11/5)",'
+    '"value":"21 + 2*5^(6/5) + O(5^(11/5))"},'
+    '{"id":"eps-","description":"sign-normalized root -delta",'
+    '"value":"104 + 3*5^(6/5) + O(5^(11/5))"},'
+    '{"id":"power-p-","description":"is g(d) a 5-th power",'
+    '"value":{"verdict":"yes","root":{"terms":[{"exponent":"0","unit":"21",'
+    '"modulus":"5^3"},{"exponent":"6/5","unit":"2","modulus":"5^1"}],'
+    '"precision":"11/5"}}},'
+    '{"id":"power-p2-",'
+    '"description":"is g(d) a 25-th power (via the normalized root)",'
+    '"value":{"verdict":"no","certificate":{"kind":"congruence","alpha":4,'
+    '"beta":3,"modulus_alpha":5,"modulus_beta":5,"violated_exponent_class":"0",'
+    '"modulus":"5^2","lhs":14,"rhs":4}}}],"verdict":"nontrivial"}'
+    "\n"
+)
+TAIL_CENTER_5_A0 = (
+    '{"center":{"terms":[{"exponent":"1","unit":"-3","modulus":"exact"},'
+    '{"exponent":"9/5","unit":"8","modulus":"exact"},{"exponent":"18/5",'
+    '"unit":"-1","modulus":"exact"}],"precision":"exact"}}'
+    "\n"
+)
+EXPAND_5 = (
+    '{"p":5,"order":17,"coefficients":["-1","0","0","-1/2","0","-3/8","-1/8",'
+    '"-9/32","-3/16","-31/128","-27/128","-117/512","-7/32","-459/2048",'
+    '"-453/2048","-1825/8192","-909/4096","-7287/32768"],"valuations":["inf",'
+    '"inf","0","inf","0","0","0","0","0","0","0","0","0","0","2","0","0"]}'
+    "\n"
+)
+
 
 @pytest.fixture(autouse=True)
 def clean_config(monkeypatch):
@@ -75,6 +136,23 @@ class TestReferenceInvocations:
         assert out.returncode == 1
         assert "SRT_CONFIG" in out.stderr
         assert "point it at a JSON object" in out.stderr
+
+    def test_wild_monodromy(self):
+        out = self._run("wild-monodromy", "--q", "251", "--p", "5")
+        assert out.returncode == 0
+        assert out.stdout == WILD_MONODROMY_251_5
+
+    def test_tail_center_exceptional(self):
+        out = self._run(
+            "tail-center", "--p", "5", "--nu", "2", "--r", "1", "--s", "4", "--case", "a=0"
+        )
+        assert out.returncode == 0
+        assert out.stdout == TAIL_CENTER_5_A0
+
+    def test_expand(self):
+        out = self._run("expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2")
+        assert out.returncode == 0
+        assert out.stdout == EXPAND_5
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 """Unit tests for exact arithmetic in ramified extensions of Q_p, cross
 checked against the independent polynomial-ring oracle in helpers.py."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,20 @@ class TestArithmeticAgainstOracle:
             back = q * lb - la
             assert back.valuation_lower_bound() > 5
 
+    def test_inverse_of_two_plus_pi_is_fast(self):
+        """(2 + pi)^-1 at N = 60 to precision p^8 costs a few Newton steps; the
+        best of three runs stays under 50 ms."""
+        ctx = LocalFieldContext(5, N=60, M=8)
+        x = ctx.from_rational(2) + ctx.pi_power(Fraction(1, 60))
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            y = x.inverse()
+            best = min(best, time.perf_counter() - start)
+        assert y.prec == 8
+        assert (x * y - 1).valuation_lower_bound() >= 8
+        assert best < 0.050
+
 
 class TestHenselSqrt:
     def test_reference_value(self):
@@ -230,6 +245,18 @@ class TestIsPthPower:
         assert v.kind == "no"
         assert v.certificate["kind"] == "congruence"
         assert v.certificate["alpha"] == 2
+
+    def test_certificate_of_exact_and_finite_forms_agree(self):
+        # beta is read from the unit residue num * den^-1 mod p, so a
+        # non-integer exact unit gives the certificate of its residue
+        ctx = ctx5()
+        for u, beta in ((Fraction(7, 2), 1), (Fraction(1, 3), 2)):
+            pairs = [(0, 1), (Fraction(6, 5), u)]
+            exact = is_pth_power(ctx.element(pairs), 5)
+            finite = is_pth_power(ctx.element(pairs, prec=6), 5)
+            assert exact.kind == finite.kind == "no"
+            assert exact.certificate == finite.certificate
+            assert exact.certificate["beta"] == beta
 
     def test_valuation_obstruction(self):
         ctx = ctx5()

@@ -1,0 +1,220 @@
+"""Property tests of local-field arithmetic against a plain-Fraction model.
+
+The model holds an element of Q(pi), pi^N = p, as its N rational coordinates
+c_0..c_{N-1} in the basis 1, pi, ..., pi^(N-1), so x = sum c_i pi^i. It reads
+srt elements only through their public `terms` view and `prec`."""
+from fractions import Fraction
+
+import pytest
+
+from srt import LocalFieldContext
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
+
+P = 5
+NS = (5, 8, 60)
+M = 3  # relative precision of exact inverses
+MAX_TERMS = 3
+
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+def vp(q):
+    """p-adic valuation of a nonzero rational."""
+    v, num, den = 0, q.numerator, q.denominator
+    while num % P == 0:
+        num //= P
+        v += 1
+    while den % P == 0:
+        den //= P
+        v -= 1
+    return v
+
+
+def model(x):
+    """Coordinates of the value of the srt element x."""
+    N = x.ctx.N
+    c = [Fraction(0)] * N
+    for e, u in x.terms.items():
+        m, i = divmod(int(e * N), N)
+        c[i] += Fraction(u) * Fraction(P) ** m
+    return c
+
+
+def m_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def m_neg(a):
+    return [-x for x in a]
+
+
+def m_mul(a, b):
+    N = len(a)
+    out = [Fraction(0)] * N
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                if y:
+                    if i + k < N:
+                        out[i + k] += x * y
+                    else:
+                        out[i + k - N] += P * x * y
+    return out
+
+
+def m_val(a):
+    """Valuation of sum a_i pi^i, None for 0: distinct i never cancel."""
+    N = len(a)
+    vals = [vp(x) + Fraction(i, N) for i, x in enumerate(a) if x]
+    return min(vals) if vals else None
+
+
+def m_one(N):
+    return [Fraction(1)] + [Fraction(0)] * (N - 1)
+
+
+def agree(a, b, prec):
+    """a = b modulo p^prec (exactly when prec is None)."""
+    v = m_val(m_add(a, m_neg(b)))
+    return v is None or (prec is not None and v >= prec)
+
+
+def precision_of(x):
+    """Valuation lower bound that a product sees: the lowest exponent, or the
+    precision of an element that is zero to precision."""
+    return min(x.terms) if x.terms else x.prec
+
+
+def assert_canonical(x):
+    """One term per exponent class mod 1; exact units prime to p; finite
+    units int residues in [1, p^k) prime to p, k = ceil(prec - e)."""
+    classes = [e - (e.numerator // e.denominator) for e in x.terms]
+    assert len(set(classes)) == len(classes)
+    for e, u in x.terms.items():
+        assert (e * x.ctx.N).denominator == 1
+        if x.prec is None:
+            assert isinstance(u, Fraction) and u != 0 and vp(u) == 0
+        else:
+            k = -((-(x.prec - e).numerator) // (x.prec - e).denominator)
+            assert e < x.prec
+            assert isinstance(u, int) and 0 < u < P**k and u % P != 0
+
+
+@st.composite
+def elements(draw, N):
+    ctx = LocalFieldContext(P, N=N, M=M)
+    n_terms = draw(st.integers(0, MAX_TERMS))
+    pairs = []
+    for _ in range(n_terms):
+        j = draw(st.integers(-N, 2 * N))
+        u = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from([1, 2, 3, 5, 7, 25])))
+        pairs.append((Fraction(j, N), u))
+    prec = None if draw(st.booleans()) else Fraction(draw(st.integers(-N, 3 * N)), N)
+    return ctx.element(pairs, prec)
+
+
+@st.composite
+def pairs_of(draw):
+    N = draw(st.sampled_from(NS))
+    return draw(elements(N)), draw(elements(N))
+
+
+@st.composite
+def units(draw):
+    """Elements with a nonzero leading term, exact or not."""
+    N = draw(st.sampled_from(NS))
+    x = draw(elements(N))
+    hypothesis.assume(x.terms)
+    return x
+
+
+class TestRingOperations:
+    @SETTINGS
+    @given(pairs_of())
+    def test_add_sub_neg(self, ab):
+        a, b = ab
+        prec = min((q for q in (a.prec, b.prec) if q is not None), default=None)
+        for got, want in (
+            (a + b, m_add(model(a), model(b))),
+            (a - b, m_add(model(a), m_neg(model(b)))),
+        ):
+            assert got.prec == prec
+            assert agree(model(got), want, prec)
+            assert_canonical(got)
+        neg = -a
+        assert neg.prec == a.prec
+        assert agree(model(neg), m_neg(model(a)), a.prec)
+        assert_canonical(neg)
+
+    @SETTINGS
+    @given(pairs_of())
+    def test_mul(self, ab):
+        a, b = ab
+        got = a * b
+        zero = (not a.terms and a.prec is None) or (not b.terms and b.prec is None)
+        if zero:
+            assert not got.terms and got.prec is None
+            return
+        bounds = []
+        if a.prec is not None:
+            bounds.append(a.prec + precision_of(b))
+        if b.prec is not None:
+            bounds.append(b.prec + precision_of(a))
+        prec = min(bounds, default=None)
+        assert got.prec == prec
+        assert agree(model(got), m_mul(model(a), model(b)), prec)
+        assert_canonical(got)
+
+
+class TestInverse:
+    @SETTINGS
+    @given(units())
+    def test_inverse(self, x):
+        y = x.inverse()
+        assert_canonical(y)
+        v = min(x.terms)
+        if x.prec is None and len(x.terms) == 1:
+            assert y.prec is None
+            assert model(x * y) == m_one(x.ctx.N)
+            return
+        rel = x.prec - v if x.prec is not None else M
+        assert y.prec == -v + rel
+        assert agree(m_mul(model(x), model(y)), m_one(x.ctx.N), rel)
+        z = x * y - 1
+        assert z.valuation_lower_bound() >= z.prec
+
+    @SETTINGS
+    @given(units(), st.integers(1, 4))
+    def test_relative_precision_of_exact_inverse(self, x, rel):
+        hypothesis.assume(x.prec is None)
+        y = x.inverse(rel_prec=rel)
+        v = min(x.terms)
+        assert y.prec == -v + rel
+        assert agree(m_mul(model(x), model(y)), m_one(x.ctx.N), rel)
+
+
+class TestPrecisionMoves:
+    @SETTINGS
+    @given(st.sampled_from(NS).flatmap(elements), st.integers(-2, 4), st.integers(1, 60))
+    def test_truncate(self, x, whole, sixtieths):
+        q = whole + Fraction(sixtieths, 60)
+        got = x.truncate(q)
+        prec = q if x.prec is None else min(q, x.prec)
+        assert got.prec == prec
+        assert agree(model(got), model(x), prec)
+        assert_canonical(got)
+
+    @SETTINGS
+    @given(st.sampled_from(NS).flatmap(elements), st.sampled_from([1, 2, 3]))
+    def test_to_context(self, x, factor):
+        N2 = x.ctx.N * factor
+        ctx2 = LocalFieldContext(P, N=N2, M=M)
+        got = x.to_context(ctx2)
+        assert got.ctx == ctx2
+        assert got.prec == x.prec
+        assert got.terms == x.terms
+        assert_canonical(got)
+
