@@ -1,8 +1,8 @@
 """SL2(F_251) generator data: orders, generation, and Sylow structure.
 
 Builds the standard generating pair with prescribed traces, verifies the
-element orders and -I, runs the fast normalizer criterion, and prints the
-cyclic 5-Sylow data.
+element orders and -I, runs the fast normalizer criterion and the exact
+orbit-stabilizer closure, and prints the cyclic 5-Sylow data.
 """
 import time
 
@@ -29,7 +29,12 @@ print(
 )
 print("evidence:", verdict.evidence)
 
+t0 = time.time()
+closure = generation_check([alpha, beta], q, mode="bfs")
+print(
+    f"bfs closure ({time.time() - t0:.3f}s): {closure.kind}, "
+    f"order {closure.order:,} = orbit of (1, 0) times its stabilizer"
+)
+
 data = sylow_data(q, p)
 print(f"\n{p}-Sylow: order {data.order}, cyclic = {data.cyclic}, m_G = {data.m_G}")
-print("\n(The exhaustive BFS closure over all 15,813,000 elements is exercised")
-print(" by the test suite; it confirms the same order in a few seconds.)")

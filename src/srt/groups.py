@@ -1,7 +1,12 @@
 """
 SL2 over a prime field: element orders, the trace-prescribed generator
-construction, generation checks (a normalizer criterion and an exhaustive
-breadth-first closure), and p-Sylow data.
+construction, generation checks (a normalizer criterion and an exact
+orbit-stabilizer closure), and p-Sylow data.
+
+The closure never lists the group: |H| = |H e1| * |H_e1|, where the orbit of
+e1 = (1, 0) is found by a breadth-first search over the q^2 vectors of F_q^2
+and the stabilizer H_e1, a subgroup of the unipotent group of prime order q,
+is trivial or all of it by Schreier's lemma.
 """
 from __future__ import annotations
 
@@ -168,8 +173,11 @@ def generation_check(gens, q, mode="criterion"):
     forces the image in PSL2 to be everything; -I in <beta> then lifts the
     generation to SL2.
 
-    bfs mode (q prime): exact closure size via breadth-first multiplication,
-    compared with |SL2(F_q)| = q(q^2 - 1).
+    bfs mode (q prime): the exact order of the generated group H, compared
+    with |SL2(F_q)| = q(q^2 - 1). A breadth-first search finds the orbit of
+    e1 = (1, 0) under H, and Schreier's lemma decides whether the stabilizer
+    of e1 is trivial or the whole unipotent group of order q; |H| is the
+    orbit size times that stabilizer order.
     """
     gens = list(gens)
     if not gens:
@@ -235,34 +243,42 @@ def _generation_bfs(gens, q, limit=_BFS_LIMIT):
         if g.q != q:
             raise PreconditionViolated(f"generator over F_{g.q}, expected F_{q}")
 
-    # injective index into [0, q^3): for a != 0, (a, b, c) fix d = (1 + bc)/a;
-    # for a = 0, c = -1/b, so (b, d) fix the element
-    def key(a, b, c, d):
-        return (a * q + b) * q + np.where(a != 0, c, d)
-
-    seen = np.zeros(q**3, dtype=bool)
-    frontier = [np.array([x], dtype=np.int32) for x in (1, 0, 0, 1)]
-    seen[key(*frontier)] = True
-    order = 1
+    # H = <gens> acts on the nonzero vectors of F_q^2, indexed x*q + y. For
+    # each vector v in the orbit of e1, w[v] is the index of the second
+    # column of a transversal t_v = [v | w_v] in H with det 1. The stabilizer
+    # of e1 lies in the unipotent group {[[1, b], [0, 1]]} of prime order q,
+    # so by Schreier's lemma it is all of that group exactly when some
+    # Schreier generator t_{gv}^-1 g t_v is not the identity: g w_v != w_{gv}
+    seen = np.zeros(q * q, dtype=bool)
+    w = np.zeros(q * q, dtype=np.int64)
+    frontier = [np.array([x], dtype=np.int64) for x in (1, 0, 0, 1)]
+    seen[q] = True
+    w[q] = 1
+    orbit = 1
+    unipotent = False
     while frontier[0].size:
-        a, b, c, d = frontier
+        vx, vy, wx, wy = frontier
         parts = []
-        # right multiplication by one generator is injective, so its products
-        # have distinct keys; marking them seen before the next generator
-        # removes the duplicates between generators
+        # left multiplication by one generator is injective on vectors, so
+        # its images are distinct; marking them seen before the next
+        # generator removes the duplicates between generators
         for ga, gb, gc, gd in (g.entries() for g in gens):
-            product = (
-                (a * ga + b * gc) % q,
-                (a * gb + b * gd) % q,
-                (c * ga + d * gc) % q,
-                (c * gb + d * gd) % q,
+            image = (
+                (ga * vx + gb * vy) % q,
+                (gc * vx + gd * vy) % q,
+                (ga * wx + gb * wy) % q,
+                (gc * wx + gd * wy) % q,
             )
-            k = key(*product)
+            k = image[0] * q + image[1]
+            j = image[2] * q + image[3]
             new = ~seen[k]
+            unipotent = unipotent or bool(np.any(w[k[~new]] != j[~new]))
             seen[k[new]] = True
-            parts.append([x[new] for x in product])
+            w[k[new]] = j[new]
+            parts.append([x[new] for x in image])
         frontier = [np.concatenate(xs) for xs in zip(*parts)]
-        order += frontier[0].size
+        orbit += frontier[0].size
+    order = orbit * (q if unipotent else 1)
     if order == target:
         return GenerationVerdict("Generates", order=order)
     return GenerationVerdict("ProperSubgroup", order=order)

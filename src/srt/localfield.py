@@ -884,6 +884,16 @@ def is_pth_power(x, k):
     digits = _decide_unit_pth_power(w, sub)
     if digits is None:
         return PthPowerVerdict("no", certificate=_no_certificate(w, sub))
+    if w.prec is not None and w.prec <= C:
+        # a root needs w / y0^p - 1 known beyond p/(p-1); the "no" above is
+        # already decided, since every constraint exponent lies below prec
+        return PthPowerVerdict(
+            "undecidable",
+            certificate={
+                "reason": f"precision p^{w.prec} does not exceed the Hensel "
+                f"level {C}"
+            },
+        )
     y0 = sub.zero()
     for t, d in enumerate(digits):
         if d:

@@ -1,5 +1,8 @@
 """Unit tests for SL2 elements, trace-prescribed generators, generation
 checks, and Sylow data, cross-checked by brute force over small fields."""
+import random
+import time
+
 import pytest
 
 from srt import (
@@ -135,6 +138,14 @@ class TestGenerationCheck:
         assert "prime" in str(exc.value)
         assert "\n" not in str(exc.value)
 
+    def test_bfs_sl2_251_is_fast(self):
+        gens = standard_generators(251, 5)
+        t0 = time.perf_counter()
+        out = generation_check(gens, 251, mode="bfs")
+        assert time.perf_counter() - t0 < 1
+        assert out.kind == "Generates"
+        assert out.order == 15_813_000
+
 
 def _closure_order(gens, q):
     """Size of the group generated by gens, by a pure-Python set closure."""
@@ -180,6 +191,50 @@ def test_bfs_matches_brute_force_closure(q, make_gens):
     assert out.order == expected
     full = q * (q * q - 1)
     assert out.kind == ("Generates" if expected == full else "ProperSubgroup")
+
+
+def _random_element(rng, q):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return identity(q)
+    if kind == 1:
+        return minus_identity(q)
+    if kind == 2:  # a = 0 forces c = -1/b
+        b = rng.randrange(1, q)
+        return MatrixElement(0, b, -pow(b, -1, q), rng.randrange(q), q)
+    a, b, c = rng.randrange(1, q), rng.randrange(q), rng.randrange(q)
+    return MatrixElement(a, b, c, (1 + b * c) * pow(a, -1, q), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_bfs_matches_brute_force_on_random_sets(q):
+    rng = random.Random(q)
+    full = q * (q * q - 1)
+    for _ in range(12):
+        gens = [_random_element(rng, q) for _ in range(rng.randint(1, 3))]
+        expected = _closure_order(gens, q)
+        out = generation_check(gens, q, mode="bfs")
+        assert out.order == expected, [g.entries() for g in gens]
+        assert out.kind == ("Generates" if expected == full else "ProperSubgroup")
+
+
+@pytest.mark.parametrize(
+    "gens, q, order",
+    [
+        # Q8 in SL2(F_3): the orbit of e1 is all 8 nonzero vectors and the
+        # stabilizer is trivial
+        ([MatrixElement(0, 1, 2, 0, 3), MatrixElement(1, 1, 1, 2, 3)], 3, 8),
+        # diag(2, 2^-1) has order 12 mod 13 and moves e1 along its first axis
+        ([MatrixElement(2, 0, 0, 7, 13)], 13, 12),
+        # the Borel pair: the stabilizer of e1 is the whole unipotent group
+        (_borel_pair(13), 13, 13 * 3),
+    ],
+    ids=["Q8", "diagonal", "borel"],
+)
+def test_bfs_named_subgroups(gens, q, order):
+    assert _closure_order(gens, q) == order
+    out = generation_check(gens, q, mode="bfs")
+    assert (out.kind, out.order) == ("ProperSubgroup", order)
 
 
 class TestSylowData:

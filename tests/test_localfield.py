@@ -276,6 +276,18 @@ class TestIsPthPower:
         v = is_pth_power(ctx.from_rational(7, prec=1), 5)
         assert v.kind == "undecidable"
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_undecidable_at_the_hensel_level(self, n):
+        # 8 = 2^3 to precision 3^(3/2): the digits are found, but a root needs
+        # the quotient known beyond p/(p-1) = 3/2
+        ctx = LocalFieldContext(3, N=n)
+        v = is_pth_power(ctx.element([(0, 8)], prec=Fraction(3, 2)), 3)
+        assert v.kind == "undecidable"
+        assert "\n" not in v.certificate["reason"]
+        above = is_pth_power(ctx.element([(0, 8)], prec=Fraction(7, 4)), 3)
+        assert above.kind == "yes"
+        assert above.root == ctx.element([(0, 2)], prec=Fraction(3, 4))
+
     def test_p_squared_power(self):
         ctx = ctx5(M=10)
         x = ctx.from_rational(pow(2, 25, 5**10), prec=10)
