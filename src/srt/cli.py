@@ -230,7 +230,7 @@ def _load_tree(path):
         ) from exc
     try:
         return ReductionTree.from_json(data)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed tree JSON: {exc}") from exc
 
 
@@ -283,7 +283,7 @@ def _cmd_herbrand(args, cfg):
         try:
             with open(args.filtration) as handle:
                 filtration = Filtration.from_json(json.load(handle))
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(
                 f"filtration file {args.filtration!r} unreadable ({exc}); "
                 f"expected {{\"breaks\": [{{\"jump\": ..., \"order\": ...}}]}}"

@@ -403,7 +403,8 @@ def propagate_differents(tree, p, root_delta=None):
         open_run = [e for e in path_edges if e.epaisseur is None]
         if not open_run:
             continue
-        if any(e.sigma_eff is None for e in open_run):
+        # the drop along the path needs sigma_eff on every edge, closed or not
+        if any(e.sigma_eff is None for e in path_edges):
             continue
         sigmas = {e.sigma_eff for e in open_run}
         d_top = work.vertices[work.root].delta_eff

@@ -76,14 +76,6 @@ class LocalFieldContext:
     def __repr__(self):
         return f"LocalFieldContext(p={self.p}, N={self.N}, M={self.M})"
 
-    def refine(self, other):
-        """Common refinement context with N = lcm of the two Ns."""
-        if self.p != other.p:
-            raise ContextError(f"prime mismatch: {self.p} vs {other.p}")
-        return LocalFieldContext(
-            self.p, math.lcm(self.N, other.N), max(self.M, other.M)
-        )
-
     # constructors
 
     def element(self, pairs, prec=None):
@@ -709,65 +701,34 @@ class PthPowerVerdict:
         return out
 
 
-def _digit_levels(Nsub, p):
-    """Digit indices of a candidate root that can influence the decision."""
-    D = Nsub // (p - 1) + 1
-    return list(range(D + 1))
+def _hensel_start(w, ctx):
+    """An exact unit y with v(y^p - w) > p/(p-1), or None when the unit w is
+    not a p-th power.
 
+    For i < N/(p-1), (1 + c*pi^i)^p = 1 + c^p*pi^(p*i) modulo higher terms,
+    so the lowest term c*pi^k of w - y^p must have p | k, and adding the
+    digit c mod p at pi^(k/p) moves it higher. At k = N*p/(p-1) both the p-th
+    power and the linear term p*y^(p-1)*t*pi^(k-N) reach pi^k, and
+    (y + t*pi^(k-N))^p adds 2t*pi^k there, so t = c/2 mod p.
+    """
+    p, N = ctx.p, ctx.N
 
-def _constraint_exponents(Nsub, p):
-    C = Fraction(p, p - 1)
-    out = []
-    t = 0
-    while Fraction(t, Nsub) <= C:
-        out.append(Fraction(t, Nsub))
-        t += 1
-    return out
+    def digit(j, num, den):
+        return LocalFieldElement._make(ctx, {j: (num * _modinv(den, p) % p, 1)}, None)
 
-
-def _first_effect(t, Nsub, p):
-    if t == 0:
-        return Fraction(0)
-    return min(1 + Fraction(t, Nsub), Fraction(p * t, Nsub))
-
-
-def _decide_unit_pth_power(w, ctx):
-    """Search for a unit y with v(y^p - w) > p/(p-1) in ctx; returns the digit
-    list or None."""
-    p, Nsub = ctx.p, ctx.N
-    C = Fraction(p, p - 1)
-    levels = _digit_levels(Nsub, p)
-
-    def ok_so_far(y, depth):
-        # constraints frozen once later digits cannot touch them
-        frozen = (
-            _first_effect(depth + 1, Nsub, p)
-            if depth + 1 <= levels[-1]
-            else ExtendedRational(None)
-        )
-        diff = y**p - w
-        for e in diff.terms:
-            if e <= C and ExtendedRational(e) < frozen:
-                return False
-        return True
-
-    def final_ok(y):
-        diff = y**p - w
-        return all(e > C for e in diff.terms)
-
-    def dfs(digits, elem, depth):
-        if depth > levels[-1]:
-            return digits if final_ok(elem) else None
-        lo = 1 if depth == 0 else 0
-        for d in range(lo, p):
-            nxt = elem + ctx.element([(Fraction(depth, Nsub), d)]) if d else elem
-            if ok_so_far(nxt, depth):
-                found = dfs(digits + [d], nxt, depth + 1)
-                if found is not None:
-                    return found
-        return None
-
-    return dfs([], ctx.zero(), 0)
+    y = digit(0, *w._t[0])
+    while True:
+        diff = w - y**p
+        if not diff._t:
+            return y
+        k, (num, den) = next(iter(diff._t.items()))
+        if k * (p - 1) > p * N:
+            return y
+        if k * (p - 1) == p * N:
+            return y + digit(k - N, num, 2 * den)
+        if k % p:
+            return None
+        y = y + digit(k // p, num, den)
 
 
 def _class_residue(x, frac_class, modulus_exp, p):
@@ -783,16 +744,17 @@ def _class_residue(x, frac_class, modulus_exp, p):
 
 def _no_certificate(w, ctx):
     """Normalized non-power certificate: alpha from the integer level, beta
-    from the lowest fractional constraint, then the first violated congruence."""
+    from the lowest fractional term with valuation in (1, p/(p-1)] (None if
+    there is none), then the first violated congruence."""
     p, Nsub = ctx.p, ctx.N
     C = Fraction(p, p - 1)
     alpha = int(_class_residue(w, Fraction(0), 1, p))
     beta = None
     beta_exponent = None
     for j, (num, den) in w._t.items():
-        if j % Nsub and j * (p - 1) <= p * Nsub:
-            # the candidate digit t sits at exponent e - 1; its cross term is
-            # p * alpha^(p-1) * beta * pi^(e-1)
+        if j % Nsub and Nsub < j and j * (p - 1) <= p * Nsub:
+            # the candidate digit t sits at exponent e - 1 > 0; its cross term
+            # is p * alpha^(p-1) * beta * pi^(e-1)
             coeff = num * _modinv(den, p) % p
             beta = coeff * _modinv(pow(alpha, p - 1, p), p) % p
             beta_exponent = _exponent(Nsub, j)
@@ -832,9 +794,23 @@ def _no_certificate(w, ctx):
 def is_pth_power(x, k):
     """Decide whether x is a k-th power in its field, k in {p, p^2}.
 
+    Write x = pi^v * w with w a unit. A p-th power needs v/p in (1/N)Z, and w
+    is decided on the unit filtration U_i = 1 + pi^i O (Serre, Local Fields,
+    ch. XIV; Fesenko-Vostokov, Local Fields and Their Extensions, ch. I 5).
+    For i < N/(p-1) the p-th power map sends U_i into U_(p*i) and induces
+    u -> u^p from U_i / U_(i+1) onto U_(p*i) / U_(p*i+1), while nothing
+    reaches the levels in between. So w / y^p can first differ from 1 only at
+    a level divisible by p, where one digit of y removes it. Peeling those
+    levels (`_hensel_start`) either meets a level prime to p, and x is no
+    p-th power, or reaches v(w - y^p) > p/(p-1); then Hensel's lemma, as the
+    binomial series of (w / y^p)^(1/p), gives the root. The verdict depends
+    only on w modulo the decision level floor(N*p/(p-1))/N.
+
     Returns a PthPowerVerdict. No-verdicts carry either a valuation
     obstruction or a congruence certificate; Undecidable means the tracked
-    precision cannot separate the cases.
+    precision cannot separate the cases. The root of a yes-verdict is marked
+    exact only when its p-th power is exactly x; otherwise its relative
+    precision is that of x less 1, or M - 1 when x is exact.
     """
     ctx = x.ctx
     p = ctx.p
@@ -872,7 +848,7 @@ def is_pth_power(x, k):
     sub = LocalFieldContext(p, Nsub, ctx.M)
     w = w_full.to_context(sub)
     C = Fraction(p, p - 1)
-    needed = max(e for e in _constraint_exponents(Nsub, p))
+    needed = Fraction(p * Nsub // (p - 1), Nsub)
     if w.prec is not None and w.prec <= needed:
         return PthPowerVerdict(
             "undecidable",
@@ -881,12 +857,12 @@ def is_pth_power(x, k):
                 f"level {needed}"
             },
         )
-    digits = _decide_unit_pth_power(w, sub)
-    if digits is None:
+    y0 = _hensel_start(w, sub)
+    if y0 is None:
         return PthPowerVerdict("no", certificate=_no_certificate(w, sub))
     if w.prec is not None and w.prec <= C:
         # a root needs w / y0^p - 1 known beyond p/(p-1); the "no" above is
-        # already decided, since every constraint exponent lies below prec
+        # already decided, since every level up to `needed` lies below prec
         return PthPowerVerdict(
             "undecidable",
             certificate={
@@ -894,17 +870,12 @@ def is_pth_power(x, k):
                 f"level {C}"
             },
         )
-    y0 = sub.zero()
-    for t, d in enumerate(digits):
-        if d:
-            y0 = y0 + sub.element([(Fraction(t, Nsub), d)])
-    z = w / y0**p - 1
-    if not z.valuation_lower_bound() > C:
-        raise AssertionError("digit search returned a non-root")
-    unit_root = y0 * _binomial_series(
-        z, Fraction(1, p), (w.prec - 1) if w.prec is not None else Fraction(ctx.M)
-    )
-    if w.prec is not None:
-        unit_root = unit_root.truncate(w.prec - 1)
+    if w.prec is None and w == y0**p:
+        unit_root = y0
+    else:
+        # relative precision M - 1 for an exact w, as in nth_root
+        rel = (w.prec if w.prec is not None else Fraction(ctx.M)) - 1
+        z = w / y0**p - 1
+        unit_root = (y0 * _binomial_series(z, Fraction(1, p), rel)).truncate(rel)
     root = unit_root.to_context(ctx) * ctx.element([(v / p, 1)])
     return PthPowerVerdict("yes", root=root)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DivergentSeries, PipelineError, PrecisionError, Unsupported
-from .localfield import LocalFieldContext, is_pth_power, nth_root
+from .localfield import LocalFieldContext, is_pth_power
 from .series import CoverParams, maclaurin_g
 from .torsor import insep_tail_catalog
 from .valuation import to_jsonable, vp
@@ -54,6 +54,8 @@ def run_wild_monodromy(q, p, r=1):
 
     Returns a PipelineReport whose verdict is "Nontrivial" exactly when g(d)
     is a p-th power but not a p^2-th power, for both sign branches of d.
+    Raises PipelineError when g(d) is not certified as a p-th power; its
+    root from that test is delta.
     """
     if vp(r, p) != 0:
         raise PipelineError(f"need v_{p}({r}) = 0")
@@ -118,13 +120,13 @@ def run_wild_monodromy(q, p, r=1):
             repr(g_series),
         )
         g = g_direct.truncate(g_series.prec) if g_series.prec is not None else g_direct
-        try:
-            delta = nth_root(g, p)
-        except (PrecisionError, DivergentSeries) as exc:
+        first = is_pth_power(g, p)
+        if first.kind != "yes":
             raise PipelineError(
-                f"could not extract the p-th root of g(d): {exc}; retry with "
-                f"M >= {ctx.M + 4}"
-            ) from exc
+                f"g(d){branch} is not certified as a {p}-th power: {first.kind} "
+                f"({first.certificate})"
+            )
+        delta = first.root
         check = (delta**p - g).valuation_lower_bound()
         report.add(
             f"delta{branch}",
@@ -137,7 +139,6 @@ def run_wild_monodromy(q, p, r=1):
             "sign-normalized root -delta",
             repr(eps),
         )
-        first = is_pth_power(g, p)
         second = is_pth_power(eps, p)
         report.add(
             f"power-p{branch}",
@@ -149,20 +150,15 @@ def run_wild_monodromy(q, p, r=1):
             f"is g(d) a {p * p}-th power (via the normalized root)",
             second,
         )
-        if first.kind == "undecidable" or second.kind == "undecidable":
+        if second.kind == "undecidable":
             raise PipelineError(
-                f"power test undecidable at precision; retry with M >= {ctx.M + 4}"
+                f"{p * p}-th power test of the normalized root undecidable: "
+                f"{second.certificate['reason']}"
             )
-        verdicts.append((first.kind, second.kind))
+        verdicts.append(second.kind)
     if len(set(verdicts)) != 1:
         report.verdict = "Inconclusive"
         report.add("branches", "sign branches disagree", verdicts)
         return report
-    first_kind, second_kind = verdicts[0]
-    if first_kind == "yes" and second_kind == "no":
-        report.verdict = "Nontrivial"
-    elif first_kind == "yes" and second_kind == "yes":
-        report.verdict = "Trivial"
-    else:
-        report.verdict = "Inconclusive"
+    report.verdict = "Nontrivial" if verdicts[0] == "no" else "Trivial"
     return report

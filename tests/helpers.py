@@ -8,6 +8,7 @@ normalized so v(p) = 1, hence v(pi) = 1/n.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 
@@ -188,3 +189,35 @@ class PiExt:
 
     def __repr__(self):
         return f"PiExt({list(self.coeffs)}, n={self.n}, p={self.p})"
+
+
+def pi_digits(x, L):
+    """The pi-adic digits d_0, ..., d_(L-1) in [0, p) of an integral PiExt x,
+    x = sum d_i pi^i modulo pi^L; a carry at pi^i moves to pi^(i+n) = p*pi^i."""
+    p, n = x.p, x.n
+    K = -(-L // n)
+    acc = [0] * (L + n)
+    for i, c in enumerate(x.coeffs):
+        if c != 0:
+            acc[i] = rational_mod(c, p**K, p)
+    for i in range(L):
+        carry, acc[i] = divmod(acc[i], p)
+        acc[i + n] += carry
+    return tuple(acc[:L])
+
+
+def pth_power_residues(p=5, n=5, L=7, r=2):
+    """The digit vectors modulo pi^L of y^p over the units y = a + b_1 pi +
+    ... + b_(r-1) pi^(r-1) modulo pi^r.
+
+    For p = n = 5 the defaults decide every unit x: L/n = 7/5 exceeds
+    p/(p-1) = 5/4, so by Hensel's lemma x is a 5th power iff x = y^5 modulo
+    pi^7 for some unit y; and (y + c pi^2)^5 - y^5 has valuation at least
+    min(5*2, 5 + 2)/5 = 7/5, so y modulo pi^2 fixes y^5 modulo pi^7, which
+    leaves 20 units y to list."""
+    out = set()
+    for a in range(1, p):
+        for tail in itertools.product(range(p), repeat=r - 1):
+            y = PiExt([a, *tail], n, p)
+            out.add(pi_digits(y**p, L))
+    return out

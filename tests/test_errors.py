@@ -149,6 +149,8 @@ FILES = {
     },
     "order0_filtration": {"breaks": [{"jump": "0", "order": 0}]},
     "breaks_not_list": {"breaks": 5},
+    "sigma_over_zero": {"vertices": [{"id": "root", "sigma": "1/0"}], "edges": []},
+    "jump_over_zero": {"breaks": [{"jump": "1/0", "order": 5}]},
 }
 
 # (argv, SRT_CONFIG content or None, text the error line must contain);
@@ -183,6 +185,8 @@ BAD_INPUTS = [
     (["herbrand", "--p", "5", "--nu", "2", "--direction", "psi", "--x", "-1"], None, "x"),
     (["herbrand", "--filtration", "@order0_filtration", "--direction", "phi", "--x", "1"], None, "positive"),
     (["herbrand", "--filtration", "@breaks_not_list", "--direction", "phi", "--x", "1"], None, "unreadable"),
+    (["herbrand", "--filtration", "@jump_over_zero", "--direction", "phi", "--x", "1"], None, "unreadable"),
+    (["tree-check", "--p", "5", "--tree", "@sigma_over_zero"], None, "malformed"),
     (["group", "--q", "9", "--tau", "0", "--rho", "3"], None, "prime"),
     (["group", "--q", "0", "--tau", "13", "--rho", "4"], None, "prime"),
     (["group", "--q", "10", "--p", "5"], None, "prime"),

@@ -181,6 +181,22 @@ class TestPropagation:
         assert set(edges) == {("root", "w"), ("w", "t")}
         assert total == Fraction(2) + Fraction(1, 4)
 
+    def test_no_relation_through_an_edge_without_sigma(self):
+        # the drop along root -> w -> t needs sigma_eff on the closed edge
+        # w -> t too; this used to multiply None by its epaisseur (found by
+        # the CLI fuzz through tree-solve)
+        tree = ReductionTree(
+            [Vertex("root", inertia=1), Vertex("w", inertia=1), Vertex("t", inertia=0)],
+            [
+                Edge("root", "w", sigma_eff=Fraction(1, 2)),
+                Edge("w", "t", epaisseur=Fraction(1, 2)),
+            ],
+        )
+        out = propagate_differents(tree, 3, root_delta=Fraction(0))
+        assert out.status == "Unsolved"
+        assert out.relations == []
+        assert set(out.unknowns) == {"epaisseur('root', 'w')", "sigma_eff('w', 't')"}
+
 
 class TestInvariantFromTails:
     def test_sigma_eff_from_outward_data(self):

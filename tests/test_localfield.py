@@ -21,7 +21,7 @@ from srt import (
     unit_nth_root,
 )
 
-from helpers import PiExt
+from helpers import PiExt, pi_digits, pth_power_residues
 
 
 def ctx5(N=5, M=8):
@@ -47,14 +47,6 @@ class TestContext:
             LocalFieldContext(5, N=0)
         with pytest.raises(ContextError):
             LocalFieldContext(5, M=0)
-
-    def test_refine(self):
-        a = LocalFieldContext(5, N=4, M=6)
-        b = LocalFieldContext(5, N=6, M=8)
-        c = a.refine(b)
-        assert (c.N, c.M) == (12, 8)
-        with pytest.raises(ContextError):
-            a.refine(LocalFieldContext(7))
 
 
 class TestCanonicalForm:
@@ -295,6 +287,125 @@ class TestIsPthPower:
         assert v.kind == "yes"
         y = is_pth_power(ctx.from_rational(pow(2, 5, 5**10), prec=10), 25)
         assert y.kind == "no"
+
+    @pytest.mark.parametrize(
+        "pairs, prec",
+        [
+            ([(0, 1), (Fraction(1, 5), 1)], None),  # 1 + pi
+            ([(0, 1), (Fraction(2, 5), 1)], 6),  # 1 + 5^(2/5)
+            ([(0, 2), (Fraction(1, 5), 1)], 6),  # 2 + 5^(1/5)
+        ],
+    )
+    def test_first_fractional_term_below_one_answers_no(self, pairs, prec):
+        # the lowest fractional term sits below v = 1, where no beta digit
+        # can reach it; the certificate used to put beta at a negative
+        # exponent and fail to invert p
+        x = ctx5().element(pairs, prec=prec)
+        v = is_pth_power(x, 5)
+        assert v.kind == "no"
+        cert = v.certificate
+        assert cert["kind"] == "congruence"
+        assert cert["lhs"] != cert["rhs"]
+        oracle = PiExt([0] * 5)
+        for e, u in pairs:
+            oracle = oracle + PiExt.pi() ** int(e * 5) * u
+        assert pi_digits(oracle, 7) not in pth_power_residues()
+
+    @pytest.mark.parametrize("p, N", [(3, 2), (3, 4), (5, 4), (5, 8), (7, 6)])
+    def test_root_through_the_level_p_over_p_minus_1(self, p, N):
+        # with (p-1) | N the digit at pi^(N/(p-1)) reaches y^p at the level
+        # p/(p-1) itself, twice: through its p-th power and its linear term
+        ctx = LocalFieldContext(p, N=N)
+        rng = random.Random(N * p)
+        for _ in range(20):
+            y = ctx.element(
+                [(0, rng.randrange(1, p))]
+                + [(Fraction(j, N), rng.randint(1, 50)) for j in range(1, 2 * N)]
+            )
+            for x in (y**p, (y**p).truncate(3)):
+                v = is_pth_power(x, p)
+                assert v.kind == "yes"
+                assert v.root == (y if v.root.prec is None else y.truncate(v.root.prec))
+
+    def test_roots_of_exact_inputs_are_honest(self):
+        # 157 is a 5th power in Q_5, but no rational is its 5th root: the
+        # root must carry a precision, at relative precision M - 1
+        ctx = ctx5()
+        v = is_pth_power(ctx.from_rational(157), 5)
+        assert v.kind == "yes"
+        assert v.root.prec == ctx.M - 1
+        assert not (v.root**5 - 157).terms
+        # an exact p-th power of the Hensel start keeps an exact root
+        assert is_pth_power(ctx.from_rational(32), 5).root == ctx.from_rational(2)
+        pi = ctx.pi_power(Fraction(1, 5))
+        assert is_pth_power((1 + pi) ** 5, 5).root == 1 + pi
+        rng = random.Random(9)
+        for _ in range(60):
+            p = rng.choice((3, 5, 7))
+            c = LocalFieldContext(p, N=rng.choice((1, 2, 5)), M=rng.choice((4, 8)))
+            y = c.element(
+                [(Fraction(rng.randrange(2 * c.N), c.N), rng.randint(1, 40))
+                 for _ in range(rng.randint(1, 3))]
+            )
+            x = y**p + c.pi_power(Fraction(rng.randrange(c.N, 4 * c.N), c.N), rng.randint(1, 9))
+            for k in (p, p * p):
+                root = is_pth_power(x, k).root
+                if root is not None:
+                    assert root.prec is not None or root**k == x
+                    repr(root)
+
+
+class TestPthPowerOracle:
+    """is_pth_power at p = N = 5 against the digit-table oracle of helpers.py:
+    a unit x is a 5th power iff x mod pi^7 is y^5 mod pi^7 for one of the 20
+    units y mod pi^2."""
+
+    RESIDUES = pth_power_residues()
+
+    @staticmethod
+    def random_unit(rng):
+        c0 = rng.choice([u for u in range(-30, 31) if u % 5])
+        return PiExt([c0] + [rng.randint(-12, 12) for _ in range(4)])
+
+    def case(self, rng):
+        y = self.random_unit(rng)
+        shape = rng.randrange(4)
+        if shape == 0:
+            return y
+        x = y**5
+        if shape == 2:  # a change at pi^7 and above keeps a 5th power
+            x = x + PiExt([0, 0, rng.randint(-9, 9)]) * 5 * PiExt.pi() ** rng.randrange(5)
+        elif shape == 3:  # a change below pi^7 may break it
+            x = x + PiExt.pi() ** rng.randrange(1, 7) * rng.choice((1, 2, 3, 4))
+        return x
+
+    def test_verdicts_and_roots(self):
+        ctx = ctx5()
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(300):
+            oracle = self.case(rng)
+            prec = rng.choice((None, None, Fraction(7, 5), Fraction(3, 2), 2, 3, 5))
+            x = lift(ctx, oracle)
+            if prec is not None:
+                x = x.truncate(prec)
+            v = is_pth_power(x, 5)
+            expected = "yes" if pi_digits(oracle, 7) in self.RESIDUES else "no"
+            assert v.kind == expected, (x, v)
+            seen.add((v.kind, prec is None))
+            if v.kind == "yes":
+                if v.root.prec is None:
+                    assert v.root**5 == x
+                else:
+                    # an error of valuation e in a unit root moves its 5th
+                    # power at valuation min(e + 1, 5e): the exact digits of
+                    # the root must reach one past its precision
+                    assert v.root.prec == (x.prec if x.prec is not None else ctx.M) - 1
+                    digits = ctx.element(list(v.root.terms.items()))
+                    assert (digits**5 - x).valuation_lower_bound() >= v.root.prec + 1
+            elif v.certificate["kind"] == "congruence":
+                assert v.certificate["lhs"] != v.certificate["rhs"]
+        assert seen == {("yes", True), ("yes", False), ("no", True), ("no", False)}
 
 
 class TestIntegerRoots:
