@@ -9,6 +9,7 @@ proper subgroups, non-powers), 1 for usage errors and tool failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -339,6 +340,9 @@ def _cmd_wild_monodromy(args, cfg):
 # --- parser ---
 
 
+# one parser per process: parse_args returns a fresh Namespace on every call,
+# no default is mutable and every type= callable is pure
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="srt",

@@ -1,7 +1,7 @@
 """
-SL2 over a prime field: element orders, the trace-prescribed generator
-construction, generation checks (a normalizer criterion and an exact
-orbit-stabilizer closure), and p-Sylow data.
+SL2 over a prime field: element orders read from the trace, the
+trace-prescribed generator construction, generation checks (a normalizer
+criterion and an exact orbit-stabilizer closure), and p-Sylow data.
 
 The closure never lists the group: |H| = |H e1| * |H_e1|, where the orbit of
 e1 = (1, 0) is found by a breadth-first search over the q^2 vectors of F_q^2
@@ -85,13 +85,40 @@ def _prime_factors(n):
     return out
 
 
+def _lucas_v(t, k, q):
+    """V_k = lam^k + lam^-k mod q for lam + lam^-1 = t, by the doubling
+    V_2j = V_j^2 - 2, V_2j+1 = V_j V_j+1 - t on the pair (V_j, V_j+1)."""
+    v, w = 2, t
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w = (v * w - t) % q, (w * w - 2) % q
+        else:
+            v, w = (v * v - 2) % q, (v * w - t) % q
+    return v
+
+
 def element_order(m):
-    """Multiplicative order, using that it divides q(q^2 - 1)."""
+    """Multiplicative order, read from the trace t over the prime field F_q.
+
+    +-I have order 1 or 2. Any other m with t = 2 is unipotent, of order q,
+    and with t = -2 it is minus a unipotent, of order 2q. Otherwise m has
+    distinct eigenvalues lam, lam^-1 in F_q^2, so m^k = I exactly when
+    lam^k = 1, that is when V_k = lam^k + lam^-k = 2, since
+    V_k - 2 = (lam^k - 1)^2 / lam^k; the order divides q^2 - 1.
+    """
     q = m.q
-    n = q * (q * q - 1)
-    order = n
-    for prime in _prime_factors(n):
-        while order % prime == 0 and (m ** (order // prime)).is_identity():
+    if not is_prime(q):
+        raise Unsupported(f"element orders need a prime q, got {q}")
+    if m.b == 0 and m.c == 0 and m.a == m.d:
+        return 1 if m.is_identity() else 2
+    t = m.trace()
+    if t == 2 % q:
+        return q
+    if t == -2 % q:
+        return 2 * q
+    order = q * q - 1
+    for prime in _prime_factors(q - 1).keys() | _prime_factors(q + 1).keys():
+        while order % prime == 0 and _lucas_v(t, order // prime, q) == 2 % q:
             order //= prime
     return order
 

@@ -89,7 +89,6 @@ def run_wild_monodromy(q, p, r=1):
     ctx = LocalFieldContext(p, N=5, M=8)
     params = CoverParams(p, nu, r, s, sqrt1ma)
     series = maclaurin_g(params)
-    T = series.order
     # d = +-2 (s/r) (p^(w+1)/s)^(2/5); with s = p this is an exact pi-power
     # (the p-content of 2s/r shifts the exponent up by w during normalization)
     d_plus = ctx.pi_power(Fraction(2, 5), Fraction(2 * s, r))
@@ -105,14 +104,16 @@ def run_wild_monodromy(q, p, r=1):
             g_direct = _direct_g(params, d)
         except (PrecisionError, DivergentSeries) as exc:
             raise PipelineError(
-                f"insufficient precision evaluating g(d): {exc}; retry with a "
-                f"larger context (N = {ctx.N}, M >= {ctx.M + 4}, T >= {T + p})"
+                f"insufficient precision evaluating g(d) at (q, r) = ({q}, {r}): "
+                f"{exc}; the pipeline's precision is fixed, so this input is "
+                f"not supported"
             ) from exc
         agreement = (g_series - g_direct).valuation_lower_bound()
         if not agreement > Fraction(2 * w, 1) + Fraction(1, p - 1):
             raise PipelineError(
-                f"series and closed-form evaluations of g(d) disagree "
-                f"(v(difference) >= {agreement}); increase T beyond {T}"
+                f"series and closed-form evaluations of g(d) disagree at "
+                f"(q, r) = ({q}, {r}) (v(difference) >= {agreement}); the "
+                f"pipeline's series order is fixed, so this input is not supported"
             )
         report.add(
             f"g(d){branch}",

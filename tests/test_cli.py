@@ -1,14 +1,17 @@
 """Tests for the `srt` command-line interface: exit codes, output formats,
 configuration loading, and byte-exact reference invocations."""
+import argparse
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import srt
+import srt.cli
 from srt.cli import EXIT_CONTRADICTION, EXIT_OK, EXIT_USAGE, dispatch
 
 # The directory holding the imported `srt` package, so that a child process
@@ -16,6 +19,7 @@ from srt.cli import EXIT_CONTRADICTION, EXIT_OK, EXIT_USAGE, dispatch
 SRT_IMPORT_ROOT = str(Path(srt.__file__).resolve().parent.parent)
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 CLI_TIMEOUT_S = 60  # one run takes well under a second
+DESCRIPTION = "Exact p-adic analysis of cyclic covers and their stable reductions."
 
 # Byte-exact stdout of three reference invocations. The wild-monodromy report
 # carries the pinned (q, r) = (251, 1) certificates (4, 2, 9, 19) and
@@ -153,6 +157,43 @@ class TestReferenceInvocations:
         out = self._run("expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2")
         assert out.returncode == 0
         assert out.stdout == EXPAND_5
+
+    def test_reused_parser_is_stateless(self, capsys, monkeypatch):
+        """One process dispatches a usage error, --format text and --help
+        before two requests whose stdout must match a fresh process; the
+        argparse tree is built at most once in all of it."""
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        srt.cli._build_parser.cache_clear()
+
+        assert dispatch(["tail-radius", "--p", "7", "--bogus", "1"]) == EXIT_USAGE
+        first_build = len(built)
+        assert first_build > 0
+        assert dispatch(
+            ["--format", "text", "tail-radius", "--p", "7", "--nu", "2", "--case", "generic"]
+        ) == EXIT_OK
+        assert capsys.readouterr().out == "v_rho: 13/9\nv_e: 13/18\n"
+        # help is laid out for COLUMNS as it is when printed
+        for columns in (60, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            assert dispatch(["--help"]) == EXIT_OK
+            lines = capsys.readouterr().out.splitlines()
+            assert (DESCRIPTION in lines) == (columns > len(DESCRIPTION))
+        for argv in (
+            ["group", "--q", "251", "--p", "5"],
+            ["tail-radius", "--p", "7", "--nu", "2", "--case", "generic"],
+        ):
+            assert dispatch(argv) == EXIT_OK
+            fresh = self._run(*argv)
+            assert fresh.returncode == EXIT_OK
+            assert capsys.readouterr().out == fresh.stdout
+        assert len(built) == first_build
 
 
 class TestExitCodes:
@@ -319,6 +360,19 @@ class TestOtherCommands:
         assert report["generation"]["verdict"] == "Generates"
         assert report["generation"]["order"] == 2184
         assert report["sylow"] == {"order": 3, "cyclic": True, "m_G": 2}
+
+    def test_group_large_q_is_fast(self, capsys):
+        # q - 1 and q + 1 have the prime cofactors 3,333,419 and 25,000,643
+        q = 100002571
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "group", "--q", str(q), "--p", "5")
+        assert time.perf_counter() - t0 < 3
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["orders"] == {
+            "alpha": q, "beta": q - 1, "alpha*beta": (q - 1) // 5
+        }
+        assert report["generation"]["verdict"] == "Generates"
 
     def test_insep_tails(self, capsys):
         code, out, _ = run_cli(

@@ -38,24 +38,60 @@ class TestMatrixElement:
             identity(5) * identity(7)
 
 
+def _brute_order(mat):
+    """Order by repeated multiplication, the reference for element_order."""
+    order, x = 1, mat
+    while not x.is_identity():
+        x = x * mat
+        order += 1
+    return order
+
+
+def _all_elements(q):
+    """Every element of SL2(F_q): for a != 0, d = (1 + bc)/a; for a = 0,
+    c = -1/b and d is free."""
+    for a in range(q):
+        for b in range(q):
+            if a:
+                for c in range(q):
+                    yield MatrixElement(a, b, c, (1 + b * c) * pow(a, -1, q), q)
+            elif b:
+                for d in range(q):
+                    yield MatrixElement(0, b, -pow(b, -1, q), d, q)
+
+
 class TestElementOrder:
     def test_against_brute_force(self):
-        q = 7
-        for mat in (
-            MatrixElement(1, 1, 0, 1, q),
-            MatrixElement(0, 1, -1, 0, q),
-            MatrixElement(2, 0, 0, 4, q),
-            MatrixElement(3, 1, 5, 2, q),
-        ):
-            brute = 1
-            x = mat
-            while not x.is_identity():
-                x = x * mat
-                brute += 1
-            assert element_order(mat) == brute
+        # every element of SL2(F_q) for the small q, so every trace class
+        for q in (2, 3, 5, 7, 11, 13):
+            elements = list(_all_elements(q))
+            assert len(set(elements)) == q * (q * q - 1)
+            for mat in elements:
+                assert element_order(mat) == _brute_order(mat), mat
 
     def test_minus_identity(self):
         assert element_order(minus_identity(11)) == 2
+
+    def test_scalars_and_unipotents(self):
+        q = 101
+        unipotents = [
+            MatrixElement(1, 1, 0, 1, q),
+            MatrixElement(1, 0, 5, 1, q),
+            MatrixElement(3, 1, -4, -1, q),  # trace 2, not triangular
+        ]
+        cases = [(identity(q), 1), (minus_identity(q), 2)]
+        cases += [(u, q) for u in unipotents]
+        cases += [(minus_identity(q) * u, 2 * q) for u in unipotents]
+        for mat, order in cases:
+            assert element_order(mat) == _brute_order(mat) == order, mat
+
+    def test_non_prime_modulus_refused(self):
+        # the trace argument needs a field; Z/9 and Z/15 are not fields
+        for mat in (MatrixElement(1, 1, 0, 1, 9), MatrixElement(0, 1, -1, 0, 15)):
+            with pytest.raises(Unsupported, match="prime"):
+                element_order(mat)
+            with pytest.raises(Unsupported, match="prime"):
+                generation_check([mat], mat.q)
 
 
 class TestTraceSystem:

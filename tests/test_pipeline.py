@@ -1,9 +1,12 @@
 """Unit tests for the end-to-end wild monodromy pipeline."""
 import json
+import re
 
 import pytest
 
+import srt.pipeline
 from srt import PipelineError, run_wild_monodromy
+from srt.errors import PrecisionError
 
 
 class TestRun:
@@ -39,3 +42,32 @@ class TestPreconditions:
     def test_r_must_be_a_unit(self):
         with pytest.raises(PipelineError, match=r"v_5\(5\) = 0"):
             run_wild_monodromy(251, 5, 5)
+
+
+def _raise_precision(params, d):
+    raise PrecisionError("term beyond the context's precision")
+
+
+def _zero(params, d):
+    return d.ctx.zero()
+
+
+class TestEvaluationFailures:
+    """The two ways evaluating g(d) can fail, forced by replacing the exact
+    product: neither message may point at a precision setting, since the CLI
+    passes none to the pipeline."""
+
+    @pytest.mark.parametrize(
+        "direct_g, needle",
+        [(_raise_precision, "insufficient precision"), (_zero, "disagree")],
+        ids=["precision", "disagreement"],
+    )
+    def test_message_names_no_setting(self, monkeypatch, direct_g, needle):
+        monkeypatch.setattr(srt.pipeline, "_direct_g", direct_g)
+        with pytest.raises(PipelineError) as exc:
+            run_wild_monodromy(251, 5, 1)
+        message = str(exc.value)
+        assert needle in message
+        assert "(q, r) = (251, 1)" in message
+        assert "\n" not in message
+        assert not re.search(r"\b[NMT]\b|retry|increase", message)
