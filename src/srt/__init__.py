@@ -4,7 +4,7 @@ truncated series of the cover function, torsor splitting criteria, reduction
 trees, higher ramification, SL2 group checks, and the end-to-end wild
 monodromy verification.
 """
-from .errors import SrtError
+from .errors import DivergentSeries, SrtError
 from .valuation import (
     INFINITY,
     ExtendedRational,
@@ -17,7 +17,6 @@ from .valuation import (
 )
 from .localfield import (
     ContextError,
-    DivergentSeries,
     LocalFieldContext,
     LocalFieldElement,
     NoNthRoot,
@@ -27,9 +26,7 @@ from .localfield import (
     hensel_sqrt,
     is_pth_power,
     nth_root,
-    pnth_root_binomial,
     sqrt_of_minus_one,
-    unit_nth_root,
 )
 from .series import (
     CoverParams,

@@ -238,8 +238,8 @@ def generation_check(gens, q, mode="criterion"):
     if alpha.c % q != 0:
         raise Unsupported("criterion mode expects the unipotent in upper form")
     ord_beta = element_order(beta)
-    has_minus = ord_beta % 2 == 0 and (beta ** (ord_beta // 2)) == minus_identity(q)
-    if not has_minus:
+    # -I is the only involution of SL2(F_q), q odd: it is in <beta> iff 2 | ord
+    if ord_beta % 2:
         return GenerationVerdict(
             "ProperSubgroup",
             evidence={"reason": "-I not in the cyclic group of the second generator"},

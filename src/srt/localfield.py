@@ -17,6 +17,13 @@ residue otherwise.
 The inverse is Newton's iteration y <- y(2 - xy), which doubles the relative
 precision each step (Caruso, Computations with p-adic numbers,
 arXiv:1701.06794, sections 1.3 and 2.1).
+
+Every root (`nth_root`, the root of a yes-verdict of `is_pth_power`,
+`hensel_sqrt`) comes from one engine: p-th roots by peeling the unit
+filtration and then Newton's iteration, prime-to-p roots by Newton's
+iteration from a residue root. A root that does not exist raises NoNthRoot;
+a root that the tracked precision cannot decide or fix raises
+PrecisionError. `is_pth_power` turns these into "no" and "undecidable".
 """
 from __future__ import annotations
 
@@ -25,7 +32,6 @@ from fractions import Fraction
 
 from .errors import (
     ContextError,
-    DivergentSeries,
     NoNthRoot,
     NoSquareRoot,
     PrecisionError,
@@ -39,7 +45,6 @@ from .valuation import (
     is_prime,
     power,
     split_p_part,
-    vp,
 )
 
 # default ramification index N and unit precision M of a context; the CLI's
@@ -461,70 +466,14 @@ def _min_prec(a, b):
     return min(a, b)
 
 
-# --- square roots ---
-
-
-def hensel_sqrt(u, p, M):
-    """Square root of a unit residue mod p^M, branch = lift of the smallest
-    nonnegative root mod p."""
-    u = u % (p**M)
-    if u % p == 0:
-        raise NoSquareRoot(f"{u} is not a unit mod {p}")
-    r = _unit_prime_to_p_root(u, 2, p, M)
-    if r is None:
-        raise NoSquareRoot(f"{u} is not a quadratic residue mod {p}")
-    return r
-
-
-def sqrt_of_minus_one(ctx, prec=None):
-    """The square root of -1 congruent to the smaller root mod p; requires
-    p = 1 mod 4."""
-    M = ceil_fraction(prec) if prec is not None else ctx.M
-    r = hensel_sqrt(-1 % ctx.p ** M, ctx.p, M)
-    return ctx.element([(Fraction(0), r)], Fraction(M))
-
-
-# --- n-th roots ---
-
-
-def _unit_pth_root(u, p, K):
-    """Solve y^p = u in Z_p to precision p^K; returns int residue or None."""
-    u = u % (p**K)
-    y = u % p
-    if y == 0:
-        return None
-    if pow(y, p, p * p) != u % (p * p):
-        return None
-    # extend digit by digit: y^p = u mod p^(t+1) implies a unique digit fixing
-    # the next level
-    for t in range(1, K):
-        mod = p ** (t + 2)
-        diff = (u - pow(y, p, mod)) % mod
-        if diff % (p ** (t + 1)) != 0:
-            return None
-        c = (diff // p ** (t + 1)) * _modinv(pow(y, p - 1, p), p) % p
-        y = y + c * p**t
-    return y % (p**K)
-
-
-def _unit_prime_to_p_root(u, m, p, K):
-    """Solve y^m = u in Z_p (gcd(m, p) = 1) to precision p^K."""
-    u = u % (p**K)
-    y0 = None
-    for y in range(1, p):
-        if (pow(y, m, p) - u) % p == 0:
-            y0 = y
-            break
-    if y0 is None:
-        return None
-    y = y0
-    k = 1
-    while k < K:
-        k = min(2 * k, K)
-        mod = p**k
-        f = (pow(y, m, mod) - u) % mod
-        y = (y - f * _modinv(m * pow(y, m - 1, mod), mod)) % mod
-    return y
+# --- roots ---
+#
+# One engine takes every root. For n = p^a * m with m prime to p, it takes
+# the p-th root of the unit part a times, then its m-th root. Each is Newton's
+# iteration (`_newton`) from a start that already solves y^n = w beyond the
+# level where Newton converges: for a p-th root the start found by peeling
+# the unit filtration (`_hensel_start`), for an m-th root the least residue
+# root mod p. An exact rational n-th power gets its exact root first.
 
 
 def _integer_nth_root_exact(n, k):
@@ -541,109 +490,164 @@ def _integer_nth_root_exact(n, k):
         x = y
 
 
-def unit_nth_root(u, n, p, K):
-    """n-th root of a p-adic unit, given as Fraction or int residue.
+def _hensel_start(w, ctx):
+    """(y, w - y^p) for an exact unit y with v(y^p - w) > p/(p-1), or None
+    when the unit w is not a p-th power.
 
-    Returns (root, exact) where root is a Fraction (exact=True) or an int
-    residue mod p^K (exact=False). Raises NoNthRoot when no root exists in Z_p.
+    For i < N/(p-1), (1 + c*pi^i)^p = 1 + c^p*pi^(p*i) modulo higher terms,
+    so the lowest term c*pi^k of w - y^p must have p | k, and adding the
+    digit c mod p at pi^(k/p) moves it higher. At k = N*p/(p-1) both the p-th
+    power and the linear term p*y^(p-1)*t*pi^(k-N) reach pi^k, and
+    (y + t*pi^(k-N))^p adds 2t*pi^k there, so t = c/2 mod p.
     """
-    frac = Fraction(u)
-    num, den = frac.numerator, frac.denominator
-    # exact shortcut for rational perfect powers; a negative one only for odd
-    # n (for even n the residue path decides)
-    if num >= 0 or n % 2 == 1:
-        rn = _integer_nth_root_exact(abs(num), n)
-        rd = _integer_nth_root_exact(den, n)
-        if rn is not None and rd is not None:
-            return (-1 if num < 0 else 1) * Fraction(rn, rd), True
-    mod = p**K
-    res = num * _modinv(den, mod) % mod
-    if res % p == 0:
-        raise NoNthRoot(f"{u} is not a unit mod {p}")
+    p, N = ctx.p, ctx.N
+
+    def digit(j, num, den):
+        return LocalFieldElement._make(ctx, {j: (num * _modinv(den, p) % p, 1)}, None)
+
+    y = digit(0, *w._t[0])
+    while True:
+        diff = w - y**p
+        if not diff._t:
+            return y, diff
+        k, (num, den) = next(iter(diff._t.items()))
+        if k * (p - 1) > p * N:
+            return y, diff
+        if k * (p - 1) == p * N:
+            y = y + digit(k - N, num, 2 * den)
+            return y, w - y**p
+        if k % p:
+            return None
+        y = y + digit(k // p, num, den)
+
+
+def _newton(w, y, diff, n, prec):
+    """The n-th root of the unit w modulo p^prec nearest the exact unit y,
+    given diff = w - y^n, by Newton's iteration y <- y + y * d with
+    d = diff / (n * w).
+
+    n is p or prime to p, and y must solve y^n = w beyond the level v(n) *
+    p/(p-1). Writing y = root * (1 + e), v(d) = v(e), and a step takes v(e)
+    to at least min(2 v(e), n v(e) - v(n)); this exceeds v(e) exactly when
+    v(e) > v(n)/(p-1), so the error grows every step and, once past 1,
+    doubles. The iteration stops when that bound reaches prec.
+    """
+    ctx = w.ctx
+    vn = 1 if n % ctx.p == 0 else 0
+    # d modulo p^prec needs diff and w modulo p^(prec + v(n))
+    w = w.truncate(prec + vn)
+    c = (w * n).inverse()
+    while True:
+        d = diff.truncate(prec + vn) * c
+        if not d._t:
+            return y.truncate(prec)
+        e = d._lead_exponent()
+        # y is taken as exact: its error is what the next step corrects
+        y = LocalFieldElement._make(ctx, (y + y * d)._t, None)
+        if min(2 * e, n * e - vn) >= prec:
+            return y.truncate(prec)
+        diff = w - y.truncate(prec + vn) ** n
+
+
+def _pth_root(w):
+    """A p-th root of the unit w: the peel's start lifted by Newton. Exact
+    when the start's p-th power is w itself, else to relative precision that
+    of w less 1, or M - 1 for an exact w."""
+    ctx = w.ctx
+    p, N = ctx.p, ctx.N
+    hensel_level = Fraction(p, p - 1)
+    if w.prec is not None:
+        needed = Fraction(p * N // (p - 1), N)
+        if w.prec <= needed:
+            raise PrecisionError(
+                f"precision p^{w.prec} does not reach the decision level {needed}"
+            )
+    start = _hensel_start(w, ctx)
+    if start is None:
+        raise NoNthRoot(
+            f"{w!r} is not a {p}-th power: y^{p} misses it at a level prime "
+            f"to {p} below {hensel_level}"
+        )
+    y, diff = start
+    if w.prec is None:
+        if not diff._t:
+            return y
+        return _newton(w, y, diff, p, Fraction(ctx.M - 1))
+    if w.prec <= hensel_level:
+        # a root needs w / y^p - 1 known beyond p/(p-1); the "no" above is
+        # already decided, since every level up to `needed` lies below prec
+        raise PrecisionError(
+            f"precision p^{w.prec} does not exceed the Hensel level {hensel_level}"
+        )
+    return _newton(w, y, diff, p, w.prec - 1)
+
+
+def _unit_root(w, n):
+    """An n-th root of the unit w.
+
+    Raises NoNthRoot when w has none and PrecisionError when the precision
+    of w cannot decide or cannot fix the root. An exact rational n-th power
+    has an exact root; the m-th root is the one congruent mod pi to the least
+    residue root mod p.
+    """
+    ctx = w.ctx
+    p = ctx.p
+    if w.prec is None and len(w._t) == 1:
+        u = Fraction(*w._t[0])
+        # a negative power only for odd n; for even n the residue path decides
+        if u > 0 or n % 2:
+            rn = _integer_nth_root_exact(abs(u.numerator), n)
+            rd = _integer_nth_root_exact(u.denominator, n)
+            if rn is not None and rd is not None:
+                return LocalFieldElement._make(ctx, {0: (rn if u > 0 else -rn, rd)}, None)
     a, m = split_p_part(n, p)
-    y = res
     for _ in range(a):
-        y = _unit_pth_root(y, p, K)
-        if y is None:
-            raise NoNthRoot(
-                f"unit {res} mod {p}^{K} has no {n}-th root in Z_{p} "
-                f"(obstruction at the p-part)"
-            )
-    if m > 1:
-        y = _unit_prime_to_p_root(y, m, p, K)
-        if y is None:
-            raise NoNthRoot(
-                f"unit {res} mod {p}^{K} has no {n}-th root in Z_{p} "
-                f"(no residue solves y^{m} = u mod {p})"
-            )
-    return y, False
+        w = _pth_root(w)
+    if m == 1:
+        return w
+    num, den = w._t[0]
+    res = num * _modinv(den, p) % p
+    y = next((y for y in range(1, p) if pow(y, m, p) == res), None)
+    if y is None:
+        raise NoNthRoot(f"{w!r} has no {m}-th root: {res} is no {m}-th power mod {p}")
+    y = ctx.from_rational(y)
+    return _newton(w, y, w - y**m, m, Fraction(ctx.M) if w.prec is None else w.prec)
 
 
-def _binomial_series(z, exponent, target):
-    """(1 + z)^exponent truncated so the tail is beyond `target` (absolute),
-    for a Fraction exponent with v_p(denominator) = a.
-
-    Convergence requires v(z) > a + 1/(p-1) if a > 0, else v(z) > 0.
-    """
-    ctx = z.ctx
-    p = ctx.p
-    exponent = Fraction(exponent)
-    a = -min(0, int(vp(exponent, p).as_fraction()))
-    zv = z.valuation_lower_bound()
-    bound = Fraction(a) + Fraction(1, p - 1) if a > 0 else Fraction(0)
-    if not zv > bound:
-        raise DivergentSeries(
-            f"binomial series with exponent {exponent} needs v(z) > {bound}, "
-            f"got {zv}"
-        )
-    slope = zv + ExtendedRational(-bound)  # per-term valuation gain, > 0
-    out = ctx.one()
-    coeff = Fraction(1)
-    zpow = ctx.one()
-    k = 1
-    while slope * k < target or (slope.is_infinite and k <= 1):
-        if slope.is_infinite:
-            break
-        coeff = coeff * (exponent - (k - 1)) / k
-        zpow = zpow * z
-        if coeff != 0:
-            out = out + zpow * coeff
-        k += 1
-    return out
+def hensel_sqrt(u, p, M):
+    """Square root of a unit residue mod p^M by the root engine, branch =
+    lift of the smallest nonnegative root mod p."""
+    u = u % (p**M)
+    if u % p == 0:
+        raise NoSquareRoot(f"{u} is not a unit mod {p}")
+    try:
+        r = _unit_root(LocalFieldContext(p, N=1).from_rational(u, prec=M), 2)
+    except NoNthRoot:
+        raise NoSquareRoot(f"{u} is not a quadratic residue mod {p}") from None
+    return r._t[0][0]
 
 
-def pnth_root_binomial(x, a):
-    """p^a-th root of x via the binomial series; needs v(x - 1) > a + 1/(p-1)."""
-    ctx = x.ctx
-    p = ctx.p
-    if a == 0:
-        return x
-    z = x - 1
-    bound = Fraction(a) + Fraction(1, p - 1)
-    zv = z.valuation_lower_bound()
-    if not zv > bound:
-        raise DivergentSeries(
-            f"p^{a}-th root series needs v(x-1) > {bound}, got v(x-1) = {zv}"
-        )
-    if x.prec is not None:
-        target = x.prec - a
-    elif not zv.is_infinite:
-        target = zv.as_fraction() - a + ctx.M
-    else:
-        return ctx.one()
-    y = _binomial_series(z, Fraction(1, p**a), target)
-    return y.truncate(target)
+def sqrt_of_minus_one(ctx, prec=None):
+    """The square root of -1 congruent to the smaller root mod p; requires
+    p = 1 mod 4."""
+    M = ceil_fraction(prec) if prec is not None else ctx.M
+    r = hensel_sqrt(-1 % ctx.p ** M, ctx.p, M)
+    return ctx.element([(Fraction(0), r)], Fraction(M))
 
 
 def nth_root(x, n, branch=0):
-    """n-th root of x in Q_p(pi) when one exists; deterministic branch.
+    """n-th root of x in Q_p(pi); deterministic branch, negated for even n
+    when `branch` is set.
 
-    The valuation must divide evenly (v(x)/n must live in (1/N)Z), the unit
-    part must have an n-th root in Z_p, and when p | n the principal part must
-    lie in the binomial convergence region.
+    Raises NoNthRoot when x has no n-th root in the field: v(x)/n is not in
+    (1/N)Z, or the unit part is no n-th power. Raises PrecisionError when
+    the precision of x cannot decide that or cannot fix the root. The root
+    is exact when x is an exact rational n-th power, or an exact p-th power
+    met by the filtration peel; otherwise, for n = p^a * m, its relative
+    precision is that of x less a, or M - a when x is exact (more when one
+    of the a p-th roots on the way is exact).
     """
     ctx = x.ctx
-    p = ctx.p
     if n < 1:
         raise PreconditionViolated(f"n must be positive, got {n}")
     v = x.valuation()
@@ -654,28 +658,10 @@ def nth_root(x, n, branch=0):
         raise NoNthRoot(
             f"valuation {v} is not divisible by {n} within ramification index {ctx.N}"
         )
-    u0 = x.terms[v]
-    a, _ = split_p_part(n, p)
-    rel = (x.prec - v) if x.prec is not None else Fraction(ctx.M)
-    K = max(ceil_fraction(rel) + 2 * a + 2, 2 * a + 3)
-    root_u, exact = unit_nth_root(Fraction(u0), n, p, K)
-    if exact:
-        lead_root = ctx.element([(v / n, root_u)])
-    else:
-        lead_root = ctx.element([(v / n, root_u)], v / n + K)
-    if len(x.terms) == 1:
-        if x.prec is None and exact:
-            out = lead_root
-        else:
-            out = lead_root.truncate(v / n + rel - a)
-    else:
-        lead = ctx.element([(v, u0)])
-        z = x / lead - 1
-        series = _binomial_series(z, Fraction(1, n), rel - a)
-        out = (lead_root * series).truncate(v / n + rel - a)
+    root = _unit_root(x * ctx.pi_power(-v), n) * ctx.pi_power(v / n)
     if branch and n % 2 == 0:
-        out = -out
-    return out
+        root = -root
+    return root
 
 
 # --- p-th power decision procedure ---
@@ -699,36 +685,6 @@ class PthPowerVerdict:
         if self.certificate is not None:
             out["certificate"] = self.certificate
         return out
-
-
-def _hensel_start(w, ctx):
-    """An exact unit y with v(y^p - w) > p/(p-1), or None when the unit w is
-    not a p-th power.
-
-    For i < N/(p-1), (1 + c*pi^i)^p = 1 + c^p*pi^(p*i) modulo higher terms,
-    so the lowest term c*pi^k of w - y^p must have p | k, and adding the
-    digit c mod p at pi^(k/p) moves it higher. At k = N*p/(p-1) both the p-th
-    power and the linear term p*y^(p-1)*t*pi^(k-N) reach pi^k, and
-    (y + t*pi^(k-N))^p adds 2t*pi^k there, so t = c/2 mod p.
-    """
-    p, N = ctx.p, ctx.N
-
-    def digit(j, num, den):
-        return LocalFieldElement._make(ctx, {j: (num * _modinv(den, p) % p, 1)}, None)
-
-    y = digit(0, *w._t[0])
-    while True:
-        diff = w - y**p
-        if not diff._t:
-            return y
-        k, (num, den) = next(iter(diff._t.items()))
-        if k * (p - 1) > p * N:
-            return y
-        if k * (p - 1) == p * N:
-            return y + digit(k - N, num, 2 * den)
-        if k % p:
-            return None
-        y = y + digit(k // p, num, den)
 
 
 def _class_residue(x, frac_class, modulus_exp, p):
@@ -802,14 +758,16 @@ def is_pth_power(x, k):
     reaches the levels in between. So w / y^p can first differ from 1 only at
     a level divisible by p, where one digit of y removes it. Peeling those
     levels (`_hensel_start`) either meets a level prime to p, and x is no
-    p-th power, or reaches v(w - y^p) > p/(p-1); then Hensel's lemma, as the
-    binomial series of (w / y^p)^(1/p), gives the root. The verdict depends
-    only on w modulo the decision level floor(N*p/(p-1))/N.
+    p-th power, or reaches v(w - y^p) > p/(p-1); then Newton's iteration
+    lifts y to the root. The verdict depends only on w modulo the decision
+    level floor(N*p/(p-1))/N. The root engine behind `nth_root` decides and
+    takes the root, on w in the least subfield Q_p(pi^(N/N')) holding it.
 
-    Returns a PthPowerVerdict. No-verdicts carry either a valuation
-    obstruction or a congruence certificate; Undecidable means the tracked
-    precision cannot separate the cases. The root of a yes-verdict is marked
-    exact only when its p-th power is exactly x; otherwise its relative
+    Returns a PthPowerVerdict. A valuation not divisible by p, or NoNthRoot
+    from the engine, gives "no" with a valuation obstruction or a congruence
+    certificate; PrecisionError from the engine gives "undecidable" with its
+    reason. The root of a yes-verdict is exact when x is an exact rational
+    p-th power or the p-th power of the peel's start; otherwise its relative
     precision is that of x less 1, or M - 1 when x is exact.
     """
     ctx = x.ctx
@@ -847,35 +805,11 @@ def is_pth_power(x, k):
     Nsub = math.lcm(1, *denoms)
     sub = LocalFieldContext(p, Nsub, ctx.M)
     w = w_full.to_context(sub)
-    C = Fraction(p, p - 1)
-    needed = Fraction(p * Nsub // (p - 1), Nsub)
-    if w.prec is not None and w.prec <= needed:
-        return PthPowerVerdict(
-            "undecidable",
-            certificate={
-                "reason": f"precision p^{w.prec} does not reach the decision "
-                f"level {needed}"
-            },
-        )
-    y0 = _hensel_start(w, sub)
-    if y0 is None:
+    try:
+        unit_root = _unit_root(w, p)
+    except NoNthRoot:
         return PthPowerVerdict("no", certificate=_no_certificate(w, sub))
-    if w.prec is not None and w.prec <= C:
-        # a root needs w / y0^p - 1 known beyond p/(p-1); the "no" above is
-        # already decided, since every level up to `needed` lies below prec
-        return PthPowerVerdict(
-            "undecidable",
-            certificate={
-                "reason": f"precision p^{w.prec} does not exceed the Hensel "
-                f"level {C}"
-            },
-        )
-    if w.prec is None and w == y0**p:
-        unit_root = y0
-    else:
-        # relative precision M - 1 for an exact w, as in nth_root
-        rel = (w.prec if w.prec is not None else Fraction(ctx.M)) - 1
-        z = w / y0**p - 1
-        unit_root = (y0 * _binomial_series(z, Fraction(1, p), rel)).truncate(rel)
+    except PrecisionError as exc:
+        return PthPowerVerdict("undecidable", certificate={"reason": str(exc)})
     root = unit_root.to_context(ctx) * ctx.element([(v / p, 1)])
     return PthPowerVerdict("yes", root=root)

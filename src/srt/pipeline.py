@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DivergentSeries, PipelineError, PrecisionError, Unsupported
+from .errors import PipelineError, PrecisionError, Unsupported
 from .localfield import LocalFieldContext, is_pth_power
 from .series import CoverParams, maclaurin_g
 from .torsor import insep_tail_catalog
@@ -102,7 +102,7 @@ def run_wild_monodromy(q, p, r=1):
         try:
             g_series = series.evaluate(d)
             g_direct = _direct_g(params, d)
-        except (PrecisionError, DivergentSeries) as exc:
+        except PrecisionError as exc:
             raise PipelineError(
                 f"insufficient precision evaluating g(d) at (q, r) = ({q}, {r}): "
                 f"{exc}; the pipeline's precision is fixed, so this input is "

@@ -169,7 +169,7 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None, cp_candidate=None):
             root = nth_root(
                 candidate * ctx.from_rational(Fraction(p) ** ((p - 1) * n + 1)), p
             )
-        except NoNthRoot as exc:
+        except (NoNthRoot, PrecisionError) as exc:
             return SplitVerdict(
                 "Inconclusive", evidence={"reason": f"root unavailable: {exc}"}
             )

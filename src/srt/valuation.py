@@ -183,18 +183,18 @@ def split_p_part(n, p):
 
 
 def power(base, n, one):
-    """base^n by square-and-multiply, starting from the ring's `one`; a
+    """base^n by square-and-multiply; the ring's `one` for n = 0, and a
     negative n raises base.inverse() to -n."""
     if n < 0:
         base, n = base.inverse(), -n
-    out = one
+    out = None
     while n:
         if n & 1:
-            out = out * base
+            out = base if out is None else out * base
         if n > 1:
             base = base * base
         n >>= 1
-    return out
+    return one if out is None else out
 
 
 def to_jsonable(v):

@@ -43,7 +43,6 @@ from srt import (
     minus_identity,
     multinomial,
     nth_root,
-    pnth_root_binomial,
     propagate_differents,
     run_wild_monodromy,
     scaled_coefficient_valuations,
@@ -582,9 +581,11 @@ def test_property_pnth_root_roundtrip():
         a = rng.randint(1, 2)
         k = rng.randint(a + 1, a + 3)
         unit = rng.choice([u for u in range(1, p**3) if u % p])
-        ctx = LocalFieldContext(p, N=2, M=8)
+        # a p^a-th root has relative precision M - a: M = 10 carries its
+        # p^a-th power past p^(k + 2)
+        ctx = LocalFieldContext(p, N=2, M=10)
         x = ctx.one() + ctx.pi_power(Fraction(k), unit)
-        root = pnth_root_binomial(x, a)
+        root = nth_root(x, p**a)
         assert root.valuation().as_fraction() == 0
         assert (root - ctx.one()).valuation().as_fraction() == k - a
         assert (root ** (p**a) - x).valuation_lower_bound() > k + 2

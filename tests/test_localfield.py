@@ -1,5 +1,6 @@
 """Unit tests for exact arithmetic in ramified extensions of Q_p, cross
 checked against the independent polynomial-ring oracle in helpers.py."""
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,7 +9,6 @@ import pytest
 
 from srt import (
     ContextError,
-    DivergentSeries,
     LocalFieldContext,
     NoNthRoot,
     NoSquareRoot,
@@ -16,9 +16,7 @@ from srt import (
     hensel_sqrt,
     is_pth_power,
     nth_root,
-    pnth_root_binomial,
     sqrt_of_minus_one,
-    unit_nth_root,
 )
 
 from helpers import PiExt, pi_digits, pth_power_residues
@@ -195,11 +193,12 @@ class TestNthRoot:
         with pytest.raises(NoNthRoot):
             nth_root(ctx.from_rational(2), 5)
 
-    def test_unit_nth_root_exact_flag(self):
-        root, exact = unit_nth_root(Fraction(32), 5, 5, 8)
-        assert exact and root == 2
-        root, exact = unit_nth_root(Fraction(57), 5, 5, 6)
-        assert not exact and pow(root, 5, 5**6) == 57
+    def test_exact_only_for_exact_powers(self):
+        root = nth_root(ctx5(M=8).from_rational(32), 5)
+        assert root.prec is None and root == ctx5(M=8).from_rational(2)
+        # relative precision M - 1 = 6 for the 5th root of an exact unit
+        root = nth_root(ctx5(M=7).from_rational(57), 5)
+        assert root.prec == 6 and pow(root.terms[0], 5, 5**6) == 57
 
     def test_ramified_root(self):
         ctx = ctx5()
@@ -209,18 +208,62 @@ class TestNthRoot:
         assert (r**5 - x).valuation_lower_bound() > 7
 
 
-class TestPnthRootBinomial:
+class TestPnthRoot:
     def test_roundtrip(self):
-        ctx = LocalFieldContext(5, N=2, M=6)
+        # a root has relative precision M - 1: M = 8 carries r^5 past 5^6
+        ctx = LocalFieldContext(5, N=2, M=8)
         x = ctx.one() + ctx.pi_power(Fraction(3), 2)
-        r = pnth_root_binomial(x, 1)
+        r = nth_root(x, 5)
         assert (r**5 - x).valuation_lower_bound() > 6
 
-    def test_divergence_guard(self):
+    def test_no_root_below_the_hensel_level(self):
+        # 6 = 1 + 5: the peel puts 5^(1/5) into the root, and the cross term
+        # 5 * 5^(1/5) then lands at 6/5, a level prime to 5
         ctx = ctx5()
         x = ctx.one() + ctx.pi_power(Fraction(1), 1)
-        with pytest.raises(DivergentSeries):
-            pnth_root_binomial(x, 1)
+        with pytest.raises(NoNthRoot):
+            nth_root(x, 5)
+
+    @pytest.mark.parametrize("p, N", [(3, 3), (5, 5), (7, 7)])
+    def test_second_term_below_the_hensel_level(self, p, N):
+        # the root 1 + pi has a term below p/(p-1) beyond its leading unit
+        ctx = LocalFieldContext(p, N=N)
+        pi = ctx.pi_power(Fraction(1, N))
+        root = nth_root((1 + pi) ** p, p)
+        assert root.prec is None and root == 1 + pi
+
+    def test_term_at_the_hensel_level(self):
+        ctx = LocalFieldContext(3, N=2)
+        y = 1 + ctx.pi_power(Fraction(1, 2))
+        root = nth_root(y**3, 3)
+        assert root.prec is None and root == y
+
+    def test_roots_agree_with_the_oracle_and_the_power_test(self):
+        """nth_root(y^5, 5) for random units y at p = N = 5: the root is y,
+        as 5th roots of unity other than 1 lie outside Q_5(5^(1/5)), and it is
+        the power test's root."""
+        ctx = ctx5()
+        rng = random.Random(11)
+        for _ in range(100):
+            y = TestPthPowerOracle.random_unit(rng)
+            prec = rng.choice((None, None, 2, 3, 5))
+            x = lift(ctx, y**5)
+            if prec is not None:
+                x = x.truncate(prec)
+            root = nth_root(x, 5)
+            assert root == is_pth_power(x, 5).root
+            digits = PiExt([0] * 5)
+            for e, u in root.terms.items():
+                digits = digits + PiExt.pi() ** int(e * 5) * u
+            if root.prec is None:
+                assert digits == y and digits**5 == y**5
+            else:
+                assert root.prec == (prec if prec is not None else ctx.M) - 1
+                # the root is y modulo p^prec, so its 5th power is x modulo
+                # p^(prec + 1)
+                L = int(5 * root.prec)
+                assert pi_digits(digits - y, L) == (0,) * L
+                assert pi_digits(digits**5 - y**5, L + 5) == (0,) * (L + 5)
 
 
 class TestIsPthPower:
@@ -411,12 +454,32 @@ class TestPthPowerOracle:
 class TestIntegerRoots:
     def test_huge_unit_does_not_overflow(self):
         # the exact-root shortcut used a float k-th root, which overflowed here
-        u = Fraction(5**700 + 1)
-        root, exact = unit_nth_root(u, 5, 5, 8)
-        assert exact is False
-        assert pow(root, 5, 5**8) == u % 5**8
+        u = 5**700 + 1
+        root = nth_root(ctx5(M=9).from_rational(u), 5)
+        assert root.prec is not None
+        assert pow(root.terms[0], 5, 5**8) == u % 5**8
 
     def test_huge_exact_power(self):
-        root, exact = unit_nth_root(Fraction(-(3**500), 7**300), 5, 5, 8)
-        assert exact is True
-        assert root == -Fraction(3**100, 7**60)
+        root = nth_root(ctx5().from_rational(Fraction(-(3**500), 7**300)), 5)
+        assert root.prec is None
+        assert root.terms == {0: -Fraction(3**100, 7**60)}
+
+
+class TestTailCenterRadicands:
+    def test_census(self):
+        """The p = 5 exceptional tail centers take the 5th root of
+        5^(4nu+1) C(b, 5): for nu = 2..5 and b = 5..59, 48 of the 220
+        radicands have one."""
+        ctx = LocalFieldContext(5)
+        roots = refusals = 0
+        for nu in range(2, 6):
+            for b in range(5, 60):
+                x = ctx.from_rational(Fraction(5) ** (4 * nu + 1) * math.comb(b, 5))
+                try:
+                    root = nth_root(x, 5)
+                except NoNthRoot:
+                    refusals += 1
+                    continue
+                roots += 1
+                assert not (root**5 - x).terms
+        assert (roots, refusals) == (48, 172)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from srt import LocalFieldContext
+from srt import LocalFieldContext, is_pth_power, nth_root
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -218,3 +218,30 @@ class TestPrecisionMoves:
         assert got.terms == x.terms
         assert_canonical(got)
 
+
+
+class TestRoots:
+    @SETTINGS
+    @given(units())
+    def test_fifth_root_of_a_fifth_power(self, y):
+        """nth_root(y^5, 5) never refuses once y is known beyond relative
+        precision 5/4, the Hensel level; the root is y (no other 5th root of
+        unity lies in these fields) to relative precision that of y^5 less 1,
+        and it is the power test's root."""
+        v = min(y.terms)
+        hypothesis.assume(y.prec is None or y.prec - v > Fraction(5, 4))
+        x = y**5
+        root = nth_root(x, 5)
+        assert root == is_pth_power(x, 5).root
+        assert_canonical(root)
+        fifth = m_one(x.ctx.N)
+        for _ in range(5):
+            fifth = m_mul(fifth, model(root))
+        if root.prec is None:
+            assert agree(model(root), model(y), None)
+            assert agree(fifth, model(x), None)
+            return
+        rel = (x.prec - 5 * v if x.prec is not None else M) - 1
+        assert root.prec == v + rel
+        assert agree(model(root), model(y), root.prec)
+        assert agree(fifth, model(x), 5 * v + rel + 1)

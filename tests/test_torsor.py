@@ -122,6 +122,21 @@ class TestSplittingObstruction:
         assert v.evidence.get("absorbed") == "true"
 
 
+    @pytest.mark.parametrize("p, N, v1", [(5, 5, Fraction(6, 5)), (3, 2, Fraction(3, 2))])
+    def test_candidate_root_with_a_term_below_the_hensel_level(self, p, N, v1):
+        # c_p = c_1^p / p^((p-1)n+1) at n = 1, c_1 = p^v1 (1 + pi): the root
+        # p^v1 (1 + pi) of p^p c_p has a second term below p/(p-1), and the
+        # candidate must give the verdict of the plain tie
+        ctx = LocalFieldContext(p, N=N)
+        c1 = ctx.pi_power(v1) * (1 + ctx.pi_power(Fraction(1, N)))
+        cp = c1**p / ctx.from_rational(p**p)
+        vals = [v1] + [10] * (p + 1)
+        vals[p - 1] = cp.valuation().as_fraction()
+        plain = splitting_obstruction(vals, p, 1, c1=c1, cp=cp)
+        with_candidate = splitting_obstruction(vals, p, 1, c1=c1, cp=cp, cp_candidate=cp)
+        assert with_candidate.kind == plain.kind
+        assert with_candidate.evidence == plain.evidence
+
 class TestTailCenter:
     def test_generic(self):
         assert tail_center(7, 1, 2, 3, "generic") == 1 - Fraction(9, 4)
