@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import MissingLabel, SrtError, UsageError
+from .errors import MissingLabel, SrtError, Unsupported, UsageError
 from .graph import (
     ReductionTree,
     check_monotonic,
@@ -73,7 +73,11 @@ def _odd_prime(text):
         p = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if p == 2 or not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except Unsupported as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if p == 2 or not prime:
         raise argparse.ArgumentTypeError(f"p must be an odd prime, got {p}")
     return p
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NoSolution, PreconditionViolated, ResourceLimit, Unsupported
 from .valuation import is_prime, power, split_p_part
 
@@ -259,6 +257,9 @@ _BFS_LIMIT = 30_000_000
 
 
 def _generation_bfs(gens, q, limit=_BFS_LIMIT):
+    # numpy is imported here, its only user, so that `import srt` stays cheap
+    import numpy as np
+
     target = q * (q * q - 1)
     if target > limit:
         raise ResourceLimit(

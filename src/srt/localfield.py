@@ -5,8 +5,16 @@ An element is a finite sum of terms u * pi^j, with j an integer and u a p-adic
 unit, together with an absolute precision bound; the term has valuation j/N.
 Each term is held as j -> (num, den), a pair of ints. Precision None means the
 element is an exact finite sum and num/den is a reduced rational prime to p.
-A finite precision q (a Fraction) means the value is only known modulo p^q;
-then den = 1 and num is an int residue modulo p^k, k = ceil(q - j/N).
+A finite precision q means the value is only known modulo p^q; then den = 1
+and num is an int residue modulo p^k, k = ceil(q - j/N).
+
+The precision is held as ints too, as bookkeeping beside the digits in the
+manner of Caruso (cited below): q = pn/pd, with pd the least multiple of N
+that the denominator of q divides. Adding a term's valuation j/N is then
+pn + j*(pd // N) and comparing two precisions a cross-multiplication, so no
+sum, product or truncation builds a Fraction. The `prec` property shows q as
+a Fraction, also off the (1/N)Z grid, as for a precision carried into a
+subfield.
 
 The canonical form keeps at most one term per residue class of j mod N, which
 makes the valuation of a nonzero element exact: distinct classes can never
@@ -87,7 +95,7 @@ class LocalFieldContext:
         return LocalFieldElement(self, pairs, prec)
 
     def zero(self, prec=None):
-        return LocalFieldElement._make(self, {}, None if prec is None else Fraction(prec))
+        return LocalFieldElement._make(self, {}, _prec_pair(prec, self.N))
 
     def one(self):
         return LocalFieldElement._make(self, {0: (1, 1)}, None)
@@ -118,12 +126,56 @@ def _exponent(N, j):
     return e
 
 
-def _index_limit(prec, N):
-    """Least j with j/N >= prec: terms pi^j with j at or above it vanish
-    modulo p^prec. None for an exact element."""
+def _pair(a, b, N):
+    """Precision pair (pn, pd) of the reduced fraction a/b, b > 0: pd is the
+    least common multiple of N and b."""
+    g = math.gcd(N, b)
+    return a * (N // g), N * (b // g)
+
+
+def _prec_pair(prec, N):
+    """Precision pair of a precision given as an int, a Fraction or anything
+    Fraction accepts; None (exact) stays None."""
     if prec is None:
         return None
-    return -((-prec.numerator * N) // prec.denominator)
+    if not isinstance(prec, (int, Fraction)):
+        prec = Fraction(prec)
+    return _pair(prec.numerator, prec.denominator, N)
+
+
+def _add_prec(a, b, N):
+    """Sum of two precision pairs."""
+    (an, ad), (bn, bd) = a, b
+    n, d = (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
+    g = math.gcd(n, d // N)
+    return (n // g, d // g) if g != 1 else (n, d)
+
+
+def _plus_valuation(prec, x, N):
+    """Precision pair prec + v(x), the precision of x standing in for the
+    valuation of an x that is zero to precision."""
+    if x._t:
+        pn, pd = prec
+        return pn + next(iter(x._t)) * (pd // N), pd
+    return _add_prec(prec, x._prec, N)
+
+
+def _lesser(a, b):
+    """The smaller of two precision pairs, None (exact) being the largest."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a if a[0] * b[1] <= b[0] * a[1] else b
+
+
+def _index_limit(prec, N):
+    """Least j with j/N >= prec, for a precision pair: terms pi^j with j at
+    or above it vanish modulo p^prec. None for an exact element."""
+    if prec is None:
+        return None
+    pn, pd = prec
+    return -(-pn // (pd // N))
 
 
 def _integer_terms(ctx, pairs):
@@ -158,8 +210,8 @@ def _integer_terms(ctx, pairs):
 
 def _canonicalize(p, N, pairs, prec):
     """Canonical term dict of the sum of num/den * pi^j over (j, (num, den))
-    in `pairs`, each num/den prime to p, taken modulo p^prec when prec is
-    not None."""
+    in `pairs`, each num/den prime to p, taken modulo p^prec when the
+    precision pair prec is not None."""
     jlim = _index_limit(prec, N)
     # per class j mod N: (m, A, B), the sum is A/B * p^m * pi^class
     classes = {}
@@ -187,11 +239,12 @@ def _canonicalize(p, N, pairs, prec):
             g = math.gcd(A, B)
             terms[f + m * N] = (A // g, B // g) if g != 1 else (A, B)
     else:
-        a, b = prec.numerator * N, prec.denominator
+        pn, pd = prec
+        k = pd // N
         for f, (m, A, B) in classes.items():
             j = f + m * N
             # digits of the class sum known below p^prec: ceil(prec - j/N)
-            mod = p ** -((b * j - a) // (b * N))
+            mod = p ** -((j * k - pn) // pd)
             A = A % mod if B == 1 else A * pow(B, -1, mod) % mod
             if A == 0:
                 continue
@@ -203,30 +256,36 @@ def _canonicalize(p, N, pairs, prec):
 
 
 class LocalFieldElement:
-    __slots__ = ("ctx", "prec", "_t", "_view")
+    __slots__ = ("ctx", "_prec", "_t", "_view")
 
     def __init__(self, ctx, pairs, prec=None):
         self.ctx = ctx
-        if prec is not None:
-            prec = Fraction(prec)
-        self.prec = prec
+        self._prec = prec = _prec_pair(prec, ctx.N)
         self._t = _canonicalize(ctx.p, ctx.N, _integer_terms(ctx, pairs), prec)
         self._view = None
 
     @classmethod
     def _make(cls, ctx, t, prec):
-        """Element with the canonical term dict t, as is."""
+        """Element with the canonical term dict t and the precision pair
+        prec, as is."""
         x = object.__new__(cls)
         x.ctx = ctx
-        x.prec = prec
+        x._prec = prec
         x._t = t
         x._view = None
         return x
 
     def _build(self, pairs, prec):
-        """Canonical element of self's context from (j, (num, den)) pairs."""
+        """Canonical element of self's context from (j, (num, den)) pairs,
+        at the precision pair prec."""
         ctx = self.ctx
         return LocalFieldElement._make(ctx, _canonicalize(ctx.p, ctx.N, pairs, prec), prec)
+
+    @property
+    def prec(self):
+        """The value is known modulo p^prec, a Fraction; None when exact."""
+        prec = self._prec
+        return None if prec is None else Fraction(*prec)
 
     @property
     def terms(self):
@@ -235,7 +294,7 @@ class LocalFieldElement:
         view = self._view
         if view is None:
             N = self.ctx.N
-            if self.prec is None:
+            if self._prec is None:
                 view = {_exponent(N, j): Fraction(n, d) for j, (n, d) in self._t.items()}
             else:
                 view = {_exponent(N, j): n for j, (n, _) in self._t.items()}
@@ -251,14 +310,14 @@ class LocalFieldElement:
         """True only for the exact zero; raises if zero merely to precision."""
         if self._t:
             return False
-        if self.prec is None:
+        if self._prec is None:
             return True
         raise PrecisionError(f"element is zero modulo p^{self.prec}; cannot decide")
 
     def valuation(self) -> ExtendedRational:
         if self._t:
             return ExtendedRational(self._lead_exponent())
-        if self.prec is None:
+        if self._prec is None:
             return INFINITY
         raise PrecisionError(
             f"valuation unknown: zero modulo p^{self.prec}"
@@ -267,7 +326,7 @@ class LocalFieldElement:
     def valuation_lower_bound(self) -> ExtendedRational:
         if self._t:
             return ExtendedRational(self._lead_exponent())
-        if self.prec is None:
+        if self._prec is None:
             return INFINITY
         return ExtendedRational(self.prec)
 
@@ -275,7 +334,7 @@ class LocalFieldElement:
         bound = Fraction(bound)
         if self._t and self._lead_exponent() < bound:
             return False
-        if self.prec is not None and self.prec < bound:
+        if self._prec is not None and self.prec < bound:
             raise PrecisionError(
                 f"cannot certify valuation >= {bound} at precision p^{self.prec}"
             )
@@ -287,7 +346,7 @@ class LocalFieldElement:
         terms = self.terms
         if exponent in terms:
             return terms[exponent]
-        if self.prec is not None and exponent >= self.prec:
+        if self._prec is not None and exponent >= self.prec:
             raise PrecisionError(f"exponent {exponent} beyond precision {self.prec}")
         return 0
 
@@ -307,12 +366,12 @@ class LocalFieldElement:
         self._check_ctx(other)
         pairs = list(self._t.items())
         pairs.extend(other._t.items())
-        return self._build(pairs, _min_prec(self.prec, other.prec))
+        return self._build(pairs, _lesser(self._prec, other._prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._build([(j, (-n, d)) for j, (n, d) in self._t.items()], self.prec)
+        return self._build([(j, (-n, d)) for j, (n, d) in self._t.items()], self._prec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -324,17 +383,19 @@ class LocalFieldElement:
         other = self._coerce(other)
         self._check_ctx(other)
         a, b = self._t, other._t
-        if not a and self.prec is None:
+        sp, op = self._prec, other._prec
+        if not a and sp is None:
             return self.ctx.zero()
-        if not b and other.prec is None:
+        if not b and op is None:
             return self.ctx.zero()
+        N = self.ctx.N
+        # prec(x*y) = min(prec(x) + v(y), prec(y) + v(x))
         prec = None
-        if self.prec is not None:
-            prec = self.prec + (other._lead_exponent() if b else other.prec)
-        if other.prec is not None:
-            q = other.prec + (self._lead_exponent() if a else self.prec)
-            prec = q if prec is None else min(prec, q)
-        jlim = _index_limit(prec, self.ctx.N)
+        if sp is not None:
+            prec = _plus_valuation(sp, other, N)
+        if op is not None:
+            prec = _lesser(prec, _plus_valuation(op, self, N))
+        jlim = _index_limit(prec, N)
         pairs = []
         for j1, (n1, d1) in a.items():
             for j2, (n2, d2) in b.items():
@@ -351,17 +412,17 @@ class LocalFieldElement:
 
     def inverse(self, rel_prec=None):
         if not self._t:
-            if self.prec is None:
+            if self._prec is None:
                 raise ZeroDivisionError("inverse of exact zero")
             raise PrecisionError(f"inverse of element that is zero modulo p^{self.prec}")
         j, (n, d) = next(iter(self._t.items()))
         if n < 0:
             n, d = -n, -d
         lead_inv = LocalFieldElement._make(self.ctx, {-j: (d, n)}, None)
-        if len(self._t) == 1 and self.prec is None and rel_prec is None:
+        if len(self._t) == 1 and self._prec is None and rel_prec is None:
             return lead_inv
         v = self._lead_exponent()
-        if self.prec is not None:
+        if self._prec is not None:
             rel = self.prec - v
         else:
             rel = Fraction(rel_prec if rel_prec is not None else self.ctx.M)
@@ -386,8 +447,9 @@ class LocalFieldElement:
         return self._coerce(other) / self
 
     def truncate(self, prec):
-        prec = Fraction(prec)
-        if self.prec is not None and self.prec <= prec:
+        prec = _prec_pair(prec, self.ctx.N)
+        sp = self._prec
+        if sp is not None and sp[0] * prec[1] <= prec[0] * sp[1]:
             return self
         return self._build(self._t.items(), prec)
 
@@ -404,8 +466,12 @@ class LocalFieldElement:
                     f"ramification index {N2}"
                 )
             pairs.append((j2, u))
-        t = _canonicalize(ctx.p, N2, pairs, self.prec)
-        return LocalFieldElement._make(ctx, t, self.prec)
+        prec = self._prec
+        if prec is not None:
+            pn, pd = prec
+            g = math.gcd(pn, pd)
+            prec = _pair(pn // g, pd // g, N2)
+        return LocalFieldElement._make(ctx, _canonicalize(ctx.p, N2, pairs, prec), prec)
 
     # --- comparisons / display ---
 
@@ -415,9 +481,10 @@ class LocalFieldElement:
                 other = self._coerce(other)
             except (TypeError, ValueError):
                 return NotImplemented
+        # precision pairs are canonical for the context's N
         return (
             self.ctx == other.ctx
-            and self.prec == other.prec
+            and self._prec == other._prec
             and self._t == other._t
         )
 
@@ -435,35 +502,29 @@ class LocalFieldElement:
             else:
                 bits.append(f"{u}*{p}^({e})")
         body = " + ".join(bits) if bits else "0"
-        if self.prec is not None:
-            body += f" + O({p}^({self.prec}))"
+        prec = self.prec
+        if prec is not None:
+            body += f" + O({p}^({prec}))"
         return body
 
     def to_json(self):
+        prec = self.prec
         out = {
             "terms": [
                 {
                     "exponent": str(e),
                     "unit": str(u),
                     "modulus": (
-                        f"{self.ctx.p}^{ceil_fraction(self.prec - e)}"
-                        if self.prec is not None
+                        f"{self.ctx.p}^{ceil_fraction(prec - e)}"
+                        if prec is not None
                         else "exact"
                     ),
                 }
                 for e, u in self.terms.items()
             ],
-            "precision": str(self.prec) if self.prec is not None else "exact",
+            "precision": str(prec) if prec is not None else "exact",
         }
         return out
-
-
-def _min_prec(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 # --- roots ---
@@ -592,7 +653,7 @@ def _unit_root(w, n):
     """
     ctx = w.ctx
     p = ctx.p
-    if w.prec is None and len(w._t) == 1:
+    if w._prec is None and len(w._t) == 1:
         u = Fraction(*w._t[0])
         # a negative power only for odd n; for even n the residue path decides
         if u > 0 or n % 2:
@@ -718,7 +779,8 @@ def _no_certificate(w, ctx):
     y = ctx.element([(Fraction(0), alpha)])
     if beta is not None:
         y = y + ctx.element([(beta_exponent - 1, beta)])
-    diff = y**p - w
+    yp = y**p
+    diff = yp - w
     violated = None
     for e in sorted(diff.terms):
         if e <= C:
@@ -734,7 +796,7 @@ def _no_certificate(w, ctx):
     if violated is not None:
         f = violated - floor_fraction(violated)
         mexp = floor_fraction(C - f) + 1
-        lhs = _class_residue(y**p, f, mexp, p)
+        lhs = _class_residue(yp, f, mexp, p)
         rhs = _class_residue(w, f, mexp, p)
         cert.update(
             {

@@ -40,11 +40,16 @@ class PipelineReport:
         return "\n".join(lines)
 
 
-def _direct_g(params, d):
-    """g(d) as the exact product of the four linear factors."""
+def _direct_g(params, d, prec):
+    """g(d) modulo p^prec, as the product of the four linear-factor powers
+    (d - root)^m. Each factor is cut to the relative precision
+    R = prec - sum of m * v(d - root) before it is raised to its power, so
+    the product carries exactly precision prec and no exact factor grows."""
+    factors = [(d - root, m) for root, m in params.roots()]
+    R = prec - sum(m * x.valuation().as_fraction() for x, m in factors)
     out = d.ctx.one()
-    for root, m in params.roots():
-        out = out * (d - root) ** m
+    for x, m in factors:
+        out = out * x.truncate(x.valuation().as_fraction() + R) ** m
     return out
 
 
@@ -101,14 +106,14 @@ def run_wild_monodromy(q, p, r=1):
     for branch, d in (("+", d_plus), ("-", -d_plus)):
         try:
             g_series = series.evaluate(d)
-            g_direct = _direct_g(params, d)
+            g = _direct_g(params, d, g_series.prec)
         except PrecisionError as exc:
             raise PipelineError(
                 f"insufficient precision evaluating g(d) at (q, r) = ({q}, {r}): "
                 f"{exc}; the pipeline's precision is fixed, so this input is "
                 f"not supported"
             ) from exc
-        agreement = (g_series - g_direct).valuation_lower_bound()
+        agreement = (g_series - g).valuation_lower_bound()
         if not agreement > Fraction(2 * w, 1) + Fraction(1, p - 1):
             raise PipelineError(
                 f"series and closed-form evaluations of g(d) disagree at "
@@ -120,7 +125,6 @@ def run_wild_monodromy(q, p, r=1):
             "g(d) by truncated series (agrees with the exact product)",
             repr(g_series),
         )
-        g = g_direct.truncate(g_series.prec) if g_series.prec is not None else g_direct
         first = is_pth_power(g, p)
         if first.kind != "yes":
             raise PipelineError(

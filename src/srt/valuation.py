@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import PreconditionViolated
+from .errors import PreconditionViolated, Unsupported
 
 
 class ExtendedRational:
@@ -166,9 +166,48 @@ def fractional_part(x) -> Fraction:
     return x - floor_fraction(x)
 
 
+# the primes up to 41: trial divisors and Miller-Rabin bases of is_prime
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all the bases above (Sorenson and Webster,
+# Strong pseudoprimes to twelve prime bases, Math. Comp. 86 (2017)); below
+# it, passing Miller-Rabin to those bases proves n prime
+_MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n) -> bool:
-    """Trial-division primality test."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Deterministic primality test in O(log^3 n) bit operations.
+
+    Trial division by the primes up to 41 settles every n below 43^2 and
+    every n with such a factor; the rest passes Miller-Rabin to those same
+    bases exactly when it is prime, for n below 3.3 * 10^24. Larger n have
+    no certificate here and raise Unsupported.
+    """
+    if n < 2:
+        return False
+    for b in _SMALL_PRIMES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
+        return True
+    if n >= _MILLER_RABIN_EXACT_BELOW:
+        raise Unsupported(
+            f"primality of {n} is certified only below {_MILLER_RABIN_EXACT_BELOW}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _SMALL_PRIMES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def split_p_part(n, p):

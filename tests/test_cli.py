@@ -374,6 +374,15 @@ class TestOtherCommands:
         }
         assert report["generation"]["verdict"] == "Generates"
 
+    def test_group_thirteen_digit_q_is_fast(self, capsys):
+        # q is prime, so the primality test must not be trial division
+        q = 1000000000061
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, "group", "--q", str(q), "--p", "5")
+        assert time.perf_counter() - t0 < 0.5
+        assert code == EXIT_OK
+        assert json.loads(out)["generation"]["verdict"] == "Generates"
+
     def test_insep_tails(self, capsys):
         code, out, _ = run_cli(
             capsys, "insep-tails", "--p", "5", "--nu", "3",

@@ -1,9 +1,14 @@
 """Unit tests for SL2 elements, trace-prescribed generators, generation
 checks, and Sylow data, cross-checked by brute force over small fields."""
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import srt
 
 from srt import (
     MatrixElement,
@@ -287,3 +292,14 @@ class TestSylowData:
             sylow_data(250, 5)
         with pytest.raises(Unsupported):
             sylow_data(13, 5)
+
+
+def test_import_does_not_load_numpy():
+    # only the bfs closure uses numpy, and it imports it itself
+    src = Path(srt.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", "import srt, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, cwd=src, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"

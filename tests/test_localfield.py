@@ -104,6 +104,48 @@ class TestPrecision:
         x = ctx.from_rational(Fraction(1, 3), prec=2)
         assert x.terms[Fraction(0)] == pow(3, -1, 25)
 
+    def test_precision_off_the_grid(self):
+        # a precision need not lie in (1/N)Z; it shows as the same Fraction
+        # in repr, to_json, == and hash, and moves by term valuations
+        ctx = ctx5()
+        x = ctx.element([(0, 7), (Fraction(1, 5), 3)], prec=Fraction(1, 3))
+        assert repr(x) == "2 + 3*5^(1/5) + O(5^(1/3))"
+        assert x.to_json() == {
+            "terms": [
+                {"exponent": "0", "unit": "2", "modulus": "5^1"},
+                {"exponent": "1/5", "unit": "3", "modulus": "5^1"},
+            ],
+            "precision": "1/3",
+        }
+        assert x.prec == Fraction(1, 3)
+        same = ctx.element([(0, 2), (Fraction(1, 5), 3)], prec="2/6")
+        assert x == same and hash(x) == hash(same)
+        assert x != ctx.element([(0, 2), (Fraction(1, 5), 3)], prec=Fraction(2, 5))
+        y = x * ctx.pi_power(Fraction(1, 5))
+        assert repr(y) == "2*5^(1/5) + 3*5^(2/5) + O(5^(8/15))"
+        assert repr(x + ctx.zero(prec=Fraction(1, 5))) == "2 + O(5^(1/5))"
+        assert repr(x.truncate(Fraction(1, 4))) == "2 + 3*5^(1/5) + O(5^(1/4))"
+        # two off-grid precisions can sum onto the grid
+        product = ctx.zero(prec=Fraction(1, 3)) * ctx.zero(prec=Fraction(2, 3))
+        assert product == ctx.zero(prec=1) and repr(product) == "0 + O(5^(1))"
+
+    def test_precision_carried_into_a_subfield(self):
+        # 276 + 3*5 + 4*5^3 = 791 = 166 mod 5^4, at precision 16/5 in Q_5
+        sub = LocalFieldContext(5, N=1, M=8)
+        z = ctx5().element([(0, 276), (1, 3), (3, 4)], prec=Fraction(16, 5))
+        w = z.to_context(sub)
+        assert repr(w) == "166 + O(5^(16/5))"
+        assert w.to_json() == {
+            "terms": [{"exponent": "0", "unit": "166", "modulus": "5^4"}],
+            "precision": "16/5",
+        }
+        same = sub.element([(0, 166)], prec=Fraction(16, 5))
+        assert w == same and hash(w) == hash(same)
+        assert repr(w * 5) == "166*5 + O(5^(21/5))"
+        assert w.to_context(ctx5()) == ctx5().element([(0, 166)], prec=Fraction(16, 5))
+        on_grid = ctx5().element([(0, 7)], prec=Fraction(15, 5)).to_context(sub)
+        assert on_grid == sub.element([(0, 7)], prec=3)
+
 
 class TestArithmeticAgainstOracle:
     def test_ring_operations(self):

@@ -1,12 +1,21 @@
 """Unit tests for the end-to-end wild monodromy pipeline."""
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 import srt.pipeline
-from srt import PipelineError, run_wild_monodromy
+from srt import (
+    CoverParams,
+    LocalFieldContext,
+    PipelineError,
+    maclaurin_g,
+    run_wild_monodromy,
+)
 from srt.errors import PrecisionError
+from srt.pipeline import _direct_g
+from srt.valuation import vp
 
 
 class TestRun:
@@ -44,11 +53,35 @@ class TestPreconditions:
             run_wild_monodromy(251, 5, 5)
 
 
-def _raise_precision(params, d):
+class TestDirectG:
+    """The closed-form g(d) at the series' precision is the full product of
+    the linear-factor powers, cut to that precision."""
+
+    @pytest.mark.parametrize("q", [251, 499, 2749])
+    @pytest.mark.parametrize("r", [1, 7, 124])
+    def test_equals_the_full_product_at_the_series_precision(self, q, r):
+        p, s = 5, 5
+        nu = int(vp(q * q - 1, p).as_fraction())
+        ctx = LocalFieldContext(p, N=5, M=8)
+        params = CoverParams(p, nu, r, s, Fraction(-s, r))
+        series = maclaurin_g(params)
+        d_plus = ctx.pi_power(Fraction(2, 5), Fraction(2 * s, r))
+        for d in (d_plus, -d_plus):
+            prec = series.evaluate(d).prec
+            g = _direct_g(params, d, prec)
+            assert g.prec == prec
+            full = ctx.one()
+            for root, m in params.roots():
+                full = full * (d - root) ** m
+            assert full.prec > prec
+            assert g == full.truncate(prec)
+
+
+def _raise_precision(params, d, prec):
     raise PrecisionError("term beyond the context's precision")
 
 
-def _zero(params, d):
+def _zero(params, d, prec):
     return d.ctx.zero()
 
 

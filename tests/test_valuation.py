@@ -1,4 +1,5 @@
 """Unit tests for exact p-adic valuations and combinatorial helpers."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from srt import (
     unit_part,
     vp,
 )
+from srt.errors import Unsupported
+from srt.valuation import is_prime
 
 
 class TestVp:
@@ -106,3 +109,28 @@ class TestRounding:
         assert fractional_part(Fraction(7, 3)) == Fraction(1, 3)
         assert fractional_part(Fraction(-7, 3)) == Fraction(2, 3)
         assert fractional_part(5) == 0
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(-3, 20000) if is_prime(n)] == [
+            n for n in range(-3, 20000) if trial(n)
+        ]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the least strong pseudoprimes to the bases 2, 3, 5, 7 and to every
+        # prime base up to 31
+        assert not is_prime(3215031751)
+        assert not is_prime(3825123056546413051)
+
+    def test_large_primes(self):
+        assert is_prime(1000000000061)
+        assert is_prime(2**61 - 1)
+        assert not is_prime((2**31 - 1) * 1000000000061)
+
+    def test_beyond_the_certified_range(self):
+        with pytest.raises(Unsupported):
+            is_prime(2**89 - 1)
