@@ -4,7 +4,7 @@ truncated series of the cover function, torsor splitting criteria, reduction
 trees, higher ramification, SL2 group checks, and the end-to-end wild
 monodromy verification.
 """
-from .errors import DivergentSeries, SrtError
+from .errors import SrtError
 from .valuation import (
     INFINITY,
     ExtendedRational,

@@ -462,7 +462,15 @@ def dispatch(argv):
 
 
 def main():
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit cannot fail again, and report a failed run
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -73,10 +73,6 @@ class PrecisionError(SrtError, ArithmeticError):
     """Raised when a question cannot be answered at the tracked precision."""
 
 
-class DivergentSeries(SrtError, ArithmeticError):
-    pass
-
-
 class NoSquareRoot(SrtError, ArithmeticError):
     pass
 

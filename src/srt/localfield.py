@@ -374,7 +374,10 @@ class LocalFieldElement:
         return self._build([(j, (-n, d)) for j, (n, d) in self._t.items()], self._prec)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        self._check_ctx(other)
+        pairs = [*self._t.items(), *((j, (-n, d)) for j, (n, d) in other._t.items())]
+        return self._build(pairs, _lesser(self._prec, other._prec))
 
     def __rsub__(self, other):
         return self._coerce(other) - self

@@ -1,9 +1,9 @@
 """
 End-to-end wild monodromy verification: from (q, p, r) build the auxiliary
-cover parameters, locate the inseparable-tail disk center d, evaluate the
-cover function g at d along two independent paths, extract the p-th root
-delta, and decide the p-th/p^2-th power questions whose combination witnesses
-nontrivial wild monodromy.
+cover parameters, read the inseparable tail's level j, disk center d and field
+index N from `insep_tail_catalog`, evaluate the cover function g at d along
+two paths, extract the p-th root delta, and decide the p-th/p^2-th power
+questions whose combination witnesses nontrivial wild monodromy.
 """
 from __future__ import annotations
 
@@ -78,7 +78,8 @@ def run_wild_monodromy(q, p, r=1):
         raise PipelineError(
             f"inseparable-tail case needs v(sqrt(1-a)) = {w} < nu - 1 = {nu - 1}"
         )
-    if not insep_tail_catalog(p, nu, "a=1", w):
+    tail = next(iter(insep_tail_catalog(p, nu, "a=1", w)), None)
+    if tail is None:
         raise Unsupported(
             f"no new inseparable tail at p = {p}, nu = {nu}, v(sqrt(1-a)) = {w}: "
             f"the tail catalog has one only for p = 5"
@@ -88,17 +89,13 @@ def run_wild_monodromy(q, p, r=1):
     )
     report.add("params", "auxiliary cover parameters (s = p, a = 1 - p^2/r^2)", str(a))
     report.add("v_sqrt", "v(sqrt(1-a))", Fraction(w))
-    j = nu - w - 1
-    report.add("tail", "new inseparable tail level j", j)
+    report.add("tail", "new inseparable tail level j", tail.j)
 
-    ctx = LocalFieldContext(p, N=5, M=8)
+    ctx = LocalFieldContext(p, N=tail.d_exponent.denominator)
     params = CoverParams(p, nu, r, s, sqrt1ma)
     series = maclaurin_g(params)
-    # d = +-2 (s/r) (p^(w+1)/s)^(2/5); with s = p this is an exact pi-power
-    # (the p-content of 2s/r shifts the exponent up by w during normalization)
-    d_plus = ctx.pi_power(Fraction(2, 5), Fraction(2 * s, r))
-    if d_plus.valuation().as_fraction() != Fraction(5 * w + 2, 5):
-        raise PipelineError("internal: center valuation mismatch")
+    # the catalog's d = 2(s/r)(p^(w+1)/s)^e at s = p
+    d_plus = ctx.pi_power(w * tail.d_exponent, Fraction(2 * s, r))
     report.add("center", "disk center d (positive branch)", repr(d_plus))
 
     sign = 1 if (r + s) % 2 == 0 else -1

@@ -345,6 +345,7 @@ class TailDescriptor:
     sigma: Fraction
     upstairs_centers: str
     upstairs_radius_valuation: Fraction
+    d_exponent: Fraction | None = None  # e in d = +-c(5^(extra+1)/b)^e, p = 5
 
     def to_json(self):
         return {
@@ -375,6 +376,7 @@ def insep_tail_catalog(p, nu, case, extra=None):
     if extra is None:
         raise PreconditionViolated(f"case {case} needs the auxiliary valuation")
     extra = Fraction(extra)
+    d_exponent = Fraction(2, 5)  # of the deeper p = 5 tails' upstairs centers d
     if case == A_ZERO:
         if not 0 < extra <= nu - 1:
             raise InadmissibleValuation(
@@ -398,11 +400,12 @@ def insep_tail_catalog(p, nu, case, extra=None):
                     case=case,
                     kind="new-inseparable",
                     j=int(nu - extra - 1),
-                    center=f"a/(1-d^2), d = +-(5^{extra + 1}/(r+s))^(2/5)",
+                    center=f"a/(1-d^2), d = +-(5^{extra + 1}/(r+s))^({d_exponent})",
                     radius_valuation=extra + Fraction(17, 20),
                     sigma=Fraction(2),
                     upstairs_centers="z = +d, z = -d",
                     upstairs_radius_valuation=Fraction(17, 40),
+                    d_exponent=d_exponent,
                 )
             )
         return out
@@ -418,11 +421,12 @@ def insep_tail_catalog(p, nu, case, extra=None):
             case=case,
             kind="new-inseparable",
             j=int(nu - extra - 1),
-            center=f"a/(1-d^2), d = +-2(s/r)(5^{extra + 1}/s)^(2/5)",
+            center=f"a/(1-d^2), d = +-2(s/r)(5^{extra + 1}/s)^({d_exponent})",
             radius_valuation=2 * extra + Fraction(17, 20),
             sigma=Fraction(2),
             upstairs_centers="z = +d, z = -d",
             upstairs_radius_valuation=extra + Fraction(17, 40),
+            d_exponent=d_exponent,
         )
     ]
 

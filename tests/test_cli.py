@@ -82,6 +82,27 @@ EXPAND_5 = (
     "\n"
 )
 
+# The two p = 5 inseparable-tail catalogs at nu = 3 whose deeper tail's center
+# string is built from its exponent 2/5.
+INSEP_TAILS_5_A1 = (
+    '[{"case":"a=1","kind":"new-inseparable","j":1,'
+    '"center":"a/(1-d^2), d = +-2(s/r)(5^2/s)^(2/5)","radius_valuation":"57/20",'
+    '"sigma":"2","upstairs_centers":"z = +d, z = -d",'
+    '"upstairs_radius_valuation":"57/40"}]'
+    "\n"
+)
+INSEP_TAILS_5_A0 = (
+    '[{"case":"a=0","kind":"new-inseparable","j":2,"center":"a/2",'
+    '"radius_valuation":"5/4","sigma":"2",'
+    '"upstairs_centers":"z = +sqrt(-1), z = -sqrt(-1)",'
+    '"upstairs_radius_valuation":"1/8"},'
+    '{"case":"a=0","kind":"new-inseparable","j":1,'
+    '"center":"a/(1-d^2), d = +-(5^2/(r+s))^(2/5)","radius_valuation":"37/20",'
+    '"sigma":"2","upstairs_centers":"z = +d, z = -d",'
+    '"upstairs_radius_valuation":"17/40"}]'
+    "\n"
+)
+
 
 @pytest.fixture(autouse=True)
 def clean_config(monkeypatch):
@@ -98,20 +119,24 @@ class TestReferenceInvocations:
     """The documented command-line invocations, byte for byte, run as
     `python -m srt` (the same entry point as the `srt` console script)."""
 
-    def _run(self, *argv, config=None):
-        """Run `python -m srt *argv` in a child process, with `SRT_CONFIG`
-        set to `config` (unset when None)."""
+    def _env(self, config=None):
+        """The environment of a child `python -m srt`, with `SRT_CONFIG` set
+        to `config` (unset when None)."""
         env = {k: v for k, v in os.environ.items() if k != "SRT_CONFIG"}
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [SRT_IMPORT_ROOT, env.get("PYTHONPATH")])
         )
         if config is not None:
             env["SRT_CONFIG"] = str(config)
+        return env
+
+    def _run(self, *argv, config=None):
+        """Run `python -m srt *argv` in a child process."""
         return subprocess.run(
             [sys.executable, "-m", "srt", *argv],
             capture_output=True,
             text=True,
-            env=env,
+            env=self._env(config),
             timeout=CLI_TIMEOUT_S,
         )
 
@@ -157,6 +182,38 @@ class TestReferenceInvocations:
         out = self._run("expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2")
         assert out.returncode == 0
         assert out.stdout == EXPAND_5
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [("a=1", INSEP_TAILS_5_A1), ("a=0", INSEP_TAILS_5_A0)],
+    )
+    def test_insep_tails(self, case, expected):
+        out = self._run(
+            "insep-tails", "--p", "5", "--nu", "3", "--case", case, "--extra", "1"
+        )
+        assert out.returncode == 0
+        assert out.stdout == expected
+
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        """A reader that has gone away (`srt ... | head -c 100`) ends the run
+        with exit 1 and a quiet stderr; the read end here is closed before
+        the child starts, so its first write fails."""
+        argv = ["wild-monodromy", "--q", "251", "--p", "5"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "srt", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=self._env(),
+                timeout=CLI_TIMEOUT_S,
+            )
+        finally:
+            os.close(write_end)
+        assert out.returncode == EXIT_USAGE
+        assert "Traceback" not in out.stderr
 
     def test_reused_parser_is_stateless(self, capsys, monkeypatch):
         """One process dispatches a usage error, --format text and --help

@@ -63,7 +63,6 @@ class TestHierarchy:
             ("InvalidTree", ValueError),
             ("NoSolution", ValueError),
             ("PrecisionError", ArithmeticError),
-            ("DivergentSeries", ArithmeticError),
             ("NoSquareRoot", ArithmeticError),
             ("NoNthRoot", ArithmeticError),
             ("ResourceLimit", RuntimeError),

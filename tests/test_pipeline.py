@@ -10,6 +10,7 @@ from srt import (
     CoverParams,
     LocalFieldContext,
     PipelineError,
+    insep_tail_catalog,
     maclaurin_g,
     run_wild_monodromy,
 )
@@ -60,12 +61,13 @@ class TestDirectG:
     @pytest.mark.parametrize("q", [251, 499, 2749])
     @pytest.mark.parametrize("r", [1, 7, 124])
     def test_equals_the_full_product_at_the_series_precision(self, q, r):
-        p, s = 5, 5
+        p, s, w = 5, 5, 1
         nu = int(vp(q * q - 1, p).as_fraction())
-        ctx = LocalFieldContext(p, N=5, M=8)
+        tail = insep_tail_catalog(p, nu, "a=1", w)[0]
+        ctx = LocalFieldContext(p, N=tail.d_exponent.denominator)
         params = CoverParams(p, nu, r, s, Fraction(-s, r))
         series = maclaurin_g(params)
-        d_plus = ctx.pi_power(Fraction(2, 5), Fraction(2 * s, r))
+        d_plus = ctx.pi_power(w * tail.d_exponent, Fraction(2 * s, r))
         for d in (d_plus, -d_plus):
             prec = series.evaluate(d).prec
             g = _direct_g(params, d, prec)
