@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -32,7 +31,6 @@ from .groups import (
     standard_generators,
     sylow_data,
 )
-from .localfield import DEFAULT_M, DEFAULT_N, LocalFieldContext
 from .pipeline import run_wild_monodromy
 from .ramification import (
     Filtration,
@@ -97,46 +95,6 @@ def _ext_fraction(text):
     return ExtendedRational(_fraction(text))
 
 
-def _load_config():
-    cfg = {"N": DEFAULT_N, "M": DEFAULT_M, "T": None, "format": "json"}
-    path = os.environ.get("SRT_CONFIG")
-    if path:
-        remedy = (
-            f"point it at a JSON object like "
-            f"{{\"N\": {DEFAULT_N}, \"M\": {DEFAULT_M}, \"format\": \"json\"}}"
-        )
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
-            raise UsageError(
-                f"SRT_CONFIG file {path!r} unreadable ({exc}); {remedy}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise UsageError(f"SRT_CONFIG file {path!r} holds no JSON object; {remedy}")
-        for key in cfg:
-            if key in data:
-                cfg[key] = data[key]
-    if cfg["format"] not in ("json", "text"):
-        raise UsageError(
-            f"output format must be 'json' or 'text', got {cfg['format']!r}"
-        )
-    # T stays None unless set: maclaurin_g then uses its default order
-    for key in ("N", "M") if cfg["T"] is None else ("N", "M", "T"):
-        if not isinstance(cfg[key], int) or cfg[key] < 1:
-            raise UsageError(f"config {key} must be a positive integer, got {cfg[key]!r}")
-    return cfg
-
-
-def _require_divisible(N, denominators, what):
-    need = math.lcm(1, *denominators)
-    if N % need != 0:
-        raise UsageError(
-            f"{what} needs fractional exponents with denominator {need}; "
-            f"re-run with N a multiple of {need} (got N = {N})"
-        )
-
-
 def _emit(obj, fmt):
     if fmt == "json":
         print(json.dumps(obj, separators=(",", ":")))
@@ -171,7 +129,7 @@ def _verdict_exit(kind):
 # --- subcommand handlers (each returns (report object, exit code)) ---
 
 
-def _cmd_expand(args, cfg):
+def _cmd_expand(args):
     if args.sqrt1ma is not None:
         sqrt1ma = _fraction(args.sqrt1ma)
     elif args.r == 0:
@@ -179,7 +137,7 @@ def _cmd_expand(args, cfg):
     else:
         sqrt1ma = Fraction(-args.s, args.r)
     params = CoverParams(args.p, args.nu, args.r, args.s, sqrt1ma)
-    series = maclaurin_g(params, args.T if args.T is not None else cfg["T"])
+    series = maclaurin_g(params, args.T)
     vals = coefficient_valuations(series, args.p)
     return {
         "p": args.p,
@@ -189,7 +147,7 @@ def _cmd_expand(args, cfg):
     }, EXIT_OK
 
 
-def _cmd_split_check(args, cfg):
+def _cmd_split_check(args):
     remedy = "--vals must be a JSON array of rationals like '[\"3/2\", \"inf\"]'"
     try:
         raw = json.loads(args.vals)
@@ -202,23 +160,17 @@ def _cmd_split_check(args, cfg):
     return verdict.to_json(), _verdict_exit(verdict.kind)
 
 
-def _cmd_tail_center(args, cfg):
-    ctx = None
-    if args.p == 5:
-        _require_divisible(cfg["N"], [5], "the exceptional p = 5 center")
-        ctx = LocalFieldContext(args.p, cfg["N"], cfg["M"])
-    center = tail_center(
-        args.p, args.nu, args.r, args.s, args.case, branch=args.branch, ctx=ctx
-    )
+def _cmd_tail_center(args):
+    center = tail_center(args.p, args.nu, args.r, args.s, args.case, branch=args.branch)
     return {"center": center}, EXIT_OK
 
 
-def _cmd_tail_radius(args, cfg):
+def _cmd_tail_radius(args):
     extra = _fraction(args.extra) if args.extra is not None else None
     return tail_radius(args.p, args.nu, args.case, extra).to_json(), EXIT_OK
 
 
-def _cmd_insep_tails(args, cfg):
+def _cmd_insep_tails(args):
     extra = _fraction(args.extra) if args.extra is not None else None
     catalog = insep_tail_catalog(args.p, args.nu, args.case, extra)
     return [t.to_json() for t in catalog], EXIT_OK
@@ -239,7 +191,7 @@ def _load_tree(path):
         raise UsageError(f"malformed tree JSON: {exc}") from exc
 
 
-def _cmd_tree_check(args, cfg):
+def _cmd_tree_check(args):
     tree = _load_tree(args.tree)
     problems = validate_tree(tree, args.p)
     out = {"problems": problems}
@@ -258,20 +210,18 @@ def _cmd_tree_check(args, cfg):
     return out, code
 
 
-def _cmd_tree_solve(args, cfg):
+def _cmd_tree_solve(args):
     tree = _load_tree(args.tree)
     root_delta = _fraction(args.root_delta) if args.root_delta is not None else None
     result = propagate_differents(tree, args.p, root_delta)
     return result.to_json(), _verdict_exit(result.status)
 
 
-def _cmd_enum_tails(args, cfg):
-    configs = enumerate_tail_configs(args.tau, args.m_g, args.p)
-    # TailConfig.to_json without its empty entries
-    return [{k: v for k, v in c.to_json().items() if v} for c in configs], EXIT_OK
+def _cmd_enum_tails(args):
+    return enumerate_tail_configs(args.tau, args.m_g, args.p), EXIT_OK
 
 
-def _cmd_conductor(args, cfg):
+def _cmd_conductor(args):
     if args.compositum:
         values = [_fraction(x) for x in args.compositum.split(",")]
         return {"conductor": str(compositum_conductor(values))}, EXIT_OK
@@ -283,7 +233,7 @@ def _cmd_conductor(args, cfg):
     return {"conductor": str(value)}, EXIT_OK
 
 
-def _cmd_herbrand(args, cfg):
+def _cmd_herbrand(args):
     if args.filtration:
         try:
             with open(args.filtration) as handle:
@@ -306,7 +256,7 @@ def _cmd_herbrand(args, cfg):
     }, EXIT_OK
 
 
-def _cmd_group(args, cfg):
+def _cmd_group(args):
     q = args.q
     if args.tau is not None and args.rho is not None:
         from .groups import MatrixElement
@@ -334,7 +284,7 @@ def _cmd_group(args, cfg):
     return out, _verdict_exit(verdict.kind)
 
 
-def _cmd_wild_monodromy(args, cfg):
+def _cmd_wild_monodromy(args):
     report = run_wild_monodromy(args.q, args.p, args.r)
     out = report.to_json()
     out["verdict"] = report.verdict.lower()
@@ -354,7 +304,7 @@ def _build_parser():
         "stable reductions.",
     )
     parser.add_argument(
-        "--format", choices=("json", "text"), default=None, help="output format"
+        "--format", choices=("json", "text"), default="json", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -451,13 +401,11 @@ def dispatch(argv):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = _load_config()
-        fmt = args.format or cfg["format"]
-        report, code = args.handler(args, cfg)
+        report, code = args.handler(args)
     except SrtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(to_jsonable(report), fmt)
+    _emit(to_jsonable(report), args.format)
     return code
 
 

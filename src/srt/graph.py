@@ -57,22 +57,18 @@ def effective_different(profile, p):
 
 
 def effective_invariant(sigmas, p):
-    """Weighted average of the per-level invariants: weights (p-1)/p^i for
-    i < r and 1/p^(r-1) for the last level; the weights sum to 1."""
+    """Weighted average of the per-level invariants, with the weights of
+    invariant_weights."""
     sigmas = [Fraction(s) for s in sigmas]
     if not sigmas:
         raise InvalidProfile("need at least one level")
-    r = len(sigmas)
-    out = Fraction(0)
-    for i, s in enumerate(sigmas[:-1], start=1):
-        out += Fraction(p - 1, p**i) * s
-    out += Fraction(1, p ** (r - 1)) * sigmas[-1]
-    return out
+    weights = invariant_weights(len(sigmas), p)
+    return sum((w * s for w, s in zip(weights, sigmas)), Fraction(0))
 
 
 def invariant_weights(r, p):
-    """The weights used by effective_invariant; exposed for the weight-sum
-    identity check."""
+    """The weights of effective_invariant over r levels: (p-1)/p^i for
+    i < r and 1/p^(r-1) for the last level; they sum to 1."""
     return [Fraction(p - 1, p**i) for i in range(1, r)] + [Fraction(1, p ** (r - 1))]
 
 
@@ -529,10 +525,11 @@ class TailConfig:
     flagged: bool = False  # contains a sigma >= p/2, hence impossible
 
     def to_json(self):
-        out = {
-            "prim": [str(s) for s in self.prim],
-            "new": [str(s) for s in self.new],
-        }
+        out = {}
+        if self.prim:
+            out["prim"] = [str(s) for s in self.prim]
+        if self.new:
+            out["new"] = [str(s) for s in self.new]
         if self.flagged:
             out["flagged"] = True
         return out

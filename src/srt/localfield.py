@@ -56,7 +56,7 @@ from .valuation import (
 )
 
 # default ramification index N and unit precision M of a context; the CLI's
-# SRT_CONFIG keys N and M default to these too
+# p = 5 `tail-center` works in the default context
 DEFAULT_N = 40
 DEFAULT_M = 8
 

@@ -32,13 +32,6 @@ class PipelineReport:
             {"inputs": self.inputs, "steps": self.steps, "verdict": self.verdict}
         )
 
-    def to_text(self):
-        lines = [f"inputs: {self.inputs}"]
-        for s in self.steps:
-            lines.append(f"[{s['id']}] {s['description']}: {s['value']}")
-        lines.append(f"verdict: {self.verdict}")
-        return "\n".join(lines)
-
 
 def _direct_g(params, d, prec):
     """g(d) modulo p^prec, as the product of the four linear-factor powers

@@ -157,11 +157,6 @@ def invocation(draw, command):
     return argv, files
 
 
-@pytest.fixture(autouse=True)
-def clean_config(monkeypatch):
-    monkeypatch.delenv("SRT_CONFIG", raising=False)
-
-
 @pytest.fixture(scope="module")
 def spent():
     """Seconds spent in dispatch by every example of this module so far."""

@@ -21,7 +21,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo):
-    env = {k: v for k, v in os.environ.items() if k != "SRT_CONFIG"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRT_IMPORT_ROOT, env.get("PYTHONPATH")])
     )

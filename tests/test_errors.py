@@ -26,11 +26,6 @@ from srt.errors import PreconditionViolated
 from srt.valuation import is_prime, split_p_part
 
 
-@pytest.fixture(autouse=True)
-def clean_config(monkeypatch):
-    monkeypatch.delenv("SRT_CONFIG", raising=False)
-
-
 EXPORTED_ERRORS = [
     value
     for value in vars(srt).values()
@@ -152,55 +147,53 @@ FILES = {
     "jump_over_zero": {"breaks": [{"jump": "1/0", "order": 5}]},
 }
 
-# (argv, SRT_CONFIG content or None, text the error line must contain);
-# "@name" stands for a file holding the JSON FILES[name]
+# (argv, text the error line must contain); "@name" stands for a file
+# holding the JSON FILES[name]
 BAD_INPUTS = [
-    (["expand", "--p", "4", "--nu", "1", "--r", "1", "--s", "2"], None, "odd prime"),
-    (["expand", "--p", "5", "--nu", "0", "--r", "1", "--s", "2"], None, "nu"),
-    (["expand", "--p", "5", "--nu", "1", "--r", "0", "--s", "2"], None, "--r"),
-    (["expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2", "--T", "0"], None, "T"),
-    (["expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2"], {"T": "x"}, "T"),
-    (["split-check", "--p", "1", "--level", "1", "--vals", '["1"]'], None, "odd prime"),
-    (["split-check", "--p", "5", "--level", "1", "--vals", "5"], None, "JSON array"),
-    (["split-check", "--p", "5", "--level", "1", "--vals", "[null]"], None, "rational"),
-    (["split-check", "--p", "5", "--level", "1", "--vals", '["1", "2"]'], None, "i = 5"),
-    (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "0", "--case", "a=1"], None, "s != 0"),
-    (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "b"], None, "case"),
-    (["tail-radius", "--p", "1", "--nu", "2", "--case", "generic"], None, "odd prime"),
-    (["tail-radius", "--p", "7", "--nu", "2", "--case", "a=0", "--extra", "-1"], None, "positive"),
-    (["insep-tails", "--p", "4", "--nu", "2", "--case", "a=0", "--extra", "1"], None, "odd prime"),
-    (["insep-tails", "--p", "5", "--nu", "3", "--case", "a=0"], None, "auxiliary"),
-    (["tree-check", "--p", "5", "--tree", "@index0"], None, "positive"),
-    (["tree-check", "--p", "5", "--tree", "@list"], None, "malformed"),
-    (["tree-solve", "--p", "5", "--tree", "@vertex_not_object"], None, "malformed"),
-    (["tree-solve", "--p", "9", "--tree", "@ok"], None, "odd prime"),
-    (["enum-tails", "--tau", "5"], None, "tau"),
-    (["enum-tails", "--tau", "1", "--m-g", "3"], None, "m_G"),
-    (["enum-tails", "--tau", "1", "--p", "4"], None, "odd prime"),
-    (["conductor", "--nu", "3", "--shape", "kummer-tower"], None, "--p"),
-    (["conductor", "--p", "5", "--nu", "1", "--shape", "kummer-tower"], None, "nu > 1"),
-    (["conductor", "--compositum", "1/0"], None, "rational"),
-    (["herbrand", "--p", "5", "--nu", "0", "--direction", "psi", "--x", "1"], None, "nu"),
-    (["herbrand", "--p", "5", "--nu", "2", "--direction", "psi", "--x", "-1"], None, "x"),
-    (["herbrand", "--filtration", "@order0_filtration", "--direction", "phi", "--x", "1"], None, "positive"),
-    (["herbrand", "--filtration", "@breaks_not_list", "--direction", "phi", "--x", "1"], None, "unreadable"),
-    (["herbrand", "--filtration", "@jump_over_zero", "--direction", "phi", "--x", "1"], None, "unreadable"),
-    (["tree-check", "--p", "5", "--tree", "@sigma_over_zero"], None, "malformed"),
-    (["group", "--q", "9", "--tau", "0", "--rho", "3"], None, "prime"),
-    (["group", "--q", "0", "--tau", "13", "--rho", "4"], None, "prime"),
-    (["group", "--q", "10", "--p", "5"], None, "prime"),
-    (["wild-monodromy", "--q", "7", "--p", "5"], None, "q^2 - 1"),
-    (["wild-monodromy", "--q", "251", "--p", "4"], None, "odd prime"),
-    (["wild-monodromy", "--q", "1373", "--p", "7"], None, "only for p = 5"),
-    (["wild-monodromy", "--q", "53", "--p", "3"], None, "only for p = 5"),
-    (["tail-radius", "--p", "7", "--nu", "2", "--case", "generic"], [40, 8], "JSON object"),
+    (["expand", "--p", "4", "--nu", "1", "--r", "1", "--s", "2"], "odd prime"),
+    (["expand", "--p", "5", "--nu", "0", "--r", "1", "--s", "2"], "nu"),
+    (["expand", "--p", "5", "--nu", "1", "--r", "0", "--s", "2"], "--r"),
+    (["expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2", "--T", "0"], "T"),
+    (["split-check", "--p", "1", "--level", "1", "--vals", '["1"]'], "odd prime"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", "5"], "JSON array"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", "[null]"], "rational"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", '["1", "2"]'], "i = 5"),
+    (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "0", "--case", "a=1"], "s != 0"),
+    (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "b"], "case"),
+    (["tail-radius", "--p", "1", "--nu", "2", "--case", "generic"], "odd prime"),
+    (["tail-radius", "--p", "7", "--nu", "2", "--case", "a=0", "--extra", "-1"], "positive"),
+    (["insep-tails", "--p", "4", "--nu", "2", "--case", "a=0", "--extra", "1"], "odd prime"),
+    (["insep-tails", "--p", "5", "--nu", "3", "--case", "a=0"], "auxiliary"),
+    (["tree-check", "--p", "5", "--tree", "@index0"], "positive"),
+    (["tree-check", "--p", "5", "--tree", "@list"], "malformed"),
+    (["tree-solve", "--p", "5", "--tree", "@vertex_not_object"], "malformed"),
+    (["tree-solve", "--p", "9", "--tree", "@ok"], "odd prime"),
+    (["enum-tails", "--tau", "5"], "tau"),
+    (["enum-tails", "--tau", "1", "--m-g", "3"], "m_G"),
+    (["enum-tails", "--tau", "1", "--p", "4"], "odd prime"),
+    (["conductor", "--nu", "3", "--shape", "kummer-tower"], "--p"),
+    (["conductor", "--p", "5", "--nu", "1", "--shape", "kummer-tower"], "nu > 1"),
+    (["conductor", "--compositum", "1/0"], "rational"),
+    (["herbrand", "--p", "5", "--nu", "0", "--direction", "psi", "--x", "1"], "nu"),
+    (["herbrand", "--p", "5", "--nu", "2", "--direction", "psi", "--x", "-1"], "x"),
+    (["herbrand", "--filtration", "@order0_filtration", "--direction", "phi", "--x", "1"], "positive"),
+    (["herbrand", "--filtration", "@breaks_not_list", "--direction", "phi", "--x", "1"], "unreadable"),
+    (["herbrand", "--filtration", "@jump_over_zero", "--direction", "phi", "--x", "1"], "unreadable"),
+    (["tree-check", "--p", "5", "--tree", "@sigma_over_zero"], "malformed"),
+    (["group", "--q", "9", "--tau", "0", "--rho", "3"], "prime"),
+    (["group", "--q", "0", "--tau", "13", "--rho", "4"], "prime"),
+    (["group", "--q", "10", "--p", "5"], "prime"),
+    (["wild-monodromy", "--q", "7", "--p", "5"], "q^2 - 1"),
+    (["wild-monodromy", "--q", "251", "--p", "4"], "odd prime"),
+    (["wild-monodromy", "--q", "1373", "--p", "7"], "only for p = 5"),
+    (["wild-monodromy", "--q", "53", "--p", "3"], "only for p = 5"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, config, needle", BAD_INPUTS, ids=[" ".join(a) for a, _, _ in BAD_INPUTS]
+    "argv, needle", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS]
 )
-def test_bad_input_is_one_error_line(argv, config, needle, tmp_path, monkeypatch, capsys):
+def test_bad_input_is_one_error_line(argv, needle, tmp_path, capsys):
     resolved = []
     for token in argv:
         if token.startswith("@"):
@@ -208,10 +201,6 @@ def test_bad_input_is_one_error_line(argv, config, needle, tmp_path, monkeypatch
             path.write_text(json.dumps(FILES[token[1:]]))
             token = str(path)
         resolved.append(token)
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        monkeypatch.setenv("SRT_CONFIG", str(cfg))
     code = dispatch(resolved)
     captured = capsys.readouterr()
     assert code == EXIT_USAGE

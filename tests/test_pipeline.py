@@ -14,6 +14,7 @@ from srt import (
     maclaurin_g,
     run_wild_monodromy,
 )
+from srt.cli import EXIT_OK, dispatch
 from srt.errors import PrecisionError
 from srt.pipeline import _direct_g
 from srt.valuation import vp
@@ -30,7 +31,7 @@ class TestRun:
                          "power-p+", "power-p-", "power-p2+", "power-p2-"):
             assert required in ids
 
-    def test_report_serialization(self):
+    def test_report_serialization(self, capsys):
         report = run_wild_monodromy(499, 5, 1)
         blob = report.to_json()
         json.dumps(blob)  # must be plain JSON data
@@ -38,8 +39,10 @@ class TestRun:
         assert blob["inputs"]["q"] == 499
         step_ids = {s["id"] for s in blob["steps"]}
         assert "power-p2+" in step_ids
-        text = report.to_text()
-        assert "verdict: Nontrivial" in text
+        # the text form is the CLI's rendering of the same JSON
+        argv = ["--format", "text", "wild-monodromy", "--q", "499", "--p", "5"]
+        assert dispatch(argv) == EXIT_OK
+        assert "verdict: nontrivial" in capsys.readouterr().out.splitlines()
 
 
 class TestPreconditions:

@@ -184,17 +184,15 @@ class TestMaclaurin:
         assert params.coefficient_bound() == (0, 0)
         _assert_bound_holds(params)
 
-    def test_expand_cli_when_a_is_zero(self, capsys, monkeypatch):
-        monkeypatch.delenv("SRT_CONFIG", raising=False)
+    def test_expand_cli_when_a_is_zero(self, capsys):
         argv = ["expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2",
                 "--sqrt1ma", "1"]
         assert dispatch(argv) == EXIT_OK
         out = json.loads(capsys.readouterr().out)
         assert out["order"] == 17
 
-    def test_expand_cli_large_prime_is_fast(self, capsys, monkeypatch):
+    def test_expand_cli_large_prime_is_fast(self, capsys):
         # T = 3*251 + 2 = 755: O(T^2) convolutions took longer than 5 s here
-        monkeypatch.delenv("SRT_CONFIG", raising=False)
         r, s = 7, 5
         argv = ["expand", "--p", "251", "--nu", "1", "--r", str(r), "--s", str(s)]
         t0 = time.time()
@@ -319,6 +317,36 @@ class TestTruncatedSeries:
         g = maclaurin_g(CoverParams(5, 1, 1, 2, Fraction(-2)), 6)
         with pytest.raises(TruncationUnderflow):
             rescale(g, Fraction(0), Fraction(1, 5), 7)
+
+    @pytest.mark.parametrize("e_exponent, e_unit", [(0, 1), (Fraction(1, 7), 2)])
+    def test_rescale_recentered_matches_taylor_at(self, e_exponent, e_unit):
+        # recentering the Maclaurin series at d != 0 gives the Taylor series
+        # at d, scaled by e^i, to the lesser precision of the two sides
+        params = CoverParams(7, 1, 3, 2, Fraction(-2, 3))
+        ctx = LocalFieldContext(7, N=7)
+        d = ctx.pi_power(Fraction(5, 7), 3)
+        e = ctx.pi_power(e_exponent, e_unit)
+        g = maclaurin_g(params)
+        T = g.order
+        got = rescale(g, d, e, T)
+        want = taylor_at(params, d, T)
+        epow = ctx.one()
+        for i in range(T + 1):
+            x, y = got.coefficient(i), want.coefficient(i) * epow
+            prec = min(c.prec for c in (x, y) if c.prec is not None)
+            assert x.truncate(prec) == y.truncate(prec), i
+            epow = epow * e
+
+    def test_rescale_recentered_needs_a_tail_bound(self):
+        # the coefficient bound's slope -1 plus v(d) = 2/5 is negative, so
+        # the dropped tail has no lower bound
+        params = CoverParams(5, 3, 1, 5, Fraction(-5))
+        ctx = LocalFieldContext(5, N=5)
+        d = ctx.pi_power(Fraction(2, 5), 3)
+        e = ctx.pi_power(Fraction(1, 5), 2)
+        g = maclaurin_g(params)
+        with pytest.raises(TruncationUnderflow, match="no tail bound available"):
+            rescale(g, d, e, g.order)
 
     def test_evaluate_requires_positive_valuation(self):
         g = maclaurin_g(CoverParams(5, 1, 1, 2, Fraction(-2)), 17)
