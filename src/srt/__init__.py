@@ -35,11 +35,8 @@ from .series import (
     I_GAUSS,
     TruncatedSeries,
     TruncationUnderflow,
-    coefficient_valuations,
     element_valuation,
-    general_binomial,
     maclaurin_g,
-    rescale,
     scaled_coefficient_valuations,
     taylor_at,
     taylor_factors,

@@ -39,7 +39,7 @@ from .ramification import (
     cyclotomic_filtration,
     herbrand,
 )
-from .series import CoverParams, coefficient_valuations, maclaurin_g
+from .series import CoverParams, maclaurin_g, scaled_coefficient_valuations
 from .torsor import (
     insep_tail_catalog,
     splitting_obstruction,
@@ -138,7 +138,7 @@ def _cmd_expand(args):
         sqrt1ma = Fraction(-args.s, args.r)
     params = CoverParams(args.p, args.nu, args.r, args.s, sqrt1ma)
     series = maclaurin_g(params, args.T)
-    vals = coefficient_valuations(series, args.p)
+    vals = scaled_coefficient_valuations(series, args.p, 0)
     return {
         "p": args.p,
         "order": series.order,

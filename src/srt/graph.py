@@ -550,8 +550,9 @@ def enumerate_tail_configs(tau, m_G, p):
     if not 0 <= tau <= 3:
         raise PreconditionViolated(f"tau must be 0..3, got {tau}")
     candidates = [Fraction(k, 2) for k in range(1, 5)]
+    # _multisets yields sorted tuples in lexicographic order, so the loops
+    # list each configuration once, ordered by (len(new), prim, new)
     out = []
-    seen = set()
     for n_new in range(0, max(0, 2 - tau) + 1):
         for prim in _multisets(candidates, tau):
             for new in _multisets([s for s in candidates if s > 1], n_new):
@@ -560,16 +561,9 @@ def enumerate_tail_configs(tau, m_G, p):
                 )
                 if lhs != 1:
                     continue
-                cfg = TailConfig(
-                    prim=tuple(sorted(prim)),
-                    new=tuple(sorted(new)),
-                    flagged=any(s >= Fraction(p, 2) for s in prim + new),
-                )
-                key = (cfg.prim, cfg.new)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(cfg)
-    return sorted(out, key=lambda c: (len(c.new), c.prim, c.new))
+                flagged = any(s >= Fraction(p, 2) for s in prim + new)
+                out.append(TailConfig(prim, new, flagged))
+    return out
 
 
 def _multisets(values, k):

@@ -3,11 +3,12 @@ Truncated series expansions of the degree-(r+s) rational cover function
 
     g(z) = ((z+1)/(z-1))^r * ((z+c)/(z-c))^s,    c = sqrt(1-a),
 
-around 0 and around shifted/scaled coordinates z = d + e*t. Coefficients are
-exact: rationals, Gaussian rationals, or local field elements, depending on
-where the expansion center lives. Truncation is tracked honestly; evaluation
-and recentering report precision floors derived from proven lower bounds on
-the dropped coefficients.
+around a center d. On a disk z = d + e*t the expansion of g is
+taylor_at(params, d, T) with coefficient i times e^i. Coefficients are exact:
+rationals, Gaussian rationals, or local field elements, depending on where
+the expansion center lives. Truncation is tracked honestly; evaluation
+reports a precision floor derived from a proven lower bound on the dropped
+coefficients.
 
 In every coefficient ring the Taylor coefficients come from the linear
 recurrence of the ODE P*g' = Q*g that g satisfies, in O(T) ring operations.
@@ -30,15 +31,6 @@ from .errors import (
 )
 from .localfield import LocalFieldElement
 from .valuation import ExtendedRational, is_prime, power, vp
-
-
-def general_binomial(m, k):
-    """binom(m, k) for any rational m and integer k >= 0, exact."""
-    out = Fraction(1)
-    m = Fraction(m)
-    for i in range(k):
-        out *= (m - i) / (k - i)
-    return out
 
 
 class GaussRational:
@@ -306,6 +298,10 @@ def taylor_at(params, center, T):
     coefficients live in the same ring. Within order T the coefficients are
     exact, so no truncation error enters below order T + 1. The tail bound
     of CoverParams.coefficient_bound is attached when v(center) > 0.
+
+    The expansion of g(d + e*t) in t is taylor_at(params, d, T) with
+    coefficient i multiplied by e^i; a caller who needs more digits at a
+    local-field center raises the context's M.
     """
     tail = params.coefficient_bound() if _center_small(center, params.p) else None
     return taylor_factors(params.roots(), center, T, params.p, tail_bound=tail)
@@ -417,79 +413,12 @@ def _center_small(center, p):
         return False
 
 
-def rescale(series, d, e, T):
-    """Series in t for g(d + e*t), given the Maclaurin series of g.
-
-    For d = 0 this is the exact homogeneous rescaling coefficient_i * e^i.
-    For d != 0 the shifted coefficients mix all orders, so the dropped tail of
-    the input is absorbed into the precision of each output coefficient; this
-    requires v(d) > 0 and a tail bound on the input.
-    """
-    if T > series.order:
-        raise TruncationUnderflow(
-            f"requested order {T} exceeds input order {series.order}",
-            required_order=T,
-        )
-    d_zero = _is_zero(d)
-    p = series.p
-    if d_zero:
-        out = []
-        acc = _ring_one(e)
-        for i in range(T + 1):
-            out.append(series.coefficient(i) * acc)
-            acc = acc * e
-        return TruncatedSeries(out, T, p=p)
-    vd = element_valuation(d, p)
-    ve = element_valuation(e, p)
-    if not vd > 0:
-        raise PreconditionViolated(f"recentering needs v(d) > 0, got {vd}")
-    base_floor = series.tail_floor(vd.as_fraction())
-    if base_floor is None:
-        raise TruncationUnderflow(
-            "no tail bound available for the recentered coefficients",
-            required_order=series.order + 1,
-        )
-    out = []
-    epow = _ring_one(e)
-    for i in range(T + 1):
-        acc = 0 * epow
-        dpow = _ring_one(d)
-        for k in range(i, series.order + 1):
-            acc = acc + general_binomial(k, i) * series.coefficient(k) * dpow
-            dpow = dpow * d
-        coeff = acc * epow
-        # dropped tail of coefficient i: sum over k > order of
-        # gamma_k C(k,i) d^(k-i) e^i, valuation >= base_floor + i*(ve - vd)
-        if i == 0 or not ve.is_infinite:
-            if not isinstance(coeff, LocalFieldElement):
-                raise TruncationUnderflow(
-                    "recentering at d != 0 needs local field coordinates to "
-                    "carry the tail precision",
-                    required_order=series.order + 1,
-                )
-            floor = base_floor
-            if i > 0:
-                floor = floor + (ve.as_fraction() - vd.as_fraction()) * i
-            coeff = coeff.truncate(floor)
-        out.append(coeff)
-        epow = epow * e
-    return TruncatedSeries(out, T, p=p)
-
-
 def _is_zero(x):
     if isinstance(x, LocalFieldElement):
         return not x.terms and x.prec is None
     if isinstance(x, GaussRational):
         return x.re == 0 and x.im == 0
     return Fraction(x) == 0
-
-
-def coefficient_valuations(series, p):
-    """v(c_i) for i = 1..T as ExtendedRationals (INFINITY for exact zeros)."""
-    return [
-        element_valuation(series.coefficient(i), p)
-        for i in range(1, series.order + 1)
-    ]
 
 
 def scaled_coefficient_valuations(series, p, v_e):

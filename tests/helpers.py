@@ -32,6 +32,15 @@ def vp_fraction(x, p):
     return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
+def general_binomial(m, k):
+    """binom(m, k) for any rational m and integer k >= 0, exact."""
+    out = Fraction(1)
+    m = Fraction(m)
+    for i in range(k):
+        out *= (m - i) / (k - i)
+    return out
+
+
 def rational_mod(x, m, p):
     """x mod m for a Fraction x with denominator prime to p (m a power of p)."""
     x = Fraction(x)

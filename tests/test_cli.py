@@ -292,6 +292,32 @@ TREE = {
 }
 
 
+# the open chain of test_graph's test_open_chain_reports_relation: neither
+# epaisseur is known, only their weighted sum
+OPEN_CHAIN = {
+    "vertices": [
+        {"id": "root", "inertia": 2},
+        {"id": "w", "inertia": 1},
+        {"id": "t", "inertia": 0, "tail": "new-etale", "sigma": "3/2"},
+    ],
+    "edges": [
+        {"parent": "root", "child": "w", "sigma_eff": "1"},
+        {"parent": "w", "child": "t", "sigma_eff": "1"},
+    ],
+}
+OPEN_CHAIN_SOLVE = (
+    '{"status":"Unsolved","tree":{"vertices":['
+    '{"id":"root","inertia":2,"tail":"none","branch_points":[],"delta_eff":"9/4"},'
+    '{"id":"w","inertia":1,"tail":"none","branch_points":[]},'
+    '{"id":"t","inertia":0,"tail":"new-etale","branch_points":[],"sigma":"3/2",'
+    '"delta_eff":"0"}],'
+    '"edges":[{"parent":"root","child":"w","sigma_eff":"1"},'
+    '{"parent":"w","child":"t","sigma_eff":"1"}]},'
+    '"relations":[{"edges":[["root","w"],["w","t"]],"sum_epaisseur":"9/4"}],'
+    '"unknowns":["epaisseur(\'root\', \'w\')","epaisseur(\'w\', \'t\')"]}'
+)
+
+
 class TestTreeCommands:
     def test_tree_solve(self, capsys, tmp_path):
         path = tmp_path / "tree.json"
@@ -310,6 +336,13 @@ class TestTreeCommands:
         code, out, _ = run_cli(capsys, "tree-solve", "--p", "5", "--tree", str(path))
         assert code == EXIT_CONTRADICTION
         assert json.loads(out)["status"] == "Contradiction"
+
+    def test_tree_solve_unsolved_is_pinned(self, capsys, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(OPEN_CHAIN))
+        code, out, _ = run_cli(capsys, "tree-solve", "--p", "5", "--tree", str(path))
+        assert code == EXIT_OK
+        assert out == OPEN_CHAIN_SOLVE + "\n"
 
     def test_tree_check(self, capsys, tmp_path):
         path = tmp_path / "tree.json"

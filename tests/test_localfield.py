@@ -13,6 +13,7 @@ from srt import (
     NoNthRoot,
     NoSquareRoot,
     PrecisionError,
+    PreconditionViolated,
     hensel_sqrt,
     is_pth_power,
     nth_root,
@@ -334,6 +335,19 @@ class TestIsPthPower:
             assert exact.kind == finite.kind == "no"
             assert exact.certificate == finite.certificate
             assert exact.certificate["beta"] == beta
+
+    def test_exponent_must_be_p_or_p_squared(self):
+        ctx = LocalFieldContext(5, N=5)
+        with pytest.raises(PreconditionViolated, match="k must be p or p\\^2, got 7"):
+            is_pth_power(ctx.from_rational(2), 7)
+
+    def test_zero(self):
+        ctx = LocalFieldContext(5, N=5)
+        with pytest.raises(PreconditionViolated, match="0 is excluded"):
+            is_pth_power(ctx.zero(), 5)
+        v = is_pth_power(ctx.zero(prec=3), 5)
+        assert v.kind == "undecidable"
+        assert v.certificate == {"reason": "zero to precision"}
 
     def test_valuation_obstruction(self):
         ctx = ctx5()

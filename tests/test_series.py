@@ -16,12 +16,9 @@ from srt import (
     PreconditionViolated,
     TruncatedSeries,
     TruncationUnderflow,
-    coefficient_valuations,
     element_valuation,
-    general_binomial,
     maclaurin_g,
     nth_root,
-    rescale,
     scaled_coefficient_valuations,
     sqrt_of_minus_one,
     taylor_at,
@@ -30,7 +27,7 @@ from srt import (
 )
 from srt.cli import EXIT_OK, dispatch
 
-from helpers import vp_fraction
+from helpers import general_binomial, vp_fraction
 
 
 class TestGeneralBinomial:
@@ -273,14 +270,6 @@ class TestTaylorFactors:
             assert not (g - w).terms, k
             assert g.valuation() == w.valuation(), k
 
-    def test_local_field_center_needs_no_binomials(self, monkeypatch):
-        def refuse(m, k):
-            raise AssertionError("taylor_factors expanded a binomial")
-
-        monkeypatch.setattr("srt.series.general_binomial", refuse)
-        factors, center, T = self._case_i()
-        assert len(taylor_factors(factors, center, T, 5).coefficients) == T + 1
-
     @pytest.mark.parametrize(
         "center",
         [Fraction(1), GaussRational(-1), LocalFieldContext(7, N=4, M=4).from_rational(1)],
@@ -305,49 +294,6 @@ class TestTruncatedSeries:
         assert (a * b).order == 2
         assert (a * b).coefficients == [Fraction(1), Fraction(2), Fraction(3)]
 
-    def test_rescale_homogeneous(self):
-        params = CoverParams(5, 1, 1, 2, Fraction(-2))
-        g = maclaurin_g(params, 8)
-        e = Fraction(5, 7)
-        out = rescale(g, Fraction(0), e, 8)
-        for i in range(9):
-            assert out.coefficient(i) == g.coefficient(i) * e**i
-
-    def test_rescale_order_guard(self):
-        g = maclaurin_g(CoverParams(5, 1, 1, 2, Fraction(-2)), 6)
-        with pytest.raises(TruncationUnderflow):
-            rescale(g, Fraction(0), Fraction(1, 5), 7)
-
-    @pytest.mark.parametrize("e_exponent, e_unit", [(0, 1), (Fraction(1, 7), 2)])
-    def test_rescale_recentered_matches_taylor_at(self, e_exponent, e_unit):
-        # recentering the Maclaurin series at d != 0 gives the Taylor series
-        # at d, scaled by e^i, to the lesser precision of the two sides
-        params = CoverParams(7, 1, 3, 2, Fraction(-2, 3))
-        ctx = LocalFieldContext(7, N=7)
-        d = ctx.pi_power(Fraction(5, 7), 3)
-        e = ctx.pi_power(e_exponent, e_unit)
-        g = maclaurin_g(params)
-        T = g.order
-        got = rescale(g, d, e, T)
-        want = taylor_at(params, d, T)
-        epow = ctx.one()
-        for i in range(T + 1):
-            x, y = got.coefficient(i), want.coefficient(i) * epow
-            prec = min(c.prec for c in (x, y) if c.prec is not None)
-            assert x.truncate(prec) == y.truncate(prec), i
-            epow = epow * e
-
-    def test_rescale_recentered_needs_a_tail_bound(self):
-        # the coefficient bound's slope -1 plus v(d) = 2/5 is negative, so
-        # the dropped tail has no lower bound
-        params = CoverParams(5, 3, 1, 5, Fraction(-5))
-        ctx = LocalFieldContext(5, N=5)
-        d = ctx.pi_power(Fraction(2, 5), 3)
-        e = ctx.pi_power(Fraction(1, 5), 2)
-        g = maclaurin_g(params)
-        with pytest.raises(TruncationUnderflow, match="no tail bound available"):
-            rescale(g, d, e, g.order)
-
     def test_evaluate_requires_positive_valuation(self):
         g = maclaurin_g(CoverParams(5, 1, 1, 2, Fraction(-2)), 17)
         with pytest.raises(ValueError):
@@ -358,7 +304,7 @@ class TestValuationHelpers:
     def test_coefficient_valuations(self):
         params = CoverParams(5, 2, 1, 7, Fraction(-7))
         g = maclaurin_g(params, 7)
-        vals = coefficient_valuations(g, 5)
+        vals = scaled_coefficient_valuations(g, 5, 0)
         assert len(vals) == 7
         for i, v in enumerate(vals, start=1):
             ci = g.coefficient(i)
@@ -370,7 +316,7 @@ class TestValuationHelpers:
     def test_scaled_coefficient_valuations(self):
         params = CoverParams(5, 2, 1, 7, Fraction(-7))
         g = maclaurin_g(params, 7)
-        plain = coefficient_valuations(g, 5)
+        plain = scaled_coefficient_valuations(g, 5, 0)
         scaled = scaled_coefficient_valuations(g, 5, Fraction(3, 4))
         for i, (a, b) in enumerate(zip(plain, scaled), start=1):
             assert b == a + Fraction(3, 4) * i

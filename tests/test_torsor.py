@@ -253,6 +253,8 @@ class TestInsepTailCatalog:
             insep_tail_catalog(5, 3, "a=0", extra=3)
         with pytest.raises(PreconditionViolated):
             insep_tail_catalog(5, 3, "a=0")
+        with pytest.raises(InadmissibleValuation, match=r"v\(1-a\) = 6 must lie in \(0, 9/2\]"):
+            insep_tail_catalog(5, 3, "a=1", 3)
 
 
 class TestRadiusBounds:
@@ -260,6 +262,9 @@ class TestRadiusBounds:
         rho, e = new_insep_radius_bounds(5, 3, 1, "generic")
         assert rho == Fraction(2, 3) * (2 + Fraction(1, 4))
         assert e is None
+
+    def test_a_one(self):
+        assert new_insep_radius_bounds(5, 3, 1, "a=1", 1) == (Fraction(1, 6), Fraction(17, 12))
 
     def test_monotone_in_level(self):
         prev = None
