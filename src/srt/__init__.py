@@ -10,9 +10,7 @@ from .valuation import (
     ExtendedRational,
     ceil_fraction,
     floor_fraction,
-    fractional_part,
     multinomial,
-    unit_part,
     vp,
 )
 from .localfield import (
@@ -52,16 +50,13 @@ from .torsor import (
     SplitVerdict,
     TailDescriptor,
     TailRadius,
-    center_from_constraint,
     insep_tail_catalog,
-    new_insep_radius_bounds,
     splitting_obstruction,
     tail_center,
     tail_radius,
 )
 from .graph import (
     CycleCheck,
-    DeformationProfile,
     Edge,
     InvalidProfile,
     InvalidTree,
@@ -73,9 +68,7 @@ from .graph import (
     Vertex,
     check_monotonic,
     check_vanishing_cycles,
-    effective_different,
     effective_invariant,
-    effective_invariant_from_tails,
     enumerate_tail_configs,
     invariant_weights,
     propagate_differents,
@@ -83,14 +76,10 @@ from .graph import (
 )
 from .ramification import (
     Filtration,
-    InvalidQuotient,
     compositum_conductor,
     conductor_case,
     cyclotomic_filtration,
     herbrand,
-    quotient_filtration,
-    radical_step_conductor,
-    trivial_filtration,
     upper_from_lower,
 )
 from .groups import (

@@ -61,10 +61,6 @@ class InvalidTree(SrtError, ValueError):
     pass
 
 
-class InvalidQuotient(SrtError, ValueError):
-    pass
-
-
 class NoSolution(SrtError, ValueError):
     pass
 

@@ -23,39 +23,6 @@ from .valuation import split_p_part
 # --- component-level numerics ---
 
 
-@dataclass
-class DeformationProfile:
-    """Per-level data at a marked component: differents delta_i in (0, 1],
-    with delta_i = 1 exactly at the multiplicative levels."""
-
-    deltas: list
-
-    def __post_init__(self):
-        self.deltas = [Fraction(d) for d in self.deltas]
-        if not self.deltas:
-            raise InvalidProfile("profile needs at least one level")
-        for d in self.deltas:
-            if not 0 < d <= 1:
-                raise InvalidProfile(f"delta = {d} outside (0, 1]")
-
-    @property
-    def multiplicative(self):
-        return [d == 1 for d in self.deltas]
-
-
-def effective_different(profile, p):
-    """Sum of the differents with the last level weighted by p/(p-1); 0 for an
-    etale component (empty or None profile)."""
-    if profile is None:
-        return Fraction(0)
-    if not isinstance(profile, DeformationProfile):
-        if len(list(profile)) == 0:
-            return Fraction(0)
-        profile = DeformationProfile(list(profile))
-    deltas = profile.deltas
-    return sum(deltas[:-1], Fraction(0)) + Fraction(p, p - 1) * deltas[-1]
-
-
 def effective_invariant(sigmas, p):
     """Weighted average of the per-level invariants, with the weights of
     invariant_weights."""
@@ -150,15 +117,6 @@ class ReductionTree:
             if e.key == (parent, child):
                 return e
         raise KeyError(f"no edge {(parent, child)}")
-
-    def subtree(self, vertex):
-        out = []
-        stack = [vertex]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        return out
 
     def path_from_root(self, vertex):
         path = [vertex]
@@ -432,25 +390,6 @@ def propagate_differents(tree, p, root_delta=None):
         if contradictions:
             return SolveResult("Contradiction", work, contradictions=contradictions)
     return SolveResult(status, work, relations=relations, unknowns=unknowns)
-
-
-def effective_invariant_from_tails(tree, edge, p):
-    """sigma_eff of an edge from the outward tails and wild branch points:
-    sigma_eff - 1 = sum over outward etale tails (sigma_b - 1) - |Pi_e|."""
-    if not isinstance(edge, Edge):
-        edge = tree.edge(*edge)
-    outward = tree.subtree(edge.child)
-    total = Fraction(1)
-    for vid in outward:
-        v = tree.vertices[vid]
-        if v.tail in ("primitive", "new-etale") or (v.tail != "none" and v.inertia == 0):
-            if v.sigma is None:
-                raise MissingLabel(f"outward etale tail {vid} has no sigma label")
-            total += v.sigma - 1
-        for point, index in v.branch_points:
-            if index % p == 0:
-                total -= 1
-    return total
 
 
 # --- vanishing cycles ---

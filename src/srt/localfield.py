@@ -732,7 +732,7 @@ def nth_root(x, n, branch=0):
 
 
 class PthPowerVerdict:
-    """Outcome of the k-th power test: kind in {yes, no, undecidable}."""
+    """Outcome of the p-th power test: kind in {yes, no, undecidable}."""
 
     def __init__(self, kind, root=None, certificate=None):
         self.kind = kind
@@ -812,8 +812,8 @@ def _no_certificate(w, ctx):
     return cert
 
 
-def is_pth_power(x, k):
-    """Decide whether x is a k-th power in its field, k in {p, p^2}.
+def is_pth_power(x):
+    """Decide whether x is a p-th power in its field, p the field's prime.
 
     Write x = pi^v * w with w a unit. A p-th power needs v/p in (1/N)Z, and w
     is decided on the unit filtration U_i = 1 + pi^i O (Serre, Local Fields,
@@ -837,8 +837,6 @@ def is_pth_power(x, k):
     """
     ctx = x.ctx
     p = ctx.p
-    if k not in (p, p * p):
-        raise PreconditionViolated(f"k must be p or p^2, got {k}")
     if not x.terms:
         if x.prec is None:
             raise PreconditionViolated("0 is excluded from the power test")
@@ -850,20 +848,10 @@ def is_pth_power(x, k):
             certificate={
                 "kind": "valuation",
                 "valuation": str(v),
-                "k": k,
+                "k": p,
                 "reason": f"v(x) = {v} is not divisible by {p} within the field",
             },
         )
-    if k == p * p:
-        first = is_pth_power(x, p)
-        if first.kind != "yes":
-            out = PthPowerVerdict(first.kind, certificate=first.certificate)
-            return out
-        second = is_pth_power(first.root, p)
-        if second.kind == "yes":
-            return PthPowerVerdict("yes", root=second.root, certificate=None)
-        return PthPowerVerdict(second.kind, certificate=second.certificate)
-
     # reduce to a unit in the minimal subcontext
     w_full = x * ctx.element([(-v, 1)])
     denoms = [e.denominator for e in w_full.terms]

@@ -1,15 +1,15 @@
 """
 Ramification filtrations in the upper numbering: Herbrand transforms between
-upper and lower numbering, quotient invariance, conductors of composita, and
-the closed-form conductors of the two extension shapes used by the wild
-monodromy computation.
+upper and lower numbering, conductors of composita, and the closed-form
+conductors of the two extension shapes used by the wild monodromy
+computation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidQuotient, PreconditionViolated
+from .errors import PreconditionViolated
 
 @dataclass(frozen=True)
 class Filtration:
@@ -78,10 +78,6 @@ class Filtration:
         )
 
 
-def trivial_filtration():
-    return Filtration([(Fraction(0), 1)])
-
-
 def cyclotomic_filtration(p, nu):
     """Filtration of the degree (p-1)p^(nu-1) cyclotomic-type extension:
     jumps at 0, 1, ..., nu - 1 with orders (p-1)p^(nu-1), p^(nu-1), ..., p."""
@@ -147,38 +143,12 @@ def upper_from_lower(lower_breaks):
     return Filtration(out)
 
 
-def quotient_filtration(filtration, surviving_orders):
-    """Same jumps, quotient orders (upper numbering is quotient-invariant)."""
-    surviving_orders = [int(o) for o in surviving_orders]
-    if len(surviving_orders) != len(filtration.breaks):
-        raise InvalidQuotient(
-            f"expected {len(filtration.breaks)} orders, got {len(surviving_orders)}"
-        )
-    for (jump, o), q in zip(filtration.breaks, surviving_orders):
-        if q < 1 or o % q != 0:
-            raise InvalidQuotient(
-                f"order {q} at jump {jump} does not divide {o}"
-            )
-    # drop trailing trivial jumps so the conductor reads correctly
-    breaks = [
-        (jump, q)
-        for (jump, _), q in zip(filtration.breaks, surviving_orders)
-    ]
-    return Filtration(breaks)
-
-
 def compositum_conductor(conductors):
     """Conductor of a compositum: the maximum of the conductors."""
     conductors = [Fraction(c) for c in conductors]
     if not conductors:
         raise PreconditionViolated("need at least one conductor")
     return max(conductors)
-
-
-# conductor of one degree-p radical step over the first cyclotomic level,
-# taken as an input constant (upper numbering over that level)
-def radical_step_conductor(p):
-    return Fraction(p)
 
 
 def conductor_case(p, nu, shape):

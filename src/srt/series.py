@@ -6,9 +6,9 @@ Truncated series expansions of the degree-(r+s) rational cover function
 around a center d. On a disk z = d + e*t the expansion of g is
 taylor_at(params, d, T) with coefficient i times e^i. Coefficients are exact:
 rationals, Gaussian rationals, or local field elements, depending on where
-the expansion center lives. Truncation is tracked honestly; evaluation
-reports a precision floor derived from a proven lower bound on the dropped
-coefficients.
+the expansion center lives. Truncation is tracked honestly; evaluation at a
+local-field point cuts the sum to a precision derived from a proven lower
+bound on the dropped coefficients.
 
 In every coefficient ring the Taylor coefficients come from the linear
 recurrence of the ODE P*g' = Q*g that g satisfies, in O(T) ring operations.
@@ -259,11 +259,14 @@ class TruncatedSeries:
             b += 1
         return min(const + net * k - _vp_int_upper(k) for k in candidates)
 
-    def evaluate(self, x, p=None):
-        """Sum of the series at x, with v(x) > 0; the dropped tail is absorbed
-        into the reported precision when a tail bound is available."""
-        p = p or self.p
-        vx = element_valuation(x, p)
+    def evaluate(self, x):
+        """Sum of the series at a local-field point x with v(x) > 0, cut to
+        the precision the tail bound certifies for the dropped terms."""
+        if not isinstance(x, LocalFieldElement):
+            raise PreconditionViolated(
+                f"evaluation needs a local-field point, got {type(x).__name__}"
+            )
+        vx = element_valuation(x, self.p)
         if not vx > 0:
             raise PreconditionViolated(f"evaluation needs v(x) > 0, got {vx}")
         acc = self.coefficients[self.order]
@@ -275,9 +278,7 @@ class TruncatedSeries:
                 "no tail bound available to certify the dropped terms",
                 required_order=self.order + 1,
             )
-        if isinstance(acc, LocalFieldElement):
-            return acc.truncate(floor)
-        return acc, floor
+        return acc.truncate(floor)
 
 
 def maclaurin_g(params, T=None):

@@ -232,22 +232,6 @@ def _absorbed_verdict(vals, p, n, theta, v1_new, v_root, v_p_new=None):
     )
 
 
-def center_from_constraint(alpha, beta, c_valuation, p):
-    """Nearby rational center: a0 = 1 - (beta/alpha)^2 with the guaranteed
-    valuation of a - a0, namely c_valuation + 2*v(beta)."""
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    c_valuation = Fraction(c_valuation)
-    if vp(alpha, p) != 0:
-        raise PreconditionViolated(f"v({alpha}) = {vp(alpha, p)} != 0")
-    if not c_valuation > 0:
-        raise PreconditionViolated(f"need v(c) > 0, got {c_valuation}")
-    a0 = 1 - (beta / alpha) ** 2
-    if beta == 0:
-        return a0, None
-    return a0, c_valuation + 2 * vp(beta, p).as_fraction()
-
-
 def tail_center(p, nu, r, s, case, branch=0, ctx=None):
     """Center of the disk of the new etale tail.
 
@@ -430,19 +414,3 @@ def insep_tail_catalog(p, nu, case, extra=None):
         )
     ]
 
-
-def new_insep_radius_bounds(p, nu, j, case, extra=None):
-    """Strict lower bounds that the disk data of a new inseparable p^j-tail
-    must satisfy: returns (bound on v(rho'), optional bound on v(e'))."""
-    case = _norm_case(case)
-    base = Fraction(nu - j) + Fraction(1, p - 1)
-    if case == GENERIC:
-        return Fraction(2, 3) * base, None
-    extra = Fraction(extra)
-    if case == A_ZERO:
-        return Fraction(2, 3) * base + Fraction(1, 3) * extra, None
-    v1ma = 2 * extra
-    return (
-        Fraction(2, 3) * (base - v1ma),
-        Fraction(1, 3) * (base + v1ma),
-    )

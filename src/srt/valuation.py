@@ -123,15 +123,6 @@ def vp(x, p) -> ExtendedRational:
     return ExtendedRational(v)
 
 
-def unit_part(x, p) -> Fraction:
-    """x / p^vp(x) as an exact rational; the p-adic unit part of x != 0."""
-    x = Fraction(x)
-    if x == 0:
-        raise PreconditionViolated("0 has no unit part")
-    v = vp(x, p).as_fraction()
-    return x / Fraction(p) ** int(v)
-
-
 def multinomial(q, parts):
     """Exact multinomial coefficient q! / (r_1! ... r_n!).
 
@@ -159,11 +150,6 @@ def floor_fraction(x) -> int:
 def ceil_fraction(x) -> int:
     x = Fraction(x)
     return -((-x.numerator) // x.denominator)
-
-
-def fractional_part(x) -> Fraction:
-    x = Fraction(x)
-    return x - floor_fraction(x)
 
 
 # the primes up to 41: trial divisors and Miller-Rabin bases of is_prime

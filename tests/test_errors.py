@@ -89,7 +89,7 @@ class TestLibraryPreconditions:
         with pytest.raises(PreconditionViolated):
             herbrand(cyclotomic_filtration(5, 2), "psi", -1)
         with pytest.raises(PreconditionViolated):
-            TruncatedSeries([Fraction(1), Fraction(1)]).evaluate(Fraction(1, 3), 3)
+            TruncatedSeries([Fraction(1), Fraction(1)]).evaluate(Fraction(1, 3))
 
     def test_shared_integer_helpers(self):
         assert [n for n in range(-3, 30) if is_prime(n)] == [

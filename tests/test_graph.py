@@ -6,18 +6,14 @@ from fractions import Fraction
 import pytest
 
 from srt import (
-    DeformationProfile,
     Edge,
     InvalidProfile,
     InvalidTree,
-    MissingLabel,
     ReductionTree,
     Vertex,
     check_monotonic,
     check_vanishing_cycles,
-    effective_different,
     effective_invariant,
-    effective_invariant_from_tails,
     enumerate_tail_configs,
     invariant_weights,
     propagate_differents,
@@ -27,33 +23,14 @@ from srt.graph import Unsupported
 
 
 class TestProfiles:
-    def test_validation(self):
-        with pytest.raises(InvalidProfile):
-            DeformationProfile([])
-        with pytest.raises(InvalidProfile):
-            DeformationProfile([Fraction(3, 2)])
-        with pytest.raises(InvalidProfile):
-            DeformationProfile([0])
-
-    def test_multiplicative_flags(self):
-        p = DeformationProfile([Fraction(1, 2), 1, Fraction(3, 4)])
-        assert p.multiplicative == [False, True, False]
-
-    def test_effective_different(self):
-        # last level weighted by p/(p-1)
-        assert effective_different([Fraction(1, 2), 1], 5) == Fraction(1, 2) + Fraction(5, 4)
-        assert effective_different(None, 5) == 0
-        assert effective_different([], 5) == 0
-        # fully multiplicative profile of depth nu: nu - 1 + p/(p-1) = nu + 1/(p-1)
-        for p, nu in ((5, 3), (7, 2)):
-            assert effective_different([1] * nu, p) == nu + Fraction(1, p - 1)
-
     def test_effective_invariant_weighted_average(self):
         sigmas = [Fraction(3, 2), Fraction(2), Fraction(5, 2)]
         w = invariant_weights(3, 5)
         assert effective_invariant(sigmas, 5) == sum(
             a * b for a, b in zip(w, sigmas)
         )
+        with pytest.raises(InvalidProfile):
+            effective_invariant([], 5)
 
 
 class TestTreeStructure:
@@ -91,7 +68,6 @@ class TestTreeStructure:
             [Edge("a", "b"), Edge("b", "c")],
         )
         assert tree.path_from_root("c") == ["a", "b", "c"]
-        assert set(tree.subtree("b")) == {"b", "c"}
 
 
 class TestValidateTree:
@@ -196,29 +172,6 @@ class TestPropagation:
         assert out.status == "Unsolved"
         assert out.relations == []
         assert set(out.unknowns) == {"epaisseur('root', 'w')", "sigma_eff('w', 't')"}
-
-
-class TestInvariantFromTails:
-    def test_sigma_eff_from_outward_data(self):
-        tree = ReductionTree(
-            [
-                Vertex("root", inertia=2),
-                Vertex("w", inertia=1, branch_points=[("wild", 5)]),
-                Vertex("t", inertia=0, tail="new-etale", sigma=Fraction(3, 2)),
-            ],
-            [Edge("root", "w"), Edge("w", "t")],
-        )
-        # sigma_eff - 1 = (3/2 - 1) - 1 wild point
-        assert effective_invariant_from_tails(tree, ("root", "w"), 5) == Fraction(1, 2)
-        assert effective_invariant_from_tails(tree, ("w", "t"), 5) == Fraction(3, 2)
-
-    def test_missing_sigma_label(self):
-        tree = ReductionTree(
-            [Vertex("root", inertia=1), Vertex("t", inertia=0, tail="new-etale")],
-            [Edge("root", "t")],
-        )
-        with pytest.raises(MissingLabel):
-            effective_invariant_from_tails(tree, ("root", "t"), 5)
 
 
 class TestVanishingCycles:

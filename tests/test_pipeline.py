@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-import srt.pipeline
+import srt.series
 from srt import (
     CoverParams,
     LocalFieldContext,
@@ -16,7 +16,6 @@ from srt import (
 )
 from srt.cli import EXIT_OK, dispatch
 from srt.errors import PrecisionError
-from srt.pipeline import _direct_g
 from srt.valuation import vp
 
 
@@ -57,13 +56,14 @@ class TestPreconditions:
             run_wild_monodromy(251, 5, 5)
 
 
-class TestDirectG:
-    """The closed-form g(d) at the series' precision is the full product of
-    the linear-factor powers, cut to that precision."""
+class TestSeriesEvaluation:
+    """g(d) by the truncated series is the full product of the linear-factor
+    powers, cut to the series' precision, on both branches, for the
+    monodromy bench's q values and the nu = 6 prime 31249."""
 
-    @pytest.mark.parametrize("q", [251, 499, 2749])
-    @pytest.mark.parametrize("r", [1, 7, 124])
-    def test_equals_the_full_product_at_the_series_precision(self, q, r):
+    @pytest.mark.parametrize("q", [251, 499, 751, 1249, 1499, 1999, 2251, 2749, 31249])
+    @pytest.mark.parametrize("r", [1, 2, 7, 24, 49, 124])
+    def test_equals_the_full_product_at_its_precision(self, q, r):
         p, s, w = 5, 5, 1
         nu = int(vp(q * q - 1, p).as_fraction())
         tail = insep_tail_catalog(p, nu, "a=1", w)[0]
@@ -72,39 +72,41 @@ class TestDirectG:
         series = maclaurin_g(params)
         d_plus = ctx.pi_power(w * tail.d_exponent, Fraction(2 * s, r))
         for d in (d_plus, -d_plus):
-            prec = series.evaluate(d).prec
-            g = _direct_g(params, d, prec)
-            assert g.prec == prec
+            g = series.evaluate(d)
             full = ctx.one()
             for root, m in params.roots():
                 full = full * (d - root) ** m
-            assert full.prec > prec
-            assert g == full.truncate(prec)
+            assert full.prec > g.prec > Fraction(9, 4)
+            assert g == full.truncate(g.prec)
 
 
-def _raise_precision(params, d, prec):
+def _raise_precision(series, x):
     raise PrecisionError("term beyond the context's precision")
 
 
-def _zero(params, d, prec):
-    return d.ctx.zero()
+def _below_the_floor(series, x):
+    # precision 2 < 2w + 1/(p - 1) = 9/4, where the p^2-test of the
+    # normalized root no longer decides
+    return x.ctx.one().truncate(2)
 
 
 class TestEvaluationFailures:
-    """The two ways evaluating g(d) can fail, forced by replacing the exact
-    product: neither message may point at a precision setting, since the CLI
-    passes none to the pipeline."""
+    """The two ways evaluating g(d) can fail, forced by replacing the series
+    evaluation: neither message may point at a precision setting, since the
+    CLI passes none to the pipeline."""
 
     @pytest.mark.parametrize(
-        "direct_g, needle",
-        [(_raise_precision, "insufficient precision"), (_zero, "disagree")],
-        ids=["precision", "disagreement"],
+        "evaluate, needle",
+        [(_raise_precision, "beyond the context's precision"),
+         (_below_the_floor, "known only modulo p^2;")],
+        ids=["precision", "floor"],
     )
-    def test_message_names_no_setting(self, monkeypatch, direct_g, needle):
-        monkeypatch.setattr(srt.pipeline, "_direct_g", direct_g)
+    def test_message_names_no_setting(self, monkeypatch, evaluate, needle):
+        monkeypatch.setattr(srt.series.TruncatedSeries, "evaluate", evaluate)
         with pytest.raises(PipelineError) as exc:
             run_wild_monodromy(251, 5, 1)
         message = str(exc.value)
+        assert "insufficient precision" in message
         assert needle in message
         assert "(q, r) = (251, 1)" in message
         assert "\n" not in message

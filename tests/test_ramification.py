@@ -5,14 +5,10 @@ import pytest
 
 from srt import (
     Filtration,
-    InvalidQuotient,
     compositum_conductor,
     conductor_case,
     cyclotomic_filtration,
     herbrand,
-    quotient_filtration,
-    radical_step_conductor,
-    trivial_filtration,
     upper_from_lower,
 )
 from srt.ramification import PreconditionViolated
@@ -41,7 +37,7 @@ class TestFiltration:
             f.group_order_at(-1)
 
     def test_conductor(self):
-        assert trivial_filtration().conductor() == 0
+        assert Filtration([(Fraction(0), 1)]).conductor() == 0
         f = Filtration([(0, 20), (1, 5), (Fraction(5, 2), 5)])
         assert f.conductor() == Fraction(5, 2)
 
@@ -62,7 +58,7 @@ class TestCyclotomic:
 
 class TestHerbrand:
     def test_identity_on_trivial(self):
-        f = trivial_filtration()
+        f = Filtration([(Fraction(0), 1)])
         assert herbrand(f, "psi", Fraction(7, 3)) == Fraction(7, 3)
 
     def test_known_values(self):
@@ -74,7 +70,7 @@ class TestHerbrand:
         assert herbrand(f, "phi", 24) == 2
 
     def test_direction_validation(self):
-        f = trivial_filtration()
+        f = Filtration([(Fraction(0), 1)])
         with pytest.raises(ValueError):
             herbrand(f, "up", 1)
         with pytest.raises(ValueError):
@@ -90,26 +86,11 @@ class TestHerbrand:
         assert upper_from_lower(lower) == f
 
 
-class TestQuotient:
-    def test_orders_divide(self):
-        f = cyclotomic_filtration(5, 2)
-        q = quotient_filtration(f, [4, 1])
-        assert q.breaks == ((Fraction(0), 4), (Fraction(1), 1))
-        assert q.conductor() == 0
-        with pytest.raises(InvalidQuotient):
-            quotient_filtration(f, [3, 1])
-        with pytest.raises(InvalidQuotient):
-            quotient_filtration(f, [4])
-
-
 class TestConductors:
     def test_compositum(self):
         assert compositum_conductor([Fraction(1), Fraction(5, 2)]) == Fraction(5, 2)
         with pytest.raises(ValueError):
             compositum_conductor([])
-
-    def test_radical_step(self):
-        assert radical_step_conductor(5) == 5
 
     def test_closed_forms(self):
         assert conductor_case(5, 1, "tame-over-cyclotomic") == 0

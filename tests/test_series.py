@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from srt import (
+    ContextError,
     CoverParams,
     DegenerateCover,
     GaussRational,
@@ -153,13 +154,14 @@ class TestMaclaurin:
     def test_evaluate_against_exact_product(self):
         params = CoverParams(5, 2, 2, 7, Fraction(-7, 2))
         g = maclaurin_g(params, 40)
-        x = Fraction(5, 3)  # v_5 = 1 > 0
-        value, floor = g.evaluate(x, 5)
-        exact = Fraction(1)
+        x = LocalFieldContext(5, N=1, M=40).from_rational(Fraction(5, 3))  # v = 1 > 0
+        value = g.evaluate(x)
+        exact = x.ctx.one()
         for root, m in params.roots():
             exact = exact * (x - root) ** m
-        assert floor > 0
-        assert vp_fraction(value - exact, 5) >= floor
+        assert exact.prec is None
+        assert value.prec > 0
+        assert value == exact.truncate(value.prec)
 
     def test_coefficient_bound_is_honest(self):
         rng = random.Random(5)
@@ -296,8 +298,12 @@ class TestTruncatedSeries:
 
     def test_evaluate_requires_positive_valuation(self):
         g = maclaurin_g(CoverParams(5, 1, 1, 2, Fraction(-2)), 17)
-        with pytest.raises(ValueError):
-            g.evaluate(Fraction(1, 3), 5)
+        with pytest.raises(PreconditionViolated, match=r"v\(x\) > 0"):
+            g.evaluate(LocalFieldContext(5, N=1).from_rational(Fraction(1, 3)))
+        with pytest.raises(PreconditionViolated, match="local-field point"):
+            g.evaluate(Fraction(5, 3))
+        with pytest.raises(ContextError, match="prime mismatch"):
+            g.evaluate(LocalFieldContext(7, N=1).from_rational(7))
 
 
 class TestValuationHelpers:

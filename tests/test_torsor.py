@@ -14,9 +14,7 @@ from srt import (
     InsufficientData,
     LocalFieldContext,
     PreconditionViolated,
-    center_from_constraint,
     insep_tail_catalog,
-    new_insep_radius_bounds,
     nth_root,
     splitting_obstruction,
     tail_center,
@@ -255,41 +253,6 @@ class TestInsepTailCatalog:
             insep_tail_catalog(5, 3, "a=0")
         with pytest.raises(InadmissibleValuation, match=r"v\(1-a\) = 6 must lie in \(0, 9/2\]"):
             insep_tail_catalog(5, 3, "a=1", 3)
-
-
-class TestRadiusBounds:
-    def test_generic(self):
-        rho, e = new_insep_radius_bounds(5, 3, 1, "generic")
-        assert rho == Fraction(2, 3) * (2 + Fraction(1, 4))
-        assert e is None
-
-    def test_a_one(self):
-        assert new_insep_radius_bounds(5, 3, 1, "a=1", 1) == (Fraction(1, 6), Fraction(17, 12))
-
-    def test_monotone_in_level(self):
-        prev = None
-        for j in range(1, 4):
-            rho, _ = new_insep_radius_bounds(5, 4, j, "a=0", extra=1)
-            if prev is not None:
-                assert rho < prev
-            prev = rho
-
-
-class TestCenterFromConstraint:
-    def test_value_and_guarantee(self):
-        a0, guarantee = center_from_constraint(3, 10, Fraction(1, 2), 5)
-        assert a0 == 1 - Fraction(100, 9)
-        assert guarantee == Fraction(1, 2) + 2
-
-    def test_zero_beta(self):
-        a0, guarantee = center_from_constraint(3, 0, Fraction(1, 2), 5)
-        assert a0 == 1 and guarantee is None
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionViolated):
-            center_from_constraint(5, 1, Fraction(1, 2), 5)
-        with pytest.raises(PreconditionViolated):
-            center_from_constraint(3, 1, 0, 5)
 
 
 class TestDeepInsepCorrectedResiduals:

@@ -9,9 +9,7 @@ from srt import (
     ExtendedRational,
     ceil_fraction,
     floor_fraction,
-    fractional_part,
     multinomial,
-    unit_part,
     vp,
 )
 from srt.errors import Unsupported
@@ -63,21 +61,6 @@ class TestExtendedRational:
         assert len({ExtendedRational(1), ExtendedRational(Fraction(2, 2))}) == 1
 
 
-class TestUnitPart:
-    def test_values(self):
-        assert unit_part(250, 5) == 2
-        assert unit_part(Fraction(3, 50), 5) == Fraction(3, 2)
-
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            unit_part(0, 5)
-
-    def test_reconstruction(self):
-        for x in (Fraction(44, 7), Fraction(-18, 125), Fraction(625)):
-            v = int(vp(x, 5).as_fraction())
-            assert unit_part(x, 5) * Fraction(5) ** v == x
-
-
 class TestMultinomial:
     def test_values(self):
         assert multinomial(10, (3, 3, 4)) == 4200
@@ -104,12 +87,6 @@ class TestRounding:
         assert ceil_fraction(Fraction(7, 3)) == 3
         assert ceil_fraction(Fraction(-7, 3)) == -2
         assert ceil_fraction(Fraction(4)) == 4
-
-    def test_fractional_part(self):
-        assert fractional_part(Fraction(7, 3)) == Fraction(1, 3)
-        assert fractional_part(Fraction(-7, 3)) == Fraction(2, 3)
-        assert fractional_part(5) == 0
-
 
 class TestIsPrime:
     def test_agrees_with_trial_division(self):
