@@ -59,7 +59,6 @@ _CONTRADICTION_VERDICTS = {
     "Violation",
     "Contradiction",
     "ProperSubgroup",
-    "no",
     "trivial",
     "inconclusive",
 }
@@ -199,15 +198,12 @@ def _cmd_tree_check(args):
     try:
         cycles = check_vanishing_cycles(tree)
         out["vanishing_cycles"] = cycles.to_json()
-        if cycles.kind == "Violated":
-            code = EXIT_CONTRADICTION
+        code = max(code, _verdict_exit(cycles.kind))
     except MissingLabel as exc:  # report, not fail
         out["vanishing_cycles"] = {"skipped": str(exc)}
     mono = check_monotonic(tree)
     out["monotonicity"] = mono.to_json()
-    if mono.kind == "Violation":
-        code = EXIT_CONTRADICTION
-    return out, code
+    return out, max(code, _verdict_exit(mono.kind))
 
 
 def _cmd_tree_solve(args):

@@ -405,32 +405,17 @@ class CycleCheck:
         return {"verdict": self.kind, "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
-def check_vanishing_cycles(data, level=None):
-    """Global form: 1 = sum over new tails (sigma - 1) + sum over primitive
-    tails sigma. Level form (level = j): |Pi_(j+1)| - 2 = sum (sigma - 1) over
-    the level's tails; input {"pi_count": n, "sigmas": [...]}.
-    """
-    if level is not None:
-        n = int(data["pi_count"])
-        sigmas = [Fraction(s) for s in data["sigmas"]]
-        lhs = sum((s - 1 for s in sigmas), Fraction(0))
-        rhs = Fraction(n - 2)
-        return CycleCheck("Holds" if lhs == rhs else "Violated", lhs, rhs)
-    if isinstance(data, ReductionTree):
-        new = [
-            v.sigma
-            for v in data.vertices.values()
-            if v.tail in ("new-etale", "new-inseparable")
-        ]
-        prim = [v.sigma for v in data.vertices.values() if v.tail == "primitive"]
-        if any(s is None for s in new + prim):
-            raise MissingLabel("all tails need sigma labels")
-    else:
-        new = [Fraction(s) for s in data.get("new", [])]
-        prim = [Fraction(s) for s in data.get("prim", [])]
-    lhs = sum((Fraction(s) - 1 for s in new), Fraction(0)) + sum(
-        (Fraction(s) for s in prim), Fraction(0)
-    )
+def check_vanishing_cycles(tree):
+    """1 = sum over new tails (sigma - 1) + sum over primitive tails sigma."""
+    new = [
+        v.sigma
+        for v in tree.vertices.values()
+        if v.tail in ("new-etale", "new-inseparable")
+    ]
+    prim = [v.sigma for v in tree.vertices.values() if v.tail == "primitive"]
+    if any(s is None for s in new + prim):
+        raise MissingLabel("all tails need sigma labels")
+    lhs = sum((s - 1 for s in new), Fraction(0)) + sum(prim, Fraction(0))
     return CycleCheck("Holds" if lhs == 1 else "Violated", lhs, Fraction(1))
 
 

@@ -256,14 +256,14 @@ def generation_check(gens, q, mode="criterion"):
 _BFS_LIMIT = 30_000_000
 
 
-def _generation_bfs(gens, q, limit=_BFS_LIMIT):
+def _generation_bfs(gens, q):
     # numpy is imported here, its only user, so that `import srt` stays cheap
     import numpy as np
 
     target = q * (q * q - 1)
-    if target > limit:
+    if target > _BFS_LIMIT:
         raise ResourceLimit(
-            f"closure would reach a group order of {target} (limit {limit})"
+            f"closure would reach a group order of {target} (limit {_BFS_LIMIT})"
         )
     if not is_prime(q):
         raise Unsupported(f"bfs mode needs a prime q, got {q}")

@@ -330,26 +330,6 @@ class LocalFieldElement:
             return INFINITY
         return ExtendedRational(self.prec)
 
-    def valuation_at_least(self, bound) -> bool:
-        bound = Fraction(bound)
-        if self._t and self._lead_exponent() < bound:
-            return False
-        if self._prec is not None and self.prec < bound:
-            raise PrecisionError(
-                f"cannot certify valuation >= {bound} at precision p^{self.prec}"
-            )
-        return True
-
-    def unit_at(self, exponent):
-        """Coefficient at the given exponent (0 if provably absent)."""
-        exponent = Fraction(exponent)
-        terms = self.terms
-        if exponent in terms:
-            return terms[exponent]
-        if self._prec is not None and exponent >= self.prec:
-            raise PrecisionError(f"exponent {exponent} beyond precision {self.prec}")
-        return 0
-
     # --- arithmetic ---
 
     def _check_ctx(self, other):
@@ -413,7 +393,7 @@ class LocalFieldElement:
     def __pow__(self, n):
         return power(self, n, self.ctx.one())
 
-    def inverse(self, rel_prec=None):
+    def inverse(self):
         if not self._t:
             if self._prec is None:
                 raise ZeroDivisionError("inverse of exact zero")
@@ -422,13 +402,10 @@ class LocalFieldElement:
         if n < 0:
             n, d = -n, -d
         lead_inv = LocalFieldElement._make(self.ctx, {-j: (d, n)}, None)
-        if len(self._t) == 1 and self._prec is None and rel_prec is None:
+        if len(self._t) == 1 and self._prec is None:
             return lead_inv
         v = self._lead_exponent()
-        if self._prec is not None:
-            rel = self.prec - v
-        else:
-            rel = Fraction(rel_prec if rel_prec is not None else self.ctx.M)
+        rel = self.prec - v if self._prec is not None else Fraction(self.ctx.M)
         # y = 1/x to relative precision `done`: v(x*y - 1) >= done. Each Newton
         # step y <- y - y*(x*y - 1) squares the error, so it needs x and the
         # correction only to relative precision 2*done.

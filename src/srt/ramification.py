@@ -46,16 +46,6 @@ class Filtration:
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "order", int(order))
 
-    def group_order_at(self, u):
-        """|G^u| for u >= 0."""
-        u = Fraction(u)
-        if u < 0:
-            raise PreconditionViolated(f"u must be >= 0, got {u}")
-        for jump, o in self.breaks:
-            if u <= jump:
-                return o
-        return 1
-
     def conductor(self):
         """Largest jump with a nontrivial group, 0 if none."""
         h = Fraction(0)
@@ -63,12 +53,6 @@ class Filtration:
             if o > 1:
                 h = jump
         return h
-
-    def to_json(self):
-        return {
-            "breaks": [{"jump": str(u), "order": o} for u, o in self.breaks],
-            "order": self.order,
-        }
 
     @classmethod
     def from_json(cls, data):
@@ -100,31 +84,17 @@ def herbrand(filtration, direction, x):
         raise PreconditionViolated(f"x must be >= 0, got {x}")
     if direction not in ("phi", "psi"):
         raise PreconditionViolated(f"direction must be phi or psi, got {direction!r}")
-    total = filtration.order
-    segments = []  # (upper start, upper end, slope of psi)
-    prev = Fraction(0)
+    psi = direction == "psi"
+    u = t = Fraction(0)  # start of the current segment, upper and lower numbering
     for jump, o in filtration.breaks[1:]:
-        segments.append((prev, jump, Fraction(total, o)))
-        prev = jump
-    segments.append((prev, None, Fraction(total, 1)))
-    if direction == "psi":
-        acc = Fraction(0)
-        for start, end, slope in segments:
-            seg_end = end if end is not None else None
-            if seg_end is None or x <= seg_end:
-                return acc + (x - start) * slope
-            acc += (seg_end - start) * slope
-        raise AssertionError("unreachable")
-    # phi: invert the same piecewise map
-    acc = Fraction(0)
-    for start, end, slope in segments:
-        if end is None:
-            return start + (x - acc) / slope
-        length = (end - start) * slope
-        if x <= acc + length:
-            return start + (x - acc) / slope
-        acc += length
-    raise AssertionError("unreachable")
+        slope = Fraction(filtration.order, o)  # of psi on (u, jump]
+        t_jump = t + (jump - u) * slope
+        if x <= (jump if psi else t_jump):
+            break
+        u, t = jump, t_jump
+    else:
+        slope = Fraction(filtration.order)
+    return t + (x - u) * slope if psi else u + (x - t) / slope
 
 
 def upper_from_lower(lower_breaks):

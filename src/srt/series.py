@@ -209,13 +209,9 @@ class TruncatedSeries:
     bound (const, slope) so that v(coefficient i) >= const + slope*i - v_p(i)
     holds for every i (used to control dropped tails)."""
 
-    def __init__(self, coefficients, order=None, tail_bound=None, p=None):
+    def __init__(self, coefficients, tail_bound=None, p=None):
         self.coefficients = list(coefficients)
-        self.order = len(self.coefficients) - 1 if order is None else order
-        if len(self.coefficients) != self.order + 1:
-            raise PreconditionViolated(
-                f"expected {self.order + 1} coefficients, got {len(self.coefficients)}"
-            )
+        self.order = len(self.coefficients) - 1
         self.tail_bound = tail_bound
         self.p = p
 
@@ -233,7 +229,7 @@ class TruncatedSeries:
         for i, u in enumerate(self.coefficients[: T + 1]):
             for j, v in enumerate(other.coefficients[: T + 1 - i]):
                 out[i + j] = out[i + j] + u * v
-        return TruncatedSeries(out, T, p=self.p or other.p)
+        return TruncatedSeries(out, p=self.p or other.p)
 
     def tail_floor(self, per_index_weight):
         """Rigorous lower bound for min over k > order of
@@ -266,7 +262,7 @@ class TruncatedSeries:
             raise PreconditionViolated(
                 f"evaluation needs a local-field point, got {type(x).__name__}"
             )
-        vx = element_valuation(x, self.p)
+        vx = element_valuation(x, x.ctx.p if self.p is None else self.p)
         if not vx > 0:
             raise PreconditionViolated(f"evaluation needs v(x) > 0, got {vx}")
         acc = self.coefficients[self.order]
@@ -319,9 +315,9 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
     step loses to its divisor (k+1)*P(0). A center equal to a root is
     refused with PreconditionViolated.
     """
-    out = TruncatedSeries(_recurrence_coefficients(factors, center, T), T, p=p)
-    out.tail_bound = tail_bound
-    return out
+    return TruncatedSeries(
+        _recurrence_coefficients(factors, center, T), tail_bound=tail_bound, p=p
+    )
 
 
 def _recurrence_coefficients(factors, center, T):

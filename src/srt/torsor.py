@@ -13,12 +13,10 @@ from .errors import (
     CaseMismatch,
     InadmissibleValuation,
     InsufficientData,
-    NoNthRoot,
-    PrecisionError,
     PreconditionViolated,
 )
-from .localfield import LocalFieldContext, LocalFieldElement, nth_root
-from .valuation import ExtendedRational, vp
+from .localfield import LocalFieldContext, nth_root
+from .valuation import INFINITY, ExtendedRational, vp
 
 
 GENERIC = "generic"
@@ -80,7 +78,7 @@ def _positive_criterion(vals, p, theta):
     return sigma
 
 
-def splitting_obstruction(vals, p, n, c1=None, cp=None, cp_candidate=None):
+def splitting_obstruction(vals, p, n, c1=None, cp=None):
     """Decide splitting of the torsor 1 + c_1 t + c_2 t^2 + ... at level n.
 
     Args:
@@ -88,8 +86,6 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None, cp_candidate=None):
         p: odd prime; n: level (the torsor splits into p^(n-1) pieces of
            conductor sigma when the verdict is SplitsWithConductor(sigma)).
         c1, cp: optional LocalFieldElements for the borderline comparison.
-        cp_candidate: optional LocalFieldElement, an integral approximation of
-           c_p whose p-th-root term can be absorbed into c_1.
 
     Returns:
         SplitVerdict.
@@ -158,47 +154,17 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None, cp_candidate=None):
                 f"element data (c1, cp) required to compare"
             },
         )
-    ctx = cp.ctx
-    if cp_candidate is None:
-        candidate = c1**p / ctx.from_rational(Fraction(p) ** ((p - 1) * n + 1))
-        root = c1
-        diff1 = ctx.zero()
-    else:
-        candidate = cp_candidate
-        try:
-            root = nth_root(
-                candidate * ctx.from_rational(Fraction(p) ** ((p - 1) * n + 1)), p
-            )
-        except (NoNthRoot, PrecisionError) as exc:
-            return SplitVerdict(
-                "Inconclusive", evidence={"reason": f"root unavailable: {exc}"}
-            )
-        diff1 = c1 - root
-    gap = cp - candidate
-    if not gap.valuation_lower_bound() > theta:
+    candidate = c1**p / cp.ctx.from_rational(Fraction(p) ** ((p - 1) * n + 1))
+    v_gap = (cp - candidate).valuation_lower_bound()
+    if not v_gap > theta:
         return SplitVerdict(
             "Inconclusive",
             evidence={
-                "reason": f"candidate is not within p^{theta} of c_p "
-                f"(v >= {gap.valuation_lower_bound()})"
+                "reason": f"candidate is not within p^{theta} of c_p (v >= {v_gap})"
             },
         )
-    try:
-        below = not diff1.valuation_at_least(theta)
-    except PrecisionError as exc:
-        return SplitVerdict("Inconclusive", evidence={"reason": str(exc)})
-    if below:
-        return SplitVerdict(
-            "ObstructedByConditionII",
-            evidence={
-                "v_c1_minus_root": diff1.valuation(),
-                "threshold": theta,
-            },
-        )
-    return _absorbed_verdict(
-        vals, p, n, theta, diff1.valuation_lower_bound(), v_root,
-        v_p_new=gap.valuation_lower_bound(),
-    )
+    # c_1 is the root itself, so the twist clears index 1
+    return _absorbed_verdict(vals, p, n, theta, INFINITY, v_root, v_p_new=v_gap)
 
 
 def _absorbed_verdict(vals, p, n, theta, v1_new, v_root, v_p_new=None):
@@ -232,7 +198,7 @@ def _absorbed_verdict(vals, p, n, theta, v1_new, v_root, v_p_new=None):
     )
 
 
-def tail_center(p, nu, r, s, case, branch=0, ctx=None):
+def tail_center(p, nu, r, s, case, branch=0):
     """Center of the disk of the new etale tail.
 
     Rational in the non-exceptional cases; a ramified local field element for
@@ -263,7 +229,7 @@ def tail_center(p, nu, r, s, case, branch=0, ctx=None):
             raise InadmissibleValuation(f"v(a) = {va} exceeds nu - 1 = {nu - 1}")
         if p > 5 or va < nu - 1:
             return 1 - Fraction(s, r) ** 2
-        return _exceptional_center(p, nu, r, s, r + s, branch, ctx)
+        return _exceptional_center(p, nu, r, s, r + s, branch)
     # case a=1
     if not vs > 0:
         raise CaseMismatch(f"case a=1 needs v(s) > 0, got v(s)={vs}")
@@ -274,14 +240,13 @@ def tail_center(p, nu, r, s, case, branch=0, ctx=None):
         )
     if p > 5 or w < nu - 1:
         return 1 - Fraction(s, r) ** 2
-    return _exceptional_center(p, nu, r, s, s, branch, ctx)
+    return _exceptional_center(p, nu, r, s, s, branch)
 
 
-def _exceptional_center(p, nu, r, s, binom_arg, branch, ctx):
+def _exceptional_center(p, nu, r, s, binom_arg, branch):
     import math
 
-    if ctx is None:
-        ctx = LocalFieldContext(p)
+    ctx = LocalFieldContext(p)
     radicand = Fraction(p) ** (4 * nu + 1) * math.comb(binom_arg, 5)
     root = nth_root(ctx.from_rational(radicand), 5, branch=branch)
     return 1 - ((ctx.from_rational(s) - root) * Fraction(1, r)) ** 2

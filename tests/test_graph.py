@@ -176,10 +176,20 @@ class TestPropagation:
 
 class TestVanishingCycles:
     def test_global_form(self):
-        ok = check_vanishing_cycles({"new": [Fraction(3, 2)], "prim": [Fraction(1, 2)]})
-        assert ok.kind == "Holds"
-        bad = check_vanishing_cycles({"new": [Fraction(3, 2)], "prim": [Fraction(1)]})
-        assert bad.kind == "Violated"
+        def tree(prim_sigma):
+            return ReductionTree(
+                [
+                    Vertex("root", inertia=1),
+                    Vertex("n", inertia=0, tail="new-etale", sigma=Fraction(3, 2)),
+                    Vertex("t", inertia=0, tail="primitive", sigma=prim_sigma),
+                ],
+                [Edge("root", "n"), Edge("root", "t")],
+            )
+
+        ok = check_vanishing_cycles(tree(Fraction(1, 2)))
+        assert (ok.kind, ok.lhs, ok.rhs) == ("Holds", 1, 1)
+        bad = check_vanishing_cycles(tree(Fraction(1)))
+        assert (bad.kind, bad.lhs) == ("Violated", Fraction(3, 2))
 
     def test_tree_input(self):
         tree = ReductionTree(
@@ -191,13 +201,6 @@ class TestVanishingCycles:
             [Edge("root", "t1"), Edge("root", "t2")],
         )
         assert check_vanishing_cycles(tree).kind == "Holds"
-
-    def test_level_form(self):
-        out = check_vanishing_cycles(
-            {"pi_count": 4, "sigmas": [Fraction(2), Fraction(2)]}, level=1
-        )
-        assert out.kind == "Holds"
-        assert out.lhs == out.rhs == 2
 
     def test_monotonicity(self):
         good = ReductionTree(

@@ -1,9 +1,10 @@
-"""Every name srt exports is reached by a verdict.
+"""Every name srt exports, and every public method of an exported class, is
+reached by a verdict.
 
 A name stays exported only if the package itself, the benchmark harness, a
-demo or an acceptance test uses it in code. A name that only its own unit
-tests call is surface that no verdict needs; delete it instead of keeping it
-exported.
+demo or an acceptance test uses it in code; a method stays only if that code
+names it as an attribute. A name that only its own unit tests call is surface
+that no verdict needs; delete it instead of keeping it.
 """
 import ast
 from pathlib import Path
@@ -52,5 +53,30 @@ USED = _used_identifiers()
 def test_exported_name_is_used(name):
     assert name in USED, (
         f"srt exports {name}, but no code in src/srt, bench/, demos/ or "
+        f"tests/test_acceptance.py uses it"
+    )
+
+
+def _exported_class_methods():
+    """(class, method) for each public method defined in the body of a class
+    that srt exports."""
+    exported = set(_exported_names())
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                out += [
+                    (node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                ]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("cls, method", _exported_class_methods())
+def test_public_method_is_used(cls, method):
+    assert method in USED, (
+        f"{cls}.{method} is public, but no code in src/srt, bench/, demos/ or "
         f"tests/test_acceptance.py uses it"
     )

@@ -27,24 +27,22 @@ class TestFiltration:
         with pytest.raises(ValueError):
             Filtration([(0, 4), (1, 2)], order=8)
 
-    def test_group_order_at(self):
-        f = Filtration([(0, 20), (1, 5), (Fraction(5, 2), 5)])
-        assert f.group_order_at(0) == 20
-        assert f.group_order_at(Fraction(1, 2)) == 5
-        assert f.group_order_at(2) == 5
-        assert f.group_order_at(3) == 1
-        with pytest.raises(ValueError):
-            f.group_order_at(-1)
-
     def test_conductor(self):
         assert Filtration([(Fraction(0), 1)]).conductor() == 0
         f = Filtration([(0, 20), (1, 5), (Fraction(5, 2), 5)])
         assert f.conductor() == Fraction(5, 2)
 
     def test_json_roundtrip(self):
-        f = cyclotomic_filtration(5, 3)
-        again = Filtration.from_json(f.to_json())
-        assert again == f
+        # the file format of `srt herbrand --filtration`
+        data = {
+            "breaks": [
+                {"jump": "0", "order": 100},
+                {"jump": "1", "order": 25},
+                {"jump": "2", "order": 5},
+            ],
+            "order": 100,
+        }
+        assert Filtration.from_json(data) == cyclotomic_filtration(5, 3)
 
 
 class TestCyclotomic:

@@ -285,14 +285,14 @@ class TestTaylorFactors:
 
 class TestTruncatedSeries:
     def test_coefficient_underflow(self):
-        s = TruncatedSeries([Fraction(1), Fraction(2)], 1)
+        s = TruncatedSeries([Fraction(1), Fraction(2)])
         with pytest.raises(TruncationUnderflow) as exc:
             s.coefficient(5)
         assert exc.value.required_order == 5
 
     def test_product_truncates_to_min_order(self):
-        a = TruncatedSeries([Fraction(1)] * 4, 3)
-        b = TruncatedSeries([Fraction(1)] * 3, 2)
+        a = TruncatedSeries([Fraction(1)] * 4)
+        b = TruncatedSeries([Fraction(1)] * 3)
         assert (a * b).order == 2
         assert (a * b).coefficients == [Fraction(1), Fraction(2), Fraction(3)]
 
@@ -304,6 +304,13 @@ class TestTruncatedSeries:
             g.evaluate(Fraction(5, 3))
         with pytest.raises(ContextError, match="prime mismatch"):
             g.evaluate(LocalFieldContext(7, N=1).from_rational(7))
+
+    def test_evaluate_without_a_prime_reads_the_point_prime(self):
+        # no p= given: v(x) is read over the point's own prime, and the
+        # refusal is the missing tail bound, not a prime mismatch
+        s = TruncatedSeries([Fraction(1), Fraction(1)])
+        with pytest.raises(TruncationUnderflow, match="no tail bound"):
+            s.evaluate(LocalFieldContext(5, N=1).pi_power(1))
 
 
 class TestValuationHelpers:

@@ -123,17 +123,19 @@ class TestSplittingObstruction:
     @pytest.mark.parametrize("p, N, v1", [(5, 5, Fraction(6, 5)), (3, 2, Fraction(3, 2))])
     def test_candidate_root_with_a_term_below_the_hensel_level(self, p, N, v1):
         # c_p = c_1^p / p^((p-1)n+1) at n = 1, c_1 = p^v1 (1 + pi): the root
-        # p^v1 (1 + pi) of p^p c_p has a second term below p/(p-1), and the
-        # candidate must give the verdict of the plain tie
+        # p^v1 (1 + pi) of p^p c_p has a second term below p/(p-1); absorbing
+        # it clears index 1, and no prime-to-p index is left at the threshold
         ctx = LocalFieldContext(p, N=N)
         c1 = ctx.pi_power(v1) * (1 + ctx.pi_power(Fraction(1, N)))
         cp = c1**p / ctx.from_rational(p**p)
         vals = [v1] + [10] * (p + 1)
         vals[p - 1] = cp.valuation().as_fraction()
-        plain = splitting_obstruction(vals, p, 1, c1=c1, cp=cp)
-        with_candidate = splitting_obstruction(vals, p, 1, c1=c1, cp=cp, cp_candidate=cp)
-        assert with_candidate.kind == plain.kind
-        assert with_candidate.evidence == plain.evidence
+        v = splitting_obstruction(vals, p, 1, c1=c1, cp=cp)
+        assert v.kind == "Inconclusive"
+        assert v.evidence == {
+            "reason": "no unique prime-to-p index at the threshold after absorption"
+        }
+
 
 class TestTailCenter:
     def test_generic(self):
@@ -170,9 +172,9 @@ class TestTailCenter:
         # 5^(4nu+1) * binom(r+s, 5)
         import math
 
-        ctx = LocalFieldContext(5, N=60, M=4)
+        ctx = LocalFieldContext(5)
         nu, r, s = 2, 1, 4
-        center = tail_center(5, nu, r, s, "a=0", ctx=ctx)
+        center = tail_center(5, nu, r, s, "a=0")
         radicand = Fraction(5) ** (4 * nu + 1) * math.comb(r + s, 5)
         rho = nth_root(ctx.from_rational(radicand), 5)
         expected = 1 - ((ctx.from_rational(s) - rho) * Fraction(1, r)) ** 2
