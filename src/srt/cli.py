@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import MissingLabel, SrtError, Unsupported, UsageError
+from .errors import MissingLabel, ResourceLimit, SrtError, Unsupported, UsageError
 from .graph import (
     ReductionTree,
     check_monotonic,
@@ -137,13 +137,31 @@ def _cmd_expand(args):
         sqrt1ma = Fraction(-args.s, args.r)
     params = CoverParams(args.p, args.nu, args.r, args.s, sqrt1ma)
     series = maclaurin_g(params, args.T)
+    coefficients = _coefficient_strings(series.coefficients)
     vals = scaled_coefficient_valuations(series, args.p, 0)
     return {
         "p": args.p,
         "order": series.order,
-        "coefficients": [str(c) for c in series.coefficients],
+        "coefficients": coefficients,
         "valuations": [str(v) for v in vals],
     }, EXIT_OK
+
+
+def _coefficient_strings(coefficients):
+    """str of each rational coefficient. The largest numerator and the largest
+    denominator are converted first, so a coefficient beyond Python's
+    int-to-str digit limit is refused before any other work."""
+    numerators = (abs(c.numerator) for c in coefficients)
+    denominators = (c.denominator for c in coefficients)
+    for ints in (numerators, denominators):
+        try:
+            str(max(ints))
+        except ValueError:
+            raise ResourceLimit(
+                f"a coefficient has more than {sys.get_int_max_str_digits()} "
+                f"digits, too many to print; lower --T or --p"
+            ) from None
+    return [str(c) for c in coefficients]
 
 
 def _cmd_split_check(args):

@@ -12,14 +12,20 @@ bound on the dropped coefficients.
 
 In every coefficient ring the Taylor coefficients come from the linear
 recurrence of the ODE P*g' = Q*g that g satisfies, in O(T) ring operations.
-Each step divides by (k+1)*P(0); outside Q it multiplies by 1/P(0), inverted
-once, and by 1/(k+1). On finite-precision local field elements those products
-lower the recorded precision by what they cost, so no coefficient claims more
-precision than it has.
+Over Q the recurrence runs on the integers h_k = g_k L^k / g_0, where L is
+the lcm of the numerators of the roots shifted to the center; h_k is an
+integer because every binomial coefficient of an integer exponent is one.
+Each step is one integer division by (k+1)*P(0), checked to be exact, and
+each coefficient becomes one Fraction at the end. In Q(i) and the local
+field each step multiplies by 1/P(0), inverted once, and by 1/(k+1). On
+finite-precision local field elements those products lower the recorded
+precision by what they cost, so no coefficient claims more precision than it
+has.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 from .errors import (
@@ -332,7 +338,11 @@ def _recurrence_coefficients(factors, center, T):
 
     from g_0 = prod (-b_i)^m_i: the D-finite recurrence of Stanley (1980)
     and gfun (Salvy-Zimmermann 1994). P_0 = prod (-b_i) is nonzero since
-    the center is not a root; repeated roots need no special case.
+    the center is not a root; repeated roots need no special case. Over Q
+    the recurrence runs on the integers h_k = g_k L^k / g_0, with L the lcm
+    of the numerators of the b_i, and each step's division by (k+1) P_0 is
+    checked to be exact (_rational_coefficients). In Q(i) and the local field
+    each step multiplies by 1/P_0, inverted once, and by 1/(k+1).
     """
     factors = list(factors)
     one = _ring_one(center, *(root for root, _ in factors))
@@ -354,25 +364,63 @@ def _recurrence_coefficients(factors, center, T):
             if j != i:
                 rest = _times_linear(rest, b)
         Q = [q + m * c for q, c in zip(Q, rest)]
-    rational = isinstance(one, Fraction)
-    if rational:
-        # the ODE is homogeneous in (P, Q): integer P and Q keep the inner
-        # loop to int * Fraction products
-        D = math.lcm(*(c.denominator for c in P + Q))
-        P = [int(c * D) for c in P]
-        Q = [int(c * D) for c in Q]
-    # 1/P(0) is inverted once, not once per step. Over Q, P(0) is an int by
-    # now, and one division by the int (k+1)*P(0) is cheaper than two products.
-    inv_P0 = None if rational else one / P[0]
+    if isinstance(one, Fraction):
+        return _rational_coefficients([b for b, _ in shifted], g0, P, Q, T)
+    inv_P0 = one / P[0]
     g = [g0]
     for k in range(T):
         acc = 0 * one
         for j in range(1, min(n, k + 1) + 1):
             acc = acc + (Q[j - 1] - (k + 1 - j) * P[j]) * g[k + 1 - j]
-        if rational:
-            g.append(acc / ((k + 1) * P[0]))
-        else:
-            g.append(acc * inv_P0 * Fraction(1, k + 1))
+        g.append(acc * inv_P0 * Fraction(1, k + 1))
+    return g
+
+
+def _rational_coefficients(bases, g0, P, Q, T):
+    """The recurrence of _recurrence_coefficients over Q, on integers.
+
+    Let L be the lcm of the numerators of the shifted roots b_i = u_i/v_i.
+    Since g/g_0 = prod (1 - (v_i/u_i) t)^m_i and binomial coefficients of an
+    integer exponent are integers, h_k = g_k L^k / g_0 is an integer. The ODE
+    is homogeneous in (P, Q), so P and Q are scaled to integers, and
+
+        (k+1) P_0 h_{k+1} = sum_{j=1..n} (Q_{j-1} - (k+1-j) P_j) L^j h_{k+1-j}.
+
+    Each step is then one integer division by (k+1) P_0. It is exact by the
+    argument above, so a remainder is an internal error, raised as a
+    RuntimeError naming k. Coefficient k comes back as the one Fraction
+    g_0 h_k / L^k. The denominator of g_k / g_0 divides L^k, so h_k carries
+    few digits beyond the coefficient's own; a scaling by k! P_0^k or by
+    P_0^k grows faster and makes large T slower.
+    """
+    D = math.lcm(*(c.denominator for c in P + Q))
+    L = math.lcm(*(b.numerator for b in bases))
+    n = len(P) - 1
+    # QL[j] = Q_{j-1} L^j and PL[j] = P_j L^j, for j = 1..n
+    QL, PL = [0], [0]
+    Lj = 1
+    for j in range(1, n + 1):
+        Lj *= L
+        QL.append(int(Q[j - 1] * D) * Lj)
+        PL.append(int(P[j] * D) * Lj)
+    P0 = int(P[0] * D)
+    num, den = g0.numerator, g0.denominator
+    h = deque([1], maxlen=n)  # h_{k+1-j} is h[-j]
+    g = [g0]
+    Lk = 1
+    for k in range(T):
+        acc = 0
+        for j in range(1, min(n, k + 1) + 1):
+            acc += (QL[j] - (k + 1 - j) * PL[j]) * h[-j]
+        hk, rem = divmod(acc, (k + 1) * P0)
+        if rem:
+            raise RuntimeError(
+                f"internal error: the integer Maclaurin recurrence left a "
+                f"remainder at k = {k + 1}"
+            )
+        h.append(hk)
+        Lk *= L
+        g.append(Fraction(num * hk, den * Lk))
     return g
 
 

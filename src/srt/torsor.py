@@ -105,8 +105,9 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None):
                 },
             )
     v_p = vals[p]
+    bound = min(v_p, ExtendedRational(theta))
     for i, v in vals.items():
-        if i != p and v < min(v_p, ExtendedRational(theta)):
+        if i != p and v < bound:
             return SplitVerdict(
                 "ObstructedByConditionI",
                 evidence={"witness_index": i, "valuation": v, "threshold": theta},

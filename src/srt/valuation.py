@@ -19,65 +19,66 @@ class ExtendedRational:
 
     Supports the arithmetic a valuation needs: addition with rationals and
     with other extended rationals (inf + x = inf), comparison, and scaling by
-    a nonnegative rational.
+    a nonnegative rational. The other operand may be an ExtendedRational or
+    anything Fraction accepts; None stands for +infinity.
     """
 
     __slots__ = ("value",)
 
     def __init__(self, value=None):
-        if value is None:
-            self.value = None  # infinity
-        else:
-            self.value = Fraction(value)
+        if value is not None and not isinstance(value, Fraction):
+            value = Fraction(value)
+        self.value = value  # None is infinity
 
     @property
     def is_infinite(self):
         return self.value is None
 
-    def _coerce(self, other):
-        if isinstance(other, ExtendedRational):
-            return other
-        return ExtendedRational(other)
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.is_infinite or other.is_infinite:
+        b = _value(other)
+        if self.value is None or b is None:
             return INFINITY
-        return ExtendedRational(self.value + other.value)
+        return ExtendedRational(self.value + b)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_infinite or other.is_infinite:
+        b = _value(other)
+        if self.value is None or b is None:
             return INFINITY
-        return ExtendedRational(self.value * other.value)
+        return ExtendedRational(self.value * b)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         try:
-            other = self._coerce(other)
+            return self.value == _value(other)
         except (TypeError, ValueError):
             return NotImplemented
-        return self.value == other.value
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if self.is_infinite:
+        a, b = self.value, _value(other)
+        if a is None:
             return False
-        if other.is_infinite:
-            return True
-        return self.value < other.value
+        return b is None or a < b
 
     def __le__(self, other):
-        return self == other or self < other
+        a, b = self.value, _value(other)
+        if b is None:
+            return True
+        return a is not None and a <= b
 
     def __gt__(self, other):
-        return not self <= other
+        a, b = self.value, _value(other)
+        if b is None:
+            return False
+        return a is None or a > b
 
     def __ge__(self, other):
-        return not self < other
+        a, b = self.value, _value(other)
+        if a is None:
+            return True
+        return b is not None and a >= b
 
     def __hash__(self):
         return hash(self.value)
@@ -94,6 +95,16 @@ class ExtendedRational:
 
 
 INFINITY = ExtendedRational()
+
+
+def _value(x):
+    """The Fraction (or None for infinity) an operand of ExtendedRational
+    stands for; ints pass as they are, other numbers convert exactly."""
+    if isinstance(x, ExtendedRational):
+        return x.value
+    if x is None or isinstance(x, (int, Fraction)):
+        return x
+    return Fraction(x)
 
 
 def vp(x, p) -> ExtendedRational:

@@ -41,6 +41,21 @@ def general_binomial(m, k):
     return out
 
 
+def binomial_reference(factors, center, T):
+    """Coefficients 0..T of prod (z - root)^m at `center`, as the truncated
+    product of the binomial expansions
+    (center - root)^m * sum binom(m, k) (t / (center - root))^k."""
+    out = [Fraction(1)] + [Fraction(0)] * T
+    for root, m in factors:
+        base = center - root
+        expansion = [general_binomial(m, k) * base**m / base**k for k in range(T + 1)]
+        out = [
+            sum((out[i] * expansion[k - i] for i in range(k + 1)), Fraction(0))
+            for k in range(T + 1)
+        ]
+    return out
+
+
 def rational_mod(x, m, p):
     """x mod m for a Fraction x with denominator prime to p (m a power of p)."""
     x = Fraction(x)

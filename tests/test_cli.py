@@ -282,6 +282,23 @@ class TestExitCodes:
         assert dispatch(["tail-radius", "--p", "7", "--bogus", "1"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_expand_beyond_the_digit_limit_is_refused(self, capsys):
+        # the shifted root 999999937/1000000007 puts about 9 more digits in
+        # each coefficient, so one of order 600 passes the int-to-str limit
+        # (so does the default order of --p 10007)
+        flags = ["expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2",
+                 "--sqrt1ma", "999999937/1000000007"]
+        code, out, err = run_cli(capsys, *flags, "--T", "600")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: a coefficient has more than")
+        assert "lower --T or --p" in err
+        # one order lower, every coefficient prints
+        code, out, _ = run_cli(capsys, *flags, "--T", "400")
+        assert code == EXIT_OK
+        assert len(json.loads(out)["coefficients"]) == 401
+
 
 TREE = {
     "vertices": [

@@ -27,8 +27,10 @@ from srt import (
     vp,
 )
 from srt.cli import EXIT_OK, dispatch
+from srt.errors import SrtError
+from srt.series import _rational_coefficients
 
-from helpers import general_binomial, vp_fraction
+from helpers import binomial_reference, general_binomial, vp_fraction
 
 
 class TestGeneralBinomial:
@@ -201,20 +203,23 @@ class TestMaclaurin:
         assert out["order"] == 755
         assert Fraction(out["coefficients"][0]) == (-1) ** (r + s)
 
+    def test_large_order_is_fast(self):
+        # the integer recurrence scales coefficient k by L^k with L = 2 here
+        # and takes about 0.3 s on a 2-core box; scaling by P(0)^k = 4^k
+        # instead takes about 4.6 s, and by k! P(0)^k far longer
+        params = CoverParams(5, 1, 1, 2, Fraction(-2))
+        t0 = time.perf_counter()
+        series = maclaurin_g(params, 12000)
+        assert time.perf_counter() - t0 < 2
+        assert series.order == 12000
 
-def _binomial_reference(factors, center, T):
-    """Coefficients 0..T of prod (z - root)^m at `center`, as the truncated
-    product of the binomial expansions
-    (center - root)^m * sum binom(m, k) (t / (center - root))^k."""
-    out = [Fraction(1)] + [Fraction(0)] * T
-    for root, m in factors:
-        base = center - root
-        expansion = [general_binomial(m, k) * base**m / base**k for k in range(T + 1)]
-        out = [
-            sum((out[i] * expansion[k - i] for i in range(k + 1)), Fraction(0))
-            for k in range(T + 1)
-        ]
-    return out
+    def test_inexact_integer_step_is_an_internal_error(self):
+        # L = 2 from a shifted root 2 does not clear the root 3 of P = t - 3:
+        # the first step leaves a remainder, which is a bug, not a user error
+        P, Q = [Fraction(-3), Fraction(1)], [Fraction(1)]
+        with pytest.raises(RuntimeError, match="k = 1") as exc:
+            _rational_coefficients([Fraction(2)], Fraction(1), P, Q, 3)
+        assert not isinstance(exc.value, SrtError)
 
 
 def _unit_factors(s, c):
@@ -230,19 +235,28 @@ class TestTaylorFactors:
         "a=0, sqrt1ma=1": CoverParams(7, 1, 2, 5, Fraction(1)).roots(),
         "a=0, sqrt1ma=-1": CoverParams(7, 1, 2, 5, Fraction(-1)).roots(),
         "case-i unit": _unit_factors(10, Fraction(-10, 3)),
+        # at center 0 the shifted numerators share the factor 2: L = 2 < |P(0)| = 4
+        "roots +-1, +-2": [
+            (Fraction(1), 3), (Fraction(-1), -2), (Fraction(2), 5), (Fraction(-2), -4)
+        ],
+        "repeated root": [(Fraction(3), 2), (Fraction(3), -5), (Fraction(-1, 2), 3)],
+        # an odd number of positive roots: P(0) < 0 at center 0
+        "negative P(0)": [(Fraction(2), 1), (Fraction(3), -2), (Fraction(5, 4), 3)],
     }
 
-    # 14/5 has v_7 = 1 > 0 and is none of the roots
+    # 14/5 has v_7 = 1 > 0, and neither it nor -7/4 is a root
     @pytest.mark.parametrize("name", sorted(FACTOR_SETS))
     @pytest.mark.parametrize(
-        "center", [Fraction(0), Fraction(14, 5), I_GAUSS], ids=["0", "14_5", "i"]
+        "center",
+        [Fraction(0), Fraction(14, 5), Fraction(-7, 4), I_GAUSS],
+        ids=["0", "14_5", "-7_4", "i"],
     )
     def test_recurrence_matches_binomial_products(self, name, center):
         factors = self.FACTOR_SETS[name]
         assert center not in [root for root, _ in factors]
         T = 3 * self.P + 2
         got = taylor_factors(factors, center, T, self.P).coefficients
-        assert got == _binomial_reference(factors, center, T)
+        assert got == binomial_reference(factors, center, T)
         ring = GaussRational if isinstance(center, GaussRational) else Fraction
         assert all(type(c) is ring for c in got)
 
@@ -265,7 +279,7 @@ class TestTaylorFactors:
     def test_local_field_center_matches_binomial_products(self, make):
         factors, center, T = getattr(self, make)()
         got = taylor_factors(factors, center, T, 5).coefficients
-        want = _binomial_reference(factors, center, T)
+        want = binomial_reference(factors, center, T)
         assert all(type(c) is LocalFieldElement for c in got)
         for k, (g, w) in enumerate(zip(got, want)):
             # the difference vanishes below the joint precision

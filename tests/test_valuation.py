@@ -1,5 +1,6 @@
 """Unit tests for exact p-adic valuations and combinatorial helpers."""
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,69 @@ class TestExtendedRational:
 
     def test_hashable(self):
         assert len({ExtendedRational(1), ExtendedRational(Fraction(2, 2))}) == 1
+
+    # operands of every type a comparison accepts, each with the extended
+    # rational it stands for (None is +infinity)
+    OPERANDS = [
+        (0, Fraction(0)),
+        (1, Fraction(1)),
+        (Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(-3, 4), Fraction(-3, 4)),
+        (ExtendedRational(Fraction(1, 2)), Fraction(1, 2)),
+        (ExtendedRational(-1), Fraction(-1)),
+        (INFINITY, None),
+        ("1/2", Fraction(1, 2)),
+        ("2", Fraction(2)),
+        # compared exactly, not through float(1/3)
+        (1 / 3, Fraction(1 / 3)),
+    ]
+    SELVES = [
+        ExtendedRational(Fraction(1, 2)),
+        ExtendedRational(1),
+        ExtendedRational(Fraction(1, 3)),
+        ExtendedRational(-1),
+        INFINITY,
+    ]
+    OPS = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
+
+    @staticmethod
+    def _key(v):
+        # +infinity above every rational
+        return (1, 0) if v is None else (0, v)
+
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: op.__name__)
+    def test_comparison_table(self, op):
+        for a in self.SELVES:
+            ka = self._key(a.value)
+            for b, vb in self.OPERANDS:
+                kb = self._key(vb)
+                assert op(a, b) is op(ka, kb), (a, op.__name__, b)
+                # the reflected form, e.g. Fraction < ExtendedRational
+                assert op(b, a) is op(kb, ka), (b, op.__name__, a)
+
+    @pytest.mark.parametrize("other", ["abc", object(), [1], 1j])
+    def test_equality_with_a_non_number_is_false(self, other):
+        for a in self.SELVES:
+            assert not a == other
+            assert a != other
+            assert not other == a
+
+    @pytest.mark.parametrize("op", OPS[2:], ids=lambda op: op.__name__)
+    def test_ordering_against_a_non_number_raises(self, op):
+        with pytest.raises(ValueError):
+            op(ExtendedRational(1), "abc")
+        with pytest.raises(TypeError):
+            op(ExtendedRational(1), object())
+
+    @pytest.mark.parametrize("x", [0, -7, Fraction(3, 5), Fraction(-9, 4), "5/10", 10**30])
+    def test_hash_matches_fraction(self, x):
+        assert hash(ExtendedRational(x)) == hash(Fraction(x))
+        assert ExtendedRational(x).value == Fraction(x)
+
+    def test_fraction_is_kept(self):
+        x = Fraction(7, 3)
+        assert ExtendedRational(x).value is x
+        assert type(ExtendedRational(5).value) is Fraction
 
 
 class TestMultinomial:
