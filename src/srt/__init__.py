@@ -36,7 +36,6 @@ from .series import (
     element_valuation,
     maclaurin_g,
     scaled_coefficient_valuations,
-    taylor_at,
     taylor_factors,
 )
 from .torsor import (

@@ -8,7 +8,7 @@ for m_G = 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -44,6 +44,17 @@ def invariant_weights(r, p):
 TAIL_KINDS = ("none", "primitive", "new-etale", "new-inseparable")
 
 
+def _label(value):
+    """A numeric label as a Fraction; None stays None (label not given)."""
+    return None if value is None else Fraction(value)
+
+
+def _json_labels(obj, names):
+    """The JSON entries {name: str(value)} of the labels of obj that are set."""
+    values = ((name, getattr(obj, name)) for name in names)
+    return {name: str(value) for name, value in values if value is not None}
+
+
 @dataclass
 class Vertex:
     id: str
@@ -54,14 +65,14 @@ class Vertex:
     delta_eff: Fraction | None = None
 
     def __post_init__(self):
+        self.sigma = _label(self.sigma)
+        self.delta_eff = _label(self.delta_eff)
         if self.tail not in TAIL_KINDS:
             raise InvalidTree(f"unknown tail kind {self.tail!r}")
         if any(index < 1 for _, index in self.branch_points):
             raise InvalidTree(
                 f"branch point indices must be positive, got {self.branch_points}"
             )
-        if self.sigma is not None:
-            self.sigma = Fraction(self.sigma)
 
 
 @dataclass
@@ -72,10 +83,8 @@ class Edge:
     sigma_eff: Fraction | None = None
 
     def __post_init__(self):
-        if self.epaisseur is not None:
-            self.epaisseur = Fraction(self.epaisseur)
-        if self.sigma_eff is not None:
-            self.sigma_eff = Fraction(self.sigma_eff)
+        self.epaisseur = _label(self.epaisseur)
+        self.sigma_eff = _label(self.sigma_eff)
 
     @property
     def key(self):
@@ -83,25 +92,29 @@ class Edge:
 
 
 class ReductionTree:
+    """A rooted tree of components. Each non-root vertex has exactly one
+    entering edge, kept in the index edge_to (vertex id -> Edge); the parent
+    of v is edge_to[v].parent, and the root is the one vertex not in it.
+    children lists the child ids of each vertex in edge order."""
+
     def __init__(self, vertices, edges):
         self.vertices = {v.id: v for v in vertices}
         if len(self.vertices) != len(vertices):
             raise InvalidTree("duplicate vertex ids")
         self.edges = list(edges)
         self.children = {v: [] for v in self.vertices}
-        parents = {}
+        self.edge_to = {}
         for e in self.edges:
             if e.parent not in self.vertices or e.child not in self.vertices:
                 raise InvalidTree(f"edge {e.key} references unknown vertex")
-            if e.child in parents:
+            if e.child in self.edge_to:
                 raise InvalidTree(f"vertex {e.child} has two parents")
-            parents[e.child] = e.parent
+            self.edge_to[e.child] = e
             self.children[e.parent].append(e.child)
-        roots = [v for v in self.vertices if v not in parents]
+        roots = [v for v in self.vertices if v not in self.edge_to]
         if len(roots) != 1:
             raise InvalidTree(f"expected a unique root, found {roots}")
         self.root = roots[0]
-        self.parent_of = parents
         # connectivity (tree = all vertices reachable from the root)
         seen = set()
         stack = [self.root]
@@ -112,59 +125,38 @@ class ReductionTree:
         if seen != set(self.vertices):
             raise InvalidTree("graph is not a connected tree")
 
-    def edge(self, parent, child):
-        for e in self.edges:
-            if e.key == (parent, child):
-                return e
-        raise KeyError(f"no edge {(parent, child)}")
-
     def path_from_root(self, vertex):
         path = [vertex]
         while path[-1] != self.root:
-            path.append(self.parent_of[path[-1]])
+            path.append(self.edge_to[path[-1]].parent)
         return list(reversed(path))
 
     # serialization
 
     @classmethod
     def from_json(cls, data):
-        vertices = []
-        for v in data["vertices"]:
-            vertices.append(
-                Vertex(
-                    id=str(v["id"]),
-                    inertia=int(v.get("inertia", 0)),
-                    tail=v.get("tail", "none"),
-                    branch_points=[
-                        (str(b["id"]), int(b["index"]))
-                        for b in v.get("branch_points", [])
-                    ],
-                    sigma=Fraction(v["sigma"]) if v.get("sigma") is not None else None,
-                    delta_eff=(
-                        Fraction(v["delta_eff"])
-                        if v.get("delta_eff") is not None
-                        else None
-                    ),
-                )
+        vertices = [
+            Vertex(
+                id=str(v["id"]),
+                inertia=int(v.get("inertia", 0)),
+                tail=v.get("tail", "none"),
+                branch_points=[
+                    (str(b["id"]), int(b["index"])) for b in v.get("branch_points", [])
+                ],
+                sigma=v.get("sigma"),
+                delta_eff=v.get("delta_eff"),
             )
-        edges = []
-        for e in data["edges"]:
-            edges.append(
-                Edge(
-                    parent=str(e["parent"]),
-                    child=str(e["child"]),
-                    epaisseur=(
-                        Fraction(e["epaisseur"])
-                        if e.get("epaisseur") is not None
-                        else None
-                    ),
-                    sigma_eff=(
-                        Fraction(e["sigma_eff"])
-                        if e.get("sigma_eff") is not None
-                        else None
-                    ),
-                )
+            for v in data["vertices"]
+        ]
+        edges = [
+            Edge(
+                parent=str(e["parent"]),
+                child=str(e["child"]),
+                epaisseur=e.get("epaisseur"),
+                sigma_eff=e.get("sigma_eff"),
             )
+            for e in data["edges"]
+        ]
         return cls(vertices, edges)
 
     def to_json(self):
@@ -177,12 +169,7 @@ class ReductionTree:
                     "branch_points": [
                         {"id": b, "index": i} for b, i in v.branch_points
                     ],
-                    **({"sigma": str(v.sigma)} if v.sigma is not None else {}),
-                    **(
-                        {"delta_eff": str(v.delta_eff)}
-                        if v.delta_eff is not None
-                        else {}
-                    ),
+                    **_json_labels(v, ("sigma", "delta_eff")),
                 }
                 for v in self.vertices.values()
             ],
@@ -190,23 +177,20 @@ class ReductionTree:
                 {
                     "parent": e.parent,
                     "child": e.child,
-                    **(
-                        {"epaisseur": str(e.epaisseur)}
-                        if e.epaisseur is not None
-                        else {}
-                    ),
-                    **(
-                        {"sigma_eff": str(e.sigma_eff)}
-                        if e.sigma_eff is not None
-                        else {}
-                    ),
+                    **_json_labels(e, ("epaisseur", "sigma_eff")),
                 }
                 for e in self.edges
             ],
         }
 
     def copy(self):
-        return ReductionTree.from_json(self.to_json())
+        return ReductionTree(
+            [
+                replace(v, branch_points=list(v.branch_points))
+                for v in self.vertices.values()
+            ],
+            [replace(e) for e in self.edges],
+        )
 
 
 def validate_tree(tree, p):
@@ -216,15 +200,15 @@ def validate_tree(tree, p):
     index divisible by p^r must not sit strictly below inertia on the path."""
     problems = []
     for v in tree.vertices.values():
-        if v.id != tree.root and v.inertia == 0 and v.tail == "none":
+        edge = tree.edge_to.get(v.id)
+        parent = None if edge is None else tree.vertices[edge.parent]
+        if parent is not None and v.inertia == 0 and v.tail == "none":
             problems.append(f"etale component {v.id} is not marked as a tail")
-        if v.tail != "none":
-            parent = tree.parent_of.get(v.id)
-            if parent is not None and not tree.vertices[parent].inertia > v.inertia:
-                problems.append(
-                    f"tail {v.id} (inertia {v.inertia}) under parent of inertia "
-                    f"{tree.vertices[parent].inertia}"
-                )
+        if v.tail != "none" and parent is not None and not parent.inertia > v.inertia:
+            problems.append(
+                f"tail {v.id} (inertia {v.inertia}) under parent of inertia "
+                f"{parent.inertia}"
+            )
         for point, index in v.branch_points:
             a, _ = split_p_part(index, p)
             if v.inertia != a:
@@ -232,13 +216,11 @@ def validate_tree(tree, p):
                     f"branch point {point} of index {index} on a component of "
                     f"inertia {v.inertia}, expected {a}"
                 )
-            if a >= 1 and v.id != tree.root:
-                parent = tree.vertices[tree.parent_of[v.id]]
-                if not parent.inertia > a:
-                    problems.append(
-                        f"wild branch point {point} (index {index}) not under a "
-                        f"component of inertia > {a}"
-                    )
+            if a >= 1 and parent is not None and not parent.inertia > a:
+                problems.append(
+                    f"wild branch point {point} (index {index}) not under a "
+                    f"component of inertia > {a}"
+                )
     return problems
 
 
@@ -349,11 +331,10 @@ def propagate_differents(tree, p, root_delta=None):
             unknowns.append(f"epaisseur{e.key}")
         if e.sigma_eff is None:
             unknowns.append(f"sigma_eff{e.key}")
-    for leaf, v in work.vertices.items():
-        if work.children[leaf]:
+    for leaf, children in work.children.items():
+        if children:
             continue
-        path = work.path_from_root(leaf)
-        path_edges = [work.edge(a, b) for a, b in zip(path, path[1:])]
+        path_edges = [work.edge_to[v] for v in work.path_from_root(leaf)[1:]]
         open_run = [e for e in path_edges if e.epaisseur is None]
         if not open_run:
             continue

@@ -23,7 +23,7 @@ class Filtration:
     breaks: tuple
     order: int
 
-    def __init__(self, breaks, order=None):
+    def __init__(self, breaks):
         breaks = tuple((Fraction(u), int(o)) for u, o in breaks)
         if not breaks:
             raise PreconditionViolated("filtration needs at least the u = 0 entry")
@@ -37,14 +37,8 @@ class Filtration:
             raise PreconditionViolated(f"orders must be weakly decreasing, got {orders}")
         if orders[-1] < 1:
             raise PreconditionViolated(f"orders must be positive, got {orders}")
-        if order is None:
-            order = orders[0]
-        if order != orders[0]:
-            raise PreconditionViolated(
-                f"total order {order} must equal the order at u = 0 ({orders[0]})"
-            )
         object.__setattr__(self, "breaks", breaks)
-        object.__setattr__(self, "order", int(order))
+        object.__setattr__(self, "order", orders[0])
 
     def conductor(self):
         """Largest jump with a nontrivial group, 0 if none."""
@@ -56,10 +50,16 @@ class Filtration:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            [(Fraction(b["jump"]), int(b["order"])) for b in data["breaks"]],
-            int(data.get("order") or 0) or None,
-        )
+        """Read {"breaks": [{"jump", "order"}, ...]}; an optional nonzero
+        "order" must equal the order at u = 0."""
+        breaks = [(Fraction(b["jump"]), int(b["order"])) for b in data["breaks"]]
+        order = int(data.get("order") or 0)
+        filtration = cls(breaks)
+        if order and order != filtration.order:
+            raise PreconditionViolated(
+                f"total order {order} must equal the order at u = 0 ({filtration.order})"
+            )
+        return filtration
 
 
 def cyclotomic_filtration(p, nu):

@@ -4,11 +4,11 @@ Truncated series expansions of the degree-(r+s) rational cover function
     g(z) = ((z+1)/(z-1))^r * ((z+c)/(z-c))^s,    c = sqrt(1-a),
 
 around a center d. On a disk z = d + e*t the expansion of g is
-taylor_at(params, d, T) with coefficient i times e^i. Coefficients are exact:
-rationals, Gaussian rationals, or local field elements, depending on where
-the expansion center lives. Truncation is tracked honestly; evaluation at a
-local-field point cuts the sum to a precision derived from a proven lower
-bound on the dropped coefficients.
+taylor_factors(params.roots(), d, T, p) with coefficient i multiplied by e^i.
+Coefficients are exact: rationals, Gaussian rationals, or local field
+elements, depending on where the expansion center lives. Truncation is
+tracked honestly; evaluation at a local-field point cuts the sum to a
+precision derived from a proven lower bound on the dropped coefficients.
 
 In every coefficient ring the Taylor coefficients come from the linear
 recurrence of the ODE P*g' = Q*g that g satisfies, in O(T) ring operations.
@@ -291,23 +291,9 @@ def maclaurin_g(params, T=None):
         T = 3 * params.p + 2
     if T < 1:
         raise PreconditionViolated(f"T must be >= 1, got {T}")
-    return taylor_at(params, Fraction(0), T)
-
-
-def taylor_at(params, center, T):
-    """Exact Taylor expansion of g at `center` through order T.
-
-    The center may be a Fraction, GaussRational, or LocalFieldElement; the
-    coefficients live in the same ring. Within order T the coefficients are
-    exact, so no truncation error enters below order T + 1. The tail bound
-    of CoverParams.coefficient_bound is attached when v(center) > 0.
-
-    The expansion of g(d + e*t) in t is taylor_at(params, d, T) with
-    coefficient i multiplied by e^i; a caller who needs more digits at a
-    local-field center raises the context's M.
-    """
-    tail = params.coefficient_bound() if _center_small(center, params.p) else None
-    return taylor_factors(params.roots(), center, T, params.p, tail_bound=tail)
+    return taylor_factors(
+        params.roots(), Fraction(0), T, params.p, tail_bound=params.coefficient_bound()
+    )
 
 
 def taylor_factors(factors, center, T, p, tail_bound=None):
@@ -320,6 +306,12 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
     elements because LocalFieldElement arithmetic records the precision each
     step loses to its divisor (k+1)*P(0). A center equal to a root is
     refused with PreconditionViolated.
+
+    The center may be a Fraction, GaussRational or LocalFieldElement; the
+    coefficients live in the same ring and are exact within order T. The
+    expansion of g(d + e*t) in t is taylor_factors(params.roots(), d, T, p)
+    with coefficient i multiplied by e^i; a caller who needs more digits at a
+    local-field center raises the context's M.
     """
     return TruncatedSeries(
         _recurrence_coefficients(factors, center, T), tail_bound=tail_bound, p=p
@@ -449,13 +441,6 @@ def _ring_one(*xs):
     if any(isinstance(x, GaussRational) for x in xs):
         return GaussRational(1)
     return Fraction(1)
-
-
-def _center_small(center, p):
-    try:
-        return element_valuation(center, p) > 0
-    except (ValueError, ArithmeticError):
-        return False
 
 
 def _is_zero(x):

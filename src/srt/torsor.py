@@ -26,19 +26,9 @@ _CASES = (GENERIC, A_ZERO, A_ONE)
 
 
 def _norm_case(case):
-    aliases = {
-        "generic": GENERIC,
-        "a=0": A_ZERO,
-        "a0": A_ZERO,
-        "a-zero": A_ZERO,
-        "a=1": A_ONE,
-        "a1": A_ONE,
-        "a-one": A_ONE,
-    }
-    key = str(case).lower()
-    if key not in aliases:
+    if case not in _CASES:
         raise CaseMismatch(f"unknown case {case!r}; expected one of {_CASES}")
-    return aliases[key]
+    return case
 
 
 @dataclass

@@ -20,7 +20,9 @@ class ExtendedRational:
     Supports the arithmetic a valuation needs: addition with rationals and
     with other extended rationals (inf + x = inf), comparison, and scaling by
     a nonnegative rational. The other operand may be an ExtendedRational or
-    anything Fraction accepts; None stands for +infinity.
+    anything Fraction accepts. ExtendedRational(None) is +infinity, but None
+    as an operand is not a valuation: == with it is False, and ordering and
+    arithmetic with it raise TypeError.
     """
 
     __slots__ = ("value",)
@@ -99,10 +101,12 @@ INFINITY = ExtendedRational()
 
 def _value(x):
     """The Fraction (or None for infinity) an operand of ExtendedRational
-    stands for; ints pass as they are, other numbers convert exactly."""
+    stands for; ints pass as they are, other numbers convert exactly, and
+    anything Fraction refuses, None included, raises TypeError or
+    ValueError."""
     if isinstance(x, ExtendedRational):
         return x.value
-    if x is None or isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)):
         return x
     return Fraction(x)
 

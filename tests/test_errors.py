@@ -160,6 +160,9 @@ BAD_INPUTS = [
     (["split-check", "--p", "5", "--level", "1", "--vals", '["1", "2"]'], "i = 5"),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "0", "--case", "a=1"], "s != 0"),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "b"], "case"),
+    # only the spellings generic, a=0 and a=1 name a case
+    (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "A=0"], "case"),
+    (["tail-radius", "--p", "7", "--nu", "2", "--case", "a0"], "case"),
     (["tail-radius", "--p", "1", "--nu", "2", "--case", "generic"], "odd prime"),
     (["tail-radius", "--p", "7", "--nu", "2", "--case", "a=0", "--extra", "-1"], "positive"),
     (["insep-tails", "--p", "4", "--nu", "2", "--case", "a=0", "--extra", "1"], "odd prime"),

@@ -24,8 +24,10 @@ class TestFiltration:
             Filtration([(0, 4), (2, 2), (1, 2)])  # jumps must increase
         with pytest.raises(ValueError):
             Filtration([(0, 2), (1, 4)])  # orders must decrease
-        with pytest.raises(ValueError):
-            Filtration([(0, 4), (1, 2)], order=8)
+        with pytest.raises(ValueError, match="total order 8"):
+            Filtration.from_json(
+                {"breaks": [{"jump": "0", "order": 4}, {"jump": "1", "order": 2}], "order": 8}
+            )
 
     def test_conductor(self):
         assert Filtration([(Fraction(0), 1)]).conductor() == 0

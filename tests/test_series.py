@@ -22,7 +22,6 @@ from srt import (
     nth_root,
     scaled_coefficient_valuations,
     sqrt_of_minus_one,
-    taylor_at,
     taylor_factors,
     vp,
 )
@@ -146,12 +145,6 @@ class TestMaclaurin:
                 g.coefficient(5) / c0
                 == Fraction(4, 15) * m**5 + Fraction(4, 3) * m**3 + Fraction(2, 5) * m
             )
-
-    def test_matches_taylor_at_zero(self):
-        params = CoverParams(7, 2, 3, 10, Fraction(-10, 3))
-        a = maclaurin_g(params, 12)
-        b = taylor_at(params, Fraction(0), 12)
-        assert a.coefficients == b.coefficients
 
     def test_evaluate_against_exact_product(self):
         params = CoverParams(5, 2, 2, 7, Fraction(-7, 2))

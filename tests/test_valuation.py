@@ -114,6 +114,27 @@ class TestExtendedRational:
         with pytest.raises(TypeError):
             op(ExtendedRational(1), object())
 
+    # ExtendedRational(None) is +infinity, but a None operand is not a
+    # valuation (it used to read as infinity: INFINITY == None was True)
+    def test_equality_with_none_is_false(self):
+        assert ExtendedRational(None) == INFINITY
+        assert not INFINITY == None  # noqa: E711
+        assert not ExtendedRational(1) == None  # noqa: E711
+        assert INFINITY != None  # noqa: E711
+
+    @pytest.mark.parametrize("op", OPS[2:], ids=lambda op: op.__name__)
+    def test_ordering_against_none_raises(self, op):
+        for a in self.SELVES:
+            with pytest.raises(TypeError):
+                op(a, None)
+
+    def test_adding_none_raises(self):
+        for a in self.SELVES:
+            with pytest.raises(TypeError):
+                a + None
+            with pytest.raises(TypeError):
+                None + a
+
     @pytest.mark.parametrize("x", [0, -7, Fraction(3, 5), Fraction(-9, 4), "5/10", 10**30])
     def test_hash_matches_fraction(self, x):
         assert hash(ExtendedRational(x)) == hash(Fraction(x))
