@@ -8,8 +8,6 @@ from .errors import SrtError
 from .valuation import (
     INFINITY,
     ExtendedRational,
-    ceil_fraction,
-    floor_fraction,
     multinomial,
     vp,
 )

@@ -18,9 +18,10 @@ subfield.
 
 The canonical form keeps at most one term per residue class of j mod N, which
 makes the valuation of a nonzero element exact: distinct classes can never
-cancel. It is computed on ints alone. Callers see the `terms` view, which maps
-each valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
-residue otherwise.
+cancel. It is computed on ints alone, and every computation here reads it.
+Callers see the `terms` view, a new dict on each read, which maps each
+valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
+residue otherwise. A context (p, N, M) is a frozen dataclass.
 
 The inverse is Newton's iteration y <- y(2 - xy), which doubles the relative
 precision each step (Caruso, Computations with p-adic numbers,
@@ -36,6 +37,7 @@ PrecisionError. `is_pth_power` turns these into "no" and "undecidable".
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -48,8 +50,6 @@ from .errors import (
 from .valuation import (
     INFINITY,
     ExtendedRational,
-    ceil_fraction,
-    floor_fraction,
     is_prime,
     power,
     split_p_part,
@@ -61,38 +61,21 @@ DEFAULT_N = 40
 DEFAULT_M = 8
 
 
-def _modinv(a, m):
-    return pow(a % m, -1, m)
-
-
+@dataclass(frozen=True)
 class LocalFieldContext:
     """Ambient field Q_p(pi), pi^N = p, with default unit precision M."""
 
-    def __init__(self, p, N=DEFAULT_N, M=DEFAULT_M):
-        if p == 2 or not is_prime(p):
-            raise ContextError(f"p must be an odd prime, got {p}")
-        if N < 1 or M < 1:
-            raise ContextError(f"N and M must be positive, got N={N}, M={M}")
-        self.p = p
-        self.N = N
-        self.M = M
+    p: int
+    N: int = DEFAULT_N
+    M: int = DEFAULT_M
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalFieldContext)
-            and (self.p, self.N, self.M) == (other.p, other.N, other.M)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.N, self.M))
-
-    def __repr__(self):
-        return f"LocalFieldContext(p={self.p}, N={self.N}, M={self.M})"
+    def __post_init__(self):
+        if self.p == 2 or not is_prime(self.p):
+            raise ContextError(f"p must be an odd prime, got {self.p}")
+        if self.N < 1 or self.M < 1:
+            raise ContextError(f"N and M must be positive, got N={self.N}, M={self.M}")
 
     # constructors
-
-    def element(self, pairs, prec=None):
-        return LocalFieldElement(self, pairs, prec)
 
     def zero(self, prec=None):
         return LocalFieldElement._make(self, {}, _prec_pair(prec, self.N))
@@ -110,20 +93,6 @@ class LocalFieldContext:
     def pi_power(self, j, unit=1, prec=None):
         """unit * pi^(j*N), i.e. valuation j (j a Fraction with denominator | N)."""
         return LocalFieldElement(self, [(Fraction(j), Fraction(unit))], prec)
-
-
-# Fraction(j, N) for the term keys of the `terms` view, one dict per N
-_EXPONENTS = {}
-
-
-def _exponent(N, j):
-    keys = _EXPONENTS.get(N)
-    if keys is None:
-        keys = _EXPONENTS[N] = {}
-    e = keys.get(j)
-    if e is None:
-        e = keys[j] = Fraction(j, N)
-    return e
 
 
 def _pair(a, b, N):
@@ -256,13 +225,12 @@ def _canonicalize(p, N, pairs, prec):
 
 
 class LocalFieldElement:
-    __slots__ = ("ctx", "_prec", "_t", "_view")
+    __slots__ = ("ctx", "_prec", "_t")
 
     def __init__(self, ctx, pairs, prec=None):
         self.ctx = ctx
         self._prec = prec = _prec_pair(prec, ctx.N)
         self._t = _canonicalize(ctx.p, ctx.N, _integer_terms(ctx, pairs), prec)
-        self._view = None
 
     @classmethod
     def _make(cls, ctx, t, prec):
@@ -272,7 +240,6 @@ class LocalFieldElement:
         x.ctx = ctx
         x._prec = prec
         x._t = t
-        x._view = None
         return x
 
     def _build(self, pairs, prec):
@@ -290,19 +257,14 @@ class LocalFieldElement:
     @property
     def terms(self):
         """{valuation (Fraction): unit}, the unit a Fraction when exact and an
-        int residue otherwise."""
-        view = self._view
-        if view is None:
-            N = self.ctx.N
-            if self._prec is None:
-                view = {_exponent(N, j): Fraction(n, d) for j, (n, d) in self._t.items()}
-            else:
-                view = {_exponent(N, j): n for j, (n, _) in self._t.items()}
-            self._view = view
-        return view
+        int residue otherwise; a new dict on each read."""
+        N = self.ctx.N
+        if self._prec is None:
+            return {Fraction(j, N): Fraction(n, d) for j, (n, d) in self._t.items()}
+        return {Fraction(j, N): n for j, (n, _) in self._t.items()}
 
     def _lead_exponent(self):
-        return _exponent(self.ctx.N, next(iter(self._t)))
+        return Fraction(next(iter(self._t)), self.ctx.N)
 
     # --- queries ---
 
@@ -469,7 +431,7 @@ class LocalFieldElement:
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.prec, tuple(self.terms.items())))
+        return hash((self.ctx, self._prec, tuple(self._t.items())))
 
     def __repr__(self):
         p = self.ctx.p
@@ -495,7 +457,7 @@ class LocalFieldElement:
                     "exponent": str(e),
                     "unit": str(u),
                     "modulus": (
-                        f"{self.ctx.p}^{ceil_fraction(prec - e)}"
+                        f"{self.ctx.p}^{math.ceil(prec - e)}"
                         if prec is not None
                         else "exact"
                     ),
@@ -544,7 +506,7 @@ def _hensel_start(w, ctx):
     p, N = ctx.p, ctx.N
 
     def digit(j, num, den):
-        return LocalFieldElement._make(ctx, {j: (num * _modinv(den, p) % p, 1)}, None)
+        return LocalFieldElement._make(ctx, {j: (num * pow(den, -1, p) % p, 1)}, None)
 
     y = digit(0, *w._t[0])
     while True:
@@ -647,7 +609,7 @@ def _unit_root(w, n):
     if m == 1:
         return w
     num, den = w._t[0]
-    res = num * _modinv(den, p) % p
+    res = num * pow(den, -1, p) % p
     y = next((y for y in range(1, p) if pow(y, m, p) == res), None)
     if y is None:
         raise NoNthRoot(f"{w!r} has no {m}-th root: {res} is no {m}-th power mod {p}")
@@ -671,9 +633,9 @@ def hensel_sqrt(u, p, M):
 def sqrt_of_minus_one(ctx, prec=None):
     """The square root of -1 congruent to the smaller root mod p; requires
     p = 1 mod 4."""
-    M = ceil_fraction(prec) if prec is not None else ctx.M
+    M = math.ceil(Fraction(prec)) if prec is not None else ctx.M
     r = hensel_sqrt(-1 % ctx.p ** M, ctx.p, M)
-    return ctx.element([(Fraction(0), r)], Fraction(M))
+    return ctx.from_rational(r, M)
 
 
 def nth_root(x, n, branch=0):
@@ -728,15 +690,16 @@ class PthPowerVerdict:
         return out
 
 
-def _class_residue(x, frac_class, modulus_exp, p):
-    """Aggregate integer residue of the terms of x in one exponent class."""
-    total = Fraction(0)
-    for e, u in x.terms.items():
-        f = e - floor_fraction(e)
-        if f == frac_class:
-            total += Fraction(u) * Fraction(p) ** floor_fraction(e - frac_class)
+def _class_residue(x, r, modulus_exp):
+    """Residue modulo p^modulus_exp of the integral element x in the class r
+    of exponents mod N: the canonical form holds at most one term
+    u * pi^(r + m*N) there, which counts as u * p^m; 0 if the class is empty."""
+    p, N = x.ctx.p, x.ctx.N
     mod = p**modulus_exp
-    return total.numerator * _modinv(total.denominator, mod) % mod if total else 0
+    for j, (num, den) in x._t.items():
+        if j % N == r:
+            return num * p ** (j // N) * pow(den, -1, mod) % mod
+    return 0
 
 
 def _no_certificate(w, ctx):
@@ -744,28 +707,19 @@ def _no_certificate(w, ctx):
     from the lowest fractional term with valuation in (1, p/(p-1)] (None if
     there is none), then the first violated congruence."""
     p, Nsub = ctx.p, ctx.N
-    C = Fraction(p, p - 1)
-    alpha = int(_class_residue(w, Fraction(0), 1, p))
+    alpha = _class_residue(w, 0, 1)
     beta = None
-    beta_exponent = None
+    y = ctx.from_rational(alpha)
     for j, (num, den) in w._t.items():
         if j % Nsub and Nsub < j and j * (p - 1) <= p * Nsub:
             # the candidate digit t sits at exponent e - 1 > 0; its cross term
-            # is p * alpha^(p-1) * beta * pi^(e-1)
-            coeff = num * _modinv(den, p) % p
-            beta = coeff * _modinv(pow(alpha, p - 1, p), p) % p
-            beta_exponent = _exponent(Nsub, j)
+            # is p * alpha^(p-1) * beta * pi^(e-1), and alpha^(p-1) = 1 mod p
+            beta = num * pow(den, -1, p) % p
+            y = y + ctx.pi_power(Fraction(j - Nsub, Nsub), beta)
             break
-    y = ctx.element([(Fraction(0), alpha)])
-    if beta is not None:
-        y = y + ctx.element([(beta_exponent - 1, beta)])
     yp = y**p
     diff = yp - w
-    violated = None
-    for e in sorted(diff.terms):
-        if e <= C:
-            violated = e
-            break
+    violated = next((j for j in diff._t if j * (p - 1) <= p * Nsub), None)
     cert = {
         "kind": "congruence",
         "alpha": alpha,
@@ -774,16 +728,15 @@ def _no_certificate(w, ctx):
         "modulus_beta": p,
     }
     if violated is not None:
-        f = violated - floor_fraction(violated)
-        mexp = floor_fraction(C - f) + 1
-        lhs = _class_residue(yp, f, mexp, p)
-        rhs = _class_residue(w, f, mexp, p)
+        r = violated % Nsub
+        f = Fraction(r, Nsub)
+        mexp = math.floor(Fraction(p, p - 1) - f) + 1
         cert.update(
             {
                 "violated_exponent_class": str(f),
                 "modulus": f"{p}^{mexp}",
-                "lhs": int(lhs),
-                "rhs": int(rhs),
+                "lhs": _class_residue(yp, r, mexp),
+                "rhs": _class_residue(w, r, mexp),
             }
         )
     return cert
@@ -814,12 +767,13 @@ def is_pth_power(x):
     """
     ctx = x.ctx
     p = ctx.p
-    if not x.terms:
-        if x.prec is None:
+    if not x._t:
+        if x._prec is None:
             raise PreconditionViolated("0 is excluded from the power test")
         return PthPowerVerdict("undecidable", certificate={"reason": "zero to precision"})
-    v = min(x.terms)
-    if (v / p * ctx.N).denominator != 1:
+    j0 = next(iter(x._t))
+    v = Fraction(j0, ctx.N)
+    if j0 % p:
         return PthPowerVerdict(
             "no",
             certificate={
@@ -830,10 +784,8 @@ def is_pth_power(x):
             },
         )
     # reduce to a unit in the minimal subcontext
-    w_full = x * ctx.element([(-v, 1)])
-    denoms = [e.denominator for e in w_full.terms]
-    Nsub = math.lcm(1, *denoms)
-    sub = LocalFieldContext(p, Nsub, ctx.M)
+    w_full = x * ctx.pi_power(-v)
+    sub = LocalFieldContext(p, ctx.N // math.gcd(ctx.N, *w_full._t), ctx.M)
     w = w_full.to_context(sub)
     try:
         unit_root = _unit_root(w, p)
@@ -841,5 +793,5 @@ def is_pth_power(x):
         return PthPowerVerdict("no", certificate=_no_certificate(w, sub))
     except PrecisionError as exc:
         return PthPowerVerdict("undecidable", certificate={"reason": str(exc)})
-    root = unit_root.to_context(ctx) * ctx.element([(v / p, 1)])
+    root = unit_root.to_context(ctx) * ctx.pi_power(v / p)
     return PthPowerVerdict("yes", root=root)

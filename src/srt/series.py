@@ -445,7 +445,7 @@ def _ring_one(*xs):
 
 def _is_zero(x):
     if isinstance(x, LocalFieldElement):
-        return not x.terms and x.prec is None
+        return x.valuation_lower_bound().is_infinite
     if isinstance(x, GaussRational):
         return x.re == 0 and x.im == 0
     return Fraction(x) == 0

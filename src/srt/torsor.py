@@ -167,11 +167,6 @@ def _absorbed_verdict(vals, p, n, theta, v1_new, v_root, v_p_new=None):
         # the twist contributes binom(p^n, k) eta^k at index k
         contribution = Fraction(n) * (1 - k) + v_root * k
         new_vals[k] = min(new_vals[k], contribution)
-    if not new_vals[p] > theta:
-        return SplitVerdict(
-            "Inconclusive",
-            evidence={"reason": "absorbed c_p not certified above the threshold"},
-        )
     sigma = _positive_criterion(new_vals, p, theta)
     if sigma is not None:
         return SplitVerdict(

@@ -156,17 +156,6 @@ def multinomial(q, parts):
     return out
 
 
-def floor_fraction(x) -> int:
-    """Floor of a Fraction as an int."""
-    x = Fraction(x)
-    return x.numerator // x.denominator
-
-
-def ceil_fraction(x) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
-
-
 # the primes up to 41: trial divisors and Miller-Rabin bases of is_prime
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all the bases above (Sorenson and Webster,

@@ -4,8 +4,10 @@ The harness reaches srt only through attribute lookups at run time, so a
 renamed or deleted name fails there, not at import. These tests fail first.
 """
 import ast
+import collections
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import srt
@@ -83,3 +85,26 @@ def test_workload_names_resolve():
         except AttributeError:
             unresolved.append(name)
     assert not unresolved
+
+
+def test_annotate_callbacks_read_live_results():
+    # the callbacks read srt results (`terms`, `.kind`, `.order`) only in a
+    # traced run; run each one here on what srt returns
+    annotate = _load_tracing().ANNOTATE
+    assert set(annotate) == {"localfield.mul", "localfield.is_pth_power", "groups.generation_check"}
+    counters = collections.Counter()
+    ctx = srt.LocalFieldContext(5, N=5)
+    x = ctx.from_rational(7) + ctx.pi_power(Fraction(1, 5), 2)
+    annotate["localfield.mul"](counters, (x, x), {}, x * x, 0)
+    annotate["localfield.mul"](counters, (x, 3), {}, x * 3, 0)
+    assert counters["localfield.mul.term_products"] == 2 * 2 + 2 * 1
+    verdict = srt.is_pth_power(ctx.from_rational(32))
+    annotate["localfield.is_pth_power"](counters, (ctx.from_rational(32),), {}, verdict, 0)
+    assert counters["localfield.is_pth_power.attempts"] == 1
+    assert counters["localfield.is_pth_power.decided"] == 1
+    q = 7
+    gens = [srt.groups.MatrixElement(1, 1, 0, 1, q), srt.groups.MatrixElement(1, 0, 1, 1, q)]
+    result = srt.generation_check(gens, q, mode="bfs")
+    annotate["groups.generation_check"](counters, (gens, q), {"mode": "bfs"}, result, 1000)
+    assert counters["groups.bfs.elements"] == q * (q * q - 1)
+    assert counters["groups.bfs.ns"] == 1000

@@ -10,6 +10,7 @@ import pytest
 from srt import (
     ContextError,
     LocalFieldContext,
+    LocalFieldElement,
     NoNthRoot,
     NoSquareRoot,
     PrecisionError,
@@ -47,6 +48,14 @@ class TestContext:
         with pytest.raises(ContextError):
             LocalFieldContext(5, M=0)
 
+    def test_frozen(self):
+        ctx = LocalFieldContext(5, 5, 8)
+        with pytest.raises(AttributeError):
+            ctx.M = 9
+        assert ctx.M == 8
+        assert repr(ctx) == "LocalFieldContext(p=5, N=5, M=8)"
+        assert hash(ctx) == hash((5, 5, 8))
+
 
 class TestCanonicalForm:
     def test_pi_power_unit_normalization(self):
@@ -71,6 +80,17 @@ class TestCanonicalForm:
         x = ctx.from_rational(7) - ctx.from_rational(7)
         assert x.is_zero()
         assert x.valuation().is_infinite
+
+    def test_terms_view_is_a_copy(self):
+        ctx = LocalFieldContext(5, N=5)
+        for prec in (None, 3):
+            x = ctx.from_rational(7, prec)
+            before = (repr(x), x.to_json(), is_pth_power(x).to_json(), hash(x))
+            view = x.terms
+            view.clear()
+            view[Fraction(1, 5)] = 3
+            assert (repr(x), x.to_json(), is_pth_power(x).to_json(), hash(x)) == before
+            assert hash(x) == hash(ctx.from_rational(7, prec))
 
     def test_bad_exponent(self):
         with pytest.raises(ContextError):
@@ -101,7 +121,7 @@ class TestPrecision:
         # a precision need not lie in (1/N)Z; it shows as the same Fraction
         # in repr, to_json, == and hash, and moves by term valuations
         ctx = ctx5()
-        x = ctx.element([(0, 7), (Fraction(1, 5), 3)], prec=Fraction(1, 3))
+        x = LocalFieldElement(ctx, [(0, 7), (Fraction(1, 5), 3)], prec=Fraction(1, 3))
         assert repr(x) == "2 + 3*5^(1/5) + O(5^(1/3))"
         assert x.to_json() == {
             "terms": [
@@ -111,9 +131,9 @@ class TestPrecision:
             "precision": "1/3",
         }
         assert x.prec == Fraction(1, 3)
-        same = ctx.element([(0, 2), (Fraction(1, 5), 3)], prec="2/6")
+        same = LocalFieldElement(ctx, [(0, 2), (Fraction(1, 5), 3)], prec="2/6")
         assert x == same and hash(x) == hash(same)
-        assert x != ctx.element([(0, 2), (Fraction(1, 5), 3)], prec=Fraction(2, 5))
+        assert x != LocalFieldElement(ctx, [(0, 2), (Fraction(1, 5), 3)], prec=Fraction(2, 5))
         y = x * ctx.pi_power(Fraction(1, 5))
         assert repr(y) == "2*5^(1/5) + 3*5^(2/5) + O(5^(8/15))"
         assert repr(x + ctx.zero(prec=Fraction(1, 5))) == "2 + O(5^(1/5))"
@@ -125,19 +145,19 @@ class TestPrecision:
     def test_precision_carried_into_a_subfield(self):
         # 276 + 3*5 + 4*5^3 = 791 = 166 mod 5^4, at precision 16/5 in Q_5
         sub = LocalFieldContext(5, N=1, M=8)
-        z = ctx5().element([(0, 276), (1, 3), (3, 4)], prec=Fraction(16, 5))
+        z = LocalFieldElement(ctx5(), [(0, 276), (1, 3), (3, 4)], prec=Fraction(16, 5))
         w = z.to_context(sub)
         assert repr(w) == "166 + O(5^(16/5))"
         assert w.to_json() == {
             "terms": [{"exponent": "0", "unit": "166", "modulus": "5^4"}],
             "precision": "16/5",
         }
-        same = sub.element([(0, 166)], prec=Fraction(16, 5))
+        same = LocalFieldElement(sub, [(0, 166)], prec=Fraction(16, 5))
         assert w == same and hash(w) == hash(same)
         assert repr(w * 5) == "166*5 + O(5^(21/5))"
-        assert w.to_context(ctx5()) == ctx5().element([(0, 166)], prec=Fraction(16, 5))
-        on_grid = ctx5().element([(0, 7)], prec=Fraction(15, 5)).to_context(sub)
-        assert on_grid == sub.element([(0, 7)], prec=3)
+        assert w.to_context(ctx5()) == LocalFieldElement(ctx5(), [(0, 166)], prec=Fraction(16, 5))
+        on_grid = LocalFieldElement(ctx5(), [(0, 7)], prec=Fraction(15, 5)).to_context(sub)
+        assert on_grid == LocalFieldElement(sub, [(0, 7)], prec=3)
 
 
 class TestArithmeticAgainstOracle:
@@ -322,8 +342,8 @@ class TestIsPthPower:
         ctx = ctx5()
         for u, beta in ((Fraction(7, 2), 1), (Fraction(1, 3), 2)):
             pairs = [(0, 1), (Fraction(6, 5), u)]
-            exact = is_pth_power(ctx.element(pairs))
-            finite = is_pth_power(ctx.element(pairs, prec=6))
+            exact = is_pth_power(LocalFieldElement(ctx, pairs))
+            finite = is_pth_power(LocalFieldElement(ctx, pairs, prec=6))
             assert exact.kind == finite.kind == "no"
             assert exact.certificate == finite.certificate
             assert exact.certificate["beta"] == beta
@@ -359,12 +379,12 @@ class TestIsPthPower:
         # 8 = 2^3 to precision 3^(3/2): the digits are found, but a root needs
         # the quotient known beyond p/(p-1) = 3/2
         ctx = LocalFieldContext(3, N=n)
-        v = is_pth_power(ctx.element([(0, 8)], prec=Fraction(3, 2)))
+        v = is_pth_power(LocalFieldElement(ctx, [(0, 8)], prec=Fraction(3, 2)))
         assert v.kind == "undecidable"
         assert "\n" not in v.certificate["reason"]
-        above = is_pth_power(ctx.element([(0, 8)], prec=Fraction(7, 4)))
+        above = is_pth_power(LocalFieldElement(ctx, [(0, 8)], prec=Fraction(7, 4)))
         assert above.kind == "yes"
-        assert above.root == ctx.element([(0, 2)], prec=Fraction(3, 4))
+        assert above.root == LocalFieldElement(ctx, [(0, 2)], prec=Fraction(3, 4))
 
     @pytest.mark.parametrize(
         "pairs, prec",
@@ -378,7 +398,7 @@ class TestIsPthPower:
         # the lowest fractional term sits below v = 1, where no beta digit
         # can reach it; the certificate used to put beta at a negative
         # exponent and fail to invert p
-        x = ctx5().element(pairs, prec=prec)
+        x = LocalFieldElement(ctx5(), pairs, prec=prec)
         v = is_pth_power(x)
         assert v.kind == "no"
         cert = v.certificate
@@ -396,9 +416,10 @@ class TestIsPthPower:
         ctx = LocalFieldContext(p, N=N)
         rng = random.Random(N * p)
         for _ in range(20):
-            y = ctx.element(
+            y = LocalFieldElement(
+                ctx,
                 [(0, rng.randrange(1, p))]
-                + [(Fraction(j, N), rng.randint(1, 50)) for j in range(1, 2 * N)]
+                + [(Fraction(j, N), rng.randint(1, 50)) for j in range(1, 2 * N)],
             )
             for x in (y**p, (y**p).truncate(3)):
                 v = is_pth_power(x)
@@ -421,9 +442,10 @@ class TestIsPthPower:
         for _ in range(60):
             p = rng.choice((3, 5, 7))
             c = LocalFieldContext(p, N=rng.choice((1, 2, 5)), M=rng.choice((4, 8)))
-            y = c.element(
+            y = LocalFieldElement(
+                c,
                 [(Fraction(rng.randrange(2 * c.N), c.N), rng.randint(1, 40))
-                 for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(1, 3))],
             )
             x = y**p + c.pi_power(Fraction(rng.randrange(c.N, 4 * c.N), c.N), rng.randint(1, 9))
             root = is_pth_power(x).root
@@ -478,7 +500,7 @@ class TestPthPowerOracle:
                     # power at valuation min(e + 1, 5e): the exact digits of
                     # the root must reach one past its precision
                     assert v.root.prec == (x.prec if x.prec is not None else ctx.M) - 1
-                    digits = ctx.element(list(v.root.terms.items()))
+                    digits = LocalFieldElement(ctx, list(v.root.terms.items()))
                     assert (digits**5 - x).valuation_lower_bound() >= v.root.prec + 1
             elif v.certificate["kind"] == "congruence":
                 assert v.certificate["lhs"] != v.certificate["rhs"]

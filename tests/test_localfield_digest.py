@@ -1,0 +1,123 @@
+"""Byte-identity of `srt.localfield` over seeded random elements.
+
+Each element of Q_p(pi), pi^N = p, exact or at a finite precision, is drawn
+with p in {3, 5, 7, 11} and N up to 2p. The sha256 of its repr, to_json,
+`terms` view and `prec`, together with the outcome of `is_pth_power`,
+`nth_root(x, p)`, `nth_root(x, 2)`, `inverse()` and `x**3`, is compared with a
+digest committed here; an outcome is its JSON, or the exception's type and
+message. Half the elements sit near a p-th power, so "yes", "no" with a
+congruence certificate and "undecidable" all occur. `sqrt_of_minus_one` at
+p in {5, 13, 17, 29} is pinned too.
+
+If the output is meant to change, regenerate the digest with
+``PYTHONPATH=src python tests/test_localfield_digest.py`` and say why in
+CHANGES.md.
+"""
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+from srt import (
+    LocalFieldContext,
+    LocalFieldElement,
+    SrtError,
+    is_pth_power,
+    nth_root,
+    sqrt_of_minus_one,
+)
+
+EXPECTED_DIGEST = "ecd3cf0fbe30b8c41e59bfe9c3bef53b0f6305e080a4784e03297c860813b1ab"
+EXPECTED_RECORDS = 1516
+ELEMENTS = 1500
+
+
+def _unit(rng, p):
+    if rng.random() < 0.5:
+        return rng.randint(-30, 30)
+    return Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, p, 4 * p]))
+
+
+def _prec(rng, N):
+    r = rng.random()
+    if r < 0.4:
+        return None
+    if r < 0.9:
+        return Fraction(rng.randint(1, 4 * N), N)
+    # off the (1/N)Z grid
+    return Fraction(rng.randint(1, 12), rng.choice([2, 3, 7]))
+
+
+def _element(rng):
+    p = rng.choice([3, 5, 7, 11])
+    N = rng.randint(1, 2 * p)
+    ctx = LocalFieldContext(p, N, rng.randint(2, 4))
+    prec = _prec(rng, N)
+    if rng.random() < 0.5:
+        pairs = [
+            (Fraction(rng.randint(-N, 3 * N), N), _unit(rng, p))
+            for _ in range(rng.randint(0, 4))
+        ]
+        return LocalFieldElement(ctx, pairs, prec)
+    # near a p-th power: y^p, shifted to a valuation that p may divide, plus
+    # most often one term at a valuation in (0, 2], past p/(p-1) for every p
+    y = LocalFieldElement(
+        ctx,
+        [(Fraction(rng.randint(0, N), N), rng.randint(1, p - 1)) for _ in range(rng.randint(1, 4))],
+    )
+    x = y**p * ctx.pi_power(Fraction(rng.randint(-2, 2) * p, N))
+    if rng.random() < 0.7:
+        e = Fraction(rng.randint(1, 2 * N), N)
+        x = x + ctx.pi_power(e, rng.randint(1, p - 1))
+    return x.truncate(prec) if prec is not None else x
+
+
+def _outcome(f):
+    try:
+        return f().to_json()
+    except (SrtError, ZeroDivisionError) as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def _records():
+    rng = random.Random(20)
+    for _ in range(ELEMENTS):
+        x = _element(rng)
+        p = x.ctx.p
+        yield {
+            "ctx": repr(x.ctx),
+            "repr": repr(x),
+            "json": x.to_json(),
+            "terms": [[str(e), str(u), type(u).__name__] for e, u in x.terms.items()],
+            "prec": str(x.prec),
+            "is_pth_power": _outcome(lambda: is_pth_power(x)),
+            "nth_root_p": _outcome(lambda: nth_root(x, p)),
+            "nth_root_2": _outcome(lambda: nth_root(x, 2)),
+            "inverse": _outcome(x.inverse),
+            "cube": _outcome(lambda: x**3),
+        }
+    for p in (5, 13, 17, 29):
+        ctx = LocalFieldContext(p, 4, 6)
+        for prec in (None, 3, "5/2", Fraction(7, 3)):
+            yield {"sqrt_of_minus_one": [p, str(prec), _outcome(lambda: sqrt_of_minus_one(ctx, prec))]}
+
+
+def _digest():
+    h = hashlib.sha256()
+    n = 0
+    for record in _records():
+        h.update(json.dumps(record, sort_keys=True).encode())
+        h.update(b"\n")
+        n += 1
+    return h.hexdigest(), n
+
+
+def test_localfield_outputs_are_byte_identical():
+    digest, n = _digest()
+    assert n == EXPECTED_RECORDS
+    assert digest == EXPECTED_DIGEST
+
+
+if __name__ == "__main__":
+    digest, n = _digest()
+    print(json.dumps({"digest": digest, "records": n}))

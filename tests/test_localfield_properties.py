@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from srt import LocalFieldContext, is_pth_power, nth_root
+from srt import LocalFieldContext, LocalFieldElement, is_pth_power, nth_root
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -113,7 +113,7 @@ def elements(draw, N):
         u = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from([1, 2, 3, 5, 7, 25])))
         pairs.append((Fraction(j, N), u))
     prec = None if draw(st.booleans()) else Fraction(draw(st.integers(-N, 3 * N)), N)
-    return ctx.element(pairs, prec)
+    return LocalFieldElement(ctx, pairs, prec)
 
 
 @st.composite

@@ -8,8 +8,6 @@ import pytest
 from srt import (
     INFINITY,
     ExtendedRational,
-    ceil_fraction,
-    floor_fraction,
     multinomial,
     vp,
 )
@@ -164,14 +162,6 @@ class TestMultinomial:
         with pytest.raises(ValueError):
             multinomial(4, (-1, 5))
 
-
-class TestRounding:
-    def test_floor_ceil(self):
-        assert floor_fraction(Fraction(7, 3)) == 2
-        assert floor_fraction(Fraction(-7, 3)) == -3
-        assert ceil_fraction(Fraction(7, 3)) == 3
-        assert ceil_fraction(Fraction(-7, 3)) == -2
-        assert ceil_fraction(Fraction(4)) == 4
 
 class TestIsPrime:
     def test_agrees_with_trial_division(self):
