@@ -1,0 +1,154 @@
+"""Byte-identity of the `srt` subcommands that no other digest covers.
+
+A seeded sweep draws requests for `split-check`, `tail-center` (both
+branches), `tail-radius`, `insep-tails`, `enum-tails`, `conductor`,
+`herbrand`, `group` (criterion mode, and bfs for q <= 61) and
+`wild-monodromy`, and runs each in-process through srt.cli.dispatch in
+`--format json` and in `--format text`. The sha256 of every (argv, exit
+code, stdout, stderr) record is compared with a digest committed here. The
+draws mix answers, contradiction verdicts (exit 2) and refusals (exit 1, one
+`error:` line on stderr); every argument passes argparse, so no usage text,
+which depends on the terminal width, reaches the records.
+
+If the output is meant to change, regenerate the digest with
+``PYTHONPATH=src python tests/test_cli_digest.py`` and say why in CHANGES.md.
+"""
+import contextlib
+import hashlib
+import io
+import json
+import random
+from fractions import Fraction
+
+from srt.cli import dispatch
+
+EXPECTED_DIGEST = "9e7942863efb139c07faa73b2a6c2e895d190cc2255b96019913f1b6514bf27a"
+EXPECTED_REQUESTS = 2000
+ROUNDS = 100
+
+PRIMES = (3, 5, 7)
+CASES = ("generic", "a=0", "a=1", "generic", "a=0", "a=1", "other")
+# q with 125 | q^2 - 1 (an inseparable tail at p = 5), q with only 25 or 5
+# dividing q^2 - 1, and q = 5 itself
+MONODROMY_Q = (251, 499, 751, 1249, 1999, 2251, 3001, 101, 11, 5)
+GROUP_Q = (5, 7, 11, 13, 19, 29, 31, 41, 61, 71, 101, 151, 251, 15)
+
+
+def _rational(rng):
+    return str(Fraction(rng.randint(-3, 12), rng.choice([1, 2, 3, 4, 6])))
+
+
+def _split_vals(rng, p, n):
+    """Valuations of c_1..c_T around the threshold n + 1/(p-1): random, a
+    positive criterion, or a borderline v(c_p) with c_1 near the root term."""
+    theta = n + Fraction(1, p - 1)
+    T = rng.randint(p - 1, 2 * p + 1)
+    mode = rng.randrange(3)
+    above = [theta + Fraction(rng.randint(1, 6), 2 * (p - 1)) for _ in range(T)]
+    if mode == 0:
+        vals = [
+            rng.choice([theta, theta - Fraction(1, 2), n, None]) if rng.random() < 0.3 else v
+            for v in above
+        ]
+    elif mode == 1:
+        vals = above
+        vals[rng.randrange(min(T, p))] = theta
+    else:
+        vals = above
+        floor = n - Fraction(p - 2, 2 * (p - 1))
+        v_p = rng.choice([theta, floor, floor + Fraction(1, 4), theta - Fraction(1, 8)])
+        if T >= p:
+            vals[p - 1] = v_p
+            v_root = (v_p + (p - 1) * n + 1) / p
+            vals[0] = rng.choice([v_root, v_root + 1, v_root - Fraction(1, 2), theta + 1])
+    return json.dumps(["inf" if v is None else str(v) for v in vals])
+
+
+def _cover(rng, p, case):
+    """(r, s) for a tail center: most often in the given case, the exceptional
+    p = 5 centers included, sometimes anything."""
+    r = rng.choice([1, 2, 3, 4, 6, 7])
+    if case == "a=0" and rng.random() < 0.8:
+        return r, p ** rng.randint(1, 2) - r
+    if case == "a=1" and rng.random() < 0.8:
+        return r, p ** rng.randint(1, 2) * rng.choice([1, 2, 3])
+    return rng.choice([r, r, p]), rng.choice([1, 2, 4, 5, 24, 25, -1, 10, r])
+
+
+def _requests(rng):
+    p = rng.choice(PRIMES)
+    nu = str(rng.randint(1, 4))
+    case = rng.choice(CASES)
+    yield ["split-check", "--p", str(p), "--level", str(rng.randint(1, 3)),
+           "--vals", _split_vals(rng, p, rng.randint(1, 3))]
+    center_p = rng.choice((5, 5, 3, 7))
+    r, s = _cover(rng, center_p, case)
+    for branch in ("0", "1"):
+        yield ["tail-center", "--p", str(center_p), "--nu", str(rng.randint(2, 4)),
+               f"--r={r}", f"--s={s}", "--case", case, "--branch", branch]
+    omit = 0.7 if case == "generic" else 0.2
+    extra = [] if rng.random() < omit else [f"--extra={_rational(rng)}"]
+    yield ["tail-radius", "--p", str(p), "--nu", nu, "--case", case] + extra
+    extra = [] if rng.random() < 0.2 else ["--extra", str(rng.choice([0, 1, 2, 3, "1/2"]))]
+    yield ["insep-tails", "--p", str(rng.choice((5, 5, 3))), "--nu", nu,
+           "--case", case] + extra
+    yield ["enum-tails", f"--tau={rng.choice([-1, 0, 1, 1, 2, 2, 3, 4])}",
+           "--m-g", str(rng.choice([2, 2, 2, 3])), "--p", str(p)]
+    if rng.random() < 0.5:
+        values = ",".join(_rational(rng) for _ in range(rng.randint(1, 3)))
+        yield ["conductor", f"--compositum={values}"]
+    else:
+        shape = rng.choice(["tame-over-cyclotomic", "kummer-tower"])
+        flags = ["--shape", shape]
+        if rng.random() < 0.9:
+            flags += ["--nu", nu]
+        if rng.random() < 0.7:
+            flags += ["--p", str(p)]
+        yield ["conductor"] + flags
+    yield ["herbrand", "--p", str(p), "--nu", nu, "--direction",
+           rng.choice(["phi", "psi"]), f"--x={_rational(rng)}"]
+    q = rng.choice(GROUP_Q)
+    if rng.random() < 0.3:
+        yield ["group", "--q", str(q), "--tau", str(rng.randrange(q)),
+               "--rho", str(rng.randrange(q))]
+    else:
+        divisors = [ell for ell in (3, 5, 7) if (q - 1) % ell == 0]
+        ell = rng.choice(divisors + [3, 5, 7] if rng.random() < 0.2 else divisors or [3])
+        mode = "bfs" if q <= 61 and rng.random() < 0.5 else "criterion"
+        yield ["group", "--q", str(q), "--p", str(ell), "--mode", mode]
+    r = rng.choice([1, 2, 3, 4, 6, 7, 8, 9, 5])
+    yield ["wild-monodromy", "--q", str(rng.choice(MONODROMY_Q)), "--p",
+           str(rng.choice((5, 5, 5, 5, 3))), "--r", str(r)]
+
+
+def _records(rounds=ROUNDS, seed=21):
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        for argv in _requests(rng):
+            for fmt in ("json", "text"):
+                full = ["--format", fmt] + argv
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = dispatch(full)
+                yield [full, code, out.getvalue(), err.getvalue()]
+
+
+def _digest(rounds=ROUNDS):
+    h = hashlib.sha256()
+    n = 0
+    for record in _records(rounds):
+        h.update(json.dumps(record).encode())
+        h.update(b"\n")
+        n += 1
+    return h.hexdigest(), n
+
+
+def test_cli_requests_are_byte_identical():
+    digest, n = _digest()
+    assert n == EXPECTED_REQUESTS
+    assert digest == EXPECTED_DIGEST
+
+
+if __name__ == "__main__":
+    digest, n = _digest()
+    print(json.dumps({"digest": digest, "requests": n}))
