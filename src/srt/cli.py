@@ -9,6 +9,7 @@ proper subgroups, non-powers), 1 for usage errors and tool failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -25,6 +26,7 @@ from .graph import (
     validate_tree,
 )
 from .groups import (
+    MatrixElement,
     element_order,
     generation_check,
     solve_trace_system,
@@ -174,7 +176,7 @@ def _cmd_split_check(args):
         raise UsageError(remedy)
     vals = [_ext_fraction(v) for v in raw]
     verdict = splitting_obstruction(vals, args.p, args.level)
-    return verdict.to_json(), _verdict_exit(verdict.kind)
+    return verdict, _verdict_exit(verdict.kind)
 
 
 def _cmd_tail_center(args):
@@ -184,13 +186,12 @@ def _cmd_tail_center(args):
 
 def _cmd_tail_radius(args):
     extra = _fraction(args.extra) if args.extra is not None else None
-    return tail_radius(args.p, args.nu, args.case, extra).to_json(), EXIT_OK
+    return tail_radius(args.p, args.nu, args.case, extra), EXIT_OK
 
 
 def _cmd_insep_tails(args):
     extra = _fraction(args.extra) if args.extra is not None else None
-    catalog = insep_tail_catalog(args.p, args.nu, args.case, extra)
-    return [t.to_json() for t in catalog], EXIT_OK
+    return insep_tail_catalog(args.p, args.nu, args.case, extra), EXIT_OK
 
 
 def _load_tree(path):
@@ -215,12 +216,12 @@ def _cmd_tree_check(args):
     code = EXIT_CONTRADICTION if problems else EXIT_OK
     try:
         cycles = check_vanishing_cycles(tree)
-        out["vanishing_cycles"] = cycles.to_json()
+        out["vanishing_cycles"] = cycles
         code = max(code, _verdict_exit(cycles.kind))
     except MissingLabel as exc:  # report, not fail
         out["vanishing_cycles"] = {"skipped": str(exc)}
     mono = check_monotonic(tree)
-    out["monotonicity"] = mono.to_json()
+    out["monotonicity"] = mono
     return out, max(code, _verdict_exit(mono.kind))
 
 
@@ -228,7 +229,7 @@ def _cmd_tree_solve(args):
     tree = _load_tree(args.tree)
     root_delta = _fraction(args.root_delta) if args.root_delta is not None else None
     result = propagate_differents(tree, args.p, root_delta)
-    return result.to_json(), _verdict_exit(result.status)
+    return result, _verdict_exit(result.status)
 
 
 def _cmd_enum_tails(args):
@@ -273,8 +274,6 @@ def _cmd_herbrand(args):
 def _cmd_group(args):
     q = args.q
     if args.tau is not None and args.rho is not None:
-        from .groups import MatrixElement
-
         beta = solve_trace_system(q, args.tau, args.rho)
         alpha = MatrixElement(1, 1, 0, 1, q)
     else:
@@ -291,18 +290,17 @@ def _cmd_group(args):
             "beta": element_order(beta),
             "alpha*beta": element_order(alpha * beta),
         },
-        "generation": verdict.to_json(),
+        "generation": verdict,
     }
     if args.p is not None:
-        out["sylow"] = sylow_data(q, args.p).to_json()
+        out["sylow"] = sylow_data(q, args.p)
     return out, _verdict_exit(verdict.kind)
 
 
 def _cmd_wild_monodromy(args):
     report = run_wild_monodromy(args.q, args.p, args.r)
-    out = report.to_json()
-    out["verdict"] = report.verdict.lower()
-    return out, _verdict_exit(out["verdict"])
+    report = dataclasses.replace(report, verdict=report.verdict.lower())
+    return report, _verdict_exit(report.verdict)
 
 
 # --- parser ---

@@ -232,26 +232,9 @@ class SolveResult:
     status: str  # Solved | Contradiction | Unsolved
     tree: ReductionTree | None = None
     contradictions: list = field(default_factory=list)
+    # {"edges": [[parent, child], ...], "sum_epaisseur": total} per open chain
     relations: list = field(default_factory=list)
     unknowns: list = field(default_factory=list)
-
-    def to_json(self):
-        out = {"status": self.status}
-        if self.tree is not None:
-            out["tree"] = self.tree.to_json()
-        if self.contradictions:
-            out["contradictions"] = self.contradictions
-        if self.relations:
-            out["relations"] = [
-                {
-                    "edges": [list(k) for k in edges],
-                    "sum_epaisseur": str(value),
-                }
-                for edges, value in self.relations
-            ]
-        if self.unknowns:
-            out["unknowns"] = self.unknowns
-        return out
 
 
 def propagate_differents(tree, p, root_delta=None):
@@ -354,7 +337,10 @@ def propagate_differents(tree, p, root_delta=None):
             Fraction(0),
         )
         relations.append(
-            (tuple(e.key for e in open_run), (d_top - d_bot - known_drop) / sigma)
+            {
+                "edges": [[e.parent, e.child] for e in open_run],
+                "sum_epaisseur": (d_top - d_bot - known_drop) / sigma,
+            }
         )
     status = "Solved" if not unknowns else "Unsolved"
     if status == "Solved":
@@ -378,12 +364,9 @@ def propagate_differents(tree, p, root_delta=None):
 
 @dataclass
 class CycleCheck:
-    kind: str  # Holds | Violated
+    kind: str = field(metadata={"json": "verdict"})  # Holds | Violated
     lhs: Fraction
     rhs: Fraction
-
-    def to_json(self):
-        return {"verdict": self.kind, "lhs": str(self.lhs), "rhs": str(self.rhs)}
 
 
 def check_vanishing_cycles(tree):
@@ -402,14 +385,8 @@ def check_vanishing_cycles(tree):
 
 @dataclass
 class MonotonicityVerdict:
-    kind: str  # Monotonic | Violation
+    kind: str = field(metadata={"json": "verdict"})  # Monotonic | Violation
     path: list = field(default_factory=list)
-
-    def to_json(self):
-        out = {"verdict": self.kind}
-        if self.path:
-            out["path"] = self.path
-        return out
 
 
 def check_monotonic(tree):
@@ -425,19 +402,9 @@ def check_monotonic(tree):
 
 @dataclass(frozen=True)
 class TailConfig:
-    prim: tuple
-    new: tuple
+    prim: tuple = ()
+    new: tuple = ()
     flagged: bool = False  # contains a sigma >= p/2, hence impossible
-
-    def to_json(self):
-        out = {}
-        if self.prim:
-            out["prim"] = [str(s) for s in self.prim]
-        if self.new:
-            out["new"] = [str(s) for s in self.new]
-        if self.flagged:
-            out["flagged"] = True
-        return out
 
 
 def enumerate_tail_configs(tau, m_G, p):

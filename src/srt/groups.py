@@ -10,7 +10,7 @@ is trivial or all of it by Schreier's lemma.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NoSolution, PreconditionViolated, ResourceLimit, Unsupported
 from .valuation import is_prime, power, split_p_part
@@ -177,17 +177,9 @@ def standard_generators(q, p):
 
 @dataclass
 class GenerationVerdict:
-    kind: str  # Generates | ProperSubgroup
+    kind: str = field(metadata={"json": "verdict"})  # Generates | ProperSubgroup
     order: int | None = None
-    evidence: dict = None
-
-    def to_json(self):
-        out = {"verdict": self.kind}
-        if self.order is not None:
-            out["order"] = self.order
-        if self.evidence:
-            out["evidence"] = {k: str(v) for k, v in self.evidence.items()}
-        return out
+    evidence: dict | None = None
 
 
 def generation_check(gens, q, mode="criterion"):
@@ -317,9 +309,6 @@ class SylowData:
     order: int
     cyclic: bool
     m_G: int
-
-    def to_json(self):
-        return {"order": self.order, "cyclic": self.cyclic, "m_G": self.m_G}
 
 
 def sylow_data(q, p):

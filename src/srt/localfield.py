@@ -37,7 +37,7 @@ PrecisionError. `is_pth_power` turns these into "no" and "undecidable".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -670,24 +670,13 @@ def nth_root(x, n, branch=0):
 # --- p-th power decision procedure ---
 
 
+@dataclass
 class PthPowerVerdict:
     """Outcome of the p-th power test: kind in {yes, no, undecidable}."""
 
-    def __init__(self, kind, root=None, certificate=None):
-        self.kind = kind
-        self.root = root
-        self.certificate = certificate
-
-    def __repr__(self):
-        return f"PthPowerVerdict({self.kind!r}, certificate={self.certificate!r})"
-
-    def to_json(self):
-        out = {"verdict": self.kind}
-        if self.root is not None:
-            out["root"] = self.root.to_json()
-        if self.certificate is not None:
-            out["certificate"] = self.certificate
-        return out
+    kind: str = field(metadata={"json": "verdict"})
+    root: LocalFieldElement | None = None
+    certificate: dict | None = None
 
 
 def _class_residue(x, r, modulus_exp):

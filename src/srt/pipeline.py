@@ -1,37 +1,33 @@
 """
 End-to-end wild monodromy verification: from (q, p, r) build the auxiliary
-cover parameters, read the inseparable tail's level j, disk center d and field
-index N from `insep_tail_catalog`, evaluate the cover function g at d by its
-truncated Maclaurin series, extract the p-th root delta, and decide the
-p-th/p^2-th power questions whose combination witnesses nontrivial wild
-monodromy.
+cover parameters, read the inseparable tail's level j from
+`insep_tail_catalog`, build its disk center d in Q_p(pi), pi^N = p with N the
+denominator of d's exponent `torsor.D_EXPONENT`, evaluate the cover function g
+at d by its truncated Maclaurin series, extract the p-th root delta, and
+decide the p-th/p^2-th power questions whose combination witnesses
+nontrivial wild monodromy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PipelineError, PrecisionError, Unsupported
 from .localfield import LocalFieldContext, is_pth_power
 from .series import CoverParams, maclaurin_g
-from .torsor import insep_tail_catalog
-from .valuation import to_jsonable, vp
+from .torsor import D_EXPONENT, insep_tail_catalog
+from .valuation import vp
 
 
 @dataclass
 class PipelineReport:
     inputs: dict
-    steps: list = field(default_factory=list)
-    verdict: str = "Inconclusive"
+    steps: list
+    verdict: str
 
     def add(self, step_id, description, value):
         self.steps.append({"id": step_id, "description": description, "value": value})
         return value
-
-    def to_json(self):
-        return to_jsonable(
-            {"inputs": self.inputs, "steps": self.steps, "verdict": self.verdict}
-        )
 
 
 def run_wild_monodromy(q, p, r=1):
@@ -66,17 +62,19 @@ def run_wild_monodromy(q, p, r=1):
             f"the tail catalog has one only for p = 5"
         )
     report = PipelineReport(
-        inputs={"q": q, "p": p, "r": r, "s": s, "a": a, "nu": nu}
+        inputs={"q": q, "p": p, "r": r, "s": s, "a": a, "nu": nu},
+        steps=[],
+        verdict="Inconclusive",
     )
     report.add("params", "auxiliary cover parameters (s = p, a = 1 - p^2/r^2)", str(a))
     report.add("v_sqrt", "v(sqrt(1-a))", Fraction(w))
     report.add("tail", "new inseparable tail level j", tail.j)
 
-    ctx = LocalFieldContext(p, N=tail.d_exponent.denominator)
+    ctx = LocalFieldContext(p, N=D_EXPONENT.denominator)
     params = CoverParams(p, nu, r, s, sqrt1ma)
     series = maclaurin_g(params)
     # the catalog's d = 2(s/r)(p^(w+1)/s)^e at s = p
-    d_plus = ctx.pi_power(w * tail.d_exponent, Fraction(2 * s, r))
+    d_plus = ctx.pi_power(w * D_EXPONENT, Fraction(2 * s, r))
     report.add("center", "disk center d (positive branch)", repr(d_plus))
 
     sign = 1 if (r + s) % 2 == 0 else -1

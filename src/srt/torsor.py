@@ -6,6 +6,7 @@ tails) of the associated reduction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ GENERIC = "generic"
 A_ZERO = "a=0"
 A_ONE = "a=1"
 _CASES = (GENERIC, A_ZERO, A_ONE)
+# e in the center d = +-c(5^(extra+1)/b)^e of the deeper p = 5 inseparable tails
+D_EXPONENT = Fraction(2, 5)
 
 
 def _norm_case(case):
@@ -33,25 +36,11 @@ def _norm_case(case):
 
 @dataclass
 class SplitVerdict:
-    kind: str  # ObstructedByConditionI | ObstructedByConditionII |
-    #            SplitsWithConductor | Inconclusive
+    # ObstructedByConditionI | ObstructedByConditionII | SplitsWithConductor |
+    # Inconclusive
+    kind: str = field(metadata={"json": "verdict"})
     conductor: Fraction | None = None
     evidence: dict = field(default_factory=dict)
-
-    def to_json(self):
-        out = {"verdict": self.kind}
-        if self.conductor is not None:
-            out["conductor"] = str(self.conductor)
-        out["evidence"] = {k: str(v) for k, v in self.evidence.items()}
-        return out
-
-
-def _as_ext(v):
-    if isinstance(v, ExtendedRational):
-        return v
-    if v is None:
-        return ExtendedRational(None)
-    return ExtendedRational(v)
 
 
 def _positive_criterion(vals, p, theta):
@@ -83,7 +72,10 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None):
     T = len(vals)
     if T < p:
         raise InsufficientData(f"need coefficient valuations up to i = {p}, got {T}")
-    vals = {i + 1: _as_ext(v) for i, v in enumerate(vals)}
+    vals = {
+        i + 1: v if isinstance(v, ExtendedRational) else ExtendedRational(v)
+        for i, v in enumerate(vals)
+    }
     theta = Fraction(n) + Fraction(1, p - 1)
     for i, v in vals.items():
         if i > p and i % p == 0 and not v > theta:
@@ -100,14 +92,14 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None):
         if i != p and v < bound:
             return SplitVerdict(
                 "ObstructedByConditionI",
-                evidence={"witness_index": i, "valuation": v, "threshold": theta},
+                evidence={"witness_index": str(i), "valuation": v, "threshold": theta},
             )
     if v_p > theta:
         sigma = _positive_criterion(vals, p, theta)
         if sigma is not None:
             return SplitVerdict(
                 "SplitsWithConductor",
-                conductor=sigma,
+                conductor=Fraction(sigma),
                 evidence={"threshold": theta, "v_c_sigma": vals[sigma]},
             )
         return SplitVerdict(
@@ -171,7 +163,7 @@ def _absorbed_verdict(vals, p, n, theta, v1_new, v_root, v_p_new=None):
     if sigma is not None:
         return SplitVerdict(
             "SplitsWithConductor",
-            conductor=sigma,
+            conductor=Fraction(sigma),
             evidence={
                 "threshold": theta,
                 "v_c_sigma": new_vals[sigma],
@@ -230,8 +222,6 @@ def tail_center(p, nu, r, s, case, branch=0):
 
 
 def _exceptional_center(p, nu, r, s, binom_arg, branch):
-    import math
-
     ctx = LocalFieldContext(p)
     radicand = Fraction(p) ** (4 * nu + 1) * math.comb(binom_arg, 5)
     root = nth_root(ctx.from_rational(radicand), 5, branch=branch)
@@ -242,9 +232,6 @@ def _exceptional_center(p, nu, r, s, binom_arg, branch):
 class TailRadius:
     v_rho: Fraction
     v_e: Fraction
-
-    def to_json(self):
-        return {"v_rho": str(self.v_rho), "v_e": str(self.v_e)}
 
 
 def tail_radius(p, nu, case, extra=None):
@@ -280,19 +267,6 @@ class TailDescriptor:
     sigma: Fraction
     upstairs_centers: str
     upstairs_radius_valuation: Fraction
-    d_exponent: Fraction | None = None  # e in d = +-c(5^(extra+1)/b)^e, p = 5
-
-    def to_json(self):
-        return {
-            "case": self.case,
-            "kind": self.kind,
-            "j": self.j,
-            "center": self.center,
-            "radius_valuation": str(self.radius_valuation),
-            "sigma": str(self.sigma),
-            "upstairs_centers": self.upstairs_centers,
-            "upstairs_radius_valuation": str(self.upstairs_radius_valuation),
-        }
 
 
 def insep_tail_catalog(p, nu, case, extra=None):
@@ -311,7 +285,6 @@ def insep_tail_catalog(p, nu, case, extra=None):
     if extra is None:
         raise PreconditionViolated(f"case {case} needs the auxiliary valuation")
     extra = Fraction(extra)
-    d_exponent = Fraction(2, 5)  # of the deeper p = 5 tails' upstairs centers d
     if case == A_ZERO:
         if not 0 < extra <= nu - 1:
             raise InadmissibleValuation(
@@ -335,12 +308,11 @@ def insep_tail_catalog(p, nu, case, extra=None):
                     case=case,
                     kind="new-inseparable",
                     j=int(nu - extra - 1),
-                    center=f"a/(1-d^2), d = +-(5^{extra + 1}/(r+s))^({d_exponent})",
+                    center=f"a/(1-d^2), d = +-(5^{extra + 1}/(r+s))^({D_EXPONENT})",
                     radius_valuation=extra + Fraction(17, 20),
                     sigma=Fraction(2),
                     upstairs_centers="z = +d, z = -d",
                     upstairs_radius_valuation=Fraction(17, 40),
-                    d_exponent=d_exponent,
                 )
             )
         return out
@@ -356,12 +328,11 @@ def insep_tail_catalog(p, nu, case, extra=None):
             case=case,
             kind="new-inseparable",
             j=int(nu - extra - 1),
-            center=f"a/(1-d^2), d = +-2(s/r)(5^{extra + 1}/s)^({d_exponent})",
+            center=f"a/(1-d^2), d = +-2(s/r)(5^{extra + 1}/s)^({D_EXPONENT})",
             radius_valuation=2 * extra + Fraction(17, 20),
             sigma=Fraction(2),
             upstairs_centers="z = +d, z = -d",
             upstairs_radius_valuation=extra + Fraction(17, 40),
-            d_exponent=d_exponent,
         )
     ]
 

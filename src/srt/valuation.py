@@ -8,6 +8,7 @@ Valuations take values in (1/N)Z for various N, so everything here is built on
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -227,14 +228,35 @@ def power(base, n, one):
 
 
 def to_jsonable(v):
-    """Plain JSON value of a report: objects by their to_json, rationals and
-    extended rationals as strings, containers element-wise."""
-    if hasattr(v, "to_json"):
-        return v.to_json()
+    """Plain JSON value of a report. Strings, ints and None pass as they are,
+    rationals and extended rationals become strings, containers convert
+    element-wise, and an object with a to_json method renders by it. A
+    dataclass gives its fields in declaration order, each under its
+    metadata["json"] name if it has one, and leaves out a field that equals
+    its default or default_factory()."""
+    if v is None or isinstance(v, (str, int)):
+        return v
     if isinstance(v, (Fraction, ExtendedRational)):
         return str(v)
     if isinstance(v, (list, tuple)):
         return [to_jsonable(x) for x in v]
     if isinstance(v, dict):
         return {k: to_jsonable(x) for k, x in v.items()}
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    if dataclasses.is_dataclass(v):
+        out = {}
+        for f in dataclasses.fields(v):
+            value = getattr(v, f.name)
+            if not _is_default(f, value):
+                out[f.metadata.get("json", f.name)] = to_jsonable(value)
+        return out
     return v
+
+
+def _is_default(f, value):
+    if f.default is not dataclasses.MISSING:
+        return value == f.default
+    if f.default_factory is not dataclasses.MISSING:
+        return value == f.default_factory()
+    return False

@@ -26,6 +26,7 @@ from srt import (
     nth_root,
     sqrt_of_minus_one,
 )
+from srt.valuation import to_jsonable
 
 EXPECTED_DIGEST = "ecd3cf0fbe30b8c41e59bfe9c3bef53b0f6305e080a4784e03297c860813b1ab"
 EXPECTED_RECORDS = 1516
@@ -74,7 +75,7 @@ def _element(rng):
 
 def _outcome(f):
     try:
-        return f().to_json()
+        return to_jsonable(f())
     except (SrtError, ZeroDivisionError) as exc:
         return [type(exc).__name__, str(exc)]
 

@@ -50,7 +50,7 @@ class TestSplittingObstruction:
         vals = _vals(5, 2, {2: Fraction(1)})
         v = splitting_obstruction(vals, 5, 2)
         assert v.kind == "ObstructedByConditionI"
-        assert v.evidence["witness_index"] == 2
+        assert v.evidence["witness_index"] == "2"
 
     def test_splits_generic(self):
         for sigma in (1, 2, 3):

@@ -1,6 +1,7 @@
 """Unit tests for exact p-adic valuations and combinatorial helpers."""
 import math
 import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from srt import (
     vp,
 )
 from srt.errors import Unsupported
-from srt.valuation import is_prime
+from srt.localfield import LocalFieldContext
+from srt.valuation import is_prime, to_jsonable
 
 
 class TestVp:
@@ -186,3 +188,45 @@ class TestIsPrime:
     def test_beyond_the_certified_range(self):
         with pytest.raises(Unsupported):
             is_prime(2**89 - 1)
+
+
+@dataclass
+class _Inner:
+    kind: str = field(metadata={"json": "verdict"})
+    value: Fraction | None = None
+
+
+@dataclass
+class _Report:
+    name: str
+    inner: _Inner
+    count: int = 0
+    items: list = field(default_factory=list)
+    extra: dict = field(default_factory=dict)
+
+
+class TestToJsonable:
+    def test_fields_at_their_default_are_left_out(self):
+        assert to_jsonable(_Report("r", _Inner("yes"))) == {
+            "name": "r",
+            "inner": {"verdict": "yes"},
+        }
+
+    def test_fields_off_their_default_are_kept_in_declaration_order(self):
+        report = _Report("r", _Inner("no", Fraction(3, 2)), 2, [1], {"a": 1})
+        out = to_jsonable(report)
+        assert list(out) == ["name", "inner", "count", "items", "extra"]
+        assert out["count"] == 2 and out["items"] == [1] and out["extra"] == {"a": 1}
+
+    def test_metadata_json_renames_a_field(self):
+        assert to_jsonable(_Inner("Holds")) == {"verdict": "Holds"}
+
+    def test_nested_dataclass_and_local_field_element(self):
+        x = LocalFieldContext(5, N=5).from_rational(7, 3)
+        out = to_jsonable(_Report("r", _Inner("no", Fraction(1, 5)), items=[x, INFINITY]))
+        assert out["inner"] == {"verdict": "no", "value": "1/5"}
+        assert out["items"] == [x.to_json(), "inf"]
+
+    def test_none_in_a_plain_dict_is_kept(self):
+        cert = {"kind": "congruence", "alpha": 4, "beta": None}
+        assert to_jsonable(_Report("r", _Inner("no"), extra=cert))["extra"] == cert
