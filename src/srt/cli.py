@@ -84,13 +84,18 @@ def _odd_prime(text):
 def _fraction(text):
     try:
         return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(
             f"could not parse {text!r} as a rational; write it as 'a/b'"
         ) from exc
 
 
+_VALS_REMEDY = "--vals must be a JSON array of rationals like '[\"3/2\", \"inf\"]'"
+
+
 def _ext_fraction(text):
+    if isinstance(text, bool):  # Fraction would read true as 1
+        raise UsageError(_VALS_REMEDY)
     if str(text).lower() in ("inf", "infinity", "oo"):
         return ExtendedRational(None)
     return ExtendedRational(_fraction(text))
@@ -167,13 +172,14 @@ def _coefficient_strings(coefficients):
 
 
 def _cmd_split_check(args):
-    remedy = "--vals must be a JSON array of rationals like '[\"3/2\", \"inf\"]'"
     try:
-        raw = json.loads(args.vals)
+        # a JSON number with a fraction or exponent is read as the exact
+        # decimal, so 0.1 is 1/10
+        raw = json.loads(args.vals, parse_float=Fraction)
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{remedy} ({exc})") from exc
+        raise UsageError(f"{_VALS_REMEDY} ({exc})") from exc
     if not isinstance(raw, list):
-        raise UsageError(remedy)
+        raise UsageError(_VALS_REMEDY)
     vals = [_ext_fraction(v) for v in raw]
     verdict = splitting_obstruction(vals, args.p, args.level)
     return verdict, _verdict_exit(verdict.kind)

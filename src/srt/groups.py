@@ -3,10 +3,10 @@ SL2 over a prime field: element orders read from the trace, the
 trace-prescribed generator construction, generation checks (a normalizer
 criterion and an exact orbit-stabilizer closure), and p-Sylow data.
 
-The closure never lists the group: |H| = |H e1| * |H_e1|, where the orbit of
-e1 = (1, 0) is found by a breadth-first search over the q^2 vectors of F_q^2
-and the stabilizer H_e1, a subgroup of the unipotent group of prime order q,
-is trivial or all of it by Schreier's lemma.
+The closure never lists the group: |H| = |H [e1]| * |K| for the orbit of the
+line [e1] among the q + 1 lines of F_q^2 and its stabilizer K = H n B, B upper
+triangular. K has Schreier generators [[lam, u], [0, 1/lam]], and |K| is the
+order of the group of the lam in F_q^* times |K n U|, U unipotent of order q.
 """
 from __future__ import annotations
 
@@ -192,9 +192,9 @@ def generation_check(gens, q, mode="criterion"):
 
     bfs mode (q prime): the exact order of the generated group H, compared
     with |SL2(F_q)| = q(q^2 - 1). A breadth-first search finds the orbit of
-    e1 = (1, 0) under H, and Schreier's lemma decides whether the stabilizer
-    of e1 is trivial or the whole unipotent group of order q; |H| is the
-    orbit size times that stabilizer order.
+    the line [e1] among the q + 1 lines of F_q^2, and Schreier's lemma gives
+    generators of its stabilizer K in the upper-triangular group; |H| is the
+    orbit size times |K|.
     """
     gens = list(gens)
     if not gens:
@@ -245,13 +245,11 @@ def generation_check(gens, q, mode="criterion"):
     )
 
 
+# bounds the request size only: the closure takes O(q) products and memory
 _BFS_LIMIT = 30_000_000
 
 
 def _generation_bfs(gens, q):
-    # numpy is imported here, its only user, so that `import srt` stays cheap
-    import numpy as np
-
     target = q * (q * q - 1)
     if target > _BFS_LIMIT:
         raise ResourceLimit(
@@ -263,42 +261,44 @@ def _generation_bfs(gens, q):
         if g.q != q:
             raise PreconditionViolated(f"generator over F_{g.q}, expected F_{q}")
 
-    # H = <gens> acts on the nonzero vectors of F_q^2, indexed x*q + y. For
-    # each vector v in the orbit of e1, w[v] is the index of the second
-    # column of a transversal t_v = [v | w_v] in H with det 1. The stabilizer
-    # of e1 lies in the unipotent group {[[1, b], [0, 1]]} of prime order q,
-    # so by Schreier's lemma it is all of that group exactly when some
-    # Schreier generator t_{gv}^-1 g t_v is not the identity: g w_v != w_{gv}
-    seen = np.zeros(q * q, dtype=bool)
-    w = np.zeros(q * q, dtype=np.int64)
-    frontier = [np.array([x], dtype=np.int64) for x in (1, 0, 0, 1)]
-    seen[q] = True
-    w[q] = 1
-    orbit = 1
-    unipotent = False
-    while frontier[0].size:
-        vx, vy, wx, wy = frontier
-        parts = []
-        # left multiplication by one generator is injective on vectors, so
-        # its images are distinct; marking them seen before the next
-        # generator removes the duplicates between generators
-        for ga, gb, gc, gd in (g.entries() for g in gens):
-            image = (
-                (ga * vx + gb * vy) % q,
-                (gc * vx + gd * vy) % q,
-                (ga * wx + gb * wy) % q,
-                (gc * wx + gd * wy) % q,
-            )
-            k = image[0] * q + image[1]
-            j = image[2] * q + image[3]
-            new = ~seen[k]
-            unipotent = unipotent or bool(np.any(w[k[~new]] != j[~new]))
-            seen[k[new]] = True
-            w[k[new]] = j[new]
-            parts.append([x[new] for x in image])
-        frontier = [np.concatenate(xs) for xs in zip(*parts)]
-        orbit += frontier[0].size
-    order = orbit * (q if unipotent else 1)
+    # the line through (x, y) is indexed by its slope y/x, or by q when x = 0;
+    # t[L] is a transversal in H whose first column spans L. Each Schreier
+    # element t[gL]^-1 g t[L] fixes [e1], so it is kept as its row (lam, u)
+    mats = [g.entries() for g in gens]
+    t = {0: (1, 0, 0, 1)}
+    orbit = [(1, 0, 0, 1)]
+    schreier = set()
+    for a, b, c, d in orbit:  # a breadth-first queue, appended to as it runs
+        for ga, gb, gc, gd in mats:
+            x, y = (ga * a + gb * c) % q, (gc * a + gd * c) % q
+            m = (x, (ga * b + gb * d) % q, y, (gc * b + gd * d) % q)
+            line = y * pow(x, -1, q) % q if x else q
+            if line not in t:
+                t[line] = m
+                orbit.append(m)
+                continue
+            _, tb, _, td = t[line]
+            schreier.add(((td * x - tb * y) % q, (td * m[1] - tb * m[3]) % q))
+
+    # |Lambda| for the lams in the cyclic F_q^*: the least d with every lam^d = 1
+    lams, lam_order = {lam for lam, _ in schreier}, q - 1
+    for f in _prime_factors(q - 1):
+        while lam_order % f == 0 and all(pow(x, lam_order // f, q) == 1 for x in lams):
+            lam_order //= f
+    # K n U is 1 or U. Take s0 = (lam0, u0) with lam0 != +-1; (lam, u) commutes
+    # with it iff u lam (lam0^2 - 1) = u0 lam0 (lam^2 - 1). If all do, K lies in
+    # the torus of s0 and K n U = 1; else K is not abelian, though K / (K n U)
+    # embeds in F_q^*, so K n U = U. With all lam = +-1, K lies in +-U
+    s0 = next(((lam, u) for lam, u in schreier if lam not in (1, q - 1)), None)
+    if s0 is None:
+        unipotent = any(u for _, u in schreier)
+    else:
+        lam0, u0 = s0
+        unipotent = any(
+            (u * lam * (lam0 * lam0 - 1) - u0 * lam0 * (lam * lam - 1)) % q
+            for lam, u in schreier
+        )
+    order = len(t) * lam_order * (q if unipotent else 1)
     if order == target:
         return GenerationVerdict("Generates", order=order)
     return GenerationVerdict("ProperSubgroup", order=order)

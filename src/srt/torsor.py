@@ -34,6 +34,11 @@ def _norm_case(case):
     return case
 
 
+def _check_nu(nu):
+    if nu < 1:
+        raise PreconditionViolated(f"nu must be >= 1, got {nu}")
+
+
 @dataclass
 class SplitVerdict:
     # ObstructedByConditionI | ObstructedByConditionII | SplitsWithConductor |
@@ -183,6 +188,7 @@ def tail_center(p, nu, r, s, case, branch=0):
     the p = 5 exceptional cases (v(a) = nu - 1 resp. v(sqrt(1-a)) = nu - 1).
     """
     case = _norm_case(case)
+    _check_nu(nu)
     if vp(r, p) != 0:
         raise CaseMismatch(f"v_{p}({r}) must be 0")
     if s == 0 or r + s == 0:
@@ -222,6 +228,11 @@ def tail_center(p, nu, r, s, case, branch=0):
 
 
 def _exceptional_center(p, nu, r, s, binom_arg, branch):
+    if binom_arg < 0:
+        raise CaseMismatch(
+            f"the exceptional center needs x >= 0 in binomial(x, 5), x = r+s "
+            f"for a=0 and s for a=1; got x = {binom_arg}"
+        )
     ctx = LocalFieldContext(p)
     radicand = Fraction(p) ** (4 * nu + 1) * math.comb(binom_arg, 5)
     root = nth_root(ctx.from_rational(radicand), 5, branch=branch)
@@ -238,6 +249,7 @@ def tail_radius(p, nu, case, extra=None):
     """Valuations of the radius rho of the tail disk (x-coordinate) and of
     the scale e of the disk upstairs (z-coordinate)."""
     case = _norm_case(case)
+    _check_nu(nu)
     x = Fraction(nu) + Fraction(1, p - 1)
     if case == GENERIC:
         if extra not in (None, 0, Fraction(0)):
@@ -278,6 +290,7 @@ def insep_tail_catalog(p, nu, case, extra=None):
         extra: v(a) for a=0, v(sqrt(1-a)) for a=1.
     """
     case = _norm_case(case)
+    _check_nu(nu)
     if case == GENERIC:
         return []
     if nu <= 1:

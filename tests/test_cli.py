@@ -266,6 +266,17 @@ class TestExitCodes:
         assert code == EXIT_CONTRADICTION
         assert json.loads(out)["verdict"] == "ObstructedByConditionI"
 
+    def test_json_numbers_are_read_as_exact_decimals(self, capsys):
+        # 0.1 is 1/10, not the double nearest to it
+        code, out, _ = run_cli(
+            capsys, "split-check", "--p", "5", "--level", "1",
+            "--vals", "[0.1, 2, 3, 4, 5]",
+        )
+        assert code == EXIT_CONTRADICTION
+        assert json.loads(out)["evidence"] == {
+            "witness_index": "1", "valuation": "1/10", "threshold": "5/4",
+        }
+
     def test_usage_error_is_one(self, capsys):
         code, _, err = run_cli(
             capsys, "split-check", "--p", "5", "--level", "2", "--vals", "oops"

@@ -158,15 +158,24 @@ BAD_INPUTS = [
     (["split-check", "--p", "5", "--level", "1", "--vals", "5"], "JSON array"),
     (["split-check", "--p", "5", "--level", "1", "--vals", "[null]"], "rational"),
     (["split-check", "--p", "5", "--level", "1", "--vals", '["1", "2"]'], "i = 5"),
+    # JSON true is not the rational 1
+    (["split-check", "--p", "5", "--level", "1", "--vals", "[true, 2, 3, 4, 5]"], "JSON array"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", "[-Infinity, 2, 3, 4, 5]"], "rational"),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "0", "--case", "a=1"], "s != 0"),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "b"], "case"),
     # only the spellings generic, a=0 and a=1 name a case
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "A=0"], "case"),
+    # the p = 5 exceptional centers take binomial(x, 5) at x = s resp. r + s
+    (["tail-center", "--p", "5", "--nu", "2", "--r", "1", "--s=-5", "--case", "a=1"], "x >= 0"),
+    (["tail-center", "--p", "5", "--nu", "2", "--r=-6", "--s", "1", "--case", "a=0"], "x >= 0"),
+    (["tail-center", "--p", "7", "--nu", "0", "--r", "1", "--s", "2", "--case", "generic"], "nu must be >= 1"),
     (["tail-radius", "--p", "7", "--nu", "2", "--case", "a0"], "case"),
     (["tail-radius", "--p", "1", "--nu", "2", "--case", "generic"], "odd prime"),
     (["tail-radius", "--p", "7", "--nu", "2", "--case", "a=0", "--extra", "-1"], "positive"),
+    (["tail-radius", "--p", "5", "--nu=-3", "--case", "generic"], "nu must be >= 1"),
     (["insep-tails", "--p", "4", "--nu", "2", "--case", "a=0", "--extra", "1"], "odd prime"),
     (["insep-tails", "--p", "5", "--nu", "3", "--case", "a=0"], "auxiliary"),
+    (["insep-tails", "--p", "5", "--nu", "0", "--case", "generic"], "nu must be >= 1"),
     (["tree-check", "--p", "5", "--tree", "@index0"], "positive"),
     (["tree-check", "--p", "5", "--tree", "@list"], "malformed"),
     (["tree-solve", "--p", "5", "--tree", "@vertex_not_object"], "malformed"),

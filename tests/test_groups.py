@@ -221,11 +221,46 @@ def _borel_pair(q):
     return [MatrixElement(1, 1, 0, 1, q), MatrixElement(3, 0, 0, pow(3, -1, q), q)]
 
 
-@pytest.mark.parametrize("q", [5, 7])
+def _random_upper(rng, q):
+    lam = rng.randrange(1, q)
+    return MatrixElement(lam, rng.randrange(q), 0, pow(lam, -1, q), q)
+
+
+def _random_borel(q):
+    # upper triangular: [e1] is fixed, so the lam image and K n U give |H|
+    rng = random.Random(q)
+    return [_random_upper(rng, q) for _ in range(2)]
+
+
+def _random_upper_single(q):
+    # one upper-triangular element, with lam != +-1 once q > 3: K is in a torus
+    rng = random.Random(q)
+    lam = rng.randrange(2, q - 1) if q > 3 else 1
+    return [MatrixElement(lam, rng.randrange(1, q), 0, pow(lam, -1, q), q)]
+
+
+def _random_single(q):
+    return [_random_element(random.Random(q), q)]
+
+
+def _random_with_minus_identity(q):
+    # -I fixes every line, so each line of the orbit gives the Schreier
+    # element -I, with lam = -1
+    return [_random_element(random.Random(q + 1), q), minus_identity(q)]
+
+
+_FIXED_SETS = [_trace_pair, _order_four, _order_four_and_unipotent, _borel_pair]
+_RANDOM_SETS = [
+    _random_borel, _random_upper_single, _random_single, _random_with_minus_identity
+]
+
+
 @pytest.mark.parametrize(
-    "make_gens", [_trace_pair, _order_four, _order_four_and_unipotent, _borel_pair]
+    "make_gens, q",
+    [(make, q) for make in _FIXED_SETS for q in (5, 7)]
+    + [(make, q) for make in _RANDOM_SETS for q in (2, 3, 5, 7, 11, 13)],
 )
-def test_bfs_matches_brute_force_closure(q, make_gens):
+def test_bfs_matches_brute_force_closure(make_gens, q):
     gens = make_gens(q)
     expected = _closure_order(gens, q)
     out = generation_check(gens, q, mode="bfs")
@@ -262,12 +297,12 @@ def test_bfs_matches_brute_force_on_random_sets(q):
 @pytest.mark.parametrize(
     "gens, q, order",
     [
-        # Q8 in SL2(F_3): the orbit of e1 is all 8 nonzero vectors and the
-        # stabilizer is trivial
+        # Q8 in SL2(F_3): the orbit of [e1] is all 4 lines and the
+        # stabilizer is {+-I}
         ([MatrixElement(0, 1, 2, 0, 3), MatrixElement(1, 1, 1, 2, 3)], 3, 8),
-        # diag(2, 2^-1) has order 12 mod 13 and moves e1 along its first axis
+        # diag(2, 2^-1) fixes [e1], and lam = 2 has order 12 mod 13
         ([MatrixElement(2, 0, 0, 7, 13)], 13, 12),
-        # the Borel pair: the stabilizer of e1 is the whole unipotent group
+        # the Borel pair fixes [e1]: lam = 3 has order 3, and K n U = U
         (_borel_pair(13), 13, 13 * 3),
     ],
     ids=["Q8", "diagonal", "borel"],
@@ -294,12 +329,17 @@ class TestSylowData:
             sylow_data(13, 5)
 
 
-def test_import_does_not_load_numpy():
-    # only the bfs closure uses numpy, and it imports it itself
+def test_import_and_closure_load_only_the_standard_library():
+    # srt depends on nothing outside the standard library
+    code = (
+        "import sys; before = set(sys.modules); import srt; "
+        "srt.generation_check(srt.standard_generators(13, 3), 13, mode='bfs'); "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.partition('.')[0] not in sys.stdlib_module_names | {'srt'}))"
+    )
     src = Path(srt.__file__).resolve().parent.parent
     out = subprocess.run(
-        [sys.executable, "-c", "import srt, sys; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, cwd=src, timeout=60,
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=src, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
