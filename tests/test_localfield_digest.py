@@ -6,8 +6,10 @@ with p in {3, 5, 7, 11} and N up to 2p. The sha256 of its repr, to_json,
 `nth_root(x, p)`, `nth_root(x, 2)`, `inverse()` and `x**3`, is compared with a
 digest committed here; an outcome is its JSON, or the exception's type and
 message. Half the elements sit near a p-th power, so "yes", "no" with a
-congruence certificate and "undecidable" all occur. `sqrt_of_minus_one` at
-p in {5, 13, 17, 29} is pinned too.
+congruence certificate and "undecidable" all occur. Each element also meets a
+rational q, drawn as a unit is (an int or a Fraction, at times with p in the
+denominator): `x + q`, `q - x`, `x * q`, `q / x`, `x == q` and `x + q - x == q`
+are pinned. `sqrt_of_minus_one` at p in {5, 13, 17, 29} is pinned too.
 
 If the output is meant to change, regenerate the digest with
 ``PYTHONPATH=src python tests/test_localfield_digest.py`` and say why in
@@ -28,7 +30,7 @@ from srt import (
 )
 from srt.valuation import to_jsonable
 
-EXPECTED_DIGEST = "ecd3cf0fbe30b8c41e59bfe9c3bef53b0f6305e080a4784e03297c860813b1ab"
+EXPECTED_DIGEST = "eb7b4c32ba243e40b26188c0680741bff885451e3e75511755b9f94bfd14b25f"
 EXPECTED_RECORDS = 1516
 ELEMENTS = 1500
 
@@ -82,9 +84,12 @@ def _outcome(f):
 
 def _records():
     rng = random.Random(20)
+    # the rational operands have their own stream, so the elements stay as drawn
+    qrng = random.Random(23)
     for _ in range(ELEMENTS):
         x = _element(rng)
         p = x.ctx.p
+        q = _unit(qrng, p)
         yield {
             "ctx": repr(x.ctx),
             "repr": repr(x),
@@ -96,6 +101,16 @@ def _records():
             "nth_root_2": _outcome(lambda: nth_root(x, 2)),
             "inverse": _outcome(x.inverse),
             "cube": _outcome(lambda: x**3),
+            "rational": [
+                str(q),
+                _outcome(lambda: x + q),
+                _outcome(lambda: q - x),
+                _outcome(lambda: x * q),
+                _outcome(lambda: q / x),
+                x == q,
+                # the sum's canonical form against q's own: True when x is exact
+                x + q - x == q,
+            ],
         }
     for p in (5, 13, 17, 29):
         ctx = LocalFieldContext(p, 4, 6)
