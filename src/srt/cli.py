@@ -82,6 +82,24 @@ def _odd_prime(text):
 
 
 def _fraction(text):
+    """Fraction(text), refused in one line when it is no rational or has too
+    many digits to print. Its digits plus its decimal exponent bound the
+    digits of numerator and denominator; they are counted on the text, so
+    1e1000000000 is refused before Fraction builds 10^1000000000."""
+    limit = sys.get_int_max_str_digits()
+    written = str(text)
+    mantissa, _, exponent = written.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    size = sum(c.isdecimal() for c in mantissa)
+    if exponent.isdecimal():
+        # an exponent with more digits than the limit is past it anyway
+        size += limit if len(exponent) > len(str(limit)) else int(exponent)
+    if limit and size >= limit:
+        shown = written if len(written) <= 20 else written[:20] + "..."
+        raise ResourceLimit(
+            f"rational {shown!r} has {limit} or more digits with its exponent, "
+            f"too many to print; write it with fewer digits or a smaller exponent"
+        )
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -173,9 +191,9 @@ def _coefficient_strings(coefficients):
 
 def _cmd_split_check(args):
     try:
-        # a JSON number with a fraction or exponent is read as the exact
-        # decimal, so 0.1 is 1/10
-        raw = json.loads(args.vals, parse_float=Fraction)
+        # a JSON number is read as the exact rational, so 0.1 is 1/10, and
+        # its digits are bounded before it is built
+        raw = json.loads(args.vals, parse_float=_fraction, parse_int=_fraction)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{_VALS_REMEDY} ({exc})") from exc
     if not isinstance(raw, list):

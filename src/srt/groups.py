@@ -10,10 +10,11 @@ order of the group of the lam in F_q^* times |K n U|, U unipotent of order q.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import NoSolution, PreconditionViolated, ResourceLimit, Unsupported
-from .valuation import is_prime, power, split_p_part
+from .valuation import _SMALL_PRIMES, is_prime, power, split_p_part
 
 @dataclass(frozen=True)
 class MatrixElement:
@@ -71,16 +72,64 @@ def minus_identity(q):
 
 
 def _prime_factors(n):
+    """{prime: exponent} of n >= 1, in increasing order: trial division by
+    the primes up to 41, then Pollard's rho on the cofactor."""
+    if n < 1:
+        raise PreconditionViolated(f"no prime factors of {n}")
     out = {}
-    d = 2
-    while d * d <= n:
+    for d in _SMALL_PRIMES:
+        if d * d > n:
+            break
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        for m in sorted(_large_prime_factors(n)):
+            out[m] = out.get(m, 0) + 1
     return out
+
+
+def _large_prime_factors(n):
+    """The prime factors, with multiplicity, of n > 1 that is prime or has
+    no prime factor up to 41 (so is prime below 43^2); each factor is
+    confirmed by is_prime."""
+    if n < 43 * 43 or is_prime(n):
+        return [n]
+    f = _rho_factor(n)
+    return _large_prime_factors(f) + _large_prime_factors(n // f)
+
+
+def _rho_factor(n):
+    """A proper factor of the odd composite n by Pollard's rho in Brent's
+    form (Brent, "An improved Monte Carlo factorization algorithm", BIT 20,
+    1980): y <- y^2 + c from y = 2, the gcd taken once per block of 128
+    steps on the product of the x - y, and the steps of a block redone one
+    by one when it overshoots to n. The seeds c = 1, 2, ... are tried in
+    turn until one splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def _lucas_v(t, k, q):

@@ -19,6 +19,9 @@ subfield.
 The canonical form keeps at most one term per residue class of j mod N, which
 makes the valuation of a nonzero element exact: distinct classes can never
 cancel. It is computed on ints alone, and every computation here reads it.
+An exact element of one term is canonical as built, since its unit is reduced
+and stripped of p as it is read; every other element goes through the one
+canonicalizer, `_canonicalize`.
 Callers see the `terms` view, a new dict on each read, which maps each
 valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
 residue otherwise. A context (p, N, M) is a frozen dataclass.
@@ -84,10 +87,6 @@ class LocalFieldContext:
         return LocalFieldElement._make(self, {0: (1, 1)}, None)
 
     def from_rational(self, q, prec=None):
-        if type(q) is not int:
-            q = Fraction(q)
-        if q == 0:
-            return self.zero(prec)
         return LocalFieldElement(self, [(0, q)], prec)
 
     def pi_power(self, j, unit=1, prec=None):
@@ -182,46 +181,43 @@ def _canonicalize(p, N, pairs, prec):
     in `pairs`, each num/den prime to p, taken modulo p^prec when the
     precision pair prec is not None."""
     jlim = _index_limit(prec, N)
-    # per class j mod N: (m, A, B), the sum is A/B * p^m * pi^class
+    # per class j mod N: (j, A, B), the sum is A/B * pi^j
     classes = {}
     for j, (num, den) in pairs:
         if jlim is not None and j >= jlim:
             continue
-        m, f = divmod(j, N)
+        f = j % N
         c = classes.get(f)
         if c is None:
-            classes[f] = (m, num, den)
+            classes[f] = (j, num, den)
             continue
-        m0, A, B = c
-        if m >= m0:
-            classes[f] = (m0, A * den + num * B * p ** (m - m0), B * den)
+        j0, A, B = c
+        # j stays whole: a power of p is taken only where two terms merge
+        if j >= j0:
+            classes[f] = (j0, A * den + num * B * p ** ((j - j0) // N), B * den)
         else:
-            classes[f] = (m, A * den * p ** (m0 - m) + num * B, B * den)
-    terms = {}
-    if jlim is None:
-        for f, (m, A, B) in classes.items():
-            if A == 0:
-                continue
-            while A % p == 0:
-                A //= p
-                m += 1
-            g = math.gcd(A, B)
-            terms[f + m * N] = (A // g, B // g) if g != 1 else (A, B)
-    else:
+            classes[f] = (j, A * den * p ** ((j0 - j) // N) + num * B, B * den)
+    out = []
+    if jlim is not None:
         pn, pd = prec
         k = pd // N
-        for f, (m, A, B) in classes.items():
-            j = f + m * N
+    for j, A, B in classes.values():
+        if jlim is not None:
             # digits of the class sum known below p^prec: ceil(prec - j/N)
             mod = p ** -((j * k - pn) // pd)
-            A = A % mod if B == 1 else A * pow(B, -1, mod) % mod
-            if A == 0:
-                continue
-            while A % p == 0:
-                A //= p
-                j += N
-            terms[j] = (A, 1)
-    return dict(sorted(terms.items()))
+            A, B = A % mod if B == 1 else A * pow(B, -1, mod) % mod, 1
+        if A == 0:
+            continue
+        while A % p == 0:
+            A //= p
+            j += N
+        if B != 1:
+            g = math.gcd(A, B)
+            A, B = A // g, B // g
+        out.append((j, (A, B)))
+    if len(out) > 1:
+        out.sort()
+    return dict(out)
 
 
 class LocalFieldElement:
@@ -230,7 +226,9 @@ class LocalFieldElement:
     def __init__(self, ctx, pairs, prec=None):
         self.ctx = ctx
         self._prec = prec = _prec_pair(prec, ctx.N)
-        self._t = _canonicalize(ctx.p, ctx.N, _integer_terms(ctx, pairs), prec)
+        t = list(_integer_terms(ctx, pairs))
+        # one exact term is canonical as built: _integer_terms reduces it
+        self._t = dict(t) if prec is None and len(t) < 2 else _canonicalize(ctx.p, ctx.N, t, prec)
 
     @classmethod
     def _make(cls, ctx, t, prec):

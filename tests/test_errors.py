@@ -161,6 +161,11 @@ BAD_INPUTS = [
     # JSON true is not the rational 1
     (["split-check", "--p", "5", "--level", "1", "--vals", "[true, 2, 3, 4, 5]"], "JSON array"),
     (["split-check", "--p", "5", "--level", "1", "--vals", "[-Infinity, 2, 3, 4, 5]"], "rational"),
+    # past the int-to-str digit limit, refused on the text before Fraction
+    # expands it (10^1000000000 would take minutes and gigabytes)
+    (["split-check", "--p", "5", "--level", "1", "--vals", '["1e5000",1,1,1,1]'], "digits"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", '["1e1000000000",1,1,1,1]'], "digits"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", "[1e1000000000,1,1,1,1]"], "digits"),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "0", "--case", "a=1"], "s != 0"),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "b"], "case"),
     # only the spellings generic, a=0 and a=1 name a case

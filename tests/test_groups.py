@@ -1,5 +1,6 @@
 """Unit tests for SL2 elements, trace-prescribed generators, generation
 checks, and Sylow data, cross-checked by brute force over small fields."""
+import json
 import random
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from srt import (
     standard_generators,
     sylow_data,
 )
-from srt.groups import NoSolution, ResourceLimit, Unsupported
+from srt.cli import EXIT_OK, dispatch
+from srt.groups import NoSolution, ResourceLimit, Unsupported, _prime_factors
 
 
 class TestMatrixElement:
@@ -63,6 +65,53 @@ def _all_elements(q):
             elif b:
                 for d in range(q):
                     yield MatrixElement(0, b, -pow(b, -1, q), d, q)
+
+
+_PRIMES_TO_316 = [d for d in range(2, 317) if all(d % e for e in range(2, d))]
+
+
+def _trial_division(n):
+    """{prime: exponent} of 1 <= n < 317^2, in increasing order."""
+    out = {}
+    for d in _PRIMES_TO_316:
+        if d * d > n:
+            break
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestPrimeFactors:
+    def test_matches_trial_division_below_10_5(self):
+        # the cofactor left by the primes up to 41 goes to Pollard's rho from
+        # 43^2 on: squares, cubes and products of two or three primes
+        for n in range(1, 10**5):
+            assert list(_prime_factors(n).items()) == list(_trial_division(n).items()), n
+
+    def test_rho_splits_large_semiprimes_and_powers(self):
+        p1, p2 = 1_000_000_007, 998_244_353
+        assert _prime_factors(2 * 3 * p1 * p2) == {2: 1, 3: 1, p2: 1, p1: 1}
+        assert _prime_factors(1_000_003**3) == {1_000_003: 3}
+        assert _prime_factors(43 * p1 * p1) == {43: 1, p1: 2}
+
+    def test_refuses_nonpositive(self):
+        for n in (0, -6):
+            with pytest.raises(ValueError):
+                _prime_factors(n)
+
+    def test_group_request_on_a_57_bit_prime_is_fast(self, capsys):
+        # q - 1 = 2 * 5^2 * 2631627900453977 defeated trial division
+        q = 131581395022698851
+        t0 = time.perf_counter()
+        code = dispatch(["group", "--q", str(q), "--p", "5", "--mode", "criterion"])
+        assert time.perf_counter() - t0 < 5
+        assert code == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["orders"] == {"alpha": q, "beta": q - 1, "alpha*beta": (q - 1) // 5}
+        assert out["generation"]["verdict"] == "Generates"
 
 
 class TestElementOrder:

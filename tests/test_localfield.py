@@ -97,6 +97,24 @@ class TestCanonicalForm:
         with pytest.raises(ContextError):
             ctx5().pi_power(Fraction(1, 3))
 
+    def test_equality_with_non_numbers_is_false(self):
+        # __eq__ coerces the other side; what Fraction refuses compares unequal
+        ctx = ctx5()
+        for prec in (None, 3):
+            for x in (ctx.from_rational(3, prec), ctx.pi_power(Fraction(2, 5), 7, prec)):
+                for other in ("abc", None, object(), [3]):
+                    assert (x == other) is False
+                    assert (x != other) is True
+
+    def test_equality_with_numbers_is_coerced(self):
+        ctx = ctx5()
+        for prec in (None, 3):
+            for value in (3, 0, -10, Fraction(3, 25), Fraction(-7, 2)):
+                for x in (ctx.from_rational(3, prec), ctx.from_rational(value, prec), ctx.zero(prec)):
+                    assert (x == value) == (x == ctx.from_rational(value))
+                    # an element at finite precision never equals an exact one
+                    assert (x == value) == (prec is None and x.terms == ctx.from_rational(value).terms)
+
 
 class TestPrecision:
     def test_truncate(self):

@@ -2,12 +2,17 @@
 
 The model holds an element of Q(pi), pi^N = p, as its N rational coordinates
 c_0..c_{N-1} in the basis 1, pi, ..., pi^(N-1), so x = sum c_i pi^i. It reads
-srt elements only through their public `terms` view and `prec`."""
+srt elements only through their public `terms` view and `prec`. The tests of
+the canonical form (TestCanonicalForm) read the term dict `_t` and the
+precision pair `_prec` themselves, since `__eq__` and `__hash__` compare
+those directly."""
+import math
 from fractions import Fraction
 
 import pytest
 
 from srt import LocalFieldContext, LocalFieldElement, is_pth_power, nth_root
+from srt.localfield import _canonicalize, _integer_terms, _prec_pair
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -247,3 +252,108 @@ class TestRoots:
         assert root.prec == v + rel
         assert agree(model(root), model(y), root.prec)
         assert agree(fifth, model(x), 5 * v + rel + 1)
+
+
+PRIMES = (3, 5, 7, 11)
+
+
+def prime_to(p, n):
+    """n moved off the multiples of p."""
+    return n + 1 if n % p == 0 else n
+
+
+@st.composite
+def rationals(draw, p):
+    """An int or a Fraction, negative or zero at times, with p in the
+    numerator or the denominator at times."""
+    num = draw(st.integers(-60, 60)) * p ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        return num
+    den = draw(st.sampled_from([1, 2, 4, 6])) * p ** draw(st.integers(0, 2))
+    return Fraction(num, den)
+
+
+@st.composite
+def raw_pairs(draw, p, N):
+    """(j, (num, den)) with num and den prime to p, den > 0, not always
+    reduced, as products of canonical terms hand them to _canonicalize."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        j = draw(st.integers(-2 * N, 3 * N))
+        num = prime_to(p, draw(st.integers(-80, 80)))
+        den = prime_to(p, draw(st.integers(1, 40)))
+        pairs.append((j, (num, den)))
+    return pairs
+
+
+def assert_canonical_dict(t, p, N, prec):
+    """Sorted by j, one term per class of j mod N, units prime to p: reduced
+    with a positive denominator when exact, int residues in [0, p^k) with
+    denominator 1 at finite precision, k = ceil(prec - j/N)."""
+    js = list(t)
+    assert js == sorted(js)
+    assert len({j % N for j in js}) == len(js)
+    for j, (num, den) in t.items():
+        assert num % p != 0 and den % p != 0
+        if prec is None:
+            assert den > 0 and math.gcd(num, den) == 1
+        else:
+            k = math.ceil(Fraction(*prec) - Fraction(j, N))
+            assert den == 1 and 0 <= num < p**k
+
+
+class TestCanonicalForm:
+    @SETTINGS
+    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
+    def test_one_term_constructors_match_the_canonicalizer(self, p, N, data):
+        """from_rational, pi_power and the coerced operand of x + q build one
+        exact term without the canonicalizer; their `_t` and `_prec` are the
+        canonicalizer's own, and so are those of an element whose two terms
+        merge into the same value."""
+        ctx = LocalFieldContext(p, N, M)
+        q = data.draw(rationals(p))
+        e = Fraction(data.draw(st.integers(-2 * N, 2 * N)), N)
+        x = LocalFieldElement(ctx, [(Fraction(1, N), 1)])
+        for built, exponent in (
+            (ctx.from_rational(q), 0),
+            (x._coerce(q), 0),
+            (ctx.pi_power(e, q), e),
+        ):
+            want = _canonicalize(p, N, _integer_terms(ctx, [(exponent, q)]), None)
+            merged = LocalFieldElement(ctx, [(exponent, 2 * q), (exponent, -q), (1, 0)])
+            assert built._t == want == merged._t
+            assert list(built._t) == list(merged._t)
+            assert built._prec is None and merged._prec is None
+            assert built == merged and hash(built) == hash(merged)
+        assert (x + q)._t == (x + ctx.from_rational(q))._t
+
+    @SETTINGS
+    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
+    def test_from_rational_at_a_precision(self, p, N, data):
+        ctx = LocalFieldContext(p, N, M)
+        q = data.draw(rationals(p))
+        prec = Fraction(data.draw(st.integers(-N, 4 * N)), data.draw(st.sampled_from([1, N, 7])))
+        built = ctx.from_rational(q, prec)
+        general = LocalFieldElement(ctx, [(0, q), (0, 0), (1, 0)], prec)
+        assert (built._t, built._prec) == (general._t, general._prec) == (
+            _canonicalize(p, N, _integer_terms(ctx, [(0, q)]), _prec_pair(prec, N)),
+            _prec_pair(prec, N),
+        )
+        assert_canonical_dict(built._t, p, N, built._prec)
+
+    @SETTINGS
+    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
+    def test_canonicalizer_output(self, p, N, data):
+        pairs = data.draw(raw_pairs(p, N))
+        exact = _canonicalize(p, N, pairs, None)
+        assert_canonical_dict(exact, p, N, None)
+        # the value of each class is kept exactly
+        for f in range(N):
+            want = sum(
+                (Fraction(num, den) * Fraction(p) ** (j // N) for j, (num, den) in pairs if j % N == f),
+                Fraction(0),
+            )
+            got = [Fraction(num, den) * Fraction(p) ** (j // N) for j, (num, den) in exact.items() if j % N == f]
+            assert sum(got, Fraction(0)) == want
+        prec = _prec_pair(Fraction(data.draw(st.integers(-2 * N, 4 * N)), data.draw(st.sampled_from([1, N, 3]))), N)
+        assert_canonical_dict(_canonicalize(p, N, pairs, prec), p, N, prec)
