@@ -29,6 +29,7 @@ from .groups import (
     MatrixElement,
     element_order,
     generation_check,
+    order_primes,
     solve_trace_system,
     standard_generators,
     sylow_data,
@@ -297,22 +298,23 @@ def _cmd_herbrand(args):
 
 def _cmd_group(args):
     q = args.q
+    if (args.tau is None or args.rho is None) and args.p is None:
+        raise UsageError("provide --p (for the standard pair) or --tau/--rho")
+    primes = order_primes(q)
     if args.tau is not None and args.rho is not None:
         beta = solve_trace_system(q, args.tau, args.rho)
         alpha = MatrixElement(1, 1, 0, 1, q)
     else:
-        if args.p is None:
-            raise UsageError("provide --p (for the standard pair) or --tau/--rho")
-        alpha, beta = standard_generators(q, args.p)
-    verdict = generation_check([alpha, beta], q, mode=args.mode)
+        alpha, beta = standard_generators(q, args.p, primes)
+    verdict = generation_check([alpha, beta], q, mode=args.mode, primes=primes)
     out = {
         "q": q,
         "alpha": list(alpha.entries()),
         "beta": list(beta.entries()),
         "orders": {
-            "alpha": element_order(alpha),
-            "beta": element_order(beta),
-            "alpha*beta": element_order(alpha * beta),
+            "alpha": element_order(alpha, primes),
+            "beta": element_order(beta, primes),
+            "alpha*beta": element_order(alpha * beta, primes),
         },
         "generation": verdict,
     }

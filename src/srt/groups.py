@@ -89,6 +89,14 @@ def _prime_factors(n):
     return out
 
 
+def order_primes(q):
+    """(primes of q - 1, primes of q + 1) of a prime q: the `primes` a request
+    factors once and passes to its generators, closure and element orders."""
+    if not is_prime(q):
+        raise Unsupported(f"q must be prime, got {q}")
+    return tuple(_prime_factors(q - 1)), tuple(_prime_factors(q + 1))
+
+
 def _large_prime_factors(n):
     """The prime factors, with multiplicity, of n > 1 that is prime or has
     no prime factor up to 41 (so is prime below 43^2); each factor is
@@ -144,7 +152,7 @@ def _lucas_v(t, k, q):
     return v
 
 
-def element_order(m):
+def element_order(m, primes=None):
     """Multiplicative order, read from the trace t over the prime field F_q.
 
     +-I have order 1 or 2. Any other m with t = 2 is unipotent, of order q,
@@ -163,8 +171,9 @@ def element_order(m):
         return q
     if t == -2 % q:
         return 2 * q
+    down, up = primes or order_primes(q)
     order = q * q - 1
-    for prime in _prime_factors(q - 1).keys() | _prime_factors(q + 1).keys():
+    for prime in {*down, *up}:
         while order % prime == 0 and _lucas_v(t, order // prime, q) == 2 % q:
             order //= prime
     return order
@@ -195,15 +204,14 @@ def solve_trace_system(q, tau, rho):
     return beta
 
 
-def _primitive_root(q):
-    factors = _prime_factors(q - 1)
+def _primitive_root(q, factors):
     for g in range(2, q):
         if all(pow(g, (q - 1) // f, q) != 1 for f in factors):
             return g
     raise NoSolution(f"no primitive root mod {q}")
 
 
-def standard_generators(q, p):
+def standard_generators(q, p, primes=None):
     """The generating pair (alpha, beta) with alpha = [[1,1],[0,1]] of order q,
     beta of order q - 1, and alpha*beta of order (q-1)/p.
 
@@ -215,7 +223,7 @@ def standard_generators(q, p):
         raise Unsupported(f"q must be prime, got {q}")
     if (q - 1) % p != 0:
         raise NoSolution(f"p = {p} must divide q - 1 = {q - 1}")
-    lam = _primitive_root(q)
+    lam = _primitive_root(q, _prime_factors(q - 1) if primes is None else primes[0])
     tau = (lam + pow(lam, -1, q)) % q
     mu = pow(lam, p, q)
     rho = (mu + pow(mu, -1, q)) % q
@@ -231,7 +239,7 @@ class GenerationVerdict:
     evidence: dict | None = None
 
 
-def generation_check(gens, q, mode="criterion"):
+def generation_check(gens, q, mode="criterion", primes=None):
     """Do the given matrices generate SL2(F_q)?
 
     criterion mode: for gens = (alpha, beta) with alpha of order q (q a prime
@@ -249,13 +257,13 @@ def generation_check(gens, q, mode="criterion"):
     if not gens:
         raise PreconditionViolated("need at least one generator")
     if mode == "bfs":
-        return _generation_bfs(gens, q)
+        return _generation_bfs(gens, q, primes)
     if mode != "criterion":
         raise PreconditionViolated(f"mode must be criterion or bfs, got {mode!r}")
     if len(gens) == 1:
         return GenerationVerdict(
             "ProperSubgroup",
-            order=element_order(gens[0]),
+            order=element_order(gens[0], primes),
             evidence={"reason": "single generator spans a cyclic group"},
         )
     if len(gens) != 2:
@@ -263,7 +271,7 @@ def generation_check(gens, q, mode="criterion"):
     alpha, beta = gens
     if not is_prime(q) or q < 5:
         raise Unsupported(f"criterion mode needs a prime q >= 5, got {q}")
-    if element_order(alpha) != q:
+    if element_order(alpha, primes) != q:
         raise Unsupported(
             f"criterion mode needs the first generator of order q = {q}"
         )
@@ -276,7 +284,7 @@ def generation_check(gens, q, mode="criterion"):
         )
     if alpha.c % q != 0:
         raise Unsupported("criterion mode expects the unipotent in upper form")
-    ord_beta = element_order(beta)
+    ord_beta = element_order(beta, primes)
     # -I is the only involution of SL2(F_q), q odd: it is in <beta> iff 2 | ord
     if ord_beta % 2:
         return GenerationVerdict(
@@ -298,7 +306,7 @@ def generation_check(gens, q, mode="criterion"):
 _BFS_LIMIT = 30_000_000
 
 
-def _generation_bfs(gens, q):
+def _generation_bfs(gens, q, primes):
     target = q * (q * q - 1)
     if target > _BFS_LIMIT:
         raise ResourceLimit(
@@ -331,7 +339,7 @@ def _generation_bfs(gens, q):
 
     # |Lambda| for the lams in the cyclic F_q^*: the least d with every lam^d = 1
     lams, lam_order = {lam for lam, _ in schreier}, q - 1
-    for f in _prime_factors(q - 1):
+    for f in _prime_factors(q - 1) if primes is None else primes[0]:
         while lam_order % f == 0 and all(pow(x, lam_order // f, q) == 1 for x in lams):
             lam_order //= f
     # K n U is 1 or U. Take s0 = (lam0, u0) with lam0 != +-1; (lam, u) commutes

@@ -12,8 +12,9 @@ precision derived from a proven lower bound on the dropped coefficients.
 
 In every coefficient ring the Taylor coefficients come from the linear
 recurrence of the ODE P*g' = Q*g that g satisfies, in O(T) ring operations.
-Over Q the recurrence runs on the integers h_k = g_k L^k / g_0, where L is
-the lcm of the numerators of the roots shifted to the center; h_k is an
+Over Q it runs on integers from the first step: P and Q are scaled by prod v_i
+for the roots shifted to the center, b_i = u_i/v_i, and the recurrence runs on
+h_k = g_k L^k / g_0, where L is the lcm of the u_i; h_k is an
 integer because every binomial coefficient of an integer exponent is one.
 Each step is one integer division by (k+1)*P(0), checked to be exact, and
 each coefficient becomes one Fraction at the end. In Q(i) and the local
@@ -129,7 +130,7 @@ def element_valuation(x, p) -> ExtendedRational:
         return x.valuation()
     if isinstance(x, GaussRational):
         return x.valuation(p)
-    return vp(Fraction(x), p)
+    return vp(x, p)
 
 
 class CoverParams:
@@ -271,15 +272,15 @@ class TruncatedSeries:
         vx = element_valuation(x, x.ctx.p if self.p is None else self.p)
         if not vx > 0:
             raise PreconditionViolated(f"evaluation needs v(x) > 0, got {vx}")
-        acc = self.coefficients[self.order]
-        for i in range(self.order - 1, -1, -1):
-            acc = acc * x + self.coefficients[i]
         floor = self.tail_floor(vx.as_fraction())
         if floor is None:
             raise TruncationUnderflow(
                 "no tail bound available to certify the dropped terms",
                 required_order=self.order + 1,
             )
+        acc = self.coefficients[self.order]
+        for i in range(self.order - 1, -1, -1):
+            acc = acc * x + self.coefficients[i]
         return acc.truncate(floor)
 
 
@@ -330,14 +331,26 @@ def _recurrence_coefficients(factors, center, T):
 
     from g_0 = prod (-b_i)^m_i: the D-finite recurrence of Stanley (1980)
     and gfun (Salvy-Zimmermann 1994). P_0 = prod (-b_i) is nonzero since
-    the center is not a root; repeated roots need no special case. Over Q
-    the recurrence runs on the integers h_k = g_k L^k / g_0, with L the lcm
-    of the numerators of the b_i, and each step's division by (k+1) P_0 is
-    checked to be exact (_rational_coefficients). In Q(i) and the local field
-    each step multiplies by 1/P_0, inverted once, and by 1/(k+1).
+    the center is not a root; repeated roots need no special case. Over Q,
+    with b_i = u_i/v_i, P and Q are scaled by prod v_i to integers, built as
+    P <- P (v t - u) and Q <- Q (v t - u) + m v P, g_0 is one Fraction, and
+    the recurrence runs on integers (_rational_coefficients). In Q(i) and the
+    local field each step multiplies by 1/P_0, inverted once, and by 1/(k+1).
     """
     factors = list(factors)
     one = _ring_one(center, *(root for root, _ in factors))
+    if isinstance(one, Fraction):
+        P, Q, L, num, den = [1], [], 1, 1, 1
+        for root, m in factors:
+            b = root - center
+            _refuse_root_center(b, root)
+            u, v = b.numerator, b.denominator
+            Q = [v * x - u * y + m * v * z for x, y, z in zip([0] + Q, Q + [0], P)]
+            P = [v * x - u * y for x, y in zip([0] + P, P + [0])]
+            L = math.lcm(L, u)
+            num *= (-u) ** m if m >= 0 else v**-m
+            den *= v**m if m >= 0 else (-u) ** -m
+        return _rational_coefficients(P, Q, L, Fraction(num, den), T)
     shifted = []
     for root, m in factors:
         b = one * (root - center)
@@ -356,8 +369,6 @@ def _recurrence_coefficients(factors, center, T):
             if j != i:
                 rest = _times_linear(rest, b)
         Q = [q + m * c for q, c in zip(Q, rest)]
-    if isinstance(one, Fraction):
-        return _rational_coefficients([b for b, _ in shifted], g0, P, Q, T)
     inv_P0 = one / P[0]
     g = [g0]
     for k in range(T):
@@ -368,13 +379,13 @@ def _recurrence_coefficients(factors, center, T):
     return g
 
 
-def _rational_coefficients(bases, g0, P, Q, T):
+def _rational_coefficients(P, Q, L, g0, T):
     """The recurrence of _recurrence_coefficients over Q, on integers.
 
-    Let L be the lcm of the numerators of the shifted roots b_i = u_i/v_i.
-    Since g/g_0 = prod (1 - (v_i/u_i) t)^m_i and binomial coefficients of an
-    integer exponent are integers, h_k = g_k L^k / g_0 is an integer. The ODE
-    is homogeneous in (P, Q), so P and Q are scaled to integers, and
+    P and Q are integer polynomials, L is the lcm of the numerators u_i of
+    the shifted roots b_i = u_i/v_i, and g0 is the Fraction g_0. Since
+    g/g_0 = prod (1 - (v_i/u_i) t)^m_i and binomial coefficients of an
+    integer exponent are integers, h_k = g_k L^k / g_0 is an integer, and
 
         (k+1) P_0 h_{k+1} = sum_{j=1..n} (Q_{j-1} - (k+1-j) P_j) L^j h_{k+1-j}.
 
@@ -385,17 +396,10 @@ def _rational_coefficients(bases, g0, P, Q, T):
     few digits beyond the coefficient's own; a scaling by k! P_0^k or by
     P_0^k grows faster and makes large T slower.
     """
-    D = math.lcm(*(c.denominator for c in P + Q))
-    L = math.lcm(*(b.numerator for b in bases))
     n = len(P) - 1
-    # QL[j] = Q_{j-1} L^j and PL[j] = P_j L^j, for j = 1..n
-    QL, PL = [0], [0]
-    Lj = 1
-    for j in range(1, n + 1):
-        Lj *= L
-        QL.append(int(Q[j - 1] * D) * Lj)
-        PL.append(int(P[j] * D) * Lj)
-    P0 = int(P[0] * D)
+    # QL[j] = Q_{j-1} L^j and PL[j] = P_j L^j
+    QL = [0] + [c * L**j for j, c in enumerate(Q, 1)]
+    PL = [c * L**j for j, c in enumerate(P)]
     num, den = g0.numerator, g0.denominator
     h = deque([1], maxlen=n)  # h_{k+1-j} is h[-j]
     g = [g0]
@@ -404,7 +408,7 @@ def _rational_coefficients(bases, g0, P, Q, T):
         acc = 0
         for j in range(1, min(n, k + 1) + 1):
             acc += (QL[j] - (k + 1 - j) * PL[j]) * h[-j]
-        hk, rem = divmod(acc, (k + 1) * P0)
+        hk, rem = divmod(acc, (k + 1) * P[0])
         if rem:
             raise RuntimeError(
                 f"internal error: the integer Maclaurin recurrence left a "
@@ -448,14 +452,19 @@ def _is_zero(x):
         return x.valuation_lower_bound().is_infinite
     if isinstance(x, GaussRational):
         return x.re == 0 and x.im == 0
-    return Fraction(x) == 0
+    return x == 0
 
 
 def scaled_coefficient_valuations(series, p, v_e):
     """v(c_i) = v(coefficient i) + i*v(e) for a homogeneous rescaling with a
-    scale of known valuation v_e; exact rational path, no elements needed."""
-    v_e = Fraction(v_e)
-    return [
-        element_valuation(series.coefficient(i), p) + v_e * i
-        for i in range(1, series.order + 1)
-    ]
+    scale of known valuation v_e = n/d; a finite a/b + i*n/d is built as the
+    one Fraction (a*d + i*n*b) / (b*d)."""
+    n, d = Fraction(v_e).as_integer_ratio()
+    out = []
+    for i, c in enumerate(series.coefficients[1:], 1):
+        v = element_valuation(c, p)
+        if not v.is_infinite:
+            a, b = v.value.as_integer_ratio()
+            v = ExtendedRational(Fraction(a * d + i * n * b, b * d))
+        out.append(v)
+    return out

@@ -116,7 +116,7 @@ def vp(x, p) -> ExtendedRational:
     """p-adic valuation of a rational number, normalized so vp(p) = 1.
 
     Args:
-        x: int or Fraction (or anything Fraction accepts).
+        x: int or Fraction, read as it is, or anything Fraction converts.
         p: prime.
 
     Returns:
@@ -124,11 +124,12 @@ def vp(x, p) -> ExtendedRational:
     """
     if p < 2:
         raise PreconditionViolated(f"p must be a prime >= 2, got {p}")
-    x = Fraction(x)
-    if x == 0:
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num = x.numerator
+    if not num:
         return INFINITY
     v = 0
-    num = x.numerator
     den = x.denominator
     while num % p == 0:
         num //= p

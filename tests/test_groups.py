@@ -1,5 +1,6 @@
 """Unit tests for SL2 elements, trace-prescribed generators, generation
 checks, and Sylow data, cross-checked by brute force over small fields."""
+import collections
 import json
 import random
 import subprocess
@@ -112,6 +113,36 @@ class TestPrimeFactors:
         out = json.loads(capsys.readouterr().out)
         assert out["orders"] == {"alpha": q, "beta": q - 1, "alpha*beta": (q - 1) // 5}
         assert out["generation"]["verdict"] == "Generates"
+
+    @pytest.mark.parametrize(
+        "q, argv",
+        [
+            (251, ["--p", "5", "--mode", "criterion"]),
+            (251, ["--p", "5", "--mode", "bfs"]),
+            (251, ["--tau", "3", "--rho", "7", "--mode", "bfs"]),
+            # q - 1 is 2 times two 40-bit primes: each factoring runs rho
+            (
+                1228559431195504946317379,
+                ["--tau", "3", "--rho", "7", "--mode", "criterion"],
+            ),
+        ],
+    )
+    def test_group_request_factors_q_minus_1_and_q_plus_1_once(
+        self, q, argv, monkeypatch, capsys
+    ):
+        # the primitive root, the closure and every element order share the
+        # one factorization the request makes
+        calls = collections.Counter()
+        factor = srt.groups._prime_factors
+
+        def counting_factor(n):
+            calls[n] += 1
+            return factor(n)
+
+        monkeypatch.setattr(srt.groups, "_prime_factors", counting_factor)
+        dispatch(["group", "--q", str(q), *argv])
+        assert json.loads(capsys.readouterr().out)["q"] == q
+        assert calls == {q - 1: 1, q + 1: 1}
 
 
 class TestElementOrder:

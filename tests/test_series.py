@@ -209,9 +209,8 @@ class TestMaclaurin:
     def test_inexact_integer_step_is_an_internal_error(self):
         # L = 2 from a shifted root 2 does not clear the root 3 of P = t - 3:
         # the first step leaves a remainder, which is a bug, not a user error
-        P, Q = [Fraction(-3), Fraction(1)], [Fraction(1)]
         with pytest.raises(RuntimeError, match="k = 1") as exc:
-            _rational_coefficients([Fraction(2)], Fraction(1), P, Q, 3)
+            _rational_coefficients([-3, 1], [1], 2, Fraction(1), 3)
         assert not isinstance(exc.value, SrtError)
 
 
@@ -318,6 +317,29 @@ class TestTruncatedSeries:
         s = TruncatedSeries([Fraction(1), Fraction(1)])
         with pytest.raises(TruncationUnderflow, match="no tail bound"):
             s.evaluate(LocalFieldContext(5, N=1).pi_power(1))
+
+    def test_refusal_comes_before_any_multiplication(self, monkeypatch):
+        # the tail floor is read before the Horner loop: a series whose
+        # dropped terms it cannot bound is refused without one element product
+        ctx = LocalFieldContext(5, N=1)
+        x = ctx.pi_power(1)
+        coefficients = [ctx.from_rational(k + 1) for k in range(8)]
+        products = []
+        mul = LocalFieldElement.__mul__
+
+        def counting_mul(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(LocalFieldElement, "__mul__", counting_mul)
+        monkeypatch.setattr(LocalFieldElement, "__rmul__", counting_mul)
+        # no bound at all, and a bound whose slope v(x) cannot lift above 0
+        for bound in (None, (Fraction(0), Fraction(-2))):
+            with pytest.raises(TruncationUnderflow, match="no tail bound"):
+                TruncatedSeries(coefficients, tail_bound=bound).evaluate(x)
+        assert products == []
+        TruncatedSeries(coefficients, tail_bound=(Fraction(0), Fraction(0))).evaluate(x)
+        assert len(products) == 7
 
 
 class TestValuationHelpers:
