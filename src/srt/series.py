@@ -206,11 +206,6 @@ class CoverParams:
         )
 
 
-def _vp_int_upper(k):
-    """Upper bound for v_p(k) valid for every p >= 2: the bit length of k."""
-    return k.bit_length()
-
-
 class TruncatedSeries:
     """Coefficients 0..order of a power series, with an optional proven lower
     bound (const, slope) so that v(coefficient i) >= const + slope*i - v_p(i)
@@ -260,7 +255,7 @@ class TruncatedSeries:
             if net * k - b >= net * candidates[0] + 4:
                 break
             b += 1
-        return min(const + net * k - _vp_int_upper(k) for k in candidates)
+        return min(const + net * k - k.bit_length() for k in candidates)
 
     def evaluate(self, x):
         """Sum of the series at a local-field point x with v(x) > 0, cut to
@@ -351,24 +346,18 @@ def _recurrence_coefficients(factors, center, T):
             num *= (-u) ** m if m >= 0 else v**-m
             den *= v**m if m >= 0 else (-u) ** -m
         return _rational_coefficients(P, Q, L, Fraction(num, den), T)
+    # every root is refused at the center before any inverse can fail
     shifted = []
     for root, m in factors:
         b = one * (root - center)
         _refuse_root_center(b, root)
         shifted.append((b, m))
-    g0 = one
-    P = [one]
+    g0, P, Q = one, [one], []
     for b, m in shifted:
         g0 = g0 * (-b) ** m
-        P = _times_linear(P, b)
+        Q = [x - b * y + m * z for x, y, z in zip([0] + Q, Q + [0], P)]
+        P = [x - b * y for x, y in zip([0] + P, P + [0])]
     n = len(P) - 1
-    Q = [0 * one] * n
-    for i, (_, m) in enumerate(shifted):
-        rest = [one]
-        for j, (b, _) in enumerate(shifted):
-            if j != i:
-                rest = _times_linear(rest, b)
-        Q = [q + m * c for q, c in zip(Q, rest)]
     inv_P0 = one / P[0]
     g = [g0]
     for k in range(T):
@@ -420,17 +409,8 @@ def _rational_coefficients(P, Q, L, g0, T):
     return g
 
 
-def _times_linear(poly, b):
-    """Ascending coefficients of poly(t) * (t - b)."""
-    return (
-        [-b * poly[0]]
-        + [poly[i - 1] - b * poly[i] for i in range(1, len(poly))]
-        + [poly[-1]]
-    )
-
-
 def _refuse_root_center(base, root):
-    if _is_zero(base):
+    if base == 0:
         raise PreconditionViolated(
             f"the center equals the root {root}; g has no Taylor expansion there"
         )
@@ -445,14 +425,6 @@ def _ring_one(*xs):
     if any(isinstance(x, GaussRational) for x in xs):
         return GaussRational(1)
     return Fraction(1)
-
-
-def _is_zero(x):
-    if isinstance(x, LocalFieldElement):
-        return x.valuation_lower_bound().is_infinite
-    if isinstance(x, GaussRational):
-        return x.re == 0 and x.im == 0
-    return x == 0
 
 
 def scaled_coefficient_valuations(series, p, v_e):

@@ -38,7 +38,7 @@ from srt import (
     taylor_factors,
 )
 
-EXPECTED_DIGEST = "ac1d1d270eca56475e1eea19179b6f1dd466edadd01ec410c49686cc071c7874"
+EXPECTED_DIGEST = "725e5a944cd8bee2af14734fab6fef744200f2fc1a5479e99558838c2ac0b96b"
 EXPECTED_RECORDS = 182
 
 
