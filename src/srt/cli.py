@@ -120,12 +120,25 @@ def _ext_fraction(text):
     return ExtendedRational(_fraction(text))
 
 
-def _emit(obj, fmt):
-    if fmt == "json":
-        print(json.dumps(obj, separators=(",", ":")))
-    else:
-        for line in _text_lines(obj, ""):
-            print(line)
+def _answer(args):
+    """(stdout, exit code) of a parsed request. The whole stdout is built
+    before any of it is printed, so a refusal leaves stdout empty. A value
+    that the request reads or derives with more digits than Python's
+    int-to-str limit is refused with ResourceLimit; any other ValueError is a
+    bug and propagates."""
+    try:
+        report, code = args.handler(args)
+        obj = to_jsonable(report)
+        if args.format == "json":
+            return json.dumps(obj, separators=(",", ":")) + "\n", code
+        return "".join(line + "\n" for line in _text_lines(obj, "")), code
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ResourceLimit(
+            f"a value of the answer has more than {sys.get_int_max_str_digits()} "
+            f"digits, too many to print; give inputs with fewer digits"
+        ) from None
 
 
 def _text_lines(obj, prefix):
@@ -439,11 +452,11 @@ def dispatch(argv):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        report, code = args.handler(args)
+        out, code = _answer(args)
     except SrtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(to_jsonable(report), args.format)
+    sys.stdout.write(out)
     return code
 
 

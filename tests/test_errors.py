@@ -149,6 +149,11 @@ FILES = {
 
 # (argv, text the error line must contain); "@name" stands for a file
 # holding the JSON FILES[name]
+def _short(token):
+    """The token as it appears in a test id: in full, or cut with its length."""
+    return token if len(token) <= 40 else f"{token[:12]}...({len(token)} chars)"
+
+
 BAD_INPUTS = [
     (["expand", "--p", "4", "--nu", "1", "--r", "1", "--s", "2"], "odd prime"),
     (["expand", "--p", "5", "--nu", "0", "--r", "1", "--s", "2"], "nu"),
@@ -166,6 +171,16 @@ BAD_INPUTS = [
     (["split-check", "--p", "5", "--level", "1", "--vals", '["1e5000",1,1,1,1]'], "digits"),
     (["split-check", "--p", "5", "--level", "1", "--vals", '["1e1000000000",1,1,1,1]'], "digits"),
     (["split-check", "--p", "5", "--level", "1", "--vals", "[1e1000000000,1,1,1,1]"], "digits"),
+    # a value derived past the digit limit: the threshold n + 1/(p - 1) of a
+    # 4,300-digit level, the center 1 - s^2/r^2 of a 2,201-digit r, and
+    # v_root = (v_p + (p - 1) n + 1)/p of a v_p just inside the rational bound
+    (["split-check", "--p", "5", "--level", "9" * 4300, "--vals", "[1,1,1,1,1]"], "digits"),
+    (
+        ["split-check", "--p", "1009", "--level", "1", "--vals",
+         "[" + "2," * 1008 + '"1.' + "0" * 4296 + '1"]'],
+        "digits",
+    ),
+    (["tail-center", "--p", "7", "--nu", "1", "--r", "9" * 2200 + "1", "--s", "1", "--case", "generic"], "digits"),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "0", "--case", "a=1"], "s != 0"),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "b"], "case"),
     # only the spellings generic, a=0 and a=1 name a case
@@ -208,7 +223,7 @@ BAD_INPUTS = [
 
 
 @pytest.mark.parametrize(
-    "argv, needle", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS]
+    "argv, needle", BAD_INPUTS, ids=[" ".join(map(_short, a)) for a, _ in BAD_INPUTS]
 )
 def test_bad_input_is_one_error_line(argv, needle, tmp_path, capsys):
     resolved = []
