@@ -247,9 +247,11 @@ class TestGenerationCheck:
             generation_check([], 7)
 
     def test_bfs_resource_limit(self):
-        alpha, beta = standard_generators(331, 5)
-        with pytest.raises(ResourceLimit):
-            generation_check([alpha, beta], 331, mode="bfs")
+        # the first prime q = 1 mod 5 past the bound of 100,000
+        alpha, beta = standard_generators(100151, 5)
+        with pytest.raises(ResourceLimit) as exc:
+            generation_check([alpha, beta], 100151, mode="bfs")
+        assert "\n" not in str(exc.value)
 
     def test_bfs_refuses_composite_q(self):
         # the closure indexes SL2 by field arithmetic; Z/15 is not a field
