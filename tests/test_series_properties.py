@@ -1,14 +1,16 @@
-"""Property tests of the Taylor recurrence over Q against the truncated
-product of binomial series, on small random rational roots, exponents and
-centers: repeated roots, exponent 0, shifted numerators with a common factor,
-and a center on a root, which is refused."""
+"""Property tests of the Taylor recurrence against the truncated product of
+binomial series, on small random roots, exponents and centers: repeated
+roots, exponent 0, shifted numerators with a common factor, and a center on a
+root, which is refused. Over Q the roots and centers are rationals; in the
+local field Q_p(pi) they are exact or finite-precision elements, and in Q(i)
+the centers are Gaussian rationals."""
 import math
 from fractions import Fraction
 
 import pytest
 
-from srt import taylor_factors
-from srt.errors import PreconditionViolated
+from srt import GaussRational, LocalFieldContext, LocalFieldElement, taylor_factors
+from srt.errors import PrecisionError, PreconditionViolated
 
 from helpers import binomial_reference
 
@@ -78,3 +80,77 @@ def test_shifted_numerators_with_a_common_factor(center, g, shifts, T):
     assert math.lcm(*numerators) < abs(math.prod(numerators))
     factors = [(center + b, m) for b, (_, _, m) in zip(bases, shifts)]
     _check_against_reference(factors, center, T)
+
+
+@st.composite
+def local_field_expansions(draw):
+    """(factors, center, T) in Q_p(pi), pi^N = p. Roots come from a pool of
+    at most three rationals and elements, exact or at a finite precision, and
+    the center is sometimes one of them."""
+    ctx = LocalFieldContext(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 4)), 4)
+    N = ctx.N
+
+    def element():
+        terms = draw(
+            st.lists(
+                st.tuples(st.builds(Fraction, st.integers(-N, 2 * N), st.just(N)), st.integers(-20, 20)),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        x = LocalFieldElement(ctx, terms)
+        if draw(st.booleans()):
+            # a finite precision above the lowest term, so x is rarely 0
+            return x.truncate(min(e for e, _ in terms) + Fraction(draw(st.integers(1, 4 * N)), N))
+        return x
+
+    pool = [
+        element() if draw(st.booleans()) else draw(rationals)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    factors = draw(st.lists(st.tuples(st.sampled_from(pool), exponents), min_size=1, max_size=4))
+    center = draw(st.sampled_from(pool)) if draw(st.integers(0, 3)) == 1 else element()
+    return factors, ctx.one() * center, draw(st.integers(0, 12))
+
+
+@SETTINGS
+@given(case=local_field_expansions())
+def test_local_field_recurrence_matches_binomial_products(case):
+    factors, center, T = case
+    bases = [center.ctx.one() * (root - center) for root, _ in factors]
+    if any(b == 0 for b in bases):
+        with pytest.raises(PreconditionViolated, match="center equals the root"):
+            taylor_factors(factors, center, T, center.ctx.p)
+        return
+    if any(not b.terms for b in bases):
+        # a root equal to the center only to its precision is not refused,
+        # and P(0) has no inverse
+        with pytest.raises(PrecisionError):
+            taylor_factors(factors, center, T, center.ctx.p)
+        return
+    got = taylor_factors(factors, center, T, center.ctx.p).coefficients
+    want = binomial_reference(factors, center, T)
+    assert all(type(c) is LocalFieldElement for c in got)
+    assert got[0].terms
+    for k, (g, w) in enumerate(zip(got, want)):
+        # the difference vanishes below the joint precision
+        assert not (g - w).terms, k
+        if g.terms and w.terms:
+            assert g.valuation() == w.valuation(), k
+
+
+@SETTINGS
+@given(
+    case=expansions(),
+    re=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    im=st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12)),
+    T=st.integers(0, 20),
+)
+def test_gaussian_center_matches_binomial_products(case, re, im, T):
+    # a center off the real line is never a rational root; the reference is
+    # slow in Q(i), so T stays at 20
+    factors = case[0]
+    center = GaussRational(re, im)
+    got = taylor_factors(factors, center, T, 7).coefficients
+    assert got == binomial_reference(factors, center, T)
+    assert all(type(c) is GaussRational for c in got)
