@@ -12,9 +12,10 @@ precision derived from a proven lower bound on the dropped coefficients.
 
 In every coefficient ring the Taylor coefficients come from the linear
 recurrence of the ODE P*g' = Q*g that g satisfies, in O(T) ring operations.
-Over Q it runs on integers from the first step: P and Q are scaled by prod v_i
-for the roots shifted to the center, b_i = u_i/v_i, and the recurrence runs on
-h_k = g_k L^k / g_0, where L is the lcm of the u_i; h_k is an
+Every ring builds P and Q by one linear-factor update per root shifted to the
+center, b = u/v: Q <- Q*(v t - u) + m*v*P and P <- P*(v t - u), with v = 1
+outside Q. Over Q these are integers scaled by prod v_i, and the recurrence
+runs on h_k = g_k L^k / g_0, where L is the lcm of the u_i; h_k is an
 integer because every binomial coefficient of an integer exponent is one.
 Each step is one integer division by (k+1)*P(0), checked to be exact, and
 each coefficient becomes one Fraction at the end. In Q(i) and the local
@@ -326,10 +327,11 @@ def _recurrence_coefficients(factors, center, T):
 
     from g_0 = prod (-b_i)^m_i: the D-finite recurrence of Stanley (1980)
     and gfun (Salvy-Zimmermann 1994). P_0 = prod (-b_i) is nonzero since
-    the center is not a root; repeated roots need no special case. Over Q,
-    with b_i = u_i/v_i, P and Q are scaled by prod v_i to integers, built as
-    P <- P (v t - u) and Q <- Q (v t - u) + m v P, g_0 is one Fraction, and
-    the recurrence runs on integers (_rational_coefficients). In Q(i) and the
+    the center is not a root; repeated roots need no special case. In every
+    ring one pass over b_i = u_i/v_i builds Q <- Q (v t - u) + m v P and
+    P <- P (v t - u), v = 1 outside Q, in O(n^2) ring operations. Over Q, P
+    and Q are integers scaled by prod v_i, g_0 is one Fraction, and the
+    recurrence runs on integers (_rational_coefficients). In Q(i) and the
     local field each step multiplies by 1/P_0, inverted once, and by 1/(k+1).
     """
     factors = list(factors)
@@ -346,7 +348,7 @@ def _recurrence_coefficients(factors, center, T):
             num *= (-u) ** m if m >= 0 else v**-m
             den *= v**m if m >= 0 else (-u) ** -m
         return _rational_coefficients(P, Q, L, Fraction(num, den), T)
-    # every root is refused at the center before any inverse can fail
+    # refuse each root at the center before an inverse fails on a near one
     shifted = []
     for root, m in factors:
         b = one * (root - center)

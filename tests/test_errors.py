@@ -180,7 +180,11 @@ BAD_INPUTS = [
          "[" + "2," * 1008 + '"1.' + "0" * 4296 + '1"]'],
         "digits",
     ),
-    (["tail-center", "--p", "7", "--nu", "1", "--r", "9" * 2200 + "1", "--s", "1", "--case", "generic"], "digits"),
+    (
+        ["tail-center", "--p", "7", "--nu", "1", "--r", "9" * 2200 + "1", "--s", "1",
+         "--case", "generic"],
+        "digits",
+    ),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "0", "--case", "a=1"], "s != 0"),
     (["tail-center", "--p", "7", "--nu", "2", "--r", "1", "--s", "2", "--case", "b"], "case"),
     # only the spellings generic, a=0 and a=1 name a case

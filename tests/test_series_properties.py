@@ -91,12 +91,9 @@ def local_field_expansions(draw):
     N = ctx.N
 
     def element():
+        exponent = st.builds(Fraction, st.integers(-N, 2 * N), st.just(N))
         terms = draw(
-            st.lists(
-                st.tuples(st.builds(Fraction, st.integers(-N, 2 * N), st.just(N)), st.integers(-20, 20)),
-                min_size=1,
-                max_size=3,
-            )
+            st.lists(st.tuples(exponent, st.integers(-20, 20)), min_size=1, max_size=3)
         )
         x = LocalFieldElement(ctx, terms)
         if draw(st.booleans()):
