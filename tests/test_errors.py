@@ -147,13 +147,13 @@ FILES = {
     "jump_over_zero": {"breaks": [{"jump": "1/0", "order": 5}]},
 }
 
-# (argv, text the error line must contain); "@name" stands for a file
-# holding the JSON FILES[name]
 def _short(token):
     """The token as it appears in a test id: in full, or cut with its length."""
     return token if len(token) <= 40 else f"{token[:12]}...({len(token)} chars)"
 
 
+# (argv, text the error line must contain); "@name" stands for a file
+# holding the JSON FILES[name]
 BAD_INPUTS = [
     (["expand", "--p", "4", "--nu", "1", "--r", "1", "--s", "2"], "odd prime"),
     (["expand", "--p", "5", "--nu", "0", "--r", "1", "--s", "2"], "nu"),

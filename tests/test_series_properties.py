@@ -98,7 +98,8 @@ def local_field_expansions(draw):
         x = LocalFieldElement(ctx, terms)
         if draw(st.booleans()):
             # a finite precision above the lowest term, so x is rarely 0
-            return x.truncate(min(e for e, _ in terms) + Fraction(draw(st.integers(1, 4 * N)), N))
+            above = Fraction(draw(st.integers(1, 4 * N)), N)
+            return x.truncate(min(e for e, _ in terms) + above)
         return x
 
     pool = [
