@@ -21,7 +21,8 @@ makes the valuation of a nonzero element exact: distinct classes can never
 cancel. It is computed on ints alone, and every computation here reads it.
 An exact element of one term is canonical as built, since its unit is reduced
 and stripped of p as it is read; every other element goes through the one
-canonicalizer, `_canonicalize`.
+canonicalizer, `_canonicalize`, once: a sum of any number of elements too
+(`element_sum`, of which + is the two-operand case).
 Callers see the `terms` view, a new dict on each read, which maps each
 valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
 residue otherwise. A context (p, N, M) is a frozen dataclass.
@@ -91,7 +92,7 @@ class LocalFieldContext:
 
     def pi_power(self, j, unit=1, prec=None):
         """unit * pi^(j*N), i.e. valuation j (j a Fraction with denominator | N)."""
-        return LocalFieldElement(self, [(Fraction(j), Fraction(unit))], prec)
+        return LocalFieldElement(self, [(j, unit)], prec)
 
 
 def _pair(a, b, N):
@@ -154,17 +155,14 @@ def _integer_terms(ctx, pairs):
         if type(e) is int:
             j = e * N
         else:
-            e = Fraction(e)
+            if not isinstance(e, Fraction):
+                e = Fraction(e)
             j, r = divmod(e.numerator * N, e.denominator)
             if r:
-                raise ContextError(
-                    f"exponent {e} not representable with ramification index {N}"
-                )
-        if type(u) is int:
-            num, den = u, 1
-        else:
+                raise ContextError(f"exponent {e} not representable with ramification index {N}")
+        if type(u) is not int and not isinstance(u, Fraction):
             u = Fraction(u)
-            num, den = u.numerator, u.denominator
+        num, den = u.numerator, u.denominator
         if num == 0:
             continue
         while num % p == 0:
@@ -220,6 +218,21 @@ def _canonicalize(p, N, pairs, prec):
     return dict(out)
 
 
+def element_sum(xs, prec=None):
+    """Sum of the elements of the sequence xs, all of one context,
+    canonicalized once at the least of prec and each part's precision."""
+    x = xs[0]
+    prec = _prec_pair(prec, x.ctx.N)
+    pairs = []
+    for y in xs:
+        if y.ctx is not x.ctx:
+            x._check_ctx(y)
+        if y._prec is not None:
+            prec = _lesser(prec, y._prec)
+        pairs += y._t.items()
+    return x._build(pairs, prec)
+
+
 class LocalFieldElement:
     __slots__ = ("ctx", "_prec", "_t")
 
@@ -268,27 +281,21 @@ class LocalFieldElement:
 
     def is_zero(self):
         """True only for the exact zero; raises if zero merely to precision."""
-        if self._t:
-            return False
-        if self._prec is None:
-            return True
-        raise PrecisionError(f"element is zero modulo p^{self.prec}; cannot decide")
+        if not self._t and self._prec is not None:
+            raise PrecisionError(f"element is zero modulo p^{self.prec}; cannot decide")
+        return not self._t
 
     def valuation(self) -> ExtendedRational:
         if self._t:
             return ExtendedRational(self._lead_exponent())
         if self._prec is None:
             return INFINITY
-        raise PrecisionError(
-            f"valuation unknown: zero modulo p^{self.prec}"
-        )
+        raise PrecisionError(f"valuation unknown: zero modulo p^{self.prec}")
 
     def valuation_lower_bound(self) -> ExtendedRational:
-        if self._t:
-            return ExtendedRational(self._lead_exponent())
-        if self._prec is None:
-            return INFINITY
-        return ExtendedRational(self.prec)
+        if not self._t and self._prec is not None:
+            return ExtendedRational(self.prec)
+        return self.valuation()
 
     # --- arithmetic ---
 
@@ -302,11 +309,7 @@ class LocalFieldElement:
         return self.ctx.from_rational(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        self._check_ctx(other)
-        pairs = list(self._t.items())
-        pairs.extend(other._t.items())
-        return self._build(pairs, _lesser(self._prec, other._prec))
+        return element_sum((self, self._coerce(other)))
 
     __radd__ = __add__
 
@@ -327,9 +330,7 @@ class LocalFieldElement:
         self._check_ctx(other)
         a, b = self._t, other._t
         sp, op = self._prec, other._prec
-        if not a and sp is None:
-            return self.ctx.zero()
-        if not b and op is None:
+        if (not a and sp is None) or (not b and op is None):
             return self.ctx.zero()
         N = self.ctx.N
         # prec(x*y) = min(prec(x) + v(y), prec(y) + v(x))
@@ -380,8 +381,7 @@ class LocalFieldElement:
         return y.truncate(-v + rel)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

@@ -33,11 +33,12 @@ from fractions import Fraction
 from .errors import (
     ContextError,
     DegenerateCover,
+    PrecisionError,
     PreconditionViolated,
     TruncationUnderflow,
     Unsupported,
 )
-from .localfield import LocalFieldElement
+from .localfield import LocalFieldElement, element_sum
 from .valuation import ExtendedRational, is_prime, power, vp
 
 
@@ -240,27 +241,36 @@ class TruncatedSeries:
         if self.tail_bound is None:
             return None
         const, slope = self.tail_bound
-        net = slope + Fraction(per_index_weight)
-        if net <= 0:
+        w = per_index_weight
+        if not isinstance(w, (int, Fraction)):
+            w = Fraction(w)
+        # net = slope + w = n/D, compared in ints over the denominator D
+        D = slope.denominator * w.denominator
+        n = slope.numerator * w.denominator + w.numerator * slope.denominator
+        if n <= 0:
             return None
         # v(coeff k) + k*w >= const + net*k - bitlen(k); the piecewise-linear
         # minorant attains its minimum over k > T at T+1 or at a power of two
         T = self.order
-        candidates = [T + 1]
-        b = 1
-        while (1 << b) <= T:
-            b += 1
+        stop = n * (T + 1) + 4 * D
+        least = n * (T + 1) - D * (T + 1).bit_length()
+        b = max(1, T.bit_length())
         while True:
             k = 1 << b
-            candidates.append(k)
-            if net * k - b >= net * candidates[0] + 4:
+            least = min(least, n * k - D * (b + 1))
+            if n * k - D * b >= stop:
                 break
             b += 1
-        return min(const + net * k - k.bit_length() for k in candidates)
+        return Fraction(const.numerator * D + least * const.denominator, const.denominator * D)
 
     def evaluate(self, x):
         """Sum of the series at a local-field point x with v(x) > 0, cut to
-        the precision the tail bound certifies for the dropped terms."""
+        the precision the tail bound certifies for the dropped terms.
+
+        The powers x^i and the parts c_i * x^i are element products, and
+        their sum is canonicalized once, at the least of that floor and each
+        part's precision (`element_sum`), so no partial sum is canonicalized
+        on the way."""
         if not isinstance(x, LocalFieldElement):
             raise PreconditionViolated(
                 f"evaluation needs a local-field point, got {type(x).__name__}"
@@ -274,10 +284,10 @@ class TruncatedSeries:
                 "no tail bound available to certify the dropped terms",
                 required_order=self.order + 1,
             )
-        acc = self.coefficients[self.order]
-        for i in range(self.order - 1, -1, -1):
-            acc = acc * x + self.coefficients[i]
-        return acc.truncate(floor)
+        powers = [x.ctx.one()]
+        for _ in range(self.order):
+            powers.append(powers[-1] * x)
+        return element_sum([xi * c for xi, c in zip(powers, self.coefficients)], floor)
 
 
 def maclaurin_g(params, T=None):
@@ -340,7 +350,7 @@ def _recurrence_coefficients(factors, center, T):
         P, Q, L, num, den = [1], [], 1, 1, 1
         for root, m in factors:
             b = root - center
-            _refuse_root_center(b, root)
+            _refuse_root_center(b, root, center)
             u, v = b.numerator, b.denominator
             Q = [v * x - u * y + m * v * z for x, y, z in zip([0] + Q, Q + [0], P)]
             P = [v * x - u * y for x, y in zip([0] + P, P + [0])]
@@ -352,7 +362,7 @@ def _recurrence_coefficients(factors, center, T):
     shifted = []
     for root, m in factors:
         b = one * (root - center)
-        _refuse_root_center(b, root)
+        _refuse_root_center(b, root, center)
         shifted.append((b, m))
     g0, P, Q = one, [one], []
     for b, m in shifted:
@@ -411,10 +421,17 @@ def _rational_coefficients(P, Q, L, g0, T):
     return g
 
 
-def _refuse_root_center(base, root):
+def _refuse_root_center(base, root, center):
+    """Refuse a shifted root base = root - center that is 0: exactly, or only
+    to its precision, where P(0) would have no inverse."""
     if base == 0:
         raise PreconditionViolated(
             f"the center equals the root {root}; g has no Taylor expansion there"
+        )
+    if isinstance(base, LocalFieldElement) and not base.terms:
+        raise PrecisionError(
+            f"the center {center!r} equals the root {root!r} modulo "
+            f"{base.ctx.p}^{base.prec}; g has no Taylor expansion known there"
         )
 
 

@@ -6,13 +6,15 @@ srt elements only through their public `terms` view and `prec`. The tests of
 the canonical form (TestCanonicalForm) read the term dict `_t` and the
 precision pair `_prec` themselves, since `__eq__` and `__hash__` compare
 those directly."""
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 
 from srt import LocalFieldContext, LocalFieldElement, is_pth_power, nth_root
-from srt.localfield import _canonicalize, _integer_terms, _prec_pair
+from srt.localfield import _canonicalize, _integer_terms, _prec_pair, element_sum
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -153,6 +155,20 @@ class TestRingOperations:
         assert neg.prec == a.prec
         assert agree(model(neg), m_neg(model(a)), a.prec)
         assert_canonical(neg)
+
+    @SETTINGS
+    @given(
+        st.sampled_from(NS).flatmap(lambda N: st.lists(elements(N), min_size=1, max_size=6)),
+        st.none() | st.builds(Fraction, st.integers(-60, 180), st.sampled_from([1, 5, 60])),
+    )
+    def test_sum_is_the_chain_of_adds(self, xs, prec):
+        chain = functools.reduce(operator.add, xs)
+        if prec is not None:
+            chain = chain.truncate(prec)
+        got = element_sum(xs, prec)
+        assert got._t == chain._t
+        assert got._prec == chain._prec
+        assert_canonical(got)
 
     @SETTINGS
     @given(pairs_of())

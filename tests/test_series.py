@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import srt.localfield
 from srt import (
     ContextError,
     CoverParams,
@@ -14,6 +15,7 @@ from srt import (
     I_GAUSS,
     LocalFieldContext,
     LocalFieldElement,
+    PrecisionError,
     PreconditionViolated,
     TruncatedSeries,
     TruncationUnderflow,
@@ -288,6 +290,14 @@ class TestTaylorFactors:
         with pytest.raises(PreconditionViolated):
             taylor_factors(factors, center, 5, 7)
 
+    def test_center_on_a_root_only_to_its_precision_names_both(self):
+        # root - center is 0 modulo 5^4, so P(0) has no inverse there
+        ctx = LocalFieldContext(5, N=8, M=4)
+        root, center = ctx.from_rational(Fraction(2, 3)), ctx.from_rational(Fraction(2, 3), 4)
+        message = r"the center 209 \+ O\(5\^\(4\)\) equals the root 2/3 modulo 5\^4"
+        with pytest.raises(PrecisionError, match=message):
+            taylor_factors([(root, 2), (Fraction(1), 1)], center, 5, 5)
+
 
 class TestTruncatedSeries:
     def test_coefficient_underflow(self):
@@ -318,9 +328,17 @@ class TestTruncatedSeries:
         with pytest.raises(TruncationUnderflow, match="no tail bound"):
             s.evaluate(LocalFieldContext(5, N=1).pi_power(1))
 
+    def test_a_constant_rational_series_evaluates(self):
+        # order 0 with a rational coefficient: the sum is an element, cut to
+        # the floor 1 + min over k >= 1 of (k - bitlen(k)) = 1
+        x = LocalFieldContext(5, N=1).pi_power(1)
+        value = TruncatedSeries([Fraction(3)], tail_bound=(Fraction(1), Fraction(0))).evaluate(x)
+        assert value == LocalFieldContext(5, N=1).from_rational(3, prec=1)
+
     def test_refusal_comes_before_any_multiplication(self, monkeypatch):
-        # the tail floor is read before the Horner loop: a series whose
-        # dropped terms it cannot bound is refused without one element product
+        # the tail floor is read before the powers of x are formed: a series
+        # whose dropped terms it cannot bound is refused without one element
+        # product
         ctx = LocalFieldContext(5, N=1)
         x = ctx.pi_power(1)
         coefficients = [ctx.from_rational(k + 1) for k in range(8)]
@@ -331,15 +349,29 @@ class TestTruncatedSeries:
             products.append((a, b))
             return mul(a, b)
 
+        merges = []
+        canonicalize = srt.localfield._canonicalize
+
+        def counting_canonicalize(p, N, pairs, prec):
+            pairs = list(pairs)
+            if len(pairs) > 1:
+                merges.append(pairs)
+            return canonicalize(p, N, pairs, prec)
+
         monkeypatch.setattr(LocalFieldElement, "__mul__", counting_mul)
         monkeypatch.setattr(LocalFieldElement, "__rmul__", counting_mul)
+        monkeypatch.setattr(srt.localfield, "_canonicalize", counting_canonicalize)
         # no bound at all, and a bound whose slope v(x) cannot lift above 0
         for bound in (None, (Fraction(0), Fraction(-2))):
             with pytest.raises(TruncationUnderflow, match="no tail bound"):
                 TruncatedSeries(coefficients, tail_bound=bound).evaluate(x)
         assert products == []
         TruncatedSeries(coefficients, tail_bound=(Fraction(0), Fraction(0))).evaluate(x)
-        assert len(products) == 7
+        # the powers x^1..x^7, then c_i * x^i for i = 0..7
+        assert len(products) == 15
+        # every power and part of a one-term x is one term, so only the sum
+        # merges terms, once; Horner's rule would merge at each of 7 steps
+        assert len(merges) == 1
 
 
 class TestValuationHelpers:

@@ -38,7 +38,7 @@ from srt import (
     taylor_factors,
 )
 
-EXPECTED_DIGEST = "725e5a944cd8bee2af14734fab6fef744200f2fc1a5479e99558838c2ac0b96b"
+EXPECTED_DIGEST = "9138fc3f944c4bc3a2d95929e8772ad5dad287984ca129efb75958e42a71a2d1"
 EXPECTED_RECORDS = 182
 
 
@@ -70,8 +70,8 @@ def _case_i(rng):
                 yield ["case-i", p, str(prec), r, s], _coefficients(unit, center, T, p)
                 roots = CoverParams(p, 2, r, s, c).roots()
                 yield ["case-i roots", p, str(prec), r, s], _coefficients(roots, center, T, p)
-        # a center on an exact root is refused; one on a root only to the
-        # center's precision is not, and the expansion fails on its own
+        # a center on an exact root is refused, and so is one that equals a
+        # root only to the precision of the two, with a message naming both
         exact = ctx.from_rational(Fraction(2, 3))
         near = ctx.from_rational(Fraction(2, 3), 4)
         on_sqrt = sqrt_of_minus_one(ctx)
