@@ -22,7 +22,8 @@ cancel. It is computed on ints alone, and every computation here reads it.
 An exact element of one term is canonical as built, since its unit is reduced
 and stripped of p as it is read; every other element goes through the one
 canonicalizer, `_canonicalize`, once: a sum of any number of elements too
-(`element_sum`, of which + is the two-operand case).
+(`element_sum`, of which + is the two-operand case), and a sum of products
+(`element_dot`, the one multiply, of which * is the one-pair case).
 Callers see the `terms` view, a new dict on each read, which maps each
 valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
 residue otherwise. A context (p, N, M) is a frozen dataclass.
@@ -233,6 +234,40 @@ def element_sum(xs, prec=None):
     return x._build(pairs, prec)
 
 
+def element_dot(xs, ys, prec=None):
+    """Sum of x_i * y_i over the elements xs, all of one context, and the
+    elements or rationals ys; x * y is the one-pair case. It is canonicalized
+    once (not at all when no term is left) at the least of prec and each
+    product's precision min(prec(x) + v(y), prec(y) + v(x))."""
+    x0 = xs[0]
+    ctx = x0.ctx
+    N = ctx.N
+    if prec is not None:
+        prec = _prec_pair(prec, N)
+    pairs = []
+    for x, y in zip(xs, ys):
+        y = x._coerce(y)
+        if x.ctx is not ctx or y.ctx is not ctx:
+            x0._check_ctx(x)
+            x._check_ctx(y)
+        a, b, xp, yp = x._t, y._t, x._prec, y._prec
+        if (not a and xp is None) or (not b and yp is None):
+            continue
+        if xp is not None:
+            prec = _lesser(prec, _plus_valuation(xp, y, N))
+        if yp is not None:
+            prec = _lesser(prec, _plus_valuation(yp, x, N))
+        # a pair at or above the least precision so far vanishes in the sum
+        jlim = _index_limit(prec, N)
+        for j1, (n1, d1) in a.items():
+            for j2, (n2, d2) in b.items():
+                # b is sorted: the rest of the row vanishes too
+                if jlim is not None and j1 + j2 >= jlim:
+                    break
+                pairs.append((j1 + j2, (n1 * n2, d1 * d2)))
+    return x0._build(pairs, prec) if pairs else LocalFieldElement._make(ctx, {}, prec)
+
+
 class LocalFieldElement:
     __slots__ = ("ctx", "_prec", "_t")
 
@@ -326,28 +361,7 @@ class LocalFieldElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        self._check_ctx(other)
-        a, b = self._t, other._t
-        sp, op = self._prec, other._prec
-        if (not a and sp is None) or (not b and op is None):
-            return self.ctx.zero()
-        N = self.ctx.N
-        # prec(x*y) = min(prec(x) + v(y), prec(y) + v(x))
-        prec = None
-        if sp is not None:
-            prec = _plus_valuation(sp, other, N)
-        if op is not None:
-            prec = _lesser(prec, _plus_valuation(op, self, N))
-        jlim = _index_limit(prec, N)
-        pairs = []
-        for j1, (n1, d1) in a.items():
-            for j2, (n2, d2) in b.items():
-                # b is sorted: the rest of the row vanishes modulo p^prec
-                if jlim is not None and j1 + j2 >= jlim:
-                    break
-                pairs.append((j1 + j2, (n1 * n2, d1 * d2)))
-        return self._build(pairs, prec)
+        return element_dot((self,), (other,))
 
     __rmul__ = __mul__
 

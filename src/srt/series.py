@@ -11,24 +11,20 @@ tracked honestly; evaluation at a local-field point cuts the sum to a
 precision derived from a proven lower bound on the dropped coefficients.
 
 In every coefficient ring the Taylor coefficients come from the linear
-recurrence of the ODE P*g' = Q*g that g satisfies, in O(T) ring operations.
-Every ring builds P and Q by one linear-factor update per root shifted to the
-center, b = u/v: Q <- Q*(v t - u) + m*v*P and P <- P*(v t - u), with v = 1
-outside Q. Over Q these are integers scaled by prod v_i, and the recurrence
-runs on h_k = g_k L^k / g_0, where L is the lcm of the u_i; h_k is an
-integer because every binomial coefficient of an integer exponent is one.
-Each step is one integer division by (k+1)*P(0), checked to be exact, and
-each coefficient becomes one Fraction at the end. In Q(i) and the local
-field each step multiplies by 1/P(0), inverted once, and by 1/(k+1). On
-finite-precision local field elements those products lower the recorded
-precision by what they cost, so no coefficient claims more precision than it
-has.
+recurrence of the ODE P*g' = Q*g that g satisfies, after one linear-factor
+update per root builds P and Q (_recurrence_coefficients). Over Q it runs on
+integers and builds one Fraction per coefficient at the end. In Q(i) and the
+local field each coefficient Q_{j-1} - m P_j of a step is one dot, and so is
+the step's sum against g; `element_dot` canonicalizes a dot once. On
+finite-precision elements each product lowers the recorded precision by what
+it costs, so no coefficient claims more precision than it has.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     ContextError,
@@ -38,7 +34,7 @@ from .errors import (
     TruncationUnderflow,
     Unsupported,
 )
-from .localfield import LocalFieldElement, element_sum
+from .localfield import LocalFieldElement, element_dot
 from .valuation import ExtendedRational, is_prime, power, vp
 
 
@@ -267,10 +263,9 @@ class TruncatedSeries:
         """Sum of the series at a local-field point x with v(x) > 0, cut to
         the precision the tail bound certifies for the dropped terms.
 
-        The powers x^i and the parts c_i * x^i are element products, and
-        their sum is canonicalized once, at the least of that floor and each
-        part's precision (`element_sum`), so no partial sum is canonicalized
-        on the way."""
+        The powers x^i are element products; the sum of the c_i * x^i is one
+        dot, canonicalized once at the least of that floor and each part's
+        precision (`element_dot`)."""
         if not isinstance(x, LocalFieldElement):
             raise PreconditionViolated(
                 f"evaluation needs a local-field point, got {type(x).__name__}"
@@ -287,7 +282,7 @@ class TruncatedSeries:
         powers = [x.ctx.one()]
         for _ in range(self.order):
             powers.append(powers[-1] * x)
-        return element_sum([xi * c for xi, c in zip(powers, self.coefficients)], floor)
+        return element_dot(powers, self.coefficients, floor)
 
 
 def maclaurin_g(params, T=None):
@@ -342,7 +337,9 @@ def _recurrence_coefficients(factors, center, T):
     P <- P (v t - u), v = 1 outside Q, in O(n^2) ring operations. Over Q, P
     and Q are integers scaled by prod v_i, g_0 is one Fraction, and the
     recurrence runs on integers (_rational_coefficients). In Q(i) and the
-    local field each step multiplies by 1/P_0, inverted once, and by 1/(k+1).
+    local field an update entry is one dot, a coefficient Q_{j-1} - m P_j one
+    dot against (1, -m), with -m built once per m, and the step's sum one dot
+    of those with g, times 1/P_0, inverted once, and 1/(k+1).
     """
     factors = list(factors)
     one = _ring_one(center, *(root for root, _ in factors))
@@ -361,21 +358,23 @@ def _recurrence_coefficients(factors, center, T):
     # refuse each root at the center before an inverse fails on a near one
     shifted = []
     for root, m in factors:
-        b = one * (root - center)
+        b = one._coerce(root - center)
         _refuse_root_center(b, root, center)
-        shifted.append((b, m))
+        shifted.append((-b, m))
+    dot = element_dot if isinstance(one, LocalFieldElement) else lambda xs, ys: sum(map(mul, xs, ys))
     g0, P, Q = one, [one], []
-    for b, m in shifted:
-        g0 = g0 * (-b) ** m
-        Q = [x - b * y + m * z for x, y, z in zip([0] + Q, Q + [0], P)]
-        P = [x - b * y for x, y in zip([0] + P, P + [0])]
+    for nb, m in shifted:
+        g0 = g0 * nb**m
+        Q = [dot((one, nb, z), (x, y, m)) for x, y, z in zip([0] + Q, Q + [0], P)]
+        P = [dot((one, nb), (x, y)) for x, y in zip([0] + P, P + [0])]
     n = len(P) - 1
     inv_P0 = one / P[0]
+    neg = [one._coerce(-m) for m in range(T)]
     g = [g0]
     for k in range(T):
-        acc = 0 * one
-        for j in range(1, min(n, k + 1) + 1):
-            acc = acc + (Q[j - 1] - (k + 1 - j) * P[j]) * g[k + 1 - j]
+        cs = [dot((Q[j - 1], P[j]), (one, neg[k + 1 - j])) for j in range(1, min(n, k + 1) + 1)]
+        # cs[j-1] meets g_{k+1-j}: zip stops at the last coefficient
+        acc = dot(cs, reversed(g)) if n else 0 * one
         g.append(acc * inv_P0 * Fraction(1, k + 1))
     return g
 
@@ -428,7 +427,7 @@ def _refuse_root_center(base, root, center):
         raise PreconditionViolated(
             f"the center equals the root {root}; g has no Taylor expansion there"
         )
-    if isinstance(base, LocalFieldElement) and not base.terms:
+    if isinstance(base, LocalFieldElement) and not base._t:
         raise PrecisionError(
             f"the center {center!r} equals the root {root!r} modulo "
             f"{base.ctx.p}^{base.prec}; g has no Taylor expansion known there"

@@ -13,8 +13,14 @@ from fractions import Fraction
 
 import pytest
 
-from srt import LocalFieldContext, LocalFieldElement, is_pth_power, nth_root
-from srt.localfield import _canonicalize, _integer_terms, _prec_pair, element_sum
+from srt import ContextError, LocalFieldContext, LocalFieldElement, is_pth_power, nth_root
+from srt.localfield import (
+    _canonicalize,
+    _integer_terms,
+    _prec_pair,
+    element_dot,
+    element_sum,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -123,6 +129,10 @@ def elements(draw, N):
     return LocalFieldElement(ctx, pairs, prec)
 
 
+# rational operands, as elements(N) draws its units
+SCALARS = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 7, 25]))
+
+
 @st.composite
 def pairs_of(draw):
     N = draw(st.sampled_from(NS))
@@ -169,6 +179,31 @@ class TestRingOperations:
         assert got._t == chain._t
         assert got._prec == chain._prec
         assert_canonical(got)
+
+    @SETTINGS
+    @given(
+        st.sampled_from(NS).flatmap(
+            lambda N: st.lists(
+                st.tuples(elements(N), elements(N) | SCALARS), min_size=1, max_size=5
+            )
+        ),
+        st.none() | st.builds(Fraction, st.integers(-60, 180), st.sampled_from([1, 5, 60])),
+    )
+    def test_dot_is_the_chain_of_products_and_adds(self, pairs, prec):
+        # factors may be exact, finite, an exact zero or zero to precision
+        xs, ys = (list(t) for t in zip(*pairs))
+        chain = functools.reduce(operator.add, [x * y for x, y in pairs])
+        if prec is not None:
+            chain = chain.truncate(prec)
+        got = element_dot(xs, ys, prec)
+        assert got._t == chain._t
+        assert got._prec == chain._prec
+        assert_canonical(got)
+        other = LocalFieldContext(P, N=7, M=M).one()
+        with pytest.raises(ContextError):
+            element_dot(xs + [other], ys + [1], prec)
+        with pytest.raises(ContextError):
+            element_dot(xs, ys[:-1] + [other], prec)
 
     @SETTINGS
     @given(pairs_of())

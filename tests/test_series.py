@@ -280,6 +280,28 @@ class TestTaylorFactors:
             assert not (g - w).terms, k
             assert g.valuation() == w.valuation(), k
 
+    def test_one_more_coefficient_canonicalizes_once_per_dot(self, monkeypatch):
+        # at a finite-precision center each coefficient Q_{j-1} - m P_j is one
+        # dot, their sum against g is one more, and the step then multiplies
+        # by 1/P(0) and 1/(k+1): n + 3 canonicalizations, where a chain of
+        # coercions, products and differences takes 4n + 2
+        factors, center, _ = self._case_i()
+        n = len(factors)
+        calls = []
+        canonicalize = srt.localfield._canonicalize
+
+        def counting_canonicalize(p, N, pairs, prec):
+            calls.append(prec)
+            return canonicalize(p, N, pairs, prec)
+
+        monkeypatch.setattr(srt.localfield, "_canonicalize", counting_canonicalize)
+        counts = []
+        for T in (12, 13):
+            calls.clear()
+            taylor_factors(factors, center, T, 5)
+            counts.append(len(calls))
+        assert counts[1] - counts[0] <= n + 3
+
     @pytest.mark.parametrize(
         "center",
         [Fraction(1), GaussRational(-1), LocalFieldContext(7, N=4, M=4).from_rational(1)],
@@ -338,7 +360,7 @@ class TestTruncatedSeries:
     def test_refusal_comes_before_any_multiplication(self, monkeypatch):
         # the tail floor is read before the powers of x are formed: a series
         # whose dropped terms it cannot bound is refused without one element
-        # product
+        # product or dot
         ctx = LocalFieldContext(5, N=1)
         x = ctx.pi_power(1)
         coefficients = [ctx.from_rational(k + 1) for k in range(8)]
@@ -348,6 +370,13 @@ class TestTruncatedSeries:
         def counting_mul(a, b):
             products.append((a, b))
             return mul(a, b)
+
+        dots = []
+        dot = srt.series.element_dot
+
+        def counting_dot(xs, ys, prec=None):
+            dots.append((xs, ys))
+            return dot(xs, ys, prec)
 
         merges = []
         canonicalize = srt.localfield._canonicalize
@@ -360,17 +389,19 @@ class TestTruncatedSeries:
 
         monkeypatch.setattr(LocalFieldElement, "__mul__", counting_mul)
         monkeypatch.setattr(LocalFieldElement, "__rmul__", counting_mul)
+        monkeypatch.setattr(srt.series, "element_dot", counting_dot)
         monkeypatch.setattr(srt.localfield, "_canonicalize", counting_canonicalize)
         # no bound at all, and a bound whose slope v(x) cannot lift above 0
         for bound in (None, (Fraction(0), Fraction(-2))):
             with pytest.raises(TruncationUnderflow, match="no tail bound"):
                 TruncatedSeries(coefficients, tail_bound=bound).evaluate(x)
-        assert products == []
+        assert products == [] and dots == []
         TruncatedSeries(coefficients, tail_bound=(Fraction(0), Fraction(0))).evaluate(x)
-        # the powers x^1..x^7, then c_i * x^i for i = 0..7
-        assert len(products) == 15
-        # every power and part of a one-term x is one term, so only the sum
-        # merges terms, once; Horner's rule would merge at each of 7 steps
+        # the powers x^1..x^7, then one dot of the powers with c_0..c_7
+        assert len(products) == 7
+        assert len(dots) == 1
+        # every power of a one-term x is one term, so only the dot merges
+        # terms, once; Horner's rule would merge at each of 7 steps
         assert len(merges) == 1
 
 
