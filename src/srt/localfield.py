@@ -21,9 +21,9 @@ makes the valuation of a nonzero element exact: distinct classes can never
 cancel. It is computed on ints alone, and every computation here reads it.
 An exact element of one term is canonical as built, since its unit is reduced
 and stripped of p as it is read; every other element goes through the one
-canonicalizer, `_canonicalize`, once: a sum of any number of elements too
-(`element_sum`, of which + is the two-operand case), and a sum of products
-(`element_dot`, the one multiply, of which * is the one-pair case).
+canonicalizer, `_canonicalize`, once. Every sum, difference, negation and
+product is one sum of products (`element_dot`, the one kernel): x + y, x - y,
+-x and x * y dot (x, y) with (1, 1) and (1, -1), x with -1 and x with y.
 Callers see the `terms` view, a new dict on each read, which maps each
 valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
 residue otherwise. A context (p, N, M) is a frozen dataclass.
@@ -219,19 +219,9 @@ def _canonicalize(p, N, pairs, prec):
     return dict(out)
 
 
-def element_sum(xs, prec=None):
-    """Sum of the elements of the sequence xs, all of one context,
-    canonicalized once at the least of prec and each part's precision."""
-    x = xs[0]
-    prec = _prec_pair(prec, x.ctx.N)
-    pairs = []
-    for y in xs:
-        if y.ctx is not x.ctx:
-            x._check_ctx(y)
-        if y._prec is not None:
-            prec = _lesser(prec, y._prec)
-        pairs += y._t.items()
-    return x._build(pairs, prec)
+def _minus_one(ctx):
+    """-1 in ctx, canonical as built, as `ctx.one()` is."""
+    return LocalFieldElement._make(ctx, {0: (-1, 1)}, None)
 
 
 def element_dot(xs, ys, prec=None):
@@ -246,7 +236,8 @@ def element_dot(xs, ys, prec=None):
         prec = _prec_pair(prec, N)
     pairs = []
     for x, y in zip(xs, ys):
-        y = x._coerce(y)
+        if not isinstance(y, LocalFieldElement):
+            y = ctx.from_rational(y)
         if x.ctx is not ctx or y.ctx is not ctx:
             x0._check_ctx(x)
             x._check_ctx(y)
@@ -265,7 +256,8 @@ def element_dot(xs, ys, prec=None):
                 if jlim is not None and j1 + j2 >= jlim:
                     break
                 pairs.append((j1 + j2, (n1 * n2, d1 * d2)))
-    return x0._build(pairs, prec) if pairs else LocalFieldElement._make(ctx, {}, prec)
+    t = _canonicalize(ctx.p, N, pairs, prec) if pairs else {}
+    return LocalFieldElement._make(ctx, t, prec)
 
 
 class LocalFieldElement:
@@ -287,12 +279,6 @@ class LocalFieldElement:
         x._prec = prec
         x._t = t
         return x
-
-    def _build(self, pairs, prec):
-        """Canonical element of self's context from (j, (num, den)) pairs,
-        at the precision pair prec."""
-        ctx = self.ctx
-        return LocalFieldElement._make(ctx, _canonicalize(ctx.p, ctx.N, pairs, prec), prec)
 
     @property
     def prec(self):
@@ -344,18 +330,16 @@ class LocalFieldElement:
         return self.ctx.from_rational(other)
 
     def __add__(self, other):
-        return element_sum((self, self._coerce(other)))
+        one = self.ctx.one()
+        return element_dot((self, self._coerce(other)), (one, one))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._build([(j, (-n, d)) for j, (n, d) in self._t.items()], self._prec)
+        return element_dot((self,), (_minus_one(self.ctx),))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        self._check_ctx(other)
-        pairs = [*self._t.items(), *((j, (-n, d)) for j, (n, d) in other._t.items())]
-        return self._build(pairs, _lesser(self._prec, other._prec))
+        return element_dot((self, self._coerce(other)), (self.ctx.one(), _minus_one(self.ctx)))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -381,17 +365,18 @@ class LocalFieldElement:
             return lead_inv
         v = self._lead_exponent()
         rel = self.prec - v if self._prec is not None else Fraction(self.ctx.M)
-        # y = 1/x to relative precision `done`: v(x*y - 1) >= done. Each Newton
-        # step y <- y - y*(x*y - 1) squares the error, so it needs x and the
-        # correction only to relative precision 2*done.
+        # y = 1/x to relative precision `done`: v(1 - x*y) >= done. Each Newton
+        # step y <- y + y*(1 - x*y) squares the error, so it needs the error
+        # 1 - x*y only modulo p^(2*done); each is one dot, with -x built once.
         y = lead_inv
-        first = (self * y - 1).valuation_lower_bound()
+        one, neg = self.ctx.one(), -self
+        first = element_dot((one, neg), (one, y)).valuation_lower_bound()
         done = rel if first.is_infinite else min(first.as_fraction(), rel)
         while done < rel:
             done = min(2 * done, rel)
-            err = self.truncate(v + done) * y - 1
+            err = element_dot((one, neg), (one, y), done)
             # y is taken as exact: its error is what the next step corrects
-            y = LocalFieldElement._make(self.ctx, (y - y * err)._t, None)
+            y = LocalFieldElement._make(self.ctx, element_dot((y, y), (one, err))._t, None)
         return y.truncate(-v + rel)
 
     def __truediv__(self, other):
@@ -405,7 +390,9 @@ class LocalFieldElement:
         sp = self._prec
         if sp is not None and sp[0] * prec[1] <= prec[0] * sp[1]:
             return self
-        return self._build(self._t.items(), prec)
+        ctx = self.ctx
+        t = _canonicalize(ctx.p, ctx.N, self._t.items(), prec)
+        return LocalFieldElement._make(ctx, t, prec)
 
     def to_context(self, ctx):
         if ctx.p != self.ctx.p:
@@ -558,7 +545,7 @@ def _newton(w, y, diff, n, prec):
             return y.truncate(prec)
         e = d._lead_exponent()
         # y is taken as exact: its error is what the next step corrects
-        y = LocalFieldElement._make(ctx, (y + y * d)._t, None)
+        y = LocalFieldElement._make(ctx, element_dot((y, y), (ctx.one(), d))._t, None)
         if min(2 * e, n * e - vn) >= prec:
             return y.truncate(prec)
         diff = w - y.truncate(prec + vn) ** n

@@ -16,7 +16,7 @@ from .errors import PipelineError, PrecisionError, Unsupported
 from .localfield import LocalFieldContext, is_pth_power
 from .series import CoverParams, maclaurin_g
 from .torsor import D_EXPONENT, insep_tail_catalog
-from .valuation import vp
+from .valuation import is_prime, vp
 
 
 @dataclass
@@ -37,8 +37,10 @@ def run_wild_monodromy(q, p, r=1):
     Returns a PipelineReport whose verdict is "Nontrivial" exactly when g(d)
     is a p-th power but not a p^2-th power, for both sign branches of d.
     Raises PipelineError when g(d) is not certified as a p-th power; its
-    root from that test is delta.
+    root from that test is delta. A q that is not prime raises Unsupported.
     """
+    if not is_prime(q):
+        raise Unsupported(f"q must be prime, got {q}")
     if vp(r, p) != 0:
         raise PipelineError(f"need v_{p}({r}) = 0")
     nu = vp(q * q - 1, p)

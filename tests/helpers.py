@@ -215,6 +215,44 @@ class PiExt:
         return f"PiExt({list(self.coeffs)}, n={self.n}, p={self.p})"
 
 
+def parse_local(text, n=5, p=5):
+    """(value, precision) of a local-field element printed as
+    `349 + 2*5^(11/5) + O(5^(16/5))`: terms u, u*p and u*p^(e) with u a
+    rational and n*e an integer, joined by " + ", and an optional O(p^(q)).
+    The value is the exact PiExt sum of the terms over pi^n = p; the
+    precision is the Fraction q, or None when no O term is printed."""
+    coeffs, prec = [Fraction(0)] * n, None
+    for term in text.split(" + "):
+        if term.startswith("O(") and term.endswith(")"):
+            base, _, exponent = term[2:-1].partition("^")
+            if base != str(p):
+                raise ValueError(f"precision term {term!r} is not a power of {p}")
+            prec = Fraction(exponent.strip("()"))
+            continue
+        unit, _, power = term.partition("*")
+        if not power:
+            e = Fraction(0)
+        elif power == str(p):
+            e = Fraction(1)
+        else:
+            base, _, exponent = power.partition("^")
+            if base != str(p) or not (exponent.startswith("(") and exponent.endswith(")")):
+                raise ValueError(f"term {term!r} is not u*{p}^(e)")
+            e = Fraction(exponent[1:-1])
+        if (e * n).denominator != 1:
+            raise ValueError(f"exponent {e} of {term!r} is not in (1/{n})Z")
+        # pi^(e*n) = p^k * pi^i with e*n = k*n + i, 0 <= i < n
+        k, i = divmod(int(e * n), n)
+        coeffs[i] += Fraction(unit) * Fraction(p) ** k
+    return PiExt(coeffs, n, p), prec
+
+
+def agrees(x, y, prec):
+    """True when the PiExt values x and y agree modulo p^prec (None: exactly)."""
+    diff = x - y
+    return diff.is_zero() or (prec is not None and diff.valuation() >= prec)
+
+
 def pi_digits(x, L):
     """The pi-adic digits d_0, ..., d_(L-1) in [0, p) of an integral PiExt x,
     x = sum d_i pi^i modulo pi^L; a carry at pi^i moves to pi^(i+n) = p*pi^i."""

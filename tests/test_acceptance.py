@@ -11,8 +11,11 @@ exact computation contradicts; they fail by design and are kept as a record
 The true values the library computes are pinned green by companion tests here
 and in tests/test_series.py / tests/test_torsor.py.
 """
+import itertools
+import json
 import math
 import random
+import re
 import resource
 import time
 from fractions import Fraction
@@ -54,8 +57,9 @@ from srt import (
     upper_from_lower,
     vp,
 )
+from srt.cli import EXIT_OK, dispatch
 
-from helpers import PiExt, rational_mod, vp_fraction
+from helpers import PiExt, agrees, parse_local, rational_mod, vp_fraction
 
 
 # --------------------------------------------------------------------------
@@ -146,6 +150,54 @@ def test_appendix_library_matches_oracle():
                 lifted = lifted + ctx.pi_power(Fraction(i, 5), coeff)
         diff = g_lib - lifted
         assert diff.valuation_lower_bound() > Fraction(12, 5)
+
+
+def _report_sample(count, seed):
+    """(q, r) drawn from the first 40 primes q with 125 | q^2 - 1 and the
+    r < 125 prime to 5."""
+    qs = list(itertools.islice(
+        (q for q in itertools.count(3)
+         if (q * q - 1) % 125 == 0 and all(q % k for k in range(2, math.isqrt(q) + 1))),
+        40,
+    ))
+    units = [r for r in range(1, 125) if r % 5]
+    rng = random.Random(seed)
+    return [(rng.choice(qs), rng.choice(units)) for _ in range(count)]
+
+
+def test_printed_monodromy_reports_match_the_oracle(capsys):
+    """Each printed report of a seeded sample, read back from its JSON alone:
+    the printed g(d) is the exact product prod (d - root)^m to its printed
+    precision, for g(z) = ((z+1)/(z-1))^r ((z - s/r)/(z + s/r))^s, the cover
+    function at sqrt(1-a) = -s/r, and d = +-(the printed center); delta^5
+    agrees with that exact g(d) to the bound the delta step prints; and
+    eps = -delta when r + s is even, delta when it is odd, at delta's
+    precision."""
+    for q, r in _report_sample(30, seed=7):
+        argv = ["wild-monodromy", "--q", str(q), "--p", "5", "--r", str(r)]
+        assert dispatch(argv) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        inputs = report["inputs"]
+        p, s = inputs["p"], inputs["s"]
+        assert (inputs["q"], inputs["r"]) == (q, r)
+        assert Fraction(inputs["a"]) == 1 - Fraction(s, r) ** 2
+        steps = {step["id"]: step for step in report["steps"]}
+        center, exact = parse_local(steps["center"]["value"])
+        assert exact is None
+        roots = [(-1, r), (1, -r), (Fraction(s, r), s), (Fraction(-s, r), -s)]
+        for branch, sign in (("+", 1), ("-", -1)):
+            d = center * sign
+            g = PiExt.from_rational(1)
+            for root, m in roots:
+                g = g * (d - root) ** m
+            printed, g_prec = parse_local(steps[f"g(d){branch}"]["value"])
+            assert g_prec is not None and agrees(printed, g, g_prec)
+            delta, delta_prec = parse_local(steps[f"delta{branch}"]["value"])
+            bound = re.search(r"to v >= (\S+)\)$", steps[f"delta{branch}"]["description"])
+            assert agrees(delta**p, g, Fraction(bound.group(1)))
+            eps, eps_prec = parse_local(steps[f"eps{branch}"]["value"])
+            assert eps_prec == delta_prec
+            assert agrees(eps, delta * (-1 if (r + s) % 2 == 0 else 1), eps_prec)
 
 
 @pytest.mark.xfail(

@@ -45,7 +45,7 @@ UNITS = value(ints(1, 8), ["0", "-3", "25"])
 FRACTIONS = value(st.sampled_from(["0", "1", "1/2", "3/2", "2", "5/4", "-1", "7/3", "inf"]))
 CASES = value(st.sampled_from(["generic", "a=0", "a=1"]), ["b", "A=0"])
 QS = value(
-    st.sampled_from(["251", "499", "1249", "13", "31", "101", "7"]), ["9", "0", "-251", "331"]
+    st.sampled_from(["251", "499", "1249", "13", "31", "101", "7", "331"]), ["9", "0", "-251", "124"]
 )
 
 # subcommand -> {flag: value strategy}

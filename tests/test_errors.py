@@ -220,6 +220,9 @@ BAD_INPUTS = [
     (["group", "--q", "0", "--tau", "13", "--rho", "4"], "prime"),
     (["group", "--q", "10", "--p", "5"], "prime"),
     (["wild-monodromy", "--q", "7", "--p", "5"], "q^2 - 1"),
+    # v_5(q^2 - 1) = 3 for both, but only a prime q is in the pipeline's domain
+    (["wild-monodromy", "--q", "124", "--p", "5"], "q must be prime, got 124"),
+    (["wild-monodromy", "--q", "-251", "--p", "5"], "q must be prime, got -251"),
     (["wild-monodromy", "--q", "251", "--p", "4"], "odd prime"),
     (["wild-monodromy", "--q", "1373", "--p", "7"], "only for p = 5"),
     (["wild-monodromy", "--q", "53", "--p", "3"], "only for p = 5"),

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import srt.localfield
 from srt import (
     ContextError,
     LocalFieldContext,
@@ -220,6 +221,31 @@ class TestArithmeticAgainstOracle:
         assert y.prec == 8
         assert (x * y - 1).valuation_lower_bound() >= 8
         assert best < 0.050
+
+    def test_newton_steps_canonicalize_once_per_dot(self, monkeypatch):
+        """1/u of the exact unit u = 1 + pi + pi^2 to relative precision 20
+        takes 7 Newton steps from v(1 - u*y) = 1/5, each of two dots (the
+        error 1 - u*y and y + y*err); with -u, the first error and the final
+        truncation that is 17 canonicalizations. Its fifth root from u^5,
+        by the peel and Newton's iteration, takes 65."""
+        ctx = LocalFieldContext(5, N=5, M=20)
+        u = LocalFieldElement(ctx, [(0, 1), (Fraction(1, 5), 1), (Fraction(2, 5), 1)])
+        fifth = u**5
+        calls = []
+        canonicalize = srt.localfield._canonicalize
+
+        def counting(*args):
+            calls.append(None)
+            return canonicalize(*args)
+
+        monkeypatch.setattr(srt.localfield, "_canonicalize", counting)
+        y = u.inverse()
+        inverse_calls = len(calls)
+        root = nth_root(fifth, 5)
+        monkeypatch.undo()
+        assert (inverse_calls, len(calls) - inverse_calls) == (17, 65)
+        assert y.prec == 20 and (u * y - 1).valuation_lower_bound() >= 20
+        assert root == u.truncate(19)
 
 
 class TestHenselSqrt:

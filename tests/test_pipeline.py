@@ -14,7 +14,7 @@ from srt import (
     run_wild_monodromy,
 )
 from srt.cli import EXIT_OK, dispatch
-from srt.errors import PrecisionError
+from srt.errors import PrecisionError, Unsupported
 from srt.torsor import D_EXPONENT
 from srt.valuation import to_jsonable, vp
 
@@ -54,6 +54,12 @@ class TestPreconditions:
     def test_r_must_be_a_unit(self):
         with pytest.raises(PipelineError, match=r"v_5\(5\) = 0"):
             run_wild_monodromy(251, 5, 5)
+
+    @pytest.mark.parametrize("q", [124, -251, 0, 1, 126])
+    def test_q_must_be_prime_before_any_other_check(self, q):
+        # r = 5 is no unit, so a later check would refuse each too: q comes first
+        with pytest.raises(Unsupported, match=f"q must be prime, got {q}$"):
+            run_wild_monodromy(q, 5, 5)
 
 
 class TestSeriesEvaluation:
