@@ -168,11 +168,10 @@ def _verdict_exit(kind):
 
 
 def _cmd_expand(args):
-    if args.sqrt1ma is not None:
-        sqrt1ma = _fraction(args.sqrt1ma)
-    elif args.r == 0:
-        raise UsageError("--r must be nonzero; the default --sqrt1ma is -s/r")
-    else:
+    sqrt1ma = args.sqrt1ma
+    if sqrt1ma is None:
+        if args.r == 0:
+            raise UsageError("--r must be nonzero; the default --sqrt1ma is -s/r")
         sqrt1ma = Fraction(-args.s, args.r)
     params = CoverParams(args.p, args.nu, args.r, args.s, sqrt1ma)
     series = maclaurin_g(params, args.T)
@@ -223,13 +222,11 @@ def _cmd_tail_center(args):
 
 
 def _cmd_tail_radius(args):
-    extra = _fraction(args.extra) if args.extra is not None else None
-    return tail_radius(args.p, args.nu, args.case, extra), EXIT_OK
+    return tail_radius(args.p, args.nu, args.case, args.extra), EXIT_OK
 
 
 def _cmd_insep_tails(args):
-    extra = _fraction(args.extra) if args.extra is not None else None
-    return insep_tail_catalog(args.p, args.nu, args.case, extra), EXIT_OK
+    return insep_tail_catalog(args.p, args.nu, args.case, args.extra), EXIT_OK
 
 
 def _load_tree(path):
@@ -265,8 +262,7 @@ def _cmd_tree_check(args):
 
 def _cmd_tree_solve(args):
     tree = _load_tree(args.tree)
-    root_delta = _fraction(args.root_delta) if args.root_delta is not None else None
-    result = propagate_differents(tree, args.p, root_delta)
+    result = propagate_differents(tree, args.p, args.root_delta)
     return result, _verdict_exit(result.status)
 
 
@@ -276,6 +272,8 @@ def _cmd_enum_tails(args):
 
 def _cmd_conductor(args):
     if args.compositum:
+        if args.shape is not None or args.p is not None or args.nu is not None:
+            raise UsageError("give --compositum alone, or --shape with --nu (and --p)")
         values = [_fraction(x) for x in args.compositum.split(",")]
         return {"conductor": str(compositum_conductor(values))}, EXIT_OK
     if args.shape is None:
@@ -288,6 +286,8 @@ def _cmd_conductor(args):
 
 def _cmd_herbrand(args):
     if args.filtration:
+        if args.p is not None or args.nu is not None:
+            raise UsageError("give --filtration FILE or --p and --nu, not both")
         try:
             with open(args.filtration) as handle:
                 filtration = Filtration.from_json(json.load(handle))
@@ -311,10 +311,12 @@ def _cmd_herbrand(args):
 
 def _cmd_group(args):
     q = args.q
-    if (args.tau is None or args.rho is None) and args.p is None:
+    if (args.tau is None) != (args.rho is None):
+        raise UsageError("give --tau and --rho together, or neither and --p")
+    if args.tau is None and args.p is None:
         raise UsageError("provide --p (for the standard pair) or --tau/--rho")
     primes = order_primes(q)
-    if args.tau is not None and args.rho is not None:
+    if args.tau is not None:
         beta = solve_trace_system(q, args.tau, args.rho)
         alpha = MatrixElement(1, 1, 0, 1, q)
     else:
@@ -345,6 +347,70 @@ def _cmd_wild_monodromy(args):
 # --- parser ---
 
 
+# flag -> its argparse keywords; every flag of every subcommand is declared
+# here once, and its type= callable does its conversion
+FLAGS = {
+    "--p": dict(type=_odd_prime, help="an odd prime p"),
+    "--nu": dict(type=int, help="exponent nu >= 1 of the p-power p^nu"),
+    "--r": dict(type=int, help="integer r of the cover"),
+    "--s": dict(type=int, help="integer s of the cover"),
+    "--sqrt1ma": dict(type=_fraction, help="chosen square root of 1-a (default -s/r)"),
+    "--T": dict(type=int, help="truncation order (default 3p+2)"),
+    "--level": dict(type=int, help="torsor level n"),
+    "--vals": dict(help="JSON array of v(c_i), i = 1..T, as 'a/b'"),
+    "--case": dict(help="generic | a=0 | a=1"),
+    "--branch": dict(type=int, default=0, help="root branch, p = 5 exceptional center"),
+    "--extra": dict(type=_fraction, help="v(a) for a=0, v(sqrt(1-a)) for a=1"),
+    "--tree": dict(help="tree JSON file"),
+    "--root-delta": dict(type=_fraction, help="override the root effective different"),
+    "--tau": dict(type=int, help="enum-tails: number of primitive tails; "
+                  "group: prescribed trace of beta"),
+    "--m-g": dict(type=int, default=2, help="m_G (only 2 is modeled)"),
+    "--shape": dict(choices=("tame-over-cyclotomic", "kummer-tower")),
+    "--compositum": dict(help="comma-separated conductors to combine"),
+    "--filtration": dict(help="filtration JSON file"),
+    "--direction": dict(choices=("phi", "psi")),
+    "--x": dict(help="rational point of the transform"),
+    "--q": dict(type=int, help="the prime q of SL2(F_q), the cover's degree"),
+    "--rho": dict(type=int, help="prescribed trace of alpha*beta"),
+    "--mode": dict(choices=("criterion", "bfs"), default="criterion"),
+}
+
+REQUIRED = object()
+
+# subcommand -> (handler, help, {flag: REQUIRED, None for optional with the
+# default of FLAGS, or this subcommand's default}); flags are added in order
+COMMANDS = {
+    "expand": (_cmd_expand, "Maclaurin expansion of the cover function", {
+        "--p": REQUIRED, "--nu": REQUIRED, "--r": REQUIRED, "--s": REQUIRED,
+        "--sqrt1ma": None, "--T": None}),
+    "split-check": (_cmd_split_check, "torsor splitting criterion", {
+        "--p": REQUIRED, "--level": REQUIRED, "--vals": REQUIRED}),
+    "tail-center": (_cmd_tail_center, "new etale tail disk center", {
+        "--p": REQUIRED, "--nu": REQUIRED, "--r": REQUIRED, "--s": REQUIRED,
+        "--case": REQUIRED, "--branch": None}),
+    "tail-radius": (_cmd_tail_radius, "new etale tail disk radius", {
+        "--p": REQUIRED, "--nu": REQUIRED, "--case": REQUIRED, "--extra": None}),
+    "insep-tails": (_cmd_insep_tails, "catalog of new inseparable tails", {
+        "--p": REQUIRED, "--nu": REQUIRED, "--case": REQUIRED, "--extra": None}),
+    "tree-check": (_cmd_tree_check, "reduction tree structural checks", {
+        "--p": REQUIRED, "--tree": REQUIRED}),
+    "tree-solve": (_cmd_tree_solve, "solve the different/epaisseur laws", {
+        "--p": REQUIRED, "--tree": REQUIRED, "--root-delta": None}),
+    "enum-tails": (_cmd_enum_tails, "admissible etale tail configurations", {
+        "--tau": REQUIRED, "--m-g": None, "--p": 5}),
+    "conductor": (_cmd_conductor, "closed-form conductors", {
+        "--p": None, "--nu": None, "--shape": None, "--compositum": None}),
+    "herbrand": (_cmd_herbrand, "Herbrand phi/psi transform", {
+        "--filtration": None, "--p": None, "--nu": None,
+        "--direction": REQUIRED, "--x": REQUIRED}),
+    "group": (_cmd_group, "SL2(F_q) generator and Sylow checks", {
+        "--q": REQUIRED, "--p": None, "--tau": None, "--rho": None, "--mode": None}),
+    "wild-monodromy": (_cmd_wild_monodromy, "end-to-end wild monodromy verification", {
+        "--q": REQUIRED, "--p": REQUIRED, "--r": 1}),
+}
+
+
 # one parser per process: parse_args returns a fresh Namespace on every call,
 # no default is mutable and every type= callable is pure
 @functools.cache
@@ -358,100 +424,27 @@ def _build_parser():
         "--format", choices=("json", "text"), default="json", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("expand", _cmd_expand, "Maclaurin expansion of the cover function")
-    p.add_argument("--p", type=_odd_prime, required=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--sqrt1ma", help="chosen square root of 1-a (default -s/r)")
-    p.add_argument("--T", type=int, help="truncation order (default 3p+2)")
-
-    p = add("split-check", _cmd_split_check, "torsor splitting criterion")
-    p.add_argument("--p", type=_odd_prime, required=True)
-    p.add_argument("--level", type=int, required=True, help="torsor level n")
-    p.add_argument(
-        "--vals", required=True, help="JSON array of v(c_i), i = 1..T, as 'a/b'"
-    )
-
-    p = add("tail-center", _cmd_tail_center, "new etale tail disk center")
-    p.add_argument("--p", type=_odd_prime, required=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--case", required=True, help="generic | a=0 | a=1")
-    p.add_argument("--branch", type=int, default=0)
-
-    p = add("tail-radius", _cmd_tail_radius, "new etale tail disk radius")
-    p.add_argument("--p", type=_odd_prime, required=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--case", required=True)
-    p.add_argument("--extra", help="v(a) for a=0, v(sqrt(1-a)) for a=1")
-
-    p = add("insep-tails", _cmd_insep_tails, "catalog of new inseparable tails")
-    p.add_argument("--p", type=_odd_prime, required=True)
-    p.add_argument("--nu", type=int, required=True)
-    p.add_argument("--case", required=True)
-    p.add_argument("--extra")
-
-    p = add("tree-check", _cmd_tree_check, "reduction tree structural checks")
-    p.add_argument("--p", type=_odd_prime, required=True)
-    p.add_argument("--tree", required=True, help="tree JSON file")
-
-    p = add("tree-solve", _cmd_tree_solve, "solve the different/epaisseur laws")
-    p.add_argument("--p", type=_odd_prime, required=True)
-    p.add_argument("--tree", required=True, help="tree JSON file")
-    p.add_argument("--root-delta", help="override the root effective different")
-
-    p = add("enum-tails", _cmd_enum_tails, "admissible etale tail configurations")
-    p.add_argument("--tau", type=int, required=True, help="number of primitive tails")
-    p.add_argument("--m-g", type=int, default=2, dest="m_g")
-    p.add_argument("--p", type=_odd_prime, default=5)
-
-    p = add("conductor", _cmd_conductor, "closed-form conductors")
-    p.add_argument("--p", type=_odd_prime)
-    p.add_argument("--nu", type=int)
-    p.add_argument("--shape", choices=("tame-over-cyclotomic", "kummer-tower"))
-    p.add_argument("--compositum", help="comma-separated conductors to combine")
-
-    p = add("herbrand", _cmd_herbrand, "Herbrand phi/psi transform")
-    p.add_argument("--filtration", help="filtration JSON file")
-    p.add_argument("--p", type=_odd_prime)
-    p.add_argument("--nu", type=int)
-    p.add_argument("--direction", choices=("phi", "psi"), required=True)
-    p.add_argument("--x", required=True)
-
-    p = add("group", _cmd_group, "SL2(F_q) generator and Sylow checks")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=_odd_prime)
-    p.add_argument("--tau", type=int, help="prescribed trace of beta")
-    p.add_argument("--rho", type=int, help="prescribed trace of alpha*beta")
-    p.add_argument("--mode", choices=("criterion", "bfs"), default="criterion")
-
-    p = add(
-        "wild-monodromy",
-        _cmd_wild_monodromy,
-        "end-to-end wild monodromy verification",
-    )
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--p", type=_odd_prime, required=True)
-    p.add_argument("--r", type=int, default=1)
-
+    for name, (handler, help_text, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        for flag, spec in flags.items():
+            keywords = dict(FLAGS[flag])
+            if spec is REQUIRED:
+                keywords["required"] = True
+            elif spec is not None:
+                keywords["default"] = spec
+            command.add_argument(flag, **keywords)
     return parser
 
 
 def dispatch(argv):
-    parser = _build_parser()
+    # parse_args is inside the handler: a type= callable refuses with an
+    # SrtError, which argparse does not catch
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse has printed its usage or help
+            return EXIT_USAGE if exc.code not in (0, None) else 0
         out, code = _answer(args)
     except SrtError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ exact computation contradicts; they fail by design and are kept as a record
 The true values the library computes are pinned green by companion tests here
 and in tests/test_series.py / tests/test_torsor.py.
 """
+import collections
 import itertools
 import json
 import math
@@ -287,6 +288,71 @@ def test_conductor3_splitting_sweep():
                         assert v > theta
                 done += 1
     assert time.time() - t0 < 5
+
+
+def _split_request(rng):
+    """(p, n, vals) of a split-check request: v(c_1), ..., v(c_T) around the
+    threshold n + 1/(p-1), None for infinity, drawn to reach every verdict:
+    indices below the threshold, one prime-to-p index at it, a borderline
+    v(c_p) with v(c_1) near the root term, or anything near it."""
+    p, n = rng.choice([3, 5, 7, 11]), rng.randint(1, 4)
+    theta = n + Fraction(1, p - 1)
+    T = rng.randint(p, 2 * p + 1)
+    vals = [theta + Fraction(rng.randint(1, 8), rng.randint(1, 2 * (p - 1))) for _ in range(T)]
+    mode = rng.randrange(4)
+    if mode == 0:
+        for _ in range(rng.randint(1, 2)):
+            vals[rng.randrange(T)] = theta - Fraction(rng.randint(1, 6), rng.randint(1, 6))
+    elif mode == 1:
+        vals[rng.randrange(p - 1)] = theta
+    elif mode == 2:
+        floor = n - Fraction(p - 2, 2 * (p - 1))
+        v_p = rng.choice([theta, theta - Fraction(1, 2 * p), floor + Fraction(1, 2 * (p - 1))])
+        v_root = (v_p + (p - 1) * n + 1) / p
+        vals[p - 1] = v_p
+        vals[0] = rng.choice([v_root + 1, v_root + Fraction(1, 7), v_root - Fraction(1, 9), None])
+    else:
+        vals = [rng.choice([theta, theta - Fraction(1, 2), n, theta + 1, None]) for _ in vals]
+    return p, n, vals
+
+
+def test_printed_split_evidence_matches_the_vals(capsys):
+    """Each printed split-check verdict of a seeded sample, re-derived from its
+    --vals by plain Fraction arithmetic: theta = level + 1/(p-1) is the printed
+    threshold; a condition-I witness is an index other than p whose value is
+    the printed valuation, below min(v_p, theta); an unabsorbed conductor is
+    the unique prime-to-p index <= p at theta, with every other index above
+    it; and a condition-II obstruction prints v_root = (v_p + (p-1)n + 1)/p,
+    with min(v_1, v_root) < theta."""
+    inf = float("inf")
+    rng = random.Random(20261019)
+    kinds = collections.Counter()
+    for _ in range(200):
+        p, n, vals = _split_request(rng)
+        text = json.dumps(["inf" if v is None else str(v) for v in vals])
+        code = dispatch(["split-check", "--p", str(p), "--level", str(n), "--vals", text])
+        report = json.loads(capsys.readouterr().out)
+        kind, evidence = report["verdict"], report["evidence"]
+        v = {i: inf if x is None else x for i, x in enumerate(vals, start=1)}
+        theta = n + Fraction(1, p - 1)
+        if kind != "Inconclusive":
+            assert Fraction(evidence["threshold"]) == theta
+        if kind == "ObstructedByConditionI":
+            witness = int(evidence["witness_index"])
+            assert witness != p and code == 2
+            assert v[witness] == Fraction(evidence["valuation"]) < min(v[p], theta)
+        elif kind == "SplitsWithConductor" and "absorbed" not in evidence:
+            sigma = int(report["conductor"])
+            assert sigma <= p and sigma % p != 0 and code == 0
+            assert v[sigma] == theta == Fraction(evidence["v_c_sigma"])
+            assert all(x > theta for i, x in v.items() if i != sigma)
+        elif kind == "ObstructedByConditionII":
+            v_root = (Fraction(v[p]) + (p - 1) * n + 1) / p
+            assert Fraction(evidence["v_root_term"]) == v_root and code == 2
+            assert min(v[1], v_root) < theta
+        kinds[kind, "absorbed" in evidence] += 1
+    for kind in ("ObstructedByConditionI", "SplitsWithConductor", "ObstructedByConditionII"):
+        assert kinds[kind, False] >= 10, kinds
 
 
 # --------------------------------------------------------------------------

@@ -142,6 +142,7 @@ FILES = {
         "edges": [{"parent": "root", "child": "tail", "sigma_eff": "3/2"}],
     },
     "order0_filtration": {"breaks": [{"jump": "0", "order": 0}]},
+    "ok_filtration": {"breaks": [{"jump": "0", "order": 20}, {"jump": "1", "order": 5}]},
     "breaks_not_list": {"breaks": 5},
     "sigma_over_zero": {"vertices": [{"id": "root", "sigma": "1/0"}], "edges": []},
     "jump_over_zero": {"breaks": [{"jump": "1/0", "order": 5}]},
@@ -197,6 +198,9 @@ BAD_INPUTS = [
     (["tail-radius", "--p", "1", "--nu", "2", "--case", "generic"], "odd prime"),
     (["tail-radius", "--p", "7", "--nu", "2", "--case", "a=0", "--extra", "-1"], "positive"),
     (["tail-radius", "--p", "5", "--nu=-3", "--case", "generic"], "nu must be >= 1"),
+    # a rational flag is converted by its type= callable inside parse_args:
+    # past the digit limit, and no rational at all
+    (["tail-radius", "--p", "7", "--nu", "2", "--case", "a=0", "--extra", "1e5000"], "digits"),
     (["insep-tails", "--p", "4", "--nu", "2", "--case", "a=0", "--extra", "1"], "odd prime"),
     (["insep-tails", "--p", "5", "--nu", "3", "--case", "a=0"], "auxiliary"),
     (["insep-tails", "--p", "5", "--nu", "0", "--case", "generic"], "nu must be >= 1"),
@@ -204,12 +208,20 @@ BAD_INPUTS = [
     (["tree-check", "--p", "5", "--tree", "@list"], "malformed"),
     (["tree-solve", "--p", "5", "--tree", "@vertex_not_object"], "malformed"),
     (["tree-solve", "--p", "9", "--tree", "@ok"], "odd prime"),
+    (["tree-solve", "--p", "5", "--tree", "@ok", "--root-delta", "1/0"], "rational"),
     (["enum-tails", "--tau", "5"], "tau"),
     (["enum-tails", "--tau", "1", "--m-g", "3"], "m_G"),
     (["enum-tails", "--tau", "1", "--p", "4"], "odd prime"),
     (["conductor", "--nu", "3", "--shape", "kummer-tower"], "--p"),
     (["conductor", "--p", "5", "--nu", "1", "--shape", "kummer-tower"], "nu > 1"),
     (["conductor", "--compositum", "1/0"], "rational"),
+    # a flag that the answer would not read is refused, not ignored
+    (["conductor", "--compositum", "1,2", "--shape", "kummer-tower", "--p", "5", "--nu", "3"],
+     "--compositum alone"),
+    (["herbrand", "--filtration", "@ok_filtration", "--p", "5", "--nu", "3", "--direction",
+      "psi", "--x", "2"], "not both"),
+    (["group", "--q", "251", "--p", "5", "--tau", "3"], "--tau and --rho together"),
+    (["group", "--q", "251", "--p", "5", "--rho", "3"], "--tau and --rho together"),
     (["herbrand", "--p", "5", "--nu", "0", "--direction", "psi", "--x", "1"], "nu"),
     (["herbrand", "--p", "5", "--nu", "2", "--direction", "psi", "--x", "-1"], "x"),
     (["herbrand", "--filtration", "@order0_filtration", "--direction", "phi", "--x", "1"], "positive"),
