@@ -16,10 +16,8 @@ from .localfield import (
     LocalFieldContext,
     LocalFieldElement,
     NoNthRoot,
-    NoSquareRoot,
     PrecisionError,
     PthPowerVerdict,
-    hensel_sqrt,
     is_pth_power,
     nth_root,
     sqrt_of_minus_one,

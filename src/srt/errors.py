@@ -32,9 +32,7 @@ class DegenerateCover(SrtError, ValueError):
 
 
 class TruncationUnderflow(SrtError, ValueError):
-    def __init__(self, message, required_order=None):
-        super().__init__(message)
-        self.required_order = required_order
+    pass
 
 
 class InsufficientData(SrtError, ValueError):
@@ -67,10 +65,6 @@ class NoSolution(SrtError, ValueError):
 
 class PrecisionError(SrtError, ArithmeticError):
     """Raised when a question cannot be answered at the tracked precision."""
-
-
-class NoSquareRoot(SrtError, ArithmeticError):
-    pass
 
 
 class NoNthRoot(SrtError, ArithmeticError):

@@ -33,7 +33,7 @@ precision each step (Caruso, Computations with p-adic numbers,
 arXiv:1701.06794, sections 1.3 and 2.1).
 
 Every root (`nth_root`, the root of a yes-verdict of `is_pth_power`,
-`hensel_sqrt`) comes from one engine: p-th roots by peeling the unit
+`sqrt_of_minus_one`) comes from one engine: p-th roots by peeling the unit
 filtration and then Newton's iteration, prime-to-p roots by Newton's
 iteration from a residue root. A root that does not exist raises NoNthRoot;
 a root that the tracked precision cannot decide or fix raises
@@ -48,7 +48,6 @@ from fractions import Fraction
 from .errors import (
     ContextError,
     NoNthRoot,
-    NoSquareRoot,
     PrecisionError,
     PreconditionViolated,
 )
@@ -616,25 +615,11 @@ def _unit_root(w, n):
     return _newton(w, y, w - y**m, m, Fraction(ctx.M) if w.prec is None else w.prec)
 
 
-def hensel_sqrt(u, p, M):
-    """Square root of a unit residue mod p^M by the root engine, branch =
-    lift of the smallest nonnegative root mod p."""
-    u = u % (p**M)
-    if u % p == 0:
-        raise NoSquareRoot(f"{u} is not a unit mod {p}")
-    try:
-        r = _unit_root(LocalFieldContext(p, N=1).from_rational(u, prec=M), 2)
-    except NoNthRoot:
-        raise NoSquareRoot(f"{u} is not a quadratic residue mod {p}") from None
-    return r._t[0][0]
-
-
 def sqrt_of_minus_one(ctx, prec=None):
-    """The square root of -1 congruent to the smaller root mod p; requires
-    p = 1 mod 4."""
+    """The square root of -1 congruent to the smaller root mod p, to
+    precision ceil(prec), or M when prec is None; requires p = 1 mod 4."""
     M = math.ceil(Fraction(prec)) if prec is not None else ctx.M
-    r = hensel_sqrt(-1 % ctx.p ** M, ctx.p, M)
-    return ctx.from_rational(r, M)
+    return nth_root(ctx.from_rational(-1, M), 2)
 
 
 def nth_root(x, n, branch=0):

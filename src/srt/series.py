@@ -217,10 +217,7 @@ class TruncatedSeries:
 
     def coefficient(self, i):
         if not 0 <= i <= self.order:
-            raise TruncationUnderflow(
-                f"coefficient {i} beyond truncation order {self.order}",
-                required_order=i,
-            )
+            raise TruncationUnderflow(f"coefficient {i} beyond truncation order {self.order}")
         return self.coefficients[i]
 
     def __mul__(self, other):
@@ -275,10 +272,7 @@ class TruncatedSeries:
             raise PreconditionViolated(f"evaluation needs v(x) > 0, got {vx}")
         floor = self.tail_floor(vx.as_fraction())
         if floor is None:
-            raise TruncationUnderflow(
-                "no tail bound available to certify the dropped terms",
-                required_order=self.order + 1,
-            )
+            raise TruncationUnderflow("no tail bound available to certify the dropped terms")
         powers = [x.ctx.one()]
         for _ in range(self.order):
             powers.append(powers[-1] * x)

@@ -40,7 +40,6 @@ from srt import (
     element_valuation,
     enumerate_tail_configs,
     generation_check,
-    hensel_sqrt,
     herbrand,
     invariant_weights,
     maclaurin_g,
@@ -60,7 +59,15 @@ from srt import (
 )
 from srt.cli import EXIT_OK, dispatch
 
-from helpers import PiExt, agrees, parse_local, rational_mod, vp_fraction
+from helpers import (
+    PiExt,
+    agrees,
+    parse_local,
+    pi_digits,
+    pth_power_residues,
+    rational_mod,
+    vp_fraction,
+)
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +180,11 @@ def test_printed_monodromy_reports_match_the_oracle(capsys):
     function at sqrt(1-a) = -s/r, and d = +-(the printed center); delta^5
     agrees with that exact g(d) to the bound the delta step prints; and
     eps = -delta when r + s is even, delta when it is odd, at delta's
-    precision."""
+    precision; eps is no 5th power, since its digits modulo pi^7 are not
+    those of a 5th power; and the power-p2 certificate holds eps's digits:
+    alpha = eps mod 5, beta its digit at 5^(6/5), rhs its integer-class
+    residue mod 5^2, and lhs != rhs that residue of (alpha + beta*pi)^5."""
+    fifth_powers = pth_power_residues()
     for q, r in _report_sample(30, seed=7):
         argv = ["wild-monodromy", "--q", str(q), "--p", "5", "--r", str(r)]
         assert dispatch(argv) == EXIT_OK
@@ -199,6 +210,29 @@ def test_printed_monodromy_reports_match_the_oracle(capsys):
             eps, eps_prec = parse_local(steps[f"eps{branch}"]["value"])
             assert eps_prec == delta_prec
             assert agrees(eps, delta * (-1 if (r + s) % 2 == 0 else 1), eps_prec)
+            assert eps_prec >= Fraction(7, 5)
+            digits = pi_digits(eps, 7)
+            assert digits not in fifth_powers
+            # eps is an integer mod p, so its first digit in (1, p/(p-1)] is at pi^6
+            assert digits[1:5] == (0,) * 4
+            alpha, beta = digits[0], digits[6]
+            rhs = rational_mod(eps.coeffs[0], 25, 5)
+            lhs = rational_mod((PiExt([alpha, beta]) ** 5).coeffs[0], 25, 5)
+            assert lhs != rhs
+            assert steps[f"power-p2{branch}"]["value"] == {
+                "verdict": "no",
+                "certificate": {
+                    "kind": "congruence",
+                    "alpha": alpha,
+                    "beta": beta,
+                    "modulus_alpha": 5,
+                    "modulus_beta": 5,
+                    "violated_exponent_class": "0",
+                    "modulus": "5^2",
+                    "lhs": lhs,
+                    "rhs": rhs,
+                },
+            }
 
 
 @pytest.mark.xfail(
@@ -718,8 +752,10 @@ def test_property_hensel_sqrt_roundtrip():
         while t % p == 0:
             t = rng.randint(1, p**M - 1)
         u = t * t % p**M
-        root = hensel_sqrt(u, p, M)
-        assert root * root % p**M == u
+        root = nth_root(LocalFieldContext(p, N=1).from_rational(u, M), 2)
+        assert root.prec == M and set(root.terms) == {0}
+        r = root.terms[Fraction(0)]
+        assert r * r % p**M == u
 
 
 def _random_filtration(rng):

@@ -58,7 +58,6 @@ class TestHierarchy:
             ("InvalidTree", ValueError),
             ("NoSolution", ValueError),
             ("PrecisionError", ArithmeticError),
-            ("NoSquareRoot", ArithmeticError),
             ("NoNthRoot", ArithmeticError),
             ("ResourceLimit", RuntimeError),
             ("PipelineError", RuntimeError),
