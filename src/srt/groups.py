@@ -244,8 +244,11 @@ def generation_check(gens, q, mode="criterion", primes=None):
 
     criterion mode: for gens = (alpha, beta) with alpha of order q (q a prime
     >= 5), beta outside the normalizer of <alpha> (lower-left entry nonzero)
-    forces the image in PSL2 to be everything; -I in <beta> then lifts the
-    generation to SL2.
+    forces the image in PSL2 to be everything. That lifts to SL2 whatever
+    the order of beta: a proper subgroup onto PSL2 would meet {I, -I} in I
+    alone and so be isomorphic to PSL2, of even order, while -I is the only
+    involution of SL2(F_q). When beta has even order, the evidence names
+    the power of beta that is -I.
 
     bfs mode (q prime): the exact order of the generated group H, compared
     with |SL2(F_q)| = q(q^2 - 1). A breadth-first search finds the orbit of
@@ -284,22 +287,12 @@ def generation_check(gens, q, mode="criterion", primes=None):
         )
     if alpha.c % q != 0:
         raise Unsupported("criterion mode expects the unipotent in upper form")
+    evidence = {"psl2_criterion": "order-q element plus element outside its normalizer"}
     ord_beta = element_order(beta, primes)
     # -I is the only involution of SL2(F_q), q odd: it is in <beta> iff 2 | ord
-    if ord_beta % 2:
-        return GenerationVerdict(
-            "ProperSubgroup",
-            evidence={"reason": "-I not in the cyclic group of the second generator"},
-        )
-    return GenerationVerdict(
-        "Generates",
-        order=q * (q * q - 1),
-        evidence={
-            "psl2_criterion": "order-q element plus element outside its "
-            "normalizer",
-            "minus_identity": f"beta^{ord_beta // 2}",
-        },
-    )
+    if ord_beta % 2 == 0:
+        evidence["minus_identity"] = f"beta^{ord_beta // 2}"
+    return GenerationVerdict("Generates", order=q * (q * q - 1), evidence=evidence)
 
 
 # the closure visits the q + 1 lines of F_q^2 with O(q) products and memory;

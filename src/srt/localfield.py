@@ -13,8 +13,7 @@ manner of Caruso (cited below): q = pn/pd, with pd the least multiple of N
 that the denominator of q divides. Adding a term's valuation j/N is then
 pn + j*(pd // N) and comparing two precisions a cross-multiplication, so no
 sum, product or truncation builds a Fraction. The `prec` property shows q as
-a Fraction, also off the (1/N)Z grid, as for a precision carried into a
-subfield.
+a Fraction, also off the (1/N)Z grid.
 
 The canonical form keeps at most one term per residue class of j mod N, which
 makes the valuation of a nonzero element exact: distinct classes can never
@@ -33,11 +32,15 @@ precision each step (Caruso, Computations with p-adic numbers,
 arXiv:1701.06794, sections 1.3 and 2.1).
 
 Every root (`nth_root`, the root of a yes-verdict of `is_pth_power`,
-`sqrt_of_minus_one`) comes from one engine: p-th roots by peeling the unit
-filtration and then Newton's iteration, prime-to-p roots by Newton's
-iteration from a residue root. A root that does not exist raises NoNthRoot;
-a root that the tracked precision cannot decide or fix raises
-PrecisionError. `is_pth_power` turns these into "no" and "undecidable".
+`sqrt_of_minus_one`) comes from one engine, in the element's own field: p-th
+roots by peeling the unit filtration and then Newton's iteration, prime-to-p
+roots by Newton's iteration from a residue root. An element at a finite
+precision stands for the ball of its lifts, and the peel reads only the
+levels below its precision, which every lift shares (Caruso; Caruso, Roe and
+Vaccon, Tracking p-adic precision, arXiv:1402.0142). A root that does not
+exist raises NoNthRoot; a root that the tracked precision cannot decide or
+fix raises PrecisionError. `is_pth_power` turns these into "no" and
+"undecidable", so its verdict holds on every lift.
 """
 from __future__ import annotations
 
@@ -393,26 +396,6 @@ class LocalFieldElement:
         t = _canonicalize(ctx.p, ctx.N, self._t.items(), prec)
         return LocalFieldElement._make(ctx, t, prec)
 
-    def to_context(self, ctx):
-        if ctx.p != self.ctx.p:
-            raise ContextError(f"prime mismatch: {self.ctx.p} vs {ctx.p}")
-        N, N2 = self.ctx.N, ctx.N
-        pairs = []
-        for j, u in self._t.items():
-            j2, r = divmod(j * N2, N)
-            if r:
-                raise ContextError(
-                    f"exponent {Fraction(j, N)} not representable with "
-                    f"ramification index {N2}"
-                )
-            pairs.append((j2, u))
-        prec = self._prec
-        if prec is not None:
-            pn, pd = prec
-            g = math.gcd(pn, pd)
-            prec = _pair(pn // g, pd // g, N2)
-        return LocalFieldElement._make(ctx, _canonicalize(ctx.p, N2, pairs, prec), prec)
-
     # --- comparisons / display ---
 
     def __eq__(self, other):
@@ -491,35 +474,70 @@ def _integer_nth_root_exact(n, k):
         x = y
 
 
-def _hensel_start(w, ctx):
-    """(y, w - y^p) for an exact unit y with v(y^p - w) > p/(p-1), or None
-    when the unit w is not a p-th power.
+def _rational_root(w, n):
+    """The exact n-th root of the unit w when w is an exact rational n-th
+    power, else None; a negative one only for odd n, since for even n the
+    residue path decides."""
+    if w._prec is None and len(w._t) == 1:
+        u = Fraction(*w._t[0])
+        if u > 0 or n % 2:
+            rn = _integer_nth_root_exact(abs(u.numerator), n)
+            rd = _integer_nth_root_exact(u.denominator, n)
+            if rn is not None and rd is not None:
+                return LocalFieldElement._make(w.ctx, {0: (rn if u > 0 else -rn, rd)}, None)
+
+
+def _digit(ctx, j, num, den):
+    """The exact term (num/den mod p) * pi^j."""
+    return LocalFieldElement._make(ctx, {j: (num * pow(den, -1, ctx.p) % ctx.p, 1)}, None)
+
+
+def _peel_start(w):
+    """The peel's first state (y, w - y^p): y = alpha, the digit of the unit
+    w at the integer level."""
+    y = _digit(w.ctx, 0, *w._t[0])
+    return y, w - y**w.ctx.p
+
+
+def _hensel_start(w, y, diff):
+    """The peel of the unit filtration, in the field of w: from the state
+    (y, w - y^p), y an exact unit, to one with v(w - y^p) > p/(p-1), which is
+    Newton's start.
 
     For i < N/(p-1), (1 + c*pi^i)^p = 1 + c^p*pi^(p*i) modulo higher terms,
     so the lowest term c*pi^k of w - y^p must have p | k, and adding the
     digit c mod p at pi^(k/p) moves it higher. At k = N*p/(p-1) both the p-th
     power and the linear term p*y^(p-1)*t*pi^(k-N) reach pi^k, and
     (y + t*pi^(k-N))^p adds 2t*pi^k there, so t = c/2 mod p.
+
+    Only the levels below the precision of w are known, and every lift of w
+    shares them: a known lowest level prime to p raises NoNthRoot, and a
+    peel that runs out of known levels at or below p/(p-1) raises
+    PrecisionError, since a lift may decide otherwise or the root not fix.
     """
+    ctx = w.ctx
     p, N = ctx.p, ctx.N
-
-    def digit(j, num, den):
-        return LocalFieldElement._make(ctx, {j: (num * pow(den, -1, p) % p, 1)}, None)
-
-    y = digit(0, *w._t[0])
+    hensel_level = Fraction(p, p - 1)
     while True:
-        diff = w - y**p
         if not diff._t:
-            return y, diff
+            if w._prec is None or w.prec > hensel_level:
+                return y, diff
+            raise PrecisionError(
+                f"precision p^{w.prec} does not exceed the Hensel level {hensel_level}"
+            )
         k, (num, den) = next(iter(diff._t.items()))
         if k * (p - 1) > p * N:
             return y, diff
         if k * (p - 1) == p * N:
-            y = y + digit(k - N, num, 2 * den)
+            y = y + _digit(ctx, k - N, num, 2 * den)
             return y, w - y**p
         if k % p:
-            return None
-        y = y + digit(k // p, num, den)
+            raise NoNthRoot(
+                f"{w!r} is not a {p}-th power: y^{p} misses it at a level prime "
+                f"to {p} below {hensel_level}"
+            )
+        y = y + _digit(ctx, k // p, num, den)
+        diff = w - y**p
 
 
 def _newton(w, y, diff, n, prec):
@@ -550,37 +568,15 @@ def _newton(w, y, diff, n, prec):
         diff = w - y.truncate(prec + vn) ** n
 
 
-def _pth_root(w):
-    """A p-th root of the unit w: the peel's start lifted by Newton. Exact
-    when the start's p-th power is w itself, else to relative precision that
-    of w less 1, or M - 1 for an exact w."""
-    ctx = w.ctx
-    p, N = ctx.p, ctx.N
-    hensel_level = Fraction(p, p - 1)
-    if w.prec is not None:
-        needed = Fraction(p * N // (p - 1), N)
-        if w.prec <= needed:
-            raise PrecisionError(
-                f"precision p^{w.prec} does not reach the decision level {needed}"
-            )
-    start = _hensel_start(w, ctx)
-    if start is None:
-        raise NoNthRoot(
-            f"{w!r} is not a {p}-th power: y^{p} misses it at a level prime "
-            f"to {p} below {hensel_level}"
-        )
-    y, diff = start
-    if w.prec is None:
-        if not diff._t:
-            return y
-        return _newton(w, y, diff, p, Fraction(ctx.M - 1))
-    if w.prec <= hensel_level:
-        # a root needs w / y^p - 1 known beyond p/(p-1); the "no" above is
-        # already decided, since every level up to `needed` lies below prec
-        raise PrecisionError(
-            f"precision p^{w.prec} does not exceed the Hensel level {hensel_level}"
-        )
-    return _newton(w, y, diff, p, w.prec - 1)
+def _pth_root(w, y, diff):
+    """A p-th root of the unit w: the peel from the state (y, w - y^p) lifted
+    by Newton. Exact when the peel meets w itself, else to relative
+    precision that of w less 1, or M - 1 for an exact w."""
+    y, diff = _hensel_start(w, y, diff)
+    if w._prec is None and not diff._t:
+        return y
+    prec = Fraction(w.ctx.M - 1) if w._prec is None else w.prec - 1
+    return _newton(w, y, diff, w.ctx.p, prec)
 
 
 def _unit_root(w, n):
@@ -591,19 +587,14 @@ def _unit_root(w, n):
     has an exact root; the m-th root is the one congruent mod pi to the least
     residue root mod p.
     """
+    root = _rational_root(w, n)
+    if root is not None:
+        return root
     ctx = w.ctx
     p = ctx.p
-    if w._prec is None and len(w._t) == 1:
-        u = Fraction(*w._t[0])
-        # a negative power only for odd n; for even n the residue path decides
-        if u > 0 or n % 2:
-            rn = _integer_nth_root_exact(abs(u.numerator), n)
-            rd = _integer_nth_root_exact(u.denominator, n)
-            if rn is not None and rd is not None:
-                return LocalFieldElement._make(ctx, {0: (rn if u > 0 else -rn, rd)}, None)
     a, m = split_p_part(n, p)
     for _ in range(a):
-        w = _pth_root(w)
+        w = _pth_root(w, *_peel_start(w))
     if m == 1:
         return w
     num, den = w._t[0]
@@ -675,24 +666,28 @@ def _class_residue(x, r, modulus_exp):
     return 0
 
 
-def _no_certificate(w, ctx):
-    """Normalized non-power certificate: alpha from the integer level, beta
-    from the lowest fractional term with valuation in (1, p/(p-1)] (None if
-    there is none), then the first violated congruence."""
-    p, Nsub = ctx.p, ctx.N
-    alpha = _class_residue(w, 0, 1)
+def _no_certificate(w, y, diff):
+    """Normalized non-power certificate of the unit w from the peel's first
+    state (y, w - y^p), y = alpha the digit at the integer level: beta from
+    the lowest fractional term with valuation in (1, p/(p-1)] (None if there
+    is none), then the first congruence that alpha + beta*pi^(e-1) violates."""
+    ctx = w.ctx
+    p, N = ctx.p, ctx.N
+    alpha = y._t[0][0]
     beta = None
-    y = ctx.from_rational(alpha)
     for j, (num, den) in w._t.items():
-        if j % Nsub and Nsub < j and j * (p - 1) <= p * Nsub:
+        if j % N and N < j and j * (p - 1) <= p * N:
             # the candidate digit t sits at exponent e - 1 > 0; its cross term
             # is p * alpha^(p-1) * beta * pi^(e-1), and alpha^(p-1) = 1 mod p
             beta = num * pow(den, -1, p) % p
-            y = y + ctx.pi_power(Fraction(j - Nsub, Nsub), beta)
             break
-    yp = y**p
-    diff = yp - w
-    violated = next((j for j in diff._t if j * (p - 1) <= p * Nsub), None)
+    if beta is None:
+        # alpha^p is an int, and the peel's first state holds w - alpha^p
+        yp = ctx.from_rational(alpha**p)
+    else:
+        yp = (y + _digit(ctx, j - N, beta, 1)) ** p
+        diff = w - yp
+    violated = next((j for j in diff._t if j * (p - 1) <= p * N), None)
     cert = {
         "kind": "congruence",
         "alpha": alpha,
@@ -701,9 +696,12 @@ def _no_certificate(w, ctx):
         "modulus_beta": p,
     }
     if violated is not None:
-        r = violated % Nsub
-        f = Fraction(r, Nsub)
+        r = violated % N
+        f = Fraction(r, N)
         mexp = math.floor(Fraction(p, p - 1) - f) + 1
+        if w._prec is not None:
+            # name only the digits of the class that w determines
+            mexp = min(mexp, math.ceil(w.prec - f))
         cert.update(
             {
                 "violated_exponent_class": str(f),
@@ -727,16 +725,17 @@ def is_pth_power(x):
     a level divisible by p, where one digit of y removes it. Peeling those
     levels (`_hensel_start`) either meets a level prime to p, and x is no
     p-th power, or reaches v(w - y^p) > p/(p-1); then Newton's iteration
-    lifts y to the root. The verdict depends only on w modulo the decision
-    level floor(N*p/(p-1))/N. The root engine behind `nth_root` decides and
-    takes the root, on w in the least subfield Q_p(pi^(N/N')) holding it.
+    lifts y to the root. The root engine behind `nth_root` decides and takes
+    the root, in the field of x; at a finite precision the peel reads only
+    the levels below it, so the verdict holds on every lift of x.
 
     Returns a PthPowerVerdict. A valuation not divisible by p, or NoNthRoot
     from the engine, gives "no" with a valuation obstruction or a congruence
     certificate; PrecisionError from the engine gives "undecidable" with its
-    reason. The root of a yes-verdict is exact when x is an exact rational
-    p-th power or the p-th power of the peel's start; otherwise its relative
-    precision is that of x less 1, or M - 1 when x is exact.
+    reason. A certificate names only digits of w that x determines. The root
+    of a yes-verdict is exact when x is an exact rational p-th power or the
+    p-th power of the peel's start; otherwise its relative precision is that
+    of x less 1, or M - 1 when x is exact.
     """
     ctx = x.ctx
     p = ctx.p
@@ -756,15 +755,14 @@ def is_pth_power(x):
                 "reason": f"v(x) = {v} is not divisible by {p} within the field",
             },
         )
-    # reduce to a unit in the minimal subcontext
-    w_full = x * ctx.pi_power(-v)
-    sub = LocalFieldContext(p, ctx.N // math.gcd(ctx.N, *w_full._t), ctx.M)
-    w = w_full.to_context(sub)
-    try:
-        unit_root = _unit_root(w, p)
-    except NoNthRoot:
-        return PthPowerVerdict("no", certificate=_no_certificate(w, sub))
-    except PrecisionError as exc:
-        return PthPowerVerdict("undecidable", certificate={"reason": str(exc)})
-    root = unit_root.to_context(ctx) * ctx.pi_power(v / p)
-    return PthPowerVerdict("yes", root=root)
+    w = x * ctx.pi_power(-v)
+    root = _rational_root(w, p)
+    if root is None:
+        start = _peel_start(w)
+        try:
+            root = _pth_root(w, *start)
+        except NoNthRoot:
+            return PthPowerVerdict("no", certificate=_no_certificate(w, *start))
+        except PrecisionError as exc:
+            return PthPowerVerdict("undecidable", certificate={"reason": str(exc)})
+    return PthPowerVerdict("yes", root=root * ctx.pi_power(v / p))

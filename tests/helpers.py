@@ -4,7 +4,9 @@ Independent exact-arithmetic oracle used by the test suite.
 Implements Q[pi]/(pi^n - p) with Fraction coefficients, entirely separate
 from the package under test: no imports from srt.  Elements are polynomials
 of degree < n in the uniformizer pi, with pi^n = p.  The valuation is
-normalized so v(p) = 1, hence v(pi) = 1/n.
+normalized so v(p) = 1, hence v(pi) = 1/n.  Beside it: the table of p-th
+powers modulo pi^L, and Herbrand's functions of the cyclotomic filtration
+as integrals of its step function.
 """
 from __future__ import annotations
 
@@ -283,3 +285,25 @@ def pth_power_residues(p=5, n=5, L=7, r=2):
             y = PiExt([a, *tail], n, p)
             out.add(pi_digits(y**p, L))
     return out
+
+
+def herbrand(p, nu, direction, x):
+    """Herbrand's psi (upper to lower numbering) or its inverse phi at x >= 0
+    for the upper-numbered filtration of Q_p(zeta_(p^nu)): |G^u| is
+    (p-1)p^(nu-1) at u = 0, p^(nu-i) on (i-1, i] for i < nu, and 1 beyond
+    nu - 1. Each is the integral of a step function, one step at a time:
+    psi(x) = int_0^x (G^0 : G^u) du, and phi(t) = int_0^t 1/(G_0 : G_s) ds,
+    where the lower group G_s is the upper G^u of the step (i-1, i] for s in
+    (psi(i-1), psi(i)]."""
+    x = Fraction(x)
+    g0 = (p - 1) * p ** (nu - 1)
+    value, start, i = Fraction(0), Fraction(0), 1
+    while True:
+        index = Fraction(g0, p ** max(0, nu - i))  # (G^0 : G^u) on (i-1, i]
+        # the step's length in the numbering of x, and the integrand on it
+        length, weight = (1, index) if direction == "psi" else (index, 1 / index)
+        if i >= nu or x <= start + length:
+            return value + (x - start) * weight
+        value += length * weight
+        start += length
+        i += 1

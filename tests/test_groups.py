@@ -234,6 +234,33 @@ class TestGenerationCheck:
         crit = generation_check([alpha, upper], q, mode="criterion")
         assert crit.kind == "ProperSubgroup"
 
+    def test_criterion_matches_bfs_on_random_pairs(self):
+        # alpha = [[1, 1], [0, 1]] and a random beta with a nonzero lower-left
+        # entry generate SL2(F_q) whatever the order of beta: the pairs with a
+        # beta of odd order are the ones where -I is no power of beta
+        rng = random.Random(31)
+        parities = collections.Counter()
+        for q in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+            alpha = MatrixElement(1, 1, 0, 1, q)
+            for _ in range(12):
+                c = rng.randrange(1, q)
+                a, b = rng.randrange(q), rng.randrange(q)
+                if a == 0:
+                    beta = MatrixElement(0, -pow(c, -1, q), c, b, q)
+                else:
+                    beta = MatrixElement(a, b, c, (1 + b * c) * pow(a, -1, q), q)
+                crit = generation_check([alpha, beta], q, mode="criterion")
+                bfs = generation_check([alpha, beta], q, mode="bfs")
+                assert (crit.kind, crit.order) == (bfs.kind, bfs.order), (q, beta)
+                order = element_order(beta)
+                parities[order % 2] += 1
+                if order % 2 == 0:
+                    k = int(crit.evidence["minus_identity"].removeprefix("beta^"))
+                    assert beta**k == minus_identity(q)
+                else:
+                    assert "minus_identity" not in crit.evidence
+        assert parities[0] > 10 and parities[1] > 10, parities
+
     def test_single_generator(self):
         out = generation_check([MatrixElement(1, 1, 0, 1, 7)], 7)
         assert out.kind == "ProperSubgroup"

@@ -162,10 +162,10 @@ class TestPrecision:
         assert product == ctx.zero(prec=1) and repr(product) == "0 + O(5^(1))"
 
     def test_precision_carried_into_a_subfield(self):
-        # 276 + 3*5 + 4*5^3 = 791 = 166 mod 5^4, at precision 16/5 in Q_5
+        # 276 + 3*5 + 4*5^3 = 791 = 166 mod 5^4, at a precision 16/5 off the
+        # grid (1/N)Z of Q_5 (N = 1)
         sub = LocalFieldContext(5, N=1, M=8)
-        z = LocalFieldElement(ctx5(), [(0, 276), (1, 3), (3, 4)], prec=Fraction(16, 5))
-        w = z.to_context(sub)
+        w = LocalFieldElement(sub, [(0, 276), (1, 3), (3, 4)], prec=Fraction(16, 5))
         assert repr(w) == "166 + O(5^(16/5))"
         assert w.to_json() == {
             "terms": [{"exponent": "0", "unit": "166", "modulus": "5^4"}],
@@ -174,8 +174,7 @@ class TestPrecision:
         same = LocalFieldElement(sub, [(0, 166)], prec=Fraction(16, 5))
         assert w == same and hash(w) == hash(same)
         assert repr(w * 5) == "166*5 + O(5^(21/5))"
-        assert w.to_context(ctx5()) == LocalFieldElement(ctx5(), [(0, 166)], prec=Fraction(16, 5))
-        on_grid = LocalFieldElement(ctx5(), [(0, 7)], prec=Fraction(15, 5)).to_context(sub)
+        on_grid = LocalFieldElement(sub, [(0, 7)], prec=Fraction(15, 5))
         assert on_grid == LocalFieldElement(sub, [(0, 7)], prec=3)
 
 
@@ -442,22 +441,35 @@ class TestIsPthPower:
         v = is_pth_power(ctx.from_rational(7, prec=1))
         assert v.kind == "undecidable"
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 5: the power test moves a finite element to the "
-        "subfield of its known terms, so 2 + O(3^(7/6)) answers no although "
-        "the lift 2 + 7*3^(4/3) in that ball is a cube",
-    )
     def test_verdict_of_a_ball_holds_on_every_lift(self):
         # modulo pi^10 the cubes of Q_3(pi), pi^6 = 3, are decided (10/6 > 3/2);
         # the ball 2 + O(pi^7) holds 27 classes mod pi^10, cubes and non-cubes
+        # (the lift 2 + 7*3^(4/3) is a cube), so it is undecidable, although
+        # its known term lies in Q_3, where precision 7/6 would decide
         cubes = pth_power_residues(3, 6, 10, 4)
         known = pi_digits(PiExt.from_rational(2, 6, 3), 7)
         lifts = {"yes" if known + tail in cubes else "no"
                  for tail in itertools.product(range(3), repeat=3)}
+        assert lifts == {"yes", "no"}
         ball = LocalFieldContext(3, N=6, M=8).from_rational(2, prec=Fraction(7, 6))
-        verdict = is_pth_power(ball).kind
-        assert verdict == "undecidable" or lifts == {verdict}
+        assert is_pth_power(ball).kind == "undecidable"
+
+    @pytest.mark.parametrize("p, N, prec, L, r", [(3, 2, Fraction(3, 2), 4, 2),
+                                                  (5, 8, Fraction(9, 8), 11, 3)])
+    def test_a_known_level_prime_to_p_decides_below_the_hensel_level(self, p, N, prec, L, r):
+        # 2 - 2^p has valuation 1, at pi^N with N prime to p, and the ball
+        # 2 + O(p^prec) knows that level: no lift is a p-th power (y mod pi^r
+        # fixes y^p mod pi^L, and L/N > p/(p-1) decides)
+        powers = pth_power_residues(p, N, L, r)
+        known = pi_digits(PiExt.from_rational(2, N, p), int(prec * N))
+        assert not any(known + tail in powers
+                       for tail in itertools.product(range(p), repeat=L - len(known)))
+        ball = LocalFieldContext(p, N=N).from_rational(2, prec=prec)
+        v = is_pth_power(ball)
+        assert v.kind == "no"
+        assert v.certificate["lhs"] != v.certificate["rhs"]
+        with pytest.raises(NoNthRoot):
+            nth_root(ball, p)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_undecidable_at_the_hensel_level(self, n):

@@ -30,7 +30,7 @@ from srt import (
 )
 from srt.valuation import to_jsonable
 
-EXPECTED_DIGEST = "eb7b4c32ba243e40b26188c0680741bff885451e3e75511755b9f94bfd14b25f"
+EXPECTED_DIGEST = "40de7c041ebdaebdb5b82674822558e126863f0a1ea063ec6429888b5db3f881"
 EXPECTED_RECORDS = 1516
 ELEMENTS = 1500
 

@@ -7,19 +7,33 @@ the canonical form (TestCanonicalForm) read the term dict `_t` and the
 precision pair `_prec` themselves, since `__eq__` and `__hash__` compare
 those directly."""
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
 
 import pytest
 
-from srt import ContextError, LocalFieldContext, LocalFieldElement, is_pth_power, nth_root
+from srt import (
+    ContextError,
+    LocalFieldContext,
+    LocalFieldElement,
+    NoNthRoot,
+    PrecisionError,
+    TruncatedSeries,
+    TruncationUnderflow,
+    is_pth_power,
+    nth_root,
+    taylor_factors,
+)
 from srt.localfield import (
     _canonicalize,
     _integer_terms,
     _prec_pair,
     element_dot,
 )
+
+from helpers import PiExt, pi_digits, pth_power_residues
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -246,7 +260,7 @@ class TestInverse:
     def test_relative_precision_of_exact_inverse(self, x, rel):
         # a one-term exact element has an exact inverse (test_inverse)
         hypothesis.assume(x.prec is None and len(x.terms) > 1)
-        x = x.to_context(LocalFieldContext(P, N=x.ctx.N, M=rel))
+        x = LocalFieldElement(LocalFieldContext(P, N=x.ctx.N, M=rel), list(x.terms.items()))
         y = x.inverse()
         v = min(x.terms)
         assert y.prec == -v + rel
@@ -263,18 +277,6 @@ class TestPrecisionMoves:
         assert got.prec == prec
         assert agree(model(got), model(x), prec)
         assert_canonical(got)
-
-    @SETTINGS
-    @given(st.sampled_from(NS).flatmap(elements), st.sampled_from([1, 2, 3]))
-    def test_to_context(self, x, factor):
-        N2 = x.ctx.N * factor
-        ctx2 = LocalFieldContext(P, N=N2, M=M)
-        got = x.to_context(ctx2)
-        assert got.ctx == ctx2
-        assert got.prec == x.prec
-        assert got.terms == x.terms
-        assert_canonical(got)
-
 
 
 class TestRoots:
@@ -302,6 +304,206 @@ class TestRoots:
         assert root.prec == v + rel
         assert agree(model(root), model(y), root.prec)
         assert agree(fifth, model(x), 5 * v + rel + 1)
+
+
+@st.composite
+def near_fifth_powers(draw):
+    """A finite element of Q_5(pi), pi^N = 5, N in NS: pi^s * y^5 for a unit
+    y, most often one term off, cut to a precision above its lowest term.
+    The draws lean to the balls that a verdict can get wrong: N = 5, where
+    the digit table decides a whole ball; y a rational and the term off at
+    valuation 1, so the known terms lie in Q_5; and a precision in (1, 5/4],
+    where the level 1 is known and the Hensel level is not."""
+    N = draw(st.sampled_from((5,) + NS))
+    ctx = LocalFieldContext(P, N=N, M=M)
+    digit = st.integers(-30, 30).filter(lambda u: u % P)
+    exponent = st.builds(Fraction, st.integers(1, 2 * N), st.just(N))
+    y = LocalFieldElement(ctx, [(0, draw(digit))])
+    if draw(st.sampled_from([False, False, True])):
+        y = y + LocalFieldElement(ctx, draw(st.lists(st.tuples(exponent, digit), max_size=2)))
+    x = y**P
+    off = draw(st.sampled_from([None, Fraction(1), Fraction(1), Fraction(1)]) | exponent)
+    if off is not None:
+        x = x + ctx.pi_power(off, draw(digit))
+    # most often a power of pi that keeps x a candidate 5th power
+    s = draw(st.integers(-1, 1)) * P + draw(st.sampled_from([0, 0, 0, 1]))
+    x = x * ctx.pi_power(Fraction(s, N))
+    window = [Fraction(k, N) for k in range(N + 1, N * 5 // 4 + 1)]
+    above = draw(
+        st.sampled_from(window)
+        | st.sampled_from(window)
+        | st.builds(Fraction, st.integers(1, 3 * N), st.sampled_from([N, 7]))
+    )
+    return x.truncate(min(x.terms) + above)
+
+
+@st.composite
+def balls(draw, centers=near_fifth_powers(), count=4):
+    """(x, lifts): x drawn from `centers` and `count` exact elements of its
+    ball, each the terms of x plus up to three random terms at or above its
+    precision. An x that is exact, or not an element, is its own lift."""
+    x = draw(centers)
+    if not isinstance(x, LocalFieldElement) or x.prec is None:
+        return x, [x] * count
+    N = x.ctx.N
+    low = math.ceil(x.prec * N)
+    exponent = st.builds(Fraction, st.integers(low, low + 2 * N), st.just(N))
+    extra = st.lists(st.tuples(exponent, st.integers(-30, 30)), max_size=3)
+    return x, [LocalFieldElement(x.ctx, [*x.terms.items(), *draw(extra)]) for _ in range(count)]
+
+
+# (L, r) for N: a unit is a 5th power iff its digits mod pi^L, L/N > 5/4,
+# are those of y^5 for a unit y mod pi^r (helpers.pth_power_residues); the
+# table is cheap for these N
+FIFTH_POWER_TABLES = {5: (7, 2), 8: (11, 3)}
+
+
+@functools.cache
+def fifth_powers(N):
+    L, r = FIFTH_POWER_TABLES[N]
+    return pth_power_residues(P, N, L, r)
+
+
+def oracle_kinds(x):
+    """The verdicts of the srt-free digit table on every class modulo pi^L
+    of the ball of x, one class when x is exact; None when the ball holds
+    more than 125 classes."""
+    N = x.ctx.N
+    L = FIFTH_POWER_TABLES[N][0]
+    v = min(x.terms)
+    if (v * N) % P:
+        return {"no"}
+    unit = x * x.ctx.pi_power(-v)
+    known = L if unit.prec is None else min(L, math.ceil(unit.prec * N))
+    if L - known > 3:
+        return None
+    head = pi_digits(PiExt(model(unit), N, P), L)[:known]
+    return {
+        "yes" if head + tail in fifth_powers(N) else "no"
+        for tail in itertools.product(range(P), repeat=L - known)
+    }
+
+
+@st.composite
+def evaluations(draw):
+    """(series, x): 1 to 9 coefficients, each a rational or an exact or
+    finite-precision element of Q_p(pi), a tail bound (const, slope), and a
+    point x, exact or not, with a known valuation v(x) > 0."""
+    ctx = LocalFieldContext(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 5)), 4)
+    N = ctx.N
+    rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+    def element(low):
+        exponent = st.builds(Fraction, st.integers(low, 3 * N), st.just(N))
+        unit = st.integers(-30, 30).filter(bool)
+        terms = draw(st.lists(st.tuples(exponent, unit), min_size=1, max_size=3))
+        x = LocalFieldElement(ctx, terms)
+        if draw(st.booleans()):
+            above = Fraction(draw(st.integers(1, 4 * N)), N)
+            return x.truncate(min(e for e, _ in terms) + above)
+        return x
+
+    coefficients = [
+        element(-N) if draw(st.booleans()) else draw(rationals)
+        for _ in range(draw(st.integers(1, 9)))
+    ]
+    x = element(1)
+    hypothesis.assume(x.terms)
+    bound = (draw(rationals), Fraction(draw(st.integers(-4, 6)), draw(st.integers(1, 4))))
+    return TruncatedSeries(coefficients, tail_bound=bound, p=ctx.p), x
+
+
+def horner(series, x):
+    """The series at x by Horner's rule, cut to the certified floor."""
+    acc = x.ctx.one() * series.coefficients[-1]
+    for c in reversed(series.coefficients[:-1]):
+        acc = acc * x + c
+    return acc.truncate(series.tail_floor(x.valuation().as_fraction()))
+
+
+class TestLifts:
+    """An element at a finite precision stands for the ball of its lifts, and
+    an answer on it must hold on every lift: each public entry that takes one
+    answers every exact lift alike, below the precision it states."""
+
+    @SETTINGS
+    @given(balls())
+    def test_is_pth_power(self, ball):
+        x, lifts = ball
+        verdict = is_pth_power(x).kind
+        kinds = [is_pth_power(lift).kind for lift in lifts]
+        if x.ctx.N in FIFTH_POWER_TABLES:
+            assert [{kind} for kind in kinds] == [oracle_kinds(lift) for lift in lifts]
+            ball = oracle_kinds(x)
+            if ball is not None and verdict != "undecidable":
+                assert ball == {verdict}
+        assert set(kinds) <= {"yes", "no"}
+        if verdict != "undecidable":
+            assert set(kinds) == {verdict}
+
+    @SETTINGS
+    @given(balls(), st.sampled_from([2, 5]))
+    def test_nth_root(self, ball, n):
+        x, lifts = ball
+        try:
+            root = nth_root(x, n)
+        except NoNthRoot:
+            for lift in lifts:
+                with pytest.raises(NoNthRoot):
+                    nth_root(lift, n)
+            return
+        except PrecisionError:
+            return
+        for lift in lifts:
+            assert not (nth_root(lift, n) - root).terms
+
+    @SETTINGS
+    @given(balls())
+    def test_inverse(self, ball):
+        x, lifts = ball
+        inverse = x.inverse()
+        for lift in lifts:
+            assert not (lift.inverse() - inverse).terms
+
+    @SETTINGS
+    @given(
+        balls(),
+        st.lists(st.tuples(st.sampled_from([0, 2, -1, 5, Fraction(1, 5)]), st.integers(-3, 3)),
+                 min_size=1, max_size=3),
+        st.integers(0, 6),
+    )
+    def test_taylor_factors_at_a_finite_center(self, ball, factors, T):
+        center, lifts = ball
+        try:
+            got = taylor_factors(factors, center, T, P).coefficients
+        except PrecisionError:
+            # a root equal to the center to its precision
+            return
+        for lift in lifts:
+            for g, want in zip(taylor_factors(factors, lift, T, P).coefficients, got):
+                assert not (g - want).terms
+
+    @SETTINGS
+    @given(case=evaluations(), data=st.data())
+    def test_evaluation_matches_horner_and_every_lift(self, case, data):
+        series, x = case
+        if series.tail_bound[1] + min(x.terms) <= 0:
+            with pytest.raises(TruncationUnderflow, match="no tail bound"):
+                series.evaluate(x)
+            return
+        got = series.evaluate(x)
+        if x.prec is None:
+            want = horner(series, x)
+            assert got._t == want._t
+            assert got._prec == want._prec
+        # the point and the coefficients are lifted alike
+        count = 8
+        _, points = data.draw(balls(st.just(x), count))
+        columns = [data.draw(balls(st.just(c), count))[1] for c in series.coefficients]
+        for point, coefficients in zip(points, zip(*columns)):
+            value = TruncatedSeries(list(coefficients), series.tail_bound, series.p).evaluate(point)
+            assert value.prec == series.tail_floor(min(x.terms))
+            assert not (value - got).terms
 
 
 PRIMES = (3, 5, 7, 11)

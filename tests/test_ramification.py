@@ -1,4 +1,6 @@
 """Unit tests for upper-numbering ramification filtrations and conductors."""
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,11 @@ from srt import (
     herbrand,
     upper_from_lower,
 )
+from srt.cli import EXIT_OK, dispatch
 from srt.ramification import PreconditionViolated
+
+import helpers
+from test_cli_digest import ROUNDS, SEED, _requests
 
 
 class TestFiltration:
@@ -103,3 +109,29 @@ class TestConductors:
             conductor_case(5, 1, "kummer-tower")
         with pytest.raises(ValueError):
             conductor_case(5, 2, "mystery")
+
+
+def test_digest_herbrand_draws_match_the_integral(capsys):
+    """A seeded sample of the `herbrand` requests that tests/test_cli_digest.py
+    pins, each printed value against helpers.herbrand, the integral of the
+    step function; a value sent back in the other direction returns x."""
+    rng = random.Random(SEED)
+    draws = [argv for _ in range(ROUNDS) for argv in _requests(rng) if argv[0] == "herbrand"]
+    directions = set()
+    for argv in random.Random(6).sample(draws, 40):
+        _, _, p, _, nu, _, direction, flag = argv
+        x = Fraction(flag.removeprefix("--x="))
+        code = dispatch(argv)
+        out = capsys.readouterr().out
+        if x < 0:
+            assert code != EXIT_OK and not out
+            continue
+        assert code == EXIT_OK
+        value = Fraction(json.loads(out)["value"])
+        assert value == helpers.herbrand(int(p), int(nu), direction, x)
+        other = "phi" if direction == "psi" else "psi"
+        assert helpers.herbrand(int(p), int(nu), other, value) == x
+        assert dispatch(argv[:6] + [other, f"--x={value}"]) == EXIT_OK
+        assert Fraction(json.loads(capsys.readouterr().out)["value"]) == x
+        directions.add(direction)
+    assert directions == {"phi", "psi"}

@@ -4,8 +4,8 @@ roots, exponent 0, shifted numerators with a common factor, and a center on a
 root, which is refused. Over Q the roots and centers are rationals; in the
 local field Q_p(pi) they are exact or finite-precision elements, and in Q(i)
 the centers are Gaussian rationals. Evaluation at a local-field point is
-checked against Horner's rule at an exact point, and against exact lifts of
-a finite-precision point."""
+checked against Horner's rule and on every lift of the point and the
+coefficients in tests/test_localfield_properties.py (TestLifts)."""
 import math
 from fractions import Fraction
 
@@ -18,7 +18,7 @@ from srt import (
     TruncatedSeries,
     taylor_factors,
 )
-from srt.errors import PrecisionError, PreconditionViolated, TruncationUnderflow
+from srt.errors import PrecisionError, PreconditionViolated
 
 from helpers import binomial_reference
 
@@ -162,77 +162,6 @@ def test_gaussian_center_matches_binomial_products(case, re, im, T):
     got = taylor_factors(factors, center, T, 7).coefficients
     assert got == binomial_reference(factors, center, T)
     assert all(type(c) is GaussRational for c in got)
-
-
-@st.composite
-def evaluations(draw):
-    """(series, x): 1 to 9 coefficients, each a rational or an exact or
-    finite-precision element of Q_p(pi), a tail bound (const, slope), and a
-    point x, exact or not, with a known valuation v(x) > 0."""
-    ctx = LocalFieldContext(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 5)), 4)
-    N = ctx.N
-
-    def element(low):
-        exponent = st.builds(Fraction, st.integers(low, 3 * N), st.just(N))
-        unit = st.integers(-30, 30).filter(bool)
-        terms = draw(st.lists(st.tuples(exponent, unit), min_size=1, max_size=3))
-        x = LocalFieldElement(ctx, terms)
-        if draw(st.booleans()):
-            above = Fraction(draw(st.integers(1, 4 * N)), N)
-            return x.truncate(min(e for e, _ in terms) + above)
-        return x
-
-    coefficients = [
-        element(-N) if draw(st.booleans()) else draw(rationals)
-        for _ in range(draw(st.integers(1, 9)))
-    ]
-    x = element(1)
-    hypothesis.assume(x.terms)
-    bound = (draw(rationals), Fraction(draw(st.integers(-4, 6)), draw(st.integers(1, 4))))
-    return TruncatedSeries(coefficients, tail_bound=bound, p=ctx.p), x
-
-
-def _horner(series, x):
-    """The series at x by Horner's rule, cut to the certified floor."""
-    acc = x.ctx.one() * series.coefficients[-1]
-    for c in reversed(series.coefficients[:-1]):
-        acc = acc * x + c
-    return acc.truncate(series.tail_floor(x.valuation().as_fraction()))
-
-
-def _lift(draw, x):
-    """An exact element in the ball of x: its terms, and random terms at or
-    above its precision."""
-    if not isinstance(x, LocalFieldElement) or x.prec is None:
-        return x
-    N = x.ctx.N
-    low = math.ceil(x.prec * N)
-    exponent = st.builds(Fraction, st.integers(low, low + 2 * N), st.just(N))
-    extra = draw(st.lists(st.tuples(exponent, st.integers(-30, 30)), max_size=3))
-    return LocalFieldElement(x.ctx, [*x.terms.items(), *extra])
-
-
-@SETTINGS
-@given(case=evaluations(), data=st.data())
-def test_evaluation_matches_horner_and_every_lift(case, data):
-    series, x = case
-    if series.tail_bound[1] + min(x.terms) <= 0:
-        with pytest.raises(TruncationUnderflow, match="no tail bound"):
-            series.evaluate(x)
-        return
-    got = series.evaluate(x)
-    if x.prec is None:
-        want = _horner(series, x)
-        assert got._t == want._t
-        assert got._prec == want._prec
-    # the value holds on every exact lift of the point and the coefficients
-    for _ in range(8):
-        lifted = TruncatedSeries(
-            [_lift(data.draw, c) for c in series.coefficients], series.tail_bound, series.p
-        )
-        value = lifted.evaluate(_lift(data.draw, x))
-        assert value.prec == series.tail_floor(min(x.terms))
-        assert not (value - got).terms
 
 
 def _tail_floor_reference(T, const, slope, weight):
