@@ -91,6 +91,6 @@ from .groups import (
     standard_generators,
     sylow_data,
 )
-from .pipeline import PipelineError, PipelineReport, run_wild_monodromy
+from .pipeline import PipelineReport, run_wild_monodromy
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -73,7 +73,3 @@ class NoNthRoot(SrtError, ArithmeticError):
 
 class ResourceLimit(SrtError, RuntimeError):
     pass
-
-
-class PipelineError(SrtError, RuntimeError):
-    pass

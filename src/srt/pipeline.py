@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PipelineError, PrecisionError, Unsupported
+from .errors import PrecisionError, Unsupported
 from .localfield import LocalFieldContext, is_pth_power
 from .series import CoverParams, maclaurin_g
 from .torsor import D_EXPONENT, insep_tail_catalog
@@ -35,33 +35,28 @@ def run_wild_monodromy(q, p, r=1):
     p-Sylow; the paper-exact case is (q, p) = (251, 5).
 
     Returns a PipelineReport whose verdict is "Nontrivial" exactly when g(d)
-    is a p-th power but not a p^2-th power, for both sign branches of d.
-    Raises PipelineError when g(d) is not certified as a p-th power; its
-    root from that test is delta. A q that is not prime raises Unsupported.
+    is a p-th power but not a p^2-th power, for both sign branches of d; the
+    root from the p-th power test is delta. The domain is where
+    `insep_tail_catalog` lists a new inseparable tail. Outside it, and where
+    g(d) is not certified as a p-th power or the p^2-test cannot be decided
+    at the pipeline's fixed precision, it raises Unsupported.
     """
     if not is_prime(q):
         raise Unsupported(f"q must be prime, got {q}")
     if vp(r, p) != 0:
-        raise PipelineError(f"need v_{p}({r}) = 0")
-    nu = vp(q * q - 1, p)
-    if nu.is_infinite or nu.as_fraction() < 2:
-        raise PipelineError(
-            f"need p^2 | q^2 - 1 for an inseparable tail, got v = {nu}"
-        )
-    nu = int(nu.as_fraction())
+        raise Unsupported(f"need v_{p}({r}) = 0")
+    nu = int(vp(q * q - 1, p).as_fraction())  # finite: q^2 - 1 > 0
+    if nu < 2:
+        raise Unsupported(f"need p^2 | q^2 - 1 for an inseparable tail, got v = {nu}")
     s = p
     sqrt1ma = Fraction(-s, r)
     a = 1 - sqrt1ma**2
     w = int(vp(sqrt1ma, p).as_fraction())  # = 1
-    if not w < nu - 1:
-        raise PipelineError(
-            f"inseparable-tail case needs v(sqrt(1-a)) = {w} < nu - 1 = {nu - 1}"
-        )
     tail = next(iter(insep_tail_catalog(p, nu, "a=1", w)), None)
     if tail is None:
         raise Unsupported(
             f"no new inseparable tail at p = {p}, nu = {nu}, v(sqrt(1-a)) = {w}: "
-            f"the tail catalog has one only for p = 5"
+            f"`srt insep-tails --p {p} --nu {nu} --case a=1 --extra {w}` lists none"
         )
     report = PipelineReport(
         inputs={"q": q, "p": p, "r": r, "s": s, "a": a, "nu": nu},
@@ -89,7 +84,7 @@ def run_wild_monodromy(q, p, r=1):
             if not g.prec > 2 * w + Fraction(1, p - 1):
                 raise PrecisionError(f"g(d) is known only modulo p^{g.prec}")
         except PrecisionError as exc:
-            raise PipelineError(
+            raise Unsupported(
                 f"insufficient precision evaluating g(d) at (q, r) = ({q}, {r}): "
                 f"{exc}; the pipeline's precision is fixed, so this input is "
                 f"not supported"
@@ -101,7 +96,7 @@ def run_wild_monodromy(q, p, r=1):
         )
         first = is_pth_power(g)
         if first.kind != "yes":
-            raise PipelineError(
+            raise Unsupported(
                 f"g(d){branch} is not certified as a {p}-th power: {first.kind} "
                 f"({first.certificate})"
             )
@@ -130,7 +125,7 @@ def run_wild_monodromy(q, p, r=1):
             second,
         )
         if second.kind == "undecidable":
-            raise PipelineError(
+            raise Unsupported(
                 f"{p * p}-th power test of the normalized root undecidable: "
                 f"{second.certificate['reason']}"
             )

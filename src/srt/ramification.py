@@ -67,9 +67,13 @@ def cyclotomic_filtration(p, nu):
     jumps at 0, 1, ..., nu - 1 with orders (p-1)p^(nu-1), p^(nu-1), ..., p."""
     if nu < 1:
         raise PreconditionViolated(f"nu must be >= 1, got {nu}")
-    breaks = [(Fraction(0), (p - 1) * p ** (nu - 1))]
+    # one power of p, then one exact division by p per jump: a fresh power
+    # per jump repeats a big-int power nu times
+    order = p ** (nu - 1)
+    breaks = [(Fraction(0), (p - 1) * order)]
     for i in range(1, nu):
-        breaks.append((Fraction(i), p ** (nu - i)))
+        breaks.append((Fraction(i), order))
+        order //= p
     return Filtration(breaks)
 
 

@@ -5,8 +5,10 @@ Implements Q[pi]/(pi^n - p) with Fraction coefficients, entirely separate
 from the package under test: no imports from srt.  Elements are polynomials
 of degree < n in the uniformizer pi, with pi^n = p.  The valuation is
 normalized so v(p) = 1, hence v(pi) = 1/n.  Beside it: the table of p-th
-powers modulo pi^L, and Herbrand's functions of the cyclotomic filtration
-as integrals of its step function.
+powers modulo pi^L, Herbrand's functions of the cyclotomic filtration as
+integrals of its step function, the etale-tail configurations by brute
+force, and SL2(F_q) as a list of 4-tuples with orders by repeated
+multiplication.
 """
 from __future__ import annotations
 
@@ -307,3 +309,49 @@ def herbrand(p, nu, direction, x):
         value += length * weight
         start += length
         i += 1
+
+
+def tail_configs(tau, p):
+    """The etale-tail configurations for m_G = 2 with tau primitive tails, by
+    brute force over sigma in (1/2)Z with 0 < sigma <= 3: a new tail has
+    sigma > 1, there are at most 2 - tau new tails, and the vanishing-cycles
+    identity sum(sigma_new - 1) + sum(sigma_prim) = 1 holds. Returns (prim,
+    new, flagged) with each multiset a sorted tuple, ordered by (len(new),
+    prim, new); flagged when some sigma >= p/2."""
+    sigmas = [Fraction(k, 2) for k in range(1, 7)]
+    found = set()
+    for n_new in range(3 - tau):
+        for prim in itertools.product(sigmas, repeat=tau):
+            for new in itertools.product([s for s in sigmas if s > 1], repeat=n_new):
+                if sum(s - 1 for s in new) + sum(prim) == 1:
+                    found.add((tuple(sorted(prim)), tuple(sorted(new))))
+    ordered = sorted(found, key=lambda c: (len(c[1]), c[0], c[1]))
+    return [(prim, new, any(2 * s >= p for s in prim + new)) for prim, new in ordered]
+
+
+def sl2_elements(q):
+    """Every element (a, b, c, d) of SL2(F_q), ad - bc = 1: for a != 0,
+    d = (1 + bc)/a; for a = 0, c = -1/b and d is free."""
+    for a in range(q):
+        for b in range(q):
+            if a:
+                for c in range(q):
+                    yield a, b, c, (1 + b * c) * pow(a, -1, q) % q
+            elif b:
+                for d in range(q):
+                    yield 0, b, -pow(b, -1, q) % q, d
+
+
+def sl2_order(x, q, limit=None):
+    """Order of x = (a, b, c, d) in SL2(F_q) by repeated multiplication;
+    None once it exceeds limit."""
+    a, b, c, d = x
+    y, order = x, 1
+    while y != (1, 0, 0, 1):
+        if limit is not None and order >= limit:
+            return None
+        ya, yb, yc, yd = y
+        y = ((ya * a + yb * c) % q, (ya * b + yb * d) % q,
+             (yc * a + yd * c) % q, (yc * b + yd * d) % q)
+        order += 1
+    return order

@@ -21,13 +21,18 @@ of each family against an independent one:
   and phi(psi(x)) = x.
 - `group`: tests/test_groups.py::TestGenerationCheck::
   test_criterion_matches_bfs_on_random_pairs checks the criterion mode
-  against the bfs closure on its own seeded pairs. The `sylow` part has no
-  oracle test.
+  against the bfs closure on its own seeded pairs. For the `sylow` part,
+  tests/test_groups.py::TestSylowData::test_matches_brute_force_over_the_group
+  checks sylow_data for every prime q <= 31 against SL2(F_q) listed in
+  helpers.py.
+- `enum-tails`: tests/test_graph.py::TestTailConfigs::test_matches_brute_force
+  checks enumerate_tail_configs for tau 0..3 and p up to 13 against the
+  brute force in helpers.py.
 - `wild-monodromy`: tests/test_acceptance.py::
   test_printed_monodromy_reports_match_the_oracle rebuilds 30 printed
   reports from their JSON with srt-free arithmetic.
-- `tail-center`, `tail-radius`, `insep-tails`, `enum-tails` and `conductor`
-  have no oracle test of their printed answers.
+- `tail-center`, `tail-radius`, `insep-tails` and `conductor` have no oracle
+  test of their printed answers.
 
 If the output is meant to change, regenerate the digest with
 ``PYTHONPATH=src python tests/test_cli_digest.py`` and say why in CHANGES.md.
@@ -41,7 +46,7 @@ from fractions import Fraction
 
 from srt.cli import dispatch
 
-EXPECTED_DIGEST = "c9a2ad278dde1e8fddcbe9fc9d737297dbc78f405fbab6e21cc01b9f5d9f3483"
+EXPECTED_DIGEST = "056b759a24fcdefa6dcd5522b17aabc2d7ea4e8f92446d0ea285cbd6a8e0e247"
 EXPECTED_REQUESTS = 2000
 ROUNDS = 100
 SEED = 21

@@ -60,7 +60,6 @@ class TestHierarchy:
             ("PrecisionError", ArithmeticError),
             ("NoNthRoot", ArithmeticError),
             ("ResourceLimit", RuntimeError),
-            ("PipelineError", RuntimeError),
         ],
     )
     def test_builtin_base_kept(self, name, base):
@@ -235,8 +234,14 @@ BAD_INPUTS = [
     (["wild-monodromy", "--q", "124", "--p", "5"], "q must be prime, got 124"),
     (["wild-monodromy", "--q", "-251", "--p", "5"], "q must be prime, got -251"),
     (["wild-monodromy", "--q", "251", "--p", "4"], "odd prime"),
-    (["wild-monodromy", "--q", "1373", "--p", "7"], "only for p = 5"),
-    (["wild-monodromy", "--q", "53", "--p", "3"], "only for p = 5"),
+    # the tail catalog lists a new inseparable tail only at p = 5 with
+    # nu >= 3: each other refusal names the catalog query that lists none
+    (["wild-monodromy", "--q", "1373", "--p", "7"],
+     "`srt insep-tails --p 7 --nu 3 --case a=1 --extra 1` lists none"),
+    (["wild-monodromy", "--q", "53", "--p", "3"],
+     "`srt insep-tails --p 3 --nu 3 --case a=1 --extra 1` lists none"),
+    (["wild-monodromy", "--q", "101", "--p", "5", "--r", "4"],
+     "`srt insep-tails --p 5 --nu 2 --case a=1 --extra 1` lists none"),
 ]
 
 

@@ -21,6 +21,8 @@ from srt import (
 )
 from srt.graph import Unsupported
 
+import helpers
+
 
 class TestProfiles:
     def test_effective_invariant_weighted_average(self):
@@ -290,6 +292,14 @@ class TestTailConfigs:
                 assert lhs == 1
                 assert len(c.prim) == tau
                 assert len(c.prim) + len(c.new) <= 2 or tau == 3
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("tau", range(4))
+    def test_matches_brute_force(self, tau, p):
+        # the oracle draws sigma up to 3, beyond the bound of 2 the
+        # enumeration relies on, and sorts its own output
+        out = enumerate_tail_configs(tau, 2, p)
+        assert [(c.prim, c.new, c.flagged) for c in out] == helpers.tail_configs(tau, p)
 
 
 class TestTailConfigsLargePrime:

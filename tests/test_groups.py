@@ -25,6 +25,8 @@ from srt import (
 from srt.cli import EXIT_OK, dispatch
 from srt.groups import NoSolution, ResourceLimit, Unsupported, _prime_factors
 
+import helpers
+
 
 class TestMatrixElement:
     def test_determinant_check(self):
@@ -48,24 +50,7 @@ class TestMatrixElement:
 
 def _brute_order(mat):
     """Order by repeated multiplication, the reference for element_order."""
-    order, x = 1, mat
-    while not x.is_identity():
-        x = x * mat
-        order += 1
-    return order
-
-
-def _all_elements(q):
-    """Every element of SL2(F_q): for a != 0, d = (1 + bc)/a; for a = 0,
-    c = -1/b and d is free."""
-    for a in range(q):
-        for b in range(q):
-            if a:
-                for c in range(q):
-                    yield MatrixElement(a, b, c, (1 + b * c) * pow(a, -1, q), q)
-            elif b:
-                for d in range(q):
-                    yield MatrixElement(0, b, -pow(b, -1, q), d, q)
+    return helpers.sl2_order((mat.a, mat.b, mat.c, mat.d), mat.q)
 
 
 _PRIMES_TO_316 = [d for d in range(2, 317) if all(d % e for e in range(2, d))]
@@ -149,7 +134,7 @@ class TestElementOrder:
     def test_against_brute_force(self):
         # every element of SL2(F_q) for the small q, so every trace class
         for q in (2, 3, 5, 7, 11, 13):
-            elements = list(_all_elements(q))
+            elements = [MatrixElement(*x, q) for x in helpers.sl2_elements(q)]
             assert len(set(elements)) == q * (q * q - 1)
             for mat in elements:
                 assert element_order(mat) == _brute_order(mat), mat
@@ -428,6 +413,19 @@ class TestSylowData:
         assert data.order == 125  # v_5(251^2 - 1) = 3
         assert data.cyclic is True
         assert data.m_G == 2
+
+    def test_matches_brute_force_over_the_group(self):
+        # the Sylow order is the p-part of the counted order of SL2(F_q), and
+        # the Sylow is cyclic iff some element has that order
+        for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            elements = list(helpers.sl2_elements(q))
+            for p in range(3, q + 2, 2):
+                if (q * q - 1) % p or not all(p % e for e in range(2, p)):
+                    continue  # not an odd prime dividing q^2 - 1
+                order = p ** helpers.vp_int(len(elements), p)
+                cyclic = any(helpers.sl2_order(x, q, order) == order for x in elements)
+                data = sylow_data(q, p)
+                assert (data.order, data.cyclic) == (order, cyclic), (q, p)
 
     def test_validation(self):
         with pytest.raises(Unsupported):

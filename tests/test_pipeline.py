@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+import srt.pipeline
 import srt.series
 from srt import (
     CoverParams,
     LocalFieldContext,
-    PipelineError,
     maclaurin_g,
     run_wild_monodromy,
 )
 from srt.cli import EXIT_OK, dispatch
 from srt.errors import PrecisionError, Unsupported
+from srt.localfield import PthPowerVerdict
 from srt.torsor import D_EXPONENT
 from srt.valuation import to_jsonable, vp
 
@@ -46,14 +47,26 @@ class TestRun:
 
 class TestPreconditions:
     def test_needs_p_squared_dividing(self):
-        with pytest.raises(PipelineError, match=r"got v = 0"):
+        with pytest.raises(Unsupported, match=r"got v = 0"):
             run_wild_monodromy(7, 5, 1)
-        with pytest.raises(PipelineError, match=r"got v = 1"):
+        with pytest.raises(Unsupported, match=r"got v = 1"):
             run_wild_monodromy(11, 5, 1)
 
     def test_r_must_be_a_unit(self):
-        with pytest.raises(PipelineError, match=r"v_5\(5\) = 0"):
+        with pytest.raises(Unsupported, match=r"v_5\(5\) = 0"):
             run_wild_monodromy(251, 5, 5)
+
+    @pytest.mark.parametrize(
+        "q, p, r",
+        [(7, 5, 1), (11, 5, 1), (101, 5, 4), (1999, 3, 2), (251, 5, 5)],
+        ids=["nu=0", "nu=1", "empty-catalog", "p=3", "r-not-a-unit"],
+    )
+    def test_refuses_outside_the_catalog_domain_with_unsupported(self, q, p, r):
+        # nu < 2, a catalog with no new inseparable tail (nu = 2 at p = 5,
+        # and every nu at p = 3), and an r that is no unit are all outside
+        # the domain where the pipeline answers
+        with pytest.raises(Unsupported):
+            run_wild_monodromy(q, p, r)
 
     @pytest.mark.parametrize("q", [124, -251, 0, 1, 126])
     def test_q_must_be_prime_before_any_other_check(self, q):
@@ -108,7 +121,7 @@ class TestEvaluationFailures:
     )
     def test_message_names_no_setting(self, monkeypatch, evaluate, needle):
         monkeypatch.setattr(srt.series.TruncatedSeries, "evaluate", evaluate)
-        with pytest.raises(PipelineError) as exc:
+        with pytest.raises(Unsupported) as exc:
             run_wild_monodromy(251, 5, 1)
         message = str(exc.value)
         assert "insufficient precision" in message
@@ -116,3 +129,29 @@ class TestEvaluationFailures:
         assert "(q, r) = (251, 1)" in message
         assert "\n" not in message
         assert not re.search(r"\b[NMT]\b|retry|increase", message)
+
+
+class TestPowerTestRefusals:
+    """A g(d) not certified as a p-th power, and a p^2-test left undecided,
+    are refused with Unsupported, forced by replacing the power test."""
+
+    def test_g_not_a_pth_power(self, monkeypatch):
+        monkeypatch.setattr(
+            srt.pipeline, "is_pth_power", lambda x: PthPowerVerdict("no", certificate={})
+        )
+        with pytest.raises(Unsupported, match=r"g\(d\)\+ is not certified as a 5-th power: no"):
+            run_wild_monodromy(251, 5, 1)
+
+    def test_p_squared_test_undecidable(self, monkeypatch):
+        first = srt.pipeline.is_pth_power
+        calls = []
+
+        def second_undecidable(x):
+            calls.append(x)
+            if len(calls) == 1:
+                return first(x)
+            return PthPowerVerdict("undecidable", certificate={"reason": "forced"})
+
+        monkeypatch.setattr(srt.pipeline, "is_pth_power", second_undecidable)
+        with pytest.raises(Unsupported, match=r"25-th power test .* undecidable: forced$"):
+            run_wild_monodromy(251, 5, 1)

@@ -1,6 +1,7 @@
 """Unit tests for upper-numbering ramification filtrations and conductors."""
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,25 @@ class TestCyclotomic:
         assert f.breaks == ((Fraction(0), 100), (Fraction(1), 25), (Fraction(2), 5))
         assert f.conductor() == 2
         assert cyclotomic_filtration(7, 1).breaks == ((Fraction(0), 6),)
+
+    def test_breaks_match_the_formula(self):
+        for p in (3, 5, 7):
+            for nu in range(1, 12):
+                expected = [(0, (p - 1) * p ** (nu - 1))]
+                expected += [(i, p ** (nu - i)) for i in range(1, nu)]
+                assert cyclotomic_filtration(p, nu).breaks == tuple(expected), (p, nu)
+
+    def test_large_nu_answers_fast(self, capsys):
+        # 20,000 breaks: the budget is missed when each order is its own
+        # power of p
+        argv = ["herbrand", "--p", "5", "--nu", "20000", "--direction", "psi", "--x", "2"]
+        t0 = time.perf_counter()
+        assert dispatch(argv) == EXIT_OK
+        assert time.perf_counter() - t0 < 1.5
+        # psi has slopes 4 and 20 on (0, 1] and (1, 2], whatever nu >= 3
+        assert json.loads(capsys.readouterr().out) == {
+            "direction": "psi", "x": "2", "value": "24", "conductor": "19999",
+        }
 
 
 class TestHerbrand:
