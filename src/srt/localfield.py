@@ -19,10 +19,14 @@ The canonical form keeps at most one term per residue class of j mod N, which
 makes the valuation of a nonzero element exact: distinct classes can never
 cancel. It is computed on ints alone, and every computation here reads it.
 An exact element of one term is canonical as built, since its unit is reduced
-and stripped of p as it is read; every other element goes through the one
-canonicalizer, `_canonicalize`, once. Every sum, difference, negation and
-product is one sum of products (`element_dot`, the one kernel): x + y, x - y,
--x and x * y dot (x, y) with (1, 1) and (1, -1), x with -1 and x with y.
+and stripped of p as it is read. Every other element, and every sum,
+difference, negation, product and truncation, is one sum of products
+(`element_dot`, the one kernel): x + y, x - y, -x and x * y dot (x, y) with
+the rationals (1, 1) and (1, -1), x with -1 and x with y. A rational operand
+is read as its one exact term, never built as an element. The dot takes its
+precision over all pairs first, then merges each product below it into its
+class of j mod N as it forms (the one merge loop), and hands the classes to
+`_canonicalize` once.
 Callers see the `terms` view, a new dict on each read, which maps each
 valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
 residue otherwise. A context (p, N, M) is a frozen dataclass.
@@ -123,31 +127,19 @@ def _add_prec(a, b, N):
     return (n // g, d // g) if g != 1 else (n, d)
 
 
-def _plus_valuation(prec, x, N):
-    """Precision pair prec + v(x), the precision of x standing in for the
-    valuation of an x that is zero to precision."""
-    if x._t:
+def _product_bound(least, prec, terms, tprec, N):
+    """The lesser of the precision pair `least` (None when exact) and
+    prec + v(x), for x with the sorted term items `terms` and the precision
+    pair tprec, which stands in for the valuation of an x that is zero to
+    precision."""
+    if terms:
         pn, pd = prec
-        return pn + next(iter(x._t)) * (pd // N), pd
-    return _add_prec(prec, x._prec, N)
-
-
-def _lesser(a, b):
-    """The smaller of two precision pairs, None (exact) being the largest."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a if a[0] * b[1] <= b[0] * a[1] else b
-
-
-def _index_limit(prec, N):
-    """Least j with j/N >= prec, for a precision pair: terms pi^j with j at
-    or above it vanish modulo p^prec. None for an exact element."""
-    if prec is None:
-        return None
-    pn, pd = prec
-    return -(-pn // (pd // N))
+        bound = pn + next(iter(terms))[0] * (pd // N), pd
+    else:
+        bound = _add_prec(prec, tprec, N)
+    if least is None or bound[0] * least[1] < least[0] * bound[1]:
+        return bound
+    return least
 
 
 def _integer_terms(ctx, pairs):
@@ -163,47 +155,39 @@ def _integer_terms(ctx, pairs):
             j, r = divmod(e.numerator * N, e.denominator)
             if r:
                 raise ContextError(f"exponent {e} not representable with ramification index {N}")
-        if type(u) is not int and not isinstance(u, Fraction):
-            u = Fraction(u)
-        num, den = u.numerator, u.denominator
-        if num == 0:
-            continue
-        while num % p == 0:
-            num //= p
-            j += N
-        while den % p == 0:
-            den //= p
-            j -= N
-        yield j, (num, den)
+        yield from _rational_term(u, p, N, j)
 
 
-def _canonicalize(p, N, pairs, prec):
-    """Canonical term dict of the sum of num/den * pi^j over (j, (num, den))
-    in `pairs`, each num/den prime to p, taken modulo p^prec when the
-    precision pair prec is not None."""
-    jlim = _index_limit(prec, N)
-    # per class j mod N: (j, A, B), the sum is A/B * pi^j
-    classes = {}
-    for j, (num, den) in pairs:
-        if jlim is not None and j >= jlim:
-            continue
-        f = j % N
-        c = classes.get(f)
-        if c is None:
-            classes[f] = (j, num, den)
-            continue
-        j0, A, B = c
-        # j stays whole: a power of p is taken only where two terms merge
-        if j >= j0:
-            classes[f] = (j0, A * den + num * B * p ** ((j - j0) // N), B * den)
-        else:
-            classes[f] = (j, A * den * p ** ((j0 - j) // N) + num * B, B * den)
+def _rational_term(q, p, N, j=0):
+    """The exact term q * pi^j of the rational q as ((j', (num, den)),), its
+    p-part moved into j' so that num/den is prime to p; () for q = 0."""
+    if type(q) is int:
+        num, den = q, 1
+    else:
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        num, den = q.numerator, q.denominator
+    if not num:
+        return ()
+    while num % p == 0:
+        num //= p
+        j += N
+    while den % p == 0:
+        den //= p
+        j -= N
+    return ((j, (num, den)),)
+
+
+def _canonicalize(p, N, classes, prec):
+    """Canonical term dict of the sum of A/B * pi^j over the values
+    (j, A, B) of `classes`, one per class of j mod N with B prime to p,
+    taken modulo p^prec when the precision pair prec is not None."""
     out = []
-    if jlim is not None:
+    if prec is not None:
         pn, pd = prec
         k = pd // N
     for j, A, B in classes.values():
-        if jlim is not None:
+        if prec is not None:
             # digits of the class sum known below p^prec: ceil(prec - j/N)
             mod = p ** -((j * k - pn) // pd)
             A, B = A % mod if B == 1 else A * pow(B, -1, mod) % mod, 1
@@ -221,44 +205,65 @@ def _canonicalize(p, N, pairs, prec):
     return dict(out)
 
 
-def _minus_one(ctx):
-    """-1 in ctx, canonical as built, as `ctx.one()` is."""
-    return LocalFieldElement._make(ctx, {0: (-1, 1)}, None)
-
-
 def element_dot(xs, ys, prec=None):
-    """Sum of x_i * y_i over the elements xs, all of one context, and the
-    elements or rationals ys; x * y is the one-pair case. It is canonicalized
-    once (not at all when no term is left) at the least of prec and each
-    product's precision min(prec(x) + v(y), prec(y) + v(x))."""
+    """Sum of x_i * y_i over operands that are elements of the context of
+    xs[0], itself an element, or rationals; x * y is the one-pair case. A
+    rational is read as its one exact term, not built as an element. The
+    precision is the least of prec and each product's precision
+    min(prec(x) + v(y), prec(y) + v(x)), taken over all pairs before any
+    product is formed; each term product below it is merged into its class
+    of exponents mod N as it forms, and the classes are canonicalized once
+    (not at all when no term is left)."""
     x0 = xs[0]
     ctx = x0.ctx
-    N = ctx.N
+    p, N = ctx.p, ctx.N
     if prec is not None:
         prec = _prec_pair(prec, N)
-    pairs = []
+    factors = []
     for x, y in zip(xs, ys):
-        if not isinstance(y, LocalFieldElement):
-            y = ctx.from_rational(y)
-        if x.ctx is not ctx or y.ctx is not ctx:
-            x0._check_ctx(x)
-            x._check_ctx(y)
-        a, b, xp, yp = x._t, y._t, x._prec, y._prec
+        if isinstance(x, LocalFieldElement):
+            if x.ctx is not ctx:
+                x0._check_ctx(x)
+            a, xp = x._t.items(), x._prec
+        else:
+            a, xp = _rational_term(x, p, N), None
+        if isinstance(y, LocalFieldElement):
+            if y.ctx is not ctx:
+                x0._check_ctx(y)
+            b, yp = y._t.items(), y._prec
+        else:
+            b, yp = _rational_term(y, p, N), None
         if (not a and xp is None) or (not b and yp is None):
             continue
         if xp is not None:
-            prec = _lesser(prec, _plus_valuation(xp, y, N))
+            prec = _product_bound(prec, xp, b, yp, N)
         if yp is not None:
-            prec = _lesser(prec, _plus_valuation(yp, x, N))
-        # a pair at or above the least precision so far vanishes in the sum
-        jlim = _index_limit(prec, N)
-        for j1, (n1, d1) in a.items():
-            for j2, (n2, d2) in b.items():
+            prec = _product_bound(prec, yp, a, xp, N)
+        factors.append((a, b))
+    # the least j with j/N >= prec: a product pi^j at or above it vanishes
+    jlim = None if prec is None else -(-prec[0] // (prec[1] // N))
+    # per class j mod N: (j, A, B), the sum so far is A/B * pi^j
+    classes = {}
+    for a, b in factors:
+        for j1, (n1, d1) in a:
+            for j2, (n2, d2) in b:
+                j = j1 + j2
                 # b is sorted: the rest of the row vanishes too
-                if jlim is not None and j1 + j2 >= jlim:
+                if jlim is not None and j >= jlim:
                     break
-                pairs.append((j1 + j2, (n1 * n2, d1 * d2)))
-    t = _canonicalize(ctx.p, N, pairs, prec) if pairs else {}
+                f = j % N
+                c = classes.get(f)
+                num, den = n1 * n2, d1 * d2
+                if c is None:
+                    classes[f] = (j, num, den)
+                    continue
+                j0, A, B = c
+                # j stays whole: a power of p is taken only where two terms merge
+                if j >= j0:
+                    classes[f] = (j0, A * den + num * B * p ** ((j - j0) // N), B * den)
+                else:
+                    classes[f] = (j, A * den * p ** ((j0 - j) // N) + num * B, B * den)
+    t = _canonicalize(p, N, classes, prec) if classes else {}
     return LocalFieldElement._make(ctx, t, prec)
 
 
@@ -267,10 +272,15 @@ class LocalFieldElement:
 
     def __init__(self, ctx, pairs, prec=None):
         self.ctx = ctx
-        self._prec = prec = _prec_pair(prec, ctx.N)
-        t = list(_integer_terms(ctx, pairs))
-        # one exact term is canonical as built: _integer_terms reduces it
-        self._t = dict(t) if prec is None and len(t) < 2 else _canonicalize(ctx.p, ctx.N, t, prec)
+        terms = [LocalFieldElement._make(ctx, dict([t]), None) for t in _integer_terms(ctx, pairs)]
+        if terms and (prec is not None or len(terms) > 1):
+            # the sum of the one-term elements, as the dot with ones
+            x = element_dot(terms, (1,) * len(terms), prec)
+            self._prec, self._t = x._prec, x._t
+        else:
+            # no term, or one exact term, canonical as built: _integer_terms
+            # reduces it
+            self._prec, self._t = _prec_pair(prec, ctx.N), terms[0]._t if terms else {}
 
     @classmethod
     def _make(cls, ctx, t, prec):
@@ -332,19 +342,18 @@ class LocalFieldElement:
         return self.ctx.from_rational(other)
 
     def __add__(self, other):
-        one = self.ctx.one()
-        return element_dot((self, self._coerce(other)), (one, one))
+        return element_dot((self, other), (1, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return element_dot((self,), (_minus_one(self.ctx),))
+        return element_dot((self,), (-1,))
 
     def __sub__(self, other):
-        return element_dot((self, self._coerce(other)), (self.ctx.one(), _minus_one(self.ctx)))
+        return element_dot((self, other), (1, -1))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return element_dot((self, other), (-1, 1))
 
     def __mul__(self, other):
         return element_dot((self,), (other,))
@@ -367,18 +376,22 @@ class LocalFieldElement:
             return lead_inv
         v = self._lead_exponent()
         rel = self.prec - v if self._prec is not None else Fraction(self.ctx.M)
-        # y = 1/x to relative precision `done`: v(1 - x*y) >= done. Each Newton
-        # step y <- y + y*(1 - x*y) squares the error, so it needs the error
-        # 1 - x*y only modulo p^(2*done); each is one dot, with -x built once.
         y = lead_inv
-        one, neg = self.ctx.one(), -self
-        first = element_dot((one, neg), (one, y)).valuation_lower_bound()
-        done = rel if first.is_infinite else min(first.as_fraction(), rel)
-        while done < rel:
-            done = min(2 * done, rel)
-            err = element_dot((one, neg), (one, y), done)
-            # y is taken as exact: its error is what the next step corrects
-            y = LocalFieldElement._make(self.ctx, element_dot((y, y), (one, err))._t, None)
+        # a one-term x at a finite precision needs no step: 1 - x*y is 0 to
+        # the precision of x, so y is 1/x to relative precision rel
+        if len(self._t) > 1:
+            # y = 1/x to relative precision `done`: v(1 - x*y) >= done. Each
+            # Newton step y <- y + y*(1 - x*y) squares the error, so it needs
+            # the error 1 - x*y only modulo p^(2*done); each is one dot, with
+            # -x built once.
+            neg = -self
+            first = element_dot((neg, 1), (y, 1)).valuation_lower_bound()
+            done = rel if first.is_infinite else min(first.as_fraction(), rel)
+            while done < rel:
+                done = min(2 * done, rel)
+                err = element_dot((neg, 1), (y, 1), done)
+                # y is taken as exact: its error is what the next step corrects
+                y = LocalFieldElement._make(self.ctx, element_dot((y, y), (1, err))._t, None)
         return y.truncate(-v + rel)
 
     def __truediv__(self, other):
@@ -388,13 +401,11 @@ class LocalFieldElement:
         return self._coerce(other) / self
 
     def truncate(self, prec):
-        prec = _prec_pair(prec, self.ctx.N)
+        qn, qd = _prec_pair(prec, self.ctx.N)
         sp = self._prec
-        if sp is not None and sp[0] * prec[1] <= prec[0] * sp[1]:
+        if sp is not None and sp[0] * qd <= qn * sp[1]:
             return self
-        ctx = self.ctx
-        t = _canonicalize(ctx.p, ctx.N, self._t.items(), prec)
-        return LocalFieldElement._make(ctx, t, prec)
+        return element_dot((self,), (1,), prec)
 
     # --- comparisons / display ---
 
@@ -562,7 +573,7 @@ def _newton(w, y, diff, n, prec):
             return y.truncate(prec)
         e = d._lead_exponent()
         # y is taken as exact: its error is what the next step corrects
-        y = LocalFieldElement._make(ctx, element_dot((y, y), (ctx.one(), d))._t, None)
+        y = LocalFieldElement._make(ctx, element_dot((y, y), (1, d))._t, None)
         if min(2 * e, n * e - vn) >= prec:
             return y.truncate(prec)
         diff = w - y.truncate(prec + vn) ** n

@@ -41,6 +41,8 @@ def run_wild_monodromy(q, p, r=1):
     g(d) is not certified as a p-th power or the p^2-test cannot be decided
     at the pipeline's fixed precision, it raises Unsupported.
     """
+    if p == 2 or not is_prime(p):
+        raise Unsupported(f"p must be an odd prime, got {p}")
     if not is_prime(q):
         raise Unsupported(f"q must be prime, got {q}")
     if vp(r, p) != 0:

@@ -332,8 +332,9 @@ def _recurrence_coefficients(factors, center, T):
     and Q are integers scaled by prod v_i, g_0 is one Fraction, and the
     recurrence runs on integers (_rational_coefficients). In Q(i) and the
     local field an update entry is one dot, a coefficient Q_{j-1} - m P_j one
-    dot against (1, -m), with -m built once per m, and the step's sum one dot
-    of those with g, times 1/P_0, inverted once, and 1/(k+1).
+    dot against the rationals (1, -m), and the step's sum one dot of those
+    with g, times 1/P_0, inverted once, and the rational 1/(k+1); the local
+    field reads each rational as one term (`element_dot`).
     """
     factors = list(factors)
     one = _ring_one(center, *(root for root, _ in factors))
@@ -363,10 +364,9 @@ def _recurrence_coefficients(factors, center, T):
         P = [dot((one, nb), (x, y)) for x, y in zip([0] + P, P + [0])]
     n = len(P) - 1
     inv_P0 = one / P[0]
-    neg = [one._coerce(-m) for m in range(T)]
     g = [g0]
     for k in range(T):
-        cs = [dot((Q[j - 1], P[j]), (one, neg[k + 1 - j])) for j in range(1, min(n, k + 1) + 1)]
+        cs = [dot((Q[j - 1], P[j]), (1, j - k - 1)) for j in range(1, min(n, k + 1) + 1)]
         # cs[j-1] meets g_{k+1-j}: zip stops at the last coefficient
         acc = dot(cs, reversed(g)) if n else 0 * one
         g.append(acc * inv_P0 * Fraction(1, k + 1))

@@ -27,7 +27,6 @@ from srt import (
     taylor_factors,
 )
 from srt.localfield import (
-    _canonicalize,
     _integer_terms,
     _prec_pair,
     element_dot,
@@ -528,7 +527,7 @@ def rationals(draw, p):
 @st.composite
 def raw_pairs(draw, p, N):
     """(j, (num, den)) with num and den prime to p, den > 0, not always
-    reduced, as products of canonical terms hand them to _canonicalize."""
+    reduced, as products of canonical terms hand them to the merge."""
     pairs = []
     for _ in range(draw(st.integers(0, 6))):
         j = draw(st.integers(-2 * N, 3 * N))
@@ -536,6 +535,14 @@ def raw_pairs(draw, p, N):
         den = prime_to(p, draw(st.integers(1, 40)))
         pairs.append((j, (num, den)))
     return pairs
+
+
+def canonicalize(ctx, pairs, prec=None):
+    """The term dict of the sum of the terms (j, (num, den)) in `pairs` at
+    the precision prec: element_dot of one-term elements with ones, which
+    merges them once and canonicalizes the classes once."""
+    terms = [LocalFieldElement._make(ctx, {j: u}, None) for j, u in pairs]
+    return element_dot(terms, [1] * len(terms), prec)._t if terms else {}
 
 
 def assert_canonical_dict(t, p, N, prec):
@@ -571,7 +578,7 @@ class TestCanonicalForm:
             (x._coerce(q), 0),
             (ctx.pi_power(e, q), e),
         ):
-            want = _canonicalize(p, N, _integer_terms(ctx, [(exponent, q)]), None)
+            want = canonicalize(ctx, _integer_terms(ctx, [(exponent, q)]))
             merged = LocalFieldElement(ctx, [(exponent, 2 * q), (exponent, -q), (1, 0)])
             assert built._t == want == merged._t
             assert list(built._t) == list(merged._t)
@@ -588,7 +595,7 @@ class TestCanonicalForm:
         built = ctx.from_rational(q, prec)
         general = LocalFieldElement(ctx, [(0, q), (0, 0), (1, 0)], prec)
         assert (built._t, built._prec) == (general._t, general._prec) == (
-            _canonicalize(p, N, _integer_terms(ctx, [(0, q)]), _prec_pair(prec, N)),
+            canonicalize(ctx, _integer_terms(ctx, [(0, q)]), prec),
             _prec_pair(prec, N),
         )
         assert_canonical_dict(built._t, p, N, built._prec)
@@ -597,7 +604,8 @@ class TestCanonicalForm:
     @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
     def test_canonicalizer_output(self, p, N, data):
         pairs = data.draw(raw_pairs(p, N))
-        exact = _canonicalize(p, N, pairs, None)
+        ctx = LocalFieldContext(p, N, M)
+        exact = canonicalize(ctx, pairs)
         assert_canonical_dict(exact, p, N, None)
         # the value of each class is kept exactly
         for f in range(N):
@@ -607,5 +615,50 @@ class TestCanonicalForm:
             )
             got = [Fraction(num, den) * Fraction(p) ** (j // N) for j, (num, den) in exact.items() if j % N == f]
             assert sum(got, Fraction(0)) == want
-        prec = _prec_pair(Fraction(data.draw(st.integers(-2 * N, 4 * N)), data.draw(st.sampled_from([1, N, 3]))), N)
-        assert_canonical_dict(_canonicalize(p, N, pairs, prec), p, N, prec)
+        q = Fraction(data.draw(st.integers(-2 * N, 4 * N)), data.draw(st.sampled_from([1, N, 3])))
+        assert_canonical_dict(canonicalize(ctx, pairs, q), p, N, _prec_pair(q, N))
+
+
+@st.composite
+def factors(draw, ctx):
+    """An element of ctx: exact, at a finite precision, an exact zero or zero
+    to precision."""
+    N = ctx.N
+    exponent = st.builds(Fraction, st.integers(-N, 2 * N), st.just(N))
+    terms = draw(st.lists(st.tuples(exponent, rationals(ctx.p)), max_size=3))
+    prec = draw(st.none() | st.builds(Fraction, st.integers(-N, 3 * N), st.just(N)))
+    return LocalFieldElement(ctx, terms, prec)
+
+
+class TestRationalOperands:
+    @SETTINGS
+    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
+    def test_a_rational_reads_as_its_element(self, p, N, data):
+        """element_dot reads a rational y straight into one exact term: the
+        sum has the `_t` and `_prec` it has with ctx.from_rational(y) in its
+        place, for y an int or a Fraction with p in the numerator or the
+        denominator, +-1 or 0."""
+        ctx = LocalFieldContext(p, N, M)
+        xs = data.draw(st.lists(factors(ctx) | st.builds(ctx.zero, st.none() | st.integers(-2, 3)),
+                                min_size=1, max_size=4))
+        ys = [data.draw(rationals(p) | st.sampled_from([1, -1, 0])) for _ in xs]
+        prec = data.draw(st.none() | st.builds(Fraction, st.integers(-N, 3 * N), st.sampled_from([1, N])))
+        got = element_dot(xs, ys, prec)
+        want = element_dot(xs, [ctx.from_rational(y) for y in ys], prec)
+        assert (got._t, got._prec) == (want._t, want._prec)
+        assert list(got._t) == list(want._t)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([LocalFieldContext(5, N=4).zero()], [LocalFieldContext(5, N=7).one()]),
+            ([LocalFieldContext(5, N=4).one(), LocalFieldContext(5, N=7).zero()], [1, 2]),
+            ([LocalFieldContext(5, N=4).one(), LocalFieldContext(5, N=7).zero()], [1, 0]),
+        ],
+        ids=["zero-beside-other", "other-zero-times-rational", "other-zero-times-zero"],
+    )
+    def test_an_exact_zero_still_meets_the_context_check(self, xs, ys):
+        # a pair with an exact zero forms no product, yet its context is
+        # checked before the pair is skipped
+        with pytest.raises(ContextError):
+            element_dot(xs, ys)

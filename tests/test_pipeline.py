@@ -74,6 +74,14 @@ class TestPreconditions:
         with pytest.raises(Unsupported, match=f"q must be prime, got {q}$"):
             run_wild_monodromy(q, 5, 5)
 
+    @pytest.mark.parametrize("p", [0, 1, 2, 4, 9, 25])
+    def test_p_must_be_an_odd_prime_before_any_other_check(self, p):
+        # 251 is prime and r = 1 a unit: without this refusal p = 4, 9 and 25
+        # would reach "need p^2 | q^2 - 1", p = 2 would name a catalog query
+        # that the CLI rejects, and p = 0 or 1 would fail inside vp
+        with pytest.raises(Unsupported, match=f"p must be an odd prime, got {p}$"):
+            run_wild_monodromy(251, p, 1)
+
 
 class TestSeriesEvaluation:
     """g(d) by the truncated series is the full product of the linear-factor

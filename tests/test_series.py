@@ -290,9 +290,9 @@ class TestTaylorFactors:
         calls = []
         canonicalize = srt.localfield._canonicalize
 
-        def counting_canonicalize(p, N, pairs, prec):
+        def counting_canonicalize(p, N, classes, prec):
             calls.append(prec)
-            return canonicalize(p, N, pairs, prec)
+            return canonicalize(p, N, classes, prec)
 
         monkeypatch.setattr(srt.localfield, "_canonicalize", counting_canonicalize)
         counts = []
@@ -301,6 +301,25 @@ class TestTaylorFactors:
             taylor_factors(factors, center, T, 5)
             counts.append(len(calls))
         assert counts[1] - counts[0] <= n + 3
+
+    def test_one_more_coefficient_builds_no_rational_element(self, monkeypatch):
+        # the step's -m and 1/(k+1) are rationals that element_dot reads as
+        # terms: one more coefficient builds none of them as an element
+        factors, center, _ = self._case_i()
+        built = []
+        from_rational = LocalFieldContext.from_rational
+
+        def counting_from_rational(ctx, q, prec=None):
+            built.append(q)
+            return from_rational(ctx, q, prec)
+
+        monkeypatch.setattr(LocalFieldContext, "from_rational", counting_from_rational)
+        counts = []
+        for T in (12, 13):
+            built.clear()
+            taylor_factors(factors, center, T, 5)
+            counts.append(len(built))
+        assert counts[1] - counts[0] == 0
 
     @pytest.mark.parametrize(
         "center",
@@ -370,26 +389,30 @@ class TestTruncatedSeries:
             products.append((a, b))
             return mul(a, b)
 
+        # a dot merges terms when it forms more than one term product; a
+        # rational is one term, or none when it is 0
+        merges = []
+        element_dot = srt.localfield.element_dot
+
+        def terms(z):
+            return len(z.terms) if isinstance(z, LocalFieldElement) else int(z != 0)
+
+        def merging_dot(xs, ys, prec=None):
+            xs, ys = list(xs), list(ys)
+            if sum(terms(x) * terms(y) for x, y in zip(xs, ys)) > 1:
+                merges.append((xs, ys))
+            return element_dot(xs, ys, prec)
+
         dots = []
-        dot = srt.series.element_dot
 
         def counting_dot(xs, ys, prec=None):
             dots.append((xs, ys))
-            return dot(xs, ys, prec)
-
-        merges = []
-        canonicalize = srt.localfield._canonicalize
-
-        def counting_canonicalize(p, N, pairs, prec):
-            pairs = list(pairs)
-            if len(pairs) > 1:
-                merges.append(pairs)
-            return canonicalize(p, N, pairs, prec)
+            return merging_dot(xs, ys, prec)
 
         monkeypatch.setattr(LocalFieldElement, "__mul__", counting_mul)
         monkeypatch.setattr(LocalFieldElement, "__rmul__", counting_mul)
         monkeypatch.setattr(srt.series, "element_dot", counting_dot)
-        monkeypatch.setattr(srt.localfield, "_canonicalize", counting_canonicalize)
+        monkeypatch.setattr(srt.localfield, "element_dot", merging_dot)
         # no bound at all, and a bound whose slope v(x) cannot lift above 0
         for bound in (None, (Fraction(0), Fraction(-2))):
             with pytest.raises(TruncationUnderflow, match="no tail bound"):
