@@ -12,8 +12,10 @@ The precision is held as ints too, as bookkeeping beside the digits in the
 manner of Caruso (cited below): q = pn/pd, with pd the least multiple of N
 that the denominator of q divides. Adding a term's valuation j/N is then
 pn + j*(pd // N) and comparing two precisions a cross-multiplication, so no
-sum, product or truncation builds a Fraction. The `prec` property shows q as
-a Fraction, also off the (1/N)Z grid.
+sum, product, truncation, inverse or root builds a Fraction for its
+precision: the inverse and the root engine keep theirs as pairs too, and
+build a Fraction only for a message or a certificate. The `prec` property
+shows q as a Fraction, also off the (1/N)Z grid.
 
 The canonical form keeps at most one term per residue class of j mod N, which
 makes the valuation of a nonzero element exact: distinct classes can never
@@ -26,7 +28,12 @@ the rationals (1, 1) and (1, -1), x with -1 and x with y. A rational operand
 is read as its one exact term, never built as an element. The dot takes its
 precision over all pairs first, then merges each product below it into its
 class of j mod N as it forms (the one merge loop), and hands the classes to
-`_canonicalize` once.
+`_canonicalize` once. A one-pair dot with a factor of one exact term
+u * pi^k is a shift instead: each term of the other factor moves by k into a
+class of its own, in order, with its unit times u still prime to p, so
+nothing merges and nothing is canonicalized. -x, x times a rational or a
+power of pi, a truncation, the squarings of a one-term element and a
+one-term constructor at a precision are shifts.
 Callers see the `terms` view, a new dict on each read, which maps each
 valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
 residue otherwise. A context (p, N, M) is a frozen dataclass.
@@ -111,9 +118,11 @@ def _pair(a, b, N):
 
 def _prec_pair(prec, N):
     """Precision pair of a precision given as an int, a Fraction or anything
-    Fraction accepts; None (exact) stays None."""
-    if prec is None:
-        return None
+    Fraction accepts. None (exact) and a precision pair pass as they are: the
+    inverse and the root engine hand their precisions to `element_dot` and
+    `truncate` as pairs."""
+    if prec is None or type(prec) is tuple:
+        return prec
     if not isinstance(prec, (int, Fraction)):
         prec = Fraction(prec)
     return _pair(prec.numerator, prec.denominator, N)
@@ -125,6 +134,17 @@ def _add_prec(a, b, N):
     n, d = (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
     g = math.gcd(n, d // N)
     return (n // g, d // g) if g != 1 else (n, d)
+
+
+def _fraction_str(a, b):
+    """a/b as str(Fraction(a, b)) prints it, for b > 0."""
+    g = math.gcd(a, b)
+    return f"{a // g}/{b // g}" if b != g else f"{a // g}"
+
+
+def _min_prec(a, b):
+    """The lesser of two precision pairs."""
+    return a if a[0] * b[1] < b[0] * a[1] else b
 
 
 def _product_bound(least, prec, terms, tprec, N):
@@ -213,7 +233,10 @@ def element_dot(xs, ys, prec=None):
     min(prec(x) + v(y), prec(y) + v(x)), taken over all pairs before any
     product is formed; each term product below it is merged into its class
     of exponents mod N as it forms, and the classes are canonicalized once
-    (not at all when no term is left)."""
+    (not at all when no term is left). One pair with a factor of one exact
+    term is a shift of the other factor, its units reduced one by one: by a
+    gcd when exact, mod p^ceil(prec - j/N) otherwise; it merges nothing and
+    is not canonicalized."""
     x0 = xs[0]
     ctx = x0.ctx
     p, N = ctx.p, ctx.N
@@ -239,17 +262,41 @@ def element_dot(xs, ys, prec=None):
             prec = _product_bound(prec, xp, b, yp, N)
         if yp is not None:
             prec = _product_bound(prec, yp, a, xp, N)
-        factors.append((a, b))
-    # the least j with j/N >= prec: a product pi^j at or above it vanishes
-    jlim = None if prec is None else -(-prec[0] // (prec[1] // N))
+        factors.append((a, b, xp, yp))
+    if prec is not None:
+        pn, pd = prec
+        # the least j with j/N >= prec: a product pi^j at or above it vanishes
+        jlim = -(-pn // (pd // N))
+    if len(factors) == 1:
+        a, b, xp, yp = factors[0]
+        if xp is None and len(a) == 1:
+            a, b, yp = b, a, None
+        if yp is None and len(b) == 1:
+            # a shift: times one exact term u * pi^k, each term of a moves by
+            # k into a class of its own, in order, with a unit still prime to
+            # p, so nothing merges and nothing needs canonicalizing
+            ((k, (un, ud)),) = b
+            t = {}
+            for j, (n, d) in a:
+                j += k
+                n, d = n * un, d * ud
+                if prec is None:
+                    g = math.gcd(n, d)
+                    t[j] = (n // g, d // g) if g != 1 else (n, d)
+                else:
+                    if j >= jlim:
+                        break
+                    mod = p ** -((j * (pd // N) - pn) // pd)
+                    t[j] = (n % mod if d == 1 else n * pow(d, -1, mod) % mod, 1)
+            return LocalFieldElement._make(ctx, t, prec)
     # per class j mod N: (j, A, B), the sum so far is A/B * pi^j
     classes = {}
-    for a, b in factors:
+    for a, b, _, _ in factors:
         for j1, (n1, d1) in a:
             for j2, (n2, d2) in b:
                 j = j1 + j2
                 # b is sorted: the rest of the row vanishes too
-                if jlim is not None and j >= jlim:
+                if prec is not None and j >= jlim:
                     break
                 f = j % N
                 c = classes.get(f)
@@ -307,9 +354,6 @@ class LocalFieldElement:
             return {Fraction(j, N): Fraction(n, d) for j, (n, d) in self._t.items()}
         return {Fraction(j, N): n for j, (n, _) in self._t.items()}
 
-    def _lead_exponent(self):
-        return Fraction(next(iter(self._t)), self.ctx.N)
-
     # --- queries ---
 
     def is_zero(self):
@@ -320,7 +364,7 @@ class LocalFieldElement:
 
     def valuation(self) -> ExtendedRational:
         if self._t:
-            return ExtendedRational(self._lead_exponent())
+            return ExtendedRational(Fraction(next(iter(self._t)), self.ctx.N))
         if self._prec is None:
             return INFINITY
         raise PrecisionError(f"valuation unknown: zero modulo p^{self.prec}")
@@ -374,8 +418,12 @@ class LocalFieldElement:
         lead_inv = LocalFieldElement._make(self.ctx, {-j: (d, n)}, None)
         if len(self._t) == 1 and self._prec is None:
             return lead_inv
-        v = self._lead_exponent()
-        rel = self.prec - v if self._prec is not None else Fraction(self.ctx.M)
+        # precision pairs: v(x) = j/N and the relative precision rel
+        N = self.ctx.N
+        if self._prec is None:
+            rel = (self.ctx.M * N, N)
+        else:
+            rel = _add_prec(self._prec, (-j, N), N)
         y = lead_inv
         # a one-term x at a finite precision needs no step: 1 - x*y is 0 to
         # the precision of x, so y is 1/x to relative precision rel
@@ -385,14 +433,19 @@ class LocalFieldElement:
             # the error 1 - x*y only modulo p^(2*done); each is one dot, with
             # -x built once.
             neg = -self
-            first = element_dot((neg, 1), (y, 1)).valuation_lower_bound()
-            done = rel if first.is_infinite else min(first.as_fraction(), rel)
-            while done < rel:
-                done = min(2 * done, rel)
+            first = element_dot((neg, 1), (y, 1))
+            done = rel
+            if first._t:
+                done = _min_prec((next(iter(first._t)), N), rel)
+            elif first._prec is not None:
+                done = _min_prec(first._prec, rel)
+            # done <= rel, and precision pairs are canonical
+            while done != rel:
+                done = _min_prec(_add_prec(done, done, N), rel)
                 err = element_dot((neg, 1), (y, 1), done)
                 # y is taken as exact: its error is what the next step corrects
                 y = LocalFieldElement._make(self.ctx, element_dot((y, y), (1, err))._t, None)
-        return y.truncate(-v + rel)
+        return y.truncate(_add_prec(rel, (-j, N), N))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -405,7 +458,7 @@ class LocalFieldElement:
         sp = self._prec
         if sp is not None and sp[0] * qd <= qn * sp[1]:
             return self
-        return element_dot((self,), (1,), prec)
+        return element_dot((self,), (1,), (qn, qd))
 
     # --- comparisons / display ---
 
@@ -426,19 +479,19 @@ class LocalFieldElement:
         return hash((self.ctx, self._prec, tuple(self._t.items())))
 
     def __repr__(self):
-        p = self.ctx.p
+        p, N = self.ctx.p, self.ctx.N
         bits = []
-        for e, u in self.terms.items():
-            if e == 0:
-                bits.append(f"{u}")
-            elif e == 1:
+        for j, (n, d) in self._t.items():
+            u = f"{n}/{d}" if d != 1 else f"{n}"
+            if j == 0:
+                bits.append(u)
+            elif j == N:
                 bits.append(f"{u}*{p}")
             else:
-                bits.append(f"{u}*{p}^({e})")
+                bits.append(f"{u}*{p}^({_fraction_str(j, N)})")
         body = " + ".join(bits) if bits else "0"
-        prec = self.prec
-        if prec is not None:
-            body += f" + O({p}^({prec}))"
+        if self._prec is not None:
+            body += f" + O({p}^({_fraction_str(*self._prec)}))"
         return body
 
     def to_json(self):
@@ -498,6 +551,11 @@ def _rational_root(w, n):
                 return LocalFieldElement._make(w.ctx, {0: (rn if u > 0 else -rn, rd)}, None)
 
 
+def _pi(ctx, j):
+    """The exact term pi^j: a product by it is a shift."""
+    return LocalFieldElement._make(ctx, {j: (1, 1)}, None)
+
+
 def _digit(ctx, j, num, den):
     """The exact term (num/den mod p) * pi^j."""
     return LocalFieldElement._make(ctx, {j: (num * pow(den, -1, ctx.p) % ctx.p, 1)}, None)
@@ -528,13 +586,13 @@ def _hensel_start(w, y, diff):
     """
     ctx = w.ctx
     p, N = ctx.p, ctx.N
-    hensel_level = Fraction(p, p - 1)
     while True:
         if not diff._t:
-            if w._prec is None or w.prec > hensel_level:
+            # the Hensel level p/(p-1), compared with the precision pair of w
+            if w._prec is None or w._prec[0] * (p - 1) > p * w._prec[1]:
                 return y, diff
             raise PrecisionError(
-                f"precision p^{w.prec} does not exceed the Hensel level {hensel_level}"
+                f"precision p^{w.prec} does not exceed the Hensel level {Fraction(p, p - 1)}"
             )
         k, (num, den) = next(iter(diff._t.items()))
         if k * (p - 1) > p * N:
@@ -545,7 +603,7 @@ def _hensel_start(w, y, diff):
         if k % p:
             raise NoNthRoot(
                 f"{w!r} is not a {p}-th power: y^{p} misses it at a level prime "
-                f"to {p} below {hensel_level}"
+                f"to {p} below {Fraction(p, p - 1)}"
             )
         y = y + _digit(ctx, k // p, num, den)
         diff = w - y**p
@@ -554,7 +612,7 @@ def _hensel_start(w, y, diff):
 def _newton(w, y, diff, n, prec):
     """The n-th root of the unit w modulo p^prec nearest the exact unit y,
     given diff = w - y^n, by Newton's iteration y <- y + y * d with
-    d = diff / (n * w).
+    d = diff / (n * w); prec is a precision pair.
 
     n is p or prime to p, and y must solve y^n = w beyond the level v(n) *
     p/(p-1). Writing y = root * (1 + e), v(d) = v(e), and a step takes v(e)
@@ -563,20 +621,24 @@ def _newton(w, y, diff, n, prec):
     doubles. The iteration stops when that bound reaches prec.
     """
     ctx = w.ctx
+    N = ctx.N
     vn = 1 if n % ctx.p == 0 else 0
+    pn, pd = prec
     # d modulo p^prec needs diff and w modulo p^(prec + v(n))
-    w = w.truncate(prec + vn)
+    wide = (pn + vn * pd, pd)
+    w = w.truncate(wide)
     c = (w * n).inverse()
     while True:
-        d = diff.truncate(prec + vn) * c
+        d = diff.truncate(wide) * c
         if not d._t:
             return y.truncate(prec)
-        e = d._lead_exponent()
+        # v(d) = e/N
+        e = next(iter(d._t))
         # y is taken as exact: its error is what the next step corrects
         y = LocalFieldElement._make(ctx, element_dot((y, y), (1, d))._t, None)
-        if min(2 * e, n * e - vn) >= prec:
+        if min(2 * e, n * e - vn * N) * pd >= pn * N:
             return y.truncate(prec)
-        diff = w - y.truncate(prec + vn) ** n
+        diff = w - y.truncate(wide) ** n
 
 
 def _pth_root(w, y, diff):
@@ -586,7 +648,11 @@ def _pth_root(w, y, diff):
     y, diff = _hensel_start(w, y, diff)
     if w._prec is None and not diff._t:
         return y
-    prec = Fraction(w.ctx.M - 1) if w._prec is None else w.prec - 1
+    if w._prec is None:
+        prec = ((w.ctx.M - 1) * w.ctx.N, w.ctx.N)
+    else:
+        pn, pd = w._prec
+        prec = (pn - pd, pd)
     return _newton(w, y, diff, w.ctx.p, prec)
 
 
@@ -614,7 +680,8 @@ def _unit_root(w, n):
     if y is None:
         raise NoNthRoot(f"{w!r} has no {m}-th root: {res} is no {m}-th power mod {p}")
     y = ctx.from_rational(y)
-    return _newton(w, y, w - y**m, m, Fraction(ctx.M) if w.prec is None else w.prec)
+    prec = (ctx.M * ctx.N, ctx.N) if w._prec is None else w._prec
+    return _newton(w, y, w - y**m, m, prec)
 
 
 def sqrt_of_minus_one(ctx, prec=None):
@@ -639,15 +706,19 @@ def nth_root(x, n, branch=0):
     ctx = x.ctx
     if n < 1:
         raise PreconditionViolated(f"n must be positive, got {n}")
-    v = x.valuation()
-    if v.is_infinite:
+    if not x._t:
+        # the root of the exact zero; a zero to precision has no valuation
+        x.valuation()
         return ctx.zero()
-    v = v.as_fraction()
-    if (v / n * ctx.N).denominator != 1:
+    # v(x) = j0/N, and x moves to its unit part and the root back by shifts
+    j0 = next(iter(x._t))
+    if j0 % n:
         raise NoNthRoot(
-            f"valuation {v} is not divisible by {n} within ramification index {ctx.N}"
+            f"valuation {Fraction(j0, ctx.N)} is not divisible by {n} within "
+            f"ramification index {ctx.N}"
         )
-    root = _unit_root(x * ctx.pi_power(-v), n) * ctx.pi_power(v / n)
+    w = x * _pi(ctx, -j0)
+    root = _unit_root(w, n) * _pi(ctx, j0 // n)
     if branch and n % 2 == 0:
         root = -root
     return root
@@ -755,8 +826,8 @@ def is_pth_power(x):
             raise PreconditionViolated("0 is excluded from the power test")
         return PthPowerVerdict("undecidable", certificate={"reason": "zero to precision"})
     j0 = next(iter(x._t))
-    v = Fraction(j0, ctx.N)
     if j0 % p:
+        v = Fraction(j0, ctx.N)
         return PthPowerVerdict(
             "no",
             certificate={
@@ -766,7 +837,8 @@ def is_pth_power(x):
                 "reason": f"v(x) = {v} is not divisible by {p} within the field",
             },
         )
-    w = x * ctx.pi_power(-v)
+    # v(x) = j0/N, and x moves to its unit part and the root back by shifts
+    w = x * _pi(ctx, -j0)
     root = _rational_root(w, p)
     if root is None:
         start = _peel_start(w)
@@ -776,4 +848,4 @@ def is_pth_power(x):
             return PthPowerVerdict("no", certificate=_no_certificate(w, *start))
         except PrecisionError as exc:
             return PthPowerVerdict("undecidable", certificate={"reason": str(exc)})
-    return PthPowerVerdict("yes", root=root * ctx.pi_power(v / p))
+    return PthPowerVerdict("yes", root=root * _pi(ctx, j0 // p))

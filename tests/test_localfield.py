@@ -221,11 +221,17 @@ class TestArithmeticAgainstOracle:
         assert best < 0.050
 
     def test_newton_steps_canonicalize_once_per_dot(self, monkeypatch):
-        """1/u of the exact unit u = 1 + pi + pi^2 to relative precision 20
+        """Only a dot whose products can merge canonicalizes; -u, a
+        truncation and a product by a rational or a power of pi are shifts.
+        1/u of the exact unit u = 1 + pi + pi^2 to relative precision 20
         takes 7 Newton steps from v(1 - u*y) = 1/5, each of two dots (the
-        error 1 - u*y and y + y*err); with -u, the first error and the final
-        truncation that is 17 canonicalizations. Its fifth root from u^5,
-        by the peel and Newton's iteration, takes 65."""
+        error 1 - u*y and y + y*err); with the first error that is 15
+        canonicalizations. Its fifth root from u^5 takes 49: 1 for the
+        peel's first difference w - alpha^5, 5 for its one step (y + digit,
+        the three products of y^5 and the difference), 11 for the inverse
+        of 5w (its first error and 5 steps), and 32 for 6 Newton steps, each
+        one product d = diff * c and one dot y + y*d, and in the 5 that go
+        on the three products of y^5 and the difference."""
         ctx = LocalFieldContext(5, N=5, M=20)
         u = LocalFieldElement(ctx, [(0, 1), (Fraction(1, 5), 1), (Fraction(2, 5), 1)])
         fifth = u**5
@@ -241,9 +247,26 @@ class TestArithmeticAgainstOracle:
         inverse_calls = len(calls)
         root = nth_root(fifth, 5)
         monkeypatch.undo()
-        assert (inverse_calls, len(calls) - inverse_calls) == (17, 65)
+        assert (inverse_calls, len(calls) - inverse_calls) == (15, 49)
         assert y.prec == 20 and (u * y - 1).valuation_lower_bound() >= 20
         assert root == u.truncate(19)
+
+    def test_one_term_factors_do_not_canonicalize(self, monkeypatch):
+        # a product by one exact term moves each term of the other factor to
+        # a class of its own: d ** 17 squares a one-term d, x * 3/5 and -x
+        # are products by a rational, and x.truncate(q) is x * 1 at q
+        ctx = ctx5()
+        d = ctx.pi_power(Fraction(2, 5), Fraction(-7, 3))
+        x = LocalFieldElement(ctx, [(0, 3), (Fraction(1, 5), Fraction(7, 2))], 4)
+        calls = []
+        monkeypatch.setattr(srt.localfield, "_canonicalize", lambda *args: calls.append(args))
+        power, product, neg, cut = d**17, x * Fraction(3, 5), -x, x.truncate(Fraction(13, 5))
+        monkeypatch.undo()
+        assert calls == []
+        assert power == ctx.pi_power(Fraction(34, 5), Fraction(-7, 3) ** 17)
+        assert product.prec == 3 and product.terms == {Fraction(-1): 9, Fraction(-4, 5): 323}
+        assert neg.prec == 4 and (neg + x).terms == {}
+        assert cut.prec == Fraction(13, 5) and cut.terms == {0: 3, Fraction(1, 5): 66}
 
 
 def _sqrt_residue(u, p, M):

@@ -32,7 +32,7 @@ from srt.localfield import (
     element_dot,
 )
 
-from helpers import PiExt, pi_digits, pth_power_residues
+from helpers import PiExt, agrees, pi_digits, pth_power_residues
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -540,8 +540,11 @@ def raw_pairs(draw, p, N):
 def canonicalize(ctx, pairs, prec=None):
     """The term dict of the sum of the terms (j, (num, den)) in `pairs` at
     the precision prec: element_dot of one-term elements with ones, which
-    merges them once and canonicalizes the classes once."""
+    merges them once and canonicalizes the classes once. A single term times
+    1 would be a shift, so it is summed as two halves instead."""
     terms = [LocalFieldElement._make(ctx, {j: u}, None) for j, u in pairs]
+    if len(terms) == 1:
+        return element_dot(terms * 2, [Fraction(1, 2)] * 2, prec)._t
     return element_dot(terms, [1] * len(terms), prec)._t if terms else {}
 
 
@@ -662,3 +665,94 @@ class TestRationalOperands:
         # checked before the pair is skipped
         with pytest.raises(ContextError):
             element_dot(xs, ys)
+
+
+def piext(x, ctx):
+    """The exact PiExt value of the element or rational x of ctx, read from
+    its public terms (a representative of its ball when x is finite)."""
+    if not isinstance(x, LocalFieldElement):
+        return PiExt.from_rational(x, ctx.N, ctx.p)
+    coeffs = [Fraction(0)] * ctx.N
+    for e, u in x.terms.items():
+        k, i = divmod(int(e * ctx.N), ctx.N)
+        coeffs[i] += Fraction(u) * Fraction(ctx.p) ** k
+    return PiExt(coeffs, ctx.N, ctx.p)
+
+
+@st.composite
+def one_term_factors(draw, ctx):
+    """An exact factor of one term: an int or a Fraction with p in the
+    numerator or the denominator, +-1, or u * pi^k with k negative, zero or
+    positive."""
+    kind = draw(st.sampled_from(["rational", "sign", "term"]))
+    if kind == "rational":
+        return draw(rationals(ctx.p).filter(bool))
+    if kind == "sign":
+        return draw(st.sampled_from([1, -1]))
+    k = draw(st.integers(-2 * ctx.N, 2 * ctx.N))
+    return ctx.pi_power(Fraction(k, ctx.N), draw(rationals(ctx.p).filter(bool)))
+
+
+class TestShift:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
+    def test_a_one_term_factor_is_a_shift(self, p, N, data):
+        """A one-pair dot with an exact one-term factor on either side has
+        the `_t`, key order and `_prec` of the same product split over two
+        pairs, x * y/2 + x * y/2, whose halves merge in the canonicalizer;
+        its value agrees with the product in PiExt to its precision."""
+        ctx = LocalFieldContext(p, N, M)
+        x = data.draw(factors(ctx) | st.builds(ctx.zero, st.none() | st.integers(-2, 3)))
+        y = data.draw(one_term_factors(ctx))
+        prec = data.draw(
+            st.none() | st.builds(Fraction, st.integers(-N, 3 * N), st.sampled_from([1, N, 7]))
+        )
+        sides = [((x,), (y,))]
+        if isinstance(y, LocalFieldElement):
+            sides.append(((y,), (x,)))
+            ((e, u),) = y.terms.items()
+            half = ctx.pi_power(e, u / 2)
+        else:
+            half = Fraction(y, 2)
+        want = element_dot((x, x), (half, half), prec)
+        for xs, ys in sides:
+            got = element_dot(xs, ys, prec)
+            assert (got._t, got._prec) == (want._t, want._prec)
+            assert list(got._t) == list(want._t)
+            assert agrees(piext(got, ctx), piext(x, ctx) * piext(y, ctx), got.prec)
+
+
+def fraction_repr(x):
+    """The rendering of x from its public terms and precision, as Fractions
+    print them."""
+    p = x.ctx.p
+    bits = []
+    for e, u in x.terms.items():
+        if e == 0:
+            bits.append(f"{u}")
+        elif e == 1:
+            bits.append(f"{u}*{p}")
+        else:
+            bits.append(f"{u}*{p}^({e})")
+    body = " + ".join(bits) if bits else "0"
+    if x.prec is not None:
+        body += f" + O({p}^({x.prec}))"
+    return body
+
+
+class TestRepr:
+    @SETTINGS
+    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
+    def test_repr_renders_the_terms_and_precision_as_fractions(self, p, N, data):
+        # exponents negative, integral and 1 (rendered *p), precisions
+        # integral and fractional, and a zero to precision
+        ctx = LocalFieldContext(p, N, M)
+        exponent = st.builds(Fraction, st.integers(-2 * N, 2 * N), st.just(N)) | st.sampled_from(
+            [Fraction(-1), Fraction(0), Fraction(1), Fraction(2)]
+        )
+        terms = data.draw(st.lists(st.tuples(exponent, rationals(p)), max_size=4))
+        prec = data.draw(
+            st.none() | st.builds(Fraction, st.integers(-N, 4 * N), st.sampled_from([1, N, 3]))
+        )
+        for x in (LocalFieldElement(ctx, terms, prec), ctx.zero(prec)):
+            assert repr(x) == fraction_repr(x)

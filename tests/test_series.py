@@ -283,8 +283,11 @@ class TestTaylorFactors:
     def test_one_more_coefficient_canonicalizes_once_per_dot(self, monkeypatch):
         # at a finite-precision center each coefficient Q_{j-1} - m P_j is one
         # dot, their sum against g is one more, and the step then multiplies
-        # by 1/P(0) and 1/(k+1): n + 3 canonicalizations, where a chain of
-        # coercions, products and differences takes 4n + 2
+        # by 1/P(0) and 1/(k+1): at most n + 3 canonicalizations, where a
+        # chain of coercions, products and differences takes 4n + 2. A
+        # product by one exact term is a shift and takes none: 1/(k+1), and
+        # here m P_n, since Q_(n-1) = sum of the m_i is an exact zero, so a
+        # coefficient takes 5 at n = 4
         factors, center, _ = self._case_i()
         n = len(factors)
         calls = []
