@@ -217,7 +217,7 @@ def _cmd_split_check(args):
 
 
 def _cmd_tail_center(args):
-    center = tail_center(args.p, args.nu, args.r, args.s, args.case, branch=args.branch)
+    center = tail_center(args.p, args.nu, args.r, args.s, args.case)
     return {"center": center}, EXIT_OK
 
 
@@ -359,7 +359,6 @@ FLAGS = {
     "--level": dict(type=int, help="torsor level n"),
     "--vals": dict(help="JSON array of v(c_i), i = 1..T, as 'a/b'"),
     "--case": dict(help="generic | a=0 | a=1"),
-    "--branch": dict(type=int, default=0, help="root branch, p = 5 exceptional center"),
     "--extra": dict(type=_fraction, help="v(a) for a=0, v(sqrt(1-a)) for a=1"),
     "--tree": dict(help="tree JSON file"),
     "--root-delta": dict(type=_fraction, help="override the root effective different"),
@@ -388,7 +387,7 @@ COMMANDS = {
         "--p": REQUIRED, "--level": REQUIRED, "--vals": REQUIRED}),
     "tail-center": (_cmd_tail_center, "new etale tail disk center", {
         "--p": REQUIRED, "--nu": REQUIRED, "--r": REQUIRED, "--s": REQUIRED,
-        "--case": REQUIRED, "--branch": None}),
+        "--case": REQUIRED}),
     "tail-radius": (_cmd_tail_radius, "new etale tail disk radius", {
         "--p": REQUIRED, "--nu": REQUIRED, "--case": REQUIRED, "--extra": None}),
     "insep-tails": (_cmd_insep_tails, "catalog of new inseparable tails", {

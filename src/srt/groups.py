@@ -367,6 +367,8 @@ def sylow_data(q, p):
     """p-Sylow data of SL2(F_q) for odd p dividing q^2 - 1: the Sylow is the
     p-part of q^2 - 1, it is cyclic, and the normalizer acts through a group
     of order m_G = 2."""
+    if not is_prime(q):
+        raise Unsupported(f"q must be prime, got {q}")
     if p == 2 or not is_prime(p):
         raise Unsupported(f"p must be an odd prime, got {p}")
     if q % p == 0:

@@ -42,14 +42,14 @@ The inverse is Newton's iteration y <- y(2 - xy), which doubles the relative
 precision each step (Caruso, Computations with p-adic numbers,
 arXiv:1701.06794, sections 1.3 and 2.1).
 
-Every root (`nth_root`, the root of a yes-verdict of `is_pth_power`,
-`sqrt_of_minus_one`) comes from one engine, in the element's own field: p-th
-roots by peeling the unit filtration and then Newton's iteration, prime-to-p
-roots by Newton's iteration from a residue root. An element at a finite
-precision stands for the ball of its lifts, and the peel reads only the
-levels below its precision, which every lift shares (Caruso; Caruso, Roe and
-Vaccon, Tracking p-adic precision, arXiv:1402.0142). A root that does not
-exist raises NoNthRoot; a root that the tracked precision cannot decide or
+`nth_root` is the one entry to the root engine, which works in the
+element's own field: p-th roots by peeling the unit filtration and then
+Newton's iteration, prime-to-p roots by Newton's iteration from a residue
+root. `sqrt_of_minus_one` takes its root there, and the power test reads its
+root from `nth_root`. An element at a finite precision stands for the ball
+of its lifts, and the peel reads only the levels below its precision, which
+every lift shares (Caruso; Caruso, Roe and Vaccon, Tracking p-adic
+precision, arXiv:1402.0142). A root that does not exist raises NoNthRoot; a root that the tracked precision cannot decide or
 fix raises PrecisionError. `is_pth_power` turns these into "no" and
 "undecidable", so its verdict holds on every lift.
 """
@@ -561,17 +561,10 @@ def _digit(ctx, j, num, den):
     return LocalFieldElement._make(ctx, {j: (num * pow(den, -1, ctx.p) % ctx.p, 1)}, None)
 
 
-def _peel_start(w):
-    """The peel's first state (y, w - y^p): y = alpha, the digit of the unit
-    w at the integer level."""
-    y = _digit(w.ctx, 0, *w._t[0])
-    return y, w - y**w.ctx.p
-
-
-def _hensel_start(w, y, diff):
-    """The peel of the unit filtration, in the field of w: from the state
-    (y, w - y^p), y an exact unit, to one with v(w - y^p) > p/(p-1), which is
-    Newton's start.
+def _hensel_start(w):
+    """The peel of the unit filtration, in the field of w: from y = alpha,
+    the digit of the unit w at the integer level, to the state (y, w - y^p)
+    with v(w - y^p) > p/(p-1), which is Newton's start.
 
     For i < N/(p-1), (1 + c*pi^i)^p = 1 + c^p*pi^(p*i) modulo higher terms,
     so the lowest term c*pi^k of w - y^p must have p | k, and adding the
@@ -586,6 +579,8 @@ def _hensel_start(w, y, diff):
     """
     ctx = w.ctx
     p, N = ctx.p, ctx.N
+    y = _digit(ctx, 0, *w._t[0])
+    diff = w - y**p
     while True:
         if not diff._t:
             # the Hensel level p/(p-1), compared with the precision pair of w
@@ -641,21 +636,6 @@ def _newton(w, y, diff, n, prec):
         diff = w - y.truncate(wide) ** n
 
 
-def _pth_root(w, y, diff):
-    """A p-th root of the unit w: the peel from the state (y, w - y^p) lifted
-    by Newton. Exact when the peel meets w itself, else to relative
-    precision that of w less 1, or M - 1 for an exact w."""
-    y, diff = _hensel_start(w, y, diff)
-    if w._prec is None and not diff._t:
-        return y
-    if w._prec is None:
-        prec = ((w.ctx.M - 1) * w.ctx.N, w.ctx.N)
-    else:
-        pn, pd = w._prec
-        prec = (pn - pd, pd)
-    return _newton(w, y, diff, w.ctx.p, prec)
-
-
 def _unit_root(w, n):
     """An n-th root of the unit w.
 
@@ -668,10 +648,20 @@ def _unit_root(w, n):
     if root is not None:
         return root
     ctx = w.ctx
-    p = ctx.p
+    p, N = ctx.p, ctx.N
     a, m = split_p_part(n, p)
     for _ in range(a):
-        w = _pth_root(w, *_peel_start(w))
+        # a p-th root: the peel lifted by Newton, exact when the peel meets w
+        # itself, else to relative precision that of w less 1, or M - 1 for
+        # an exact w
+        y, diff = _hensel_start(w)
+        if w._prec is not None:
+            pn, pd = w._prec
+            w = _newton(w, y, diff, p, (pn - pd, pd))
+        elif diff._t:
+            w = _newton(w, y, diff, p, ((ctx.M - 1) * N, N))
+        else:
+            w = y
     if m == 1:
         return w
     num, den = w._t[0]
@@ -680,7 +670,7 @@ def _unit_root(w, n):
     if y is None:
         raise NoNthRoot(f"{w!r} has no {m}-th root: {res} is no {m}-th power mod {p}")
     y = ctx.from_rational(y)
-    prec = (ctx.M * ctx.N, ctx.N) if w._prec is None else w._prec
+    prec = (ctx.M * N, N) if w._prec is None else w._prec
     return _newton(w, y, w - y**m, m, prec)
 
 
@@ -691,9 +681,11 @@ def sqrt_of_minus_one(ctx, prec=None):
     return nth_root(ctx.from_rational(-1, M), 2)
 
 
-def nth_root(x, n, branch=0):
-    """n-th root of x in Q_p(pi); deterministic branch, negated for even n
-    when `branch` is set.
+def nth_root(x, n):
+    """The n-th root of x in Q_p(pi): the one entry to the root engine, which
+    `is_pth_power` and `sqrt_of_minus_one` read their roots from too. The
+    root is deterministic: an m-th root (m prime to p) is the one congruent
+    mod pi to the least residue root mod p.
 
     Raises NoNthRoot when x has no n-th root in the field: v(x)/n is not in
     (1/N)Z, or the unit part is no n-th power. Raises PrecisionError when
@@ -717,11 +709,7 @@ def nth_root(x, n, branch=0):
             f"valuation {Fraction(j0, ctx.N)} is not divisible by {n} within "
             f"ramification index {ctx.N}"
         )
-    w = x * _pi(ctx, -j0)
-    root = _unit_root(w, n) * _pi(ctx, j0 // n)
-    if branch and n % 2 == 0:
-        root = -root
-    return root
+    return _unit_root(x * _pi(ctx, -j0), n) * _pi(ctx, j0 // n)
 
 
 # --- p-th power decision procedure ---
@@ -748,14 +736,15 @@ def _class_residue(x, r, modulus_exp):
     return 0
 
 
-def _no_certificate(w, y, diff):
-    """Normalized non-power certificate of the unit w from the peel's first
-    state (y, w - y^p), y = alpha the digit at the integer level: beta from
-    the lowest fractional term with valuation in (1, p/(p-1)] (None if there
-    is none), then the first congruence that alpha + beta*pi^(e-1) violates."""
+def _no_certificate(w):
+    """Normalized non-power certificate of the unit w: alpha its digit at the
+    integer level, beta from the lowest fractional term with valuation in
+    (1, p/(p-1)] (None if there is none), then the first congruence that
+    alpha + beta*pi^(e-1) violates."""
     ctx = w.ctx
     p, N = ctx.p, ctx.N
-    alpha = y._t[0][0]
+    num, den = w._t[0]
+    alpha = num * pow(den, -1, p) % p
     beta = None
     for j, (num, den) in w._t.items():
         if j % N and N < j and j * (p - 1) <= p * N:
@@ -764,11 +753,11 @@ def _no_certificate(w, y, diff):
             beta = num * pow(den, -1, p) % p
             break
     if beta is None:
-        # alpha^p is an int, and the peel's first state holds w - alpha^p
+        # alpha^p is an int
         yp = ctx.from_rational(alpha**p)
     else:
-        yp = (y + _digit(ctx, j - N, beta, 1)) ** p
-        diff = w - yp
+        yp = (alpha + _digit(ctx, j - N, beta, 1)) ** p
+    diff = w - yp
     violated = next((j for j in diff._t if j * (p - 1) <= p * N), None)
     cert = {
         "kind": "congruence",
@@ -807,17 +796,18 @@ def is_pth_power(x):
     a level divisible by p, where one digit of y removes it. Peeling those
     levels (`_hensel_start`) either meets a level prime to p, and x is no
     p-th power, or reaches v(w - y^p) > p/(p-1); then Newton's iteration
-    lifts y to the root. The root engine behind `nth_root` decides and takes
-    the root, in the field of x; at a finite precision the peel reads only
-    the levels below it, so the verdict holds on every lift of x.
+    lifts y to the root. Past the valuation test the verdict and the root
+    are those of `nth_root(x, p)`, in the field of x; at a finite precision
+    the peel reads only the levels below it, so the verdict holds on every
+    lift of x.
 
     Returns a PthPowerVerdict. A valuation not divisible by p, or NoNthRoot
-    from the engine, gives "no" with a valuation obstruction or a congruence
-    certificate; PrecisionError from the engine gives "undecidable" with its
-    reason. A certificate names only digits of w that x determines. The root
-    of a yes-verdict is exact when x is an exact rational p-th power or the
-    p-th power of the peel's start; otherwise its relative precision is that
-    of x less 1, or M - 1 when x is exact.
+    from `nth_root`, gives "no" with a valuation obstruction or a congruence
+    certificate read off w; PrecisionError from `nth_root` gives
+    "undecidable" with its reason. A certificate names only digits of w that
+    x determines. The root of a yes-verdict is exact when x is an exact
+    rational p-th power or the p-th power of the peel's start; otherwise its
+    relative precision is that of x less 1, or M - 1 when x is exact.
     """
     ctx = x.ctx
     p = ctx.p
@@ -837,15 +827,10 @@ def is_pth_power(x):
                 "reason": f"v(x) = {v} is not divisible by {p} within the field",
             },
         )
-    # v(x) = j0/N, and x moves to its unit part and the root back by shifts
-    w = x * _pi(ctx, -j0)
-    root = _rational_root(w, p)
-    if root is None:
-        start = _peel_start(w)
-        try:
-            root = _pth_root(w, *start)
-        except NoNthRoot:
-            return PthPowerVerdict("no", certificate=_no_certificate(w, *start))
-        except PrecisionError as exc:
-            return PthPowerVerdict("undecidable", certificate={"reason": str(exc)})
-    return PthPowerVerdict("yes", root=root * _pi(ctx, j0 // p))
+    try:
+        root = nth_root(x, p)
+    except NoNthRoot:
+        return PthPowerVerdict("no", certificate=_no_certificate(x * _pi(ctx, -j0)))
+    except PrecisionError as exc:
+        return PthPowerVerdict("undecidable", certificate={"reason": str(exc)})
+    return PthPowerVerdict("yes", root=root)

@@ -181,11 +181,15 @@ def _absorbed_verdict(vals, p, n, theta, v1_new, v_root, v_p_new=None):
     )
 
 
-def tail_center(p, nu, r, s, case, branch=0):
+def tail_center(p, nu, r, s, case):
     """Center of the disk of the new etale tail.
 
     Rational in the non-exceptional cases; a ramified local field element for
-    the p = 5 exceptional cases (v(a) = nu - 1 resp. v(sqrt(1-a)) = nu - 1).
+    the p = 5 exceptional cases (v(a) = nu - 1 resp. v(sqrt(1-a)) = nu - 1),
+    built from the 5th root that `nth_root` takes. That root is unique: zeta_5
+    lies in no totally ramified Q_5(5^(1/N)), since Q_5(zeta_5) is
+    Q_5((-5)^(1/4)) (Serre, Local Fields, ch. IV), so the center has no
+    branch to choose.
     """
     case = _norm_case(case)
     _check_nu(nu)
@@ -213,7 +217,7 @@ def tail_center(p, nu, r, s, case, branch=0):
             raise InadmissibleValuation(f"v(a) = {va} exceeds nu - 1 = {nu - 1}")
         if p > 5 or va < nu - 1:
             return 1 - Fraction(s, r) ** 2
-        return _exceptional_center(p, nu, r, s, r + s, branch)
+        return _exceptional_center(p, nu, r, s, r + s)
     # case a=1
     if not vs > 0:
         raise CaseMismatch(f"case a=1 needs v(s) > 0, got v(s)={vs}")
@@ -224,10 +228,10 @@ def tail_center(p, nu, r, s, case, branch=0):
         )
     if p > 5 or w < nu - 1:
         return 1 - Fraction(s, r) ** 2
-    return _exceptional_center(p, nu, r, s, s, branch)
+    return _exceptional_center(p, nu, r, s, s)
 
 
-def _exceptional_center(p, nu, r, s, binom_arg, branch):
+def _exceptional_center(p, nu, r, s, binom_arg):
     if binom_arg < 0:
         raise CaseMismatch(
             f"the exceptional center needs x >= 0 in binomial(x, 5), x = r+s "
@@ -235,7 +239,7 @@ def _exceptional_center(p, nu, r, s, binom_arg, branch):
         )
     ctx = LocalFieldContext(p)
     radicand = Fraction(p) ** (4 * nu + 1) * math.comb(binom_arg, 5)
-    root = nth_root(ctx.from_rational(radicand), 5, branch=branch)
+    root = nth_root(ctx.from_rational(radicand), 5)
     return 1 - ((ctx.from_rational(s) - root) * Fraction(1, r)) ** 2
 
 

@@ -470,6 +470,17 @@ class TestOtherCommands:
         report = json.loads(out)
         assert "terms" in report["center"]  # local field element, not rational
 
+    def test_tail_center_has_no_branch_flag(self, capsys):
+        # the 5th root in the exceptional center is unique in the field, so
+        # there is no branch to choose and argparse refuses the flag
+        code, out, err = run_cli(
+            capsys, "tail-center", "--p", "5", "--nu", "2",
+            "--r", "1", "--s", "4", "--case", "a=0", "--branch", "0",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--branch" in err
+
     def test_wild_monodromy_verdict_lowercase(self, capsys):
         code, out, _ = run_cli(capsys, "wild-monodromy", "--q", "251", "--p", "5")
         assert code == EXIT_OK

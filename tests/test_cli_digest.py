@@ -1,7 +1,7 @@
 """Byte-identity of the `srt` subcommands that no other digest covers.
 
-A seeded sweep draws requests for `split-check`, `tail-center` (both
-branches), `tail-radius`, `insep-tails`, `enum-tails`, `conductor`,
+A seeded sweep draws requests for `split-check`, `tail-center` (two draws
+a round), `tail-radius`, `insep-tails`, `enum-tails`, `conductor`,
 `herbrand`, `group` (criterion mode, and bfs for q <= 61) and
 `wild-monodromy`, and runs each in-process through srt.cli.dispatch in
 `--format json` and in `--format text`. The sha256 of every (argv, exit
@@ -31,8 +31,12 @@ of each family against an independent one:
 - `wild-monodromy`: tests/test_acceptance.py::
   test_printed_monodromy_reports_match_the_oracle rebuilds 30 printed
   reports from their JSON with srt-free arithmetic.
-- `tail-center`, `tail-radius`, `insep-tails` and `conductor` have no oracle
-  test of their printed answers.
+- `conductor`: tests/test_ramification.py::
+  test_digest_conductor_draws_match_the_filtrations checks every `--shape`
+  draw here against the conductor of cyclotomic_filtration, and for
+  kummer-tower its compositum with the Kummer step's jump p/(p-1).
+- `tail-center`, `tail-radius` and `insep-tails` have no oracle test of
+  their printed answers.
 
 If the output is meant to change, regenerate the digest with
 ``PYTHONPATH=src python tests/test_cli_digest.py`` and say why in CHANGES.md.
@@ -46,7 +50,7 @@ from fractions import Fraction
 
 from srt.cli import dispatch
 
-EXPECTED_DIGEST = "056b759a24fcdefa6dcd5522b17aabc2d7ea4e8f92446d0ea285cbd6a8e0e247"
+EXPECTED_DIGEST = "245c79bded352245410114c89178f84f29812a290e633d2de554499321d78b83"
 EXPECTED_REQUESTS = 2000
 ROUNDS = 100
 SEED = 21
@@ -108,9 +112,9 @@ def _requests(rng):
            "--vals", _split_vals(rng, p, rng.randint(1, 3))]
     center_p = rng.choice((5, 5, 3, 7))
     r, s = _cover(rng, center_p, case)
-    for branch in ("0", "1"):
+    for _ in range(2):
         yield ["tail-center", "--p", str(center_p), "--nu", str(rng.randint(2, 4)),
-               f"--r={r}", f"--s={s}", "--case", case, "--branch", branch]
+               f"--r={r}", f"--s={s}", "--case", case]
     omit = 0.7 if case == "generic" else 0.2
     extra = [] if rng.random() < omit else [f"--extra={_rational(rng)}"]
     yield ["tail-radius", "--p", str(p), "--nu", nu, "--case", case] + extra

@@ -62,7 +62,6 @@ VALUES = {
         st.lists(FRACTIONS, max_size=20).map(json.dumps),
         ["{}", "[[1]]", "[null]", '["1", 2]'],
     ),
-    "--branch": value(ints(0, 1), ["-1", "2"]),
     "--tree": st.just("@tree"), "--filtration": st.just("@filtration"),
     # enum-tails' count of primitive tails, and group's trace of beta
     "--tau": value(st.one_of(ints(0, 3), ints(0, 20)), ["-1", "-2", "5"]),

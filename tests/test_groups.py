@@ -434,6 +434,8 @@ class TestSylowData:
             sylow_data(250, 5)
         with pytest.raises(Unsupported):
             sylow_data(13, 5)
+        with pytest.raises(Unsupported, match="q must be prime, got 15"):
+            sylow_data(15, 7)  # F_15 does not exist
 
 
 def test_import_and_closure_load_only_the_standard_library():

@@ -15,8 +15,8 @@ from srt import (
 )
 from srt.cli import EXIT_OK, dispatch
 from srt.errors import PrecisionError, Unsupported
-from srt.localfield import PthPowerVerdict
-from srt.torsor import D_EXPONENT
+from srt.localfield import PthPowerVerdict, nth_root
+from srt.torsor import D_EXPONENT, insep_tail_catalog
 from srt.valuation import to_jsonable, vp
 
 
@@ -43,6 +43,25 @@ class TestRun:
         argv = ["--format", "text", "wild-monodromy", "--q", "499", "--p", "5"]
         assert dispatch(argv) == EXIT_OK
         assert "verdict: nontrivial" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize("q", [251, 499])
+    @pytest.mark.parametrize("r", [1, 2, 7])
+    def test_center_is_the_catalog_formula_by_the_root_engine(self, q, r):
+        """The pipeline builds d as a pi-power and the tail catalog names it
+        only as text: the catalog's d = 2(s/r)(5^(w+1)/s)^(2/5), its 5th root
+        taken by nth_root, is the pipeline's center."""
+        report = run_wild_monodromy(q, 5, r)
+        steps = {step["id"]: step["value"] for step in report.steps}
+        nu, s, w = report.inputs["nu"], report.inputs["s"], int(steps["v_sqrt"])
+        assert insep_tail_catalog(5, nu, "a=1", w)[0].center == (
+            f"a/(1-d^2), d = +-2(s/r)(5^{w + 1}/s)^(2/5)"
+        )
+        ctx = LocalFieldContext(5, N=5)
+        radicand = ctx.from_rational(Fraction(5 ** (w + 1), s) ** 2)
+        d = nth_root(radicand, 5) * Fraction(2 * s, r)
+        assert steps["center"] == repr(d)
+        if r == 7:
+            assert steps["center"] == "2/7*5^(7/5)"
 
 
 class TestPreconditions:

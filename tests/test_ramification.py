@@ -18,7 +18,7 @@ from srt.cli import EXIT_OK, dispatch
 from srt.ramification import PreconditionViolated
 
 import helpers
-from test_cli_digest import ROUNDS, SEED, _requests
+from test_cli_digest import PRIMES, ROUNDS, SEED, _requests
 
 
 class TestFiltration:
@@ -155,3 +155,40 @@ def test_digest_herbrand_draws_match_the_integral(capsys):
         assert Fraction(json.loads(capsys.readouterr().out)["value"]) == x
         directions.add(direction)
     assert directions == {"phi", "psi"}
+
+
+def test_digest_conductor_draws_match_the_filtrations(capsys):
+    """The `conductor --shape` requests that tests/test_cli_digest.py pins,
+    each printed value against the filtrations: tame-over-cyclotomic against
+    the conductor of cyclotomic_filtration(p, nu), for each p in the sweep
+    when --p is not given, and kummer-tower against the compositum of that
+    conductor with the Kummer step's jump p/(p-1). A draw without --nu, a
+    kummer-tower draw without --p and a Kummer tower at nu = 1 are refused."""
+    rng = random.Random(SEED)
+    draws = [
+        argv for _ in range(ROUNDS) for argv in _requests(rng)
+        if argv[0] == "conductor" and argv[1] == "--shape"
+    ]
+    answered = set()
+    for argv in draws:
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        shape = flags["--shape"]
+        code = dispatch(argv)
+        out = capsys.readouterr().out
+        if "--nu" not in flags or (shape == "kummer-tower" and "--p" not in flags):
+            assert code != EXIT_OK and not out
+            continue
+        nu = int(flags["--nu"])
+        if shape == "kummer-tower" and nu == 1:
+            assert code != EXIT_OK and not out
+            continue
+        assert code == EXIT_OK
+        value = Fraction(json.loads(out)["conductor"])
+        primes = [int(flags["--p"])] if "--p" in flags else PRIMES
+        for p in primes:
+            want = cyclotomic_filtration(p, nu).conductor()
+            if shape == "kummer-tower":
+                want = compositum_conductor([want, Fraction(p, p - 1)])
+            assert value == want
+        answered.add(shape)
+    assert answered == {"tame-over-cyclotomic", "kummer-tower"}
