@@ -68,7 +68,25 @@ class PrecisionError(SrtError, ArithmeticError):
 
 
 class NoNthRoot(SrtError, ArithmeticError):
-    pass
+    """No n-th root exists in the field. The filtration peel of the root
+    engine raises it with no message and the unit part it peeled as `unit`;
+    the message, which prints that unit, is built only when it is shown.
+    Any other refusal has a message and no unit."""
+
+    def __init__(self, *args, unit=None):
+        super().__init__(*args)
+        self.unit = unit
+
+    def __str__(self):
+        w = self.unit
+        if w is None:
+            return super().__str__()
+        p = w.ctx.p
+        # p/(p-1) is in lowest terms, as str(Fraction(p, p - 1)) prints it
+        return (
+            f"{w!r} is not a {p}-th power: y^{p} misses it at a level prime "
+            f"to {p} below {p}/{p - 1}"
+        )
 
 
 class ResourceLimit(SrtError, RuntimeError):

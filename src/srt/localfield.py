@@ -25,7 +25,8 @@ and stripped of p as it is read. Every other element, and every sum,
 difference, negation, product and truncation, is one sum of products
 (`element_dot`, the one kernel): x + y, x - y, -x and x * y dot (x, y) with
 the rationals (1, 1) and (1, -1), x with -1 and x with y. A rational operand
-is read as its one exact term, never built as an element. The dot takes its
+is read as its one exact term, never built as an element; -1, 0 and 1 are
+read as prebuilt terms, through an int type test. The dot takes its
 precision over all pairs first, then merges each product below it into its
 class of j mod N as it forms (the one merge loop), and hands the classes to
 `_canonicalize` once. A one-pair dot with a factor of one exact term
@@ -49,9 +50,14 @@ root. `sqrt_of_minus_one` takes its root there, and the power test reads its
 root from `nth_root`. An element at a finite precision stands for the ball
 of its lifts, and the peel reads only the levels below its precision, which
 every lift shares (Caruso; Caruso, Roe and Vaccon, Tracking p-adic
-precision, arXiv:1402.0142). A root that does not exist raises NoNthRoot; a root that the tracked precision cannot decide or
-fix raises PrecisionError. `is_pth_power` turns these into "no" and
-"undecidable", so its verdict holds on every lift.
+precision, arXiv:1402.0142). Each step does only the work its answer reads:
+the peel starts from an int alpha^p, and Newton's iteration inverts n*w only
+to the precision its steps read. A root that does not exist raises
+NoNthRoot; a root that the tracked precision cannot decide or fix raises
+PrecisionError. `is_pth_power` turns these into "no" and "undecidable", so
+its verdict holds on every lift; the peel's NoNthRoot carries the unit part
+it peeled, on which the "no" certificate is built, and forms its message
+only when it is shown.
 """
 from __future__ import annotations
 
@@ -198,6 +204,11 @@ def _rational_term(q, p, N, j=0):
     return ((j, (num, den)),)
 
 
+# the exact terms of the ints -1, 0 and 1, at index q + 1: the coefficients
+# of every sum, difference and negation, read without `_rational_term`
+_SMALL_TERMS = (((0, (-1, 1)),), (), ((0, (1, 1)),))
+
+
 def _canonicalize(p, N, classes, prec):
     """Canonical term dict of the sum of A/B * pi^j over the values
     (j, A, B) of `classes`, one per class of j mod N with B prime to p,
@@ -248,12 +259,16 @@ def element_dot(xs, ys, prec=None):
             if x.ctx is not ctx:
                 x0._check_ctx(x)
             a, xp = x._t.items(), x._prec
+        elif type(x) is int and -1 <= x <= 1:
+            a, xp = _SMALL_TERMS[x + 1], None
         else:
             a, xp = _rational_term(x, p, N), None
         if isinstance(y, LocalFieldElement):
             if y.ctx is not ctx:
                 x0._check_ctx(y)
             b, yp = y._t.items(), y._prec
+        elif type(y) is int and -1 <= y <= 1:
+            b, yp = _SMALL_TERMS[y + 1], None
         else:
             b, yp = _rational_term(y, p, N), None
         if (not a and xp is None) or (not b and yp is None):
@@ -564,7 +579,8 @@ def _digit(ctx, j, num, den):
 def _hensel_start(w):
     """The peel of the unit filtration, in the field of w: from y = alpha,
     the digit of the unit w at the integer level, to the state (y, w - y^p)
-    with v(w - y^p) > p/(p-1), which is Newton's start.
+    with v(w - y^p) > p/(p-1), which is Newton's start. The first difference
+    is w - alpha^p with alpha^p an int, read as one term by the dot.
 
     For i < N/(p-1), (1 + c*pi^i)^p = 1 + c^p*pi^(p*i) modulo higher terms,
     so the lowest term c*pi^k of w - y^p must have p | k, and adding the
@@ -573,14 +589,16 @@ def _hensel_start(w):
     (y + t*pi^(k-N))^p adds 2t*pi^k there, so t = c/2 mod p.
 
     Only the levels below the precision of w are known, and every lift of w
-    shares them: a known lowest level prime to p raises NoNthRoot, and a
-    peel that runs out of known levels at or below p/(p-1) raises
-    PrecisionError, since a lift may decide otherwise or the root not fix.
+    shares them: a known lowest level prime to p raises NoNthRoot, which
+    carries w as its unit and formats no message, and a peel that runs out
+    of known levels at or below p/(p-1) raises PrecisionError, since a lift
+    may decide otherwise or the root not fix.
     """
     ctx = w.ctx
     p, N = ctx.p, ctx.N
     y = _digit(ctx, 0, *w._t[0])
-    diff = w - y**p
+    # alpha^p is an int
+    diff = w - y._t[0][0] ** p
     while True:
         if not diff._t:
             # the Hensel level p/(p-1), compared with the precision pair of w
@@ -596,10 +614,7 @@ def _hensel_start(w):
             y = y + _digit(ctx, k - N, num, 2 * den)
             return y, w - y**p
         if k % p:
-            raise NoNthRoot(
-                f"{w!r} is not a {p}-th power: y^{p} misses it at a level prime "
-                f"to {p} below {Fraction(p, p - 1)}"
-            )
+            raise NoNthRoot(unit=w)
         y = y + _digit(ctx, k // p, num, den)
         diff = w - y**p
 
@@ -614,6 +629,12 @@ def _newton(w, y, diff, n, prec):
     to at least min(2 v(e), n v(e) - v(n)); this exceeds v(e) exactly when
     v(e) > v(n)/(p-1), so the error grows every step and, once past 1,
     doubles. The iteration stops when that bound reaches prec.
+
+    d is read modulo p^prec, so 1/(n*w) is inverted once, to the relative
+    precision prec - v(d_1) of the first step's d_1 = diff/(n*w): an error
+    eps in it moves y by d*eps, of valuation at least v(d) + prec - v(d_1)
+    >= prec, since v(d) only grows from step to step. When that relative
+    precision is not positive, y is the root to prec already.
     """
     ctx = w.ctx
     N = ctx.N
@@ -622,9 +643,17 @@ def _newton(w, y, diff, n, prec):
     # d modulo p^prec needs diff and w modulo p^(prec + v(n))
     wide = (pn + vn * pd, pd)
     w = w.truncate(wide)
-    c = (w * n).inverse()
+    diff = diff.truncate(wide)
+    if not diff._t:
+        return y.truncate(prec)
+    # the relative precision prec - v(d_1), v(d_1) = v(diff) - v(n)
+    rel = _add_prec(prec, (vn * N - next(iter(diff._t)), N), N)
+    if rel[0] <= 0:
+        return y.truncate(prec)
+    # w is a unit: its precision is its relative precision
+    c = (w.truncate(rel) * n).inverse()
     while True:
-        d = diff.truncate(wide) * c
+        d = diff * c
         if not d._t:
             return y.truncate(prec)
         # v(d) = e/N
@@ -633,6 +662,7 @@ def _newton(w, y, diff, n, prec):
         y = LocalFieldElement._make(ctx, element_dot((y, y), (1, d))._t, None)
         if min(2 * e, n * e - vn * N) * pd >= pn * N:
             return y.truncate(prec)
+        # known at most to the precision of w, so at most to wide
         diff = w - y.truncate(wide) ** n
 
 
@@ -803,7 +833,8 @@ def is_pth_power(x):
 
     Returns a PthPowerVerdict. A valuation not divisible by p, or NoNthRoot
     from `nth_root`, gives "no" with a valuation obstruction or a congruence
-    certificate read off w; PrecisionError from `nth_root` gives
+    certificate read off w, the unit part that the peel's NoNthRoot carries,
+    so w is formed once; PrecisionError from `nth_root` gives
     "undecidable" with its reason. A certificate names only digits of w that
     x determines. The root of a yes-verdict is exact when x is an exact
     rational p-th power or the p-th power of the peel's start; otherwise its
@@ -829,8 +860,9 @@ def is_pth_power(x):
         )
     try:
         root = nth_root(x, p)
-    except NoNthRoot:
-        return PthPowerVerdict("no", certificate=_no_certificate(x * _pi(ctx, -j0)))
+    except NoNthRoot as exc:
+        # the peel's refusal carries the unit part it peeled
+        return PthPowerVerdict("no", certificate=_no_certificate(exc.unit))
     except PrecisionError as exc:
         return PthPowerVerdict("undecidable", certificate={"reason": str(exc)})
     return PthPowerVerdict("yes", root=root)

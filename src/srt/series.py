@@ -34,7 +34,7 @@ from .errors import (
     TruncationUnderflow,
     Unsupported,
 )
-from .localfield import LocalFieldElement, element_dot
+from .localfield import LocalFieldElement, _rational_term, element_dot
 from .valuation import ExtendedRational, is_prime, power, vp
 
 
@@ -260,9 +260,15 @@ class TruncatedSeries:
         """Sum of the series at a local-field point x with v(x) > 0, cut to
         the precision the tail bound certifies for the dropped terms.
 
-        The powers x^i are element products; the sum of the c_i * x^i is one
-        dot, canonicalized once at the least of that floor and each part's
-        precision (`element_dot`)."""
+        The sum of the c_i * x^i is one dot, canonicalized once at the least
+        of that floor and each part's precision (`element_dot`). It gets only
+        the live pairs: a pair whose c_i is exact 0, or has a lowest term
+        with v(c_i) + i*v(x) >= floor, adds no term below the floor, and its
+        precision bound min(prec(c_i) + v(x^i), prec(x^i) + v(c_i)) exceeds
+        that valuation, so leaving it out changes neither the terms nor the
+        precision. A c_i that is zero to its precision stays, since it may
+        set the precision. Each rational c_i is read as its term once, and
+        the powers x^i are element products up to the last live pair."""
         if not isinstance(x, LocalFieldElement):
             raise PreconditionViolated(
                 f"evaluation needs a local-field point, got {type(x).__name__}"
@@ -273,10 +279,37 @@ class TruncatedSeries:
         floor = self.tail_floor(vx.as_fraction())
         if floor is None:
             raise TruncationUnderflow("no tail bound available to certify the dropped terms")
-        powers = [x.ctx.one()]
-        for _ in range(self.order):
-            powers.append(powers[-1] * x)
-        return element_dot(powers, self.coefficients, floor)
+        ctx = x.ctx
+        p, N = ctx.p, ctx.N
+        # on the exponents j of pi^j: v(x) = jx/N, and ceil(floor*N)
+        jx = next(iter(x._t))
+        jfloor = -(-floor.numerator * N // floor.denominator)
+        powers, coefficients = [], []
+        power, k = ctx.one(), 0
+        for i, c in enumerate(self.coefficients):
+            if isinstance(c, LocalFieldElement):
+                if c.ctx is not ctx:
+                    x._check_ctx(c)
+                t = c._t
+                if not t and c._prec is None:
+                    continue
+            else:
+                # the rational's one exact term, read once
+                t = dict(_rational_term(c, p, N))
+                if not t:
+                    continue
+                c = LocalFieldElement._make(ctx, t, None)
+            # a lowest term at or above the floor: the pair adds nothing; a c
+            # that is zero to its precision stays
+            if t and next(iter(t)) + i * jx >= jfloor:
+                continue
+            while k < i:
+                power, k = power * x, k + 1
+            powers.append(power)
+            coefficients.append(c)
+        if not powers:
+            return ctx.zero(floor)
+        return element_dot(powers, coefficients, floor)
 
 
 def maclaurin_g(params, T=None):

@@ -7,6 +7,13 @@ byte of an answer unnoticed. The grid holds refusals too (r or s out of
 range, a forced branch, a degenerate cover, T < 1): their stdout is empty
 and their exit code is pinned.
 
+The digest detects a change, not a wrong answer. The oracle is
+`helpers.binomial_reference`, the truncated product of the binomial
+expansions of the four factors of g, with no srt import: a seeded sample of
+the grid's JSON requests is checked against it, coefficient by coefficient,
+and their valuations against `helpers.vp_fraction`; a refusal in the sample
+is checked against the cover's stated preconditions.
+
 If the output is meant to change, regenerate the digest with
 ``PYTHONPATH=src python tests/test_expand_digest.py`` and say why in CHANGES.md.
 """
@@ -14,7 +21,10 @@ import contextlib
 import hashlib
 import io
 import json
+import random
+from fractions import Fraction
 
+from helpers import binomial_reference, vp_fraction
 from srt.cli import dispatch
 
 EXPECTED_DIGEST = "d8371f5926c33eda93fc9b8d7285ec05f0e0a47358ffd1f190fb3f5c7c4dc67b"
@@ -44,14 +54,20 @@ def _grid():
         ]
 
 
+def _run(argv):
+    """(exit code, stdout) of one request."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(argv)
+    return code, out.getvalue()
+
+
 def _digest():
     h = hashlib.sha256()
     n = 0
     for argv in _grid():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            code = dispatch(argv)
-        h.update(json.dumps([argv, code, out.getvalue()]).encode())
+        code, out = _run(argv)
+        h.update(json.dumps([argv, code, out]).encode())
         h.update(b"\n")
         n += 1
     return h.hexdigest(), n
@@ -61,6 +77,47 @@ def test_expand_grid_is_byte_identical():
     digest, n = _digest()
     assert n == EXPECTED_REQUESTS
     assert digest == EXPECTED_DIGEST
+
+
+def _refused(p, nu, r, s, c, T):
+    """Whether the cover's preconditions refuse the request: r and s in
+    (0, p^nu), the branch c = -s/r that a = 1 - (s/r)^2 forces, c = 0, a
+    constant cover (c = -1 with r = s), or T < 1."""
+    forced = 1 - c * c == 1 - Fraction(s, r) ** 2 and c != Fraction(-s, r)
+    return (
+        not (0 < r < p**nu and 0 < s < p**nu)
+        or forced
+        or c == 0
+        or (c == -1 and r == s)
+        or T < 1
+    )
+
+
+def test_a_seeded_sample_of_the_grid_matches_the_binomial_product():
+    requests = [argv for argv in _grid() if argv[0] == "expand"]
+    for argv in random.Random("expand-oracle").sample(requests, 40):
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        code, out = _run(argv)
+        value = flags.get("--sqrt1ma", "")
+        if value.startswith("-") and "/" in value:
+            # argparse takes "-5/9" for an option, not for the value of
+            # --sqrt1ma; only a negative int or decimal passes as a value
+            assert (code, out) == (1, ""), argv
+            continue
+        p, nu, r, s = (int(flags[k]) for k in ("--p", "--nu", "--r", "--s"))
+        c = Fraction(flags.get("--sqrt1ma", Fraction(-s, r)))
+        T = int(flags.get("--T", 3 * p + 2))
+        if _refused(p, nu, r, s, c, T):
+            assert (code, out) == (1, ""), argv
+            continue
+        assert code == 0, argv
+        answer = json.loads(out)
+        # g = ((z+1)/(z-1))^r ((z+c)/(z-c))^s at 0
+        want = binomial_reference([(-1, r), (1, -r), (-c, s), (c, -s)], Fraction(0), T)
+        assert answer["coefficients"] == [str(x) for x in want], argv
+        assert answer["valuations"] == [
+            str(vp_fraction(x, p)) if x else "inf" for x in want[1:]
+        ], argv
 
 
 if __name__ == "__main__":

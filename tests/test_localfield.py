@@ -226,12 +226,15 @@ class TestArithmeticAgainstOracle:
         1/u of the exact unit u = 1 + pi + pi^2 to relative precision 20
         takes 7 Newton steps from v(1 - u*y) = 1/5, each of two dots (the
         error 1 - u*y and y + y*err); with the first error that is 15
-        canonicalizations. Its fifth root from u^5 takes 49: 1 for the
-        peel's first difference w - alpha^5, 5 for its one step (y + digit,
-        the three products of y^5 and the difference), 11 for the inverse
-        of 5w (its first error and 5 steps), and 32 for 6 Newton steps, each
-        one product d = diff * c and one dot y + y*d, and in the 5 that go
-        on the three products of y^5 and the difference."""
+        canonicalizations. Its fifth root from u^5 takes 47: 1 for the
+        peel's first difference w - alpha^5, with alpha^5 an int, 5 for its
+        one step (y + digit, the three products of y^5 and the difference),
+        9 for the inverse of 5w (its first error and 4 steps), and 32 for 6
+        Newton steps, each one product d = diff * c and one dot y + y*d, and
+        in the 5 that go on the three products of y^5 and the difference.
+        The steps read d modulo p^19 and v(d_1) = v(w - y^5) - 1 = 2/5, so
+        the inverse of 5w is taken to relative precision 19 - 2/5 = 93/5,
+        not to 20, the precision w is cut to: one Newton step less."""
         ctx = LocalFieldContext(5, N=5, M=20)
         u = LocalFieldElement(ctx, [(0, 1), (Fraction(1, 5), 1), (Fraction(2, 5), 1)])
         fifth = u**5
@@ -247,7 +250,7 @@ class TestArithmeticAgainstOracle:
         inverse_calls = len(calls)
         root = nth_root(fifth, 5)
         monkeypatch.undo()
-        assert (inverse_calls, len(calls) - inverse_calls) == (15, 49)
+        assert (inverse_calls, len(calls) - inverse_calls) == (15, 47)
         assert y.prec == 20 and (u * y - 1).valuation_lower_bound() >= 20
         assert root == u.truncate(19)
 
@@ -409,6 +412,92 @@ class TestPnthRoot:
                 L = int(5 * root.prec)
                 assert pi_digits(digits - y, L) == (0,) * L
                 assert pi_digits(digits**5 - y**5, L + 5) == (0,) * (L + 5)
+
+
+class TestNoNthRootPayload:
+    """The peel's NoNthRoot carries the unit part it peeled, and its text,
+    built only when it is shown, is the peel's message as it always was:
+    the local-field digest records type(exc).__name__ and str(exc), and the
+    CLI digest pins it on tail-center's stderr."""
+
+    @staticmethod
+    def peel_message(w):
+        p = w.ctx.p
+        return (
+            f"{w!r} is not a {p}-th power: y^{p} misses it at a level prime "
+            f"to {p} below {Fraction(p, p - 1)}"
+        )
+
+    def test_the_peel_carries_the_unit_part(self):
+        ctx = ctx5()
+        x = ctx.pi_power(Fraction(2), 6)  # 6 * 5^2 = (1 + 5) * 5^2
+        with pytest.raises(NoNthRoot) as info:
+            nth_root(x, 5)
+        unit = info.value.unit
+        assert unit == x * ctx.pi_power(-2) == ctx.from_rational(6)
+        assert info.value.args == ()
+        assert str(info.value) == self.peel_message(unit)
+
+    def test_seeded_peel_refusals_keep_their_type_and_text(self):
+        rng = random.Random(37)
+        refusals = 0
+        for _ in range(300):
+            p = rng.choice((3, 5, 7))
+            ctx = LocalFieldContext(p, N=rng.choice((1, 2, p, 2 * p)), M=rng.choice((3, 6)))
+            N = ctx.N
+            v = Fraction(p * rng.randint(-2, 2), N)
+            pairs = [(v, rng.randint(1, 200) * rng.choice((1, -1)))] + [
+                (v + Fraction(rng.randint(1, 3 * N), N), rng.randint(-50, 50))
+                for _ in range(rng.randint(1, 3))
+            ]
+            x = LocalFieldElement(ctx, pairs, rng.choice((None, v + rng.randint(1, 4))))
+            try:
+                nth_root(x, p)
+            except NoNthRoot as exc:
+                if exc.unit is None:
+                    continue
+                refusals += 1
+                w = x * ctx.pi_power(-x.valuation().as_fraction())
+                assert type(exc).__name__ == "NoNthRoot"
+                assert exc.unit == w
+                assert str(exc) == self.peel_message(w)
+            except PrecisionError:
+                pass
+        assert refusals > 50
+
+    def test_is_pth_power_forms_the_unit_part_once(self, monkeypatch):
+        # a "no" verdict shifts x to its unit part once, inside nth_root, and
+        # builds its certificate on the unit that NoNthRoot hands back
+        ctx = ctx5()
+        x = ctx.pi_power(Fraction(2), 6, prec=8)
+        shifts = []
+        pi = srt.localfield._pi
+
+        def counting(ctx, j):
+            shifts.append(j)
+            return pi(ctx, j)
+
+        monkeypatch.setattr(srt.localfield, "_pi", counting)
+        verdict = is_pth_power(x)
+        monkeypatch.undo()
+        assert shifts == [-10]
+        assert verdict.kind == "no"
+        assert verdict.certificate == srt.localfield._no_certificate(ctx.from_rational(6, prec=6))
+
+    def test_other_refusals_carry_no_unit(self):
+        # the m-th root's residue test and the valuation test have messages
+        # of their own and no unit
+        ctx = ctx5()
+        with pytest.raises(NoNthRoot) as info:
+            nth_root(ctx.from_rational(2), 2)
+        assert info.value.unit is None
+        assert str(info.value) == "2 has no 2-th root: 2 is no 2-th power mod 5"
+        with pytest.raises(NoNthRoot) as info:
+            nth_root(ctx.pi_power(Fraction(1, 5)), 5)
+        assert info.value.unit is None
+        assert str(info.value) == (
+            "valuation 1/5 is not divisible by 5 within ramification index 5"
+        )
 
 
 class TestIsPthPower:

@@ -505,6 +505,56 @@ class TestLifts:
             assert not (value - got).terms
 
 
+@st.composite
+def cut_evaluations(draw):
+    """(series, x) of `evaluations` with some coefficients replaced by a
+    rational or an element far above the floor, an exact zero (0 or the
+    element) or an element that is zero to a precision."""
+    series, x = draw(evaluations())
+    ctx = x.ctx
+    p, N = ctx.p, ctx.N
+    coefficients = list(series.coefficients)
+    for i in range(len(coefficients)):
+        kind = draw(st.sampled_from(["keep", "keep", "high", "high", "zero", "exact zero", "ball"]))
+        high = draw(st.integers(0, 12))
+        unit = draw(st.integers(1, 30).filter(lambda u: u % p))
+        if kind == "high" and draw(st.booleans()):
+            coefficients[i] = Fraction(unit * p**high, draw(st.integers(1, 4).filter(lambda d: d % p)))
+        elif kind == "high":
+            e = Fraction(high * N + draw(st.integers(0, N - 1)), N)
+            prec = draw(st.sampled_from([None, e + 1, e + Fraction(1, N)]))
+            coefficients[i] = ctx.pi_power(e, unit, prec)
+        elif kind == "zero":
+            coefficients[i] = draw(st.sampled_from([0, Fraction(0)]))
+        elif kind == "exact zero":
+            coefficients[i] = ctx.zero()
+        elif kind == "ball":
+            coefficients[i] = ctx.zero(Fraction(draw(st.integers(-N, 8 * N)), N))
+    return TruncatedSeries(coefficients, series.tail_bound, series.p), x
+
+
+class TestEvaluation:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cut_evaluations())
+    def test_evaluation_is_the_dot_of_every_pair(self, case):
+        """`evaluate` hands the dot only the pairs below the floor; the dot
+        of every pair c_i * x^i, i = 0..T, at the floor is the reference,
+        in the term dict and the precision pair alike."""
+        series, x = case
+        floor = series.tail_floor(min(x.terms))
+        if floor is None:
+            with pytest.raises(TruncationUnderflow, match="no tail bound"):
+                series.evaluate(x)
+            return
+        powers = [x.ctx.one()]
+        for _ in range(series.order):
+            powers.append(powers[-1] * x)
+        want = element_dot(powers, series.coefficients, floor)
+        got = series.evaluate(x)
+        assert got._t == want._t
+        assert got._prec == want._prec
+
+
 PRIMES = (3, 5, 7, 11)
 
 

@@ -363,6 +363,13 @@ class TestTruncatedSeries:
             g.evaluate(Fraction(5, 3))
         with pytest.raises(ContextError, match="prime mismatch"):
             g.evaluate(LocalFieldContext(7, N=1).from_rational(7))
+        # a coefficient of another field is refused, also one far above the
+        # floor, whose pair the sum leaves out
+        x = LocalFieldContext(5, N=1).pi_power(1)
+        for c in (LocalFieldContext(5, N=2).pi_power(40), LocalFieldContext(5, N=2).zero()):
+            series = TruncatedSeries([Fraction(1), c], tail_bound=(Fraction(0), Fraction(0)))
+            with pytest.raises(ContextError, match="context mismatch"):
+                series.evaluate(x)
 
     def test_evaluate_without_a_prime_reads_the_point_prime(self):
         # no p= given: v(x) is read over the point's own prime, and the
@@ -421,13 +428,17 @@ class TestTruncatedSeries:
             with pytest.raises(TruncationUnderflow, match="no tail bound"):
                 TruncatedSeries(coefficients, tail_bound=bound).evaluate(x)
         assert products == [] and dots == []
-        TruncatedSeries(coefficients, tail_bound=(Fraction(0), Fraction(0))).evaluate(x)
-        # the powers x^1..x^7, then one dot of the powers with c_0..c_7
-        assert len(products) == 7
-        assert len(dots) == 1
+        value = TruncatedSeries(coefficients, tail_bound=(Fraction(0), Fraction(0))).evaluate(x)
+        # the floor is 4 = 8 - bitlen(8), and v(c_i) + i = v_5(i + 1) + i
+        # reaches it at i = 4: the powers x^1..x^3, then one dot of the
+        # powers with c_0..c_3
+        monkeypatch.undo()
+        assert len(products) == 3
+        assert [len(xs) for xs, _ in dots] == [4]
         # every power of a one-term x is one term, so only the dot merges
-        # terms, once; Horner's rule would merge at each of 7 steps
+        # terms, once; Horner's rule would merge at each step
         assert len(merges) == 1
+        assert value == LocalFieldElement(ctx, [(k, k + 1) for k in range(4)], 4)
 
 
 class TestValuationHelpers:
