@@ -13,11 +13,15 @@ precision derived from a proven lower bound on the dropped coefficients.
 In every coefficient ring the Taylor coefficients come from the linear
 recurrence of the ODE P*g' = Q*g that g satisfies, after one linear-factor
 update per root builds P and Q (_recurrence_coefficients). Over Q it runs on
-integers and builds one Fraction per coefficient at the end. In Q(i) and the
-local field each coefficient Q_{j-1} - m P_j of a step is one dot, and so is
-the step's sum against g; `element_dot` canonicalizes a dot once. On
-finite-precision elements each product lowers the recorded precision by what
-it costs, so no coefficient claims more precision than it has.
+integers and builds one Fraction per coefficient at the end. Its start
+g_0 = prod (-b)^m over the shifted roots b sums the exponents of each |b|
+before raising anything: the roots +-1 and +-c of g come in pairs whose
+exponents cancel, so g(0) = (-1)^(r+s) costs no power of size s^s r^s. In
+Q(i) and the local field each coefficient Q_{j-1} - m P_j of a step is one
+dot, and so is the step's sum against g; `element_dot` canonicalizes a dot
+once. On finite-precision elements each product lowers the recorded
+precision by what it costs, so no coefficient claims more precision than it
+has.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from .errors import (
     Unsupported,
 )
 from .localfield import LocalFieldElement, _rational_term, element_dot
-from .valuation import ExtendedRational, is_prime, power, vp
+from .valuation import INFINITY, ExtendedRational, _vp_count, is_prime, power, vp
 
 
 class GaussRational:
@@ -362,17 +366,21 @@ def _recurrence_coefficients(factors, center, T):
     the center is not a root; repeated roots need no special case. In every
     ring one pass over b_i = u_i/v_i builds Q <- Q (v t - u) + m v P and
     P <- P (v t - u), v = 1 outside Q, in O(n^2) ring operations. Over Q, P
-    and Q are integers scaled by prod v_i, g_0 is one Fraction, and the
-    recurrence runs on integers (_rational_coefficients). In Q(i) and the
-    local field an update entry is one dot, a coefficient Q_{j-1} - m P_j one
-    dot against the rationals (1, -m), and the step's sum one dot of those
-    with g, times 1/P_0, inverted once, and the rational 1/(k+1); the local
-    field reads each rational as one term (`element_dot`).
+    and Q are integers scaled by prod v_i and the recurrence runs on integers
+    (_rational_coefficients). There g_0 is the sign, -1 per factor with
+    -b_i < 0 and m_i odd, times |b|^e for each distinct |b| whose exponents
+    m_i sum to e != 0: a base is raised once, after its exponents cancel, so
+    a pair of roots b and -b with opposite exponents, as g has at 0, costs
+    nothing however large m is. In Q(i) and the local field an update entry
+    is one dot, a coefficient Q_{j-1} - m P_j one dot against the rationals
+    (1, -m), and the step's sum one dot of those with g, times 1/P_0,
+    inverted once, and the rational 1/(k+1); the local field reads each
+    rational as one term (`element_dot`).
     """
     factors = list(factors)
     one = _ring_one(center, *(root for root, _ in factors))
     if isinstance(one, Fraction):
-        P, Q, L, num, den = [1], [], 1, 1, 1
+        P, Q, L, exponents, negative = [1], [], 1, {}, False
         for root, m in factors:
             b = root - center
             _refuse_root_center(b, root, center)
@@ -380,9 +388,15 @@ def _recurrence_coefficients(factors, center, T):
             Q = [v * x - u * y + m * v * z for x, y, z in zip([0] + Q, Q + [0], P)]
             P = [v * x - u * y for x, y in zip([0] + P, P + [0])]
             L = math.lcm(L, u)
-            num *= (-u) ** m if m >= 0 else v**-m
-            den *= v**m if m >= 0 else (-u) ** -m
-        return _rational_coefficients(P, Q, L, Fraction(num, den), T)
+            base = abs(b)
+            exponents[base] = exponents.get(base, 0) + m
+            # (-b)^m is negative when -b < 0 and m is odd
+            negative ^= u > 0 and m % 2 == 1
+        g0 = Fraction(-1 if negative else 1)
+        for base, e in exponents.items():
+            if e:
+                g0 *= base**e
+        return _rational_coefficients(P, Q, L, g0, T)
     # refuse each root at the center before an inverse fails on a near one
     shifted = []
     for root, m in factors:
@@ -474,14 +488,20 @@ def _ring_one(*xs):
 
 def scaled_coefficient_valuations(series, p, v_e):
     """v(c_i) = v(coefficient i) + i*v(e) for a homogeneous rescaling with a
-    scale of known valuation v_e = n/d; a finite a/b + i*n/d is built as the
-    one Fraction (a*d + i*n*b) / (b*d)."""
+    scale of known valuation v_e = n/d. A rational coefficient's valuation
+    is read as its int count a of p's, and a + i*n/d is built as the one
+    Fraction (a*d + i*n) / d; a finite a/b from a Q(i) or local-field
+    coefficient is built as (a*d + i*n*b) / (b*d)."""
     n, d = Fraction(v_e).as_integer_ratio()
     out = []
     for i, c in enumerate(series.coefficients[1:], 1):
-        v = element_valuation(c, p)
-        if not v.is_infinite:
-            a, b = v.value.as_integer_ratio()
-            v = ExtendedRational(Fraction(a * d + i * n * b, b * d))
+        if isinstance(c, (LocalFieldElement, GaussRational)):
+            v = element_valuation(c, p)
+            if not v.is_infinite:
+                a, b = v.value.as_integer_ratio()
+                v = ExtendedRational(Fraction(a * d + i * n * b, b * d))
+        else:
+            a = _vp_count(c, p)
+            v = INFINITY if a is None else ExtendedRational(Fraction(a * d + i * n, d))
         out.append(v)
     return out

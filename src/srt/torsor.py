@@ -17,7 +17,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .localfield import LocalFieldContext, nth_root
-from .valuation import INFINITY, ExtendedRational, vp
+from .valuation import INFINITY, ExtendedRational, _value, vp
 
 
 GENERIC = "generic"
@@ -48,18 +48,33 @@ class SplitVerdict:
     evidence: dict = field(default_factory=dict)
 
 
-def _positive_criterion(vals, p, theta):
+def _over_common_denominator(values, theta):
+    """The finite values (ints or Fractions, None for infinity) and theta as
+    the ints D*v and D*theta, D the lcm of their denominators; None stays
+    None. Comparing these ints orders the values as the rationals do."""
+    D = math.lcm(theta.denominator, *(v.denominator for v in values if v is not None))
+    scaled = [None if v is None else v.numerator * (D // v.denominator) for v in values]
+    return scaled, theta.numerator * (D // theta.denominator)
+
+
+def _positive_criterion(w, p, t):
     """Unique prime-to-p index sigma <= p at exactly the threshold, all other
-    indices strictly above it."""
-    hits = [i for i, v in vals.items() if v == theta]
+    indices strictly above it; on the valuations w_1, w_2, ... and the
+    threshold t of _over_common_denominator."""
+    hits = [i for i, x in enumerate(w, 1) if x == t]
     if len(hits) != 1:
         return None
     sigma = hits[0]
     if sigma % p == 0 or sigma > p:
         return None
-    if any(not v > theta for i, v in vals.items() if i != sigma):
+    # the one hit is the only index at t, so the others must not fall below
+    if any(x is not None and x < t for x in w):
         return None
     return sigma
+
+
+def _extended(v):
+    return v if isinstance(v, ExtendedRational) else ExtendedRational(v)
 
 
 def splitting_obstruction(vals, p, n, c1=None, cp=None):
@@ -73,17 +88,22 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None):
 
     Returns:
         SplitVerdict.
+
+    The threshold theta = n + 1/(p-1) and every finite v(c_i) are compared
+    as ints over one common denominator, the lcm of theta's and theirs, with
+    None for infinity. Evidence reports the caller's valuations as
+    ExtendedRationals. The borderline case v(c_p) <= theta, reached at most
+    once a call, does its arithmetic on ExtendedRationals.
     """
     T = len(vals)
     if T < p:
         raise InsufficientData(f"need coefficient valuations up to i = {p}, got {T}")
-    vals = {
-        i + 1: v if isinstance(v, ExtendedRational) else ExtendedRational(v)
-        for i, v in enumerate(vals)
-    }
+    # ExtendedRational(None) is infinity, so None is read as infinity here too
+    values = [None if v is None else _value(v) for v in vals]
     theta = Fraction(n) + Fraction(1, p - 1)
-    for i, v in vals.items():
-        if i > p and i % p == 0 and not v > theta:
+    w, t = _over_common_denominator(values, theta)
+    for i in range(2 * p, T + 1, p):
+        if w[i - 1] is not None and w[i - 1] <= t:
             return SplitVerdict(
                 "Inconclusive",
                 evidence={
@@ -91,27 +111,33 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None):
                     f"p-divisible index {i}",
                 },
             )
-    v_p = vals[p]
-    bound = min(v_p, ExtendedRational(theta))
-    for i, v in vals.items():
-        if i != p and v < bound:
+    w_p = w[p - 1]
+    bound = t if w_p is None else min(w_p, t)
+    for i, x in enumerate(w, 1):
+        if i != p and x is not None and x < bound:
             return SplitVerdict(
                 "ObstructedByConditionI",
-                evidence={"witness_index": str(i), "valuation": v, "threshold": theta},
+                evidence={
+                    "witness_index": str(i),
+                    "valuation": _extended(vals[i - 1]),
+                    "threshold": theta,
+                },
             )
-    if v_p > theta:
-        sigma = _positive_criterion(vals, p, theta)
+    if w_p is None or w_p > t:
+        sigma = _positive_criterion(w, p, t)
         if sigma is not None:
             return SplitVerdict(
                 "SplitsWithConductor",
                 conductor=Fraction(sigma),
-                evidence={"threshold": theta, "v_c_sigma": vals[sigma]},
+                evidence={"threshold": theta, "v_c_sigma": _extended(vals[sigma - 1])},
             )
         return SplitVerdict(
             "Inconclusive",
             evidence={"reason": "no unique prime-to-p index at the threshold"},
         )
     # borderline: v(c_p) <= theta; absorb the p-th-root part of c_p into c_1
+    vals = {i: _extended(v) for i, v in enumerate(vals, 1)}
+    v_p = vals[p]
     floor = Fraction(n) - Fraction(p - 2, 2 * (p - 1))
     if not v_p > floor:
         return SplitVerdict(
@@ -164,7 +190,8 @@ def _absorbed_verdict(vals, p, n, theta, v1_new, v_root, v_p_new=None):
         # the twist contributes binom(p^n, k) eta^k at index k
         contribution = Fraction(n) * (1 - k) + v_root * k
         new_vals[k] = min(new_vals[k], contribution)
-    sigma = _positive_criterion(new_vals, p, theta)
+    w, t = _over_common_denominator([v.value for v in new_vals.values()], theta)
+    sigma = _positive_criterion(w, p, t)
     if sigma is not None:
         return SplitVerdict(
             "SplitsWithConductor",

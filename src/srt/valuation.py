@@ -122,13 +122,20 @@ def vp(x, p) -> ExtendedRational:
     Returns:
         ExtendedRational; INFINITY for x = 0.
     """
+    v = _vp_count(x, p)
+    return INFINITY if v is None else ExtendedRational(v)
+
+
+def _vp_count(x, p):
+    """vp(x, p) as the int count of p's it is, or None for x = 0: the
+    p-stripping loop behind vp, for a caller that builds its own value."""
     if p < 2:
         raise PreconditionViolated(f"p must be a prime >= 2, got {p}")
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     num = x.numerator
     if not num:
-        return INFINITY
+        return None
     v = 0
     den = x.denominator
     while num % p == 0:
@@ -137,7 +144,7 @@ def vp(x, p) -> ExtendedRational:
     while den % p == 0:
         den //= p
         v -= 1
-    return ExtendedRational(v)
+    return v
 
 
 def multinomial(q, parts):

@@ -7,8 +7,8 @@ of degree < n in the uniformizer pi, with pi^n = p.  The valuation is
 normalized so v(p) = 1, hence v(pi) = 1/n.  Beside it: the table of p-th
 powers modulo pi^L, Herbrand's functions of the cyclotomic filtration as
 integrals of its step function, the etale-tail configurations by brute
-force, and SL2(F_q) as a list of 4-tuples with orders by repeated
-multiplication.
+force, SL2(F_q) as a list of 4-tuples with orders by repeated
+multiplication, and the torsor splitting criterion on Fraction valuations.
 """
 from __future__ import annotations
 
@@ -58,6 +58,48 @@ def binomial_reference(factors, center, T):
             for k in range(T + 1)
         ]
     return out
+
+
+def splitting_reference(vals, p, n):
+    """The splitting criterion at level n on v(c_1), ..., v(c_T), given as
+    Fractions with None for infinity, compared as Fractions. Returns the
+    verdict's JSON as a dict (verdict, conductor when it splits, evidence
+    with every value a string), or None when v(c_p) <= theta, the borderline
+    case this reference leaves out."""
+
+    def above(v, x):
+        return v is None or v > x
+
+    theta = Fraction(n) + Fraction(1, p - 1)
+    indexed = list(enumerate(vals, 1))
+    for i, v in indexed:
+        if i > p and i % p == 0 and not above(v, theta):
+            reason = f"hypothesis v(c_{i}) > {theta} fails for the p-divisible index {i}"
+            return {"verdict": "Inconclusive", "evidence": {"reason": reason}}
+    v_p = vals[p - 1]
+    bound = theta if v_p is None else min(v_p, theta)
+    for i, v in indexed:
+        if i != p and v is not None and v < bound:
+            return {
+                "verdict": "ObstructedByConditionI",
+                "evidence": {"witness_index": str(i), "valuation": str(v), "threshold": str(theta)},
+            }
+    if not above(v_p, theta):
+        return None
+    hits = [i for i, v in indexed if v == theta]
+    if (
+        len(hits) == 1
+        and hits[0] % p != 0
+        and hits[0] <= p
+        and all(above(v, theta) for i, v in indexed if i != hits[0])
+    ):
+        return {
+            "verdict": "SplitsWithConductor",
+            "conductor": str(hits[0]),
+            "evidence": {"threshold": str(theta), "v_c_sigma": str(theta)},
+        }
+    reason = "no unique prime-to-p index at the threshold"
+    return {"verdict": "Inconclusive", "evidence": {"reason": reason}}
 
 
 def rational_mod(x, m, p):

@@ -208,6 +208,18 @@ class TestMaclaurin:
         assert time.perf_counter() - t0 < 2
         assert series.order == 12000
 
+    def test_large_s_expand_is_fast(self, capsys):
+        # g(0) = (-1)^(r+s) from exponents that cancel: a product of powers
+        # (s/r)^s, about 19 million bits here, took 27 s on a 2-core box
+        r, s = 1, 1953124
+        argv = ["expand", "--p", "5", "--nu", "9", "--r", str(r), "--s", str(s),
+                "--T", "3"]
+        t0 = time.perf_counter()
+        assert dispatch(argv) == EXIT_OK
+        assert time.perf_counter() - t0 < 2
+        out = json.loads(capsys.readouterr().out)
+        assert Fraction(out["coefficients"][0]) == (-1) ** (r + s)
+
     def test_inexact_integer_step_is_an_internal_error(self):
         # L = 2 from a shifted root 2 does not clear the root 3 of P = t - 3:
         # the first step leaves a remainder, which is a bug, not a user error

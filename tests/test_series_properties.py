@@ -91,6 +91,36 @@ def test_shifted_numerators_with_a_common_factor(center, g, shifts, T):
 
 
 @st.composite
+def mirrored_expansions(draw):
+    """(factors, center, T) whose shifted roots b = root - center come with
+    their mirrors: (b, m) beside (b, -m), (-b, m), (-b, -m) or (-b, m + 1),
+    so exponents of one |b| cancel in full or in part, with odd and even m
+    and either sign of b. A base may repeat, and its exponents may be closed
+    to sum to 0."""
+    center = draw(centers)
+    shifted = []
+    for b in draw(st.lists(rationals.filter(bool), min_size=1, max_size=3)):
+        ms = draw(st.lists(exponents, min_size=1, max_size=3))
+        for m in ms:
+            shifted.append((b, m))
+            mirror = draw(st.sampled_from([None, (b, -m), (-b, m), (-b, -m), (-b, m + 1)]))
+            if mirror is not None:
+                shifted.append(mirror)
+        if draw(st.booleans()):
+            shifted.append((b, -sum(ms)))
+    shifted = draw(st.permutations(shifted))
+    return [(center + b, m) for b, m in shifted], center, draw(st.integers(0, 20))
+
+
+@SETTINGS
+@given(case=mirrored_expansions())
+def test_cancelling_exponents_match_binomial_products(case):
+    # g_0 = prod (-b)^m sums the exponents of each |b| before raising it and
+    # folds the sign of each -b < 0 with odd m: the pairs drawn here cancel
+    _check_against_reference(*case)
+
+
+@st.composite
 def local_field_expansions(draw):
     """(factors, center, T) in Q_p(pi), pi^N = p. Roots come from a pool of
     at most three rationals and elements, exact or at a finite precision, and

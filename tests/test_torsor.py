@@ -119,6 +119,22 @@ class TestSplittingObstruction:
         assert v.conductor == 2
         assert v.evidence.get("absorbed") == "true"
 
+    def test_absorption_keeps_a_value_below_the_threshold(self):
+        # the tie above, cut at T = 9 with v(c_9) = 17/8 in [v(c_p), theta):
+        # condition I lets it pass, since its bound is v(c_p), and after the
+        # absorption it still lies below theta, so index 2 does not split
+        ctx = LocalFieldContext(5, N=40, M=6)
+        v_p = Fraction(2)
+        v_root = (v_p + 4 * 2 + 1) / 5
+        c1 = ctx.pi_power(v_root, 3)
+        cp = c1**5 / ctx.from_rational(Fraction(5) ** 9)
+        vals = _vals(5, 2, {5: v_p, 1: v_root, 2: self.theta, 9: Fraction(17, 8)})[:9]
+        v = splitting_obstruction(vals, 5, 2, c1=c1, cp=cp)
+        assert v.kind == "Inconclusive"
+        assert v.evidence == {
+            "reason": "no unique prime-to-p index at the threshold after absorption"
+        }
+
 
     @pytest.mark.parametrize("p, N, v1", [(5, 5, Fraction(6, 5)), (3, 2, Fraction(3, 2))])
     def test_candidate_root_with_a_term_below_the_hensel_level(self, p, N, v1):
