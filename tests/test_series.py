@@ -209,8 +209,9 @@ class TestMaclaurin:
         assert series.order == 12000
 
     def test_large_s_expand_is_fast(self, capsys):
-        # g(0) = (-1)^(r+s) from exponents that cancel: a product of powers
-        # (s/r)^s, about 19 million bits here, took 27 s on a 2-core box
+        # g(0) = (-1)^(r+s) from exponents that cancel: a product of the
+        # powers s^s, about 41 million bits each here, took 29 s on a 2-core
+        # box
         r, s = 1, 1953124
         argv = ["expand", "--p", "5", "--nu", "9", "--r", str(r), "--s", str(s),
                 "--T", "3"]

@@ -1,11 +1,12 @@
 """Property tests of the Taylor recurrence against the truncated product of
 binomial series, on small random roots, exponents and centers: repeated
-roots, exponent 0, shifted numerators with a common factor, and a center on a
-root, which is refused. Over Q the roots and centers are rationals; in the
-local field Q_p(pi) they are exact or finite-precision elements, and in Q(i)
-the centers are Gaussian rationals. Evaluation at a local-field point is
-checked against Horner's rule and on every lift of the point and the
-coefficients in tests/test_localfield_properties.py (TestLifts)."""
+roots, exponent 0, shifted numerators with a common factor, roots b and -b
+whose exponents cancel, and a center on a root, which is refused. Over Q the
+roots and centers are rationals; in the local field Q_p(pi) they are exact
+or finite-precision elements, and in Q(i) the centers are Gaussian
+rationals. Evaluation at a local-field point is checked against Horner's
+rule and on every lift of the point and the coefficients in
+tests/test_localfield_properties.py (TestLifts)."""
 import math
 from fractions import Fraction
 
