@@ -436,12 +436,33 @@ def _build_parser():
     return parser
 
 
+# the flags of FLAGS whose value is a rational
+_RATIONAL_FLAGS = frozenset(
+    flag for flag, keywords in FLAGS.items() if keywords.get("type") is _fraction
+)
+
+
+def _join_negative_rationals(argv):
+    """argv with each negative value of a rational flag joined to its flag,
+    as "--sqrt1ma=-5/9": argparse reads a separate word that starts with "-"
+    as an option unless it is a negative int or decimal, so "-5/9" would not
+    reach the flag. A value starts with "-" and a digit or "."."""
+    out = []
+    for arg in argv:
+        negative = len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."
+        if negative and out and out[-1] in _RATIONAL_FLAGS:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def dispatch(argv):
     # parse_args is inside the handler: a type= callable refuses with an
     # SrtError, which argparse does not catch
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser().parse_args(_join_negative_rationals(argv))
         except SystemExit as exc:  # argparse has printed its usage or help
             return EXIT_USAGE if exc.code not in (0, None) else 0
         out, code = _answer(args)

@@ -29,19 +29,25 @@ is read as its one exact term, never built as an element; -1, 0 and 1 are
 read as prebuilt terms, through an int type test. The dot takes its
 precision over all pairs first, then merges each product below it into its
 class of j mod N as it forms (the one merge loop), and hands the classes to
-`_canonicalize` once. A one-pair dot with a factor of one exact term
-u * pi^k is a shift instead: each term of the other factor moves by k into a
-class of its own, in order, with its unit times u still prime to p, so
-nothing merges and nothing is canonicalized. -x, x times a rational or a
-power of pi, a truncation, the squarings of a one-term element and a
-one-term constructor at a precision are shifts.
+`_canonicalize` once. A one-pair dot with a factor of one term u * pi^k,
+exact or at a precision, is a shift instead: each term of the other factor
+moves by k into a class of its own, in order, with its unit times u still
+prime to p, so nothing merges and nothing is canonicalized; at a precision
+each unit is reduced as `_canonicalize` would reduce it. -x, x times a
+rational, a power of pi or any one-term element, a truncation and a
+one-term constructor at a precision are shifts. The power of a one-term
+element is formed in one step, as the one term u^n * pi^(kn) that the
+square-and-multiply of `valuation.power` would return: at precision q each
+product keeps the relative precision q - k/N.
 Callers see the `terms` view, a new dict on each read, which maps each
 valuation j/N (a Fraction) to its unit: a Fraction when exact, the int
 residue otherwise. A context (p, N, M) is a frozen dataclass.
 
 The inverse is Newton's iteration y <- y(2 - xy), which doubles the relative
 precision each step (Caruso, Computations with p-adic numbers,
-arXiv:1701.06794, sections 1.3 and 2.1).
+arXiv:1701.06794, sections 1.3 and 2.1). The inverse of a one-term element
+is the one term pi^-k / u, in one step, with the relative precision of
+u * pi^k.
 
 `nth_root` is the one entry to the root engine, which works in the
 element's own field: p-th roots by peeling the unit filtration and then
@@ -244,10 +250,10 @@ def element_dot(xs, ys, prec=None):
     min(prec(x) + v(y), prec(y) + v(x)), taken over all pairs before any
     product is formed; each term product below it is merged into its class
     of exponents mod N as it forms, and the classes are canonicalized once
-    (not at all when no term is left). One pair with a factor of one exact
-    term is a shift of the other factor, its units reduced one by one: by a
-    gcd when exact, mod p^ceil(prec - j/N) otherwise; it merges nothing and
-    is not canonicalized."""
+    (not at all when no term is left). One pair with a factor of one term,
+    exact or not, is a shift of the other factor, its units reduced one by
+    one: by a gcd when exact, mod p^ceil(prec - j/N) otherwise; it merges
+    nothing and is not canonicalized."""
     x0 = xs[0]
     ctx = x0.ctx
     p, N = ctx.p, ctx.N
@@ -283,13 +289,13 @@ def element_dot(xs, ys, prec=None):
         # the least j with j/N >= prec: a product pi^j at or above it vanishes
         jlim = -(-pn // (pd // N))
     if len(factors) == 1:
-        a, b, xp, yp = factors[0]
-        if xp is None and len(a) == 1:
-            a, b, yp = b, a, None
-        if yp is None and len(b) == 1:
-            # a shift: times one exact term u * pi^k, each term of a moves by
-            # k into a class of its own, in order, with a unit still prime to
-            # p, so nothing merges and nothing needs canonicalizing
+        a, b, _, _ = factors[0]
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a shift: times one term u * pi^k, each term of a moves by k into
+            # a class of its own, in order, with a unit still prime to p, so
+            # nothing merges and nothing needs canonicalizing
             ((k, (un, ud)),) = b
             t = {}
             for j, (n, d) in a:
@@ -420,46 +426,67 @@ class LocalFieldElement:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        return power(self, n, self.ctx.one())
+        if type(n) is not int or len(self._t) != 1 or n == 0:
+            return power(self, n, self.ctx.one())
+        # one term u * pi^j: its power is the one term u^n * pi^(jn), as the
+        # square-and-multiply forms it
+        x = self.inverse() if n < 0 else self
+        n = abs(n)
+        ((j, (num, den)),) = x._t.items()
+        if x._prec is None:
+            return LocalFieldElement._make(self.ctx, {j * n: (num**n, den**n)}, None)
+        # each product keeps the relative precision q - j/N, so x^n is known
+        # to q + (n - 1) j/N, its unit modulo p^ceil(q - j/N)
+        pn, pd = x._prec
+        k = pd // self.ctx.N
+        mod = self.ctx.p ** -((j * k - pn) // pd)
+        return LocalFieldElement._make(
+            self.ctx, {j * n: (pow(num, n, mod), 1)}, (pn + (n - 1) * j * k, pd)
+        )
 
     def inverse(self):
         if not self._t:
             if self._prec is None:
                 raise ZeroDivisionError("inverse of exact zero")
             raise PrecisionError(f"inverse of element that is zero modulo p^{self.prec}")
+        ctx = self.ctx
+        N = ctx.N
         j, (n, d) = next(iter(self._t.items()))
         if n < 0:
             n, d = -n, -d
-        lead_inv = LocalFieldElement._make(self.ctx, {-j: (d, n)}, None)
-        if len(self._t) == 1 and self._prec is None:
-            return lead_inv
+        if len(self._t) == 1:
+            # one term u * pi^j: 1/x is the one term pi^-j / u. Known to q, x
+            # has the relative precision q - j/N and so has 1/x, its unit (d
+            # is 1) the inverse mod p^ceil(q - j/N)
+            if self._prec is None:
+                return LocalFieldElement._make(ctx, {-j: (d, n)}, None)
+            pn, pd = self._prec
+            k = pd // N
+            mod = ctx.p ** -((j * k - pn) // pd)
+            return LocalFieldElement._make(ctx, {-j: (pow(n, -1, mod), 1)}, (pn - 2 * j * k, pd))
         # precision pairs: v(x) = j/N and the relative precision rel
-        N = self.ctx.N
         if self._prec is None:
-            rel = (self.ctx.M * N, N)
+            rel = (ctx.M * N, N)
         else:
             rel = _add_prec(self._prec, (-j, N), N)
-        y = lead_inv
-        # a one-term x at a finite precision needs no step: 1 - x*y is 0 to
-        # the precision of x, so y is 1/x to relative precision rel
-        if len(self._t) > 1:
-            # y = 1/x to relative precision `done`: v(1 - x*y) >= done. Each
-            # Newton step y <- y + y*(1 - x*y) squares the error, so it needs
-            # the error 1 - x*y only modulo p^(2*done); each is one dot, with
-            # -x built once.
-            neg = -self
-            first = element_dot((neg, 1), (y, 1))
-            done = rel
-            if first._t:
-                done = _min_prec((next(iter(first._t)), N), rel)
-            elif first._prec is not None:
-                done = _min_prec(first._prec, rel)
-            # done <= rel, and precision pairs are canonical
-            while done != rel:
-                done = _min_prec(_add_prec(done, done, N), rel)
-                err = element_dot((neg, 1), (y, 1), done)
-                # y is taken as exact: its error is what the next step corrects
-                y = LocalFieldElement._make(self.ctx, element_dot((y, y), (1, err))._t, None)
+        # y = 1/x to relative precision `done`: v(1 - x*y) >= done. Each
+        # Newton step y <- y + y*(1 - x*y) squares the error, so it needs the
+        # error 1 - x*y only modulo p^(2*done); each is one dot, with -x built
+        # once.
+        y = LocalFieldElement._make(ctx, {-j: (d, n)}, None)
+        neg = -self
+        first = element_dot((neg, 1), (y, 1))
+        done = rel
+        if first._t:
+            done = _min_prec((next(iter(first._t)), N), rel)
+        elif first._prec is not None:
+            done = _min_prec(first._prec, rel)
+        # done <= rel, and precision pairs are canonical
+        while done != rel:
+            done = _min_prec(_add_prec(done, done, N), rel)
+            err = element_dot((neg, 1), (y, 1), done)
+            # y is taken as exact: its error is what the next step corrects
+            y = LocalFieldElement._make(ctx, element_dot((y, y), (1, err))._t, None)
         return y.truncate(_add_prec(rel, (-j, N), N))
 
     def __truediv__(self, other):

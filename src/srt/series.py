@@ -371,10 +371,11 @@ def _recurrence_coefficients(factors, center, T):
     -b_i < 0 and m_i odd, times |b|^e for each distinct |b| whose exponents
     m_i sum to e != 0: a base is raised once, after its exponents cancel, so
     a pair of roots b and -b with opposite exponents, as g has at 0, costs
-    nothing however large m is. In Q(i) and the local field an update entry
-    is one dot, a coefficient Q_{j-1} - m P_j one dot against the rationals
-    (1, -m), and the step's sum one dot of those with g, times 1/P_0,
-    inverted once, and the rational 1/(k+1); the local field reads each
+    nothing however large m is. In Q(i) and the local field each -b_i is
+    formed as center - root by one dot, an update entry is one dot, a
+    coefficient Q_{j-1} - m P_j one dot against the rationals (1, -m), and
+    the step's sum one dot of those with g, times 1/P_0 = P_0.inverse(),
+    taken once, and the rational 1/(k+1); the local field reads each
     rational as one term (`element_dot`).
     """
     factors = list(factors)
@@ -400,9 +401,9 @@ def _recurrence_coefficients(factors, center, T):
     # refuse each root at the center before an inverse fails on a near one
     shifted = []
     for root, m in factors:
-        b = one._coerce(root - center)
-        _refuse_root_center(b, root, center)
-        shifted.append((-b, m))
+        nb = one._coerce(center - root)
+        _refuse_root_center(nb, root, center)
+        shifted.append((nb, m))
     dot = element_dot if isinstance(one, LocalFieldElement) else lambda xs, ys: sum(map(mul, xs, ys))
     g0, P, Q = one, [one], []
     for nb, m in shifted:
@@ -410,7 +411,7 @@ def _recurrence_coefficients(factors, center, T):
         Q = [dot((one, nb, z), (x, y, m)) for x, y, z in zip([0] + Q, Q + [0], P)]
         P = [dot((one, nb), (x, y)) for x, y in zip([0] + P, P + [0])]
     n = len(P) - 1
-    inv_P0 = one / P[0]
+    inv_P0 = P[0].inverse()
     g = [g0]
     for k in range(T):
         cs = [dot((Q[j - 1], P[j]), (1, j - k - 1)) for j in range(1, min(n, k + 1) + 1)]
@@ -462,8 +463,8 @@ def _rational_coefficients(P, Q, L, g0, T):
 
 
 def _refuse_root_center(base, root, center):
-    """Refuse a shifted root base = root - center that is 0: exactly, or only
-    to its precision, where P(0) would have no inverse."""
+    """Refuse a shifted root `base`, root - center or center - root, that is
+    0: exactly, or only to its precision, where P(0) would have no inverse."""
     if base == 0:
         raise PreconditionViolated(
             f"the center equals the root {root}; g has no Taylor expansion there"

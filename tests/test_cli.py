@@ -311,6 +311,59 @@ class TestExitCodes:
         assert len(json.loads(out)["coefficients"]) == 401
 
 
+# a value for each flag that some subcommand requires
+REQUIRED_VALUES = {
+    "--p": "5", "--nu": "2", "--r": "1", "--s": "3", "--case": "a=0", "--tree": "t.json",
+    "--level": "1", "--vals": "[]", "--tau": "1", "--direction": "phi", "--x": "1",
+    "--q": "251",
+}
+RATIONAL_FLAGS = [
+    flag for flag, keywords in srt.cli.FLAGS.items() if keywords.get("type") is srt.cli._fraction
+]
+
+
+class TestNegativeRationals:
+    """A word like "-5/9" after a flag whose FLAGS type is srt.cli._fraction
+    is that flag's value, as in "--sqrt1ma=-5/9"; argparse alone takes it
+    for an option."""
+
+    @pytest.mark.parametrize("flag", RATIONAL_FLAGS)
+    @pytest.mark.parametrize("value", ["-5/9", "-2/1", "-.5", "-3"])
+    def test_every_rational_flag_reads_a_negative_value(self, flag, value):
+        commands = [name for name, (_, _, flags) in srt.cli.COMMANDS.items() if flag in flags]
+        assert commands
+        for name in commands:
+            _, _, flags = srt.cli.COMMANDS[name]
+            argv = [name, flag, value]
+            for other, spec in flags.items():
+                if spec is srt.cli.REQUIRED:
+                    argv += [other, REQUIRED_VALUES[other]]
+            args = srt.cli._build_parser().parse_args(srt.cli._join_negative_rationals(argv))
+            assert getattr(args, flag[2:].replace("-", "_")) == srt.cli._fraction(value)
+
+    def test_expand_answers_as_with_an_equals_sign(self, capsys):
+        flags = ["expand", "--p", "5", "--nu", "2", "--r", "1", "--s", "3"]
+        code, out, err = run_cli(capsys, *flags, "--sqrt1ma", "-5/9", "--T", "5")
+        assert (code, err) == (EXIT_OK, "")
+        assert (code, out, err) == run_cli(capsys, *flags, "--sqrt1ma=-5/9", "--T", "5")
+        assert json.loads(out)["coefficients"][:3] == ["1", "-44/5", "968/25"]
+
+    def test_a_negative_value_reaches_the_handler(self, capsys):
+        # --extra -1/2 is parsed, and then refused by tail-radius itself
+        code, out, err = run_cli(
+            capsys, "tail-radius", "--p", "5", "--nu", "2", "--case", "a=0", "--extra", "-1/2"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: case a=0 needs a positive auxiliary valuation\n"
+
+    def test_other_flags_still_read_a_dash_word_as_an_option(self, capsys):
+        # --r is an int flag: "-3/2" after it is not joined, as before
+        assert srt.cli._join_negative_rationals(["--r", "-3/2"]) == ["--r", "-3/2"]
+        code, _, err = run_cli(capsys, "expand", "--p", "5", "--nu", "2", "--r", "-3/2", "--s", "3")
+        assert code == EXIT_USAGE
+        assert "expected one argument" in err
+
+
 TREE = {
     "vertices": [
         {"id": "root", "inertia": 2},

@@ -27,7 +27,7 @@ from fractions import Fraction
 from helpers import binomial_reference, vp_fraction
 from srt.cli import dispatch
 
-EXPECTED_DIGEST = "d8371f5926c33eda93fc9b8d7285ec05f0e0a47358ffd1f190fb3f5c7c4dc67b"
+EXPECTED_DIGEST = "29dd14a7f888950d76764c2fee1e43da0e8caf06ec62d53392753927fed96ec4"
 EXPECTED_REQUESTS = 464
 
 
@@ -93,31 +93,41 @@ def _refused(p, nu, r, s, c, T):
     )
 
 
+def _assert_matches_the_binomial_product(argv):
+    """Check one expand request against the oracle; returns its exit code."""
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    code, out = _run(argv)
+    p, nu, r, s = (int(flags[k]) for k in ("--p", "--nu", "--r", "--s"))
+    c = Fraction(flags.get("--sqrt1ma", Fraction(-s, r)))
+    T = int(flags.get("--T", 3 * p + 2))
+    if _refused(p, nu, r, s, c, T):
+        assert (code, out) == (1, ""), argv
+        return code
+    assert code == 0, argv
+    answer = json.loads(out)
+    # g = ((z+1)/(z-1))^r ((z+c)/(z-c))^s at 0
+    want = binomial_reference([(-1, r), (1, -r), (-c, s), (c, -s)], Fraction(0), T)
+    assert answer["coefficients"] == [str(x) for x in want], argv
+    assert answer["valuations"] == [
+        str(vp_fraction(x, p)) if x else "inf" for x in want[1:]
+    ], argv
+    return code
+
+
 def test_a_seeded_sample_of_the_grid_matches_the_binomial_product():
     requests = [argv for argv in _grid() if argv[0] == "expand"]
     for argv in random.Random("expand-oracle").sample(requests, 40):
-        flags = dict(zip(argv[1::2], argv[2::2]))
-        code, out = _run(argv)
-        value = flags.get("--sqrt1ma", "")
-        if value.startswith("-") and "/" in value:
-            # argparse takes "-5/9" for an option, not for the value of
-            # --sqrt1ma; only a negative int or decimal passes as a value
-            assert (code, out) == (1, ""), argv
-            continue
-        p, nu, r, s = (int(flags[k]) for k in ("--p", "--nu", "--r", "--s"))
-        c = Fraction(flags.get("--sqrt1ma", Fraction(-s, r)))
-        T = int(flags.get("--T", 3 * p + 2))
-        if _refused(p, nu, r, s, c, T):
-            assert (code, out) == (1, ""), argv
-            continue
-        assert code == 0, argv
-        answer = json.loads(out)
-        # g = ((z+1)/(z-1))^r ((z+c)/(z-c))^s at 0
-        want = binomial_reference([(-1, r), (1, -r), (-c, s), (c, -s)], Fraction(0), T)
-        assert answer["coefficients"] == [str(x) for x in want], argv
-        assert answer["valuations"] == [
-            str(vp_fraction(x, p)) if x else "inf" for x in want[1:]
-        ], argv
+        _assert_matches_the_binomial_product(argv)
+
+
+def test_every_negative_rational_sqrt1ma_reaches_the_cover():
+    # "-5/9" and "-2/1" start with "-" but are values of --sqrt1ma, not
+    # options; each of their 24 requests is answered and checked
+    negative = (["--sqrt1ma", "-5/9"], ["--sqrt1ma", "-2/1"])
+    requests = [argv for argv in _grid() if argv[-2:] in negative]
+    assert len(requests) == 24
+    for argv in requests:
+        assert _assert_matches_the_binomial_product(argv) == 0, argv
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from srt import (
     nth_root,
     sqrt_of_minus_one,
 )
-from srt.valuation import to_jsonable
+from srt.valuation import power, to_jsonable
 
 from helpers import PiExt, pi_digits, pth_power_residues
 
@@ -195,6 +195,29 @@ class TestArithmeticAgainstOracle:
             if not a.is_zero():
                 assert la.valuation().as_fraction() == a.valuation()
 
+    def test_one_term_finite_factor(self):
+        # a product by f = u * pi^k known to p^q is a shift: it is the
+        # oracle's product to q + v(a), on either side, and so is f ** n
+        rng = random.Random(13)
+        ctx = ctx5()
+        for _ in range(50):
+            a = PiExt([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(5)])
+            k, u = rng.randint(-5, 10), rng.choice([-7, -3, -1, 1, 2, 4, 6, 8])
+            q = Fraction(k + rng.randint(1, 15), 5)
+            f, f_value = ctx.pi_power(Fraction(k, 5), u, q), PiExt.pi() ** k * u
+            la = lift(ctx, a)
+            for got in (la * f, f * la):
+                if a.is_zero():
+                    assert got == ctx.zero()
+                    continue
+                assert got.prec == q + a.valuation()
+                assert (got - lift(ctx, a * f_value)).valuation_lower_bound() >= got.prec
+            n = rng.randint(1, 9) * rng.choice([1, -1])
+            got = f**n
+            # the relative precision q - k/5 holds throughout
+            assert got.prec == q + (n - 1) * Fraction(k, 5)
+            assert (got - lift(ctx, f_value**n)).valuation_lower_bound() >= got.prec
+
     def test_division_roundtrip(self):
         rng = random.Random(12)
         ctx = ctx5()
@@ -255,21 +278,44 @@ class TestArithmeticAgainstOracle:
         assert root == u.truncate(19)
 
     def test_one_term_factors_do_not_canonicalize(self, monkeypatch):
-        # a product by one exact term moves each term of the other factor to
-        # a class of its own: d ** 17 squares a one-term d, x * 3/5 and -x
-        # are products by a rational, and x.truncate(q) is x * 1 at q
+        # a product by one term, exact or not, moves each term of the other
+        # factor to a class of its own: x * 3/5 and -x are products by a
+        # rational, x.truncate(q) is x * 1 at q, and x * f is a product by
+        # a finite one-term f; d ** 17 and f ** 4 are formed as one term
         ctx = ctx5()
         d = ctx.pi_power(Fraction(2, 5), Fraction(-7, 3))
+        f = ctx.pi_power(Fraction(1, 5), 2, prec=Fraction(12, 5))
         x = LocalFieldElement(ctx, [(0, 3), (Fraction(1, 5), Fraction(7, 2))], 4)
         calls = []
         monkeypatch.setattr(srt.localfield, "_canonicalize", lambda *args: calls.append(args))
-        power, product, neg, cut = d**17, x * Fraction(3, 5), -x, x.truncate(Fraction(13, 5))
+        d17, product, neg, cut = d**17, x * Fraction(3, 5), -x, x.truncate(Fraction(13, 5))
+        by_finite, finite_power, inverse_power = x * f, f**4, f**-3
         monkeypatch.undo()
         assert calls == []
-        assert power == ctx.pi_power(Fraction(34, 5), Fraction(-7, 3) ** 17)
+        assert d17 == ctx.pi_power(Fraction(34, 5), Fraction(-7, 3) ** 17)
         assert product.prec == 3 and product.terms == {Fraction(-1): 9, Fraction(-4, 5): 323}
         assert neg.prec == 4 and (neg + x).terms == {}
         assert cut.prec == Fraction(13, 5) and cut.terms == {0: 3, Fraction(1, 5): 66}
+        # prec(x f) = min(4 + 1/5, 12/5 + 0), and 7/2 * 2 = 7 mod 5^2
+        assert by_finite.prec == Fraction(12, 5)
+        assert by_finite.terms == {Fraction(1, 5): 6, Fraction(2, 5): 7}
+        # relative precision 11/5 throughout: 2^4 mod 5^3, at 12/5 + 3/5
+        assert finite_power.prec == 3 and finite_power.terms == {Fraction(4, 5): 16}
+        assert finite_power == power(f, 4, ctx.one())
+        assert inverse_power == power(f, -3, ctx.one())
+        assert inverse_power.terms == {Fraction(-3, 5): pow(2, -3, 125)}
+
+    @pytest.mark.parametrize("exponent", [Fraction(1, 2), 2.0])
+    def test_a_power_needs_an_int_exponent(self, exponent):
+        # the one-term power takes only an int; any other exponent reaches
+        # the square-and-multiply and raises there, as for more terms
+        ctx = ctx5()
+        one_term = ctx.pi_power(Fraction(2, 5), 3)
+        finite = ctx.pi_power(Fraction(2, 5), 3, prec=2)
+        more = LocalFieldElement(ctx, [(0, 3), (Fraction(1, 5), 2)])
+        for x in (one_term, finite, more):
+            with pytest.raises(TypeError):
+                x**exponent
 
 
 def _sqrt_residue(u, p, M):

@@ -31,6 +31,7 @@ from srt.localfield import (
     _prec_pair,
     element_dot,
 )
+from srt.valuation import power
 
 from helpers import PiExt, agrees, pi_digits, pth_power_residues
 
@@ -730,27 +731,39 @@ def piext(x, ctx):
 
 
 @st.composite
+def one_terms(draw, ctx):
+    """u * pi^k with k negative, zero or positive, exact or at a precision
+    above its term."""
+    k = draw(st.integers(-2 * ctx.N, 2 * ctx.N))
+    x = ctx.pi_power(Fraction(k, ctx.N), draw(rationals(ctx.p).filter(bool)))
+    if draw(st.booleans()):
+        return x
+    above = Fraction(draw(st.integers(1, 3 * ctx.N)), draw(st.sampled_from([1, ctx.N, 7])))
+    # the p-part of the unit moves the term
+    return x.truncate(min(x.terms) + above)
+
+
+@st.composite
 def one_term_factors(draw, ctx):
-    """An exact factor of one term: an int or a Fraction with p in the
-    numerator or the denominator, +-1, or u * pi^k with k negative, zero or
-    positive."""
+    """A factor of one term: an int or a Fraction with p in the numerator or
+    the denominator, +-1, or u * pi^k, exact or at a precision."""
     kind = draw(st.sampled_from(["rational", "sign", "term"]))
     if kind == "rational":
         return draw(rationals(ctx.p).filter(bool))
     if kind == "sign":
         return draw(st.sampled_from([1, -1]))
-    k = draw(st.integers(-2 * ctx.N, 2 * ctx.N))
-    return ctx.pi_power(Fraction(k, ctx.N), draw(rationals(ctx.p).filter(bool)))
+    return draw(one_terms(ctx))
 
 
 class TestShift:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
     def test_a_one_term_factor_is_a_shift(self, p, N, data):
-        """A one-pair dot with an exact one-term factor on either side has
-        the `_t`, key order and `_prec` of the same product split over two
-        pairs, x * y/2 + x * y/2, whose halves merge in the canonicalizer;
-        its value agrees with the product in PiExt to its precision."""
+        """A one-pair dot with a one-term factor on either side, exact or at
+        a precision, has the `_t`, key order and `_prec` of the same product
+        split over two pairs, x * y/2 + x * y/2, whose halves merge in the
+        canonicalizer; its value agrees with the product in PiExt to its
+        precision."""
         ctx = LocalFieldContext(p, N, M)
         x = data.draw(factors(ctx) | st.builds(ctx.zero, st.none() | st.integers(-2, 3)))
         y = data.draw(one_term_factors(ctx))
@@ -761,7 +774,9 @@ class TestShift:
         if isinstance(y, LocalFieldElement):
             sides.append(((y,), (x,)))
             ((e, u),) = y.terms.items()
-            half = ctx.pi_power(e, u / 2)
+            half = ctx.pi_power(e, Fraction(u) / 2)
+            if y.prec is not None:
+                half = half.truncate(y.prec)
         else:
             half = Fraction(y, 2)
         want = element_dot((x, x), (half, half), prec)
@@ -770,6 +785,35 @@ class TestShift:
             assert (got._t, got._prec) == (want._t, want._prec)
             assert list(got._t) == list(want._t)
             assert agrees(piext(got, ctx), piext(x, ctx) * piext(y, ctx), got.prec)
+
+
+class TestOneTermArithmetic:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from((3, 5, 13)), st.sampled_from((1, 5, 24, 60)), st.data())
+    def test_the_power_of_one_term_is_the_square_and_multiply(self, p, N, data):
+        """x ** n of a one-term x, exact or at a precision, has the `_t` and
+        `_prec` that `valuation.power`'s square-and-multiply gives, also for
+        a negative n, which inverts first."""
+        ctx = LocalFieldContext(p, N, M)
+        x = data.draw(one_terms(ctx))
+        n = data.draw(st.integers(-20, 64))
+        got, want = x**n, power(x, n, ctx.one())
+        assert (got._t, got._prec) == (want._t, want._prec)
+        assert_canonical_dict(got._t, p, N, got._prec)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from((3, 5, 13)), st.sampled_from((1, 5, 24, 60)), st.data())
+    def test_the_inverse_of_one_term_is_its_inverted_term(self, p, N, data):
+        """x.inverse() of u * pi^e is pi^-e / u, cut to q - 2e when x is
+        known to q: the relative precision q - e of x."""
+        ctx = LocalFieldContext(p, N, M)
+        x = data.draw(one_terms(ctx))
+        ((e, u),) = x.terms.items()
+        want = ctx.pi_power(-e, 1 / Fraction(u))
+        if x.prec is not None:
+            want = want.truncate(x.prec - 2 * e)
+        got = x.inverse()
+        assert (got._t, got._prec) == (want._t, want._prec)
 
 
 def fraction_repr(x):

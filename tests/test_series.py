@@ -298,9 +298,10 @@ class TestTaylorFactors:
         # dot, their sum against g is one more, and the step then multiplies
         # by 1/P(0) and 1/(k+1): at most n + 3 canonicalizations, where a
         # chain of coercions, products and differences takes 4n + 2. A
-        # product by one exact term is a shift and takes none: 1/(k+1), and
-        # here m P_n, since Q_(n-1) = sum of the m_i is an exact zero, so a
-        # coefficient takes 5 at n = 4
+        # product by one term, exact or at a precision, is a shift and takes
+        # none: 1/(k+1), and here 1/P(0), one term known to 5^8, and m P_n,
+        # since Q_(n-1) = sum of the m_i is an exact zero, so a coefficient
+        # takes 4 at n = 4
         factors, center, _ = self._case_i()
         n = len(factors)
         calls = []
