@@ -4,7 +4,23 @@ truncated series of the cover function, torsor splitting criteria, reduction
 trees, higher ramification, SL2 group checks, and the end-to-end wild
 monodromy verification.
 """
-from .errors import SrtError
+from .errors import (
+    CaseMismatch,
+    ContextError,
+    DegenerateCover,
+    InadmissibleValuation,
+    InsufficientData,
+    InvalidProfile,
+    InvalidTree,
+    MissingLabel,
+    NoNthRoot,
+    NoSolution,
+    PrecisionError,
+    PreconditionViolated,
+    ResourceLimit,
+    SrtError,
+    TruncationUnderflow,
+)
 from .valuation import (
     INFINITY,
     ExtendedRational,
@@ -12,11 +28,8 @@ from .valuation import (
     vp,
 )
 from .localfield import (
-    ContextError,
     LocalFieldContext,
     LocalFieldElement,
-    NoNthRoot,
-    PrecisionError,
     PthPowerVerdict,
     is_pth_power,
     nth_root,
@@ -24,11 +37,9 @@ from .localfield import (
 )
 from .series import (
     CoverParams,
-    DegenerateCover,
     GaussRational,
     I_GAUSS,
     TruncatedSeries,
-    TruncationUnderflow,
     element_valuation,
     maclaurin_g,
     scaled_coefficient_valuations,
@@ -37,14 +48,11 @@ from .series import (
 from .torsor import (
     A_ONE,
     A_ZERO,
-    CaseMismatch,
     GENERIC,
-    InadmissibleValuation,
-    InsufficientData,
-    PreconditionViolated,
     SplitVerdict,
     TailDescriptor,
     TailRadius,
+    insep_center,
     insep_tail_catalog,
     splitting_obstruction,
     tail_center,
@@ -53,9 +61,6 @@ from .torsor import (
 from .graph import (
     CycleCheck,
     Edge,
-    InvalidProfile,
-    InvalidTree,
-    MissingLabel,
     MonotonicityVerdict,
     ReductionTree,
     SolveResult,
@@ -80,8 +85,6 @@ from .ramification import (
 from .groups import (
     GenerationVerdict,
     MatrixElement,
-    NoSolution,
-    ResourceLimit,
     SylowData,
     element_order,
     generation_check,

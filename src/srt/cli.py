@@ -375,6 +375,13 @@ FLAGS = {
     "--mode": dict(choices=("criterion", "bfs"), default="criterion"),
 }
 
+# the flags whose value is read as rationals: those of FLAGS typed _fraction,
+# and the strings that their handlers parse with _fraction (herbrand echoes
+# its --x as given, so that flag keeps no type)
+_RATIONAL_FLAGS = frozenset(
+    flag for flag, keywords in FLAGS.items() if keywords.get("type") is _fraction
+) | {"--x", "--compositum"}
+
 REQUIRED = object()
 
 # subcommand -> (handler, help, {flag: REQUIRED, None for optional with the
@@ -436,17 +443,12 @@ def _build_parser():
     return parser
 
 
-# the flags of FLAGS whose value is a rational
-_RATIONAL_FLAGS = frozenset(
-    flag for flag, keywords in FLAGS.items() if keywords.get("type") is _fraction
-)
-
-
 def _join_negative_rationals(argv):
     """argv with each negative value of a rational flag joined to its flag,
-    as "--sqrt1ma=-5/9": argparse reads a separate word that starts with "-"
-    as an option unless it is a negative int or decimal, so "-5/9" would not
-    reach the flag. A value starts with "-" and a digit or "."."""
+    as "--sqrt1ma=-5/9" or "--compositum=-1/2,3/4": argparse reads a
+    separate word that starts with "-" as an option unless it is a negative
+    int or decimal, so "-5/9" would not reach the flag. A value starts with
+    "-" and a digit or "."."""
     out = []
     for arg in argv:
         negative = len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789."

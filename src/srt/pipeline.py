@@ -1,11 +1,13 @@
 """
 End-to-end wild monodromy verification: from (q, p, r) build the auxiliary
 cover parameters, read the inseparable tail's level j from
-`insep_tail_catalog`, build its disk center d in Q_p(pi), pi^N = p with N the
-denominator of d's exponent `torsor.D_EXPONENT`, evaluate the cover function g
-at d by its truncated Maclaurin series, extract the p-th root delta, and
-decide the p-th/p^2-th power questions whose combination witnesses
-nontrivial wild monodromy.
+`insep_tail_catalog`, take its disk center d and the field Q_p(pi) it lies in
+from `torsor.insep_center`, evaluate the cover function g at d by its
+truncated Maclaurin series, extract the p-th root delta, and decide the
+p-th/p^2-th power questions whose combination witnesses nontrivial wild
+monodromy. The only precision numbers of its own are the series order T,
+the default of `maclaurin_g`, and the floor of the p^2-test; the unit
+precision M of d's field is not read by a run.
 """
 from __future__ import annotations
 
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError, Unsupported
-from .localfield import LocalFieldContext, is_pth_power
+from .localfield import is_pth_power
 from .series import CoverParams, maclaurin_g
-from .torsor import D_EXPONENT, insep_tail_catalog
+from .torsor import A_ONE, insep_center, insep_tail_catalog
 from .valuation import is_prime, vp
 
 
@@ -54,7 +56,7 @@ def run_wild_monodromy(q, p, r=1):
     sqrt1ma = Fraction(-s, r)
     a = 1 - sqrt1ma**2
     w = int(vp(sqrt1ma, p).as_fraction())  # = 1
-    tail = next(iter(insep_tail_catalog(p, nu, "a=1", w)), None)
+    tail = next(iter(insep_tail_catalog(p, nu, A_ONE, w)), None)
     if tail is None:
         raise Unsupported(
             f"no new inseparable tail at p = {p}, nu = {nu}, v(sqrt(1-a)) = {w}: "
@@ -69,11 +71,9 @@ def run_wild_monodromy(q, p, r=1):
     report.add("v_sqrt", "v(sqrt(1-a))", Fraction(w))
     report.add("tail", "new inseparable tail level j", tail.j)
 
-    ctx = LocalFieldContext(p, N=D_EXPONENT.denominator)
     params = CoverParams(p, nu, r, s, sqrt1ma)
     series = maclaurin_g(params)
-    # the catalog's d = 2(s/r)(p^(w+1)/s)^e at s = p
-    d_plus = ctx.pi_power(w * D_EXPONENT, Fraction(2 * s, r))
+    d_plus = insep_center(p, nu, r, s, A_ONE)
     report.add("center", "disk center d (positive branch)", repr(d_plus))
 
     sign = 1 if (r + s) % 2 == 0 else -1

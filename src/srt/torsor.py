@@ -26,6 +26,12 @@ A_ONE = "a=1"
 _CASES = (GENERIC, A_ZERO, A_ONE)
 # e in the center d = +-c(5^(extra+1)/b)^e of the deeper p = 5 inseparable tails
 D_EXPONENT = Fraction(2, 5)
+# per case, the scale c and the base b of that d: as the catalog prints them,
+# and as values at the cover's (r, s)
+_CENTER_FORMS = {
+    A_ZERO: ("", "(r+s)", lambda r, s: (1, r + s)),
+    A_ONE: ("2(s/r)", "s", lambda r, s: (Fraction(2 * s, r), s)),
+}
 
 
 def _norm_case(case):
@@ -208,6 +214,33 @@ def _absorbed_verdict(vals, p, n, theta, v1_new, v_root, v_p_new=None):
     )
 
 
+def _aux_valuation(p, r, s, case):
+    """The auxiliary valuation of a = 1 - s^2/r^2 in its case: v(a) for a=0,
+    v(sqrt(1-a)) for a=1, None for generic. Raises CaseMismatch when (r, s)
+    is not in the case."""
+    if vp(r, p) != 0:
+        raise CaseMismatch(f"v_{p}({r}) must be 0")
+    if s == 0 or r + s == 0:
+        raise CaseMismatch(f"need s != 0 and r + s != 0, got r={r}, s={s}")
+    vs = vp(s, p)
+    vrs = vp(r + s, p)
+    if case == GENERIC:
+        if vs != 0 or vrs != 0:
+            raise CaseMismatch(
+                f"generic case needs v(s) = v(r+s) = 0, got v(s)={vs}, v(r+s)={vrs}"
+            )
+        return None
+    if case == A_ZERO:
+        if vs != 0 or not vrs > 0:
+            raise CaseMismatch(
+                f"case a=0 needs v(s) = 0 < v(r+s), got v(s)={vs}, v(r+s)={vrs}"
+            )
+        return vrs.as_fraction()
+    if not vs > 0:
+        raise CaseMismatch(f"case a=1 needs v(s) > 0, got v(s)={vs}")
+    return vs.as_fraction()
+
+
 def tail_center(p, nu, r, s, case):
     """Center of the disk of the new etale tail.
 
@@ -220,42 +253,17 @@ def tail_center(p, nu, r, s, case):
     """
     case = _norm_case(case)
     _check_nu(nu)
-    if vp(r, p) != 0:
-        raise CaseMismatch(f"v_{p}({r}) must be 0")
-    if s == 0 or r + s == 0:
-        raise CaseMismatch(f"need s != 0 and r + s != 0, got r={r}, s={s}")
-    vs = vp(s, p)
-    vrs = vp(r + s, p)
+    extra = _aux_valuation(p, r, s, case)
     if case == GENERIC:
-        if vs != 0 or vrs != 0:
-            raise CaseMismatch(
-                f"generic case needs v(s) = v(r+s) = 0, got v(s)={vs}, v(r+s)={vrs}"
-            )
         if r == s:
             raise CaseMismatch("center 1 - s^2/r^2 = 0 coincides with the branch point x = 0")
         return 1 - Fraction(s, r) ** 2
-    if case == A_ZERO:
-        if vs != 0 or not vrs > 0:
-            raise CaseMismatch(
-                f"case a=0 needs v(s) = 0 < v(r+s), got v(s)={vs}, v(r+s)={vrs}"
-            )
-        va = vrs.as_fraction()
-        if va > nu - 1:
-            raise InadmissibleValuation(f"v(a) = {va} exceeds nu - 1 = {nu - 1}")
-        if p > 5 or va < nu - 1:
-            return 1 - Fraction(s, r) ** 2
-        return _exceptional_center(p, nu, r, s, r + s)
-    # case a=1
-    if not vs > 0:
-        raise CaseMismatch(f"case a=1 needs v(s) > 0, got v(s)={vs}")
-    w = vs.as_fraction()
-    if w > nu - 1:
-        raise InadmissibleValuation(
-            f"v(sqrt(1-a)) = {w} exceeds nu - 1 = {nu - 1}"
-        )
-    if p > 5 or w < nu - 1:
+    if extra > nu - 1:
+        name = "v(a)" if case == A_ZERO else "v(sqrt(1-a))"
+        raise InadmissibleValuation(f"{name} = {extra} exceeds nu - 1 = {nu - 1}")
+    if p > 5 or extra < nu - 1:
         return 1 - Fraction(s, r) ** 2
-    return _exceptional_center(p, nu, r, s, s)
+    return _exceptional_center(p, nu, r, s, r + s if case == A_ZERO else s)
 
 
 def _exceptional_center(p, nu, r, s, binom_arg):
@@ -312,6 +320,17 @@ class TailDescriptor:
     upstairs_radius_valuation: Fraction
 
 
+def _has_deeper_tail(p, nu, extra):
+    """Whether the admissible case a=0 or a=1 with auxiliary valuation extra
+    has the deeper p = 5 inseparable tail, whose center is d."""
+    return p == 5 and extra < nu - 1
+
+
+def _center_text(case, extra):
+    c, b, _ = _CENTER_FORMS[case]
+    return f"a/(1-d^2), d = +-{c}(5^{extra + 1}/{b})^({D_EXPONENT})"
+
+
 def insep_tail_catalog(p, nu, case, extra=None):
     """Complete list of new inseparable tails.
 
@@ -346,13 +365,13 @@ def insep_tail_catalog(p, nu, case, extra=None):
                 upstairs_radius_valuation=Fraction(1, 2 * (p - 1)),
             )
         ]
-        if p == 5 and extra < nu - 1:
+        if _has_deeper_tail(p, nu, extra):
             out.append(
                 TailDescriptor(
                     case=case,
                     kind="new-inseparable",
                     j=int(nu - extra - 1),
-                    center=f"a/(1-d^2), d = +-(5^{extra + 1}/(r+s))^({D_EXPONENT})",
+                    center=_center_text(case, extra),
                     radius_valuation=extra + Fraction(17, 20),
                     sigma=Fraction(2),
                     upstairs_centers="z = +d, z = -d",
@@ -365,14 +384,14 @@ def insep_tail_catalog(p, nu, case, extra=None):
         raise InadmissibleValuation(
             f"v(1-a) = {2 * extra} must lie in (0, {2 * (nu - 1 + Fraction(1, p - 1))}]"
         )
-    if p != 5 or extra >= nu - 1:
+    if not _has_deeper_tail(p, nu, extra):
         return []
     return [
         TailDescriptor(
             case=case,
             kind="new-inseparable",
             j=int(nu - extra - 1),
-            center=f"a/(1-d^2), d = +-2(s/r)(5^{extra + 1}/s)^({D_EXPONENT})",
+            center=_center_text(case, extra),
             radius_valuation=2 * extra + Fraction(17, 20),
             sigma=Fraction(2),
             upstairs_centers="z = +d, z = -d",
@@ -380,3 +399,31 @@ def insep_tail_catalog(p, nu, case, extra=None):
         )
     ]
 
+
+def insep_center(p, nu, r, s, case):
+    """The center d of the deeper inseparable tail of the cover (r, s), on
+    its positive branch: d = c * b'^e with b' = 5^(extra+1)/b, e = D_EXPONENT
+    and the case's c and b, the d that `insep_tail_catalog` prints. It lies
+    in Q_5(pi), pi^N = 5 with N the denominator of e, as c times the N-th
+    root that `nth_root` takes of b'^(numerator of e); that root is unique,
+    as in `tail_center`.
+
+    Refuses where the catalog lists no such tail: CaseMismatch for an
+    unknown case or an (r, s) not in the case, PreconditionViolated for the
+    generic case and where the case has no deeper tail at (p, nu). Raises
+    NoNthRoot when b'^2 has no 5th root in the field, that is when the unit
+    part of b' is no 5th power there.
+    """
+    case = _norm_case(case)
+    _check_nu(nu)
+    extra = _aux_valuation(p, r, s, case)
+    if extra is None or not _has_deeper_tail(p, nu, extra):
+        raise PreconditionViolated(
+            f"no deeper inseparable tail at p = {p}, nu = {nu} in case {case}"
+            + ("" if extra is None else f" with auxiliary valuation {extra}")
+        )
+    c, b = _CENTER_FORMS[case][2](r, s)
+    base = Fraction(5) ** (extra + 1) / b
+    ctx = LocalFieldContext(p, N=D_EXPONENT.denominator)
+    radicand = ctx.from_rational(base**D_EXPONENT.numerator)
+    return nth_root(radicand, D_EXPONENT.denominator) * c

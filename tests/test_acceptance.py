@@ -177,7 +177,10 @@ def test_printed_monodromy_reports_match_the_oracle(capsys):
     """Each printed report of a seeded sample, read back from its JSON alone:
     the printed g(d) is the exact product prod (d - root)^m to its printed
     precision, for g(z) = ((z+1)/(z-1))^r ((z - s/r)/(z + s/r))^s, the cover
-    function at sqrt(1-a) = -s/r, and d = +-(the printed center); delta^5
+    function at sqrt(1-a) = -s/r, and d = +-(the printed center); the
+    printed center is exact and solves the catalog's d^5 = (2s/r)^5 b'^2,
+    b' = 5^(w+1)/s with w = v(s/r) the printed v_sqrt, which fixes it since
+    Q_5(pi) holds no 5th root of unity but 1; delta^5
     agrees with that exact g(d) to the bound the delta step prints; and
     eps = -delta when r + s is even, delta when it is odd, at delta's
     precision; eps is no 5th power, since its digits modulo pi^7 are not
@@ -196,6 +199,9 @@ def test_printed_monodromy_reports_match_the_oracle(capsys):
         steps = {step["id"]: step for step in report["steps"]}
         center, exact = parse_local(steps["center"]["value"])
         assert exact is None
+        w = Fraction(steps["v_sqrt"]["value"])
+        assert w == vp_fraction(Fraction(s, r), p)
+        assert center**5 == Fraction(2 * s, r) ** 5 * Fraction(p ** (w + 1), s) ** 2
         roots = [(-1, r), (1, -r), (Fraction(s, r), s), (Fraction(-s, r), -s)]
         for branch, sign in (("+", 1), ("-", -1)):
             d = center * sign
@@ -588,48 +594,52 @@ def test_insep_tail_case_iii_published_residual():
 # 6. Radius oracle: tail_radius against the tree solver
 # --------------------------------------------------------------------------
 
+def _radius_by_tree_solve(p, nu, case, extra):
+    """v(rho) of the new etale tail as the tree solver reads it: the total
+    epaisseur of the chain root - (W -) tail solved by the law
+    delta(parent) - delta(child) = sigma * epaisseur, with the root at
+    inertia nu and delta x = nu + 1/(p-1), and the tail etale of sigma 3/2.
+    In cases a=0 and a=1 the component W, of delta x - w and inertia
+    nu - ceil(w), sits between them, with w = extra for a=0 and w = extra/2
+    for a=1 (extra read as v(1 - a)), over an edge of sigma 1 resp. 1/2.
+    None when no such W exists in the tree, w outside (0, nu - 1]."""
+    x3_2 = Fraction(3, 2)
+    tail = Vertex("tail", inertia=0, tail="new-etale", sigma=x3_2)
+    if case == "generic":
+        verts = [Vertex("root", inertia=nu), tail]
+        edges = [Edge("root", "tail", sigma_eff=x3_2)]
+    else:
+        w = extra if case == "a=0" else extra / 2
+        if not 0 < w <= nu - 1:
+            return None
+        x = Fraction(nu) + Fraction(1, p - 1)
+        verts = [
+            Vertex("root", inertia=nu),
+            Vertex("W", inertia=nu - math.ceil(w), delta_eff=x - w),
+            tail,
+        ]
+        edges = [
+            Edge("root", "W", sigma_eff=Fraction(1) if case == "a=0" else Fraction(1, 2)),
+            Edge("W", "tail", sigma_eff=x3_2),
+        ]
+    result = propagate_differents(ReductionTree(verts, edges), p)
+    assert result.status == "Solved", result.contradictions
+    return sum((e.epaisseur for e in result.tree.edges), Fraction(0))
+
+
 def test_tail_radius_matches_tree_solve():
     rng = random.Random(6)
-    x3_2, x1, x1_2 = Fraction(3, 2), Fraction(1), Fraction(1, 2)
     for _ in range(30):
         p = rng.choice([3, 5, 7, 11, 13])
         nu = rng.randint(2, 5)
         case = rng.choice(["generic", "a=0", "a=1"])
-        x = Fraction(nu) + Fraction(1, p - 1)
         if case == "generic":
             extra = None
-            verts = [
-                Vertex("root", inertia=nu),
-                Vertex("tail", inertia=0, tail="new-etale", sigma=x3_2),
-            ]
-            edges = [Edge("root", "tail", sigma_eff=x3_2)]
         elif case == "a=0":
             extra = Fraction(rng.randint(1, nu - 1))
-            verts = [
-                Vertex("root", inertia=nu),
-                Vertex("W", inertia=nu - int(extra), delta_eff=x - extra),
-                Vertex("tail", inertia=0, tail="new-etale", sigma=x3_2),
-            ]
-            edges = [
-                Edge("root", "W", sigma_eff=x1),
-                Edge("W", "tail", sigma_eff=x3_2),
-            ]
         else:
-            w = rng.randint(1, nu - 1)
-            extra = Fraction(2 * w)  # v(1 - a)
-            verts = [
-                Vertex("root", inertia=nu),
-                Vertex("W", inertia=nu - w, delta_eff=x - extra / 2),
-                Vertex("tail", inertia=0, tail="new-etale", sigma=x3_2),
-            ]
-            edges = [
-                Edge("root", "W", sigma_eff=x1_2),
-                Edge("W", "tail", sigma_eff=x3_2),
-            ]
-        result = propagate_differents(ReductionTree(verts, edges), p)
-        assert result.status == "Solved", result.contradictions
-        total_thickness = sum((e.epaisseur for e in result.tree.edges), Fraction(0))
-        assert total_thickness == tail_radius(p, nu, case, extra).v_rho
+            extra = Fraction(2 * rng.randint(1, nu - 1))  # v(1 - a)
+        assert _radius_by_tree_solve(p, nu, case, extra) == tail_radius(p, nu, case, extra).v_rho
 
 
 # --------------------------------------------------------------------------

@@ -323,9 +323,10 @@ RATIONAL_FLAGS = [
 
 
 class TestNegativeRationals:
-    """A word like "-5/9" after a flag whose FLAGS type is srt.cli._fraction
-    is that flag's value, as in "--sqrt1ma=-5/9"; argparse alone takes it
-    for an option."""
+    """A word like "-5/9" after a flag whose FLAGS type is srt.cli._fraction,
+    or after --x or --compositum, whose handlers read them as rationals, is
+    that flag's value, as in "--sqrt1ma=-5/9"; argparse alone takes it for
+    an option."""
 
     @pytest.mark.parametrize("flag", RATIONAL_FLAGS)
     @pytest.mark.parametrize("value", ["-5/9", "-2/1", "-.5", "-3"])
@@ -355,6 +356,20 @@ class TestNegativeRationals:
         )
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: case a=0 needs a positive auxiliary valuation\n"
+
+    @pytest.mark.parametrize(
+        "argv, answer",
+        [(["herbrand", "--p", "5", "--nu", "2", "--direction", "phi", "--x", "-1/2"],
+          (EXIT_USAGE, "", "error: x must be >= 0, got -1/2\n")),
+         (["conductor", "--compositum", "-1/2,3/4"],
+          (EXIT_OK, '{"conductor":"3/4"}\n', ""))],
+        ids=["x", "compositum"],
+    )
+    def test_string_flags_read_as_rationals_join_too(self, capsys, argv, answer):
+        # the handler answers, and as it does with an equals sign
+        assert run_cli(capsys, *argv) == answer
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert run_cli(capsys, *joined) == answer
 
     def test_other_flags_still_read_a_dash_word_as_an_option(self, capsys):
         # --r is an int flag: "-3/2" after it is not joined, as before

@@ -35,8 +35,12 @@ of each family against an independent one:
   test_digest_conductor_draws_match_the_filtrations checks every `--shape`
   draw here against the conductor of cyclotomic_filtration, and for
   kummer-tower its compositum with the Kummer step's jump p/(p-1).
-- `tail-center`, `tail-radius` and `insep-tails` have no oracle test of
-  their printed answers.
+- `tail-radius`: test_tail_radius_draws_match_tree_solve below runs the
+  check of tests/test_acceptance.py::test_tail_radius_matches_tree_solve on
+  the draws here: each printed v_rho is the total epaisseur of the reduction
+  tree that the tree solver solves for the draw's case.
+- `tail-center` and `insep-tails` have no oracle test of their printed
+  answers.
 
 If the output is meant to change, regenerate the digest with
 ``PYTHONPATH=src python tests/test_cli_digest.py`` and say why in CHANGES.md.
@@ -49,6 +53,8 @@ import random
 from fractions import Fraction
 
 from srt.cli import dispatch
+
+from test_acceptance import _radius_by_tree_solve
 
 EXPECTED_DIGEST = "245c79bded352245410114c89178f84f29812a290e633d2de554499321d78b83"
 EXPECTED_REQUESTS = 2000
@@ -176,6 +182,33 @@ def test_cli_requests_are_byte_identical():
     digest, n = _digest()
     assert n == EXPECTED_REQUESTS
     assert digest == EXPECTED_DIGEST
+
+
+def test_tail_radius_draws_match_tree_solve():
+    """Every tail-radius draw of the sweep that answers, in the domain where
+    its tree has the component W (generic, or the auxiliary valuation in
+    (0, nu - 1]): the printed v_rho is the tree solver's. The other answered
+    draws are counted, since that tree does not exist for them."""
+    rng = random.Random(SEED)
+    checked = outside = 0
+    for _ in range(ROUNDS):
+        for argv in _requests(rng):
+            if argv[0] != "tail-radius":
+                continue
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = dispatch(argv)
+            if code != 0:
+                continue
+            p, nu, case = int(argv[2]), int(argv[4]), argv[6]
+            extra = Fraction(argv[7].partition("=")[2]) if len(argv) > 7 else None
+            v_rho = _radius_by_tree_solve(p, nu, case, extra)
+            if v_rho is None:
+                outside += 1
+                continue
+            assert Fraction(json.loads(out.getvalue())["v_rho"]) == v_rho, argv
+            checked += 1
+    assert (checked, outside) == (36, 18)
 
 
 if __name__ == "__main__":

@@ -9,15 +9,17 @@ import srt.pipeline
 import srt.series
 from srt import (
     CoverParams,
-    LocalFieldContext,
+    insep_center,
+    insep_tail_catalog,
     maclaurin_g,
     run_wild_monodromy,
 )
 from srt.cli import EXIT_OK, dispatch
 from srt.errors import PrecisionError, Unsupported
-from srt.localfield import PthPowerVerdict, nth_root
-from srt.torsor import D_EXPONENT, insep_tail_catalog
+from srt.localfield import PthPowerVerdict
 from srt.valuation import to_jsonable, vp
+
+from helpers import parse_local
 
 
 class TestRun:
@@ -47,19 +49,19 @@ class TestRun:
     @pytest.mark.parametrize("q", [251, 499])
     @pytest.mark.parametrize("r", [1, 2, 7])
     def test_center_is_the_catalog_formula_by_the_root_engine(self, q, r):
-        """The pipeline builds d as a pi-power and the tail catalog names it
-        only as text: the catalog's d = 2(s/r)(5^(w+1)/s)^(2/5), its 5th root
-        taken by nth_root, is the pipeline's center."""
+        """The printed center solves the catalog's formula, read with srt-free
+        arithmetic: d = 2(s/r)(5^(w+1)/s)^(2/5), so d^5 = (2s/r)^5 (5^(w+1)/s)^2
+        in Q[pi]/(pi^5 - 5). That equation fixes d, since Q_5(pi) holds no
+        5th root of unity but 1."""
         report = run_wild_monodromy(q, 5, r)
         steps = {step["id"]: step["value"] for step in report.steps}
         nu, s, w = report.inputs["nu"], report.inputs["s"], int(steps["v_sqrt"])
         assert insep_tail_catalog(5, nu, "a=1", w)[0].center == (
             f"a/(1-d^2), d = +-2(s/r)(5^{w + 1}/s)^(2/5)"
         )
-        ctx = LocalFieldContext(5, N=5)
-        radicand = ctx.from_rational(Fraction(5 ** (w + 1), s) ** 2)
-        d = nth_root(radicand, 5) * Fraction(2 * s, r)
-        assert steps["center"] == repr(d)
+        d, prec = parse_local(steps["center"])
+        assert prec is None
+        assert d**5 == Fraction(2 * s, r) ** 5 * Fraction(5 ** (w + 1), s) ** 2
         if r == 7:
             assert steps["center"] == "2/7*5^(7/5)"
 
@@ -110,12 +112,12 @@ class TestSeriesEvaluation:
     @pytest.mark.parametrize("q", [251, 499, 751, 1249, 1499, 1999, 2251, 2749, 31249])
     @pytest.mark.parametrize("r", [1, 2, 7, 24, 49, 124])
     def test_equals_the_full_product_at_its_precision(self, q, r):
-        p, s, w = 5, 5, 1
+        p, s = 5, 5
         nu = int(vp(q * q - 1, p).as_fraction())
-        ctx = LocalFieldContext(p, N=D_EXPONENT.denominator)
         params = CoverParams(p, nu, r, s, Fraction(-s, r))
         series = maclaurin_g(params)
-        d_plus = ctx.pi_power(w * D_EXPONENT, Fraction(2 * s, r))
+        d_plus = insep_center(p, nu, r, s, "a=1")
+        ctx = d_plus.ctx
         for d in (d_plus, -d_plus):
             g = series.evaluate(d)
             full = ctx.one()

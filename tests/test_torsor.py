@@ -4,6 +4,7 @@ The last class pins the exact corrective values for the two deeper p = 5
 inseparable-tail cases whose externally stated identities fail (the failing
 statements themselves live in tests/test_acceptance.py as xfail tests).
 """
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from srt import (
     InadmissibleValuation,
     InsufficientData,
     LocalFieldContext,
+    NoNthRoot,
     PreconditionViolated,
+    insep_center,
     insep_tail_catalog,
     nth_root,
     splitting_obstruction,
@@ -22,6 +25,7 @@ from srt import (
 )
 from srt.valuation import INFINITY
 
+from helpers import PiExt, agrees, parse_local, pi_digits, pth_power_residues, vp_fraction
 from test_acceptance import _exceptional_insep_gap
 
 
@@ -271,6 +275,73 @@ class TestInsepTailCatalog:
             insep_tail_catalog(5, 3, "a=0")
         with pytest.raises(InadmissibleValuation, match=r"v\(1-a\) = 6 must lie in \(0, 9/2\]"):
             insep_tail_catalog(5, 3, "a=1", 3)
+
+
+def _deeper_center_draws(count, seed):
+    """(p, nu, r, s, case) with r a unit and (r, s) in case a=0 (v(s) = 0 <
+    v(r+s)) or a=1 (v(s) > 0), mostly at p = 5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((5, 5, 5, 3, 7))
+        case = rng.choice(("a=0", "a=1"))
+        r = rng.choice([k for k in range(1, 60) if k % p])
+        m = p ** rng.randint(1, 3) * rng.choice([k for k in range(-30, 31) if k % p])
+        s = m - r if case == "a=0" else m
+        yield p, rng.randint(1, 5), r, s, case
+
+
+class TestInsepCenter:
+    """`insep_center` against the catalog and srt-free arithmetic: it answers
+    exactly where `insep_tail_catalog` lists the deeper tail with center d,
+    and its d solves d^5 = c^5 b'^2, b' = 5^(extra+1)/b, in Q[pi]/(pi^5 - 5)
+    with c = 2s/r, b = s for a=1 and c = 1, b = r+s for a=0; NoNthRoot comes
+    only where the unit of b'^2 is no 5th power modulo pi^7, which decides it
+    (helpers.pth_power_residues)."""
+
+    DRAWS = list(_deeper_center_draws(400, seed=42))
+
+    @staticmethod
+    def _catalog_lists_d(p, nu, case, extra):
+        try:
+            tails = insep_tail_catalog(p, nu, case, extra)
+        except InadmissibleValuation:
+            return False
+        return any("d = +-" in tail.center for tail in tails)
+
+    def test_answers_where_the_catalog_lists_d_and_solves_its_equation(self):
+        fifth_powers = pth_power_residues()
+        outcomes = set()
+        for p, nu, r, s, case in self.DRAWS:
+            extra = vp_fraction(r + s if case == "a=0" else s, p)
+            if not self._catalog_lists_d(p, nu, case, extra):
+                outcomes.add("refused")
+                with pytest.raises(PreconditionViolated, match="no deeper inseparable tail"):
+                    insep_center(p, nu, r, s, case)
+                continue
+            c, b = (Fraction(2 * s, r), s) if case == "a=1" else (1, r + s)
+            radicand = (Fraction(5) ** (extra + 1) / b) ** 2
+            unit = PiExt.from_rational(radicand / 25)
+            try:
+                text = repr(insep_center(p, nu, r, s, case))
+            except NoNthRoot:
+                outcomes.add("no root")
+                assert pi_digits(unit, 7) not in fifth_powers
+                continue
+            outcomes.add("exact" if "O(" not in text else "to a precision")
+            assert pi_digits(unit, 7) in fifth_powers
+            d, prec = parse_local(text)
+            # an error at v >= prec in d moves d^5 by v >= prec + 4 v(d)
+            bound = None if prec is None else prec + 4 * d.valuation()
+            assert agrees(d**5, c**5 * radicand, bound)
+        assert outcomes == {"refused", "exact", "to a precision", "no root"}
+
+    def test_generic_case_has_no_deeper_tail(self):
+        with pytest.raises(PreconditionViolated, match="in case generic$"):
+            insep_center(5, 3, 1, 2, "generic")
+
+    def test_cover_outside_the_case(self):
+        with pytest.raises(CaseMismatch, match=r"case a=1 needs v\(s\) > 0"):
+            insep_center(5, 3, 1, 2, "a=1")
 
 
 class TestDeepInsepCorrectedResiduals:
