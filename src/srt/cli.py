@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import MissingLabel, ResourceLimit, SrtError, Unsupported, UsageError
+from .errors import MissingLabel, ResourceLimit, SrtError, UsageError
 from .graph import (
     ReductionTree,
     check_monotonic,
@@ -49,7 +49,7 @@ from .torsor import (
     tail_center,
     tail_radius,
 )
-from .valuation import ExtendedRational, is_prime, to_jsonable
+from .valuation import ExtendedRational, check_p, to_jsonable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,11 +74,9 @@ def _odd_prime(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     try:
-        prime = is_prime(p)
-    except Unsupported as exc:
+        check_p(p)
+    except SrtError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if p == 2 or not prime:
-        raise argparse.ArgumentTypeError(f"p must be an odd prime, got {p}")
     return p
 
 

@@ -4,6 +4,12 @@ an ``SrtError``; the CLI reports it as one line with exit code 1 and lets any
 other exception propagate as a bug. Each class also keeps a builtin base:
 ``ValueError`` for bad or unsupported input, ``ArithmeticError`` for questions
 the arithmetic cannot answer, ``RuntimeError`` for runs that cannot finish.
+
+The domains of the paper's parameters are decided once, by the rules in
+``srt.valuation`` that every library entry and the CLI call: ``check_p``
+(an odd prime int) and ``check_q`` (a prime int) raise ``Unsupported``, and
+``check_nu`` (an int >= 1) raises ``PreconditionViolated``. ``vp`` raises
+``PreconditionViolated`` for a p that is no prime int.
 """
 
 

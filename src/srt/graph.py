@@ -18,7 +18,7 @@ from .errors import (
     PreconditionViolated,
     Unsupported,
 )
-from .valuation import split_p_part
+from .valuation import check_p, split_p_part
 
 # --- component-level numerics ---
 
@@ -26,6 +26,7 @@ from .valuation import split_p_part
 def effective_invariant(sigmas, p):
     """Weighted average of the per-level invariants, with the weights of
     invariant_weights."""
+    check_p(p)
     sigmas = [Fraction(s) for s in sigmas]
     if not sigmas:
         raise InvalidProfile("need at least one level")
@@ -36,6 +37,7 @@ def effective_invariant(sigmas, p):
 def invariant_weights(r, p):
     """The weights of effective_invariant over r levels: (p-1)/p^i for
     i < r and 1/p^(r-1) for the last level; they sum to 1."""
+    check_p(p)
     return [Fraction(p - 1, p**i) for i in range(1, r)] + [Fraction(1, p ** (r - 1))]
 
 
@@ -198,6 +200,7 @@ def validate_tree(tree, p):
     parent must have strictly larger inertia; branch points of index p^a * m
     (p not dividing m) sit on components of inertia a; wild branch points of
     index divisible by p^r must not sit strictly below inertia on the path."""
+    check_p(p)
     problems = []
     for v in tree.vertices.values():
         edge = tree.edge_to.get(v.id)
@@ -246,6 +249,7 @@ def propagate_differents(tree, p, root_delta=None):
     explicit delta_eff label. Returns a SolveResult; unresolved chains are
     reported as aggregate relations when their sigma_eff values agree.
     """
+    check_p(p)
     work = tree.copy()
     root = work.vertices[work.root]
     if root_delta is None:
@@ -417,6 +421,7 @@ def enumerate_tail_configs(tau, m_G, p):
     most 1 and each new-tail sigma at most 2: the candidates do not depend
     on p.
     """
+    check_p(p)
     if m_G != 2:
         raise Unsupported(f"only m_G = 2 is modeled, got {m_G}")
     if not 0 <= tau <= 3:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import NoSolution, PreconditionViolated, ResourceLimit, Unsupported
-from .valuation import _SMALL_PRIMES, is_prime, power, split_p_part
+from .valuation import _SMALL_PRIMES, check_p, check_q, is_prime, power, split_p_part
 
 @dataclass(frozen=True)
 class MatrixElement:
@@ -92,8 +92,7 @@ def _prime_factors(n):
 def order_primes(q):
     """(primes of q - 1, primes of q + 1) of a prime q: the `primes` a request
     factors once and passes to its generators, closure and element orders."""
-    if not is_prime(q):
-        raise Unsupported(f"q must be prime, got {q}")
+    check_q(q)
     return tuple(_prime_factors(q - 1)), tuple(_prime_factors(q + 1))
 
 
@@ -162,8 +161,7 @@ def element_order(m, primes=None):
     V_k - 2 = (lam^k - 1)^2 / lam^k; the order divides q^2 - 1.
     """
     q = m.q
-    if not is_prime(q):
-        raise Unsupported(f"element orders need a prime q, got {q}")
+    check_q(q)
     if m.b == 0 and m.c == 0 and m.a == m.d:
         return 1 if m.is_identity() else 2
     t = m.trace()
@@ -186,8 +184,7 @@ def solve_trace_system(q, tau, rho):
     The solution has lower-left entry c = rho - tau != 0, so beta lies
     outside the upper-triangular subgroup.
     """
-    if not is_prime(q):
-        raise Unsupported(f"q must be prime, got {q}")
+    check_q(q)
     tau %= q
     rho %= q
     values = [tau, rho, 2 % q, (-2) % q]
@@ -219,8 +216,8 @@ def standard_generators(q, p, primes=None):
     those orders: tau = lam + lam^-1 for a primitive root lam, and
     rho = mu + mu^-1 for mu = lam^p.
     """
-    if not is_prime(q):
-        raise Unsupported(f"q must be prime, got {q}")
+    check_q(q)
+    check_p(p)
     if (q - 1) % p != 0:
         raise NoSolution(f"p = {p} must divide q - 1 = {q - 1}")
     lam = _primitive_root(q, _prime_factors(q - 1) if primes is None else primes[0])
@@ -256,6 +253,7 @@ def generation_check(gens, q, mode="criterion", primes=None):
     generators of its stabilizer K in the upper-triangular group; |H| is the
     orbit size times |K|.
     """
+    check_q(q)
     gens = list(gens)
     if not gens:
         raise PreconditionViolated("need at least one generator")
@@ -272,7 +270,7 @@ def generation_check(gens, q, mode="criterion", primes=None):
     if len(gens) != 2:
         raise Unsupported("criterion mode needs exactly two generators")
     alpha, beta = gens
-    if not is_prime(q) or q < 5:
+    if q < 5:
         raise Unsupported(f"criterion mode needs a prime q >= 5, got {q}")
     if element_order(alpha, primes) != q:
         raise Unsupported(
@@ -307,8 +305,6 @@ def _generation_bfs(gens, q, primes):
             f"the bfs closure is bounded to q <= {_BFS_MAX_Q}, got q = {q}; "
             f"use the criterion mode for a larger q"
         )
-    if not is_prime(q):
-        raise Unsupported(f"bfs mode needs a prime q, got {q}")
     for g in gens:
         if g.q != q:
             raise PreconditionViolated(f"generator over F_{g.q}, expected F_{q}")
@@ -367,10 +363,8 @@ def sylow_data(q, p):
     """p-Sylow data of SL2(F_q) for odd p dividing q^2 - 1: the Sylow is the
     p-part of q^2 - 1, it is cyclic, and the normalizer acts through a group
     of order m_G = 2."""
-    if not is_prime(q):
-        raise Unsupported(f"q must be prime, got {q}")
-    if p == 2 or not is_prime(p):
-        raise Unsupported(f"p must be an odd prime, got {p}")
+    check_q(q)
+    check_p(p)
     if q % p == 0:
         raise Unsupported(f"p = {p} divides q = {q}")
     n = q * q - 1

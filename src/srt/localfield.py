@@ -80,7 +80,7 @@ from .errors import (
 from .valuation import (
     INFINITY,
     ExtendedRational,
-    is_prime,
+    check_p,
     power,
     split_p_part,
 )
@@ -100,8 +100,7 @@ class LocalFieldContext:
     M: int = DEFAULT_M
 
     def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise ContextError(f"p must be an odd prime, got {self.p}")
+        check_p(self.p)
         if self.N < 1 or self.M < 1:
             raise ContextError(f"N and M must be positive, got N={self.N}, M={self.M}")
 

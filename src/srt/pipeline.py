@@ -18,7 +18,7 @@ from .errors import PrecisionError, Unsupported
 from .localfield import is_pth_power
 from .series import CoverParams, maclaurin_g
 from .torsor import A_ONE, insep_center, insep_tail_catalog
-from .valuation import is_prime, vp
+from .valuation import check_p, check_q, vp
 
 
 @dataclass
@@ -43,10 +43,8 @@ def run_wild_monodromy(q, p, r=1):
     g(d) is not certified as a p-th power or the p^2-test cannot be decided
     at the pipeline's fixed precision, it raises Unsupported.
     """
-    if p == 2 or not is_prime(p):
-        raise Unsupported(f"p must be an odd prime, got {p}")
-    if not is_prime(q):
-        raise Unsupported(f"q must be prime, got {q}")
+    check_p(p)
+    check_q(q)
     if vp(r, p) != 0:
         raise Unsupported(f"need v_{p}({r}) = 0")
     nu = int(vp(q * q - 1, p).as_fraction())  # finite: q^2 - 1 > 0

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionViolated
+from .valuation import check_nu, check_p
 
 @dataclass(frozen=True)
 class Filtration:
@@ -65,8 +66,8 @@ class Filtration:
 def cyclotomic_filtration(p, nu):
     """Filtration of the degree (p-1)p^(nu-1) cyclotomic-type extension:
     jumps at 0, 1, ..., nu - 1 with orders (p-1)p^(nu-1), p^(nu-1), ..., p."""
-    if nu < 1:
-        raise PreconditionViolated(f"nu must be >= 1, got {nu}")
+    check_p(p)
+    check_nu(nu)
     # one power of p, then one exact division by p per jump: a fresh power
     # per jump repeats a big-int power nu times
     order = p ** (nu - 1)
@@ -128,13 +129,15 @@ def compositum_conductor(conductors):
 def conductor_case(p, nu, shape):
     """Closed-form conductor over the base for the two extension shapes:
     a tame extension of the cyclotomic tower (nu - 1), or the Kummer tower
-    obtained by adjoining a p-th radical (max(nu - 1, p/(p-1)), nu > 1)."""
+    obtained by adjoining a p-th radical (max(nu - 1, p/(p-1)), nu > 1). The
+    tame shape does not read p."""
     if shape == "tame-over-cyclotomic":
-        if nu < 1:
-            raise PreconditionViolated(f"nu must be >= 1, got {nu}")
+        check_nu(nu)
         return Fraction(nu - 1)
     if shape == "kummer-tower":
-        if nu <= 1:
+        check_p(p)
+        check_nu(nu)
+        if nu == 1:
             raise PreconditionViolated(f"kummer-tower shape needs nu > 1, got {nu}")
         return max(Fraction(nu - 1), Fraction(p, p - 1))
     raise PreconditionViolated(f"unknown shape {shape!r}")

@@ -39,7 +39,16 @@ from .errors import (
     Unsupported,
 )
 from .localfield import LocalFieldElement, _rational_term, element_dot
-from .valuation import INFINITY, ExtendedRational, _vp_count, is_prime, power, vp
+from .valuation import (
+    INFINITY,
+    ExtendedRational,
+    _check_valuation_prime,
+    _vp_count,
+    check_nu,
+    check_p,
+    power,
+    vp,
+)
 
 
 class GaussRational:
@@ -125,7 +134,8 @@ I_GAUSS = GaussRational(0, 1)
 
 
 def element_valuation(x, p) -> ExtendedRational:
-    """Valuation of a coefficient of any supported ring."""
+    """Valuation of a coefficient of any supported ring, at a prime p."""
+    _check_valuation_prime(p)
     if isinstance(x, LocalFieldElement):
         if x.ctx.p != p:
             raise ContextError(f"prime mismatch: element over {x.ctx.p}, asked {p}")
@@ -149,10 +159,8 @@ class CoverParams:
     """
 
     def __init__(self, p, nu, r, s, sqrt1ma):
-        if p == 2 or not is_prime(p):
-            raise PreconditionViolated(f"p must be an odd prime, got {p}")
-        if nu < 1:
-            raise PreconditionViolated(f"nu must be >= 1, got {nu}")
+        check_p(p)
+        check_nu(nu)
         if not (0 < r < p**nu and 0 < s < p**nu):
             raise PreconditionViolated(
                 f"need 0 < r, s < p^nu = {p**nu}, got r={r}, s={s}"
@@ -338,7 +346,8 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
     _recurrence_coefficients). The recurrence is safe on finite-precision
     elements because LocalFieldElement arithmetic records the precision each
     step loses to its divisor (k+1)*P(0). A center equal to a root is
-    refused with PreconditionViolated.
+    refused with PreconditionViolated. p is the odd prime of the series'
+    tail bound and of its evaluation.
 
     The center may be a Fraction, GaussRational or LocalFieldElement; the
     coefficients live in the same ring and are exact within order T. The
@@ -346,6 +355,7 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
     with coefficient i multiplied by e^i; a caller who needs more digits at a
     local-field center raises the context's M.
     """
+    check_p(p)
     return TruncatedSeries(
         _recurrence_coefficients(factors, center, T), tail_bound=tail_bound, p=p
     )
@@ -492,7 +502,9 @@ def scaled_coefficient_valuations(series, p, v_e):
     scale of known valuation v_e = n/d. A rational coefficient's valuation
     is read as its int count a of p's, and a + i*n/d is built as the one
     Fraction (a*d + i*n) / d; a finite a/b from a Q(i) or local-field
-    coefficient is built as (a*d + i*n*b) / (b*d)."""
+    coefficient is built as (a*d + i*n*b) / (b*d). p is checked here, so
+    the count of a rational coefficient's p's takes no check of its own."""
+    _check_valuation_prime(p)
     n, d = Fraction(v_e).as_integer_ratio()
     out = []
     for i, c in enumerate(series.coefficients[1:], 1):

@@ -17,7 +17,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .localfield import LocalFieldContext, nth_root
-from .valuation import INFINITY, ExtendedRational, _value, vp
+from .valuation import INFINITY, ExtendedRational, _value, check_nu, check_p, vp
 
 
 GENERIC = "generic"
@@ -38,11 +38,6 @@ def _norm_case(case):
     if case not in _CASES:
         raise CaseMismatch(f"unknown case {case!r}; expected one of {_CASES}")
     return case
-
-
-def _check_nu(nu):
-    if nu < 1:
-        raise PreconditionViolated(f"nu must be >= 1, got {nu}")
 
 
 @dataclass
@@ -101,6 +96,7 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None):
     ExtendedRationals. The borderline case v(c_p) <= theta, reached at most
     once a call, does its arithmetic on ExtendedRationals.
     """
+    check_p(p)
     T = len(vals)
     if T < p:
         raise InsufficientData(f"need coefficient valuations up to i = {p}, got {T}")
@@ -251,19 +247,26 @@ def tail_center(p, nu, r, s, case):
     Q_5((-5)^(1/4)) (Serre, Local Fields, ch. IV), so the center has no
     branch to choose.
     """
+    check_p(p)
     case = _norm_case(case)
-    _check_nu(nu)
+    check_nu(nu)
     extra = _aux_valuation(p, r, s, case)
     if case == GENERIC:
         if r == s:
             raise CaseMismatch("center 1 - s^2/r^2 = 0 coincides with the branch point x = 0")
         return 1 - Fraction(s, r) ** 2
-    if extra > nu - 1:
-        name = "v(a)" if case == A_ZERO else "v(sqrt(1-a))"
-        raise InadmissibleValuation(f"{name} = {extra} exceeds nu - 1 = {nu - 1}")
+    _refuse_above_nu(case, extra, nu)
     if p > 5 or extra < nu - 1:
         return 1 - Fraction(s, r) ** 2
     return _exceptional_center(p, nu, r, s, r + s if case == A_ZERO else s)
+
+
+def _refuse_above_nu(case, extra, nu):
+    """Refuse an auxiliary valuation above nu - 1, where the case has no new
+    etale tail."""
+    if extra > nu - 1:
+        name = "v(a)" if case == A_ZERO else "v(sqrt(1-a))"
+        raise InadmissibleValuation(f"{name} = {extra} exceeds nu - 1 = {nu - 1}")
 
 
 def _exceptional_center(p, nu, r, s, binom_arg):
@@ -286,9 +289,11 @@ class TailRadius:
 
 def tail_radius(p, nu, case, extra=None):
     """Valuations of the radius rho of the tail disk (x-coordinate) and of
-    the scale e of the disk upstairs (z-coordinate)."""
+    the scale e of the disk upstairs (z-coordinate). Case a=0 refuses a
+    v(a) above nu - 1, as tail_center does."""
+    check_p(p)
     case = _norm_case(case)
-    _check_nu(nu)
+    check_nu(nu)
     x = Fraction(nu) + Fraction(1, p - 1)
     if case == GENERIC:
         if extra not in (None, 0, Fraction(0)):
@@ -298,6 +303,7 @@ def tail_radius(p, nu, case, extra=None):
         raise PreconditionViolated(f"case {case} needs a positive auxiliary valuation")
     extra = Fraction(extra)
     if case == A_ZERO:
+        _refuse_above_nu(case, extra, nu)
         return TailRadius(
             Fraction(2, 3) * x + Fraction(1, 3) * extra,
             Fraction(1, 3) * (x - extra),
@@ -339,8 +345,9 @@ def insep_tail_catalog(p, nu, case, extra=None):
         case: generic / a=0 / a=1.
         extra: v(a) for a=0, v(sqrt(1-a)) for a=1.
     """
+    check_p(p)
     case = _norm_case(case)
-    _check_nu(nu)
+    check_nu(nu)
     if case == GENERIC:
         return []
     if nu <= 1:
@@ -414,8 +421,9 @@ def insep_center(p, nu, r, s, case):
     NoNthRoot when b'^2 has no 5th root in the field, that is when the unit
     part of b' is no 5th power there.
     """
+    check_p(p)
     case = _norm_case(case)
-    _check_nu(nu)
+    check_nu(nu)
     extra = _aux_valuation(p, r, s, case)
     if extra is None or not _has_deeper_tail(p, nu, extra):
         raise PreconditionViolated(

@@ -1,7 +1,8 @@
 """
 Exact p-adic valuations over the rationals, and the small helpers every other
-module shares: primality, the p-part split of an integer, square-and-multiply
-and conversion of reports to JSON values.
+module shares: primality, the one domain rule of each of the parameters p, q
+and nu (check_p, check_q, check_nu), the p-part split of an integer,
+square-and-multiply and conversion of reports to JSON values.
 
 Valuations take values in (1/N)Z for various N, so everything here is built on
 ``fractions.Fraction``, extended by a single infinite element for v(0).
@@ -122,15 +123,22 @@ def vp(x, p) -> ExtendedRational:
     Returns:
         ExtendedRational; INFINITY for x = 0.
     """
+    _check_valuation_prime(p)
     v = _vp_count(x, p)
     return INFINITY if v is None else ExtendedRational(v)
 
 
+def _check_valuation_prime(p):
+    """The domain of the p of vp and of the valuations built on it: an int
+    prime, 2 included."""
+    if type(p) is not int or not is_prime(p):
+        raise PreconditionViolated(f"p must be a prime >= 2, got {p}")
+
+
 def _vp_count(x, p):
     """vp(x, p) as the int count of p's it is, or None for x = 0: the
-    p-stripping loop behind vp, for a caller that builds its own value."""
-    if p < 2:
-        raise PreconditionViolated(f"p must be a prime >= 2, got {p}")
+    p-stripping loop behind vp, for a caller that builds its own value and
+    has checked p."""
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     num = x.numerator
@@ -207,6 +215,34 @@ def is_prime(n) -> bool:
         else:
             return False
     return True
+
+
+# The domains of the paper's parameters, each decided here once: every
+# library entry that takes p, q or nu calls its rule before any other use of
+# it, and the CLI's --p type calls check_p. Each value must be of type int
+# itself: a bool is refused, though it is an int, and so is a float or
+# Fraction of integer value.
+
+
+def check_p(p):
+    """The prime p of the cyclic p-Sylow: an odd prime int. is_prime's own
+    Unsupported for a p too large to certify passes through."""
+    if type(p) is not int or p == 2 or not is_prime(p):
+        raise Unsupported(f"p must be an odd prime, got {p}")
+
+
+def check_q(q):
+    """The q of SL2(F_q): a prime int."""
+    if type(q) is not int or not is_prime(q):
+        raise Unsupported(f"q must be prime, got {q}")
+
+
+def check_nu(nu):
+    """The exponent nu = v_p(q^2 - 1) of the Sylow order p^nu: an int >= 1."""
+    if type(nu) is not int:
+        raise PreconditionViolated(f"nu must be an integer, got {nu}")
+    if nu < 1:
+        raise PreconditionViolated(f"nu must be >= 1, got {nu}")
 
 
 def split_p_part(n, p):

@@ -39,8 +39,12 @@ of each family against an independent one:
   check of tests/test_acceptance.py::test_tail_radius_matches_tree_solve on
   the draws here: each printed v_rho is the total epaisseur of the reduction
   tree that the tree solver solves for the draw's case.
-- `tail-center` and `insep-tails` have no oracle test of their printed
-  answers.
+- `tail-center`: test_tail_center_draws_match_their_equations below checks
+  each answered draw with srt-free arithmetic: a rational center is
+  1 - (s/r)^2, and a local-field center is 1 - ((s - rho)/r)^2 with
+  rho^5 = p^(4 nu + 1) binomial(x, 5), x = r + s for a=0 and s for a=1, an
+  equation that tests/helpers.py's PiExt checks to the printed precision.
+- `insep-tails` has no oracle test of its printed answers.
 
 If the output is meant to change, regenerate the digest with
 ``PYTHONPATH=src python tests/test_cli_digest.py`` and say why in CHANGES.md.
@@ -49,17 +53,21 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
 from srt.cli import dispatch
 
+from helpers import PiExt, agrees, rational_mod, vp_fraction
 from test_acceptance import _radius_by_tree_solve
 
-EXPECTED_DIGEST = "245c79bded352245410114c89178f84f29812a290e633d2de554499321d78b83"
+EXPECTED_DIGEST = "da675fe3a43710ffc7a19d2fe7729193b8be892fa89cce03a49d464d7e638abb"
 EXPECTED_REQUESTS = 2000
 ROUNDS = 100
 SEED = 21
+# an exact local-field tail center is checked modulo p^EXACT_DIGITS
+EXACT_DIGITS = 20
 
 PRIMES = (3, 5, 7)
 CASES = ("generic", "a=0", "a=1", "generic", "a=0", "a=1", "other")
@@ -184,31 +192,108 @@ def test_cli_requests_are_byte_identical():
     assert digest == EXPECTED_DIGEST
 
 
+def _answered(command):
+    """(argv, JSON answer) of each draw of the sweep for `command` that
+    answers with exit code 0."""
+    rng = random.Random(SEED)
+    for _ in range(ROUNDS):
+        for argv in _requests(rng):
+            if argv[0] != command:
+                continue
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = dispatch(argv)
+            if code == 0:
+                yield argv, json.loads(out.getvalue())
+
+
 def test_tail_radius_draws_match_tree_solve():
     """Every tail-radius draw of the sweep that answers, in the domain where
     its tree has the component W (generic, or the auxiliary valuation in
     (0, nu - 1]): the printed v_rho is the tree solver's. The other answered
     draws are counted, since that tree does not exist for them."""
-    rng = random.Random(SEED)
     checked = outside = 0
-    for _ in range(ROUNDS):
-        for argv in _requests(rng):
-            if argv[0] != "tail-radius":
-                continue
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = dispatch(argv)
-            if code != 0:
-                continue
-            p, nu, case = int(argv[2]), int(argv[4]), argv[6]
-            extra = Fraction(argv[7].partition("=")[2]) if len(argv) > 7 else None
-            v_rho = _radius_by_tree_solve(p, nu, case, extra)
-            if v_rho is None:
-                outside += 1
-                continue
-            assert Fraction(json.loads(out.getvalue())["v_rho"]) == v_rho, argv
-            checked += 1
-    assert (checked, outside) == (36, 18)
+    for argv, answer in _answered("tail-radius"):
+        p, nu, case = int(argv[2]), int(argv[4]), argv[6]
+        extra = Fraction(argv[7].partition("=")[2]) if len(argv) > 7 else None
+        v_rho = _radius_by_tree_solve(p, nu, case, extra)
+        if v_rho is None:
+            outside += 1
+            continue
+        assert Fraction(answer["v_rho"]) == v_rho, argv
+        checked += 1
+    assert (checked, outside) == (36, 8)
+
+
+def _local_value(element, p):
+    """(PiExt value over pi^5 = p, precision) of a local-field element in its
+    JSON form: the sum of its terms unit * p^exponent, each exponent in
+    (1/5)Z, and the precision as a Fraction, or None when it is exact."""
+    coeffs = [Fraction(0)] * 5
+    for term in element["terms"]:
+        e5 = Fraction(term["exponent"]) * 5
+        assert e5.denominator == 1, term
+        # p^e = p^k * pi^i for 5e = 5k + i, 0 <= i < 5
+        k, i = divmod(int(e5), 5)
+        coeffs[i] += Fraction(term["unit"]) * Fraction(p) ** k
+    prec = element["precision"]
+    return PiExt(coeffs, 5, p), None if prec == "exact" else Fraction(prec)
+
+
+def _fifth_root(R, p, L):
+    """A root rho of rho^5 = R in Q_p(pi), pi^5 = p, correct modulo p^L, for
+    a rational R >= 0: pi^k mu for R = p^k m with m a unit, and mu an integer
+    with mu^5 = m modulo p^L lifted one p-adic digit at a time. None when m
+    has no 5th root in Z_p.
+
+    (mu + t p^j)^5 = mu^5 + 5 mu^4 t p^j modulo p^(j + e), e = 1 + v_p(5),
+    for j >= 1, so the digit t at p^j sets mu^5 modulo p^(j + e); the digit
+    at p^0 must give mu^5 = m modulo p^e already."""
+    if R == 0:
+        return PiExt.from_rational(0, 5, p)
+    k = vp_fraction(R, p)
+    m = R / Fraction(p) ** k
+    e = 2 if p == 5 else 1
+    roots = [a for a in range(1, p) if (a**5 - rational_mod(m, p**e, p)) % p**e == 0]
+    if not roots:
+        return None
+    mu = roots[0]
+    for j in range(1, L):
+        modulus = p ** (j + e)
+        mu = next(
+            mu + t * p**j
+            for t in range(p)
+            if ((mu + t * p**j) ** 5 - rational_mod(m, modulus, p)) % modulus == 0
+        )
+    return PiExt.pi(5, p) ** k * mu
+
+
+def test_tail_center_draws_match_their_equations():
+    """Every tail-center draw of the sweep that answers. A rational center
+    is 1 - (s/r)^2. A local-field center is 1 - ((s - rho)/r)^2 with
+    rho^5 = p^(4 nu + 1) binomial(x, 5), x = r + s for a=0 and s for a=1:
+    rho is taken here digit by digit, with no srt, and the printed center
+    must agree with that value to its printed precision, or modulo
+    p^EXACT_DIGITS when it is printed exact. That root is the only one in
+    the field, which holds no 5th root of unity but 1."""
+    counts = {"rational": 0, "local": 0}
+    for argv, answer in _answered("tail-center"):
+        p, nu, case = int(argv[2]), int(argv[4]), argv[8]
+        r, s = (int(arg.partition("=")[2]) for arg in argv[5:7])
+        center = answer["center"]
+        if isinstance(center, str):
+            assert Fraction(center) == 1 - Fraction(s, r) ** 2, argv
+            counts["rational"] += 1
+            continue
+        printed, prec = _local_value(center, p)
+        digits = EXACT_DIGITS if prec is None else prec
+        x = r + s if case == "a=0" else s
+        rho = _fifth_root(Fraction(p) ** (4 * nu + 1) * math.comb(x, 5), p, math.ceil(digits) + 1)
+        assert rho is not None, argv
+        # r is a unit, so a root known modulo p^L gives the center modulo p^L
+        assert agrees(printed, 1 - ((s - rho) / r) ** 2, digits), argv
+        counts["local"] += 1
+    assert counts == {"rational": 45, "local": 14}
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from srt import (
     herbrand,
 )
 from srt.cli import EXIT_USAGE, dispatch
-from srt.errors import PreconditionViolated
+from srt.errors import PreconditionViolated, Unsupported
 from srt.valuation import is_prime, split_p_part
 
 
@@ -68,9 +68,9 @@ class TestHierarchy:
 
 class TestLibraryPreconditions:
     def test_cover_params_rejects_non_prime_p(self):
-        with pytest.raises(PreconditionViolated, match="odd prime"):
+        with pytest.raises(Unsupported, match="odd prime"):
             CoverParams(4, 1, 1, 2, Fraction(-2))
-        with pytest.raises(PreconditionViolated, match="odd prime"):
+        with pytest.raises(Unsupported, match="odd prime"):
             CoverParams(2, 2, 1, 3, Fraction(-3))
 
     def test_cyclotomic_filtration_rejects_nu_below_one(self):

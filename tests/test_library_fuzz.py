@@ -1,0 +1,208 @@
+"""Bounded fuzz of the parameter domains of the srt library.
+
+The paper's setting is an odd prime p, a cyclic p-Sylow of order p^nu with
+nu >= 1 an integer, and SL2 over F_q for a prime q. RULES maps every public
+function of srt with a parameter named p, q or nu to the rule of each such
+parameter, with arguments that the function answers; EXEMPT names the others
+with a reason. A public function in neither table fails
+test_tables_match_the_signatures.
+
+Each parameter gets every value of DRAWS, then derandomized hypothesis draws
+of ints, floats, fractions and bools. A value outside its rule's domain must
+be refused with an SrtError whose message names the parameter ("p must be",
+"q must be", "nu must be"), so the refusal is the rule's and not a later
+accident. A value inside the domain must end with an answer or an SrtError.
+Every call must return within EXAMPLE_SECONDS, and all calls together within
+TOTAL_SECONDS. The CLI's --p type must refuse each p with the library rule's
+own text.
+"""
+import argparse
+import inspect
+import time
+from fractions import Fraction
+
+import pytest
+
+import srt
+from srt import Edge, ReductionTree, TruncatedSeries, Vertex, standard_generators
+from srt.cli import _odd_prime
+from srt.errors import SrtError
+from srt.valuation import check_p
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+given, settings = hypothesis.given, hypothesis.settings
+
+EXAMPLES = 25  # hypothesis draws per parameter
+EXAMPLE_SECONDS = 2.0
+TOTAL_SECONDS = 10.0
+SETTINGS = settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# rule -> whether a value lies in its domain; "prime" is the q of SL2(F_q)
+# and the p of the valuations, which may be 2
+DOMAINS = {
+    "odd prime": lambda x: _is_int(x) and x != 2 and _is_prime(x),
+    "prime": lambda x: _is_int(x) and _is_prime(x),
+    "nu": lambda x: _is_int(x) and x >= 1,
+}
+DRAWS = [True, 5.0, 2.5, Fraction(5), Fraction(7, 2), 0, 1, -5, 4, 9, 15, 25, 2]
+OTHER_DRAWS = st.one_of(
+    st.integers(-30, 200),
+    st.floats(-50, 250, allow_nan=False),
+    st.fractions(-20, 60, max_denominator=6),
+    st.booleans(),
+)
+
+TREE = ReductionTree(
+    [Vertex("root", inertia=1), Vertex("tail", tail="new-etale", sigma=Fraction(3, 2))],
+    [Edge("root", "tail", sigma_eff=Fraction(3, 2))],
+)
+
+# public function -> ({parameter: rule}, keyword arguments it answers)
+RULES = {
+    "CoverParams": ({"p": "odd prime", "nu": "nu"},
+                    dict(p=5, nu=2, r=1, s=3, sqrt1ma=Fraction(-3))),
+    "LocalFieldContext": ({"p": "odd prime"}, dict(p=5)),
+    # the tame shape does not read p
+    "conductor_case": ({"p": "odd prime", "nu": "nu"}, dict(p=5, nu=2, shape="kummer-tower")),
+    "cyclotomic_filtration": ({"p": "odd prime", "nu": "nu"}, dict(p=5, nu=2)),
+    "effective_invariant": ({"p": "odd prime"}, dict(sigmas=[1, 2], p=5)),
+    "element_valuation": ({"p": "prime"}, dict(x=Fraction(50), p=5)),
+    "enumerate_tail_configs": ({"p": "odd prime"}, dict(tau=1, m_G=2, p=5)),
+    "generation_check": ({"q": "prime"}, dict(gens=standard_generators(31, 5), q=31)),
+    "insep_center": ({"p": "odd prime", "nu": "nu"}, dict(p=5, nu=3, r=1, s=5, case="a=1")),
+    "insep_tail_catalog": ({"p": "odd prime", "nu": "nu"}, dict(p=5, nu=3, case="a=1", extra=1)),
+    "invariant_weights": ({"p": "odd prime"}, dict(r=2, p=5)),
+    "propagate_differents": ({"p": "odd prime"}, dict(tree=TREE, p=5)),
+    "run_wild_monodromy": ({"q": "prime", "p": "odd prime"}, dict(q=251, p=5)),
+    "scaled_coefficient_valuations": (
+        {"p": "prime"}, dict(series=TruncatedSeries([1, 5, Fraction(1, 25)]), p=5, v_e=0)),
+    "solve_trace_system": ({"q": "prime"}, dict(q=31, tau=1, rho=3)),
+    "splitting_obstruction": ({"p": "odd prime"}, dict(vals=[Fraction(3)] * 5, p=5, n=1)),
+    "standard_generators": ({"q": "prime", "p": "odd prime"}, dict(q=31, p=5)),
+    "sylow_data": ({"q": "prime", "p": "odd prime"}, dict(q=251, p=5)),
+    "tail_center": ({"p": "odd prime", "nu": "nu"}, dict(p=5, nu=2, r=1, s=4, case="a=0")),
+    "tail_radius": ({"p": "odd prime", "nu": "nu"}, dict(p=5, nu=2, case="generic")),
+    "taylor_factors": (
+        {"p": "odd prime"}, dict(factors=[(Fraction(1), 2)], center=Fraction(0), T=3, p=5)),
+    "validate_tree": ({"p": "odd prime"}, dict(tree=TREE, p=5)),
+    "vp": ({"p": "prime"}, dict(x=10, p=5)),
+}
+
+EXEMPT = {
+    "multinomial": "its q is the total of the parts, not a prime",
+    "MatrixElement": "a value constructor; the entries that read its q check it",
+    "identity": "a value constructor of MatrixElement",
+    "minus_identity": "a value constructor of MatrixElement",
+    "TruncatedSeries": "a value constructor; taylor_factors checks the p it stores",
+}
+
+PARAMETERS = ("p", "q", "nu")
+
+
+def _public_functions_with_parameters():
+    """{name: its parameters named p, q or nu} over srt.__all__."""
+    out = {}
+    for name in srt.__all__:
+        obj = getattr(srt, name)
+        if not callable(obj):
+            continue
+        try:
+            signature = inspect.signature(obj)
+        except (TypeError, ValueError):
+            continue
+        params = [x for x in signature.parameters if x in PARAMETERS]
+        if params:
+            out[name] = params
+    return out
+
+
+def test_tables_match_the_signatures():
+    found = _public_functions_with_parameters()
+    assert not set(RULES) & set(EXEMPT)
+    assert set(found) - set(RULES) - set(EXEMPT) == set(), "in neither RULES nor EXEMPT"
+    assert set(RULES) | set(EXEMPT) == set(found)
+    for name, (rules, _) in RULES.items():
+        assert sorted(rules) == sorted(found[name]), name
+
+
+@pytest.fixture(scope="module")
+def spent():
+    """Seconds spent in library calls by every example of this module so far."""
+    return [0.0]
+
+
+def _check(name, param, value, spent):
+    rules, kwargs = RULES[name]
+    rule = rules[param]
+    start = time.perf_counter()
+    try:
+        getattr(srt, name)(**{**kwargs, param: value})
+        refusal = None
+    except SrtError as exc:
+        refusal = exc
+    elapsed = time.perf_counter() - start
+    spent[0] += elapsed
+    if not DOMAINS[rule](value):
+        assert refusal is not None, (name, param, value)
+        assert str(refusal).startswith(f"{param} must be"), (name, param, value, refusal)
+    assert elapsed < EXAMPLE_SECONDS, (name, param, value, elapsed)
+    assert spent[0] < TOTAL_SECONDS, "the fuzz as a whole went over its time budget"
+
+
+@pytest.mark.parametrize("name", sorted(RULES))
+def test_base_arguments_answer(name):
+    _, kwargs = RULES[name]
+    getattr(srt, name)(**kwargs)
+
+
+CASES = [(name, param) for name in sorted(RULES) for param in RULES[name][0]]
+
+
+@pytest.mark.parametrize("name, param", CASES)
+def test_out_of_domain_values_are_refused(name, param, spent):
+    for value in DRAWS:
+        _check(name, param, value, spent)
+
+    @SETTINGS
+    @given(OTHER_DRAWS)
+    def run(value):
+        _check(name, param, value, spent)
+
+    run()
+
+
+def _cli_refusal(p):
+    try:
+        _odd_prime(str(p))
+    except argparse.ArgumentTypeError as exc:
+        return str(exc)
+    return None
+
+
+def _rule_refusal(p):
+    try:
+        check_p(p)
+    except SrtError as exc:
+        return str(exc)
+    return None
+
+
+def test_cli_p_type_refuses_with_the_library_text():
+    """Every p from -30 to 199, and large ones: the prime 2^61 - 1, which
+    both accept, the prime 2^89 - 1, too large for is_prime to certify,
+    whose refusal passes through both, and composites."""
+    for p in [*range(-30, 200), 2**61 - 1, 2**89 - 1, 2**89 + 1, 10**30]:
+        assert _cli_refusal(p) == _rule_refusal(p), p
+        if p < 200:
+            assert (_rule_refusal(p) is None) == DOMAINS["odd prime"](p), p
+    assert "certified only below" in _rule_refusal(2**89 - 1)
