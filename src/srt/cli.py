@@ -173,20 +173,19 @@ def _cmd_expand(args):
         sqrt1ma = Fraction(-args.s, args.r)
     params = CoverParams(args.p, args.nu, args.r, args.s, sqrt1ma)
     series = maclaurin_g(params, args.T)
-    coefficients = _coefficient_strings(series.coefficients)
-    vals = scaled_coefficient_valuations(series, args.p, 0)
+    _refuse_unprintable(series.coefficients)
     return {
         "p": args.p,
         "order": series.order,
-        "coefficients": coefficients,
-        "valuations": [str(v) for v in vals],
+        "coefficients": series.coefficients,
+        "valuations": scaled_coefficient_valuations(series, args.p, 0),
     }, EXIT_OK
 
 
-def _coefficient_strings(coefficients):
-    """str of each rational coefficient. The largest numerator and the largest
-    denominator are converted first, so a coefficient beyond Python's
-    int-to-str digit limit is refused before any other work."""
+def _refuse_unprintable(coefficients):
+    """Refuse a rational coefficient beyond Python's int-to-str digit limit
+    before any other work, by converting the largest numerator and the
+    largest denominator."""
     numerators = (abs(c.numerator) for c in coefficients)
     denominators = (c.denominator for c in coefficients)
     for ints in (numerators, denominators):
@@ -197,7 +196,6 @@ def _coefficient_strings(coefficients):
                 f"a coefficient has more than {sys.get_int_max_str_digits()} "
                 f"digits, too many to print; lower --T or --p"
             ) from None
-    return [str(c) for c in coefficients]
 
 
 def _cmd_split_check(args):
@@ -265,7 +263,7 @@ def _cmd_tree_solve(args):
 
 
 def _cmd_enum_tails(args):
-    return enumerate_tail_configs(args.tau, args.m_g, args.p), EXIT_OK
+    return enumerate_tail_configs(args.tau, args.p), EXIT_OK
 
 
 def _cmd_conductor(args):
@@ -273,13 +271,12 @@ def _cmd_conductor(args):
         if args.shape is not None or args.p is not None or args.nu is not None:
             raise UsageError("give --compositum alone, or --shape with --nu (and --p)")
         values = [_fraction(x) for x in args.compositum.split(",")]
-        return {"conductor": str(compositum_conductor(values))}, EXIT_OK
+        return {"conductor": compositum_conductor(values)}, EXIT_OK
     if args.shape is None:
         raise UsageError("provide --shape or --compositum 'a/b,c/d'")
     if args.nu is None or (args.p is None and args.shape == "kummer-tower"):
         raise UsageError("--shape needs --nu, and kummer-tower also --p")
-    value = conductor_case(args.p, args.nu, args.shape)
-    return {"conductor": str(value)}, EXIT_OK
+    return {"conductor": conductor_case(args.p, args.nu, args.shape)}, EXIT_OK
 
 
 def _cmd_herbrand(args):
@@ -298,12 +295,11 @@ def _cmd_herbrand(args):
         filtration = cyclotomic_filtration(args.p, args.nu)
     else:
         raise UsageError("provide --filtration FILE or both --p and --nu")
-    value = herbrand(filtration, args.direction, _fraction(args.x))
     return {
         "direction": args.direction,
         "x": args.x,
-        "value": str(value),
-        "conductor": str(filtration.conductor()),
+        "value": herbrand(filtration, args.direction, _fraction(args.x)),
+        "conductor": filtration.conductor(),
     }, EXIT_OK
 
 
@@ -322,8 +318,8 @@ def _cmd_group(args):
     verdict = generation_check([alpha, beta], q, mode=args.mode, primes=primes)
     out = {
         "q": q,
-        "alpha": list(alpha.entries()),
-        "beta": list(beta.entries()),
+        "alpha": alpha.entries(),
+        "beta": beta.entries(),
         "orders": {
             "alpha": element_order(alpha, primes),
             "beta": element_order(beta, primes),
@@ -362,7 +358,6 @@ FLAGS = {
     "--root-delta": dict(type=_fraction, help="override the root effective different"),
     "--tau": dict(type=int, help="enum-tails: number of primitive tails; "
                   "group: prescribed trace of beta"),
-    "--m-g": dict(type=int, default=2, help="m_G (only 2 is modeled)"),
     "--shape": dict(choices=("tame-over-cyclotomic", "kummer-tower")),
     "--compositum": dict(help="comma-separated conductors to combine"),
     "--filtration": dict(help="filtration JSON file"),
@@ -402,7 +397,7 @@ COMMANDS = {
     "tree-solve": (_cmd_tree_solve, "solve the different/epaisseur laws", {
         "--p": REQUIRED, "--tree": REQUIRED, "--root-delta": None}),
     "enum-tails": (_cmd_enum_tails, "admissible etale tail configurations", {
-        "--tau": REQUIRED, "--m-g": None, "--p": 5}),
+        "--tau": REQUIRED, "--p": 5}),
     "conductor": (_cmd_conductor, "closed-form conductors", {
         "--p": None, "--nu": None, "--shape": None, "--compositum": None}),
     "herbrand": (_cmd_herbrand, "Herbrand phi/psi transform", {

@@ -16,7 +16,6 @@ from .errors import (
     InvalidTree,
     MissingLabel,
     PreconditionViolated,
-    Unsupported,
 )
 from .valuation import check_p, split_p_part
 
@@ -411,7 +410,7 @@ class TailConfig:
     flagged: bool = False  # contains a sigma >= p/2, hence impossible
 
 
-def enumerate_tail_configs(tau, m_G, p):
+def enumerate_tail_configs(tau, p):
     """Admissible etale-tail invariant multisets for m_G = 2 with tau
     primitive tails: sigma in (1/2)Z > 0, new-tail sigma > 1, at most two
     etale tails in total, vanishing-cycles identity satisfied. Entries with
@@ -422,8 +421,6 @@ def enumerate_tail_configs(tau, m_G, p):
     on p.
     """
     check_p(p)
-    if m_G != 2:
-        raise Unsupported(f"only m_G = 2 is modeled, got {m_G}")
     if not 0 <= tau <= 3:
         raise PreconditionViolated(f"tau must be 0..3, got {tau}")
     candidates = [Fraction(k, 2) for k in range(1, 5)]

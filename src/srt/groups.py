@@ -202,10 +202,10 @@ def solve_trace_system(q, tau, rho):
 
 
 def _primitive_root(q, factors):
+    """The least primitive root mod the prime q, which always has one."""
     for g in range(2, q):
         if all(pow(g, (q - 1) // f, q) != 1 for f in factors):
             return g
-    raise NoSolution(f"no primitive root mod {q}")
 
 
 def standard_generators(q, p, primes=None):
@@ -257,6 +257,9 @@ def generation_check(gens, q, mode="criterion", primes=None):
     gens = list(gens)
     if not gens:
         raise PreconditionViolated("need at least one generator")
+    for g in gens:
+        if g.q != q:
+            raise PreconditionViolated(f"generator over F_{g.q}, expected F_{q}")
     if mode == "bfs":
         return _generation_bfs(gens, q, primes)
     if mode != "criterion":
@@ -305,9 +308,6 @@ def _generation_bfs(gens, q, primes):
             f"the bfs closure is bounded to q <= {_BFS_MAX_Q}, got q = {q}; "
             f"use the criterion mode for a larger q"
         )
-    for g in gens:
-        if g.q != q:
-            raise PreconditionViolated(f"generator over F_{g.q}, expected F_{q}")
 
     # the line through (x, y) is indexed by its slope y/x, or by q when x = 0;
     # t[L] is a transversal in H whose first column spans L. Each Schreier

@@ -177,8 +177,6 @@ class CoverParams:
             )
         if self.sqrt1ma == 0:
             raise DegenerateCover("sqrt(1-a) = 0 degenerates the cover")
-        if self.sqrt1ma == 1 and r + s == 0:
-            raise DegenerateCover("constant cover")
         if self.sqrt1ma == -1 and r == s:
             raise DegenerateCover("constant cover")
 
@@ -499,22 +497,19 @@ def _ring_one(*xs):
 
 def scaled_coefficient_valuations(series, p, v_e):
     """v(c_i) = v(coefficient i) + i*v(e) for a homogeneous rescaling with a
-    scale of known valuation v_e = n/d. A rational coefficient's valuation
-    is read as its int count a of p's, and a + i*n/d is built as the one
-    Fraction (a*d + i*n) / d; a finite a/b from a Q(i) or local-field
-    coefficient is built as (a*d + i*n*b) / (b*d). p is checked here, so
-    the count of a rational coefficient's p's takes no check of its own."""
+    scale of known valuation v_e = n/d, of a series over Q: a coefficient
+    that is no int or Fraction is refused. Its valuation is read as its int
+    count a of p's, and a + i*n/d is built as the one Fraction
+    (a*d + i*n) / d. p is checked here, so the count takes no check of its
+    own."""
     _check_valuation_prime(p)
     n, d = Fraction(v_e).as_integer_ratio()
     out = []
     for i, c in enumerate(series.coefficients[1:], 1):
-        if isinstance(c, (LocalFieldElement, GaussRational)):
-            v = element_valuation(c, p)
-            if not v.is_infinite:
-                a, b = v.value.as_integer_ratio()
-                v = ExtendedRational(Fraction(a * d + i * n * b, b * d))
-        else:
-            a = _vp_count(c, p)
-            v = INFINITY if a is None else ExtendedRational(Fraction(a * d + i * n, d))
-        out.append(v)
+        if not isinstance(c, (int, Fraction)):
+            raise PreconditionViolated(
+                f"coefficient valuations need a rational series, got {type(c).__name__}"
+            )
+        a = _vp_count(c, p)
+        out.append(INFINITY if a is None else ExtendedRational(Fraction(a * d + i * n, d)))
     return out

@@ -15,6 +15,7 @@ from .errors import (
     InadmissibleValuation,
     InsufficientData,
     PreconditionViolated,
+    Unsupported,
 )
 from .localfield import LocalFieldContext, nth_root
 from .valuation import INFINITY, ExtendedRational, _value, check_nu, check_p, vp
@@ -245,7 +246,8 @@ def tail_center(p, nu, r, s, case):
     built from the 5th root that `nth_root` takes. That root is unique: zeta_5
     lies in no totally ramified Q_5(5^(1/N)), since Q_5(zeta_5) is
     Q_5((-5)^(1/4)) (Serre, Local Fields, ch. IV), so the center has no
-    branch to choose.
+    branch to choose. That construction is p = 5's alone, so p = 3 with its
+    auxiliary valuation at nu - 1 is refused with Unsupported.
     """
     check_p(p)
     case = _norm_case(case)
@@ -270,6 +272,10 @@ def _refuse_above_nu(case, extra, nu):
 
 
 def _exceptional_center(p, nu, r, s, binom_arg):
+    if p != 5:
+        raise Unsupported(
+            f"the exceptional tail center at v = nu - 1 is built for p = 5 only, got p = {p}"
+        )
     if binom_arg < 0:
         raise CaseMismatch(
             f"the exceptional center needs x >= 0 in binomial(x, 5), x = r+s "

@@ -10,12 +10,14 @@ Valuations take values in (1/N)Z for various N, so everything here is built on
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 from .errors import PreconditionViolated, Unsupported
 
 
+@functools.total_ordering
 class ExtendedRational:
     """A rational number or +infinity, totally ordered.
 
@@ -65,24 +67,6 @@ class ExtendedRational:
         if a is None:
             return False
         return b is None or a < b
-
-    def __le__(self, other):
-        a, b = self.value, _value(other)
-        if b is None:
-            return True
-        return a is not None and a <= b
-
-    def __gt__(self, other):
-        a, b = self.value, _value(other)
-        if b is None:
-            return False
-        return a is None or a > b
-
-    def __ge__(self, other):
-        a, b = self.value, _value(other)
-        if a is None:
-            return True
-        return b is not None and a >= b
 
     def __hash__(self):
         return hash(self.value)

@@ -675,16 +675,16 @@ def _brute_force_tail_configs(tau, p):
 def test_tail_config_enumeration():
     h = Fraction(1, 2)
     for p in (5, 7):
-        assert enumerate_tail_configs(3, 2, p) == []
-        two = enumerate_tail_configs(2, 2, p)
+        assert enumerate_tail_configs(3, p) == []
+        two = enumerate_tail_configs(2, p)
         assert [(c.prim, c.new) for c in two] == [((h, h), ())]
-        one = enumerate_tail_configs(1, 2, p)
+        one = enumerate_tail_configs(1, p)
         assert [(c.prim, c.new) for c in one] == [
             ((Fraction(1),), ()),
             ((h,), (Fraction(3, 2),)),
         ]
         for tau in (0, 1, 2, 3):
-            got = {(c.prim, c.new) for c in enumerate_tail_configs(tau, 2, p)}
+            got = {(c.prim, c.new) for c in enumerate_tail_configs(tau, p)}
             assert got == _brute_force_tail_configs(tau, p)
 
 

@@ -425,13 +425,23 @@ class TestTreeCommands:
         assert report["tree"]["edges"][0]["epaisseur"] == "3/2"  # (9/4)/(3/2)
 
     def test_tree_solve_contradiction(self, capsys, tmp_path):
-        bad = json.loads(json.dumps(TREE))
-        bad["edges"][0]["epaisseur"] = "1"
-        path = tmp_path / "tree.json"
-        path.write_text(json.dumps(bad))
-        code, out, _ = run_cli(capsys, "tree-solve", "--p", "5", "--tree", str(path))
-        assert code == EXIT_CONTRADICTION
-        assert json.loads(out)["status"] == "Contradiction"
+        # the root's different is 9/4 and the tail's 0, so the edge drops by
+        # 9/4: an epaisseur that gives another drop, a sigma_eff of 0, and an
+        # epaisseur of 0 each contradict it
+        for labels, needle in (
+            ({"epaisseur": "1"}, "delta drop 9/4 != sigma_eff*epaisseur = 3/2"),
+            ({"sigma_eff": "0"}, "sigma_eff = 0 but delta drop 9/4"),
+            ({"sigma_eff": None, "epaisseur": "0"}, "epaisseur must be > 0"),
+        ):
+            bad = json.loads(json.dumps(TREE))
+            bad["edges"][0].update(labels)
+            path = tmp_path / "tree.json"
+            path.write_text(json.dumps(bad))
+            code, out, _ = run_cli(capsys, "tree-solve", "--p", "5", "--tree", str(path))
+            assert code == EXIT_CONTRADICTION
+            report = json.loads(out)
+            assert report["status"] == "Contradiction"
+            assert any(needle in c for c in report["contradictions"]), report
 
     def test_tree_solve_unsolved_is_pinned(self, capsys, tmp_path):
         path = tmp_path / "tree.json"

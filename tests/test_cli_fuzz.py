@@ -65,7 +65,6 @@ VALUES = {
     "--tree": st.just("@tree"), "--filtration": st.just("@filtration"),
     # enum-tails' count of primitive tails, and group's trace of beta
     "--tau": value(st.one_of(ints(0, 3), ints(0, 20)), ["-1", "-2", "5"]),
-    "--m-g": value(st.just("2"), ["0", "1", "3"]),
     "--shape": value(st.sampled_from(["tame-over-cyclotomic", "kummer-tower"])),
     "--compositum": value(st.lists(FRACTIONS, min_size=1, max_size=4).map(",".join)),
     "--direction": value(st.sampled_from(["phi", "psi"])),

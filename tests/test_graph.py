@@ -19,7 +19,6 @@ from srt import (
     propagate_differents,
     validate_tree,
 )
-from srt.graph import Unsupported
 
 import helpers
 
@@ -50,6 +49,12 @@ class TestTreeStructure:
     def test_must_be_connected_single_root(self):
         with pytest.raises(InvalidTree):
             ReductionTree([Vertex("a"), Vertex("b")], [])
+        # one root, and a cycle that no path from it reaches
+        with pytest.raises(InvalidTree, match="not a connected tree"):
+            ReductionTree(
+                [Vertex("root"), Vertex("a"), Vertex("b")],
+                [Edge("a", "b"), Edge("b", "a")],
+            )
 
     def test_json_roundtrip(self):
         tree = ReductionTree(
@@ -263,29 +268,27 @@ class TestVanishingCycles:
 
 
 class TestTailConfigs:
-    def test_only_m2_supported(self):
-        with pytest.raises(Unsupported):
-            enumerate_tail_configs(1, 3, 5)
+    def test_tau_beyond_three_is_refused(self):
         with pytest.raises(ValueError):
-            enumerate_tail_configs(4, 2, 5)
+            enumerate_tail_configs(4, 5)
 
     def test_zero_primitive(self):
-        out = enumerate_tail_configs(0, 2, 7)
+        out = enumerate_tail_configs(0, 7)
         keys = {(c.prim, c.new) for c in out}
         assert ((), (Fraction(2),)) in keys
         assert ((), (Fraction(3, 2), Fraction(3, 2))) in keys
 
     def test_flagging_large_sigma(self):
-        out = enumerate_tail_configs(0, 2, 3)
+        out = enumerate_tail_configs(0, 3)
         by_key = {(c.prim, c.new): c.flagged for c in out}
         assert by_key[((), (Fraction(2),))] is True  # 2 >= 3/2... p/2 = 3/2
-        out5 = enumerate_tail_configs(0, 2, 5)
+        out5 = enumerate_tail_configs(0, 5)
         by_key5 = {(c.prim, c.new): c.flagged for c in out5}
         assert by_key5[((), (Fraction(2),))] is False
 
     def test_every_config_satisfies_the_identity(self):
         for tau in range(4):
-            for c in enumerate_tail_configs(tau, 2, 7):
+            for c in enumerate_tail_configs(tau, 7):
                 lhs = sum((s - 1 for s in c.new), Fraction(0)) + sum(
                     c.prim, Fraction(0)
                 )
@@ -298,7 +301,7 @@ class TestTailConfigs:
     def test_matches_brute_force(self, tau, p):
         # the oracle draws sigma up to 3, beyond the bound of 2 the
         # enumeration relies on, and sorts its own output
-        out = enumerate_tail_configs(tau, 2, p)
+        out = enumerate_tail_configs(tau, p)
         assert [(c.prim, c.new, c.flagged) for c in out] == helpers.tail_configs(tau, p)
 
 
@@ -306,10 +309,10 @@ class TestTailConfigsLargePrime:
     def test_large_prime_returns_quickly(self):
         # the candidates no longer grow with p: sigma <= 2 always
         start = time.perf_counter()
-        assert enumerate_tail_configs(3, 2, 1009) == []
+        assert enumerate_tail_configs(3, 1009) == []
         assert time.perf_counter() - start < 5
         for tau in range(3):
-            big = enumerate_tail_configs(tau, 2, 1009)
-            small = enumerate_tail_configs(tau, 2, 5)
+            big = enumerate_tail_configs(tau, 1009)
+            small = enumerate_tail_configs(tau, 5)
             assert [(c.prim, c.new) for c in big] == [(c.prim, c.new) for c in small]
             assert not any(c.flagged for c in big)

@@ -23,7 +23,13 @@ from srt import (
     sylow_data,
 )
 from srt.cli import EXIT_OK, dispatch
-from srt.groups import NoSolution, ResourceLimit, Unsupported, _prime_factors
+from srt.groups import (
+    NoSolution,
+    PreconditionViolated,
+    ResourceLimit,
+    Unsupported,
+    _prime_factors,
+)
 
 import helpers
 
@@ -251,6 +257,24 @@ class TestGenerationCheck:
         assert out.kind == "ProperSubgroup"
         assert out.order == 7
 
+    @pytest.mark.parametrize("mode", ["criterion", "bfs"])
+    def test_generators_over_another_field_are_refused(self, mode):
+        alpha, beta = standard_generators(31, 5)
+        for gens in ([alpha], [alpha, beta]):
+            with pytest.raises(PreconditionViolated, match="generator over F_31, expected F_7"):
+                generation_check(gens, 7, mode=mode)
+
+    def test_criterion_refuses_what_it_does_not_model(self):
+        q = 13
+        alpha, beta = standard_generators(q, 3)
+        with pytest.raises(Unsupported, match="exactly two generators"):
+            generation_check([alpha, beta, alpha], q)
+        with pytest.raises(Unsupported, match="first generator of order q = 13"):
+            generation_check([beta, alpha], q)  # beta has order q - 1
+        lower = MatrixElement(1, 0, 1, 1, q)  # the unipotent in lower form
+        with pytest.raises(Unsupported, match="unipotent in upper form"):
+            generation_check([lower, beta], q)
+
     def test_mode_validation(self):
         alpha, beta = standard_generators(13, 3)
         with pytest.raises(ValueError):
@@ -434,6 +458,8 @@ class TestSylowData:
             sylow_data(250, 5)
         with pytest.raises(Unsupported):
             sylow_data(13, 5)
+        with pytest.raises(Unsupported, match="p = 5 divides q = 5"):
+            sylow_data(5, 5)
         with pytest.raises(Unsupported, match="q must be prime, got 15"):
             sylow_data(15, 7)  # F_15 does not exist
 

@@ -77,7 +77,7 @@ RULES = {
     "cyclotomic_filtration": ({"p": "odd prime", "nu": "nu"}, dict(p=5, nu=2)),
     "effective_invariant": ({"p": "odd prime"}, dict(sigmas=[1, 2], p=5)),
     "element_valuation": ({"p": "prime"}, dict(x=Fraction(50), p=5)),
-    "enumerate_tail_configs": ({"p": "odd prime"}, dict(tau=1, m_G=2, p=5)),
+    "enumerate_tail_configs": ({"p": "odd prime"}, dict(tau=1, p=5)),
     "generation_check": ({"q": "prime"}, dict(gens=standard_generators(31, 5), q=31)),
     "insep_center": ({"p": "odd prime", "nu": "nu"}, dict(p=5, nu=3, r=1, s=5, case="a=1")),
     "insep_tail_catalog": ({"p": "odd prime", "nu": "nu"}, dict(p=5, nu=3, case="a=1", extra=1)),

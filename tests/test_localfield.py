@@ -383,6 +383,10 @@ class TestNthRoot:
         with pytest.raises(NoNthRoot):
             nth_root(ctx.pi_power(Fraction(1, 2)), 5)
 
+    def test_n_must_be_positive(self):
+        with pytest.raises(PreconditionViolated, match="n must be positive, got 0"):
+            nth_root(ctx5().from_rational(32), 0)
+
     def test_no_root_in_zp(self):
         ctx = ctx5()
         with pytest.raises(NoNthRoot):

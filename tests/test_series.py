@@ -59,6 +59,8 @@ class TestGaussRational:
         assert (x + y) - y == x
         assert (x * y) / y == x
         assert x * x.inverse() == GaussRational(1)
+        with pytest.raises(ZeroDivisionError, match="inverse of 0"):
+            GaussRational(0).inverse()
         assert x ** 3 == x * x * x
         assert 1 / I_GAUSS == -I_GAUSS
 
@@ -84,7 +86,7 @@ class TestCoverParams:
     def test_degenerate(self):
         with pytest.raises(DegenerateCover):
             CoverParams(5, 2, 3, 3, Fraction(0))
-        with pytest.raises(DegenerateCover):
+        with pytest.raises(DegenerateCover, match="constant cover"):
             CoverParams(5, 2, 3, 3, Fraction(-1))
 
     def test_roots(self):
@@ -475,6 +477,11 @@ class TestValuationHelpers:
         scaled = scaled_coefficient_valuations(g, 5, Fraction(3, 4))
         for i, (a, b) in enumerate(zip(plain, scaled), start=1):
             assert b == a + Fraction(3, 4) * i
+
+    def test_coefficient_valuations_read_rational_series_only(self):
+        for coefficient in (GaussRational(0, 7), LocalFieldContext(7).from_rational(7)):
+            with pytest.raises(PreconditionViolated, match="rational series"):
+                scaled_coefficient_valuations(TruncatedSeries([1, coefficient]), 7, 0)
 
     def test_element_valuation_dispatch(self):
         assert element_valuation(Fraction(50), 5).as_fraction() == 2

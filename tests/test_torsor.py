@@ -23,6 +23,7 @@ from srt import (
     tail_center,
     tail_radius,
 )
+from srt.errors import Unsupported
 from srt.valuation import INFINITY
 
 from helpers import PiExt, agrees, parse_local, pi_digits, pth_power_residues, vp_fraction
@@ -199,6 +200,16 @@ class TestTailCenter:
         rho = nth_root(ctx.from_rational(radicand), 5)
         expected = 1 - ((ctx.from_rational(s) - rho) * Fraction(1, r)) ** 2
         assert (center - expected).is_zero()
+
+    def test_exceptional_center_is_built_at_p5_only(self):
+        # at p = 3 a valuation below nu - 1 keeps the rational center, and
+        # nu - 1 itself, whose center the 5th-root construction does not give,
+        # is refused in both cases
+        assert tail_center(3, 3, 1, 2, "a=0") == 1 - 4
+        with pytest.raises(Unsupported, match="p = 5 only, got p = 3"):
+            tail_center(3, 3, 7, 2, "a=0")  # v(r+s) = 2 = nu - 1
+        with pytest.raises(Unsupported, match="p = 5 only, got p = 3"):
+            tail_center(3, 2, 1, 3, "a=1")  # v(s) = 1 = nu - 1
 
     def test_unknown_case(self):
         with pytest.raises(CaseMismatch):
