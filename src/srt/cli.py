@@ -478,7 +478,3 @@ def main():
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_USAGE
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    main()

@@ -737,6 +737,12 @@ def sqrt_of_minus_one(ctx, prec=None):
     return nth_root(ctx.from_rational(-1, M), 2)
 
 
+def _check_element(x):
+    """Refuse, at a public entry, an x that is no element of a local field."""
+    if not isinstance(x, LocalFieldElement):
+        raise PreconditionViolated(f"x must be a LocalFieldElement, got {type(x).__name__}")
+
+
 def nth_root(x, n):
     """The n-th root of x in Q_p(pi): the one entry to the root engine, which
     `is_pth_power` and `sqrt_of_minus_one` read their roots from too. The
@@ -751,6 +757,7 @@ def nth_root(x, n):
     precision is that of x less a, or M - a when x is exact (more when one
     of the a p-th roots on the way is exact).
     """
+    _check_element(x)
     ctx = x.ctx
     if n < 1:
         raise PreconditionViolated(f"n must be positive, got {n}")
@@ -866,6 +873,7 @@ def is_pth_power(x):
     rational p-th power or the p-th power of the peel's start; otherwise its
     relative precision is that of x less 1, or M - 1 when x is exact.
     """
+    _check_element(x)
     ctx = x.ctx
     p = ctx.p
     if not x._t:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 
 from .errors import (
@@ -114,9 +115,6 @@ class GaussRational:
         except (TypeError, ValueError):
             return NotImplemented
         return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def __repr__(self):
         return f"GaussRational({self.re}, {self.im})"
@@ -217,13 +215,41 @@ class CoverParams:
 class TruncatedSeries:
     """Coefficients 0..order of a power series, with an optional proven lower
     bound (const, slope) so that v(coefficient i) >= const + slope*i - v_p(i)
-    holds for every i (used to control dropped tails)."""
+    holds for every i >= 1 (used to control dropped tails).
+
+    A series built from a list holds every coefficient. One that
+    `taylor_factors` builds computes each coefficient from its recurrence
+    only when asked for: `coefficient(i)` and `coefficients` compute through
+    the order, and `evaluate` through the last index its floor can read. The
+    order, and with it the floor, is the same either way."""
 
     def __init__(self, coefficients, tail_bound=None, p=None):
-        self.coefficients = list(coefficients)
-        self.order = len(self.coefficients) - 1
+        self._known = list(coefficients)
+        self._pending = None
+        self.order = len(self._known) - 1
         self.tail_bound = tail_bound
         self.p = p
+
+    @classmethod
+    def _on_demand(cls, coefficients, order, tail_bound, p):
+        """The series of order `order` whose coefficients the iterator
+        `coefficients` yields, c_0 first, each taken when first asked for."""
+        series = cls((), tail_bound, p)
+        series._pending, series.order = coefficients, order
+        return series
+
+    def _through(self, i):
+        """The series' own list of coefficients, after computing any that
+        are missing through index i."""
+        known = self._known
+        missing = i + 1 - len(known)
+        if missing > 0:
+            known.extend(islice(self._pending, missing))
+        return known
+
+    @property
+    def coefficients(self):
+        return self._through(self.order)
 
     def coefficient(self, i):
         if not 0 <= i <= self.order:
@@ -238,18 +264,24 @@ class TruncatedSeries:
                 out[i + j] = out[i + j] + u * v
         return TruncatedSeries(out, p=self.p or other.p)
 
+    def _net(self, w):
+        """slope + w as the ints (n, D) of n/D, for a weight w that is an int
+        or a Fraction."""
+        slope = self.tail_bound[1]
+        return (
+            slope.numerator * w.denominator + w.numerator * slope.denominator,
+            slope.denominator * w.denominator,
+        )
+
     def tail_floor(self, per_index_weight):
         """Rigorous lower bound for min over k > order of
-        v(coefficient k) + k * per_index_weight, or None if no bound holds."""
+        v(coefficient k) + k * per_index_weight, an int or a Fraction, or
+        None if no bound holds."""
         if self.tail_bound is None:
             return None
-        const, slope = self.tail_bound
-        w = per_index_weight
-        if not isinstance(w, (int, Fraction)):
-            w = Fraction(w)
+        const = self.tail_bound[0]
         # net = slope + w = n/D, compared in ints over the denominator D
-        D = slope.denominator * w.denominator
-        n = slope.numerator * w.denominator + w.numerator * slope.denominator
+        n, D = self._net(per_index_weight)
         if n <= 0:
             return None
         # v(coeff k) + k*w >= const + net*k - bitlen(k); the piecewise-linear
@@ -270,15 +302,21 @@ class TruncatedSeries:
         """Sum of the series at a local-field point x with v(x) > 0, cut to
         the precision the tail bound certifies for the dropped terms.
 
-        The sum of the c_i * x^i is one dot, canonicalized once at the least
-        of that floor and each part's precision (`element_dot`). It gets only
-        the live pairs: a pair whose c_i is exact 0, or has a lowest term
-        with v(c_i) + i*v(x) >= floor, adds no term below the floor, and its
-        precision bound min(prec(c_i) + v(x^i), prec(x^i) + v(c_i)) exceeds
-        that valuation, so leaving it out changes neither the terms nor the
-        precision. A c_i that is zero to its precision stays, since it may
-        set the precision. Each rational c_i is read as its term once, and
-        the powers x^i are element products up to the last live pair."""
+        It reads only c_0 .. c_imax, imax the last index i <= order whose
+        proven bound const + slope*i - v_p(i) + i*v(x) lies below the floor
+        (compared in ints over one denominator): by that bound every later
+        pair is at or above the floor, so it adds no term and cannot lower
+        the precision. On a series that `taylor_factors` built, c_imax is the
+        last coefficient computed. The sum of the c_i * x^i is one dot,
+        canonicalized once at the least of that floor and each part's
+        precision (`element_dot`). It gets only the live pairs: a pair whose
+        c_i is exact 0, or has a lowest term with v(c_i) + i*v(x) >= floor,
+        adds no term below the floor, and its precision bound
+        min(prec(c_i) + v(x^i), prec(x^i) + v(c_i)) exceeds that valuation,
+        so leaving it out changes neither the terms nor the precision. A c_i
+        that is zero to its precision stays, since it may set the precision.
+        Each rational c_i is read as its term once, and the powers x^i are
+        element products up to the last live pair."""
         if not isinstance(x, LocalFieldElement):
             raise PreconditionViolated(
                 f"evaluation needs a local-field point, got {type(x).__name__}"
@@ -286,17 +324,31 @@ class TruncatedSeries:
         vx = element_valuation(x, x.ctx.p if self.p is None else self.p)
         if not vx > 0:
             raise PreconditionViolated(f"evaluation needs v(x) > 0, got {vx}")
-        floor = self.tail_floor(vx.as_fraction())
+        w = vx.as_fraction()
+        floor = self.tail_floor(w)
         if floor is None:
             raise TruncationUnderflow("no tail bound available to certify the dropped terms")
         ctx = x.ctx
         p, N = ctx.p, ctx.N
+        # imax is the last i <= T with (slope + w)*i - v_p(i) < floor - const,
+        # that is b*(n*i - D*v_p(i)) < a*D for slope + w = n/D and
+        # floor - const = a/b. An i with v_p(i) >= v is live when
+        # b*n*i < a*D + b*D*v, so imax is the largest over v of the last
+        # multiple of p^v below that.
+        T = self.order
+        n, D = self._net(w)
+        a, b = (floor - self.tail_bound[0]).as_integer_ratio()
+        imax, v, step = 0, 0, 1
+        while step <= T:
+            top = min(T, (a * D + b * D * v - 1) // (b * n))
+            imax = max(imax, top - top % step)
+            v, step = v + 1, step * p
         # on the exponents j of pi^j: v(x) = jx/N, and ceil(floor*N)
         jx = next(iter(x._t))
         jfloor = -(-floor.numerator * N // floor.denominator)
         powers, coefficients = [], []
         power, k = ctx.one(), 0
-        for i, c in enumerate(self.coefficients):
+        for i, c in enumerate(islice(self._through(imax), imax + 1)):
             if isinstance(c, LocalFieldElement):
                 if c.ctx is not ctx:
                     x._check_ctx(c)
@@ -352,15 +404,21 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
     expansion of g(d + e*t) in t is taylor_factors(params.roots(), d, T, p)
     with coefficient i multiplied by e^i; a caller who needs more digits at a
     local-field center raises the context's M.
+
+    The shifted roots, P, Q and g_0 are built, and a center on a root is
+    refused, at the call; each coefficient is computed when the series is
+    first asked for it (`TruncatedSeries`).
     """
     check_p(p)
-    return TruncatedSeries(
-        _recurrence_coefficients(factors, center, T), tail_bound=tail_bound, p=p
-    )
+    coefficients = _recurrence_coefficients(factors, center, T)
+    # the order is T, or 0 for T <= 0; a T that is no int fails here
+    return TruncatedSeries._on_demand(coefficients, len(range(T)), tail_bound, p)
 
 
 def _recurrence_coefficients(factors, center, T):
-    """Coefficients 0..T at `center` of prod (z - root)^m.
+    """An iterator of the coefficients 0..T at `center` of prod (z - root)^m.
+    P, Q and g_0 are built here; each step of the recurrence runs when the
+    iterator is asked for its coefficient.
 
     In t = z - center the factors are (t - b)^m with b = root - center, so
     g'/g = sum m/(t - b) = Q/P for P = prod (t - b_i) and
@@ -390,21 +448,25 @@ def _recurrence_coefficients(factors, center, T):
     one = _ring_one(center, *(root for root, _ in factors))
     if isinstance(one, Fraction):
         P, Q, L, exponents, negative = [1], [], 1, {}, False
+        cu, cv = center.numerator, center.denominator
         for root, m in factors:
-            b = root - center
-            _refuse_root_center(b, root, center)
-            u, v = b.numerator, b.denominator
+            # b = root - center = u/v in lowest terms, formed in ints
+            u, v = root.numerator * cv - cu * root.denominator, root.denominator * cv
+            k = math.gcd(u, v)
+            u, v = u // k, v // k
+            _refuse_root_center(u, root, center)
             Q = [v * x - u * y + m * v * z for x, y, z in zip([0] + Q, Q + [0], P)]
             P = [v * x - u * y for x, y in zip([0] + P, P + [0])]
             L = math.lcm(L, u)
-            base = abs(b)
+            # |b| as the ints (|u|, v)
+            base = (abs(u), v)
             exponents[base] = exponents.get(base, 0) + m
             # (-b)^m is negative when -b < 0 and m is odd
             negative ^= u > 0 and m % 2 == 1
         g0 = Fraction(-1 if negative else 1)
         for base, e in exponents.items():
             if e:
-                g0 *= base**e
+                g0 *= Fraction(*base) ** e
         return _rational_coefficients(P, Q, L, g0, T)
     # refuse each root at the center before an inverse fails on a near one
     shifted = []
@@ -418,19 +480,28 @@ def _recurrence_coefficients(factors, center, T):
         g0 = g0 * nb**m
         Q = [dot((one, nb, z), (x, y, m)) for x, y, z in zip([0] + Q, Q + [0], P)]
         P = [dot((one, nb), (x, y)) for x, y in zip([0] + P, P + [0])]
+    return _ring_coefficients(P, Q, P[0].inverse(), g0, dot, T)
+
+
+def _ring_coefficients(P, Q, inv_P0, g0, dot, T):
+    """The recurrence of _recurrence_coefficients in Q(i) or the local field:
+    a generator of g_0 .. g_T, each step run when its coefficient is asked
+    for. inv_P0 is 1/P_0, and dot the ring's sum of products."""
     n = len(P) - 1
-    inv_P0 = P[0].inverse()
     g = [g0]
+    yield g0
     for k in range(T):
         cs = [dot((Q[j - 1], P[j]), (1, j - k - 1)) for j in range(1, min(n, k + 1) + 1)]
-        # cs[j-1] meets g_{k+1-j}: zip stops at the last coefficient
-        acc = dot(cs, reversed(g)) if n else 0 * one
+        # cs[j-1] meets g_{k+1-j}: zip stops at the last coefficient; with no
+        # factor g_0 is the ring's one
+        acc = dot(cs, reversed(g)) if n else 0 * g0
         g.append(acc * inv_P0 * Fraction(1, k + 1))
-    return g
+        yield g[-1]
 
 
 def _rational_coefficients(P, Q, L, g0, T):
-    """The recurrence of _recurrence_coefficients over Q, on integers.
+    """The recurrence of _recurrence_coefficients over Q, on integers: a
+    generator of g_0 .. g_T, each step run when its coefficient is asked for.
 
     P and Q are integer polynomials, L is the lcm of the numerators u_i of
     the shifted roots b_i = u_i/v_i, and g0 is the Fraction g_0. Since
@@ -441,10 +512,10 @@ def _rational_coefficients(P, Q, L, g0, T):
 
     Each step is then one integer division by (k+1) P_0. It is exact by the
     argument above, so a remainder is an internal error, raised as a
-    RuntimeError naming k. Coefficient k comes back as the one Fraction
-    g_0 h_k / L^k. The denominator of g_k / g_0 divides L^k, so h_k carries
-    few digits beyond the coefficient's own; a scaling by k! P_0^k or by
-    P_0^k grows faster and makes large T slower.
+    RuntimeError naming k when that step runs. Coefficient k comes back as
+    the one Fraction g_0 h_k / L^k. The denominator of g_k / g_0 divides
+    L^k, so h_k carries few digits beyond the coefficient's own; a scaling
+    by k! P_0^k or by P_0^k grows faster and makes large T slower.
     """
     n = len(P) - 1
     # QL[j] = Q_{j-1} L^j and PL[j] = P_j L^j
@@ -452,7 +523,7 @@ def _rational_coefficients(P, Q, L, g0, T):
     PL = [c * L**j for j, c in enumerate(P)]
     num, den = g0.numerator, g0.denominator
     h = deque([1], maxlen=n)  # h_{k+1-j} is h[-j]
-    g = [g0]
+    yield g0
     Lk = 1
     for k in range(T):
         acc = 0
@@ -466,13 +537,13 @@ def _rational_coefficients(P, Q, L, g0, T):
             )
         h.append(hk)
         Lk *= L
-        g.append(Fraction(num * hk, den * Lk))
-    return g
+        yield Fraction(num * hk, den * Lk)
 
 
 def _refuse_root_center(base, root, center):
-    """Refuse a shifted root `base`, root - center or center - root, that is
-    0: exactly, or only to its precision, where P(0) would have no inverse."""
+    """Refuse a shifted root `base`, root - center or center - root (over Q
+    its numerator), that is 0: exactly, or only to its precision, where P(0)
+    would have no inverse."""
     if base == 0:
         raise PreconditionViolated(
             f"the center equals the root {root}; g has no Taylor expansion there"

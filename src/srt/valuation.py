@@ -101,13 +101,22 @@ def vp(x, p) -> ExtendedRational:
     """p-adic valuation of a rational number, normalized so vp(p) = 1.
 
     Args:
-        x: int or Fraction, read as it is, or anything Fraction converts.
+        x: int or Fraction, read as it is, or anything Fraction converts;
+            any other x is refused with PreconditionViolated.
         p: prime.
 
     Returns:
         ExtendedRational; INFINITY for x = 0.
     """
     _check_valuation_prime(p)
+    if not isinstance(x, (int, Fraction)):
+        try:
+            x = Fraction(x)
+        except (TypeError, ValueError):
+            raise PreconditionViolated(
+                f"x must be an int, a Fraction or a value Fraction reads, "
+                f"got {type(x).__name__}"
+            ) from None
     v = _vp_count(x, p)
     return INFINITY if v is None else ExtendedRational(v)
 
@@ -122,9 +131,7 @@ def _check_valuation_prime(p):
 def _vp_count(x, p):
     """vp(x, p) as the int count of p's it is, or None for x = 0: the
     p-stripping loop behind vp, for a caller that builds its own value and
-    has checked p."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    has checked p and that x is an int or a Fraction."""
     num = x.numerator
     if not num:
         return None

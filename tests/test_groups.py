@@ -275,6 +275,12 @@ class TestGenerationCheck:
         with pytest.raises(Unsupported, match="unipotent in upper form"):
             generation_check([lower, beta], q)
 
+    def test_criterion_refuses_q_below_5(self):
+        # check_q admits q = 3; the criterion is modelled for q >= 5 only
+        gens = [MatrixElement(1, 1, 0, 1, 3), MatrixElement(1, 0, 1, 1, 3)]
+        with pytest.raises(Unsupported, match="criterion mode needs a prime q >= 5, got 3"):
+            generation_check(gens, 3)
+
     def test_mode_validation(self):
         alpha, beta = standard_generators(13, 3)
         with pytest.raises(ValueError):

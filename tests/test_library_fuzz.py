@@ -14,7 +14,9 @@ be refused with an SrtError whose message names the parameter ("p must be",
 accident. A value inside the domain must end with an answer or an SrtError.
 Every call must return within EXAMPLE_SECONDS, and all calls together within
 TOTAL_SECONDS. The CLI's --p type must refuse each p with the library rule's
-own text.
+own text. ELEMENT_TYPES hands the entries that take a field element or a
+rational a value of another type, which each must refuse with a
+PreconditionViolated that names the type it wants.
 """
 import argparse
 import inspect
@@ -24,9 +26,9 @@ from fractions import Fraction
 import pytest
 
 import srt
-from srt import Edge, ReductionTree, TruncatedSeries, Vertex, standard_generators
+from srt import Edge, GaussRational, ReductionTree, TruncatedSeries, Vertex, standard_generators
 from srt.cli import _odd_prime
-from srt.errors import SrtError
+from srt.errors import PreconditionViolated, SrtError
 from srt.valuation import check_p
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -179,6 +181,27 @@ def test_out_of_domain_values_are_refused(name, param, spent):
         _check(name, param, value, spent)
 
     run()
+
+
+# public entry -> the values of a wrong type it is handed, and the type its
+# refusal names; the check sits at the entry, not in the loops behind it
+ELEMENT_TYPES = {
+    "is_pth_power": (dict(), "x", [1.5, 2, Fraction(1, 2), "x", None, GaussRational(1)],
+                     "x must be a LocalFieldElement, got "),
+    "nth_root": (dict(n=5), "x", [2, 1.5, Fraction(1, 2), "x", None, GaussRational(1)],
+                 "x must be a LocalFieldElement, got "),
+    "vp": (dict(p=5), "x", ["a", None, [], GaussRational(0, 1), srt.LocalFieldContext(5).one()],
+           "x must be an int, a Fraction or a value Fraction reads, got "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_TYPES))
+def test_wrong_typed_elements_are_refused(name):
+    kwargs, param, values, message = ELEMENT_TYPES[name]
+    for value in values:
+        with pytest.raises(PreconditionViolated) as exc:
+            getattr(srt, name)(**{**kwargs, param: value})
+        assert str(exc.value) == message + type(value).__name__, value
 
 
 def _cli_refusal(p):

@@ -16,7 +16,7 @@ from srt import (
 )
 from srt.cli import EXIT_OK, dispatch
 from srt.errors import PrecisionError, Unsupported
-from srt.localfield import PthPowerVerdict
+from srt.localfield import PthPowerVerdict, element_dot
 from srt.valuation import to_jsonable, vp
 
 from helpers import parse_local
@@ -125,6 +125,78 @@ class TestSeriesEvaluation:
                 full = full * (d - root) ** m
             assert full.prec > g.prec > Fraction(9, 4)
             assert g == full.truncate(g.prec)
+
+
+class TestBranchesAgree:
+    def test_sign_branches_agree_on_the_sweep(self):
+        """g(-z) g(z) = 1 makes eps_- eps_+ = 1 in a field with no 5th root
+        of unity but 1, so the p^2-verdicts of the two branches agree: on
+        every answered input with p = 5, q < 20,000 and r in {1, 2, 3}."""
+        answered = 0
+        for q in range(3, 20_000):
+            if (q * q - 1) % 25 or any(q % k == 0 for k in range(2, int(q**0.5) + 1)):
+                continue
+            for r in (1, 2, 3):
+                try:
+                    report = run_wild_monodromy(q, 5, r)
+                except Unsupported:
+                    continue
+                answered += 1
+                steps = {step["id"]: step["value"] for step in report.steps}
+                assert steps["power-p2+"].kind == steps["power-p2-"].kind, (q, r)
+                want = "Nontrivial" if steps["power-p2+"].kind == "no" else "Trivial"
+                assert report.verdict == want
+        assert answered == 132
+
+
+class TestCoefficientsComputed:
+    @pytest.mark.parametrize("r", [1, 2, 3, 7])
+    def test_only_the_coefficients_below_the_floor(self, monkeypatch, r):
+        """At p = 5, T = 17 and v(d) = 7/5 the floor is 16/5, and the bound
+        v(c_i) >= 1 - i - v_5(i) puts every c_i with i >= 6 at or above it:
+        the run computes c_0 .. c_5 once and reads them on both branches."""
+        computed = []
+        steps = srt.series._rational_coefficients
+
+        def counting(*args):
+            for c in steps(*args):
+                computed.append(c)
+                yield c
+
+        monkeypatch.setattr(srt.series, "_rational_coefficients", counting)
+        report = run_wild_monodromy(251, 5, r)
+        monkeypatch.undo()
+        assert len(computed) == 6
+        series = maclaurin_g(CoverParams(5, 3, r, 5, Fraction(-5, r)))
+        assert series.order == 17
+        assert computed == series.coefficients[:6]
+        assert report.verdict == "Nontrivial"
+
+    def test_on_demand_evaluation_is_the_full_one(self):
+        """For the first 40 primes q with 125 | q^2 - 1 and r in {1, 2, 3, 7},
+        g(d) from the series computed on demand has the repr and precision of
+        g(d) from the series built in full, and both are the dot of every
+        pair c_i d^i, i = 0..T, at the floor."""
+        qs = [q for q in range(3, 10**5) if (q * q - 1) % 125 == 0
+              and all(q % k for k in range(2, int(q**0.5) + 1))][:40]
+        assert len(qs) == 40
+        for q in qs:
+            nu = int(vp(q * q - 1, 5).as_fraction())
+            for r in (1, 2, 3, 7):
+                params = CoverParams(5, nu, r, 5, Fraction(-5, r))
+                full = maclaurin_g(params)
+                coefficients = list(full.coefficients)
+                d_plus = insep_center(5, nu, r, 5, "a=1")
+                for d in (d_plus, -d_plus):
+                    lazy = maclaurin_g(params).evaluate(d)
+                    built = full.evaluate(d)
+                    assert (repr(lazy), lazy.prec) == (repr(built), built.prec), (q, r)
+                    powers = [d.ctx.one()]
+                    for _ in range(full.order):
+                        powers.append(powers[-1] * d)
+                    floor = full.tail_floor(d.valuation().as_fraction())
+                    every = element_dot(powers, coefficients, floor)
+                    assert (lazy._t, lazy._prec) == (every._t, every._prec), (q, r)
 
 
 def _raise_precision(series, x):

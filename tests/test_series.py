@@ -63,6 +63,19 @@ class TestGaussRational:
             GaussRational(0).inverse()
         assert x ** 3 == x * x * x
         assert 1 / I_GAUSS == -I_GAUSS
+        assert 2 - x == GaussRational(Fraction(1, 2), -1)
+
+    def test_a_gaussian_root_at_a_rational_center(self):
+        # the shifted root center - root is a rational minus a GaussRational:
+        # 1/(z - i) at z = 0 is i * sum (-i z)^k
+        series = taylor_factors([(I_GAUSS, -1)], Fraction(0), 4, 7)
+        i, one = I_GAUSS, GaussRational(1)
+        assert series.coefficients == [i, one, -i, -one, i]
+
+    def test_equality_with_what_is_no_number(self):
+        # Fraction refuses "x" and None, so == falls back to identity
+        for other in ("x", None):
+            assert GaussRational(1) != other
 
     def test_valuation_inert_prime(self):
         x = GaussRational(Fraction(7, 3), 49)
@@ -225,9 +238,12 @@ class TestMaclaurin:
 
     def test_inexact_integer_step_is_an_internal_error(self):
         # L = 2 from a shifted root 2 does not clear the root 3 of P = t - 3:
-        # the first step leaves a remainder, which is a bug, not a user error
+        # the first step leaves a remainder, which is a bug, not a user error;
+        # the generator runs that step when coefficient 1 is asked for
+        steps = _rational_coefficients([-3, 1], [1], 2, Fraction(1), 3)
+        assert next(steps) == 1
         with pytest.raises(RuntimeError, match="k = 1") as exc:
-            _rational_coefficients([-3, 1], [1], 2, Fraction(1), 3)
+            next(steps)
         assert not isinstance(exc.value, SrtError)
 
 
@@ -379,13 +395,16 @@ class TestTruncatedSeries:
             g.evaluate(Fraction(5, 3))
         with pytest.raises(ContextError, match="prime mismatch"):
             g.evaluate(LocalFieldContext(7, N=1).from_rational(7))
-        # a coefficient of another field is refused, also one far above the
-        # floor, whose pair the sum leaves out
+        # a coefficient of another field that evaluate reads is refused, also
+        # one far above the floor, whose pair the sum leaves out; at floor 0
+        # the bound puts c_1 at or above it, so c_1 is never read
         x = LocalFieldContext(5, N=1).pi_power(1)
+        bound = (Fraction(0), Fraction(0))
         for c in (LocalFieldContext(5, N=2).pi_power(40), LocalFieldContext(5, N=2).zero()):
-            series = TruncatedSeries([Fraction(1), c], tail_bound=(Fraction(0), Fraction(0)))
             with pytest.raises(ContextError, match="context mismatch"):
-                series.evaluate(x)
+                TruncatedSeries([c, Fraction(1)], tail_bound=bound).evaluate(x)
+            value = TruncatedSeries([Fraction(1), c], tail_bound=bound).evaluate(x)
+            assert value == LocalFieldContext(5, N=1).zero(0)
 
     def test_evaluate_without_a_prime_reads_the_point_prime(self):
         # no p= given: v(x) is read over the point's own prime, and the

@@ -230,3 +230,34 @@ def test_integer_tail_floor_matches_the_fraction_reference(T, const, slope, weig
         net = slope + weight
         values = [const + net * k - k.bit_length() for k in range(T + 1, T + 3000)]
         assert got == min(values)
+
+
+@SETTINGS
+@given(
+    T=st.integers(0, 80),
+    p=st.sampled_from([3, 5, 7]),
+    const=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    slope=st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    j=st.integers(1, 30),
+    N=st.integers(1, 12),
+)
+def test_evaluate_reads_through_the_last_index_below_the_floor(T, p, const, slope, j, N):
+    """An on-demand series hands evaluate c_0 .. c_imax and no more: imax is
+    the last i <= T whose bound const + slope*i - v_p(i) + i*v(x) lies below
+    the floor, found here by trying every i in Fractions."""
+    x = LocalFieldContext(p, N=N).pi_power(Fraction(j, N))
+    w = Fraction(j, N)
+    read = []
+
+    def zeros():
+        for i in range(T + 1):
+            read.append(i)
+            yield Fraction(0)
+
+    series = TruncatedSeries._on_demand(zeros(), T, (const, slope), p)
+    floor = series.tail_floor(w)
+    hypothesis.assume(floor is not None)
+    series.evaluate(x)
+    v_p = [0] + [next(v for v in range(i) if i % p ** (v + 1)) for i in range(1, T + 1)]
+    live = [i for i in range(1, T + 1) if const + (slope + w) * i - v_p[i] < floor]
+    assert read == list(range(max(live, default=0) + 1))
