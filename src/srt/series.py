@@ -218,10 +218,11 @@ class TruncatedSeries:
     holds for every i >= 1 (used to control dropped tails).
 
     A series built from a list holds every coefficient. One that
-    `taylor_factors` builds computes each coefficient from its recurrence
-    only when asked for: `coefficient(i)` and `coefficients` compute through
-    the order, and `evaluate` through the last index its floor can read. The
-    order, and with it the floor, is the same either way."""
+    `taylor_factors` builds over Q (so every `maclaurin_g` series) computes
+    each coefficient from its recurrence only when asked for:
+    `coefficient(i)` and `coefficients` compute through the order, and
+    `evaluate` through the last index its floor can read. The order, and
+    with it the floor, is the same either way."""
 
     def __init__(self, coefficients, tail_bound=None, p=None):
         self._known = list(coefficients)
@@ -240,11 +241,16 @@ class TruncatedSeries:
 
     def _through(self, i):
         """The series' own list of coefficients, after computing any that
-        are missing through index i."""
+        are missing through index i. A recurrence that stopped early, on an
+        error in an earlier read, is an internal error."""
         known = self._known
         missing = i + 1 - len(known)
         if missing > 0:
             known.extend(islice(self._pending, missing))
+            if len(known) <= i:
+                raise RuntimeError(
+                    f"the recurrence stopped at coefficient {len(known)} of {self.order}"
+                )
         return known
 
     @property
@@ -302,21 +308,23 @@ class TruncatedSeries:
         """Sum of the series at a local-field point x with v(x) > 0, cut to
         the precision the tail bound certifies for the dropped terms.
 
-        It reads only c_0 .. c_imax, imax the last index i <= order whose
-        proven bound const + slope*i - v_p(i) + i*v(x) lies below the floor
-        (compared in ints over one denominator): by that bound every later
-        pair is at or above the floor, so it adds no term and cannot lower
-        the precision. On a series that `taylor_factors` built, c_imax is the
-        last coefficient computed. The sum of the c_i * x^i is one dot,
-        canonicalized once at the least of that floor and each part's
+        It computes no coefficient past c_imax, imax the last index i <= order
+        whose proven bound const + slope*i - v_p(i) + i*v(x) lies below the
+        floor (compared in ints over one denominator): by that bound every
+        later pair is at or above the floor, so it adds no term and cannot
+        lower the precision. It reads every coefficient the series already
+        holds, so a series built from a list is read whole, and one whose
+        coefficients are computed when asked for is read through c_imax, or
+        further if they were computed before. The sum of the c_i * x^i is one
+        dot, canonicalized once at the least of that floor and each part's
         precision (`element_dot`). It gets only the live pairs: a pair whose
         c_i is exact 0, or has a lowest term with v(c_i) + i*v(x) >= floor,
-        adds no term below the floor, and its precision bound
-        min(prec(c_i) + v(x^i), prec(x^i) + v(c_i)) exceeds that valuation,
-        so leaving it out changes neither the terms nor the precision. A c_i
-        that is zero to its precision stays, since it may set the precision.
-        Each rational c_i is read as its term once, and the powers x^i are
-        element products up to the last live pair."""
+        adds no term below the floor, and its precision bound min(prec(c_i) +
+        v(x^i), prec(x^i) + v(c_i)) exceeds that valuation, so leaving it out
+        changes neither the terms nor the precision. A c_i that is zero to its
+        precision stays, since it may set the precision. Each rational c_i is
+        read as its term once, and the powers x^i are element products up to
+        the last live pair."""
         if not isinstance(x, LocalFieldElement):
             raise PreconditionViolated(
                 f"evaluation needs a local-field point, got {type(x).__name__}"
@@ -348,7 +356,7 @@ class TruncatedSeries:
         jfloor = -(-floor.numerator * N // floor.denominator)
         powers, coefficients = [], []
         power, k = ctx.one(), 0
-        for i, c in enumerate(islice(self._through(imax), imax + 1)):
+        for i, c in enumerate(self._through(imax)):
             if isinstance(c, LocalFieldElement):
                 if c.ctx is not ctx:
                     x._check_ctx(c)
@@ -406,8 +414,9 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
     local-field center raises the context's M.
 
     The shifted roots, P, Q and g_0 are built, and a center on a root is
-    refused, at the call; each coefficient is computed when the series is
-    first asked for it (`TruncatedSeries`).
+    refused, at the call. Over Q each coefficient is computed when the
+    series is first asked for it (`TruncatedSeries`); in Q(i) and the local
+    field all of them are computed at the call.
     """
     check_p(p)
     coefficients = _recurrence_coefficients(factors, center, T)
@@ -417,8 +426,9 @@ def taylor_factors(factors, center, T, p, tail_bound=None):
 
 def _recurrence_coefficients(factors, center, T):
     """An iterator of the coefficients 0..T at `center` of prod (z - root)^m.
-    P, Q and g_0 are built here; each step of the recurrence runs when the
-    iterator is asked for its coefficient.
+    P, Q and g_0 are built here. Over Q each step of the recurrence runs
+    when the iterator is asked for its coefficient (_rational_coefficients);
+    in Q(i) and the local field every step runs here.
 
     In t = z - center the factors are (t - b)^m with b = root - center, so
     g'/g = sum m/(t - b) = Q/P for P = prod (t - b_i) and
@@ -480,23 +490,15 @@ def _recurrence_coefficients(factors, center, T):
         g0 = g0 * nb**m
         Q = [dot((one, nb, z), (x, y, m)) for x, y, z in zip([0] + Q, Q + [0], P)]
         P = [dot((one, nb), (x, y)) for x, y in zip([0] + P, P + [0])]
-    return _ring_coefficients(P, Q, P[0].inverse(), g0, dot, T)
-
-
-def _ring_coefficients(P, Q, inv_P0, g0, dot, T):
-    """The recurrence of _recurrence_coefficients in Q(i) or the local field:
-    a generator of g_0 .. g_T, each step run when its coefficient is asked
-    for. inv_P0 is 1/P_0, and dot the ring's sum of products."""
     n = len(P) - 1
+    inv_P0 = P[0].inverse()
     g = [g0]
-    yield g0
     for k in range(T):
         cs = [dot((Q[j - 1], P[j]), (1, j - k - 1)) for j in range(1, min(n, k + 1) + 1)]
-        # cs[j-1] meets g_{k+1-j}: zip stops at the last coefficient; with no
-        # factor g_0 is the ring's one
-        acc = dot(cs, reversed(g)) if n else 0 * g0
+        # cs[j-1] meets g_{k+1-j}: zip stops at the last coefficient
+        acc = dot(cs, reversed(g)) if n else 0 * one
         g.append(acc * inv_P0 * Fraction(1, k + 1))
-        yield g[-1]
+    return iter(g)
 
 
 def _rational_coefficients(P, Q, L, g0, T):

@@ -31,7 +31,7 @@ from srt.localfield import (
     _prec_pair,
     element_dot,
 )
-from srt.valuation import power, vp as srt_vp
+from srt.valuation import power
 
 from helpers import PiExt, agrees, pi_digits, pth_power_residues
 
@@ -384,27 +384,11 @@ def oracle_kinds(x):
     }
 
 
-def holding_bound(coefficients, const, slope, p):
-    """(const, slope) with const lowered where it must be, so that
-    v(c_i) >= const + slope*i - v_p(i) holds for every i >= 1 on every lift
-    of c_i, as a tail bound is proven to: `evaluate` reads no c_i past the
-    last index whose bound lies below the floor."""
-    for i, c in enumerate(coefficients[1:], 1):
-        if isinstance(c, LocalFieldElement):
-            lows = [*c.terms, *([] if c.prec is None else [c.prec])]
-        else:
-            lows = [srt_vp(c, p).as_fraction()] if c else []
-        if lows:
-            const = min(const, min(lows) - slope * i + srt_vp(i, p).as_fraction())
-    return const, slope
-
-
 @st.composite
 def evaluations(draw):
     """(series, x): 1 to 9 coefficients, each a rational or an exact or
-    finite-precision element of Q_p(pi), a tail bound (const, slope) that
-    holds for each of them, and a point x, exact or not, with a known
-    valuation v(x) > 0."""
+    finite-precision element of Q_p(pi), a tail bound (const, slope), and a
+    point x, exact or not, with a known valuation v(x) > 0."""
     ctx = LocalFieldContext(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 5)), 4)
     N = ctx.N
     rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
@@ -425,9 +409,7 @@ def evaluations(draw):
     ]
     x = element(1)
     hypothesis.assume(x.terms)
-    const = draw(rationals)
-    slope = Fraction(draw(st.integers(-4, 6)), draw(st.integers(1, 4)))
-    bound = holding_bound(coefficients, const, slope, ctx.p)
+    bound = (draw(rationals), Fraction(draw(st.integers(-4, 6)), draw(st.integers(1, 4))))
     return TruncatedSeries(coefficients, tail_bound=bound, p=ctx.p), x
 
 
@@ -528,8 +510,7 @@ class TestLifts:
 def cut_evaluations(draw):
     """(series, x) of `evaluations` with some coefficients replaced by a
     rational or an element far above the floor, an exact zero (0 or the
-    element) or an element that is zero to a precision, and the tail bound
-    lowered to hold for them."""
+    element) or an element that is zero to a precision."""
     series, x = draw(evaluations())
     ctx = x.ctx
     p, N = ctx.p, ctx.N
@@ -550,7 +531,7 @@ def cut_evaluations(draw):
             coefficients[i] = ctx.zero()
         elif kind == "ball":
             coefficients[i] = ctx.zero(Fraction(draw(st.integers(-N, 8 * N)), N))
-    return TruncatedSeries(coefficients, holding_bound(coefficients, *series.tail_bound, p), p), x
+    return TruncatedSeries(coefficients, series.tail_bound, series.p), x
 
 
 class TestEvaluation:

@@ -246,6 +246,19 @@ class TestMaclaurin:
             next(steps)
         assert not isinstance(exc.value, SrtError)
 
+    def test_a_recurrence_that_stopped_is_not_read_short(self):
+        # the step that raised ends the generator, so a later read finds
+        # fewer coefficients than the order: that is refused, not returned
+        steps = _rational_coefficients([-3, 1], [1], 2, Fraction(1), 3)
+        series = TruncatedSeries._on_demand(steps, 3, (Fraction(0), Fraction(1)), 5)
+        with pytest.raises(RuntimeError, match="k = 1"):
+            series.coefficients
+        for read in (lambda: series.coefficients, lambda: series.coefficient(2)):
+            with pytest.raises(RuntimeError, match="stopped at coefficient 1 of 3"):
+                read()
+        with pytest.raises(RuntimeError, match="stopped at coefficient 1 of 3"):
+            series.evaluate(LocalFieldContext(5, N=1).pi_power(1))
+
 
 def _unit_factors(s, c):
     """The unit factor of g expanded at z = sqrt(-1) in case i."""
@@ -395,16 +408,13 @@ class TestTruncatedSeries:
             g.evaluate(Fraction(5, 3))
         with pytest.raises(ContextError, match="prime mismatch"):
             g.evaluate(LocalFieldContext(7, N=1).from_rational(7))
-        # a coefficient of another field that evaluate reads is refused, also
-        # one far above the floor, whose pair the sum leaves out; at floor 0
-        # the bound puts c_1 at or above it, so c_1 is never read
+        # a coefficient of another field is refused, also one far above the
+        # floor, whose pair the sum leaves out
         x = LocalFieldContext(5, N=1).pi_power(1)
-        bound = (Fraction(0), Fraction(0))
         for c in (LocalFieldContext(5, N=2).pi_power(40), LocalFieldContext(5, N=2).zero()):
+            series = TruncatedSeries([Fraction(1), c], tail_bound=(Fraction(0), Fraction(0)))
             with pytest.raises(ContextError, match="context mismatch"):
-                TruncatedSeries([c, Fraction(1)], tail_bound=bound).evaluate(x)
-            value = TruncatedSeries([Fraction(1), c], tail_bound=bound).evaluate(x)
-            assert value == LocalFieldContext(5, N=1).zero(0)
+                series.evaluate(x)
 
     def test_evaluate_without_a_prime_reads_the_point_prime(self):
         # no p= given: v(x) is read over the point's own prime, and the
