@@ -140,6 +140,8 @@ def _answer(args):
 
 
 def _text_lines(obj, prefix):
+    """The text lines of a dict or a list: every handler reports one of the
+    two, and only they are descended into."""
     if isinstance(obj, dict):
         for k, v in obj.items():
             if isinstance(v, (dict, list)):
@@ -147,15 +149,13 @@ def _text_lines(obj, prefix):
                 yield from _text_lines(v, prefix + "  ")
             else:
                 yield f"{prefix}{k}: {v}"
-    elif isinstance(obj, list):
+    else:
         for i, v in enumerate(obj):
             if isinstance(v, (dict, list)):
                 yield f"{prefix}- [{i}]"
                 yield from _text_lines(v, prefix + "  ")
             else:
                 yield f"{prefix}- {v}"
-    else:
-        yield f"{prefix}{obj}"
 
 
 def _verdict_exit(kind):
@@ -411,7 +411,9 @@ COMMANDS = {
 
 
 # one parser per process: parse_args returns a fresh Namespace on every call,
-# no default is mutable and every type= callable is pure
+# no default is mutable and every type= callable is pure. The parser keeps
+# its subcommand parsers by name in `commands`, so that dispatch can hand a
+# request that starts with a subcommand to that parser alone
 @functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -423,6 +425,7 @@ def _build_parser():
         "--format", choices=("json", "text"), default="json", help="output format"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     for name, (handler, help_text, flags) in COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(handler=handler)
@@ -452,12 +455,31 @@ def _join_negative_rationals(argv):
     return out
 
 
+def _parse(argv):
+    """The Namespace of a request. The top-level parser hands every word after
+    the subcommand, unchanged, to that subcommand's parser, so a request that
+    starts with a subcommand is read by that parser alone, into the namespace
+    the top-level parser would build: --format at its default, and the
+    command. A word it leaves over sends the request back to the top-level
+    parser, which refuses it; any other request goes there too."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        namespace = argparse.Namespace(
+            format=parser.get_default("format"), command=argv[0]
+        )
+        args, extras = command.parse_known_args(argv[1:], namespace)
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def dispatch(argv):
-    # parse_args is inside the handler: a type= callable refuses with an
+    # the parse is inside the handler: a type= callable refuses with an
     # SrtError, which argparse does not catch
     try:
         try:
-            args = _build_parser().parse_args(_join_negative_rationals(argv))
+            args = _parse(_join_negative_rationals(argv))
         except SystemExit as exc:  # argparse has printed its usage or help
             return EXIT_USAGE if exc.code not in (0, None) else 0
         out, code = _answer(args)

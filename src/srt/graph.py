@@ -418,25 +418,25 @@ def enumerate_tail_configs(tau, p):
 
     Every term of the identity is positive, so each primitive sigma is at
     most 1 and each new-tail sigma at most 2: the candidates do not depend
-    on p.
+    on p. Each sigma is counted as the int k = 2 sigma in 1..4, so the
+    identity reads sum(k_new - 2) + sum(k_prim) = 2 and sigma >= p/2 reads
+    k >= p.
     """
     check_p(p)
     if not 0 <= tau <= 3:
         raise PreconditionViolated(f"tau must be 0..3, got {tau}")
-    candidates = [Fraction(k, 2) for k in range(1, 5)]
     # _multisets yields sorted tuples in lexicographic order, so the loops
     # list each configuration once, ordered by (len(new), prim, new)
     out = []
     for n_new in range(0, max(0, 2 - tau) + 1):
-        for prim in _multisets(candidates, tau):
-            for new in _multisets([s for s in candidates if s > 1], n_new):
-                lhs = sum((s - 1 for s in new), Fraction(0)) + sum(
-                    prim, Fraction(0)
-                )
-                if lhs != 1:
+        for prim in _multisets((1, 2, 3, 4), tau):
+            for new in _multisets((3, 4), n_new):
+                if sum(new) - 2 * n_new + sum(prim) != 2:
                     continue
-                flagged = any(s >= Fraction(p, 2) for s in prim + new)
-                out.append(TailConfig(prim, new, flagged))
+                flagged = any(k >= p for k in prim + new)
+                prim_sigmas = tuple(Fraction(k, 2) for k in prim)
+                new_sigmas = tuple(Fraction(k, 2) for k in new)
+                out.append(TailConfig(prim_sigmas, new_sigmas, flagged))
     return out
 
 

@@ -197,11 +197,11 @@ class CoverParams:
             # coefficients are integers; v_p(a) would be infinite here
             return Fraction(0), Fraction(0)
         va = vp(self.a, p)
-        w = vp(1 - self.a, p)
         if va > 0:
             return va.as_fraction(), Fraction(0)
-        if w > 0:
-            ws = vp(self.sqrt1ma, p).as_fraction()
+        # v(1 - a) = 2 v(sqrt1ma), as 1 - a = sqrt1ma^2 and sqrt1ma != 0
+        ws = vp(self.sqrt1ma, p).as_fraction()
+        if ws > 0:
             return ws, -ws
         return Fraction(0), Fraction(0)
 

@@ -311,6 +311,88 @@ class TestExitCodes:
         assert len(json.loads(out)["coefficients"]) == 401
 
 
+# one answered request per subcommand, after its name; TREE_FILE stands for
+# the path of TREE written to a file
+TREE_FILE = "<tree>"
+ONE_REQUEST = {
+    "expand": ["--p", "5", "--nu", "2", "--r", "1", "--s", "3", "--sqrt1ma", "-5/9",
+               "--T", "4"],
+    "split-check": ["--p", "5", "--level", "1", "--vals", '["1","1","1","1","1"]'],
+    "tail-center": ["--p", "5", "--nu", "2", "--r", "1", "--s", "3", "--case", "generic"],
+    "tail-radius": ["--p", "7", "--nu", "2", "--case", "a=1", "--extra", "1"],
+    "insep-tails": ["--p", "5", "--nu", "2", "--case", "a=0", "--extra", "1"],
+    "tree-check": ["--p", "5", "--tree", TREE_FILE],
+    "tree-solve": ["--p", "5", "--tree", TREE_FILE, "--root-delta", "9/4"],
+    "enum-tails": ["--tau", "1", "--p", "3"],
+    "conductor": ["--shape", "kummer-tower", "--p", "5", "--nu", "3"],
+    "herbrand": ["--p", "5", "--nu", "2", "--direction", "psi", "--x", "3/2"],
+    "group": ["--q", "31", "--p", "5", "--mode", "criterion"],
+    "wild-monodromy": ["--q", "251", "--p", "5"],
+}
+
+
+def _parse_table():
+    """argvs led by a subcommand, by a global option, by help or by nothing,
+    answered, refused by the parser or asking for help."""
+    table = []
+    for name, flags in ONE_REQUEST.items():
+        request = [name, *flags]
+        table += [
+            request,
+            ["--format", "text", *request],
+            ["--format=text", *request],
+            ["--form", "text", *request],
+            [*request, "--format", "text"],
+            [*request, "stray"],
+            [*request, "--bogus"],
+            [*request, "--"],
+            [*request, "--", "x"],
+            [name, "--help"],
+            [name, "-h"],
+            [name, "--he"],
+            request[:-1],  # the last flag without its value
+        ]
+    table += [
+        ["enum-tails", "--tau", "1", "--p", "4"],
+        ["--format", "xml", "enum-tails", "--tau", "1"],
+        [],
+        ["--help"],
+        ["-h"],
+        ["--format", "text"],
+        ["bogus", "--p", "5"],
+    ]
+    return table
+
+
+class TestOneParse:
+    """A request led by its subcommand is read by that subcommand's parser
+    alone; every request answers as through the top-level parser."""
+
+    def test_commands_have_a_request(self):
+        assert ONE_REQUEST.keys() == srt.cli.COMMANDS.keys()
+
+    def test_same_answer_as_the_top_level_parser(self, capsys, monkeypatch, tmp_path):
+        tree = tmp_path / "tree.json"
+        tree.write_text(json.dumps(TREE))
+        monkeypatch.setenv("COLUMNS", "80")
+        top_level = srt.cli._build_parser().parse_args
+        for argv in _parse_table():
+            argv = [str(tree) if word == TREE_FILE else word for word in argv]
+            answer = run_cli(capsys, *argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(srt.cli, "_parse", top_level)
+                assert run_cli(capsys, *argv) == answer, argv
+
+    def test_an_answered_request_skips_the_top_level_parser(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser read the request")
+
+        monkeypatch.setattr(srt.cli._build_parser(), "parse_args", refuse)
+        code, out, _ = run_cli(capsys, "enum-tails", *ONE_REQUEST["enum-tails"])
+        assert code == EXIT_OK
+        assert json.loads(out)[0] == {"prim": ["1"]}
+
+
 # a value for each flag that some subcommand requires
 REQUIRED_VALUES = {
     "--p": "5", "--nu": "2", "--r": "1", "--s": "3", "--case": "a=0", "--tree": "t.json",

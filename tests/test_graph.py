@@ -296,11 +296,12 @@ class TestTailConfigs:
                 assert len(c.prim) == tau
                 assert len(c.prim) + len(c.new) <= 2 or tau == 3
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 1009])
     @pytest.mark.parametrize("tau", range(4))
     def test_matches_brute_force(self, tau, p):
         # the oracle draws sigma up to 3, beyond the bound of 2 the
-        # enumeration relies on, and sorts its own output
+        # enumeration relies on, sums Fractions where the enumeration counts
+        # halves, and sorts its own output; only p = 3 flags an entry
         out = enumerate_tail_configs(tau, p)
         assert [(c.prim, c.new, c.flagged) for c in out] == helpers.tail_configs(tau, p)
 
