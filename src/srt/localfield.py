@@ -474,12 +474,10 @@ class LocalFieldElement:
         # once.
         y = LocalFieldElement._make(ctx, {-j: (d, n)}, None)
         neg = -self
+        # 1 - x*y is the sum of x's other terms times y, each in a class of
+        # its own below the precision, so it has a lowest term
         first = element_dot((neg, 1), (y, 1))
-        done = rel
-        if first._t:
-            done = _min_prec((next(iter(first._t)), N), rel)
-        elif first._prec is not None:
-            done = _min_prec(first._prec, rel)
+        done = _min_prec((next(iter(first._t)), N), rel)
         # done <= rel, and precision pairs are canonical
         while done != rel:
             done = _min_prec(_add_prec(done, done, N), rel)
@@ -581,15 +579,25 @@ def _integer_nth_root_exact(n, k):
 
 def _rational_root(w, n):
     """The exact n-th root of the unit w when w is an exact rational n-th
-    power, else None; a negative one only for odd n, since for even n the
-    residue path decides."""
+    power and the root that `_unit_root` names is rational, else None. For
+    n = p^a * m that root is congruent to the least residue m-th root mod
+    p: the rational root r of the same sign as w, or -r for even n, or
+    neither, when it is r times an m-th root of unity other than +-1."""
     if w._prec is None and len(w._t) == 1:
         u = Fraction(*w._t[0])
         if u > 0 or n % 2:
             rn = _integer_nth_root_exact(abs(u.numerator), n)
             rd = _integer_nth_root_exact(u.denominator, n)
             if rn is not None and rd is not None:
-                return LocalFieldElement._make(w.ctx, {0: (rn if u > 0 else -rn, rd)}, None)
+                p = w.ctx.p
+                m = split_p_part(n, p)[1]
+                rn = rn if u > 0 else -rn
+                res = rn * pow(rd, -1, p) % p
+                least = next(y for y in range(1, p) if pow(y, m, p) == pow(res, m, p))
+                if res == least:
+                    return LocalFieldElement._make(w.ctx, {0: (rn, rd)}, None)
+                if n % 2 == 0 and p - res == least:
+                    return LocalFieldElement._make(w.ctx, {0: (-rn, rd)}, None)
 
 
 def _pi(ctx, j):
@@ -659,8 +667,7 @@ def _newton(w, y, diff, n, prec):
     d is read modulo p^prec, so 1/(n*w) is inverted once, to the relative
     precision prec - v(d_1) of the first step's d_1 = diff/(n*w): an error
     eps in it moves y by d*eps, of valuation at least v(d) + prec - v(d_1)
-    >= prec, since v(d) only grows from step to step. When that relative
-    precision is not positive, y is the root to prec already.
+    >= prec, since v(d) only grows from step to step.
     """
     ctx = w.ctx
     N = ctx.N
@@ -672,10 +679,9 @@ def _newton(w, y, diff, n, prec):
     diff = diff.truncate(wide)
     if not diff._t:
         return y.truncate(prec)
-    # the relative precision prec - v(d_1), v(d_1) = v(diff) - v(n)
+    # the relative precision prec - v(d_1), v(d_1) = v(diff) - v(n), is
+    # positive: diff is cut to prec + v(n), so v(diff) < prec + v(n)
     rel = _add_prec(prec, (vn * N - next(iter(diff._t)), N), N)
-    if rel[0] <= 0:
-        return y.truncate(prec)
     # w is a unit: its precision is its relative precision
     c = (w.truncate(rel) * n).inverse()
     while True:
@@ -696,9 +702,9 @@ def _unit_root(w, n):
     """An n-th root of the unit w.
 
     Raises NoNthRoot when w has none and PrecisionError when the precision
-    of w cannot decide or cannot fix the root. An exact rational n-th power
-    has an exact root; the m-th root is the one congruent mod pi to the least
-    residue root mod p.
+    of w cannot decide or cannot fix the root. The m-th root is the one
+    congruent mod pi to the least residue root mod p, exact when it is
+    rational and w is exact.
     """
     root = _rational_root(w, n)
     if root is not None:
@@ -720,6 +726,8 @@ def _unit_root(w, n):
             w = y
     if m == 1:
         return w
+    if not w._t:
+        raise PrecisionError(f"the {p}-th roots leave no digit to fix the {m}-th root by")
     num, den = w._t[0]
     res = num * pow(den, -1, p) % p
     y = next((y for y in range(1, p) if pow(y, m, p) == res), None)
@@ -752,10 +760,11 @@ def nth_root(x, n):
     Raises NoNthRoot when x has no n-th root in the field: v(x)/n is not in
     (1/N)Z, or the unit part is no n-th power. Raises PrecisionError when
     the precision of x cannot decide that or cannot fix the root. The root
-    is exact when x is an exact rational n-th power, or an exact p-th power
-    met by the filtration peel; otherwise, for n = p^a * m, its relative
-    precision is that of x less a, or M - a when x is exact (more when one
-    of the a p-th roots on the way is exact).
+    is exact when x is an exact rational n-th power whose root of that
+    residue is rational, or an exact p-th power met by the filtration peel;
+    otherwise, for n = p^a * m, its relative precision is that of x less a,
+    or M - a when x is exact (more when one of the a p-th roots on the way
+    is exact).
     """
     _check_element(x)
     ctx = x.ctx

@@ -263,12 +263,12 @@ def power(base, n, one):
 
 
 def to_jsonable(v):
-    """Plain JSON value of a report. Strings, ints and None pass as they are,
-    rationals and extended rationals become strings, containers convert
-    element-wise, and an object with a to_json method renders by it. A
-    dataclass gives its fields in declaration order, each under its
-    metadata["json"] name if it has one, and leaves out a field that equals
-    its default or default_factory()."""
+    """Plain JSON value of a report. Rationals and extended rationals become
+    strings, containers convert element-wise, and an object with a to_json
+    method renders by it. A dataclass gives its fields in declaration order,
+    each under its metadata["json"] name if it has one, and leaves out a
+    field that equals its default or default_factory(). Any other value,
+    such as a str, an int, None or a float, passes as it is."""
     if v is None or isinstance(v, (str, int)):
         return v
     if isinstance(v, (Fraction, ExtendedRational)):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -133,7 +134,6 @@ class TestReferenceInvocations:
         )
 
     def test_console_script_is_cli_main(self):
-        tomllib = pytest.importorskip("tomllib")
         with PYPROJECT.open("rb") as fh:
             scripts = tomllib.load(fh)["project"]["scripts"]
         assert scripts["srt"] == "srt.cli:main"

@@ -225,6 +225,18 @@ class TestPropagation:
         assert out.relations == []
         assert set(out.unknowns) == {"epaisseur('root', 'w')", "sigma_eff('w', 't')"}
 
+    def test_no_relation_on_an_open_run_with_zero_sigma(self):
+        # the drop along an open run is its sigma_eff times the sum of its
+        # epaisseurs, so a zero sigma_eff leaves that sum unconstrained
+        tree = ReductionTree(
+            [Vertex("root", inertia=1), Vertex("w", inertia=1), Vertex("t", tail="new-etale")],
+            [Edge("root", "w", sigma_eff=Fraction(0)), Edge("w", "t", sigma_eff=Fraction(0))],
+        )
+        out = propagate_differents(tree, 5)
+        assert out.status == "Unsolved"
+        assert out.relations == []
+        assert set(out.unknowns) == {"epaisseur('root', 'w')", "epaisseur('w', 't')"}
+
 
 class TestVanishingCycles:
     def test_global_form(self):

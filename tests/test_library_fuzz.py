@@ -7,8 +7,8 @@ parameter, with arguments that the function answers; EXEMPT names the others
 with a reason. A public function in neither table fails
 test_tables_match_the_signatures.
 
-Each parameter gets every value of DRAWS, then derandomized hypothesis draws
-of ints, floats, fractions and bools. A value outside its rule's domain must
+Each parameter gets every value of DRAWS, then seeded draws of ints, floats,
+fractions and bools (tests/draws.py). A value outside its rule's domain must
 be refused with an SrtError whose message names the parameter ("p must be",
 "q must be", "nu must be"), so the refusal is the rule's and not a later
 accident. A value inside the domain must end with an answer or an SrtError.
@@ -31,14 +31,11 @@ from srt.cli import _odd_prime
 from srt.errors import PreconditionViolated, SrtError
 from srt.valuation import check_p
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-given, settings = hypothesis.given, hypothesis.settings
+from draws import cases
 
-EXAMPLES = 25  # hypothesis draws per parameter
+EXAMPLES = 25  # random draws per parameter, beside the edge cases
 EXAMPLE_SECONDS = 2.0
 TOTAL_SECONDS = 10.0
-SETTINGS = settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
 
 
 def _is_prime(n):
@@ -57,12 +54,21 @@ DOMAINS = {
     "nu": lambda x: _is_int(x) and x >= 1,
 }
 DRAWS = [True, 5.0, 2.5, Fraction(5), Fraction(7, 2), 0, 1, -5, 4, 9, 15, 25, 2]
-OTHER_DRAWS = st.one_of(
-    st.integers(-30, 200),
-    st.floats(-50, 250, allow_nan=False),
-    st.fractions(-20, 60, max_denominator=6),
-    st.booleans(),
-)
+
+
+def other_draw(rng):
+    """An int in [-30, 200], a float in [-50, 250], a Fraction in [-20, 60]
+    over a denominator up to 6, or a bool."""
+    d = rng.randint(1, 6)
+    return rng.choice([
+        rng.randint(-30, 200),
+        float(rng.randint(-50, 250)),
+        rng.uniform(-50, 250),
+        Fraction(rng.randint(-20 * d, 60 * d), d),
+        False,
+        True,
+    ])
+
 
 TREE = ReductionTree(
     [Vertex("root", inertia=1), Vertex("tail", tail="new-etale", sigma=Fraction(3, 2))],
@@ -170,17 +176,16 @@ def test_base_arguments_answer(name):
 CASES = [(name, param) for name in sorted(RULES) for param in RULES[name][0]]
 
 
+@cases(EXAMPLES)
+def _check_drawn(name, param, spent, rng):
+    _check(name, param, other_draw(rng), spent)
+
+
 @pytest.mark.parametrize("name, param", CASES)
 def test_out_of_domain_values_are_refused(name, param, spent):
     for value in DRAWS:
         _check(name, param, value, spent)
-
-    @SETTINGS
-    @given(OTHER_DRAWS)
-    def run(value):
-        _check(name, param, value, spent)
-
-    run()
+    _check_drawn(name, param, spent)
 
 
 # public entry -> the values of a wrong type it is handed, and the type its

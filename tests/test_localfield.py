@@ -98,6 +98,15 @@ class TestCanonicalForm:
         with pytest.raises(ContextError):
             ctx5().pi_power(Fraction(1, 3))
 
+    def test_an_exponent_reads_as_the_fraction_of_its_value(self):
+        # a str or float exponent is read by Fraction, as a Fraction is; the
+        # float 0.4 is the double nearest 2/5, not in (1/5)Z
+        ctx = ctx5()
+        assert LocalFieldElement(ctx, [("2/5", 3)]) == ctx.pi_power(Fraction(2, 5), 3)
+        assert LocalFieldElement(ctx, [(2.0, 3)]) == ctx.pi_power(2, 3)
+        with pytest.raises(ContextError, match="not representable"):
+            LocalFieldElement(ctx, [(0.4, 3)])
+
     def test_equality_with_non_numbers_is_false(self):
         # __eq__ coerces the other side; what Fraction refuses compares unequal
         ctx = ctx5()
@@ -370,6 +379,33 @@ class TestNthRoot:
         ctx = ctx5()
         r = nth_root(ctx.from_rational(32), 5)
         assert (r - ctx.from_rational(2)).is_zero()
+
+    @pytest.mark.parametrize(
+        "p, u, root", [(5, 9, -3), (7, 16, -4), (7, 4, 2), (5, Fraction(9, 4), Fraction(-3, 2))]
+    )
+    def test_exact_rational_root_is_the_least_residue_root(self, p, u, root):
+        # the square root of an exact rational is the one congruent to the
+        # least residue root mod p, as on each ball around it: 9 at p = 5 has
+        # the roots 3 and -3 = 2 mod 5, and the root is -3
+        ctx = LocalFieldContext(p, N=2, M=4)
+        assert nth_root(ctx.from_rational(u), 2) == ctx.from_rational(root)
+        assert not (nth_root(ctx.from_rational(u, 3), 2) - root).terms
+
+    def test_exact_rational_cube_with_no_rational_root_of_least_residue(self):
+        # 8 at p = 7: the cube roots of 1 mod 7 are 1, 2 and 4, so the root is
+        # 2 times a cube root of unity, not 2, and Newton's
+        ctx = LocalFieldContext(7, N=1, M=4)
+        root = nth_root(ctx.from_rational(8), 3)
+        assert root.prec == 4 and root.terms[0] % 7 == 1
+        assert (root**3 - 8).valuation_lower_bound() >= 4
+
+    def test_no_digit_left_for_the_root_prime_to_p(self):
+        # at M = 1 the cube root of an exact unit is known to relative
+        # precision M - 1 = 0, and no digit fixes its square root (this
+        # raised a KeyError)
+        ctx = LocalFieldContext(3, N=1, M=1)
+        with pytest.raises(PrecisionError, match="the 3-th roots leave no digit"):
+            nth_root(ctx.from_rational(28), 6)
 
     def test_unit_root_mod_precision(self):
         ctx = ctx5()

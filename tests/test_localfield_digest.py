@@ -30,7 +30,7 @@ from srt import (
 )
 from srt.valuation import to_jsonable
 
-EXPECTED_DIGEST = "40de7c041ebdaebdb5b82674822558e126863f0a1ea063ec6429888b5db3f881"
+EXPECTED_DIGEST = "6018d71e50e2547f18a51f7ae1b3de2c8caa301324f323b094aae2e5cf80c1f6"
 EXPECTED_RECORDS = 1516
 ELEMENTS = 1500
 

@@ -1,8 +1,8 @@
-"""Property tests of local-field arithmetic against a plain-Fraction model.
+"""Property tests of local-field arithmetic against an exact model.
 
-The model holds an element of Q(pi), pi^N = p, as its N rational coordinates
-c_0..c_{N-1} in the basis 1, pi, ..., pi^(N-1), so x = sum c_i pi^i. It reads
-srt elements only through their public `terms` view and `prec`. The tests of
+The model of an element of Q(pi), pi^N = p, is its value in the PiExt of
+tests/helpers.py, exact arithmetic in Q[pi]/(pi^N - p). It reads srt
+elements only through their public `terms` view and `prec`. The tests of
 the canonical form (TestCanonicalForm) read the term dict `_t` and the
 precision pair `_prec` themselves, since `__eq__` and `__hash__` compare
 those directly."""
@@ -33,79 +33,24 @@ from srt.localfield import (
 )
 from srt.valuation import power
 
-from helpers import PiExt, agrees, pi_digits, pth_power_residues
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-given, settings = hypothesis.given, hypothesis.settings
+from draws import cases, fraction, nonzero
+from helpers import PiExt, agrees, pi_digits, pth_power_residues, vp_fraction
 
 P = 5
 NS = (5, 8, 60)
 M = 3  # relative precision of exact inverses
 MAX_TERMS = 3
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-
-
-def vp(q):
-    """p-adic valuation of a nonzero rational."""
-    v, num, den = 0, q.numerator, q.denominator
-    while num % P == 0:
-        num //= P
-        v += 1
-    while den % P == 0:
-        den //= P
-        v -= 1
-    return v
-
 
 def model(x):
-    """Coordinates of the value of the srt element x."""
-    N = x.ctx.N
-    c = [Fraction(0)] * N
+    """The exact PiExt value of the srt element x, read from its public
+    terms (a representative of its ball when x is finite)."""
+    N, p = x.ctx.N, x.ctx.p
+    coeffs = [Fraction(0)] * N
     for e, u in x.terms.items():
-        m, i = divmod(int(e * N), N)
-        c[i] += Fraction(u) * Fraction(P) ** m
-    return c
-
-
-def m_add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def m_neg(a):
-    return [-x for x in a]
-
-
-def m_mul(a, b):
-    N = len(a)
-    out = [Fraction(0)] * N
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b):
-                if y:
-                    if i + k < N:
-                        out[i + k] += x * y
-                    else:
-                        out[i + k - N] += P * x * y
-    return out
-
-
-def m_val(a):
-    """Valuation of sum a_i pi^i, None for 0: distinct i never cancel."""
-    N = len(a)
-    vals = [vp(x) + Fraction(i, N) for i, x in enumerate(a) if x]
-    return min(vals) if vals else None
-
-
-def m_one(N):
-    return [Fraction(1)] + [Fraction(0)] * (N - 1)
-
-
-def agree(a, b, prec):
-    """a = b modulo p^prec (exactly when prec is None)."""
-    v = m_val(m_add(a, m_neg(b)))
-    return v is None or (prec is not None and v >= prec)
+        k, i = divmod(int(e * N), N)
+        coeffs[i] += Fraction(u) * Fraction(p) ** k
+    return PiExt(coeffs, N, p)
 
 
 def precision_of(x):
@@ -122,69 +67,62 @@ def assert_canonical(x):
     for e, u in x.terms.items():
         assert (e * x.ctx.N).denominator == 1
         if x.prec is None:
-            assert isinstance(u, Fraction) and u != 0 and vp(u) == 0
+            assert isinstance(u, Fraction) and u != 0 and vp_fraction(u, P) == 0
         else:
             k = -((-(x.prec - e).numerator) // (x.prec - e).denominator)
             assert e < x.prec
             assert isinstance(u, int) and 0 < u < P**k and u % P != 0
 
 
-@st.composite
-def elements(draw, N):
+def precision(rng, lo, hi, denominators):
+    """None, or Fraction(n, d) with n in [lo, hi] and d from denominators."""
+    return rng.choice([None, Fraction(rng.randint(lo, hi), rng.choice(denominators))])
+
+
+def scalar(rng):
+    """A rational operand, drawn as element draws its units."""
+    return Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 5, 7, 25]))
+
+
+def element(rng, N):
     ctx = LocalFieldContext(P, N=N, M=M)
-    n_terms = draw(st.integers(0, MAX_TERMS))
-    pairs = []
-    for _ in range(n_terms):
-        j = draw(st.integers(-N, 2 * N))
-        u = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from([1, 2, 3, 5, 7, 25])))
-        pairs.append((Fraction(j, N), u))
-    prec = None if draw(st.booleans()) else Fraction(draw(st.integers(-N, 3 * N)), N)
-    return LocalFieldElement(ctx, pairs, prec)
+    pairs = [(Fraction(rng.randint(-N, 2 * N), N), scalar(rng))
+             for _ in range(rng.randint(0, MAX_TERMS))]
+    return LocalFieldElement(ctx, pairs, precision(rng, -N, 3 * N, [N]))
 
 
-# rational operands, as elements(N) draws its units
-SCALARS = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 5, 7, 25]))
+def pair(rng):
+    N = rng.choice(NS)
+    return element(rng, N), element(rng, N)
 
 
-@st.composite
-def pairs_of(draw):
-    N = draw(st.sampled_from(NS))
-    return draw(elements(N)), draw(elements(N))
-
-
-@st.composite
-def units(draw):
-    """Elements with a nonzero leading term, exact or not."""
-    N = draw(st.sampled_from(NS))
-    x = draw(elements(N))
-    hypothesis.assume(x.terms)
+def unit(rng):
+    """An element with a nonzero leading term, exact or not."""
+    x = element(rng, rng.choice(NS))
+    while not x.terms:  # drawn anew
+        x = element(rng, rng.choice(NS))
     return x
 
 
 class TestRingOperations:
-    @SETTINGS
-    @given(pairs_of())
-    def test_add_sub_neg(self, ab):
-        a, b = ab
+    @cases(40)
+    def test_add_sub_neg(self, rng):
+        a, b = pair(rng)
         prec = min((q for q in (a.prec, b.prec) if q is not None), default=None)
-        for got, want in (
-            (a + b, m_add(model(a), model(b))),
-            (a - b, m_add(model(a), m_neg(model(b)))),
-        ):
+        for got, want in ((a + b, model(a) + model(b)), (a - b, model(a) - model(b))):
             assert got.prec == prec
-            assert agree(model(got), want, prec)
+            assert agrees(model(got), want, prec)
             assert_canonical(got)
         neg = -a
         assert neg.prec == a.prec
-        assert agree(model(neg), m_neg(model(a)), a.prec)
+        assert agrees(model(neg), -model(a), a.prec)
         assert_canonical(neg)
 
-    @SETTINGS
-    @given(
-        st.sampled_from(NS).flatmap(lambda N: st.lists(elements(N), min_size=1, max_size=6)),
-        st.none() | st.builds(Fraction, st.integers(-60, 180), st.sampled_from([1, 5, 60])),
-    )
-    def test_sum_is_the_chain_of_adds(self, xs, prec):
+    @cases(40)
+    def test_sum_is_the_chain_of_adds(self, rng):
+        N = rng.choice(NS)
+        xs = [element(rng, N) for _ in range(rng.randint(1, 6))]
+        prec = precision(rng, -60, 180, [1, 5, 60])
         chain = functools.reduce(operator.add, xs)
         if prec is not None:
             chain = chain.truncate(prec)
@@ -193,16 +131,12 @@ class TestRingOperations:
         assert got._prec == chain._prec
         assert_canonical(got)
 
-    @SETTINGS
-    @given(
-        st.sampled_from(NS).flatmap(
-            lambda N: st.lists(
-                st.tuples(elements(N), elements(N) | SCALARS), min_size=1, max_size=5
-            )
-        ),
-        st.none() | st.builds(Fraction, st.integers(-60, 180), st.sampled_from([1, 5, 60])),
-    )
-    def test_dot_is_the_chain_of_products_and_adds(self, pairs, prec):
+    @cases(40)
+    def test_dot_is_the_chain_of_products_and_adds(self, rng):
+        N = rng.choice(NS)
+        pairs = [(element(rng, N), element(rng, N) if rng.choice([False, True]) else scalar(rng))
+                 for _ in range(rng.randint(1, 5))]
+        prec = precision(rng, -60, 180, [1, 5, 60])
         # factors may be exact, finite, an exact zero or zero to precision
         xs, ys = (list(t) for t in zip(*pairs))
         chain = functools.reduce(operator.add, [x * y for x, y in pairs])
@@ -218,10 +152,9 @@ class TestRingOperations:
         with pytest.raises(ContextError):
             element_dot(xs, ys[:-1] + [other], prec)
 
-    @SETTINGS
-    @given(pairs_of())
-    def test_mul(self, ab):
-        a, b = ab
+    @cases(40)
+    def test_mul(self, rng):
+        a, b = pair(rng)
         got = a * b
         zero = (not a.terms and a.prec is None) or (not b.terms and b.prec is None)
         if zero:
@@ -234,122 +167,133 @@ class TestRingOperations:
             bounds.append(b.prec + precision_of(a))
         prec = min(bounds, default=None)
         assert got.prec == prec
-        assert agree(model(got), m_mul(model(a), model(b)), prec)
+        assert agrees(model(got), model(a) * model(b), prec)
         assert_canonical(got)
 
 
 class TestInverse:
-    @SETTINGS
-    @given(units())
-    def test_inverse(self, x):
+    @cases(40)
+    def test_inverse(self, rng):
+        x = unit(rng)
         y = x.inverse()
         assert_canonical(y)
         v = min(x.terms)
         if x.prec is None and len(x.terms) == 1:
             assert y.prec is None
-            assert model(x * y) == m_one(x.ctx.N)
+            assert model(x * y) == 1
             return
         rel = x.prec - v if x.prec is not None else M
         assert y.prec == -v + rel
-        assert agree(m_mul(model(x), model(y)), m_one(x.ctx.N), rel)
+        assert agrees(model(x) * model(y), 1, rel)
         z = x * y - 1
         assert z.valuation_lower_bound() >= z.prec
 
-    @SETTINGS
-    @given(units(), st.integers(1, 4))
-    def test_relative_precision_of_exact_inverse(self, x, rel):
+    @cases(40)
+    def test_relative_precision_of_exact_inverse(self, rng):
         # a one-term exact element has an exact inverse (test_inverse)
-        hypothesis.assume(x.prec is None and len(x.terms) > 1)
+        x, rel = unit(rng), rng.randint(1, 4)
+        while not (x.prec is None and len(x.terms) > 1):  # drawn anew
+            x = unit(rng)
         x = LocalFieldElement(LocalFieldContext(P, N=x.ctx.N, M=rel), list(x.terms.items()))
         y = x.inverse()
         v = min(x.terms)
         assert y.prec == -v + rel
-        assert agree(m_mul(model(x), model(y)), m_one(x.ctx.N), rel)
+        assert agrees(model(x) * model(y), 1, rel)
 
 
 class TestPrecisionMoves:
-    @SETTINGS
-    @given(st.sampled_from(NS).flatmap(elements), st.integers(-2, 4), st.integers(1, 60))
-    def test_truncate(self, x, whole, sixtieths):
-        q = whole + Fraction(sixtieths, 60)
+    @cases(40)
+    def test_truncate(self, rng):
+        x = element(rng, rng.choice(NS))
+        q = rng.randint(-2, 4) + Fraction(rng.randint(1, 60), 60)
         got = x.truncate(q)
         prec = q if x.prec is None else min(q, x.prec)
         assert got.prec == prec
-        assert agree(model(got), model(x), prec)
+        assert agrees(model(got), model(x), prec)
         assert_canonical(got)
 
 
 class TestRoots:
-    @SETTINGS
-    @given(units())
-    def test_fifth_root_of_a_fifth_power(self, y):
+    @cases(40)
+    def test_fifth_root_of_a_fifth_power(self, rng):
         """nth_root(y^5, 5) never refuses once y is known beyond relative
         precision 5/4, the Hensel level; the root is y (no other 5th root of
         unity lies in these fields) to relative precision that of y^5 less 1,
         and it is the power test's root."""
+        y = unit(rng)
+        while not (y.prec is None or y.prec - min(y.terms) > Fraction(5, 4)):  # drawn anew
+            y = unit(rng)
         v = min(y.terms)
-        hypothesis.assume(y.prec is None or y.prec - v > Fraction(5, 4))
         x = y**5
         root = nth_root(x, 5)
         assert root == is_pth_power(x).root
         assert_canonical(root)
-        fifth = m_one(x.ctx.N)
-        for _ in range(5):
-            fifth = m_mul(fifth, model(root))
+        fifth = model(root) ** 5
         if root.prec is None:
-            assert agree(model(root), model(y), None)
-            assert agree(fifth, model(x), None)
+            assert agrees(model(root), model(y), None)
+            assert agrees(fifth, model(x), None)
             return
         rel = (x.prec - 5 * v if x.prec is not None else M) - 1
         assert root.prec == v + rel
-        assert agree(model(root), model(y), root.prec)
-        assert agree(fifth, model(x), 5 * v + rel + 1)
+        assert agrees(model(root), model(y), root.prec)
+        assert agrees(fifth, model(x), 5 * v + rel + 1)
 
 
-@st.composite
-def near_fifth_powers(draw):
+def prime_to(p, n):
+    """n moved off the multiples of p."""
+    return n + 1 if n % p == 0 else n
+
+
+def near_fifth_power(rng):
     """A finite element of Q_5(pi), pi^N = 5, N in NS: pi^s * y^5 for a unit
     y, most often one term off, cut to a precision above its lowest term.
     The draws lean to the balls that a verdict can get wrong: N = 5, where
     the digit table decides a whole ball; y a rational and the term off at
     valuation 1, so the known terms lie in Q_5; and a precision in (1, 5/4],
     where the level 1 is known and the Hensel level is not."""
-    N = draw(st.sampled_from((5,) + NS))
+    N = rng.choice((5,) + NS)
     ctx = LocalFieldContext(P, N=N, M=M)
-    digit = st.integers(-30, 30).filter(lambda u: u % P)
-    exponent = st.builds(Fraction, st.integers(1, 2 * N), st.just(N))
-    y = LocalFieldElement(ctx, [(0, draw(digit))])
-    if draw(st.sampled_from([False, False, True])):
-        y = y + LocalFieldElement(ctx, draw(st.lists(st.tuples(exponent, digit), max_size=2)))
+
+    def digit():
+        return prime_to(P, rng.randint(-30, 30))
+
+    def exponent():
+        return Fraction(rng.randint(1, 2 * N), N)
+
+    y = LocalFieldElement(ctx, [(0, digit())])
+    if rng.random() < 1 / 3:
+        y = y + LocalFieldElement(ctx, [(exponent(), digit()) for _ in range(rng.randint(0, 2))])
     x = y**P
-    off = draw(st.sampled_from([None, Fraction(1), Fraction(1), Fraction(1)]) | exponent)
+    if rng.random() < 1 / 2:
+        off = rng.choice([None, Fraction(1), Fraction(1), Fraction(1)])
+    else:
+        off = exponent()
     if off is not None:
-        x = x + ctx.pi_power(off, draw(digit))
+        x = x + ctx.pi_power(off, digit())
     # most often a power of pi that keeps x a candidate 5th power
-    s = draw(st.integers(-1, 1)) * P + draw(st.sampled_from([0, 0, 0, 1]))
+    s = rng.randint(-1, 1) * P + rng.choice([0, 0, 0, 1])
     x = x * ctx.pi_power(Fraction(s, N))
-    window = [Fraction(k, N) for k in range(N + 1, N * 5 // 4 + 1)]
-    above = draw(
-        st.sampled_from(window)
-        | st.sampled_from(window)
-        | st.builds(Fraction, st.integers(1, 3 * N), st.sampled_from([N, 7]))
-    )
+    if rng.random() < 2 / 3:
+        above = rng.choice([Fraction(k, N) for k in range(N + 1, N * 5 // 4 + 1)])
+    else:
+        above = Fraction(rng.randint(1, 3 * N), rng.choice([N, 7]))
     return x.truncate(min(x.terms) + above)
 
 
-@st.composite
-def balls(draw, centers=near_fifth_powers(), count=4):
-    """(x, lifts): x drawn from `centers` and `count` exact elements of its
-    ball, each the terms of x plus up to three random terms at or above its
-    precision. An x that is exact, or not an element, is its own lift."""
-    x = draw(centers)
+def ball(rng, x, count=4):
+    """`count` exact elements of the ball of x, each the terms of x plus up
+    to three random terms at or above its precision. An x that is exact, or
+    not an element, is its own lift."""
     if not isinstance(x, LocalFieldElement) or x.prec is None:
-        return x, [x] * count
+        return [x] * count
     N = x.ctx.N
     low = math.ceil(x.prec * N)
-    exponent = st.builds(Fraction, st.integers(low, low + 2 * N), st.just(N))
-    extra = st.lists(st.tuples(exponent, st.integers(-30, 30)), max_size=3)
-    return x, [LocalFieldElement(x.ctx, [*x.terms.items(), *draw(extra)]) for _ in range(count)]
+
+    def extra():
+        return [(Fraction(rng.randint(low, low + 2 * N), N), rng.randint(-30, 30))
+                for _ in range(rng.randint(0, 3))]
+
+    return [LocalFieldElement(x.ctx, [*x.terms.items(), *extra()]) for _ in range(count)]
 
 
 # (L, r) for N: a unit is a 5th power iff its digits mod pi^L, L/N > 5/4,
@@ -377,39 +321,34 @@ def oracle_kinds(x):
     known = L if unit.prec is None else min(L, math.ceil(unit.prec * N))
     if L - known > 3:
         return None
-    head = pi_digits(PiExt(model(unit), N, P), L)[:known]
+    head = pi_digits(model(unit), L)[:known]
     return {
         "yes" if head + tail in fifth_powers(N) else "no"
         for tail in itertools.product(range(P), repeat=L - known)
     }
 
 
-@st.composite
-def evaluations(draw):
+def evaluation(rng):
     """(series, x): 1 to 9 coefficients, each a rational or an exact or
     finite-precision element of Q_p(pi), a tail bound (const, slope), and a
     point x, exact or not, with a known valuation v(x) > 0."""
-    ctx = LocalFieldContext(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 5)), 4)
+    ctx = LocalFieldContext(rng.choice([3, 5, 7]), rng.randint(1, 5), 4)
     N = ctx.N
-    rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
 
     def element(low):
-        exponent = st.builds(Fraction, st.integers(low, 3 * N), st.just(N))
-        unit = st.integers(-30, 30).filter(bool)
-        terms = draw(st.lists(st.tuples(exponent, unit), min_size=1, max_size=3))
+        terms = [(Fraction(rng.randint(low, 3 * N), N), nonzero(rng, 30))
+                 for _ in range(rng.randint(1, 3))]
         x = LocalFieldElement(ctx, terms)
-        if draw(st.booleans()):
-            above = Fraction(draw(st.integers(1, 4 * N)), N)
-            return x.truncate(min(e for e, _ in terms) + above)
+        if rng.choice([False, True]):
+            return x.truncate(min(e for e, _ in terms) + Fraction(rng.randint(1, 4 * N), N))
         return x
 
-    coefficients = [
-        element(-N) if draw(st.booleans()) else draw(rationals)
-        for _ in range(draw(st.integers(1, 9)))
-    ]
+    coefficients = [element(-N) if rng.choice([False, True]) else fraction(rng, -12, 12, 6)
+                    for _ in range(rng.randint(1, 9))]
     x = element(1)
-    hypothesis.assume(x.terms)
-    bound = (draw(rationals), Fraction(draw(st.integers(-4, 6)), draw(st.integers(1, 4))))
+    while not x.terms:  # drawn anew
+        x = element(1)
+    bound = (fraction(rng, -12, 12, 6), Fraction(rng.randint(-4, 6), rng.randint(1, 4)))
     return TruncatedSeries(coefficients, tail_bound=bound, p=ctx.p), x
 
 
@@ -426,25 +365,25 @@ class TestLifts:
     an answer on it must hold on every lift: each public entry that takes one
     answers every exact lift alike, below the precision it states."""
 
-    @SETTINGS
-    @given(balls())
-    def test_is_pth_power(self, ball):
-        x, lifts = ball
+    @cases(40)
+    def test_is_pth_power(self, rng):
+        x = near_fifth_power(rng)
+        lifts = ball(rng, x)
         verdict = is_pth_power(x).kind
         kinds = [is_pth_power(lift).kind for lift in lifts]
         if x.ctx.N in FIFTH_POWER_TABLES:
             assert [{kind} for kind in kinds] == [oracle_kinds(lift) for lift in lifts]
-            ball = oracle_kinds(x)
-            if ball is not None and verdict != "undecidable":
-                assert ball == {verdict}
+            kinds_of_x = oracle_kinds(x)
+            if kinds_of_x is not None and verdict != "undecidable":
+                assert kinds_of_x == {verdict}
         assert set(kinds) <= {"yes", "no"}
         if verdict != "undecidable":
             assert set(kinds) == {verdict}
 
-    @SETTINGS
-    @given(balls(), st.sampled_from([2, 5]))
-    def test_nth_root(self, ball, n):
-        x, lifts = ball
+    @cases(40)
+    def test_nth_root(self, rng):
+        x = near_fifth_power(rng)
+        lifts, n = ball(rng, x), rng.choice([2, 5])
         try:
             root = nth_root(x, n)
         except NoNthRoot:
@@ -457,23 +396,20 @@ class TestLifts:
         for lift in lifts:
             assert not (nth_root(lift, n) - root).terms
 
-    @SETTINGS
-    @given(balls())
-    def test_inverse(self, ball):
-        x, lifts = ball
+    @cases(40)
+    def test_inverse(self, rng):
+        x = near_fifth_power(rng)
         inverse = x.inverse()
-        for lift in lifts:
+        for lift in ball(rng, x):
             assert not (lift.inverse() - inverse).terms
 
-    @SETTINGS
-    @given(
-        balls(),
-        st.lists(st.tuples(st.sampled_from([0, 2, -1, 5, Fraction(1, 5)]), st.integers(-3, 3)),
-                 min_size=1, max_size=3),
-        st.integers(0, 6),
-    )
-    def test_taylor_factors_at_a_finite_center(self, ball, factors, T):
-        center, lifts = ball
+    @cases(40)
+    def test_taylor_factors_at_a_finite_center(self, rng):
+        center = near_fifth_power(rng)
+        lifts = ball(rng, center)
+        factors = [(rng.choice([0, 2, -1, 5, Fraction(1, 5)]), rng.randint(-3, 3))
+                   for _ in range(rng.randint(1, 3))]
+        T = rng.randint(0, 6)
         try:
             got = taylor_factors(factors, center, T, P).coefficients
         except PrecisionError:
@@ -483,10 +419,9 @@ class TestLifts:
             for g, want in zip(taylor_factors(factors, lift, T, P).coefficients, got):
                 assert not (g - want).terms
 
-    @SETTINGS
-    @given(case=evaluations(), data=st.data())
-    def test_evaluation_matches_horner_and_every_lift(self, case, data):
-        series, x = case
+    @cases(40)
+    def test_evaluation_matches_horner_and_every_lift(self, rng):
+        series, x = evaluation(rng)
         if series.tail_bound[1] + min(x.terms) <= 0:
             with pytest.raises(TruncationUnderflow, match="no tail bound"):
                 series.evaluate(x)
@@ -497,51 +432,47 @@ class TestLifts:
             assert got._t == want._t
             assert got._prec == want._prec
         # the point and the coefficients are lifted alike
-        count = 8
-        _, points = data.draw(balls(st.just(x), count))
-        columns = [data.draw(balls(st.just(c), count))[1] for c in series.coefficients]
+        points = ball(rng, x, 8)
+        columns = [ball(rng, c, 8) for c in series.coefficients]
         for point, coefficients in zip(points, zip(*columns)):
             value = TruncatedSeries(list(coefficients), series.tail_bound, series.p).evaluate(point)
             assert value.prec == series.tail_floor(min(x.terms))
             assert not (value - got).terms
 
 
-@st.composite
-def cut_evaluations(draw):
-    """(series, x) of `evaluations` with some coefficients replaced by a
+def cut_evaluation(rng):
+    """(series, x) of `evaluation` with some coefficients replaced by a
     rational or an element far above the floor, an exact zero (0 or the
     element) or an element that is zero to a precision."""
-    series, x = draw(evaluations())
+    series, x = evaluation(rng)
     ctx = x.ctx
     p, N = ctx.p, ctx.N
     coefficients = list(series.coefficients)
     for i in range(len(coefficients)):
-        kind = draw(st.sampled_from(["keep", "keep", "high", "high", "zero", "exact zero", "ball"]))
-        high = draw(st.integers(0, 12))
-        unit = draw(st.integers(1, 30).filter(lambda u: u % p))
-        if kind == "high" and draw(st.booleans()):
-            coefficients[i] = Fraction(unit * p**high, draw(st.integers(1, 4).filter(lambda d: d % p)))
+        kind = rng.choice(["keep", "keep", "high", "high", "zero", "exact zero", "ball"])
+        high = rng.randint(0, 12)
+        unit = prime_to(p, rng.randint(1, 30))
+        if kind == "high" and rng.choice([False, True]):
+            coefficients[i] = Fraction(unit * p**high, prime_to(p, rng.randint(1, 4)))
         elif kind == "high":
-            e = Fraction(high * N + draw(st.integers(0, N - 1)), N)
-            prec = draw(st.sampled_from([None, e + 1, e + Fraction(1, N)]))
-            coefficients[i] = ctx.pi_power(e, unit, prec)
+            e = Fraction(high * N + rng.randint(0, N - 1), N)
+            coefficients[i] = ctx.pi_power(e, unit, rng.choice([None, e + 1, e + Fraction(1, N)]))
         elif kind == "zero":
-            coefficients[i] = draw(st.sampled_from([0, Fraction(0)]))
+            coefficients[i] = rng.choice([0, Fraction(0)])
         elif kind == "exact zero":
             coefficients[i] = ctx.zero()
         elif kind == "ball":
-            coefficients[i] = ctx.zero(Fraction(draw(st.integers(-N, 8 * N)), N))
+            coefficients[i] = ctx.zero(Fraction(rng.randint(-N, 8 * N), N))
     return TruncatedSeries(coefficients, series.tail_bound, series.p), x
 
 
 class TestEvaluation:
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(cut_evaluations())
-    def test_evaluation_is_the_dot_of_every_pair(self, case):
+    @cases(100)
+    def test_evaluation_is_the_dot_of_every_pair(self, rng):
         """`evaluate` hands the dot only the pairs below the floor; the dot
         of every pair c_i * x^i, i = 0..T, at the floor is the reference,
         in the term dict and the precision pair alike."""
-        series, x = case
+        series, x = cut_evaluation(rng)
         floor = series.tail_floor(min(x.terms))
         if floor is None:
             with pytest.raises(TruncationUnderflow, match="no tail bound"):
@@ -559,32 +490,33 @@ class TestEvaluation:
 PRIMES = (3, 5, 7, 11)
 
 
-def prime_to(p, n):
-    """n moved off the multiples of p."""
-    return n + 1 if n % p == 0 else n
+def context(rng, primes=PRIMES, Ns=range(1, 13)):
+    return LocalFieldContext(rng.choice(primes), rng.choice(Ns), M)
 
 
-@st.composite
-def rationals(draw, p):
+def rational(rng, p):
     """An int or a Fraction, negative or zero at times, with p in the
     numerator or the denominator at times."""
-    num = draw(st.integers(-60, 60)) * p ** draw(st.integers(0, 2))
-    if draw(st.booleans()):
+    num = rng.randint(-60, 60) * p ** rng.randint(0, 2)
+    if rng.choice([False, True]):
         return num
-    den = draw(st.sampled_from([1, 2, 4, 6])) * p ** draw(st.integers(0, 2))
-    return Fraction(num, den)
+    return Fraction(num, rng.choice([1, 2, 4, 6]) * p ** rng.randint(0, 2))
 
 
-@st.composite
-def raw_pairs(draw, p, N):
+def nonzero_rational(rng, p):
+    q = rational(rng, p)
+    while not q:  # drawn anew
+        q = rational(rng, p)
+    return q
+
+
+def raw_pairs(rng, p, N):
     """(j, (num, den)) with num and den prime to p, den > 0, not always
     reduced, as products of canonical terms hand them to the merge."""
     pairs = []
-    for _ in range(draw(st.integers(0, 6))):
-        j = draw(st.integers(-2 * N, 3 * N))
-        num = prime_to(p, draw(st.integers(-80, 80)))
-        den = prime_to(p, draw(st.integers(1, 40)))
-        pairs.append((j, (num, den)))
+    for _ in range(rng.randint(0, 6)):
+        j = rng.randint(-2 * N, 3 * N)
+        pairs.append((j, (prime_to(p, rng.randint(-80, 80)), prime_to(p, rng.randint(1, 40)))))
     return pairs
 
 
@@ -616,17 +548,16 @@ def assert_canonical_dict(t, p, N, prec):
 
 
 class TestCanonicalForm:
-    @SETTINGS
-    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
-    def test_one_term_constructors_match_the_canonicalizer(self, p, N, data):
+    @cases(40)
+    def test_one_term_constructors_match_the_canonicalizer(self, rng):
         """from_rational, pi_power and the coerced operand of x + q build one
         exact term without the canonicalizer; their `_t` and `_prec` are the
         canonicalizer's own, and so are those of an element whose two terms
         merge into the same value."""
-        ctx = LocalFieldContext(p, N, M)
-        q = data.draw(rationals(p))
-        e = Fraction(data.draw(st.integers(-2 * N, 2 * N)), N)
-        x = LocalFieldElement(ctx, [(Fraction(1, N), 1)])
+        ctx = context(rng)
+        q = rational(rng, ctx.p)
+        e = Fraction(rng.randint(-2 * ctx.N, 2 * ctx.N), ctx.N)
+        x = LocalFieldElement(ctx, [(Fraction(1, ctx.N), 1)])
         for built, exponent in (
             (ctx.from_rational(q), 0),
             (x._coerce(q), 0),
@@ -640,12 +571,12 @@ class TestCanonicalForm:
             assert built == merged and hash(built) == hash(merged)
         assert (x + q)._t == (x + ctx.from_rational(q))._t
 
-    @SETTINGS
-    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
-    def test_from_rational_at_a_precision(self, p, N, data):
-        ctx = LocalFieldContext(p, N, M)
-        q = data.draw(rationals(p))
-        prec = Fraction(data.draw(st.integers(-N, 4 * N)), data.draw(st.sampled_from([1, N, 7])))
+    @cases(40)
+    def test_from_rational_at_a_precision(self, rng):
+        ctx = context(rng)
+        p, N = ctx.p, ctx.N
+        q = rational(rng, p)
+        prec = Fraction(rng.randint(-N, 4 * N), rng.choice([1, N, 7]))
         built = ctx.from_rational(q, prec)
         general = LocalFieldElement(ctx, [(0, q), (0, 0), (1, 0)], prec)
         assert (built._t, built._prec) == (general._t, general._prec) == (
@@ -654,11 +585,11 @@ class TestCanonicalForm:
         )
         assert_canonical_dict(built._t, p, N, built._prec)
 
-    @SETTINGS
-    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
-    def test_canonicalizer_output(self, p, N, data):
-        pairs = data.draw(raw_pairs(p, N))
-        ctx = LocalFieldContext(p, N, M)
+    @cases(40)
+    def test_canonicalizer_output(self, rng):
+        ctx = context(rng)
+        p, N = ctx.p, ctx.N
+        pairs = raw_pairs(rng, p, N)
         exact = canonicalize(ctx, pairs)
         assert_canonical_dict(exact, p, N, None)
         # the value of each class is kept exactly
@@ -669,34 +600,32 @@ class TestCanonicalForm:
             )
             got = [Fraction(num, den) * Fraction(p) ** (j // N) for j, (num, den) in exact.items() if j % N == f]
             assert sum(got, Fraction(0)) == want
-        q = Fraction(data.draw(st.integers(-2 * N, 4 * N)), data.draw(st.sampled_from([1, N, 3])))
+        q = Fraction(rng.randint(-2 * N, 4 * N), rng.choice([1, N, 3]))
         assert_canonical_dict(canonicalize(ctx, pairs, q), p, N, _prec_pair(q, N))
 
 
-@st.composite
-def factors(draw, ctx):
+def factor(rng, ctx):
     """An element of ctx: exact, at a finite precision, an exact zero or zero
-    to precision."""
+    to precision, drawn as a sum of terms or as ctx.zero."""
     N = ctx.N
-    exponent = st.builds(Fraction, st.integers(-N, 2 * N), st.just(N))
-    terms = draw(st.lists(st.tuples(exponent, rationals(ctx.p)), max_size=3))
-    prec = draw(st.none() | st.builds(Fraction, st.integers(-N, 3 * N), st.just(N)))
-    return LocalFieldElement(ctx, terms, prec)
+    if rng.choice([False, True]):
+        return ctx.zero(rng.choice([None, rng.randint(-2, 3)]))
+    terms = [(Fraction(rng.randint(-N, 2 * N), N), rational(rng, ctx.p))
+             for _ in range(rng.randint(0, 3))]
+    return LocalFieldElement(ctx, terms, precision(rng, -N, 3 * N, [N]))
 
 
 class TestRationalOperands:
-    @SETTINGS
-    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
-    def test_a_rational_reads_as_its_element(self, p, N, data):
+    @cases(40)
+    def test_a_rational_reads_as_its_element(self, rng):
         """element_dot reads a rational y straight into one exact term: the
         sum has the `_t` and `_prec` it has with ctx.from_rational(y) in its
         place, for y an int or a Fraction with p in the numerator or the
         denominator, +-1 or 0."""
-        ctx = LocalFieldContext(p, N, M)
-        xs = data.draw(st.lists(factors(ctx) | st.builds(ctx.zero, st.none() | st.integers(-2, 3)),
-                                min_size=1, max_size=4))
-        ys = [data.draw(rationals(p) | st.sampled_from([1, -1, 0])) for _ in xs]
-        prec = data.draw(st.none() | st.builds(Fraction, st.integers(-N, 3 * N), st.sampled_from([1, N])))
+        ctx = context(rng)
+        xs = [factor(rng, ctx) for _ in range(rng.randint(1, 4))]
+        ys = [rational(rng, ctx.p) if rng.random() < 1 / 2 else rng.choice([1, -1, 0]) for _ in xs]
+        prec = precision(rng, -ctx.N, 3 * ctx.N, [1, ctx.N])
         got = element_dot(xs, ys, prec)
         want = element_dot(xs, [ctx.from_rational(y) for y in ys], prec)
         assert (got._t, got._prec) == (want._t, want._prec)
@@ -718,58 +647,40 @@ class TestRationalOperands:
             element_dot(xs, ys)
 
 
-def piext(x, ctx):
-    """The exact PiExt value of the element or rational x of ctx, read from
-    its public terms (a representative of its ball when x is finite)."""
-    if not isinstance(x, LocalFieldElement):
-        return PiExt.from_rational(x, ctx.N, ctx.p)
-    coeffs = [Fraction(0)] * ctx.N
-    for e, u in x.terms.items():
-        k, i = divmod(int(e * ctx.N), ctx.N)
-        coeffs[i] += Fraction(u) * Fraction(ctx.p) ** k
-    return PiExt(coeffs, ctx.N, ctx.p)
-
-
-@st.composite
-def one_terms(draw, ctx):
+def one_term(rng, ctx):
     """u * pi^k with k negative, zero or positive, exact or at a precision
     above its term."""
-    k = draw(st.integers(-2 * ctx.N, 2 * ctx.N))
-    x = ctx.pi_power(Fraction(k, ctx.N), draw(rationals(ctx.p).filter(bool)))
-    if draw(st.booleans()):
+    k = rng.randint(-2 * ctx.N, 2 * ctx.N)
+    x = ctx.pi_power(Fraction(k, ctx.N), nonzero_rational(rng, ctx.p))
+    if rng.choice([False, True]):
         return x
-    above = Fraction(draw(st.integers(1, 3 * ctx.N)), draw(st.sampled_from([1, ctx.N, 7])))
+    above = Fraction(rng.randint(1, 3 * ctx.N), rng.choice([1, ctx.N, 7]))
     # the p-part of the unit moves the term
     return x.truncate(min(x.terms) + above)
 
 
-@st.composite
-def one_term_factors(draw, ctx):
+def one_term_factor(rng, ctx):
     """A factor of one term: an int or a Fraction with p in the numerator or
     the denominator, +-1, or u * pi^k, exact or at a precision."""
-    kind = draw(st.sampled_from(["rational", "sign", "term"]))
+    kind = rng.choice(["rational", "sign", "term"])
     if kind == "rational":
-        return draw(rationals(ctx.p).filter(bool))
+        return nonzero_rational(rng, ctx.p)
     if kind == "sign":
-        return draw(st.sampled_from([1, -1]))
-    return draw(one_terms(ctx))
+        return rng.choice([1, -1])
+    return one_term(rng, ctx)
 
 
 class TestShift:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
-    def test_a_one_term_factor_is_a_shift(self, p, N, data):
+    @cases(150)
+    def test_a_one_term_factor_is_a_shift(self, rng):
         """A one-pair dot with a one-term factor on either side, exact or at
         a precision, has the `_t`, key order and `_prec` of the same product
         split over two pairs, x * y/2 + x * y/2, whose halves merge in the
         canonicalizer; its value agrees with the product in PiExt to its
         precision."""
-        ctx = LocalFieldContext(p, N, M)
-        x = data.draw(factors(ctx) | st.builds(ctx.zero, st.none() | st.integers(-2, 3)))
-        y = data.draw(one_term_factors(ctx))
-        prec = data.draw(
-            st.none() | st.builds(Fraction, st.integers(-N, 3 * N), st.sampled_from([1, N, 7]))
-        )
+        ctx = context(rng)
+        x, y = factor(rng, ctx), one_term_factor(rng, ctx)
+        prec = precision(rng, -ctx.N, 3 * ctx.N, [1, ctx.N, 7])
         sides = [((x,), (y,))]
         if isinstance(y, LocalFieldElement):
             sides.append(((y,), (x,)))
@@ -780,34 +691,32 @@ class TestShift:
         else:
             half = Fraction(y, 2)
         want = element_dot((x, x), (half, half), prec)
+        product = model(x) * (model(y) if isinstance(y, LocalFieldElement) else y)
         for xs, ys in sides:
             got = element_dot(xs, ys, prec)
             assert (got._t, got._prec) == (want._t, want._prec)
             assert list(got._t) == list(want._t)
-            assert agrees(piext(got, ctx), piext(x, ctx) * piext(y, ctx), got.prec)
+            assert agrees(model(got), product, got.prec)
 
 
 class TestOneTermArithmetic:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from((3, 5, 13)), st.sampled_from((1, 5, 24, 60)), st.data())
-    def test_the_power_of_one_term_is_the_square_and_multiply(self, p, N, data):
+    @cases(150)
+    def test_the_power_of_one_term_is_the_square_and_multiply(self, rng):
         """x ** n of a one-term x, exact or at a precision, has the `_t` and
         `_prec` that `valuation.power`'s square-and-multiply gives, also for
         a negative n, which inverts first."""
-        ctx = LocalFieldContext(p, N, M)
-        x = data.draw(one_terms(ctx))
-        n = data.draw(st.integers(-20, 64))
+        ctx = context(rng, (3, 5, 13), (1, 5, 24, 60))
+        x, n = one_term(rng, ctx), rng.randint(-20, 64)
         got, want = x**n, power(x, n, ctx.one())
         assert (got._t, got._prec) == (want._t, want._prec)
-        assert_canonical_dict(got._t, p, N, got._prec)
+        assert_canonical_dict(got._t, ctx.p, ctx.N, got._prec)
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from((3, 5, 13)), st.sampled_from((1, 5, 24, 60)), st.data())
-    def test_the_inverse_of_one_term_is_its_inverted_term(self, p, N, data):
+    @cases(150)
+    def test_the_inverse_of_one_term_is_its_inverted_term(self, rng):
         """x.inverse() of u * pi^e is pi^-e / u, cut to q - 2e when x is
         known to q: the relative precision q - e of x."""
-        ctx = LocalFieldContext(p, N, M)
-        x = data.draw(one_terms(ctx))
+        ctx = context(rng, (3, 5, 13), (1, 5, 24, 60))
+        x = one_term(rng, ctx)
         ((e, u),) = x.terms.items()
         want = ctx.pi_power(-e, 1 / Fraction(u))
         if x.prec is not None:
@@ -835,18 +744,19 @@ def fraction_repr(x):
 
 
 class TestRepr:
-    @SETTINGS
-    @given(st.sampled_from(PRIMES), st.integers(1, 12), st.data())
-    def test_repr_renders_the_terms_and_precision_as_fractions(self, p, N, data):
+    @cases(40)
+    def test_repr_renders_the_terms_and_precision_as_fractions(self, rng):
         # exponents negative, integral and 1 (rendered *p), precisions
         # integral and fractional, and a zero to precision
-        ctx = LocalFieldContext(p, N, M)
-        exponent = st.builds(Fraction, st.integers(-2 * N, 2 * N), st.just(N)) | st.sampled_from(
-            [Fraction(-1), Fraction(0), Fraction(1), Fraction(2)]
-        )
-        terms = data.draw(st.lists(st.tuples(exponent, rationals(p)), max_size=4))
-        prec = data.draw(
-            st.none() | st.builds(Fraction, st.integers(-N, 4 * N), st.sampled_from([1, N, 3]))
-        )
+        ctx = context(rng)
+        N = ctx.N
+
+        def exponent():
+            if rng.random() < 1 / 2:
+                return Fraction(rng.randint(-2 * N, 2 * N), N)
+            return Fraction(rng.choice([-1, 0, 1, 2]))
+
+        terms = [(exponent(), rational(rng, ctx.p)) for _ in range(rng.randint(0, 4))]
+        prec = precision(rng, -N, 4 * N, [1, N, 3])
         for x in (LocalFieldElement(ctx, terms, prec), ctx.zero(prec)):
             assert repr(x) == fraction_repr(x)

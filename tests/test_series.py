@@ -102,6 +102,10 @@ class TestCoverParams:
         with pytest.raises(DegenerateCover, match="constant cover"):
             CoverParams(5, 2, 3, 3, Fraction(-1))
 
+    def test_repr(self):
+        params = CoverParams(5, 2, 2, 3, Fraction(-3, 2))
+        assert repr(params) == "CoverParams(p=5, nu=2, r=2, s=3, sqrt1ma=-3/2)"
+
     def test_roots(self):
         params = CoverParams(5, 2, 2, 3, Fraction(-3, 2))
         assert params.a == 1 - Fraction(9, 4)

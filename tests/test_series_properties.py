@@ -21,34 +21,35 @@ from srt import (
 )
 from srt.errors import PrecisionError, PreconditionViolated
 
+from draws import cases, fraction, nonzero
 from helpers import binomial_reference
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-given, settings = hypothesis.given, hypothesis.settings
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
-centers = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 30))
-# exponent 0 keeps its root in P but adds nothing to Q
-exponents = st.integers(-5, 5)
+def rational(rng):
+    return fraction(rng, -12, 12, 6)
 
 
-@st.composite
-def expansions(draw):
+def center(rng):
+    return fraction(rng, -60, 60, 30)
+
+
+def exponent(rng):
+    # exponent 0 keeps its root in P but adds nothing to Q
+    return rng.randint(-5, 5)
+
+
+def expansion(rng):
     """(factors, center, T): the factors draw their roots from a pool of at
     most three, so roots repeat, and the center is sometimes one of them."""
-    pool = draw(st.lists(rationals, min_size=1, max_size=3))
-    factors = draw(
-        st.lists(st.tuples(st.sampled_from(pool), exponents), min_size=1, max_size=5)
-    )
+    pool = [rational(rng) for _ in range(rng.randint(1, 3))]
+    factors = [(rng.choice(pool), exponent(rng)) for _ in range(rng.randint(1, 5))]
     roots = [root for root, _ in factors]
-    if draw(st.integers(0, 3)) == 1:
-        center = draw(st.sampled_from(roots))
-    else:
-        center = draw(centers.filter(lambda c: c not in roots))
-    return factors, center, draw(st.integers(0, 40))
+    if rng.random() < 1 / 4:
+        return factors, rng.choice(roots), rng.randint(0, 40)
+    at = center(rng)
+    while at in roots:
+        at = center(rng)
+    return factors, at, rng.randint(0, 40)
 
 
 def _check_against_reference(factors, center, T):
@@ -57,10 +58,9 @@ def _check_against_reference(factors, center, T):
     assert all(type(c) is Fraction for c in got)
 
 
-@SETTINGS
-@given(case=expansions())
-def test_rational_recurrence_matches_binomial_products(case):
-    factors, center, T = case
+@cases(60)
+def test_rational_recurrence_matches_binomial_products(rng):
+    factors, center, T = expansion(rng)
     if any(center == root for root, _ in factors):
         with pytest.raises(PreconditionViolated, match="center equals the root"):
             taylor_factors(factors, center, T, 7)
@@ -68,92 +68,74 @@ def test_rational_recurrence_matches_binomial_products(case):
     _check_against_reference(factors, center, T)
 
 
-@SETTINGS
-@given(
-    center=centers,
-    g=st.integers(2, 6),
-    shifts=st.lists(
-        st.tuples(
-            st.integers(-8, 8).filter(bool), st.integers(0, 4), exponents
-        ),
-        min_size=2,
-        max_size=4,
-    ),
-    T=st.integers(0, 40),
-)
-def test_shifted_numerators_with_a_common_factor(center, g, shifts, T):
+@cases(60)
+def test_shifted_numerators_with_a_common_factor(rng):
+    at, g, T = center(rng), rng.randint(2, 6), rng.randint(0, 40)
+    shifts = [(nonzero(rng, 8), rng.randint(0, 4), exponent(rng)) for _ in range(rng.randint(2, 4))]
     # b_i = g a_i / (1 + g w_i) keeps the factor g in its numerator, since
     # the denominator is prime to g, so L = lcm(u_i) < |P(0)| = prod |u_i|
     bases = [Fraction(g * a, 1 + g * w) for a, w, _ in shifts]
     numerators = [b.numerator for b in bases]
     assert math.lcm(*numerators) < abs(math.prod(numerators))
-    factors = [(center + b, m) for b, (_, _, m) in zip(bases, shifts)]
-    _check_against_reference(factors, center, T)
+    factors = [(at + b, m) for b, (_, _, m) in zip(bases, shifts)]
+    _check_against_reference(factors, at, T)
 
 
-@st.composite
-def mirrored_expansions(draw):
+def mirrored_expansion(rng):
     """(factors, center, T) whose shifted roots b = root - center come with
     their mirrors: (b, m) beside (b, -m), (-b, m), (-b, -m) or (-b, m + 1),
     so exponents of one |b| cancel in full or in part, with odd and even m
     and either sign of b. A base may repeat, and its exponents may be closed
     to sum to 0."""
-    center = draw(centers)
+    at = center(rng)
     shifted = []
-    for b in draw(st.lists(rationals.filter(bool), min_size=1, max_size=3)):
-        ms = draw(st.lists(exponents, min_size=1, max_size=3))
+    for _ in range(rng.randint(1, 3)):
+        b = Fraction(nonzero(rng, 12), rng.randint(1, 6))
+        ms = [exponent(rng) for _ in range(rng.randint(1, 3))]
         for m in ms:
             shifted.append((b, m))
-            mirror = draw(st.sampled_from([None, (b, -m), (-b, m), (-b, -m), (-b, m + 1)]))
+            mirror = rng.choice([None, (b, -m), (-b, m), (-b, -m), (-b, m + 1)])
             if mirror is not None:
                 shifted.append(mirror)
-        if draw(st.booleans()):
+        if rng.choice([False, True]):
             shifted.append((b, -sum(ms)))
-    shifted = draw(st.permutations(shifted))
-    return [(center + b, m) for b, m in shifted], center, draw(st.integers(0, 20))
+    rng.shuffle(shifted)
+    return [(at + b, m) for b, m in shifted], at, rng.randint(0, 20)
 
 
-@SETTINGS
-@given(case=mirrored_expansions())
-def test_cancelling_exponents_match_binomial_products(case):
+@cases(60)
+def test_cancelling_exponents_match_binomial_products(rng):
     # g_0 = prod (-b)^m sums the exponents of each |b| before raising it and
     # folds the sign of each -b < 0 with odd m: the pairs drawn here cancel
-    _check_against_reference(*case)
+    _check_against_reference(*mirrored_expansion(rng))
 
 
-@st.composite
-def local_field_expansions(draw):
+def local_field_expansion(rng):
     """(factors, center, T) in Q_p(pi), pi^N = p. Roots come from a pool of
     at most three rationals and elements, exact or at a finite precision, and
     the center is sometimes one of them."""
-    ctx = LocalFieldContext(draw(st.sampled_from([3, 5, 7])), draw(st.integers(1, 4)), 4)
+    ctx = LocalFieldContext(rng.choice([3, 5, 7]), rng.randint(1, 4), 4)
     N = ctx.N
 
     def element():
-        exponent = st.builds(Fraction, st.integers(-N, 2 * N), st.just(N))
-        terms = draw(
-            st.lists(st.tuples(exponent, st.integers(-20, 20)), min_size=1, max_size=3)
-        )
+        terms = [(Fraction(rng.randint(-N, 2 * N), N), rng.randint(-20, 20))
+                 for _ in range(rng.randint(1, 3))]
         x = LocalFieldElement(ctx, terms)
-        if draw(st.booleans()):
+        if rng.choice([False, True]):
             # a finite precision above the lowest term, so x is rarely 0
-            above = Fraction(draw(st.integers(1, 4 * N)), N)
-            return x.truncate(min(e for e, _ in terms) + above)
+            return x.truncate(min(e for e, _ in terms) + Fraction(rng.randint(1, 4 * N), N))
         return x
 
-    pool = [
-        element() if draw(st.booleans()) else draw(rationals)
-        for _ in range(draw(st.integers(1, 3)))
-    ]
-    factors = draw(st.lists(st.tuples(st.sampled_from(pool), exponents), min_size=1, max_size=4))
-    center = draw(st.sampled_from(pool)) if draw(st.integers(0, 3)) == 1 else element()
-    return factors, ctx.one() * center, draw(st.integers(0, 12))
+    pool = [element() if rng.choice([False, True]) else rational(rng)
+            for _ in range(rng.randint(1, 3))]
+    factors = [(rng.choice(pool), exponent(rng)) for _ in range(rng.randint(1, 4))]
+    at = rng.choice(pool) if rng.random() < 1 / 4 else element()
+    return factors, ctx.one() * at, rng.randint(0, 12)
 
 
-@SETTINGS
-@given(case=local_field_expansions())
-def test_local_field_recurrence_matches_binomial_products(case):
-    factors, center, T = case
+@cases(60)
+def test_local_field_recurrence_matches_binomial_products(rng):
+    factors, center, T = local_field_expansion(rng)
     bases = [center.ctx.one() * (root - center) for root, _ in factors]
     # the first root at the center is refused: on an exact root, or on one
     # equal to the center only to its precision, before P(0) is inverted
@@ -178,18 +160,14 @@ def test_local_field_recurrence_matches_binomial_products(case):
             assert g.valuation() == w.valuation(), k
 
 
-@SETTINGS
-@given(
-    case=expansions(),
-    re=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
-    im=st.builds(Fraction, st.integers(-30, 30).filter(bool), st.integers(1, 12)),
-    T=st.integers(0, 20),
-)
-def test_gaussian_center_matches_binomial_products(case, re, im, T):
+@cases(60)
+def test_gaussian_center_matches_binomial_products(rng):
     # a center off the real line is never a rational root; the reference is
     # slow in Q(i), so T stays at 20
-    factors = case[0]
-    center = GaussRational(re, im)
+    factors = expansion(rng)[0]
+    im = Fraction(nonzero(rng, 30), rng.randint(1, 12))
+    center = GaussRational(fraction(rng, -30, 30, 12), im)
+    T = rng.randint(0, 20)
     got = taylor_factors(factors, center, T, 7).coefficients
     assert got == binomial_reference(factors, center, T)
     assert all(type(c) is GaussRational for c in got)
@@ -213,14 +191,11 @@ def _tail_floor_reference(T, const, slope, weight):
     return min(const + net * k - k.bit_length() for k in candidates)
 
 
-@SETTINGS
-@given(
-    T=st.sampled_from([0, 1]) | st.integers(0, 600),
-    const=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
-    slope=st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
-    weight=st.builds(Fraction, st.integers(-6, 30), st.integers(1, 60)),
-)
-def test_integer_tail_floor_matches_the_fraction_reference(T, const, slope, weight):
+@cases(60)
+def test_integer_tail_floor_matches_the_fraction_reference(rng):
+    T = rng.choice([0, 1, rng.randint(0, 600)])
+    const, slope = fraction(rng, -30, 30, 12), fraction(rng, -12, 12, 12)
+    weight = fraction(rng, -6, 30, 60)
     series = TruncatedSeries([0] * (T + 1), tail_bound=(const, slope))
     got = series.tail_floor(weight)
     assert got == _tail_floor_reference(T, const, slope, weight)
@@ -232,21 +207,11 @@ def test_integer_tail_floor_matches_the_fraction_reference(T, const, slope, weig
         assert got == min(values)
 
 
-@SETTINGS
-@given(
-    T=st.integers(0, 80),
-    p=st.sampled_from([3, 5, 7]),
-    const=st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
-    slope=st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
-    j=st.integers(1, 30),
-    N=st.integers(1, 12),
-)
-def test_evaluate_reads_through_the_last_index_below_the_floor(T, p, const, slope, j, N):
+@cases(60)
+def test_evaluate_reads_through_the_last_index_below_the_floor(rng):
     """An on-demand series hands evaluate c_0 .. c_imax and no more: imax is
     the last i <= T whose bound const + slope*i - v_p(i) + i*v(x) lies below
     the floor, found here by trying every i in Fractions."""
-    x = LocalFieldContext(p, N=N).pi_power(Fraction(j, N))
-    w = Fraction(j, N)
     read = []
 
     def zeros():
@@ -254,10 +219,15 @@ def test_evaluate_reads_through_the_last_index_below_the_floor(T, p, const, slop
             read.append(i)
             yield Fraction(0)
 
-    series = TruncatedSeries._on_demand(zeros(), T, (const, slope), p)
-    floor = series.tail_floor(w)
-    hypothesis.assume(floor is not None)
-    series.evaluate(x)
+    floor = None
+    while floor is None:  # a series with no floor at x is drawn anew
+        T, p = rng.randint(0, 80), rng.choice([3, 5, 7])
+        const, slope = fraction(rng, -30, 30, 12), fraction(rng, -12, 12, 12)
+        j, N = rng.randint(1, 30), rng.randint(1, 12)
+        w = Fraction(j, N)
+        series = TruncatedSeries._on_demand(zeros(), T, (const, slope), p)
+        floor = series.tail_floor(w)
+    series.evaluate(LocalFieldContext(p, N=N).pi_power(w))
     v_p = [0] + [next(v for v in range(i) if i % p ** (v + 1)) for i in range(1, T + 1)]
     live = [i for i in range(1, T + 1) if const + (slope + w) * i - v_p[i] < floor]
     assert read == list(range(max(live, default=0) + 1))

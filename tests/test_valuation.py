@@ -227,6 +227,9 @@ class TestToJsonable:
         assert out["inner"] == {"verdict": "no", "value": "1/5"}
         assert out["items"] == [x.to_json(), "inf"]
 
+    def test_any_other_value_passes_as_it_is(self):
+        assert to_jsonable({"x": [1.5, True]}) == {"x": [1.5, True]}
+
     def test_none_in_a_plain_dict_is_kept(self):
         cert = {"kind": "congruence", "alpha": 4, "beta": None}
         assert to_jsonable(_Report("r", _Inner("no"), extra=cert))["extra"] == cert

@@ -1,9 +1,8 @@
 """Property tests of vp and scaled_coefficient_valuations against the
 independent valuation of the test oracle, on ints, Fractions, and the str
 and float forms vp converts."""
+import math
 from fractions import Fraction
-
-import pytest
 
 from srt import (
     INFINITY,
@@ -13,24 +12,35 @@ from srt import (
     vp,
 )
 
+from draws import cases
 from helpers import vp_fraction
 
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
-given, settings = hypothesis.given, hypothesis.settings
+PRIMES = [2, 3, 5, 7, 11, 13]
 
-SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
-primes = st.sampled_from([2, 3, 5, 7, 11, 13])
-ints = st.integers(-(10**30), 10**30) | st.sampled_from([0, 1, -1, 2**64, -(3**40)])
-fractions = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12))
-# the text forms Fraction parses: "a/b", "a", and decimals with an exponent
-texts = (
-    st.builds(lambda n, d: f"{n}/{d}", st.integers(-(10**9), 10**9), st.integers(1, 10**9))
-    | st.integers(-(10**9), 10**9).map(str)
-    | st.builds(lambda n, e: f"{n}e{e}", st.integers(-999, 999), st.integers(-30, 30))
-)
-floats = st.floats(allow_nan=False, allow_infinity=False)
+def integer(rng):
+    return rng.choice([rng.randint(-(10**30), 10**30), 0, 1, -1, 2**64, -(3**40)])
+
+
+def fraction(rng):
+    return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+
+
+def text(rng):
+    """The text forms Fraction parses: "a/b", "a", and decimals with an
+    exponent."""
+    return rng.choice([
+        lambda: f"{rng.randint(-(10**9), 10**9)}/{rng.randint(1, 10**9)}",
+        lambda: str(rng.randint(-(10**9), 10**9)),
+        lambda: f"{rng.randint(-999, 999)}e{rng.randint(-30, 30)}",
+    ])()
+
+
+def finite_float(rng):
+    """Zeros of both signs, the least subnormal, the largest float, 0.1, or
+    any sign and binary exponent."""
+    scaled = math.ldexp(rng.random(), rng.randint(-1074, 1024))
+    return rng.choice([0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, scaled, -scaled])
 
 
 def _assert_valuation(got, x, p):
@@ -44,19 +54,18 @@ def _assert_valuation(got, x, p):
     assert got.value == vp_fraction(x, p)
 
 
-@SETTINGS
-@given(x=ints | fractions | texts | floats, p=primes)
-def test_vp_matches_the_oracle(x, p):
+@cases(200)
+def test_vp_matches_the_oracle(rng):
+    x = rng.choice([integer, fraction, text, finite_float])(rng)
+    p = rng.choice(PRIMES)
     _assert_valuation(vp(x, p), x, p)
 
 
-@SETTINGS
-@given(
-    coefficients=st.lists(ints | fractions, min_size=1, max_size=12),
-    v_e=fractions | st.integers(-20, 20) | texts,
-    p=primes,
-)
-def test_scaled_coefficient_valuations_match_the_oracle(coefficients, v_e, p):
+@cases(200)
+def test_scaled_coefficient_valuations_match_the_oracle(rng):
+    coefficients = [rng.choice([integer, fraction])(rng) for _ in range(rng.randint(1, 12))]
+    v_e = rng.choice([fraction, lambda rng: rng.randint(-20, 20), text])(rng)
+    p = rng.choice(PRIMES)
     got = scaled_coefficient_valuations(TruncatedSeries(coefficients), p, v_e)
     assert len(got) == len(coefficients) - 1
     for i, (v, c) in enumerate(zip(got, coefficients[1:]), 1):
