@@ -20,6 +20,7 @@ from .errors import (
     ResourceLimit,
     SrtError,
     TruncationUnderflow,
+    Unsupported,
 )
 from .valuation import (
     INFINITY,

@@ -15,6 +15,8 @@ import srt
 import srt.cli
 from srt.cli import EXIT_CONTRADICTION, EXIT_OK, EXIT_USAGE, dispatch
 
+import records
+
 # The directory holding the imported `srt` package, so that a child process
 # runs the same code as this one, installed or not.
 SRT_IMPORT_ROOT = str(Path(srt.__file__).resolve().parent.parent)
@@ -105,10 +107,8 @@ INSEP_TAILS_5_A0 = (
 )
 
 
-def run_cli(capsys, *argv):
-    code = dispatch(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run_cli(*argv):
+    return records.capture(list(argv))
 
 
 class TestReferenceInvocations:
@@ -248,44 +248,39 @@ class TestReferenceInvocations:
 
 
 class TestExitCodes:
-    def test_affirmative_is_zero(self, capsys):
+    def test_affirmative_is_zero(self):
         code, out, _ = run_cli(
-            capsys, "split-check", "--p", "5", "--level", "2",
-            "--vals", '["9/4","10","10","10","10"]',
+            "split-check", "--p", "5", "--level", "2", "--vals", '["9/4","10","10","10","10"]',
         )
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["verdict"] == "SplitsWithConductor"
         assert report["conductor"] == "1"
 
-    def test_contradiction_is_two(self, capsys):
+    def test_contradiction_is_two(self):
         code, out, _ = run_cli(
-            capsys, "split-check", "--p", "5", "--level", "2",
-            "--vals", '["1","10","10","10","10"]',
+            "split-check", "--p", "5", "--level", "2", "--vals", '["1","10","10","10","10"]',
         )
         assert code == EXIT_CONTRADICTION
         assert json.loads(out)["verdict"] == "ObstructedByConditionI"
 
-    def test_json_numbers_are_read_as_exact_decimals(self, capsys):
+    def test_json_numbers_are_read_as_exact_decimals(self):
         # 0.1 is 1/10, not the double nearest to it
         code, out, _ = run_cli(
-            capsys, "split-check", "--p", "5", "--level", "1",
-            "--vals", "[0.1, 2, 3, 4, 5]",
+            "split-check", "--p", "5", "--level", "1", "--vals", "[0.1, 2, 3, 4, 5]",
         )
         assert code == EXIT_CONTRADICTION
         assert json.loads(out)["evidence"] == {
             "witness_index": "1", "valuation": "1/10", "threshold": "5/4",
         }
 
-    def test_usage_error_is_one(self, capsys):
-        code, _, err = run_cli(
-            capsys, "split-check", "--p", "5", "--level", "2", "--vals", "oops"
-        )
+    def test_usage_error_is_one(self):
+        code, _, err = run_cli("split-check", "--p", "5", "--level", "2", "--vals", "oops")
         assert code == EXIT_USAGE
         assert "JSON array" in err
 
-    def test_library_error_is_one(self, capsys):
-        code, _, err = run_cli(capsys, "wild-monodromy", "--q", "7", "--p", "5")
+    def test_library_error_is_one(self):
+        code, _, err = run_cli("wild-monodromy", "--q", "7", "--p", "5")
         assert code == EXIT_USAGE
         assert "q^2 - 1" in err
 
@@ -293,20 +288,20 @@ class TestExitCodes:
         assert dispatch(["tail-radius", "--p", "7", "--bogus", "1"]) == EXIT_USAGE
         capsys.readouterr()
 
-    def test_expand_beyond_the_digit_limit_is_refused(self, capsys):
+    def test_expand_beyond_the_digit_limit_is_refused(self):
         # the shifted root 999999937/1000000007 puts about 9 more digits in
         # each coefficient, so one of order 600 passes the int-to-str limit
         # (so does the default order of --p 10007)
         flags = ["expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2",
                  "--sqrt1ma", "999999937/1000000007"]
-        code, out, err = run_cli(capsys, *flags, "--T", "600")
+        code, out, err = run_cli(*flags, "--T", "600")
         assert code == EXIT_USAGE
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("error: a coefficient has more than")
         assert "lower --T or --p" in err
         # one order lower, every coefficient prints
-        code, out, _ = run_cli(capsys, *flags, "--T", "400")
+        code, out, _ = run_cli(*flags, "--T", "400")
         assert code == EXIT_OK
         assert len(json.loads(out)["coefficients"]) == 401
 
@@ -371,24 +366,24 @@ class TestOneParse:
     def test_commands_have_a_request(self):
         assert ONE_REQUEST.keys() == srt.cli.COMMANDS.keys()
 
-    def test_same_answer_as_the_top_level_parser(self, capsys, monkeypatch, tmp_path):
+    def test_same_answer_as_the_top_level_parser(self, monkeypatch, tmp_path):
         tree = tmp_path / "tree.json"
         tree.write_text(json.dumps(TREE))
         monkeypatch.setenv("COLUMNS", "80")
         top_level = srt.cli._build_parser().parse_args
         for argv in _parse_table():
             argv = [str(tree) if word == TREE_FILE else word for word in argv]
-            answer = run_cli(capsys, *argv)
+            answer = run_cli(*argv)
             with monkeypatch.context() as patch:
                 patch.setattr(srt.cli, "_parse", top_level)
-                assert run_cli(capsys, *argv) == answer, argv
+                assert run_cli(*argv) == answer, argv
 
-    def test_an_answered_request_skips_the_top_level_parser(self, capsys, monkeypatch):
+    def test_an_answered_request_skips_the_top_level_parser(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the top-level parser read the request")
 
         monkeypatch.setattr(srt.cli._build_parser(), "parse_args", refuse)
-        code, out, _ = run_cli(capsys, "enum-tails", *ONE_REQUEST["enum-tails"])
+        code, out, _ = run_cli("enum-tails", *ONE_REQUEST["enum-tails"])
         assert code == EXIT_OK
         assert json.loads(out)[0] == {"prim": ["1"]}
 
@@ -424,17 +419,17 @@ class TestNegativeRationals:
             args = srt.cli._build_parser().parse_args(srt.cli._join_negative_rationals(argv))
             assert getattr(args, flag[2:].replace("-", "_")) == srt.cli._fraction(value)
 
-    def test_expand_answers_as_with_an_equals_sign(self, capsys):
+    def test_expand_answers_as_with_an_equals_sign(self):
         flags = ["expand", "--p", "5", "--nu", "2", "--r", "1", "--s", "3"]
-        code, out, err = run_cli(capsys, *flags, "--sqrt1ma", "-5/9", "--T", "5")
+        code, out, err = run_cli(*flags, "--sqrt1ma", "-5/9", "--T", "5")
         assert (code, err) == (EXIT_OK, "")
-        assert (code, out, err) == run_cli(capsys, *flags, "--sqrt1ma=-5/9", "--T", "5")
+        assert (code, out, err) == run_cli(*flags, "--sqrt1ma=-5/9", "--T", "5")
         assert json.loads(out)["coefficients"][:3] == ["1", "-44/5", "968/25"]
 
-    def test_a_negative_value_reaches_the_handler(self, capsys):
+    def test_a_negative_value_reaches_the_handler(self):
         # --extra -1/2 is parsed, and then refused by tail-radius itself
         code, out, err = run_cli(
-            capsys, "tail-radius", "--p", "5", "--nu", "2", "--case", "a=0", "--extra", "-1/2"
+            "tail-radius", "--p", "5", "--nu", "2", "--case", "a=0", "--extra", "-1/2"
         )
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "error: case a=0 needs a positive auxiliary valuation\n"
@@ -447,16 +442,16 @@ class TestNegativeRationals:
           (EXIT_OK, '{"conductor":"3/4"}\n', ""))],
         ids=["x", "compositum"],
     )
-    def test_string_flags_read_as_rationals_join_too(self, capsys, argv, answer):
+    def test_string_flags_read_as_rationals_join_too(self, argv, answer):
         # the handler answers, and as it does with an equals sign
-        assert run_cli(capsys, *argv) == answer
+        assert run_cli(*argv) == answer
         joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
-        assert run_cli(capsys, *joined) == answer
+        assert run_cli(*joined) == answer
 
-    def test_other_flags_still_read_a_dash_word_as_an_option(self, capsys):
+    def test_other_flags_still_read_a_dash_word_as_an_option(self):
         # --r is an int flag: "-3/2" after it is not joined, as before
         assert srt.cli._join_negative_rationals(["--r", "-3/2"]) == ["--r", "-3/2"]
-        code, _, err = run_cli(capsys, "expand", "--p", "5", "--nu", "2", "--r", "-3/2", "--s", "3")
+        code, _, err = run_cli("expand", "--p", "5", "--nu", "2", "--r", "-3/2", "--s", "3")
         assert code == EXIT_USAGE
         assert "expected one argument" in err
 
@@ -497,16 +492,16 @@ OPEN_CHAIN_SOLVE = (
 
 
 class TestTreeCommands:
-    def test_tree_solve(self, capsys, tmp_path):
+    def test_tree_solve(self, tmp_path):
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(TREE))
-        code, out, _ = run_cli(capsys, "tree-solve", "--p", "5", "--tree", str(path))
+        code, out, _ = run_cli("tree-solve", "--p", "5", "--tree", str(path))
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["status"] == "Solved"
         assert report["tree"]["edges"][0]["epaisseur"] == "3/2"  # (9/4)/(3/2)
 
-    def test_tree_solve_contradiction(self, capsys, tmp_path):
+    def test_tree_solve_contradiction(self, tmp_path):
         # the root's different is 9/4 and the tail's 0, so the edge drops by
         # 9/4: an epaisseur that gives another drop, a sigma_eff of 0, and an
         # epaisseur of 0 each contradict it
@@ -519,82 +514,75 @@ class TestTreeCommands:
             bad["edges"][0].update(labels)
             path = tmp_path / "tree.json"
             path.write_text(json.dumps(bad))
-            code, out, _ = run_cli(capsys, "tree-solve", "--p", "5", "--tree", str(path))
+            code, out, _ = run_cli("tree-solve", "--p", "5", "--tree", str(path))
             assert code == EXIT_CONTRADICTION
             report = json.loads(out)
             assert report["status"] == "Contradiction"
             assert any(needle in c for c in report["contradictions"]), report
 
-    def test_tree_solve_unsolved_is_pinned(self, capsys, tmp_path):
+    def test_tree_solve_unsolved_is_pinned(self, tmp_path):
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(OPEN_CHAIN))
-        code, out, _ = run_cli(capsys, "tree-solve", "--p", "5", "--tree", str(path))
+        code, out, _ = run_cli("tree-solve", "--p", "5", "--tree", str(path))
         assert code == EXIT_OK
         assert out == OPEN_CHAIN_SOLVE + "\n"
 
-    def test_tree_check(self, capsys, tmp_path):
+    def test_tree_check(self, tmp_path):
         path = tmp_path / "tree.json"
         path.write_text(json.dumps(TREE))
-        code, out, _ = run_cli(capsys, "tree-check", "--p", "5", "--tree", str(path))
+        code, out, _ = run_cli("tree-check", "--p", "5", "--tree", str(path))
         report = json.loads(out)
         assert report["problems"] == []
         # single sigma = 3/2 tail violates the global vanishing-cycles identity
         assert report["vanishing_cycles"]["verdict"] == "Violated"
         assert code == EXIT_CONTRADICTION
 
-    def test_missing_tree_file(self, capsys, tmp_path):
-        code, _, err = run_cli(
-            capsys, "tree-solve", "--p", "5", "--tree", str(tmp_path / "nope.json")
-        )
+    def test_missing_tree_file(self, tmp_path):
+        code, _, err = run_cli("tree-solve", "--p", "5", "--tree", str(tmp_path / "nope.json"))
         assert code == EXIT_USAGE
         assert "unreadable" in err
 
 
 class TestOtherCommands:
-    def test_expand_deterministic(self, capsys):
+    def test_expand_deterministic(self):
         args = ("expand", "--p", "5", "--nu", "1", "--r", "1", "--s", "2")
-        code1, out1, _ = run_cli(capsys, *args)
-        code2, out2, _ = run_cli(capsys, *args)
+        code1, out1, _ = run_cli(*args)
+        code2, out2, _ = run_cli(*args)
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
         report = json.loads(out1)
         assert report["coefficients"][0] == "-1"
         assert len(report["coefficients"]) == 18  # default T = 3p + 2
 
-    def test_conductor_shape_and_compositum(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "conductor", "--p", "5", "--nu", "3", "--shape", "kummer-tower"
-        )
+    def test_conductor_shape_and_compositum(self):
+        code, out, _ = run_cli("conductor", "--p", "5", "--nu", "3", "--shape", "kummer-tower")
         assert code == EXIT_OK
         assert json.loads(out) == {"conductor": "2"}
-        code, out, _ = run_cli(capsys, "conductor", "--compositum", "1/2,5/4,3/4")
+        code, out, _ = run_cli("conductor", "--compositum", "1/2,5/4,3/4")
         assert json.loads(out) == {"conductor": "5/4"}
 
-    def test_herbrand_cyclotomic(self, capsys):
+    def test_herbrand_cyclotomic(self):
         code, out, _ = run_cli(
-            capsys, "herbrand", "--p", "5", "--nu", "2",
-            "--direction", "psi", "--x", "2",
+            "herbrand", "--p", "5", "--nu", "2", "--direction", "psi", "--x", "2",
         )
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["value"] == "24"
         assert report["conductor"] == "1"
 
-    def test_group_criterion(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "group", "--q", "13", "--p", "3", "--mode", "criterion"
-        )
+    def test_group_criterion(self):
+        code, out, _ = run_cli("group", "--q", "13", "--p", "3", "--mode", "criterion")
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["generation"]["verdict"] == "Generates"
         assert report["generation"]["order"] == 2184
         assert report["sylow"] == {"order": 3, "cyclic": True, "m_G": 2}
 
-    def test_group_large_q_is_fast(self, capsys):
+    def test_group_large_q_is_fast(self):
         # q - 1 and q + 1 have the prime cofactors 3,333,419 and 25,000,643
         q = 100002571
         t0 = time.perf_counter()
-        code, out, _ = run_cli(capsys, "group", "--q", str(q), "--p", "5")
+        code, out, _ = run_cli("group", "--q", str(q), "--p", "5")
         assert time.perf_counter() - t0 < 3
         assert code == EXIT_OK
         report = json.loads(out)
@@ -603,45 +591,43 @@ class TestOtherCommands:
         }
         assert report["generation"]["verdict"] == "Generates"
 
-    def test_group_thirteen_digit_q_is_fast(self, capsys):
+    def test_group_thirteen_digit_q_is_fast(self):
         # q is prime, so the primality test must not be trial division
         q = 1000000000061
         t0 = time.perf_counter()
-        code, out, _ = run_cli(capsys, "group", "--q", str(q), "--p", "5")
+        code, out, _ = run_cli("group", "--q", str(q), "--p", "5")
         assert time.perf_counter() - t0 < 0.5
         assert code == EXIT_OK
         assert json.loads(out)["generation"]["verdict"] == "Generates"
 
-    def test_insep_tails(self, capsys):
+    def test_insep_tails(self):
         code, out, _ = run_cli(
-            capsys, "insep-tails", "--p", "5", "--nu", "3",
-            "--case", "a=0", "--extra", "1",
+            "insep-tails", "--p", "5", "--nu", "3", "--case", "a=0", "--extra", "1",
         )
         assert code == EXIT_OK
         report = json.loads(out)
         assert [t["j"] for t in report] == [2, 1]
 
-    def test_tail_center_exceptional(self, capsys):
+    def test_tail_center_exceptional(self):
         code, out, _ = run_cli(
-            capsys, "tail-center", "--p", "5", "--nu", "2",
-            "--r", "1", "--s", "4", "--case", "a=0",
+            "tail-center", "--p", "5", "--nu", "2", "--r", "1", "--s", "4", "--case", "a=0",
         )
         assert code == EXIT_OK
         report = json.loads(out)
         assert "terms" in report["center"]  # local field element, not rational
 
-    def test_tail_center_has_no_branch_flag(self, capsys):
+    def test_tail_center_has_no_branch_flag(self):
         # the 5th root in the exceptional center is unique in the field, so
         # there is no branch to choose and argparse refuses the flag
         code, out, err = run_cli(
-            capsys, "tail-center", "--p", "5", "--nu", "2",
+            "tail-center", "--p", "5", "--nu", "2",
             "--r", "1", "--s", "4", "--case", "a=0", "--branch", "0",
         )
         assert code == EXIT_USAGE
         assert out == ""
         assert "--branch" in err
 
-    def test_wild_monodromy_verdict_lowercase(self, capsys):
-        code, out, _ = run_cli(capsys, "wild-monodromy", "--q", "251", "--p", "5")
+    def test_wild_monodromy_verdict_lowercase(self):
+        code, out, _ = run_cli("wild-monodromy", "--q", "251", "--p", "5")
         assert code == EXIT_OK
         assert json.loads(out)["verdict"] == "nontrivial"

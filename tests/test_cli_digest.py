@@ -4,66 +4,23 @@ A seeded sweep draws requests for `split-check`, `tail-center` (two draws
 a round), `tail-radius`, `insep-tails`, `enum-tails`, `conductor`,
 `herbrand`, `group` (criterion mode, and bfs for q <= 61) and
 `wild-monodromy`, and runs each in-process through srt.cli.dispatch in
-`--format json` and in `--format text`. The sha256 of every (argv, exit
-code, stdout, stderr) record is compared with a digest committed here. The
-draws mix answers, contradiction verdicts (exit 2) and refusals (exit 1, one
-`error:` line on stderr); every argument passes argparse, so no usage text,
-which depends on the terminal width, reaches the records.
+`--format json` and in `--format text`. Every (argv, exit code, stdout,
+stderr) record is pinned in tests/digests/cli.txt. The draws mix answers,
+contradiction verdicts (exit 2) and refusals (exit 1, one `error:` line on
+stderr); every argument passes argparse, so no usage text, which depends on
+the terminal width, reaches the records.
 
-A digest detects a change, not a wrong answer. The tests that check answers
-of each family against an independent one:
-- `split-check`: tests/test_acceptance.py::
-  test_printed_split_evidence_matches_the_vals re-derives 200 printed
-  verdicts of its own draws from their --vals.
-- `herbrand`: tests/test_ramification.py::
-  test_digest_herbrand_draws_match_the_integral checks a seeded sample of
-  the draws here against the integral of the step function in helpers.py,
-  and phi(psi(x)) = x.
-- `group`: tests/test_groups.py::TestGenerationCheck::
-  test_criterion_matches_bfs_on_random_pairs checks the criterion mode
-  against the bfs closure on its own seeded pairs. For the `sylow` part,
-  tests/test_groups.py::TestSylowData::test_matches_brute_force_over_the_group
-  checks sylow_data for every prime q <= 31 against SL2(F_q) listed in
-  helpers.py.
-- `enum-tails`: tests/test_graph.py::TestTailConfigs::test_matches_brute_force
-  checks enumerate_tail_configs for tau 0..3 and p up to 13 against the
-  brute force in helpers.py.
-- `wild-monodromy`: tests/test_acceptance.py::
-  test_printed_monodromy_reports_match_the_oracle rebuilds 30 printed
-  reports from their JSON with srt-free arithmetic.
-- `conductor`: tests/test_ramification.py::
-  test_digest_conductor_draws_match_the_filtrations checks every `--shape`
-  draw here against the conductor of cyclotomic_filtration, and for
-  kummer-tower its compositum with the Kummer step's jump p/(p-1).
-- `tail-radius`: test_tail_radius_draws_match_tree_solve below runs the
-  check of tests/test_acceptance.py::test_tail_radius_matches_tree_solve on
-  the draws here: each printed v_rho is the total epaisseur of the reduction
-  tree that the tree solver solves for the draw's case.
-- `tail-center`: test_tail_center_draws_match_their_equations below checks
-  each answered draw with srt-free arithmetic: a rational center is
-  1 - (s/r)^2, and a local-field center is 1 - ((s - rho)/r)^2 with
-  rho^5 = p^(4 nu + 1) binomial(x, 5), x = r + s for a=0 and s for a=1, an
-  equation that tests/helpers.py's PiExt checks to the printed precision.
-- `insep-tails` has no oracle test of its printed answers.
-
-If the output is meant to change, regenerate the digest with
-``PYTHONPATH=src python tests/test_cli_digest.py`` and say why in CHANGES.md.
+Pins, oracles and regeneration: tests/records.py.
 """
-import contextlib
-import hashlib
-import io
 import json
 import math
 import random
 from fractions import Fraction
 
-from srt.cli import dispatch
-
+import records
 from helpers import PiExt, agrees, rational_mod, vp_fraction
 from test_acceptance import _radius_by_tree_solve
 
-EXPECTED_DIGEST = "e84a606ef80d3eb691952f6ff0e50a2a631e7961315282f8789a0fd461295a8a"
-EXPECTED_REQUESTS = 2000
 ROUNDS = 100
 SEED = 21
 # an exact local-field tail center is checked modulo p^EXACT_DIGITS
@@ -165,47 +122,35 @@ def _requests(rng):
            str(rng.choice((5, 5, 5, 5, 3))), "--r", str(r)]
 
 
-def _records(rounds=ROUNDS, seed=SEED):
-    rng = random.Random(seed)
-    for _ in range(rounds):
-        for argv in _requests(rng):
-            for fmt in ("json", "text"):
-                full = ["--format", fmt] + argv
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = dispatch(full)
-                yield [full, code, out.getvalue(), err.getvalue()]
-
-
-def _digest(rounds=ROUNDS):
-    h = hashlib.sha256()
-    n = 0
-    for record in _records(rounds):
-        h.update(json.dumps(record).encode())
-        h.update(b"\n")
-        n += 1
-    return h.hexdigest(), n
-
-
-def test_cli_requests_are_byte_identical():
-    digest, n = _digest()
-    assert n == EXPECTED_REQUESTS
-    assert digest == EXPECTED_DIGEST
-
-
-def _answered(command):
-    """(argv, JSON answer) of each draw of the sweep for `command` that
-    answers with exit code 0."""
+def generate():
+    """Each request of the sweep in --format json and in --format text, as
+    (subcommand, argv, [argv, exit code, stdout, stderr])."""
     rng = random.Random(SEED)
     for _ in range(ROUNDS):
         for argv in _requests(rng):
-            if argv[0] != command:
-                continue
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = dispatch(argv)
-            if code == 0:
-                yield argv, json.loads(out.getvalue())
+            for fmt in ("json", "text"):
+                full = ["--format", fmt] + argv
+                yield argv[0], full, [full, *records.capture(full)]
+
+
+def test_cli_requests_are_byte_identical():
+    records.check("cli")
+
+
+def pinned(command):
+    """(argv, exit code, stdout) of each draw of the sweep for `command`, read
+    from its pinned --format json record."""
+    return [
+        (full[2:], code, out)
+        for label, full, (_, code, out, _) in records.stream("cli")
+        if label == command and full[1] == "json"
+    ]
+
+
+def _answered(command):
+    """(argv, JSON answer) of each draw for `command` that answers with exit
+    code 0."""
+    return [(argv, json.loads(out)) for argv, code, out in pinned(command) if code == 0]
 
 
 def test_tail_radius_draws_match_tree_solve():
@@ -296,7 +241,3 @@ def test_tail_center_draws_match_their_equations():
         counts["local"] += 1
     assert counts == {"rational": 45, "local": 10}
 
-
-if __name__ == "__main__":
-    digest, n = _digest()
-    print(json.dumps({"digest": digest, "requests": n}))

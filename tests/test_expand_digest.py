@@ -1,34 +1,26 @@
 """Byte-identity of `srt expand` over a compact grid of requests.
 
-Each request runs in-process through srt.cli.dispatch. The sha256 of every
-(argv, exit code, stdout) triple is compared with a digest committed here, so
-a change to the Maclaurin recurrence or to the JSON cannot alter a single
-byte of an answer unnoticed. The grid holds refusals too (r or s out of
-range, a forced branch, a degenerate cover, T < 1): their stdout is empty
-and their exit code is pinned.
+Each request runs in-process through srt.cli.dispatch. Every (argv, exit
+code, stdout) record is pinned in tests/digests/expand.txt, so a change to
+the Maclaurin recurrence or to the JSON cannot alter a single byte of an
+answer unnoticed. The grid holds refusals too (r or s out of range, a forced
+branch, a degenerate cover, T < 1): their stdout is empty and their exit
+code is pinned.
 
-The digest detects a change, not a wrong answer. The oracle is
-`helpers.binomial_reference`, the truncated product of the binomial
-expansions of the four factors of g, with no srt import: a seeded sample of
-the grid's JSON requests is checked against it, coefficient by coefficient,
-and their valuations against `helpers.vp_fraction`; a refusal in the sample
-is checked against the cover's stated preconditions.
+The oracle is `helpers.binomial_reference`, the truncated product of the
+binomial expansions of the four factors of g, with no srt import: a seeded
+sample of the grid's pinned JSON records is checked against it, coefficient
+by coefficient, and their valuations against `helpers.vp_fraction`; a
+refusal in the sample is checked against the cover's stated preconditions.
 
-If the output is meant to change, regenerate the digest with
-``PYTHONPATH=src python tests/test_expand_digest.py`` and say why in CHANGES.md.
+Pins, oracles and regeneration: tests/records.py.
 """
-import contextlib
-import hashlib
-import io
 import json
 import random
 from fractions import Fraction
 
+import records
 from helpers import binomial_reference, vp_fraction
-from srt.cli import dispatch
-
-EXPECTED_DIGEST = "29dd14a7f888950d76764c2fee1e43da0e8caf06ec62d53392753927fed96ec4"
-EXPECTED_REQUESTS = 464
 
 
 def _grid():
@@ -54,29 +46,20 @@ def _grid():
         ]
 
 
-def _run(argv):
-    """(exit code, stdout) of one request."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = dispatch(argv)
-    return code, out.getvalue()
-
-
-def _digest():
-    h = hashlib.sha256()
-    n = 0
+def generate():
+    """Each request of the grid as (p<its p>, argv, [argv, exit code, stdout])."""
     for argv in _grid():
-        code, out = _run(argv)
-        h.update(json.dumps([argv, code, out]).encode())
-        h.update(b"\n")
-        n += 1
-    return h.hexdigest(), n
+        code, out, _ = records.capture(argv)
+        yield f"p{argv[argv.index('--p') + 1]}", argv, [argv, code, out]
 
 
 def test_expand_grid_is_byte_identical():
-    digest, n = _digest()
-    assert n == EXPECTED_REQUESTS
-    assert digest == EXPECTED_DIGEST
+    records.check("expand")
+
+
+def _pinned():
+    """The pinned [argv, exit code, stdout] records of the grid's JSON requests."""
+    return [record for _, argv, record in records.stream("expand") if argv[0] == "expand"]
 
 
 def _refused(p, nu, r, s, c, T):
@@ -93,10 +76,10 @@ def _refused(p, nu, r, s, c, T):
     )
 
 
-def _assert_matches_the_binomial_product(argv):
-    """Check one expand request against the oracle; returns its exit code."""
+def _assert_matches_the_binomial_product(record):
+    """Check one pinned expand record against the oracle; returns its exit code."""
+    argv, code, out = record
     flags = dict(zip(argv[1::2], argv[2::2]))
-    code, out = _run(argv)
     p, nu, r, s = (int(flags[k]) for k in ("--p", "--nu", "--r", "--s"))
     c = Fraction(flags.get("--sqrt1ma", Fraction(-s, r)))
     T = int(flags.get("--T", 3 * p + 2))
@@ -115,21 +98,16 @@ def _assert_matches_the_binomial_product(argv):
 
 
 def test_a_seeded_sample_of_the_grid_matches_the_binomial_product():
-    requests = [argv for argv in _grid() if argv[0] == "expand"]
-    for argv in random.Random("expand-oracle").sample(requests, 40):
-        _assert_matches_the_binomial_product(argv)
+    for record in random.Random("expand-oracle").sample(_pinned(), 40):
+        _assert_matches_the_binomial_product(record)
 
 
 def test_every_negative_rational_sqrt1ma_reaches_the_cover():
     # "-5/9" and "-2/1" start with "-" but are values of --sqrt1ma, not
     # options; each of their 24 requests is answered and checked
     negative = (["--sqrt1ma", "-5/9"], ["--sqrt1ma", "-2/1"])
-    requests = [argv for argv in _grid() if argv[-2:] in negative]
-    assert len(requests) == 24
-    for argv in requests:
-        assert _assert_matches_the_binomial_product(argv) == 0, argv
+    pinned = [record for record in _pinned() if record[0][-2:] in negative]
+    assert len(pinned) == 24
+    for record in pinned:
+        assert _assert_matches_the_binomial_product(record) == 0, record[0]
 
-
-if __name__ == "__main__":
-    digest, n = _digest()
-    print(json.dumps({"digest": digest, "requests": n}))

@@ -1,22 +1,18 @@
 """Byte-identity of `srt.localfield` over seeded random elements.
 
 Each element of Q_p(pi), pi^N = p, exact or at a finite precision, is drawn
-with p in {3, 5, 7, 11} and N up to 2p. The sha256 of its repr, to_json,
-`terms` view and `prec`, together with the outcome of `is_pth_power`,
-`nth_root(x, p)`, `nth_root(x, 2)`, `inverse()` and `x**3`, is compared with a
-digest committed here; an outcome is its JSON, or the exception's type and
-message. Half the elements sit near a p-th power, so "yes", "no" with a
+with p in {3, 5, 7, 11} and N up to 2p. Its repr, to_json, `terms` view and
+`prec`, together with the outcome of `is_pth_power`, `nth_root(x, p)`,
+`nth_root(x, 2)`, `inverse()` and `x**3`, are pinned in
+tests/digests/localfield.txt; an outcome is its JSON, or the exception's
+type and message. Half the elements sit near a p-th power, so "yes", "no" with a
 congruence certificate and "undecidable" all occur. Each element also meets a
 rational q, drawn as a unit is (an int or a Fraction, at times with p in the
 denominator): `x + q`, `q - x`, `x * q`, `q / x`, `x == q` and `x + q - x == q`
 are pinned. `sqrt_of_minus_one` at p in {5, 13, 17, 29} is pinned too.
 
-If the output is meant to change, regenerate the digest with
-``PYTHONPATH=src python tests/test_localfield_digest.py`` and say why in
-CHANGES.md.
+Pins, oracles and regeneration: tests/records.py.
 """
-import hashlib
-import json
 import random
 from fractions import Fraction
 
@@ -30,8 +26,8 @@ from srt import (
 )
 from srt.valuation import to_jsonable
 
-EXPECTED_DIGEST = "6018d71e50e2547f18a51f7ae1b3de2c8caa301324f323b094aae2e5cf80c1f6"
-EXPECTED_RECORDS = 1516
+import records
+
 ELEMENTS = 1500
 
 
@@ -82,7 +78,9 @@ def _outcome(f):
         return [type(exc).__name__, str(exc)]
 
 
-def _records():
+def generate():
+    """Each element with its outcomes, then each sqrt_of_minus_one, as
+    (p, the call, record)."""
     rng = random.Random(20)
     # the rational operands have their own stream, so the elements stay as drawn
     qrng = random.Random(23)
@@ -90,7 +88,7 @@ def _records():
         x = _element(rng)
         p = x.ctx.p
         q = _unit(qrng, p)
-        yield {
+        yield f"p{p}", f"{x.ctx!r}: {x!r}", {
             "ctx": repr(x.ctx),
             "repr": repr(x),
             "json": x.to_json(),
@@ -115,25 +113,10 @@ def _records():
     for p in (5, 13, 17, 29):
         ctx = LocalFieldContext(p, 4, 6)
         for prec in (None, 3, "5/2", Fraction(7, 3)):
-            yield {"sqrt_of_minus_one": [p, str(prec), _outcome(lambda: sqrt_of_minus_one(ctx, prec))]}
-
-
-def _digest():
-    h = hashlib.sha256()
-    n = 0
-    for record in _records():
-        h.update(json.dumps(record, sort_keys=True).encode())
-        h.update(b"\n")
-        n += 1
-    return h.hexdigest(), n
+            outcome = _outcome(lambda: sqrt_of_minus_one(ctx, prec))
+            key = f"sqrt_of_minus_one({ctx!r}, {prec!r})"
+            yield f"p{p}", key, {"sqrt_of_minus_one": [p, str(prec), outcome]}
 
 
 def test_localfield_outputs_are_byte_identical():
-    digest, n = _digest()
-    assert n == EXPECTED_RECORDS
-    assert digest == EXPECTED_DIGEST
-
-
-if __name__ == "__main__":
-    digest, n = _digest()
-    print(json.dumps({"digest": digest, "records": n}))
+    records.check("localfield")

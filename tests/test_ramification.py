@@ -18,7 +18,7 @@ from srt.cli import EXIT_OK, dispatch
 from srt.ramification import PreconditionViolated
 
 import helpers
-from test_cli_digest import PRIMES, ROUNDS, SEED, _requests
+from test_cli_digest import PRIMES, pinned
 
 
 class TestFiltration:
@@ -132,17 +132,13 @@ class TestConductors:
 
 
 def test_digest_herbrand_draws_match_the_integral(capsys):
-    """A seeded sample of the `herbrand` requests that tests/test_cli_digest.py
+    """A seeded sample of the `herbrand` records that tests/test_cli_digest.py
     pins, each printed value against helpers.herbrand, the integral of the
     step function; a value sent back in the other direction returns x."""
-    rng = random.Random(SEED)
-    draws = [argv for _ in range(ROUNDS) for argv in _requests(rng) if argv[0] == "herbrand"]
     directions = set()
-    for argv in random.Random(6).sample(draws, 40):
+    for argv, code, out in random.Random(6).sample(pinned("herbrand"), 40):
         _, _, p, _, nu, _, direction, flag = argv
         x = Fraction(flag.removeprefix("--x="))
-        code = dispatch(argv)
-        out = capsys.readouterr().out
         if x < 0:
             assert code != EXIT_OK and not out
             continue
@@ -157,24 +153,19 @@ def test_digest_herbrand_draws_match_the_integral(capsys):
     assert directions == {"phi", "psi"}
 
 
-def test_digest_conductor_draws_match_the_filtrations(capsys):
-    """The `conductor --shape` requests that tests/test_cli_digest.py pins,
+def test_digest_conductor_draws_match_the_filtrations():
+    """The `conductor --shape` records that tests/test_cli_digest.py pins,
     each printed value against the filtrations: tame-over-cyclotomic against
     the conductor of cyclotomic_filtration(p, nu), for each p in the sweep
     when --p is not given, and kummer-tower against the compositum of that
     conductor with the Kummer step's jump p/(p-1). A draw without --nu, a
     kummer-tower draw without --p and a Kummer tower at nu = 1 are refused."""
-    rng = random.Random(SEED)
-    draws = [
-        argv for _ in range(ROUNDS) for argv in _requests(rng)
-        if argv[0] == "conductor" and argv[1] == "--shape"
-    ]
     answered = set()
-    for argv in draws:
+    for argv, code, out in pinned("conductor"):
+        if argv[1] != "--shape":
+            continue
         flags = dict(zip(argv[1::2], argv[2::2]))
         shape = flags["--shape"]
-        code = dispatch(argv)
-        out = capsys.readouterr().out
         if "--nu" not in flags or (shape == "kummer-tower" and "--p" not in flags):
             assert code != EXIT_OK and not out
             continue

@@ -5,15 +5,15 @@ through srt.cli.dispatch, and its stdout is compared with that line. An output
 ending in `...}` is a prefix of the real one, and an output starting with
 `{...` is a suffix of it.
 """
-import contextlib
-import io
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from srt.cli import EXIT_OK, dispatch
+from srt.cli import EXIT_OK
+
+import records
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,11 +39,9 @@ def test_the_readme_shows_outputs():
 
 @pytest.mark.parametrize("command, shown", EXAMPLES)
 def test_readme_example_prints_what_it_shows(command, shown):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = dispatch(shlex.split(command)[1:])
+    code, out, _ = records.capture(shlex.split(command)[1:])
     assert code == EXIT_OK
-    printed = out.getvalue().rstrip("\n")
+    printed = out.rstrip("\n")
     if shown.endswith("...}"):
         assert printed.startswith(shown[: -len("...}")])
     elif shown.startswith("{..."):

@@ -11,17 +11,13 @@ Three families of expansions, drawn from a seeded stream:
 - g in Q(i) at I_GAUSS and at other Gaussian-rational centers, for p in
   {3, 7, 11}.
 
-The sha256 of the repr of every coefficient, with its precision, is compared
-with a digest committed here. A few requests put the center on a root, or on
-a root only to the center's precision; their outcome is the exception's type
+The repr of every coefficient, with its precision, is pinned in
+tests/digests/taylor.txt. A few requests put the center on a root, or on a
+root only to the center's precision; their outcome is the exception's type
 and message.
 
-If the output is meant to change, regenerate the digest with
-``PYTHONPATH=src python tests/test_taylor_digest.py`` and say why in
-CHANGES.md.
+Pins, oracles and regeneration: tests/records.py.
 """
-import hashlib
-import json
 import math
 import random
 from fractions import Fraction
@@ -38,8 +34,7 @@ from srt import (
     taylor_factors,
 )
 
-EXPECTED_DIGEST = "9138fc3f944c4bc3a2d95929e8772ad5dad287984ca129efb75958e42a71a2d1"
-EXPECTED_RECORDS = 182
+import records
 
 
 def _coefficients(factors, center, T, p):
@@ -129,29 +124,14 @@ def _gauss(rng):
         yield ["gauss center on a root", p], _coefficients(factors, -I_GAUSS, 2 * p, p)
 
 
-def _records():
+def generate():
+    """Each expansion as (case-i, exceptional or gauss, its draw label,
+    [draw label, coefficients])."""
     rng = random.Random(25)
-    yield from _case_i(rng)
-    yield from _exceptional(rng)
-    yield from _gauss(rng)
-
-
-def _digest():
-    h = hashlib.sha256()
-    n = 0
-    for record in _records():
-        h.update(json.dumps(record).encode())
-        h.update(b"\n")
-        n += 1
-    return h.hexdigest(), n
+    for family, part in (("case-i", _case_i), ("exceptional", _exceptional), ("gauss", _gauss)):
+        for label, coefficients in part(rng):
+            yield family, label, [label, coefficients]
 
 
 def test_taylor_coefficients_are_byte_identical():
-    digest, n = _digest()
-    assert n == EXPECTED_RECORDS
-    assert digest == EXPECTED_DIGEST
-
-
-if __name__ == "__main__":
-    digest, n = _digest()
-    print(json.dumps({"digest": digest, "records": n}))
+    records.check("taylor")

@@ -4,28 +4,22 @@ reduction trees.
 Each tree is written to a temporary file and run in-process through
 srt.cli.dispatch as `tree-check --p 5`, `tree-solve --p 5`,
 `tree-solve --p 3 --root-delta 7/2` and `--format text tree-solve --p 5`.
-The sha256 of every (argv, exit code, stdout, stderr) record, with the file
-path replaced by a placeholder, is compared with a digest committed here. The
-trees mix every outcome: solved, contradicted and open chains, missing and
-numeric labels, shuffled vertices and edges, and malformed input (two
-parents, a lost edge, an unknown vertex or tail kind, a label that is not a
-rational), whose refusal line on stderr is pinned too.
+Every (argv, exit code, stdout, stderr) record, with the file path replaced
+by the placeholder TREE, is pinned in tests/digests/tree.txt. The trees mix
+every outcome: solved, contradicted and open chains, missing and numeric
+labels, shuffled vertices and edges, and malformed input (two parents, a
+lost edge, an unknown vertex or tail kind, a label that is not a rational),
+whose refusal line on stderr is pinned too.
 
-If the output is meant to change, regenerate the digest with
-``PYTHONPATH=src python tests/test_tree_digest.py`` and say why in CHANGES.md.
+Pins and regeneration: tests/records.py.
 """
-import contextlib
-import hashlib
-import io
 import json
 import os
 import random
 import tempfile
 
-from srt.cli import dispatch
+import records
 
-EXPECTED_DIGEST = "db37bff652601c3abe69afb1d8ec6d050b75622d3674f545ab7ec9c56da749aa"
-EXPECTED_REQUESTS = 1200
 TREES = 300
 
 LABELS = ["1/2", "1", "5/4", "3/2", "2", "9/4", "0"]
@@ -119,32 +113,20 @@ def _requests(path):
     yield ["--format", "text", "tree-solve", "--p", "5", "--tree", path]
 
 
-def _digest():
+def generate():
+    """Each request on the n-th tree as (t<n>, argv, [argv, exit code, stdout,
+    stderr]), with the tree's path replaced by TREE."""
     rng = random.Random(19)
-    h = hashlib.sha256()
-    n = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tree.json")
-        for _ in range(TREES):
+        for n in range(TREES):
             with open(path, "w") as handle:
                 json.dump(_tree(rng), handle)
             for argv in _requests(path):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = dispatch(argv)
-                record = [argv, code, out.getvalue(), err.getvalue()]
-                h.update(json.dumps(record).replace(path, "TREE").encode())
-                h.update(b"\n")
-                n += 1
-    return h.hexdigest(), n
+                record = [argv, *records.capture(argv)]
+                record = json.loads(json.dumps(record).replace(path, "TREE"))
+                yield f"t{n}", record[0], record
 
 
 def test_tree_requests_are_byte_identical():
-    digest, n = _digest()
-    assert n == EXPECTED_REQUESTS
-    assert digest == EXPECTED_DIGEST
-
-
-if __name__ == "__main__":
-    digest, n = _digest()
-    print(json.dumps({"digest": digest, "requests": n}))
+    records.check("tree")
