@@ -10,6 +10,15 @@ The domains of the paper's parameters are decided once, by the rules in
 (an odd prime int) and ``check_q`` (a prime int) raise ``Unsupported``, and
 ``check_nu`` (an int >= 1) raises ``PreconditionViolated``. ``vp`` raises
 ``PreconditionViolated`` for a p that is no prime int.
+
+A refusal of input names one of two categories: ``PreconditionViolated``
+for a malformed argument (a bad spelling, a malformed tree, too few
+coefficients, mismatched fields), and ``Unsupported`` for a well-formed
+input outside the domain the mathematics covers. Beside them stand
+``UsageError``, ``ResourceLimit``, ``PrecisionError`` and ``NoNthRoot``. Any
+other class is kept only while an ``except`` clause of srt, the benchmark or
+a demo names it; a class that no caller tells apart folds into a category
+(tests/test_errors.py checks this).
 """
 
 
@@ -29,44 +38,8 @@ class Unsupported(SrtError, ValueError):
     """The input lies outside the domain the mathematics covers."""
 
 
-class ContextError(SrtError, ValueError):
-    """Local field contexts that are invalid or do not match."""
-
-
-class DegenerateCover(SrtError, ValueError):
-    pass
-
-
-class TruncationUnderflow(SrtError, ValueError):
-    pass
-
-
-class InsufficientData(SrtError, ValueError):
-    pass
-
-
-class CaseMismatch(SrtError, ValueError):
-    pass
-
-
-class InadmissibleValuation(SrtError, ValueError):
-    pass
-
-
-class InvalidProfile(SrtError, ValueError):
-    pass
-
-
 class MissingLabel(SrtError, ValueError):
-    pass
-
-
-class InvalidTree(SrtError, ValueError):
-    pass
-
-
-class NoSolution(SrtError, ValueError):
-    pass
+    """A tree lacks a label a law needs; tree-check reports it and goes on."""
 
 
 class PrecisionError(SrtError, ArithmeticError):
@@ -96,4 +69,4 @@ class NoNthRoot(SrtError, ArithmeticError):
 
 
 class ResourceLimit(SrtError, RuntimeError):
-    pass
+    """The run would pass a bound on its size, time or output digits."""

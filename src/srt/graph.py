@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import (
-    InvalidProfile,
-    InvalidTree,
-    MissingLabel,
-    PreconditionViolated,
-)
+from .errors import MissingLabel, PreconditionViolated
 from .valuation import check_p, split_p_part
 
 # --- component-level numerics ---
@@ -28,7 +23,7 @@ def effective_invariant(sigmas, p):
     check_p(p)
     sigmas = [Fraction(s) for s in sigmas]
     if not sigmas:
-        raise InvalidProfile("need at least one level")
+        raise PreconditionViolated("need at least one level")
     weights = invariant_weights(len(sigmas), p)
     return sum((w * s for w, s in zip(weights, sigmas)), Fraction(0))
 
@@ -69,9 +64,9 @@ class Vertex:
         self.sigma = _label(self.sigma)
         self.delta_eff = _label(self.delta_eff)
         if self.tail not in TAIL_KINDS:
-            raise InvalidTree(f"unknown tail kind {self.tail!r}")
+            raise PreconditionViolated(f"unknown tail kind {self.tail!r}")
         if any(index < 1 for _, index in self.branch_points):
-            raise InvalidTree(
+            raise PreconditionViolated(
                 f"branch point indices must be positive, got {self.branch_points}"
             )
 
@@ -101,20 +96,20 @@ class ReductionTree:
     def __init__(self, vertices, edges):
         self.vertices = {v.id: v for v in vertices}
         if len(self.vertices) != len(vertices):
-            raise InvalidTree("duplicate vertex ids")
+            raise PreconditionViolated("duplicate vertex ids")
         self.edges = list(edges)
         self.children = {v: [] for v in self.vertices}
         self.edge_to = {}
         for e in self.edges:
             if e.parent not in self.vertices or e.child not in self.vertices:
-                raise InvalidTree(f"edge {e.key} references unknown vertex")
+                raise PreconditionViolated(f"edge {e.key} references unknown vertex")
             if e.child in self.edge_to:
-                raise InvalidTree(f"vertex {e.child} has two parents")
+                raise PreconditionViolated(f"vertex {e.child} has two parents")
             self.edge_to[e.child] = e
             self.children[e.parent].append(e.child)
         roots = [v for v in self.vertices if v not in self.edge_to]
         if len(roots) != 1:
-            raise InvalidTree(f"expected a unique root, found {roots}")
+            raise PreconditionViolated(f"expected a unique root, found {roots}")
         self.root = roots[0]
         # connectivity (tree = all vertices reachable from the root)
         seen = set()
@@ -124,7 +119,7 @@ class ReductionTree:
             seen.add(v)
             stack.extend(self.children[v])
         if seen != set(self.vertices):
-            raise InvalidTree("graph is not a connected tree")
+            raise PreconditionViolated("graph is not a connected tree")
 
     def path_from_root(self, vertex):
         path = [vertex]

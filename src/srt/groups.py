@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NoSolution, PreconditionViolated, ResourceLimit, Unsupported
+from .errors import PreconditionViolated, ResourceLimit, Unsupported
 from .valuation import _SMALL_PRIMES, check_p, check_q, is_prime, power, split_p_part
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def solve_trace_system(q, tau, rho):
     rho %= q
     values = [tau, rho, 2 % q, (-2) % q]
     if len(set(values)) != 4:
-        raise NoSolution(
+        raise Unsupported(
             f"tau, rho, 2, -2 must be pairwise distinct mod {q}, got {values}"
         )
     c = (rho - tau) % q
@@ -219,7 +219,7 @@ def standard_generators(q, p, primes=None):
     check_q(q)
     check_p(p)
     if (q - 1) % p != 0:
-        raise NoSolution(f"p = {p} must divide q - 1 = {q - 1}")
+        raise Unsupported(f"p = {p} must divide q - 1 = {q - 1}")
     lam = _primitive_root(q, _prime_factors(q - 1) if primes is None else primes[0])
     tau = (lam + pow(lam, -1, q)) % q
     mu = pow(lam, p, q)

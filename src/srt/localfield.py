@@ -71,12 +71,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    ContextError,
-    NoNthRoot,
-    PrecisionError,
-    PreconditionViolated,
-)
+from .errors import NoNthRoot, PrecisionError, PreconditionViolated
 from .valuation import (
     INFINITY,
     ExtendedRational,
@@ -102,7 +97,7 @@ class LocalFieldContext:
     def __post_init__(self):
         check_p(self.p)
         if self.N < 1 or self.M < 1:
-            raise ContextError(f"N and M must be positive, got N={self.N}, M={self.M}")
+            raise PreconditionViolated(f"N and M must be positive, got N={self.N}, M={self.M}")
 
     # constructors
 
@@ -185,7 +180,9 @@ def _integer_terms(ctx, pairs):
                 e = Fraction(e)
             j, r = divmod(e.numerator * N, e.denominator)
             if r:
-                raise ContextError(f"exponent {e} not representable with ramification index {N}")
+                raise PreconditionViolated(
+                    f"exponent {e} not representable with ramification index {N}"
+                )
         yield from _rational_term(u, p, N, j)
 
 
@@ -398,7 +395,7 @@ class LocalFieldElement:
 
     def _check_ctx(self, other):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextError(f"context mismatch: {self.ctx} vs {other.ctx}")
+            raise PreconditionViolated(f"context mismatch: {self.ctx} vs {other.ctx}")
 
     def _coerce(self, other):
         if isinstance(other, LocalFieldElement):

@@ -31,14 +31,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import mul
 
-from .errors import (
-    ContextError,
-    DegenerateCover,
-    PrecisionError,
-    PreconditionViolated,
-    TruncationUnderflow,
-    Unsupported,
-)
+from .errors import PrecisionError, PreconditionViolated, Unsupported
 from .localfield import LocalFieldElement, _rational_term, element_dot
 from .valuation import (
     INFINITY,
@@ -136,7 +129,7 @@ def element_valuation(x, p) -> ExtendedRational:
     _check_valuation_prime(p)
     if isinstance(x, LocalFieldElement):
         if x.ctx.p != p:
-            raise ContextError(f"prime mismatch: element over {x.ctx.p}, asked {p}")
+            raise PreconditionViolated(f"prime mismatch: element over {x.ctx.p}, asked {p}")
         return x.valuation()
     if isinstance(x, GaussRational):
         return x.valuation(p)
@@ -174,9 +167,9 @@ class CoverParams:
                 f"branch is forced to sqrt(1-a) = {-Fraction(s, r)} for this a"
             )
         if self.sqrt1ma == 0:
-            raise DegenerateCover("sqrt(1-a) = 0 degenerates the cover")
+            raise Unsupported("sqrt(1-a) = 0 degenerates the cover")
         if self.sqrt1ma == -1 and r == s:
-            raise DegenerateCover("constant cover")
+            raise Unsupported("constant cover")
 
     def roots(self):
         """(root, exponent) pairs of g as a rational function."""
@@ -259,7 +252,7 @@ class TruncatedSeries:
 
     def coefficient(self, i):
         if not 0 <= i <= self.order:
-            raise TruncationUnderflow(f"coefficient {i} beyond truncation order {self.order}")
+            raise PreconditionViolated(f"coefficient {i} beyond truncation order {self.order}")
         return self.coefficients[i]
 
     def __mul__(self, other):
@@ -335,7 +328,7 @@ class TruncatedSeries:
         w = vx.as_fraction()
         floor = self.tail_floor(w)
         if floor is None:
-            raise TruncationUnderflow("no tail bound available to certify the dropped terms")
+            raise PreconditionViolated("no tail bound available to certify the dropped terms")
         ctx = x.ctx
         p, N = ctx.p, ctx.N
         # imax is the last i <= T with (slope + w)*i - v_p(i) < floor - const,

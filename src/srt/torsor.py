@@ -10,13 +10,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    CaseMismatch,
-    InadmissibleValuation,
-    InsufficientData,
-    PreconditionViolated,
-    Unsupported,
-)
+from .errors import PreconditionViolated, Unsupported
 from .localfield import LocalFieldContext, nth_root
 from .valuation import INFINITY, ExtendedRational, _value, check_nu, check_p, vp
 
@@ -37,7 +31,7 @@ _CENTER_FORMS = {
 
 def _norm_case(case):
     if case not in _CASES:
-        raise CaseMismatch(f"unknown case {case!r}; expected one of {_CASES}")
+        raise PreconditionViolated(f"unknown case {case!r}; expected one of {_CASES}")
     return case
 
 
@@ -100,7 +94,7 @@ def splitting_obstruction(vals, p, n, c1=None, cp=None):
     check_p(p)
     T = len(vals)
     if T < p:
-        raise InsufficientData(f"need coefficient valuations up to i = {p}, got {T}")
+        raise PreconditionViolated(f"need coefficient valuations up to i = {p}, got {T}")
     # ExtendedRational(None) is infinity, so None is read as infinity here too
     values = [None if v is None else _value(v) for v in vals]
     theta = Fraction(n) + Fraction(1, p - 1)
@@ -213,28 +207,28 @@ def _absorbed_verdict(vals, p, n, theta, v1_new, v_root, v_p_new=None):
 
 def _aux_valuation(p, r, s, case):
     """The auxiliary valuation of a = 1 - s^2/r^2 in its case: v(a) for a=0,
-    v(sqrt(1-a)) for a=1, None for generic. Raises CaseMismatch when (r, s)
+    v(sqrt(1-a)) for a=1, None for generic. Raises Unsupported when (r, s)
     is not in the case."""
     if vp(r, p) != 0:
-        raise CaseMismatch(f"v_{p}({r}) must be 0")
+        raise Unsupported(f"v_{p}({r}) must be 0")
     if s == 0 or r + s == 0:
-        raise CaseMismatch(f"need s != 0 and r + s != 0, got r={r}, s={s}")
+        raise Unsupported(f"need s != 0 and r + s != 0, got r={r}, s={s}")
     vs = vp(s, p)
     vrs = vp(r + s, p)
     if case == GENERIC:
         if vs != 0 or vrs != 0:
-            raise CaseMismatch(
+            raise Unsupported(
                 f"generic case needs v(s) = v(r+s) = 0, got v(s)={vs}, v(r+s)={vrs}"
             )
         return None
     if case == A_ZERO:
         if vs != 0 or not vrs > 0:
-            raise CaseMismatch(
+            raise Unsupported(
                 f"case a=0 needs v(s) = 0 < v(r+s), got v(s)={vs}, v(r+s)={vrs}"
             )
         return vrs.as_fraction()
     if not vs > 0:
-        raise CaseMismatch(f"case a=1 needs v(s) > 0, got v(s)={vs}")
+        raise Unsupported(f"case a=1 needs v(s) > 0, got v(s)={vs}")
     return vs.as_fraction()
 
 
@@ -255,7 +249,7 @@ def tail_center(p, nu, r, s, case):
     extra = _aux_valuation(p, r, s, case)
     if case == GENERIC:
         if r == s:
-            raise CaseMismatch("center 1 - s^2/r^2 = 0 coincides with the branch point x = 0")
+            raise Unsupported("center 1 - s^2/r^2 = 0 coincides with the branch point x = 0")
         return 1 - Fraction(s, r) ** 2
     _refuse_above_nu(case, extra, nu)
     if p > 5 or extra < nu - 1:
@@ -268,7 +262,7 @@ def _refuse_above_nu(case, extra, nu):
     etale tail."""
     if extra > nu - 1:
         name = "v(a)" if case == A_ZERO else "v(sqrt(1-a))"
-        raise InadmissibleValuation(f"{name} = {extra} exceeds nu - 1 = {nu - 1}")
+        raise Unsupported(f"{name} = {extra} exceeds nu - 1 = {nu - 1}")
 
 
 def _exceptional_center(p, nu, r, s, binom_arg):
@@ -277,7 +271,7 @@ def _exceptional_center(p, nu, r, s, binom_arg):
             f"the exceptional tail center at v = nu - 1 is built for p = 5 only, got p = {p}"
         )
     if binom_arg < 0:
-        raise CaseMismatch(
+        raise Unsupported(
             f"the exceptional center needs x >= 0 in binomial(x, 5), x = r+s "
             f"for a=0 and s for a=1; got x = {binom_arg}"
         )
@@ -303,7 +297,7 @@ def tail_radius(p, nu, case, extra=None):
     x = Fraction(nu) + Fraction(1, p - 1)
     if case == GENERIC:
         if extra not in (None, 0, Fraction(0)):
-            raise CaseMismatch("generic case takes no auxiliary valuation")
+            raise PreconditionViolated("generic case takes no auxiliary valuation")
         return TailRadius(Fraction(2, 3) * x, Fraction(1, 3) * x)
     if extra is None or not Fraction(extra) > 0:
         raise PreconditionViolated(f"case {case} needs a positive auxiliary valuation")
@@ -363,7 +357,7 @@ def insep_tail_catalog(p, nu, case, extra=None):
     extra = Fraction(extra)
     if case == A_ZERO:
         if not 0 < extra <= nu - 1:
-            raise InadmissibleValuation(
+            raise Unsupported(
                 f"v(a) must satisfy 0 < v(a) <= nu - 1 = {nu - 1}, got {extra}"
             )
         out = [
@@ -394,7 +388,7 @@ def insep_tail_catalog(p, nu, case, extra=None):
         return out
     # case a=1: extra = v(sqrt(1-a)), so v(1-a) = 2*extra
     if not 0 < 2 * extra <= 2 * (nu - 1 + Fraction(1, p - 1)):
-        raise InadmissibleValuation(
+        raise Unsupported(
             f"v(1-a) = {2 * extra} must lie in (0, {2 * (nu - 1 + Fraction(1, p - 1))}]"
         )
     if not _has_deeper_tail(p, nu, extra):
@@ -421,9 +415,9 @@ def insep_center(p, nu, r, s, case):
     root that `nth_root` takes of b'^(numerator of e); that root is unique,
     as in `tail_center`.
 
-    Refuses where the catalog lists no such tail: CaseMismatch for an
-    unknown case or an (r, s) not in the case, PreconditionViolated for the
-    generic case and where the case has no deeper tail at (p, nu). Raises
+    Refuses where the catalog lists no such tail: PreconditionViolated for
+    an unknown case, for the generic case and where the case has no deeper
+    tail at (p, nu), Unsupported for an (r, s) not in the case. Raises
     NoNthRoot when b'^2 has no 5th root in the field, that is when the unit
     part of b' is no 5th power there.
     """

@@ -59,6 +59,7 @@ from srt import (
 )
 from srt.cli import EXIT_OK, dispatch
 
+import records
 from helpers import (
     PiExt,
     agrees,
@@ -356,43 +357,59 @@ def _split_request(rng):
     return p, n, vals
 
 
-def test_printed_split_evidence_matches_the_vals(capsys):
-    """Each printed split-check verdict of a seeded sample, re-derived from its
-    --vals by plain Fraction arithmetic: theta = level + 1/(p-1) is the printed
-    threshold; a condition-I witness is an index other than p whose value is
-    the printed valuation, below min(v_p, theta); an unabsorbed conductor is
-    the unique prime-to-p index <= p at theta, with every other index above
-    it; and a condition-II obstruction prints v_root = (v_p + (p-1)n + 1)/p,
-    with min(v_1, v_root) < theta."""
+def _check_split_evidence(p, n, vals, code, report):
+    """Re-derive one printed split-check verdict from its --vals (None for
+    infinity) by plain Fraction arithmetic; returns (verdict, absorbed)."""
     inf = float("inf")
+    kind, evidence = report["verdict"], report["evidence"]
+    v = {i: inf if x is None else x for i, x in enumerate(vals, start=1)}
+    theta = n + Fraction(1, p - 1)
+    if kind != "Inconclusive":
+        assert Fraction(evidence["threshold"]) == theta
+    if kind == "ObstructedByConditionI":
+        witness = int(evidence["witness_index"])
+        assert witness != p and code == 2
+        assert v[witness] == Fraction(evidence["valuation"]) < min(v[p], theta)
+    elif kind == "SplitsWithConductor" and "absorbed" not in evidence:
+        sigma = int(report["conductor"])
+        assert sigma <= p and sigma % p != 0 and code == 0
+        assert v[sigma] == theta == Fraction(evidence["v_c_sigma"])
+        assert all(x > theta for i, x in v.items() if i != sigma)
+    elif kind == "ObstructedByConditionII":
+        v_root = (Fraction(v[p]) + (p - 1) * n + 1) / p
+        assert Fraction(evidence["v_root_term"]) == v_root and code == 2
+        assert min(v[1], v_root) < theta
+    return kind, "absorbed" in evidence
+
+
+def test_printed_split_evidence_matches_the_vals(capsys):
+    """Each printed split-check verdict of a seeded sample, and each answered
+    split-check record that tests/digests/cli.txt pins in --format json,
+    re-derived from its --vals by plain Fraction arithmetic: theta = level +
+    1/(p-1) is the printed threshold; a condition-I witness is an index other
+    than p whose value is the printed valuation, below min(v_p, theta); an
+    unabsorbed conductor is the unique prime-to-p index <= p at theta, with
+    every other index above it; and a condition-II obstruction prints v_root
+    = (v_p + (p-1)n + 1)/p, with min(v_1, v_root) < theta. The sample, not
+    the pins, holds the floor of each verdict."""
     rng = random.Random(20261019)
     kinds = collections.Counter()
     for _ in range(200):
         p, n, vals = _split_request(rng)
         text = json.dumps(["inf" if v is None else str(v) for v in vals])
         code = dispatch(["split-check", "--p", str(p), "--level", str(n), "--vals", text])
-        report = json.loads(capsys.readouterr().out)
-        kind, evidence = report["verdict"], report["evidence"]
-        v = {i: inf if x is None else x for i, x in enumerate(vals, start=1)}
-        theta = n + Fraction(1, p - 1)
-        if kind != "Inconclusive":
-            assert Fraction(evidence["threshold"]) == theta
-        if kind == "ObstructedByConditionI":
-            witness = int(evidence["witness_index"])
-            assert witness != p and code == 2
-            assert v[witness] == Fraction(evidence["valuation"]) < min(v[p], theta)
-        elif kind == "SplitsWithConductor" and "absorbed" not in evidence:
-            sigma = int(report["conductor"])
-            assert sigma <= p and sigma % p != 0 and code == 0
-            assert v[sigma] == theta == Fraction(evidence["v_c_sigma"])
-            assert all(x > theta for i, x in v.items() if i != sigma)
-        elif kind == "ObstructedByConditionII":
-            v_root = (Fraction(v[p]) + (p - 1) * n + 1) / p
-            assert Fraction(evidence["v_root_term"]) == v_root and code == 2
-            assert min(v[1], v_root) < theta
-        kinds[kind, "absorbed" in evidence] += 1
+        kinds[_check_split_evidence(p, n, vals, code, json.loads(capsys.readouterr().out))] += 1
     for kind in ("ObstructedByConditionI", "SplitsWithConductor", "ObstructedByConditionII"):
         assert kinds[kind, False] >= 10, kinds
+    answered = 0
+    for label, full, (_, code, out, _) in records.stream("cli"):
+        if label != "split-check" or full[1] != "json" or code not in (0, 2):
+            continue
+        flags = dict(zip(full[3::2], full[4::2]))
+        vals = [None if x == "inf" else Fraction(x) for x in json.loads(flags["--vals"])]
+        _check_split_evidence(int(flags["--p"]), int(flags["--level"]), vals, code, json.loads(out))
+        answered += 1
+    assert answered == 82
 
 
 # --------------------------------------------------------------------------

@@ -59,7 +59,10 @@ def value(good, bad=()):
 PRIMES = value(sampled("3", "5", "5", "7", "11", "13"), ["2", "4", "9", "1", "0", "-5"])
 SMALL = value(ints(1, 4), ["0", "-1", "40"])
 UNITS = value(ints(1, 8), ["0", "-3", "25"])
-FRACTIONS = value(sampled("0", "1", "1/2", "3/2", "2", "5/4", "-1", "7/3", "inf"))
+RATIONALS = ("0", "1", "1/2", "3/2", "2", "5/4", "-1", "7/3")
+FRACTIONS = value(sampled(*RATIONALS))
+# --vals alone reads "inf", the valuation of a zero coefficient
+VALUATIONS = value(sampled(*RATIONALS, "inf"))
 CASES = value(sampled("generic", "a=0", "a=1"), ["b", "A=0"])
 QS = value(
     sampled("251", "499", "1249", "13", "31", "101", "7", "331"), ["9", "0", "-251", "124"]
@@ -74,7 +77,7 @@ VALUES = {
     "--sqrt1ma": FRACTIONS, "--extra": FRACTIONS, "--root-delta": FRACTIONS, "--x": FRACTIONS,
     "--T": value(ints(1, 40), ["0", "-1"]),
     "--vals": value(
-        lambda rng: json.dumps([FRACTIONS(rng) for _ in range(rng.randint(0, 20))]),
+        lambda rng: json.dumps([VALUATIONS(rng) for _ in range(rng.randint(0, 20))]),
         ["{}", "[[1]]", "[null]", '["1", 2]'],
     ),
     "--tree": sampled("@tree"), "--filtration": sampled("@filtration"),

@@ -7,8 +7,7 @@ import pytest
 
 from srt import (
     Edge,
-    InvalidProfile,
-    InvalidTree,
+    PreconditionViolated,
     ReductionTree,
     Vertex,
     check_monotonic,
@@ -30,27 +29,27 @@ class TestProfiles:
         assert effective_invariant(sigmas, 5) == sum(
             a * b for a, b in zip(w, sigmas)
         )
-        with pytest.raises(InvalidProfile):
+        with pytest.raises(PreconditionViolated, match="need at least one level"):
             effective_invariant([], 5)
 
 
 class TestTreeStructure:
     def test_duplicate_ids(self):
-        with pytest.raises(InvalidTree):
+        with pytest.raises(PreconditionViolated, match="duplicate vertex ids"):
             ReductionTree([Vertex("a"), Vertex("a")], [])
 
     def test_two_parents(self):
-        with pytest.raises(InvalidTree):
+        with pytest.raises(PreconditionViolated, match="vertex c has two parents"):
             ReductionTree(
                 [Vertex("a"), Vertex("b"), Vertex("c")],
                 [Edge("a", "c"), Edge("b", "c"), Edge("a", "b")],
             )
 
     def test_must_be_connected_single_root(self):
-        with pytest.raises(InvalidTree):
+        with pytest.raises(PreconditionViolated, match=r"unique root, found \['a', 'b'\]"):
             ReductionTree([Vertex("a"), Vertex("b")], [])
         # one root, and a cycle that no path from it reaches
-        with pytest.raises(InvalidTree, match="not a connected tree"):
+        with pytest.raises(PreconditionViolated, match="not a connected tree"):
             ReductionTree(
                 [Vertex("root"), Vertex("a"), Vertex("b")],
                 [Edge("a", "b"), Edge("b", "a")],

@@ -24,7 +24,6 @@ from srt import (
 )
 from srt.cli import EXIT_OK, dispatch
 from srt.groups import (
-    NoSolution,
     PreconditionViolated,
     ResourceLimit,
     Unsupported,
@@ -180,9 +179,9 @@ class TestTraceSystem:
         assert beta.c != 0
 
     def test_degenerate_traces_rejected(self):
-        with pytest.raises(NoSolution):
+        with pytest.raises(Unsupported, match=r"pairwise distinct mod 251, got \[2, 17, 2, 249\]"):
             solve_trace_system(251, 2, 17)
-        with pytest.raises(NoSolution):
+        with pytest.raises(Unsupported, match=r"pairwise distinct mod 251, got \[17, 17, 2, 249\]"):
             solve_trace_system(251, 17, 17)
 
 
@@ -196,13 +195,13 @@ class TestStandardGenerators:
 
     def test_degenerate_trace_instance(self):
         # for (q, p) = (11, 5) the prescribed traces collide with +-2 mod q
-        with pytest.raises(NoSolution):
+        with pytest.raises(Unsupported, match="pairwise distinct mod 11"):
             standard_generators(11, 5)
 
     def test_validation(self):
         with pytest.raises(Unsupported):
             standard_generators(15, 5)
-        with pytest.raises(NoSolution):
+        with pytest.raises(Unsupported, match=r"p = 5 must divide q - 1 = 12"):
             standard_generators(13, 5)
 
 

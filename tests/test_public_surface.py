@@ -49,6 +49,13 @@ def _used_identifiers():
 USED = _used_identifiers()
 
 
+def test_all_lists_the_imported_names():
+    """`from srt import *` binds the exported names and no submodule."""
+    import srt
+
+    assert sorted(srt.__all__) == _exported_names()
+
+
 @pytest.mark.parametrize("name", _exported_names())
 def test_exported_name_is_used(name):
     assert name in USED, (

@@ -10,9 +10,6 @@ from fractions import Fraction
 import pytest
 
 from srt import (
-    CaseMismatch,
-    InadmissibleValuation,
-    InsufficientData,
     LocalFieldContext,
     NoNthRoot,
     PreconditionViolated,
@@ -44,7 +41,7 @@ class TestSplittingObstruction:
     theta = Fraction(2) + Fraction(1, 4)
 
     def test_needs_enough_coefficients(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(PreconditionViolated, match="valuations up to i = 5, got 4"):
             splitting_obstruction([Fraction(3)] * 4, 5, 2)
 
     def test_hypothesis_failure_on_p_divisible_index(self):
@@ -163,13 +160,13 @@ class TestTailCenter:
         assert tail_center(7, 1, 2, 3, "generic") == 1 - Fraction(9, 4)
 
     def test_generic_guards(self):
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(Unsupported, match=r"v_7\(7\) must be 0"):
             tail_center(7, 1, 7, 3, "generic")  # v(r) != 0
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(Unsupported, match=r"generic case .* v\(s\)=1, v\(r\+s\)=0"):
             tail_center(7, 1, 2, 7, "generic")  # v(s) != 0
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(Unsupported, match=r"generic case .* v\(s\)=0, v\(r\+s\)=1"):
             tail_center(7, 1, 3, 4, "generic")  # v(r+s) != 0
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(Unsupported, match="coincides with the branch point"):
             tail_center(7, 1, 3, 3, "generic")  # center at the branch point
 
     def test_a_zero_rational(self):
@@ -178,14 +175,14 @@ class TestTailCenter:
         assert tail_center(5, 3, 1, 4, "a=0") == 1 - 16
 
     def test_a_zero_admissibility(self):
-        with pytest.raises(InadmissibleValuation):
+        with pytest.raises(Unsupported, match=r"v\(a\) = 2 exceeds nu - 1 = 1"):
             tail_center(5, 2, 1, 24, "a=0")  # v(r+s) = 2 > nu - 1
 
     def test_a_one_rational(self):
         assert tail_center(7, 2, 2, 7, "a=1") == 1 - Fraction(49, 4)
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(Unsupported, match=r"case a=1 needs v\(s\) > 0, got v\(s\)=0"):
             tail_center(7, 2, 2, 3, "a=1")  # needs v(s) > 0
-        with pytest.raises(InadmissibleValuation):
+        with pytest.raises(Unsupported, match=r"v\(sqrt\(1-a\)\) = 2 exceeds nu - 1 = 1"):
             tail_center(5, 2, 1, 50, "a=1")  # v(s) = 2 > nu - 1 = 1
 
     def test_exceptional_center_matches_construction(self):
@@ -212,7 +209,7 @@ class TestTailCenter:
             tail_center(3, 2, 1, 3, "a=1")  # v(s) = 1 = nu - 1
 
     def test_unknown_case(self):
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(PreconditionViolated, match="unknown case 'bogus'"):
             tail_center(5, 2, 1, 2, "bogus")
 
 
@@ -222,7 +219,7 @@ class TestTailRadius:
         x = Fraction(2) + Fraction(1, 6)
         assert out.v_rho == Fraction(2, 3) * x
         assert out.v_e == Fraction(1, 3) * x
-        with pytest.raises(CaseMismatch):
+        with pytest.raises(PreconditionViolated, match="generic case takes no auxiliary valuation"):
             tail_radius(7, 2, "generic", extra=1)
 
     def test_spec_example_values(self):
@@ -280,11 +277,11 @@ class TestInsepTailCatalog:
         assert insep_tail_catalog(7, 3, "a=1", extra=1) == []
 
     def test_admissibility(self):
-        with pytest.raises(InadmissibleValuation):
+        with pytest.raises(Unsupported, match=r"0 < v\(a\) <= nu - 1 = 2, got 3"):
             insep_tail_catalog(5, 3, "a=0", extra=3)
         with pytest.raises(PreconditionViolated):
             insep_tail_catalog(5, 3, "a=0")
-        with pytest.raises(InadmissibleValuation, match=r"v\(1-a\) = 6 must lie in \(0, 9/2\]"):
+        with pytest.raises(Unsupported, match=r"v\(1-a\) = 6 must lie in \(0, 9/2\]"):
             insep_tail_catalog(5, 3, "a=1", 3)
 
 
@@ -315,7 +312,7 @@ class TestInsepCenter:
     def _catalog_lists_d(p, nu, case, extra):
         try:
             tails = insep_tail_catalog(p, nu, case, extra)
-        except InadmissibleValuation:
+        except Unsupported:
             return False
         return any("d = +-" in tail.center for tail in tails)
 
@@ -351,7 +348,7 @@ class TestInsepCenter:
             insep_center(5, 3, 1, 2, "generic")
 
     def test_cover_outside_the_case(self):
-        with pytest.raises(CaseMismatch, match=r"case a=1 needs v\(s\) > 0"):
+        with pytest.raises(Unsupported, match=r"case a=1 needs v\(s\) > 0"):
             insep_center(5, 3, 1, 2, "a=1")
 
 
