@@ -29,7 +29,6 @@ from .groups import (
     MatrixElement,
     element_order,
     generation_check,
-    order_primes,
     solve_trace_system,
     standard_generators,
     sylow_data,
@@ -234,9 +233,11 @@ def _load_tree(path):
             f"tree file {path!r} unreadable ({exc}); expected the JSON schema "
             f"with 'vertices' and 'edges'"
         ) from exc
+    # OverflowError: json reads 1e400 as inf, which no int or Fraction takes
     try:
         return ReductionTree.from_json(data)
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise UsageError(f"malformed tree JSON: {exc}") from exc
 
 
@@ -283,10 +284,12 @@ def _cmd_herbrand(args):
     if args.filtration:
         if args.p is not None or args.nu is not None:
             raise UsageError("give --filtration FILE or --p and --nu, not both")
+        # OverflowError: an order or jump of 1e400, read by json as inf
         try:
             with open(args.filtration) as handle:
                 filtration = Filtration.from_json(json.load(handle))
-        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (OSError, KeyError, OverflowError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
             raise UsageError(
                 f"filtration file {args.filtration!r} unreadable ({exc}); "
                 f"expected {{\"breaks\": [{{\"jump\": ..., \"order\": ...}}]}}"
@@ -309,21 +312,20 @@ def _cmd_group(args):
         raise UsageError("give --tau and --rho together, or neither and --p")
     if args.tau is None and args.p is None:
         raise UsageError("provide --p (for the standard pair) or --tau/--rho")
-    primes = order_primes(q)
     if args.tau is not None:
         beta = solve_trace_system(q, args.tau, args.rho)
         alpha = MatrixElement(1, 1, 0, 1, q)
     else:
-        alpha, beta = standard_generators(q, args.p, primes)
-    verdict = generation_check([alpha, beta], q, mode=args.mode, primes=primes)
+        alpha, beta = standard_generators(q, args.p)
+    verdict = generation_check([alpha, beta], q, mode=args.mode)
     out = {
         "q": q,
         "alpha": alpha.entries(),
         "beta": beta.entries(),
         "orders": {
-            "alpha": element_order(alpha, primes),
-            "beta": element_order(beta, primes),
-            "alpha*beta": element_order(alpha * beta, primes),
+            "alpha": element_order(alpha),
+            "beta": element_order(beta),
+            "alpha*beta": element_order(alpha * beta),
         },
         "generation": verdict,
     }

@@ -10,6 +10,7 @@ order of the group of the lam in F_q^* times |K n U|, U unipotent of order q.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -90,9 +91,16 @@ def _prime_factors(n):
 
 
 def order_primes(q):
-    """(primes of q - 1, primes of q + 1) of a prime q: the `primes` a request
-    factors once and passes to its generators, closure and element orders."""
+    """(primes of q - 1, primes of q + 1) of a prime q, which the generators,
+    the closure and each element order read. q is checked before the cache
+    is, since the cache would take the float 251.0 for the key 251."""
     check_q(q)
+    return _order_primes(q)
+
+
+# a request reads one q, so a few entries let it factor q - 1 and q + 1 once
+@functools.lru_cache(maxsize=8)
+def _order_primes(q):
     return tuple(_prime_factors(q - 1)), tuple(_prime_factors(q + 1))
 
 
@@ -151,7 +159,7 @@ def _lucas_v(t, k, q):
     return v
 
 
-def element_order(m, primes=None):
+def element_order(m):
     """Multiplicative order, read from the trace t over the prime field F_q.
 
     +-I have order 1 or 2. Any other m with t = 2 is unipotent, of order q,
@@ -169,7 +177,7 @@ def element_order(m, primes=None):
         return q
     if t == -2 % q:
         return 2 * q
-    down, up = primes or order_primes(q)
+    down, up = order_primes(q)
     order = q * q - 1
     for prime in {*down, *up}:
         while order % prime == 0 and _lucas_v(t, order // prime, q) == 2 % q:
@@ -208,7 +216,7 @@ def _primitive_root(q, factors):
             return g
 
 
-def standard_generators(q, p, primes=None):
+def standard_generators(q, p):
     """The generating pair (alpha, beta) with alpha = [[1,1],[0,1]] of order q,
     beta of order q - 1, and alpha*beta of order (q-1)/p.
 
@@ -220,7 +228,7 @@ def standard_generators(q, p, primes=None):
     check_p(p)
     if (q - 1) % p != 0:
         raise Unsupported(f"p = {p} must divide q - 1 = {q - 1}")
-    lam = _primitive_root(q, _prime_factors(q - 1) if primes is None else primes[0])
+    lam = _primitive_root(q, order_primes(q)[0])
     tau = (lam + pow(lam, -1, q)) % q
     mu = pow(lam, p, q)
     rho = (mu + pow(mu, -1, q)) % q
@@ -236,7 +244,7 @@ class GenerationVerdict:
     evidence: dict | None = None
 
 
-def generation_check(gens, q, mode="criterion", primes=None):
+def generation_check(gens, q, mode="criterion"):
     """Do the given matrices generate SL2(F_q)?
 
     criterion mode: for gens = (alpha, beta) with alpha of order q (q a prime
@@ -261,13 +269,13 @@ def generation_check(gens, q, mode="criterion", primes=None):
         if g.q != q:
             raise PreconditionViolated(f"generator over F_{g.q}, expected F_{q}")
     if mode == "bfs":
-        return _generation_bfs(gens, q, primes)
+        return _generation_bfs(gens, q)
     if mode != "criterion":
         raise PreconditionViolated(f"mode must be criterion or bfs, got {mode!r}")
     if len(gens) == 1:
         return GenerationVerdict(
             "ProperSubgroup",
-            order=element_order(gens[0], primes),
+            order=element_order(gens[0]),
             evidence={"reason": "single generator spans a cyclic group"},
         )
     if len(gens) != 2:
@@ -275,7 +283,7 @@ def generation_check(gens, q, mode="criterion", primes=None):
     alpha, beta = gens
     if q < 5:
         raise Unsupported(f"criterion mode needs a prime q >= 5, got {q}")
-    if element_order(alpha, primes) != q:
+    if element_order(alpha) != q:
         raise Unsupported(
             f"criterion mode needs the first generator of order q = {q}"
         )
@@ -289,7 +297,7 @@ def generation_check(gens, q, mode="criterion", primes=None):
     if alpha.c % q != 0:
         raise Unsupported("criterion mode expects the unipotent in upper form")
     evidence = {"psl2_criterion": "order-q element plus element outside its normalizer"}
-    ord_beta = element_order(beta, primes)
+    ord_beta = element_order(beta)
     # -I is the only involution of SL2(F_q), q odd: it is in <beta> iff 2 | ord
     if ord_beta % 2 == 0:
         evidence["minus_identity"] = f"beta^{ord_beta // 2}"
@@ -302,7 +310,7 @@ def generation_check(gens, q, mode="criterion", primes=None):
 _BFS_MAX_Q = 100_000
 
 
-def _generation_bfs(gens, q, primes):
+def _generation_bfs(gens, q):
     if q > _BFS_MAX_Q:
         raise ResourceLimit(
             f"the bfs closure is bounded to q <= {_BFS_MAX_Q}, got q = {q}; "
@@ -330,7 +338,7 @@ def _generation_bfs(gens, q, primes):
 
     # |Lambda| for the lams in the cyclic F_q^*: the least d with every lam^d = 1
     lams, lam_order = {lam for lam, _ in schreier}, q - 1
-    for f in _prime_factors(q - 1) if primes is None else primes[0]:
+    for f in order_primes(q)[0]:
         while lam_order % f == 0 and all(pow(x, lam_order // f, q) == 1 for x in lams):
             lam_order //= f
     # K n U is 1 or U. Take s0 = (lam0, u0) with lam0 != +-1; (lam, u) commutes

@@ -12,7 +12,6 @@ The true values the library computes are pinned green by companion tests here
 and in tests/test_series.py / tests/test_torsor.py.
 """
 import collections
-import itertools
 import json
 import math
 import random
@@ -161,23 +160,11 @@ def test_appendix_library_matches_oracle():
         assert diff.valuation_lower_bound() > Fraction(12, 5)
 
 
-def _report_sample(count, seed):
-    """(q, r) drawn from the first 40 primes q with 125 | q^2 - 1 and the
-    r < 125 prime to 5."""
-    qs = list(itertools.islice(
-        (q for q in itertools.count(3)
-         if (q * q - 1) % 125 == 0 and all(q % k for k in range(2, math.isqrt(q) + 1))),
-        40,
-    ))
-    units = [r for r in range(1, 125) if r % 5]
-    rng = random.Random(seed)
-    return [(rng.choice(qs), rng.choice(units)) for _ in range(count)]
-
-
-def test_printed_monodromy_reports_match_the_oracle(capsys):
-    """Each printed report of a seeded sample, read back from its JSON alone:
-    the printed g(d) is the exact product prod (d - root)^m to its printed
-    precision, for g(z) = ((z+1)/(z-1))^r ((z - s/r)/(z + s/r))^s, the cover
+def test_printed_monodromy_reports_match_the_oracle():
+    """Each answered wild-monodromy report that tests/digests/cli.txt pins in
+    --format json, read back from its JSON alone: the printed g(d) is the
+    exact product prod (d - root)^m to its printed precision, for
+    g(z) = ((z+1)/(z-1))^r ((z - s/r)/(z + s/r))^s, the cover
     function at sqrt(1-a) = -s/r, and d = +-(the printed center); the
     printed center is exact and solves the catalog's d^5 = (2s/r)^5 b'^2,
     b' = 5^(w+1)/s with w = v(s/r) the printed v_sqrt, which fixes it since
@@ -189,10 +176,13 @@ def test_printed_monodromy_reports_match_the_oracle(capsys):
     alpha = eps mod 5, beta its digit at 5^(6/5), rhs its integer-class
     residue mod 5^2, and lhs != rhs that residue of (alpha + beta*pi)^5."""
     fifth_powers = pth_power_residues()
-    for q, r in _report_sample(30, seed=7):
-        argv = ["wild-monodromy", "--q", str(q), "--p", "5", "--r", str(r)]
-        assert dispatch(argv) == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+    checked = 0
+    for label, full, (_, code, out, _) in records.stream("cli"):
+        if label != "wild-monodromy" or full[1] != "json" or code != EXIT_OK:
+            continue
+        flags = dict(zip(full[3::2], full[4::2]))
+        q, r = int(flags["--q"]), int(flags["--r"])
+        report = json.loads(out)
         inputs = report["inputs"]
         p, s = inputs["p"], inputs["s"]
         assert (inputs["q"], inputs["r"]) == (q, r)
@@ -240,6 +230,8 @@ def test_printed_monodromy_reports_match_the_oracle(capsys):
                     "rhs": rhs,
                 },
             }
+        checked += 1
+    assert checked == 46
 
 
 @pytest.mark.xfail(

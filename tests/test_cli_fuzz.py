@@ -92,11 +92,17 @@ VALUES = {
 assert set(VALUES) == set(FLAGS), set(VALUES) ^ set(FLAGS)
 
 # a plausible case draws these flags from the narrow domain of its subcommand:
-# wild-monodromy answers only at p = 5 with 125 | q^2 - 1, and tail-center's
-# a=0 and a=1 need p | r + s and p | s, which independent draws seldom meet
+# wild-monodromy answers only at p = 5 with 125 | q^2 - 1; tail-center's a=0
+# and a=1 need p | r + s and p | s, which independent draws seldom meet;
+# tail-radius's a=0 and a=1 need an --extra in (0, nu - 1] resp. above 0, and
+# generic none; the standard pair of group needs p | q - 1
 DOMAINS = {
     "wild-monodromy": {"--p": sampled("5"), "--q": sampled("251", "499", "1249")},
     "tail-center": {"--case": sampled("generic"), "--r": ints(1, 8)},
+    "tail-radius": {
+        "--case": sampled("a=0", "a=1"), "--nu": ints(2, 4), "--extra": sampled("1/2", "1"),
+    },
+    "group": {"--q": sampled("251", "31", "101", "331"), "--p": sampled("5")},
 }
 
 # flags that are left out 3 times in 4 (the others are left out 1 time in 8)

@@ -29,7 +29,7 @@ from srt.valuation import is_prime, split_p_part
 
 EXPORTED_ERRORS = [
     value
-    for value in vars(srt).values()
+    for value in (getattr(srt, name) for name in srt.__all__)
     if inspect.isclass(value) and issubclass(value, BaseException)
 ]
 
@@ -187,6 +187,11 @@ FILES = {
     "breaks_not_list": {"breaks": 5},
     "sigma_over_zero": {"vertices": [{"id": "root", "sigma": "1/0"}], "edges": []},
     "jump_over_zero": {"breaks": [{"jump": "1/0", "order": 5}]},
+    # JSON text as written: json reads a number past the float range as inf
+    "inertia_past_float": '{"vertices": [{"id": "r", "inertia": 1e400}], "edges": []}',
+    "sigma_past_float": '{"vertices": [{"id": "r", "inertia": 1, "sigma": 1e400}], "edges": []}',
+    "order_past_float": '{"breaks": [{"jump": "0", "order": 1e400}]}',
+    "jump_past_float": '{"breaks": [{"jump": 1e400, "order": 5}]}',
 }
 
 def _short(token):
@@ -195,7 +200,7 @@ def _short(token):
 
 
 # (argv, text the error line must contain); "@name" stands for a file
-# holding the JSON FILES[name]
+# holding the JSON FILES[name], or that text when it is a string
 BAD_INPUTS = [
     (["expand", "--p", "4", "--nu", "1", "--r", "1", "--s", "2"], "odd prime"),
     (["expand", "--p", "5", "--nu", "0", "--r", "1", "--s", "2"], "nu"),
@@ -271,6 +276,12 @@ BAD_INPUTS = [
     (["herbrand", "--filtration", "@breaks_not_list", "--direction", "phi", "--x", "1"], "unreadable"),
     (["herbrand", "--filtration", "@jump_over_zero", "--direction", "phi", "--x", "1"], "unreadable"),
     (["tree-check", "--p", "5", "--tree", "@sigma_over_zero"], "malformed"),
+    (["tree-check", "--p", "5", "--tree", "@inertia_past_float"], "malformed"),
+    (["tree-solve", "--p", "5", "--tree", "@sigma_past_float"], "malformed"),
+    (["herbrand", "--filtration", "@order_past_float", "--direction", "phi", "--x", "1"],
+     "unreadable"),
+    (["herbrand", "--filtration", "@jump_past_float", "--direction", "phi", "--x", "1"],
+     "unreadable"),
     (["group", "--q", "9", "--tau", "0", "--rho", "3"], "prime"),
     (["group", "--q", "0", "--tau", "13", "--rho", "4"], "prime"),
     (["group", "--q", "10", "--p", "5"], "prime"),
@@ -298,7 +309,8 @@ def test_bad_input_is_one_error_line(argv, needle, tmp_path, capsys):
     for token in argv:
         if token.startswith("@"):
             path = tmp_path / f"{token[1:]}.json"
-            path.write_text(json.dumps(FILES[token[1:]]))
+            content = FILES[token[1:]]
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
             token = str(path)
         resolved.append(token)
     code = dispatch(resolved)

@@ -28,6 +28,7 @@ from srt.groups import (
     ResourceLimit,
     Unsupported,
     _prime_factors,
+    order_primes,
 )
 
 import helpers
@@ -88,6 +89,12 @@ class TestPrimeFactors:
         assert _prime_factors(1_000_003**3) == {1_000_003: 3}
         assert _prime_factors(43 * p1 * p1) == {43: 1, p1: 2}
 
+    def test_a_cached_q_is_still_checked(self):
+        # 251.0 hashes as 251, so the check comes before the cache is read
+        assert order_primes(251) == ((2, 5), (2, 3, 7))
+        with pytest.raises(Unsupported, match="q must be prime, got 251.0"):
+            order_primes(251.0)
+
     def test_refuses_nonpositive(self):
         for n in (0, -6):
             with pytest.raises(ValueError):
@@ -121,7 +128,7 @@ class TestPrimeFactors:
         self, q, argv, monkeypatch, capsys
     ):
         # the primitive root, the closure and every element order share the
-        # one factorization the request makes
+        # one factorization the request makes, from an emptied cache
         calls = collections.Counter()
         factor = srt.groups._prime_factors
 
@@ -130,6 +137,7 @@ class TestPrimeFactors:
             return factor(n)
 
         monkeypatch.setattr(srt.groups, "_prime_factors", counting_factor)
+        srt.groups._order_primes.cache_clear()
         dispatch(["group", "--q", str(q), *argv])
         assert json.loads(capsys.readouterr().out)["q"] == q
         assert calls == {q - 1: 1, q + 1: 1}
