@@ -23,7 +23,7 @@ print("tail disk center a0 =", tail_center(p, nu, r, s, "generic"))
 radius = tail_radius(p, nu, "generic")
 print(f"tail disk radius: v(rho) = {radius.v_rho}, upstairs scale v(e) = {radius.v_e}")
 
-series = maclaurin_g(params, 3 * p + 2)
+series = maclaurin_g(params)  # T = 3p + 2, the default
 vals = scaled_coefficient_valuations(series, p, radius.v_e)
 theta = Fraction(nu) + Fraction(1, p - 1)
 print(f"\nscaled coefficient valuations v(c_i), threshold theta = {theta}:")

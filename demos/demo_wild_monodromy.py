@@ -1,8 +1,11 @@
 """End-to-end wild monodromy verification for the degree-251 cover.
 
-Runs the full chain -- exact disk center, two independent evaluations of the
-cover function, 5th-root extraction, and the 5th/25th power decisions -- and
-prints the step-by-step report with the congruence certificates.
+Runs the full chain -- exact disk center, the cover function g evaluated by
+its truncated Maclaurin series at the center on each sign branch, 5th-root
+extraction, and the 5th/25th power decisions -- and prints the step-by-step
+report with the congruence certificates. The g(d) steps of the report still
+read "agrees with the exact product", though no exact product is computed
+(ROADMAP, deferred list).
 """
 from srt import run_wild_monodromy
 

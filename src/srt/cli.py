@@ -48,7 +48,7 @@ from .torsor import (
     tail_center,
     tail_radius,
 )
-from .valuation import ExtendedRational, check_p, to_jsonable
+from .valuation import ExtendedRational, check_p, read_rational, to_jsonable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,26 +80,9 @@ def _odd_prime(text):
 
 
 def _fraction(text):
-    """Fraction(text), refused in one line when it is no rational or has too
-    many digits to print. Its digits plus its decimal exponent bound the
-    digits of numerator and denominator; they are counted on the text, so
-    1e1000000000 is refused before Fraction builds 10^1000000000."""
-    limit = sys.get_int_max_str_digits()
-    written = str(text)
-    mantissa, _, exponent = written.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    size = sum(c.isdecimal() for c in mantissa)
-    if exponent.isdecimal():
-        # an exponent with more digits than the limit is past it anyway
-        size += limit if len(exponent) > len(str(limit)) else int(exponent)
-    if limit and size >= limit:
-        shown = written if len(written) <= 20 else written[:20] + "..."
-        raise ResourceLimit(
-            f"rational {shown!r} has {limit} or more digits with its exponent, "
-            f"too many to print; write it with fewer digits or a smaller exponent"
-        )
+    """read_rational(text), refused in one line when it is no rational."""
     try:
-        return Fraction(text)
+        return read_rational(text)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(
             f"could not parse {text!r} as a rational; write it as 'a/b'"
@@ -227,13 +210,13 @@ def _cmd_insep_tails(args):
 def _load_tree(path):
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_float=_fraction)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
         raise UsageError(
             f"tree file {path!r} unreadable ({exc}); expected the JSON schema "
             f"with 'vertices' and 'edges'"
         ) from exc
-    # OverflowError: json reads 1e400 as inf, which no int or Fraction takes
+    # OverflowError: json reads Infinity as the float inf, which no Fraction takes
     try:
         return ReductionTree.from_json(data)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
@@ -284,10 +267,10 @@ def _cmd_herbrand(args):
     if args.filtration:
         if args.p is not None or args.nu is not None:
             raise UsageError("give --filtration FILE or --p and --nu, not both")
-        # OverflowError: an order or jump of 1e400, read by json as inf
+        # OverflowError: a jump of Infinity, read by json as the float inf
         try:
             with open(args.filtration) as handle:
-                filtration = Filtration.from_json(json.load(handle))
+                filtration = Filtration.from_json(json.load(handle, parse_float=_fraction))
         except (OSError, KeyError, OverflowError, TypeError, ValueError,
                 ZeroDivisionError) as exc:
             raise UsageError(

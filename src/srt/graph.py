@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import MissingLabel, PreconditionViolated
-from .valuation import check_p, split_p_part
+from .valuation import check_p, read_int, read_rational, split_p_part
 
 # --- component-level numerics ---
 
@@ -41,8 +41,8 @@ TAIL_KINDS = ("none", "primitive", "new-etale", "new-inseparable")
 
 
 def _label(value):
-    """A numeric label as a Fraction; None stays None (label not given)."""
-    return None if value is None else Fraction(value)
+    """A numeric label read by read_rational; None stays None (not given)."""
+    return None if value is None else read_rational(value)
 
 
 def _json_labels(obj, names):
@@ -134,10 +134,11 @@ class ReductionTree:
         vertices = [
             Vertex(
                 id=str(v["id"]),
-                inertia=int(v.get("inertia", 0)),
+                inertia=read_int(v.get("inertia", 0), "inertia"),
                 tail=v.get("tail", "none"),
                 branch_points=[
-                    (str(b["id"]), int(b["index"])) for b in v.get("branch_points", [])
+                    (str(b["id"]), read_int(b["index"], "index"))
+                    for b in v.get("branch_points", [])
                 ],
                 sigma=v.get("sigma"),
                 delta_eff=v.get("delta_eff"),

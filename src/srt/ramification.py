@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionViolated
-from .valuation import check_nu, check_p
+from .valuation import check_nu, check_p, read_int, read_rational
 
 @dataclass(frozen=True)
 class Filtration:
@@ -25,7 +25,7 @@ class Filtration:
     order: int
 
     def __init__(self, breaks):
-        breaks = tuple((Fraction(u), int(o)) for u, o in breaks)
+        breaks = tuple((read_rational(u), read_int(o, "order")) for u, o in breaks)
         if not breaks:
             raise PreconditionViolated("filtration needs at least the u = 0 entry")
         if breaks[0][0] != 0:
@@ -51,12 +51,11 @@ class Filtration:
 
     @classmethod
     def from_json(cls, data):
-        """Read {"breaks": [{"jump", "order"}, ...]}; an optional nonzero
-        "order" must equal the order at u = 0."""
-        breaks = [(Fraction(b["jump"]), int(b["order"])) for b in data["breaks"]]
-        order = int(data.get("order") or 0)
-        filtration = cls(breaks)
-        if order and order != filtration.order:
+        """Read {"breaks": [{"jump", "order"}, ...]}; an optional "order"
+        (absent, null or 0 when not given) must equal the order at u = 0."""
+        filtration = cls([(b["jump"], b["order"]) for b in data["breaks"]])
+        order = data.get("order")
+        if order is not None and read_int(order, "order") and order != filtration.order:
             raise PreconditionViolated(
                 f"total order {order} must equal the order at u = 0 ({filtration.order})"
             )

@@ -1,8 +1,8 @@
 """
 Exact p-adic valuations over the rationals, and the small helpers every other
-module shares: primality, the one domain rule of each of the parameters p, q
-and nu (check_p, check_q, check_nu), the p-part split of an integer,
-square-and-multiply and conversion of reports to JSON values.
+module shares: primality, the one domain rule of each of p, q and nu (check_p,
+check_q, check_nu), the one reader of numbers from outside (read_rational,
+read_int), the p-part split of an integer, square-and-multiply and to_jsonable.
 
 Valuations take values in (1/N)Z for various N, so everything here is built on
 ``fractions.Fraction``, extended by a single infinite element for v(0).
@@ -12,9 +12,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from fractions import Fraction
 
-from .errors import PreconditionViolated, Unsupported
+from .errors import PreconditionViolated, ResourceLimit, Unsupported
 
 
 @functools.total_ordering
@@ -234,6 +235,41 @@ def check_nu(nu):
         raise PreconditionViolated(f"nu must be an integer, got {nu}")
     if nu < 1:
         raise PreconditionViolated(f"nu must be >= 1, got {nu}")
+
+
+def read_rational(text):
+    """Fraction(text) of a value read from outside: a flag, or a JSON string
+    or number. A str is refused with ResourceLimit when it has too many
+    digits to print: its digits plus its decimal exponent bound the digits
+    of numerator and denominator, counted on the text, so 1e1000000000 is
+    refused before Fraction builds 10^1000000000; a number is built already.
+    A bool, which Fraction reads as 0 or 1, raises PreconditionViolated; any
+    other value Fraction refuses raises Fraction's own error."""
+    if isinstance(text, bool):
+        raise PreconditionViolated(f"a bool is not a rational, got {text}")
+    limit = sys.get_int_max_str_digits()
+    if isinstance(text, str) and limit:
+        mantissa, _, exponent = text.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        size = sum(c.isdecimal() for c in mantissa)
+        if exponent.isdecimal():
+            # an exponent with more digits than the limit is past it anyway
+            size += limit if len(exponent) > len(str(limit)) else int(exponent)
+        if size >= limit:
+            shown = text if len(text) <= 20 else text[:20] + "..."
+            raise ResourceLimit(
+                f"rational {shown!r} has {limit} or more digits with its exponent, "
+                f"too many to print; write it with fewer digits or a smaller exponent"
+            )
+    return Fraction(text)
+
+
+def read_int(value, name):
+    """value, the integer field `name` read from outside: a JSON integer,
+    so an int itself, and no bool, float or string."""
+    if type(value) is not int:
+        raise PreconditionViolated(f"{name} must be a JSON integer, got {value!r}")
+    return value
 
 
 def split_p_part(n, p):

@@ -8,7 +8,8 @@ normalized so v(p) = 1, hence v(pi) = 1/n.  Beside it: the table of p-th
 powers modulo pi^L, Herbrand's functions of the cyclotomic filtration as
 integrals of its step function, the etale-tail configurations by brute
 force, SL2(F_q) as a list of 4-tuples with orders by repeated
-multiplication, and the torsor splitting criterion on Fraction valuations.
+multiplication and subgroups by closure, and the torsor splitting criterion
+on Fraction valuations.
 """
 from __future__ import annotations
 
@@ -384,16 +385,42 @@ def sl2_elements(q):
                     yield 0, b, -pow(b, -1, q) % q, d
 
 
+def sl2_mul(x, y, q):
+    """The product xy of 4-tuples (a, b, c, d) of SL2(F_q)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
+
+
+def sl2_power(x, n, q):
+    """x^n for n >= 0, by square-and-multiply."""
+    out = (1, 0, 0, 1)
+    while n:
+        if n & 1:
+            out = sl2_mul(out, x, q)
+        x = sl2_mul(x, x, q)
+        n >>= 1
+    return out
+
+
 def sl2_order(x, q, limit=None):
     """Order of x = (a, b, c, d) in SL2(F_q) by repeated multiplication;
     None once it exceeds limit."""
-    a, b, c, d = x
     y, order = x, 1
     while y != (1, 0, 0, 1):
         if limit is not None and order >= limit:
             return None
-        ya, yb, yc, yd = y
-        y = ((ya * a + yb * c) % q, (ya * b + yb * d) % q,
-             (yc * a + yd * c) % q, (yc * b + yd * d) % q)
+        y = sl2_mul(y, x, q)
         order += 1
     return order
+
+
+def sl2_closure(generators, q):
+    """The subgroup of SL2(F_q) that the 4-tuples `generators` generate, as a
+    set, by breadth-first search over right multiplication."""
+    seen = {(1, 0, 0, 1)}
+    frontier = set(seen)
+    while frontier:
+        frontier = {y for x in frontier for g in generators if (y := sl2_mul(x, g, q)) not in seen}
+        seen |= frontier
+    return seen

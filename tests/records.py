@@ -30,10 +30,14 @@ ORACLES = {
     "split-check": ["test_acceptance.py::test_printed_split_evidence_matches_the_vals"],
     "herbrand": ["test_ramification.py::test_digest_herbrand_draws_match_the_integral"],
     "group": [
+        "test_cli_digest.py::test_group_draws_match_their_matrices",
         "test_groups.py::TestGenerationCheck::test_criterion_matches_bfs_on_random_pairs",
         "test_groups.py::TestSylowData::test_matches_brute_force_over_the_group",
     ],
-    "enum-tails": ["test_graph.py::TestTailConfigs::test_matches_brute_force"],
+    "enum-tails": [
+        "test_cli_digest.py::test_enum_tails_draws_match_brute_force",
+        "test_graph.py::TestTailConfigs::test_matches_brute_force",
+    ],
     "wild-monodromy": ["test_acceptance.py::test_printed_monodromy_reports_match_the_oracle"],
     "conductor": ["test_ramification.py::test_digest_conductor_draws_match_the_filtrations"],
     "tail-radius": ["test_cli_digest.py::test_tail_radius_draws_match_tree_solve"],

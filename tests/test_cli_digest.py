@@ -18,13 +18,25 @@ import random
 from fractions import Fraction
 
 import records
-from helpers import PiExt, agrees, rational_mod, vp_fraction
+from helpers import (
+    PiExt,
+    agrees,
+    rational_mod,
+    sl2_closure,
+    sl2_mul,
+    sl2_power,
+    tail_configs,
+    vp_fraction,
+    vp_int,
+)
 from test_acceptance import _radius_by_tree_solve
 
 ROUNDS = 100
 SEED = 21
 # an exact local-field tail center is checked modulo p^EXACT_DIGITS
 EXACT_DIGITS = 20
+# a group answer is checked against the closure of its pair up to this q
+BRUTE_Q = 31
 
 PRIMES = (3, 5, 7)
 CASES = ("generic", "a=0", "a=1", "generic", "a=0", "a=1", "other")
@@ -241,3 +253,62 @@ def test_tail_center_draws_match_their_equations():
         counts["local"] += 1
     assert counts == {"rational": 45, "local": 10}
 
+
+
+def _primes_of(n):
+    """The primes dividing n > 0, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] * (n > 1)
+
+
+def test_group_draws_match_their_matrices():
+    """Every group draw of the sweep that answers, checked on its printed
+    matrices with no srt: alpha and beta have determinant 1; each printed
+    order n of alpha, beta and alpha*beta is the least with x^n = I, since
+    x^n = I and x^(n/l) != I for each prime l | n; the Sylow order is
+    p^v_p(q^2 - 1); and for q <= BRUTE_Q the printed verdict and group order
+    are those of the closure of <alpha, beta>."""
+    checked = closed = 0
+    for argv, answer in _answered("group"):
+        q = answer["q"]
+        alpha, beta = tuple(answer["alpha"]), tuple(answer["beta"])
+        for a, b, c, d in (alpha, beta):
+            assert (a * d - b * c) % q == 1, argv
+        elements = {"alpha": alpha, "beta": beta, "alpha*beta": sl2_mul(alpha, beta, q)}
+        for name, n in answer["orders"].items():
+            x = elements[name]
+            assert sl2_power(x, n, q) == (1, 0, 0, 1), (argv, name)
+            assert all(sl2_power(x, n // ell, q) != (1, 0, 0, 1) for ell in _primes_of(n)), argv
+        if "sylow" in answer:
+            p = int(argv[argv.index("--p") + 1])
+            assert answer["sylow"]["order"] == p ** vp_int(q * q - 1, p), argv
+        if q <= BRUTE_Q:
+            order = len(sl2_closure([alpha, beta], q))
+            verdict = "Generates" if order == q * (q * q - 1) else "ProperSubgroup"
+            generation = answer["generation"]
+            assert (generation["verdict"], generation["order"]) == (verdict, order), argv
+            closed += 1
+        checked += 1
+    assert (checked, closed) == (66, 21)
+
+
+def test_enum_tails_draws_match_brute_force():
+    """Every enum-tails draw of the sweep that answers lists the
+    configurations of helpers.tail_configs, rendered as the CLI renders a
+    TailConfig: an empty multiset and flagged = false left out."""
+    checked = 0
+    for argv, answer in _answered("enum-tails"):
+        tau, p = int(argv[1].partition("=")[2]), int(argv[3])
+        want = [
+            {"prim": [str(s) for s in prim], "new": [str(s) for s in new], "flagged": flagged}
+            for prim, new, flagged in tail_configs(tau, p)
+        ]
+        assert answer == [{k: v for k, v in c.items() if v} for c in want], argv
+        checked += 1
+    assert checked == 74

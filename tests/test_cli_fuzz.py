@@ -108,8 +108,15 @@ DOMAINS = {
 # flags that are left out 3 times in 4 (the others are left out 1 time in 8)
 RARE = {"--sqrt1ma", "--root-delta", "--filtration", "--compositum", "--tau", "--rho"}
 
+# json.dumps writes no number past the float range, so this string stands
+# for the JSON number 1e400 until json_text writes the file
+PAST_FLOAT = "<1e400>"
+# JSON that int() or a binary float would misread, and a rational past the
+# digit limit: an integer field refuses each, a rational field reads it exactly
+MISREADS = [0.1, 1.9, 2.0, True, "2", "1e200000000", PAST_FLOAT]
 NUMBERS = value(
-    sampled("1/2", "1", "3/2", "2", "9/4", "5/2", "3"), ["0", "-1", "x", "1/0", None, 2]
+    sampled("1/2", "1", "3/2", "2", "9/4", "5/2", "3"),
+    ["0", "-1", "x", "1/0", None, 2, *MISREADS],
 )
 KINDS = value(sampled("none", "primitive", "new-etale", "new-inseparable"), ["old"])
 
@@ -125,19 +132,24 @@ def any_json(rng, depth=2):
     return rng.choice([None, False, True, rng.randint(-3, 5), "", "1/2", "x"])
 
 
+def integer(lo, hi):
+    """An integer field: an int in [lo, hi], sometimes no JSON integer."""
+    return value(lambda rng: rng.randint(lo, hi), MISREADS)
+
+
 def tree(rng):
     """A root with up to three children, some of them with a child of their
     own; every field is drawn from plausible values, sometimes from bad ones."""
-    vertices = [{"id": "root", "inertia": rng.randint(1, 3)}]
+    vertices = [{"id": "root", "inertia": integer(1, 3)(rng)}]
     edges = []
     for i in range(rng.randint(0, 3)):
         parent = rng.choice([v["id"] for v in vertices])
-        vertex = {"id": f"v{i}", "inertia": rng.randint(0, 2), "tail": KINDS(rng)}
+        vertex = {"id": f"v{i}", "inertia": integer(0, 2)(rng), "tail": KINDS(rng)}
         for key in ("sigma", "delta_eff"):
             if rng.choice(BOOLS):
                 vertex[key] = NUMBERS(rng)
         if rng.random() < 1 / 4:
-            vertex["branch_points"] = [{"id": f"b{i}", "index": rng.randint(1, 25)}]
+            vertex["branch_points"] = [{"id": f"b{i}", "index": integer(1, 25)(rng)}]
         vertices.append(vertex)
         edge = {"parent": parent, "child": vertex["id"]}
         for key in ("sigma_eff", "epaisseur"):
@@ -155,7 +167,18 @@ def filtration(rng):
     breaks = [{"jump": str(i), "order": order} for i, order in enumerate(orders)]
     if rng.random() < 1 / 4:
         breaks[rng.randint(0, n - 1)]["jump"] = NUMBERS(rng)
-    return {"breaks": breaks}
+    if rng.random() < 1 / 4:
+        k = rng.randint(0, n - 1)
+        breaks[k]["order"] = value(sampled(breaks[k]["order"]), MISREADS)(rng)
+    out = {"breaks": breaks}
+    if rng.random() < 1 / 4:
+        out["order"] = value(sampled(orders[0], None), MISREADS)(rng)
+    return out
+
+
+def json_text(content):
+    """The JSON text of a drawn file, with PAST_FLOAT as the number 1e400."""
+    return json.dumps(content).replace(json.dumps(PAST_FLOAT), "1e400")
 
 
 def invocation(rng, command):
@@ -187,7 +210,7 @@ def _ends_cleanly(command, spent, answered, tmp_path, rng):
     rng.plausible = not rng.edge and rng.index % 2 == 0
     argv, files = invocation(rng, command)
     for token, content in files.items():
-        (tmp_path / f"{token[1:]}.json").write_text(json.dumps(content))
+        (tmp_path / f"{token[1:]}.json").write_text(json_text(content))
     resolved = [str(tmp_path / f"{token[1:]}.json") if token in files else token for token in argv]
     start = time.perf_counter()
     code, _, err = records.capture(resolved)

@@ -4,6 +4,7 @@ and any other exception propagates as a bug."""
 import ast
 import inspect
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,12 +188,24 @@ FILES = {
     "breaks_not_list": {"breaks": 5},
     "sigma_over_zero": {"vertices": [{"id": "root", "sigma": "1/0"}], "edges": []},
     "jump_over_zero": {"breaks": [{"jump": "1/0", "order": 5}]},
-    # JSON text as written: json reads a number past the float range as inf
+    # JSON text as written: a number past the float range is read exactly,
+    # as --vals reads it, so 1e400 is the rational 10^400
     "inertia_past_float": '{"vertices": [{"id": "r", "inertia": 1e400}], "edges": []}',
-    "sigma_past_float": '{"vertices": [{"id": "r", "inertia": 1, "sigma": 1e400}], "edges": []}',
     "order_past_float": '{"breaks": [{"jump": "0", "order": 1e400}]}',
     "jump_past_float": '{"breaks": [{"jump": 1e400, "order": 5}]}',
+    "sigma_true": '{"vertices": [{"id": "r", "inertia": 1, "sigma": true}], "edges": []}',
+    "sigma_past_digits": '{"vertices": [{"id": "r", "inertia": 1, "sigma": "1e200000000"}], '
+    '"edges": []}',
 }
+# an integer field holding JSON that is no JSON integer, though int() reads it
+NOT_INTEGERS = ("1.9", "2.0", "true", '"2"')
+for text in NOT_INTEGERS:
+    FILES[f"inertia={text}"] = '{"vertices": [{"id": "r", "inertia": %s}], "edges": []}' % text
+    FILES[f"index={text}"] = (
+        '{"vertices": [{"id": "r", "inertia": 1, "branch_points": [{"id": "b", "index": %s}]}], '
+        '"edges": []}' % text
+    )
+    FILES[f"order={text}"] = '{"breaks": [{"jump": "0", "order": 4}, {"jump": "1", "order": %s}]}' % text
 
 def _short(token):
     """The token as it appears in a test id: in full, or cut with its length."""
@@ -277,7 +290,9 @@ BAD_INPUTS = [
     (["herbrand", "--filtration", "@jump_over_zero", "--direction", "phi", "--x", "1"], "unreadable"),
     (["tree-check", "--p", "5", "--tree", "@sigma_over_zero"], "malformed"),
     (["tree-check", "--p", "5", "--tree", "@inertia_past_float"], "malformed"),
-    (["tree-solve", "--p", "5", "--tree", "@sigma_past_float"], "malformed"),
+    (["tree-solve", "--p", "5", "--tree", "@sigma_true"], "a bool is not a rational"),
+    # refused on the text, as --vals refuses it, before Fraction expands it
+    (["tree-solve", "--p", "5", "--tree", "@sigma_past_digits"], "digits"),
     (["herbrand", "--filtration", "@order_past_float", "--direction", "phi", "--x", "1"],
      "unreadable"),
     (["herbrand", "--filtration", "@jump_past_float", "--direction", "phi", "--x", "1"],
@@ -299,6 +314,15 @@ BAD_INPUTS = [
     (["wild-monodromy", "--q", "101", "--p", "5", "--r", "4"],
      "`srt insep-tails --p 5 --nu 2 --case a=1 --extra 1` lists none"),
 ]
+for text in NOT_INTEGERS:
+    BAD_INPUTS += [
+        (["tree-check", "--p", "5", "--tree", f"@inertia={text}"], "inertia must be a JSON integer"),
+        (["tree-check", "--p", "5", "--tree", f"@index={text}"], "index must be a JSON integer"),
+        (["herbrand", "--filtration", f"@order={text}", "--direction", "phi", "--x", "1"],
+         "order must be a JSON integer"),
+    ]
+# a refusal is decided on the input, before any long computation
+REFUSAL_SECONDS = 2.0
 
 
 @pytest.mark.parametrize(
@@ -313,11 +337,40 @@ def test_bad_input_is_one_error_line(argv, needle, tmp_path, capsys):
             path.write_text(content if isinstance(content, str) else json.dumps(content))
             token = str(path)
         resolved.append(token)
+    start = time.perf_counter()
     code = dispatch(resolved)
+    elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
+    assert elapsed < REFUSAL_SECONDS, elapsed
     assert captured.out == ""
     assert "Traceback" not in captured.err
     error_lines = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(error_lines) == 1, captured.err
     assert needle in error_lines[0]
+
+
+# (file, argv, the answer's path, its value): a number in a tree or
+# filtration file is read as --vals reads it, exactly, from its decimal text
+EXACT_READS = [
+    ('{"vertices": [{"id": "r", "inertia": 1, "sigma": 0.1}], "edges": []}',
+     ["tree-solve", "--p", "5"], ("tree", "vertices", 0, "sigma"), "1/10"),
+    ('{"breaks": [{"jump": "0", "order": 4}, {"jump": 0.1, "order": 2}]}',
+     ["herbrand", "--direction", "phi", "--x", "1"], ("conductor",), "1/10"),
+    ('{"vertices": [{"id": "r", "inertia": 1, "sigma": 1e400}], "edges": []}',
+     ["tree-solve", "--p", "5"], ("tree", "vertices", 0, "sigma"), str(10**400)),
+]
+
+
+@pytest.mark.parametrize(
+    "content, argv, where, want", EXACT_READS, ids=["sigma_tenth", "jump_tenth", "sigma_past_float"]
+)
+def test_a_file_reads_numbers_as_vals_does(content, argv, where, want, tmp_path, capsys):
+    path = tmp_path / "file.json"
+    path.write_text(content)
+    flag = "--tree" if argv[0] == "tree-solve" else "--filtration"
+    assert dispatch([*argv, flag, str(path)]) == 0
+    got = json.loads(capsys.readouterr().out)
+    for key in where:
+        got = got[key]
+    assert got == want
