@@ -66,11 +66,23 @@ _CONTRADICTION_VERDICTS = {
 }
 
 
+def _int(text):
+    """argparse type of every integer flag: ASCII digits with an optional
+    sign. int itself would read "1_1", " 2" and non-ASCII digits too."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # more digits than the int-to-str limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _odd_prime(text):
     """argparse type of every --p flag."""
     try:
-        p = int(text)
-    except ValueError:
+        p = _int(text)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     try:
         check_p(p)
@@ -330,26 +342,26 @@ def _cmd_wild_monodromy(args):
 # here once, and its type= callable does its conversion
 FLAGS = {
     "--p": dict(type=_odd_prime, help="an odd prime p"),
-    "--nu": dict(type=int, help="exponent nu >= 1 of the p-power p^nu"),
-    "--r": dict(type=int, help="integer r of the cover"),
-    "--s": dict(type=int, help="integer s of the cover"),
+    "--nu": dict(type=_int, help="exponent nu >= 1 of the p-power p^nu"),
+    "--r": dict(type=_int, help="integer r of the cover"),
+    "--s": dict(type=_int, help="integer s of the cover"),
     "--sqrt1ma": dict(type=_fraction, help="chosen square root of 1-a (default -s/r)"),
-    "--T": dict(type=int, help="truncation order (default 3p+2)"),
-    "--level": dict(type=int, help="torsor level n"),
+    "--T": dict(type=_int, help="truncation order (default 3p+2)"),
+    "--level": dict(type=_int, help="torsor level n"),
     "--vals": dict(help="JSON array of v(c_i), i = 1..T, as 'a/b'"),
     "--case": dict(help="generic | a=0 | a=1"),
     "--extra": dict(type=_fraction, help="v(a) for a=0, v(sqrt(1-a)) for a=1"),
     "--tree": dict(help="tree JSON file"),
     "--root-delta": dict(type=_fraction, help="override the root effective different"),
-    "--tau": dict(type=int, help="enum-tails: number of primitive tails; "
+    "--tau": dict(type=_int, help="enum-tails: number of primitive tails; "
                   "group: prescribed trace of beta"),
     "--shape": dict(choices=("tame-over-cyclotomic", "kummer-tower")),
     "--compositum": dict(help="comma-separated conductors to combine"),
     "--filtration": dict(help="filtration JSON file"),
     "--direction": dict(choices=("phi", "psi")),
     "--x": dict(help="rational point of the transform"),
-    "--q": dict(type=int, help="the prime q of SL2(F_q), the cover's degree"),
-    "--rho": dict(type=int, help="prescribed trace of alpha*beta"),
+    "--q": dict(type=_int, help="the prime q of SL2(F_q), the cover's degree"),
+    "--rho": dict(type=_int, help="prescribed trace of alpha*beta"),
     "--mode": dict(choices=("criterion", "bfs"), default="criterion"),
 }
 

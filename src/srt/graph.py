@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .errors import MissingLabel, PreconditionViolated
 from .valuation import check_p, read_int, read_rational, split_p_part
@@ -421,12 +422,12 @@ def enumerate_tail_configs(tau, p):
     check_p(p)
     if not 0 <= tau <= 3:
         raise PreconditionViolated(f"tau must be 0..3, got {tau}")
-    # _multisets yields sorted tuples in lexicographic order, so the loops
-    # list each configuration once, ordered by (len(new), prim, new)
+    # combinations_with_replacement yields sorted tuples in lexicographic order,
+    # so the loops list each configuration once, ordered by (len(new), prim, new)
     out = []
     for n_new in range(0, max(0, 2 - tau) + 1):
-        for prim in _multisets((1, 2, 3, 4), tau):
-            for new in _multisets((3, 4), n_new):
+        for prim in combinations_with_replacement((1, 2, 3, 4), tau):
+            for new in combinations_with_replacement((3, 4), n_new):
                 if sum(new) - 2 * n_new + sum(prim) != 2:
                     continue
                 flagged = any(k >= p for k in prim + new)
@@ -434,12 +435,3 @@ def enumerate_tail_configs(tau, p):
                 new_sigmas = tuple(Fraction(k, 2) for k in new)
                 out.append(TailConfig(prim_sigmas, new_sigmas, flagged))
     return out
-
-
-def _multisets(values, k):
-    if k == 0:
-        yield ()
-        return
-    for i, v in enumerate(values):
-        for rest in _multisets(values[i:], k - 1):
-            yield (v,) + rest

@@ -81,9 +81,8 @@ def _prime_factors(n):
     for d in _SMALL_PRIMES:
         if d * d > n:
             break
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            out[d], n = split_p_part(n, d)
     if n > 1:
         for m in sorted(_large_prime_factors(n)):
             out[m] = out.get(m, 0) + 1

@@ -80,8 +80,7 @@ from .valuation import (
     split_p_part,
 )
 
-# default ramification index N and unit precision M of a context; the CLI's
-# p = 5 `tail-center` works in the default context
+# default ramification index N and unit precision M of a context
 DEFAULT_N = 40
 DEFAULT_M = 8
 
@@ -197,12 +196,12 @@ def _rational_term(q, p, N, j=0):
         num, den = q.numerator, q.denominator
     if not num:
         return ()
-    while num % p == 0:
-        num //= p
-        j += N
-    while den % p == 0:
-        den //= p
-        j -= N
+    if num % p == 0:
+        a, num = split_p_part(num, p)
+        j += a * N
+    if den % p == 0:
+        a, den = split_p_part(den, p)
+        j -= a * N
     return ((j, (num, den)),)
 
 
@@ -226,9 +225,9 @@ def _canonicalize(p, N, classes, prec):
             A, B = A % mod if B == 1 else A * pow(B, -1, mod) % mod, 1
         if A == 0:
             continue
-        while A % p == 0:
-            A //= p
-            j += N
+        if A % p == 0:
+            a, A = split_p_part(A, p)
+            j += a * N
         if B != 1:
             g = math.gcd(A, B)
             A, B = A // g, B // g
@@ -574,6 +573,13 @@ def _integer_nth_root_exact(n, k):
         x = y
 
 
+def _least_root(res, m, p):
+    """The branch rule of every m-th root, m prime to p, exact or by Newton:
+    the least y in 1..p-1 with y^m = res mod p, or None when res is no m-th
+    power mod p."""
+    return next((y for y in range(1, p) if pow(y, m, p) == res), None)
+
+
 def _rational_root(w, n):
     """The exact n-th root of the unit w when w is an exact rational n-th
     power and the root that `_unit_root` names is rational, else None. For
@@ -590,7 +596,7 @@ def _rational_root(w, n):
                 m = split_p_part(n, p)[1]
                 rn = rn if u > 0 else -rn
                 res = rn * pow(rd, -1, p) % p
-                least = next(y for y in range(1, p) if pow(y, m, p) == pow(res, m, p))
+                least = _least_root(pow(res, m, p), m, p)
                 if res == least:
                     return LocalFieldElement._make(w.ctx, {0: (rn, rd)}, None)
                 if n % 2 == 0 and p - res == least:
@@ -727,7 +733,7 @@ def _unit_root(w, n):
         raise PrecisionError(f"the {p}-th roots leave no digit to fix the {m}-th root by")
     num, den = w._t[0]
     res = num * pow(den, -1, p) % p
-    y = next((y for y in range(1, p) if pow(y, m, p) == res), None)
+    y = _least_root(res, m, p)
     if y is None:
         raise NoNthRoot(f"{w!r} has no {m}-th root: {res} is no {m}-th power mod {p}")
     y = ctx.from_rational(y)

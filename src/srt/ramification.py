@@ -104,8 +104,10 @@ def herbrand(filtration, direction, x):
 def upper_from_lower(lower_breaks):
     """Build the upper-numbered filtration from lower-numbered break data
     [(lower jump t_i, order of G_t on (t_(i-1), t_i])] via the running
-    Herbrand integral."""
-    lower_breaks = [(Fraction(t), int(o)) for t, o in lower_breaks]
+    Herbrand integral. Each jump and order is read as `Filtration` reads it."""
+    lower_breaks = [
+        (read_rational(t), read_int(o, "order")) for t, o in lower_breaks
+    ]
     total = lower_breaks[0][1]
     out = [(Fraction(0), total)]
     upper = Fraction(0)

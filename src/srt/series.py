@@ -162,7 +162,8 @@ class CoverParams:
         self.s = s
         self.sqrt1ma = Fraction(sqrt1ma)
         self.a = 1 - self.sqrt1ma**2
-        if self.a == 1 - Fraction(s, r) ** 2 and self.sqrt1ma != Fraction(-s, r):
+        # a = 1 - (s/r)^2 leaves the roots +-s/r, and s > 0 tells them apart
+        if self.sqrt1ma == Fraction(s, r):
             raise PreconditionViolated(
                 f"branch is forced to sqrt(1-a) = {-Fraction(s, r)} for this a"
             )

@@ -21,6 +21,9 @@ A_ONE = "a=1"
 _CASES = (GENERIC, A_ZERO, A_ONE)
 # e in the center d = +-c(5^(extra+1)/b)^e of the deeper p = 5 inseparable tails
 D_EXPONENT = Fraction(2, 5)
+# Q_5(pi), pi^5 = 5, where both p = 5 centers take their 5th roots; its
+# M = 8 sets the printed precision of a center that is not exact
+_CENTER_FIELD = LocalFieldContext(5, N=D_EXPONENT.denominator)
 # per case, the scale c and the base b of that d: as the catalog prints them,
 # and as values at the cover's (r, s)
 _CENTER_FORMS = {
@@ -275,10 +278,9 @@ def _exceptional_center(p, nu, r, s, binom_arg):
             f"the exceptional center needs x >= 0 in binomial(x, 5), x = r+s "
             f"for a=0 and s for a=1; got x = {binom_arg}"
         )
-    ctx = LocalFieldContext(p)
     radicand = Fraction(p) ** (4 * nu + 1) * math.comb(binom_arg, 5)
-    root = nth_root(ctx.from_rational(radicand), 5)
-    return 1 - ((ctx.from_rational(s) - root) * Fraction(1, r)) ** 2
+    root = nth_root(_CENTER_FIELD.from_rational(radicand), 5)
+    return 1 - ((_CENTER_FIELD.from_rational(s) - root) * Fraction(1, r)) ** 2
 
 
 @dataclass
@@ -432,6 +434,5 @@ def insep_center(p, nu, r, s, case):
         )
     c, b = _CENTER_FORMS[case][2](r, s)
     base = Fraction(5) ** (extra + 1) / b
-    ctx = LocalFieldContext(p, N=D_EXPONENT.denominator)
-    radicand = ctx.from_rational(base**D_EXPONENT.numerator)
+    radicand = _CENTER_FIELD.from_rational(base**D_EXPONENT.numerator)
     return nth_root(radicand, D_EXPONENT.denominator) * c

@@ -130,21 +130,19 @@ def _check_valuation_prime(p):
 
 
 def _vp_count(x, p):
-    """vp(x, p) as the int count of p's it is, or None for x = 0: the
-    p-stripping loop behind vp, for a caller that builds its own value and
-    has checked p and that x is an int or a Fraction."""
+    """vp(x, p) as the int count of p's it is, or None for x = 0: the count
+    behind vp, for a caller that builds its own value and has checked p and
+    that x is an int or a Fraction."""
     num = x.numerator
     if not num:
         return None
-    v = 0
+    # num and den are coprime, so p divides at most one of them
+    if num % p == 0:
+        return split_p_part(num, p)[0]
     den = x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    if den % p == 0:
+        return -split_p_part(den, p)[0]
+    return 0
 
 
 def multinomial(q, parts):
@@ -192,10 +190,7 @@ def is_prime(n) -> bool:
         raise Unsupported(
             f"primality of {n} is certified only below {_MILLER_RABIN_EXACT_BELOW}"
         )
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = split_p_part(n - 1, 2)
     for b in _SMALL_PRIMES:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
@@ -273,7 +268,8 @@ def read_int(value, name):
 
 
 def split_p_part(n, p):
-    """(a, m) with n = p^a * m and m prime to p, for a nonzero integer n."""
+    """(a, m) with n = p^a * m and m prime to p, for a nonzero integer n: the
+    one loop of srt that divides a prime out of an integer."""
     if n == 0 or p < 2:
         raise PreconditionViolated(f"no p-part split of {n} at p = {p}")
     a = 0

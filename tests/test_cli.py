@@ -288,6 +288,32 @@ class TestExitCodes:
         assert dispatch(["tail-radius", "--p", "7", "--bogus", "1"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--nu", "1_1", "argument --nu: invalid int value: '1_1'"),
+        ("--nu", " 2", "argument --nu: invalid int value: ' 2'"),
+        ("--nu", "\u0662", "argument --nu: invalid int value: '\u0662'"),
+        ("--p", "1_1", "argument --p: '1_1' is not an integer"),
+        ("--p", "\u0661\u0661", "argument --p: '\u0661\u0661' is not an integer"),
+    ])
+    def test_integer_flags_read_ascii_digits(self, flag, text, message):
+        # int() reads each of these as 11 or 2; a flag takes ASCII digits alone
+        flags = {"--p": "11", "--nu": "2", flag: text}
+        argv = [word for pair in flags.items() for word in pair]
+        code, out, err = run_cli("tail-radius", *argv, "--case", "generic")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(f"error: {message}\n")
+
+    def test_every_integer_flag_has_the_one_type(self):
+        # each flag that reads an int refuses what int() alone would read
+        for flag, keywords in srt.cli.FLAGS.items():
+            convert = keywords.get("type")
+            if convert is None or type(convert("7")) is not int:
+                continue
+            assert convert("+7") == 7, flag
+            for text in ("1_1", " 7", "7 ", "\u0667", "++7", ""):
+                with pytest.raises(argparse.ArgumentTypeError):
+                    convert(text)
+
     def test_expand_beyond_the_digit_limit_is_refused(self):
         # the shifted root 999999937/1000000007 puts about 9 more digits in
         # each coefficient, so one of order 600 passes the int-to-str limit

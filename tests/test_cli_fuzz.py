@@ -28,7 +28,12 @@ ANSWERED = 5
 EXAMPLE_SECONDS = 2.0
 TOTAL_SECONDS = 10.0
 
-JUNK = ["", "x", "-", "1/0", "inf", "nan", "1e9", "0x10", "--p", "[", "3/-2", "-7/3"]
+# with spellings that int() reads but an integer flag refuses: an underscore,
+# a blank and non-ASCII digits
+JUNK = [
+    "", "x", "-", "1/0", "inf", "nan", "1e9", "0x10", "--p", "[", "3/-2", "-7/3",
+    "1_1", " 2", "\u0661\u0661",
+]
 BOOLS = [False, True]
 
 

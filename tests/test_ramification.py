@@ -111,6 +111,17 @@ class TestHerbrand:
         ]
         assert upper_from_lower(lower) == f
 
+    def test_upper_from_lower_reads_breaks_as_filtration_does(self):
+        # an order is an int itself: a float, a bool or a string is refused,
+        # not truncated or converted
+        for order in (2.5, True, "2"):
+            with pytest.raises(PreconditionViolated, match="order must be a JSON integer"):
+                upper_from_lower([(0, 4), (1, order)])
+        # a float jump is its exact binary value, as Filtration reads it
+        assert upper_from_lower([(0, 4), (0.1, 2)]) == Filtration(
+            [(0, 4), (Fraction(0.1) / 2, 2)]
+        )
+
 
 class TestConductors:
     def test_compositum(self):

@@ -190,13 +190,20 @@ class TestTailCenter:
         # 5^(4nu+1) * binom(r+s, 5)
         import math
 
-        ctx = LocalFieldContext(5)
+        ctx = LocalFieldContext(5, N=5)
         nu, r, s = 2, 1, 4
         center = tail_center(5, nu, r, s, "a=0")
         radicand = Fraction(5) ** (4 * nu + 1) * math.comb(r + s, 5)
         rho = nth_root(ctx.from_rational(radicand), 5)
         expected = 1 - ((ctx.from_rational(s) - rho) * Fraction(1, r)) ** 2
         assert (center - expected).is_zero()
+
+    def test_both_p5_centers_share_one_field(self):
+        # Q_5(pi), pi^5 = 5, with the default unit precision
+        field = LocalFieldContext(5, N=5)
+        assert tail_center(5, 2, 1, 4, "a=0").ctx == field
+        assert tail_center(5, 2, 3, 5, "a=1").ctx == field
+        assert insep_center(5, 3, 1, 5, "a=1").ctx == field
 
     def test_exceptional_center_is_built_at_p5_only(self):
         # at p = 3 a valuation below nu - 1 keeps the rational center, and
