@@ -48,7 +48,7 @@ from .torsor import (
     tail_center,
     tail_radius,
 )
-from .valuation import ExtendedRational, check_p, read_rational, to_jsonable
+from .valuation import INTEGER_SPELLING, ExtendedRational, check_p, read_rational, to_jsonable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,14 +67,13 @@ _CONTRADICTION_VERDICTS = {
 
 
 def _int(text):
-    """argparse type of every integer flag: ASCII digits with an optional
-    sign. int itself would read "1_1", " 2" and non-ASCII digits too."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    try:
-        if digits.isascii() and digits.isdigit():
+    """argparse type of every integer flag: srt.valuation's INTEGER_SPELLING.
+    int itself would read "1_1", " 2" and non-ASCII digits too."""
+    if INTEGER_SPELLING.fullmatch(text):
+        try:
             return int(text)
-    except ValueError:  # more digits than the int-to-str limit
-        pass
+        except ValueError:  # more digits than the int-to-str limit
+            pass
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
@@ -95,13 +94,19 @@ def _fraction(text):
     """read_rational(text), refused in one line when it is no rational."""
     try:
         return read_rational(text)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(
             f"could not parse {text!r} as a rational; write it as 'a/b'"
         ) from exc
 
 
 _VALS_REMEDY = "--vals must be a JSON array of rationals like '[\"3/2\", \"inf\"]'"
+
+
+# the number policy of every JSON load of srt.cli: a number with a fraction
+# or an exponent is the exact rational of its text, and NaN, Infinity and
+# -Infinity are the strings they spell, for each reader to read or refuse
+_JSON_NUMBERS = dict(parse_float=_fraction, parse_constant=str)
 
 
 def _ext_fraction(text):
@@ -194,9 +199,8 @@ def _refuse_unprintable(coefficients):
 
 def _cmd_split_check(args):
     try:
-        # a JSON number is read as the exact rational, so 0.1 is 1/10, and
-        # its digits are bounded before it is built
-        raw = json.loads(args.vals, parse_float=_fraction, parse_int=_fraction)
+        # an integer too is read as the rational of its bounded text
+        raw = json.loads(args.vals, parse_int=_fraction, **_JSON_NUMBERS)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{_VALS_REMEDY} ({exc})") from exc
     if not isinstance(raw, list):
@@ -222,17 +226,15 @@ def _cmd_insep_tails(args):
 def _load_tree(path):
     try:
         with open(path) as handle:
-            data = json.load(handle, parse_float=_fraction)
+            data = json.load(handle, **_JSON_NUMBERS)
     except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
         raise UsageError(
             f"tree file {path!r} unreadable ({exc}); expected the JSON schema "
             f"with 'vertices' and 'edges'"
         ) from exc
-    # OverflowError: json reads Infinity as the float inf, which no Fraction takes
     try:
         return ReductionTree.from_json(data)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError,
-            ZeroDivisionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed tree JSON: {exc}") from exc
 
 
@@ -279,12 +281,10 @@ def _cmd_herbrand(args):
     if args.filtration:
         if args.p is not None or args.nu is not None:
             raise UsageError("give --filtration FILE or --p and --nu, not both")
-        # OverflowError: a jump of Infinity, read by json as the float inf
         try:
             with open(args.filtration) as handle:
-                filtration = Filtration.from_json(json.load(handle, parse_float=_fraction))
-        except (OSError, KeyError, OverflowError, TypeError, ValueError,
-                ZeroDivisionError) as exc:
+                filtration = Filtration.from_json(json.load(handle, **_JSON_NUMBERS))
+        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise UsageError(
                 f"filtration file {args.filtration!r} unreadable ({exc}); "
                 f"expected {{\"breaks\": [{{\"jump\": ..., \"order\": ...}}]}}"

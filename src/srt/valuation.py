@@ -1,8 +1,9 @@
 """
 Exact p-adic valuations over the rationals, and the small helpers every other
 module shares: primality, the one domain rule of each of p, q and nu (check_p,
-check_q, check_nu), the one reader of numbers from outside (read_rational,
-read_int), the p-part split of an integer, square-and-multiply and to_jsonable.
+check_q, check_nu), the one spelling and reader of numbers from outside
+(INTEGER_SPELLING, RATIONAL_SPELLING, read_rational, read_int), the p-part
+split of an integer, square-and-multiply and to_jsonable.
 
 Valuations take values in (1/N)Z for various N, so everything here is built on
 ``fractions.Fraction``, extended by a single infinite element for v(0).
@@ -12,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -232,30 +234,45 @@ def check_nu(nu):
         raise PreconditionViolated(f"nu must be >= 1, got {nu}")
 
 
+# The one spelling of a number from outside srt, a flag or a string of a JSON
+# file: ASCII digits after one optional sign, and for a rational either "/"
+# and a denominator, or a decimal point and an exponent, each optional. Read
+# with fullmatch. int and Fraction read more: blanks around the number, "_"
+# between digits, and the digits of every script.
+INTEGER_SPELLING = re.compile(r"[-+]?[0-9]+")
+RATIONAL_SPELLING = re.compile(
+    r"[-+]?(?=\.?[0-9])(?P<digits>[0-9]*)(?:/(?P<denominator>[0-9]+)"
+    r"|(?:\.(?P<decimals>[0-9]*))?(?:[eE](?P<exponent>[-+]?[0-9]+))?)"
+)
+
+
 def read_rational(text):
     """Fraction(text) of a value read from outside: a flag, or a JSON string
-    or number. A str is refused with ResourceLimit when it has too many
-    digits to print: its digits plus its decimal exponent bound the digits
-    of numerator and denominator, counted on the text, so 1e1000000000 is
-    refused before Fraction builds 10^1000000000; a number is built already.
-    A bool, which Fraction reads as 0 or 1, raises PreconditionViolated; any
-    other value Fraction refuses raises Fraction's own error."""
+    or number. A str not spelled as RATIONAL_SPELLING says is refused with
+    PreconditionViolated in Fraction's words, and one with too many digits to
+    print with ResourceLimit: the digits of its match plus its exponent bound
+    those of numerator and denominator, so 1e1000000000 is refused before
+    Fraction builds 10^1000000000. A number is built already; a bool raises
+    PreconditionViolated, and any other value Fraction refuses raises
+    Fraction's own error."""
     if isinstance(text, bool):
         raise PreconditionViolated(f"a bool is not a rational, got {text}")
+    if not isinstance(text, str):
+        return Fraction(text)
+    spelled = RATIONAL_SPELLING.fullmatch(text)
+    if spelled is None:
+        raise PreconditionViolated(f"Invalid literal for Fraction: {text!r}")
     limit = sys.get_int_max_str_digits()
-    if isinstance(text, str) and limit:
-        mantissa, _, exponent = text.lower().partition("e")
-        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-        size = sum(c.isdecimal() for c in mantissa)
-        if exponent.isdecimal():
-            # an exponent with more digits than the limit is past it anyway
-            size += limit if len(exponent) > len(str(limit)) else int(exponent)
-        if size >= limit:
-            shown = text if len(text) <= 20 else text[:20] + "..."
-            raise ResourceLimit(
-                f"rational {shown!r} has {limit} or more digits with its exponent, "
-                f"too many to print; write it with fewer digits or a smaller exponent"
-            )
+    exponent = (spelled["exponent"] or "").lstrip("+-").lstrip("0")
+    size = len(spelled["digits"]) + len(spelled["denominator"] or spelled["decimals"] or "")
+    # an exponent with more digits than the limit is past it anyway
+    size += limit if len(exponent) > len(str(limit)) else int(exponent or 0)
+    if limit and size >= limit:
+        shown = text if len(text) <= 20 else text[:20] + "..."
+        raise ResourceLimit(
+            f"rational {shown!r} has {limit} or more digits with its exponent, "
+            f"too many to print; write it with fewer digits or a smaller exponent"
+        )
     return Fraction(text)
 
 

@@ -7,9 +7,10 @@ of degree < n in the uniformizer pi, with pi^n = p.  The valuation is
 normalized so v(p) = 1, hence v(pi) = 1/n.  Beside it: the table of p-th
 powers modulo pi^L, Herbrand's functions of the cyclotomic filtration as
 integrals of its step function, the etale-tail configurations by brute
-force, SL2(F_q) as a list of 4-tuples with orders by repeated
-multiplication and subgroups by closure, and the torsor splitting criterion
-on Fraction valuations.
+force, the law of a reduction tree's effective differents as linear ties,
+SL2(F_q) as a list of 4-tuples with orders by repeated multiplication and
+subgroups by closure, and the torsor splitting criterion on Fraction
+valuations.
 """
 from __future__ import annotations
 
@@ -370,6 +371,74 @@ def tail_configs(tau, p):
                     found.add((tuple(sorted(prim)), tuple(sorted(new))))
     ordered = sorted(found, key=lambda c: (len(c[1]), c[0], c[1]))
     return [(prim, new, any(2 * s >= p for s in prim + new)) for prim, new in ordered]
+
+
+def tree_law(tree, p, root_delta=None):
+    """The law delta(parent) - delta(child) = sigma_eff * epaisseur on a
+    reduction tree in its JSON file format (labels as "a/b" strings or JSON
+    numbers), solved as linear ties between deltas. The data are the labels,
+    the root's delta (root_delta, by default its inertia + 1/(p - 1)) and
+    delta = 0 on each vertex of inertia 0.
+
+    An edge with sigma_eff and epaisseur both known ties the delta of its
+    parent to its child's plus their product; an edge with one of them known
+    to be 0 and the other unknown ties the two deltas as equal; any other
+    edge ties nothing, since its unknown absorbs any drop. A tree has no
+    cycle, so the deltas of each tied component are known up to one shift,
+    which the data in that component fix. Returns (delta, sigma_eff,
+    epaisseur): dicts from each vertex id, resp. each edge (parent, child),
+    to the set of values the data give it through the ties. An empty set is
+    a value the law leaves free, one value a forced one, and more than one
+    means that the data contradict each other."""
+
+    def read(label):
+        return None if label is None else Fraction(str(label))
+
+    inertia = {v["id"]: v.get("inertia", 0) for v in tree["vertices"]}
+    edges = {(e["parent"], e["child"]): (read(e.get("sigma_eff")), read(e.get("epaisseur")))
+             for e in tree["edges"]}
+    (root,) = set(inertia) - {child for _, child in edges}
+    data = {v: set() for v in inertia}
+    if root_delta is None:
+        root_delta = Fraction(inertia[root]) + Fraction(1, p - 1)
+    data[root].add(root_delta)
+    for v in tree["vertices"]:
+        if inertia[v["id"]] == 0:
+            data[v["id"]].add(Fraction(0))
+        if v.get("delta_eff") is not None:
+            data[v["id"]].add(read(v["delta_eff"]))
+    ties = {v: [] for v in inertia}  # v -> [(w, delta(v) - delta(w))]
+    for (parent, child), (sigma, eps) in edges.items():
+        if sigma is not None and eps is not None:
+            drop = sigma * eps
+        elif sigma == 0 or eps == 0:
+            drop = Fraction(0)
+        else:
+            continue
+        ties[parent].append((child, drop))
+        ties[child].append((parent, -drop))
+    delta = {}
+    for start in inertia:
+        if start in delta:
+            continue
+        offset, stack = {start: Fraction(0)}, [start]  # delta(v) - delta(start)
+        while stack:
+            v = stack.pop()
+            for w, drop in ties[v]:
+                if w not in offset:
+                    offset[w] = offset[v] - drop
+                    stack.append(w)
+        shifts = {value - offset[v] for v in offset for value in data[v]}
+        for v in offset:
+            delta[v] = {shift + offset[v] for shift in shifts}
+    sigma_eff, epaisseur = {}, {}
+    for key, (sigma, eps) in edges.items():
+        # an edge left out of the ties has a nonzero known, or none: the
+        # drops between its ends give the other one
+        drops = {a - b for a in delta[key[0]] for b in delta[key[1]]}
+        sigma_eff[key] = {sigma} if sigma is not None else {d / eps for d in drops if eps}
+        epaisseur[key] = {eps} if eps is not None else {d / sigma for d in drops if sigma}
+    return delta, sigma_eff, epaisseur
 
 
 def sl2_elements(q):

@@ -247,6 +247,12 @@ class TestReferenceInvocations:
         assert len(built) == first_build
 
 
+# spellings that int() or Fraction() reads as 11 or 1 and that no number from
+# outside takes: "_" between digits, a blank before or after, and the one of
+# Arabic-Indic and of full-width digits
+MISSPELLINGS = ("1_1", " 1", "1 ", "\u0661", "\uff11")
+
+
 class TestExitCodes:
     def test_affirmative_is_zero(self):
         code, out, _ = run_cli(
@@ -273,6 +279,13 @@ class TestExitCodes:
         assert json.loads(out)["evidence"] == {
             "witness_index": "1", "valuation": "1/10", "threshold": "5/4",
         }
+
+    def test_json_infinity_in_vals_is_inf(self):
+        # JSON's Infinity reaches --vals as the word it spells, which reads as inf
+        flags = ["split-check", "--p", "5", "--level", "1", "--vals"]
+        code, out, err = run_cli(*flags, "[2, Infinity, 3, 4, 5]")
+        assert (code, err) == (EXIT_OK, "")
+        assert (code, out, err) == run_cli(*flags, '[2, "inf", 3, 4, 5]')
 
     def test_usage_error_is_one(self):
         code, _, err = run_cli("split-check", "--p", "5", "--level", "2", "--vals", "oops")
@@ -303,16 +316,45 @@ class TestExitCodes:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.endswith(f"error: {message}\n")
 
-    def test_every_integer_flag_has_the_one_type(self):
-        # each flag that reads an int refuses what int() alone would read
+    def test_every_number_from_outside_has_the_one_spelling(self, tmp_path):
+        # each typed flag, integer or rational, refuses what int() or
+        # Fraction() alone would read
         for flag, keywords in srt.cli.FLAGS.items():
             convert = keywords.get("type")
-            if convert is None or type(convert("7")) is not int:
+            if convert is None:
                 continue
             assert convert("+7") == 7, flag
-            for text in ("1_1", " 7", "7 ", "\u0667", "++7", ""):
-                with pytest.raises(argparse.ArgumentTypeError):
+            error = srt.SrtError if convert is srt.cli._fraction else argparse.ArgumentTypeError
+            for text in (*MISSPELLINGS, "++7", ""):
+                with pytest.raises(error):
                     convert(text)
+        # and so does each number that a handler reads from a string flag or
+        # a file: a request that answers with "1" in place of "@" is refused
+        # with the misspelling named
+        tree = {"vertices": [{"id": "r", "inertia": 1, "sigma": "@"}], "edges": []}
+        filtration = {"breaks": [{"jump": "0", "order": 4}, {"jump": "@", "order": 2}]}
+        requests = [
+            ["herbrand", "--p", "5", "--nu", "2", "--direction", "phi", "--x", "@"],
+            ["conductor", "--compositum", "1/2,@"],
+            ["split-check", "--p", "5", "--level", "1", "--vals", '["@", 2, 3, 4, 5]'],
+            ["tree-solve", "--p", "5", "--tree", tree],
+            ["herbrand", "--filtration", filtration, "--direction", "phi", "--x", "1"],
+        ]
+        for request in requests:
+            for text in ("1", *MISSPELLINGS):
+                argv = []
+                for word in request:
+                    if isinstance(word, dict):
+                        path = tmp_path / "file.json"
+                        path.write_text(json.dumps(word).replace("@", json.dumps(text)[1:-1]))
+                        word = str(path)
+                    argv.append(word.replace("@", text))
+                code, out, err = run_cli(*argv)
+                if text == "1":
+                    assert code != EXIT_USAGE, (argv, err)
+                else:
+                    assert (code, out) == (EXIT_USAGE, ""), argv
+                    assert repr(text) in err, argv
 
     def test_expand_beyond_the_digit_limit_is_refused(self):
         # the shifted root 999999937/1000000007 puts about 9 more digits in

@@ -4,15 +4,17 @@ Each case builds an argv from the flags that srt.cli.COMMANDS lists for the
 subcommand, each value drawn, plausible or malformed, from the flag's one
 draw in VALUES (and, for the file flags, a JSON file with plausible and
 malformed content), and checks the CLI boundary: the exit code is 0, 1 or
-2, stderr holds no traceback, and the call returns within EXAMPLE_SECONDS.
-An exception that is not an SrtError propagates out of dispatch and fails
-the case. The cases are seeded draws (tests/draws.py), and all of them
+2, stderr holds no traceback, and the call returns within EXAMPLE_SECONDS;
+a case that reads a number spelled as one of MISSPELLINGS exits 1. An
+exception that is not an SrtError propagates out of dispatch and fails the
+case. The cases are seeded draws (tests/draws.py), and all of them
 together must stay within TOTAL_SECONDS.
 
 Every other random case is plausible: it gives each required flag and draws
 only plausible values and files, and at least ANSWERED random cases of a
 subcommand must answer (exit 0 or 2), so that its answered paths are fuzzed too.
 """
+import contextlib
 import json
 import time
 
@@ -28,11 +30,13 @@ ANSWERED = 5
 EXAMPLE_SECONDS = 2.0
 TOTAL_SECONDS = 10.0
 
-# with spellings that int() reads but an integer flag refuses: an underscore,
-# a blank and non-ASCII digits
+# spellings that int() or Fraction() reads as 11 or 1 and that no number from
+# outside takes: "_" between digits, a blank before or after, and the one of
+# Arabic-Indic and of full-width digits; a case that draws one exits 1
+MISSPELLINGS = ("1_1", " 1", "1 ", "\u0661", "\uff11")
 JUNK = [
     "", "x", "-", "1/0", "inf", "nan", "1e9", "0x10", "--p", "[", "3/-2", "-7/3",
-    "1_1", " 2", "\u0661\u0661",
+    *MISSPELLINGS,
 ]
 BOOLS = [False, True]
 
@@ -117,8 +121,9 @@ RARE = {"--sqrt1ma", "--root-delta", "--filtration", "--compositum", "--tau", "-
 # for the JSON number 1e400 until json_text writes the file
 PAST_FLOAT = "<1e400>"
 # JSON that int() or a binary float would misread, and a rational past the
-# digit limit: an integer field refuses each, a rational field reads it exactly
-MISREADS = [0.1, 1.9, 2.0, True, "2", "1e200000000", PAST_FLOAT]
+# digit limit: an integer field refuses each, a rational field reads it
+# exactly; and the misspellings, which every field refuses
+MISREADS = [0.1, 1.9, 2.0, True, "2", "1e200000000", PAST_FLOAT, *MISSPELLINGS]
 NUMBERS = value(
     sampled("1/2", "1", "3/2", "2", "9/4", "5/2", "3"),
     ["0", "-1", "x", "1/0", None, 2, *MISREADS],
@@ -181,6 +186,28 @@ def filtration(rng):
     return out
 
 
+def strings(value):
+    """The strings of a JSON value, at any depth."""
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, (list, dict)):
+        items = value.values() if isinstance(value, dict) else value
+        return [s for item in items for s in strings(item)]
+    return []
+
+
+def misspelled(argv, files):
+    """Whether the request reads a misspelling: a word of argv or a
+    comma-separated part of one, a string of a JSON word, or a string of a
+    file that argv names."""
+    found = [part for word in argv for part in word.split(",")]
+    for word in argv:
+        found += strings(files[word]) if word in files else []
+        with contextlib.suppress(ValueError):
+            found += strings(json.loads(word))
+    return not set(MISSPELLINGS).isdisjoint(found)
+
+
 def json_text(content):
     """The JSON text of a drawn file, with PAST_FLOAT as the number 1e400."""
     return json.dumps(content).replace(json.dumps(PAST_FLOAT), "1e400")
@@ -225,6 +252,8 @@ def _ends_cleanly(command, spent, answered, tmp_path, rng):
     assert "Traceback" not in err, argv
     assert elapsed < EXAMPLE_SECONDS, (argv, elapsed)
     assert spent[0] < TOTAL_SECONDS, "the fuzz as a whole went over its time budget"
+    if misspelled(argv, files):
+        assert code == 1, argv
     if code != 1 and not rng.edge:
         answered.append(argv)
 

@@ -196,6 +196,10 @@ FILES = {
     "sigma_true": '{"vertices": [{"id": "r", "inertia": 1, "sigma": true}], "edges": []}',
     "sigma_past_digits": '{"vertices": [{"id": "r", "inertia": 1, "sigma": "1e200000000"}], '
     '"edges": []}',
+    # JSON's NaN and Infinity are read as the words they spell
+    "sigma_infinity": '{"vertices": [{"id": "r", "inertia": 1, "sigma": Infinity}], "edges": []}',
+    "inertia_nan": '{"vertices": [{"id": "r", "inertia": NaN}], "edges": []}',
+    "jump_nan": '{"breaks": [{"jump": "0", "order": 4}, {"jump": NaN, "order": 2}]}',
 }
 # an integer field holding JSON that is no JSON integer, though int() reads it
 NOT_INTEGERS = ("1.9", "2.0", "true", '"2"')
@@ -225,7 +229,10 @@ BAD_INPUTS = [
     (["split-check", "--p", "5", "--level", "1", "--vals", '["1", "2"]'], "i = 5"),
     # JSON true is not the rational 1
     (["split-check", "--p", "5", "--level", "1", "--vals", "[true, 2, 3, 4, 5]"], "JSON array"),
-    (["split-check", "--p", "5", "--level", "1", "--vals", "[-Infinity, 2, 3, 4, 5]"], "rational"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", "[-Infinity, 2, 3, 4, 5]"],
+     "could not parse '-Infinity'"),
+    (["split-check", "--p", "5", "--level", "1", "--vals", "[NaN, 2, 3, 4, 5]"],
+     "could not parse 'NaN'"),
     # past the int-to-str digit limit, refused on the text before Fraction
     # expands it (10^1000000000 would take minutes and gigabytes)
     (["split-check", "--p", "5", "--level", "1", "--vals", '["1e5000",1,1,1,1]'], "digits"),
@@ -293,6 +300,11 @@ BAD_INPUTS = [
     (["tree-solve", "--p", "5", "--tree", "@sigma_true"], "a bool is not a rational"),
     # refused on the text, as --vals refuses it, before Fraction expands it
     (["tree-solve", "--p", "5", "--tree", "@sigma_past_digits"], "digits"),
+    (["tree-solve", "--p", "5", "--tree", "@sigma_infinity"],
+     "malformed tree JSON: Invalid literal for Fraction: 'Infinity'"),
+    (["tree-check", "--p", "5", "--tree", "@inertia_nan"], "inertia must be a JSON integer, got 'NaN'"),
+    (["herbrand", "--filtration", "@jump_nan", "--direction", "phi", "--x", "1"],
+     "(Invalid literal for Fraction: 'NaN')"),
     (["herbrand", "--filtration", "@order_past_float", "--direction", "phi", "--x", "1"],
      "unreadable"),
     (["herbrand", "--filtration", "@jump_past_float", "--direction", "phi", "--x", "1"],

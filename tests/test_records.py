@@ -38,4 +38,4 @@ def test_every_family_has_a_named_oracle_or_a_stated_gap():
     assert set(records.ORACLES) | set(records.GAPS) == families
     assert set(records.ORACLES).isdisjoint(records.GAPS)
     # a gap closes by moving to ORACLES; none may open
-    assert set(records.GAPS) <= {"insep-tails", "tree"}
+    assert set(records.GAPS) <= {"insep-tails"}

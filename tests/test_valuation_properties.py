@@ -1,8 +1,12 @@
 """Property tests of vp and scaled_coefficient_valuations against the
 independent valuation of the test oracle, on ints, Fractions, and the str
-and float forms vp converts."""
+and float forms vp converts; and of read_rational against Fraction on
+ASCII text."""
 import math
+import sys
 from fractions import Fraction
+
+import pytest
 
 from srt import (
     INFINITY,
@@ -11,6 +15,9 @@ from srt import (
     scaled_coefficient_valuations,
     vp,
 )
+
+from srt.errors import PreconditionViolated, ResourceLimit
+from srt.valuation import read_rational
 
 from draws import cases
 from helpers import vp_fraction
@@ -75,3 +82,47 @@ def test_scaled_coefficient_valuations_match_the_oracle(rng):
         else:
             assert type(v.value) is Fraction
             assert v.value == vp_fraction(c, p) + i * Fraction(v_e)
+
+
+# the three parts of a text near the spelling of a rational, an exponent
+# that puts a 1-digit mantissa one below and one at the digit limit among
+# them; and what Fraction reads but the spelling does not: a blank, "_" and
+# the one of Arabic-Indic and of full-width digits
+SIGNS = ["", "+", "-"]
+MANTISSAS = ["0", "7", "12", ".5", "7.", "12.5", "."]
+ENDS = ["", "/3", "/0", "e-2", "E+3", "e4298", "e4299", "/", "/3e1"]
+ASCII = "0123456789+-/.eE"
+MISREAD = " _\u0661\uff11"
+
+
+def near_rational(rng):
+    """A sign, a mantissa and an end, with one character of ASCII or of
+    MISREAD put in at random one time in two."""
+    out = rng.choice(SIGNS) + rng.choice(MANTISSAS) + rng.choice(ENDS)
+    if rng.random() < 1 / 2:
+        at = rng.randint(0, len(out))
+        out = out[:at] + rng.choice(rng.choice([ASCII, MISREAD])) + out[at:]
+    return out
+
+
+@cases(400)
+def test_read_rational_reads_ascii_text_as_fraction_does(rng):
+    text = near_rational(rng)
+    if any(c in MISREAD for c in text):
+        with pytest.raises(PreconditionViolated):
+            read_rational(text)
+        return
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            read_rational(text)
+        return
+    # Fraction reads it: its digits with its exponent decide the bound
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(c.isdigit() for c in mantissa) + abs(int(exponent or 0))
+    if size >= sys.get_int_max_str_digits():
+        with pytest.raises(ResourceLimit):
+            read_rational(text)
+    else:
+        assert read_rational(text) == want
